@@ -1,6 +1,7 @@
 //! The HatKV service handler over the embedded store, with hint-driven
 //! backend tuning and hash-sharded write fan-out.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hat_idl::hints::{PerfGoal, Side};
@@ -22,38 +23,79 @@ use crate::generated::HatKVHandler;
 #[derive(Debug)]
 pub struct StatsMirror {
     node: Arc<Node>,
-    /// Last published (commits, writer_wait_ns, bytes_written,
-    /// txn_commits, txn_aborts, txn_recovered).
-    last: parking_lot::Mutex<(u64, u64, u64, u64, u64, u64)>,
+    last: parking_lot::Mutex<Published>,
+    /// [`Published::progress`] of `last`, readable without the lock. A
+    /// hint only (`Relaxed`): `last` itself is read under the lock.
+    seen: AtomicU64,
+}
+
+/// Backend totals as of the last publish.
+#[derive(Debug, Clone, Copy, Default)]
+struct Published {
+    commits: u64,
+    writer_wait_ns: u64,
+    bytes_written: u64,
+    txn_commits: u64,
+    txn_aborts: u64,
+    txn_recovered: u64,
+}
+
+impl Published {
+    fn of(db: &ShardedDb) -> Published {
+        let (agg, txn) = (db.stats(), db.txn_stats());
+        Published {
+            commits: agg.commits,
+            writer_wait_ns: agg.writer_wait_ns,
+            bytes_written: agg.bytes_written,
+            txn_commits: txn.commits,
+            txn_aborts: txn.aborts,
+            txn_recovered: txn.recovered,
+        }
+    }
+
+    /// Shard commits plus 2PC outcomes. Every published counter moves
+    /// only together with one of these (waiting and writing end in a
+    /// commit or an outcome), and they only grow, so an unchanged sum
+    /// means there is nothing new to publish.
+    fn progress(&self) -> u64 {
+        self.commits + self.txn_commits + self.txn_aborts + self.txn_recovered
+    }
 }
 
 impl StatsMirror {
     /// Mirror backend counters into `node`'s stats.
     pub fn new(node: Arc<Node>) -> Arc<StatsMirror> {
-        Arc::new(StatsMirror { node, last: parking_lot::Mutex::new((0, 0, 0, 0, 0, 0)) })
+        Arc::new(StatsMirror { node, last: Default::default(), seen: AtomicU64::new(0) })
     }
 
-    /// Publish the delta since the previous call.
+    /// Publish the delta since the previous call. A call that finds no
+    /// progress — a rejected or empty batch, or a sibling handler that
+    /// already published this write — returns without taking the lock or
+    /// touching the node's counters.
     fn publish(&self, db: &ShardedDb) {
-        let agg = db.stats();
-        let txn = db.txn_stats();
-        let now = (
-            agg.commits,
-            agg.writer_wait_ns,
-            agg.bytes_written,
-            txn.commits,
-            txn.aborts,
-            txn.recovered,
-        );
-        let mut last = self.last.lock();
+        let now = Published::of(db);
+        if now.progress() == self.seen.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut guard = self.last.lock();
+        let last = &mut *guard;
         let stats = self.node.stats();
-        NodeStats::add(&stats.kv_txns, now.0.saturating_sub(last.0));
-        NodeStats::add(&stats.kv_writer_wait_ns, now.1.saturating_sub(last.1));
-        NodeStats::add(&stats.kv_bytes_written, now.2.saturating_sub(last.2));
-        NodeStats::add(&stats.kv_txn_commits, now.3.saturating_sub(last.3));
-        NodeStats::add(&stats.kv_txn_aborts, now.4.saturating_sub(last.4));
-        NodeStats::add(&stats.kv_txn_recovered, now.5.saturating_sub(last.5));
-        *last = now;
+        // Per field, not wholesale: a racing publisher's totals may be
+        // older than `last` in some fields and newer in others.
+        for (counter, now, last) in [
+            (&stats.kv_txns, now.commits, &mut last.commits),
+            (&stats.kv_writer_wait_ns, now.writer_wait_ns, &mut last.writer_wait_ns),
+            (&stats.kv_bytes_written, now.bytes_written, &mut last.bytes_written),
+            (&stats.kv_txn_commits, now.txn_commits, &mut last.txn_commits),
+            (&stats.kv_txn_aborts, now.txn_aborts, &mut last.txn_aborts),
+            (&stats.kv_txn_recovered, now.txn_recovered, &mut last.txn_recovered),
+        ] {
+            if now > *last {
+                NodeStats::add(counter, now - *last);
+                *last = now;
+            }
+        }
+        self.seen.store(last.progress(), Ordering::Relaxed);
     }
 }
 
@@ -317,5 +359,39 @@ mod tests {
         let snap2 = node.stats_snapshot();
         assert!(snap2.kv_txns > 2, "multiput adds per-shard txns");
         assert_eq!(snap2.kv_bytes_written, 152 + 10 * 12);
+
+        // Nothing committed since: a publish finds no progress and leaves
+        // the node's counters alone.
+        h2.published();
+        assert_eq!(node.stats_snapshot(), snap2);
+    }
+
+    /// Racing publishers read the backend totals outside the mirror's
+    /// lock, so one may arrive holding older totals than were already
+    /// published: nothing may be counted twice, nothing lost.
+    #[test]
+    fn racing_publishers_count_every_commit_once() {
+        use hat_rdma_sim::{Fabric, SimConfig};
+        const WRITERS: u8 = 4;
+        const PUTS: u8 = 200;
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let node = fabric.add_node("kv");
+        let mirror = StatsMirror::new(node.clone());
+        let first = handler().with_mirror(mirror.clone());
+        std::thread::scope(|scope| {
+            for t in 0..WRITERS {
+                let mut h = KvStoreHandler::new(first.db().clone()).with_mirror(mirror.clone());
+                scope.spawn(move || {
+                    for i in 0..PUTS {
+                        h.put(vec![t, i], vec![0; 30]).unwrap();
+                    }
+                });
+            }
+        });
+        let snap = node.stats_snapshot();
+        let puts = u64::from(WRITERS) * u64::from(PUTS);
+        assert_eq!(snap.kv_txns, puts);
+        assert_eq!(snap.kv_bytes_written, puts * 32);
+        assert_eq!(snap.kv_writer_wait_ns, first.db().stats().writer_wait_ns);
     }
 }

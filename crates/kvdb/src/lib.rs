@@ -8,9 +8,10 @@
 //! * [`Database::begin_read`] snapshots the current root; the snapshot is
 //!   immutable and stays consistent regardless of concurrent commits.
 //! * [`Database::begin_write`] takes the single writer lock and mutates a
-//!   private copy of the path to each touched leaf
-//!   ([`std::sync::Arc::make_mut`] keeps it allocation-free when no
-//!   snapshot pins the old version).
+//!   private copy of the path to each touched leaf. Keys and values are
+//!   refcounted buffers ([`Bytes`]), so a path copy clones pointers: a
+//!   put copies its value once, into the cell the tree, every snapshot
+//!   and the WAL op log then share.
 //! * `max_readers` bounds concurrent read transactions (LMDB's reader
 //!   table); exceeding it fails with [`KvError::ReadersFull`]. HatKV's
 //!   hint co-design tunes this from the `concurrency` hint.
@@ -47,6 +48,7 @@ pub use sharded::{
     clamp_shard_count, ShardedDb, ShardedReadTxn, TxnCrashPoint, TxnError, TxnStatsSnapshot,
     WriteObserver, MAX_SHARDS, TXN_LOCK_DEADLINE,
 };
+pub use tree::Bytes;
 use tree::Node;
 use wal::Wal;
 pub use wal::{WalOp, WalRecovery};
@@ -236,12 +238,7 @@ impl Database {
             let mut txn = db.begin_write().expect("fresh writer");
             for batch in recovery.committed.drain(..) {
                 for op in batch {
-                    match op {
-                        WalOp::Put(k, v) => txn.put(&k, &v),
-                        WalOp::Del(k) => {
-                            txn.del(&k);
-                        }
-                    }
+                    txn.apply(&op);
                 }
             }
             // Replay must not re-log; commit via the non-logging path.
@@ -350,14 +347,25 @@ impl Database {
     /// is active. Time spent blocked is charged to
     /// [`DbStats::writer_wait_ns`].
     pub fn begin_write(&self) -> Result<WriteTxn<'_>, KvError> {
-        let t0 = std::time::Instant::now();
-        let guard = self.inner.writer.lock();
-        self.inner
-            .stats
-            .writer_wait_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        // Uncontended is the common case: only a writer that actually
+        // blocks reads the clock.
+        let guard = match self.inner.writer.try_lock() {
+            Some(guard) => guard,
+            None => {
+                let t0 = std::time::Instant::now();
+                let guard = self.inner.writer.lock();
+                self.inner
+                    .stats
+                    .writer_wait_ns
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                guard
+            }
+        };
         let root = self.inner.root.read().clone();
-        Ok(WriteTxn { db: self, root, _guard: guard, dirty: false, log: Vec::new() })
+        // The WAL is attached before a database is handed out and never
+        // detached, so one look per transaction is enough.
+        let logging = self.inner.wal.lock().is_some();
+        Ok(WriteTxn { db: self, root, _guard: guard, dirty: false, logging, log: Vec::new() })
     }
 
     /// Convenience: single-key read outside a transaction.
@@ -416,23 +424,33 @@ pub struct WriteTxn<'db> {
     root: Arc<Node>,
     _guard: parking_lot::MutexGuard<'db, ()>,
     dirty: bool,
+    /// Whether the database is WAL-backed (fixed for the transaction).
+    logging: bool,
     /// Operations to append to the WAL at commit (persistent DBs only).
     log: Vec<WalOp>,
 }
 
 impl WriteTxn<'_> {
-    /// Insert or replace a key.
+    /// Insert or replace a key. The value is copied once, into the
+    /// refcounted cell the tree (and the WAL op log) will share.
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
+        self.put_shared(key, value.into());
+    }
+
+    /// [`WriteTxn::put`] for a value that already lives in a refcounted
+    /// cell (WAL replay, 2PC apply): the tree takes the pointer, no bytes
+    /// are copied.
+    pub(crate) fn put_shared(&mut self, key: &[u8], value: Bytes) {
         self.db.inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         self.db
             .inner
             .stats
             .bytes_written
             .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
-        tree::insert(&mut self.root, key, value);
-        if self.db.inner.wal.lock().is_some() {
-            self.log.push(WalOp::Put(key.to_vec(), value.to_vec()));
+        if self.logging {
+            self.log.push(WalOp::Put(key.into(), value.clone()));
         }
+        tree::insert(&mut self.root, key, value);
         self.dirty = true;
     }
 
@@ -440,11 +458,22 @@ impl WriteTxn<'_> {
     pub fn del(&mut self, key: &[u8]) -> bool {
         self.db.inner.stats.dels.fetch_add(1, Ordering::Relaxed);
         let existed = tree::remove(&mut self.root, key);
-        if existed && self.db.inner.wal.lock().is_some() {
-            self.log.push(WalOp::Del(key.to_vec()));
+        if existed && self.logging {
+            self.log.push(WalOp::Del(key.into()));
         }
         self.dirty |= existed;
         existed
+    }
+
+    /// Apply one logged operation (WAL replay, 2PC apply), sharing its
+    /// value cell with the tree.
+    pub(crate) fn apply(&mut self, op: &WalOp) {
+        match op {
+            WalOp::Put(k, v) => self.put_shared(k, v.clone()),
+            WalOp::Del(k) => {
+                self.del(k);
+            }
+        }
     }
 
     /// Read through the transaction (sees own uncommitted writes).

@@ -56,7 +56,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::cursor::Cursor;
 use crate::wal::WalOp;
-use crate::{Database, DbConfig, DbStatsSnapshot, KvError, ReadTxn};
+use crate::{Bytes, Database, DbConfig, DbStatsSnapshot, KvError, ReadTxn};
 
 /// Default bound on transaction lock acquisition: long enough to ride out
 /// writer-lock convoys, short enough that a wedged peer cannot hold the
@@ -167,7 +167,7 @@ pub enum TxnCrashPoint {
 /// concurrent transactions that touch the same keys.
 #[derive(Default)]
 struct LockTable {
-    held: Mutex<HashSet<Vec<u8>>>,
+    held: Mutex<HashSet<Bytes>>,
     freed: Condvar,
 }
 
@@ -175,7 +175,7 @@ impl LockTable {
     /// Acquire every key or none: waits (deadline-bounded) until the full
     /// set is free, so a transaction can never hold a partial key set
     /// inside one shard.
-    fn lock_keys(&self, keys: &[Vec<u8>], deadline: Instant) -> bool {
+    fn lock_keys(&self, keys: &[Bytes], deadline: Instant) -> bool {
         let mut held = self.held.lock();
         loop {
             if keys.iter().all(|k| !held.contains(k)) {
@@ -195,7 +195,7 @@ impl LockTable {
         }
     }
 
-    fn unlock_keys(&self, keys: &[Vec<u8>]) {
+    fn unlock_keys(&self, keys: &[Bytes]) {
         let mut held = self.held.lock();
         for k in keys {
             held.remove(k);
@@ -301,12 +301,7 @@ impl ShardedDb {
                 if decided_commit.contains(&txn_id) {
                     let mut write = db.begin_write().expect("fresh writer");
                     for op in &ops {
-                        match op {
-                            WalOp::Put(k, v) => write.put(k, v),
-                            WalOp::Del(k) => {
-                                write.del(k);
-                            }
-                        }
+                        write.apply(op);
                     }
                     write.commit_txn(txn_id);
                 } else {
@@ -452,7 +447,7 @@ impl ShardedDb {
         pairs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     ) -> Result<(), TxnError> {
         self.txn_write(
-            pairs.into_iter().map(|(k, v)| WalOp::Put(k, v)).collect(),
+            pairs.into_iter().map(|(k, v)| WalOp::Put(k.into(), v.into())).collect(),
             TXN_LOCK_DEADLINE,
         )
     }
@@ -460,7 +455,7 @@ impl ShardedDb {
     /// Delete a key set **atomically across shards** via two-phase commit
     /// with the default lock deadline. See [`ShardedDb::txn_write`].
     pub fn multi_del_txn(&self, keys: impl IntoIterator<Item = Vec<u8>>) -> Result<(), TxnError> {
-        self.txn_write(keys.into_iter().map(WalOp::Del).collect(), TXN_LOCK_DEADLINE)
+        self.txn_write(keys.into_iter().map(|k| WalOp::Del(k.into())).collect(), TXN_LOCK_DEADLINE)
     }
 
     /// Run one cross-shard transaction: lock every touched key (per-shard
@@ -473,29 +468,16 @@ impl ShardedDb {
         let txn_id = self.txn.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let mut groups: Vec<Vec<WalOp>> = vec![Vec::new(); self.shards.len()];
         for op in ops {
-            let key = match &op {
-                WalOp::Put(k, _) => k,
-                WalOp::Del(k) => k,
-            };
-            groups[self.shard_of(key)].push(op);
+            groups[self.shard_of(op.key())].push(op);
         }
         let touched: Vec<usize> = (0..groups.len()).filter(|&s| !groups[s].is_empty()).collect();
         if touched.is_empty() {
             self.txn.commits.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        let keys: Vec<Vec<Vec<u8>>> = groups
-            .iter()
-            .map(|group| {
-                group
-                    .iter()
-                    .map(|op| match op {
-                        WalOp::Put(k, _) => k.clone(),
-                        WalOp::Del(k) => k.clone(),
-                    })
-                    .collect()
-            })
-            .collect();
+        // Pointer clones: the lock tables share the ops' key buffers.
+        let keys: Vec<Vec<Bytes>> =
+            groups.iter().map(|group| group.iter().map(|op| op.key().clone()).collect()).collect();
         let unlock_upto = |count: usize| {
             for &s in &touched[..count] {
                 self.txn.locks[s].unlock_keys(&keys[s]);
@@ -545,19 +527,12 @@ impl ShardedDb {
         for (done, &s) in touched.iter().enumerate() {
             let mut write = self.shards[s].begin_write().expect("writer lock");
             for op in &groups[s] {
-                match op {
-                    WalOp::Put(k, v) => {
-                        write.put(k, v);
-                        if let Some(obs) = &observer {
-                            obs.on_put(k, v);
-                        }
-                    }
-                    WalOp::Del(k) => {
-                        write.del(k);
-                        if let Some(obs) = &observer {
-                            obs.on_del(k);
-                        }
-                    }
+                // The prepared op's value cell becomes the tree's cell.
+                write.apply(op);
+                match (&observer, op) {
+                    (Some(obs), WalOp::Put(k, v)) => obs.on_put(k, v),
+                    (Some(obs), WalOp::Del(k)) => obs.on_del(k),
+                    (None, _) => {}
                 }
             }
             write.commit_txn(txn_id);
@@ -960,13 +935,13 @@ mod tests {
     #[test]
     fn lock_timeout_aborts_without_a_trace() {
         let db = db(4);
-        let key = b"contended".to_vec();
+        let key: Bytes = b"contended"[..].into();
         let shard = db.shard_of(&key);
         // Hold the key's lock directly, then watch a txn time out.
         db.txn.locks[shard].lock_keys(std::slice::from_ref(&key), Instant::now());
         assert_eq!(
             db.txn_write(
-                vec![WalOp::Put(key.clone(), b"blocked".to_vec())],
+                vec![WalOp::Put(key.clone(), b"blocked"[..].into())],
                 Duration::from_millis(10),
             ),
             Err(TxnError::LockTimeout)
@@ -975,7 +950,7 @@ mod tests {
         assert_eq!(db.get(&key), None);
         db.txn.locks[shard].unlock_keys(std::slice::from_ref(&key));
         // Freed: the same txn now succeeds.
-        db.multi_put_txn([(key.clone(), b"after".to_vec())]).unwrap();
+        db.multi_put_txn([(key.to_vec(), b"after".to_vec())]).unwrap();
         assert_eq!(db.get(&key).as_deref(), Some(&b"after"[..]));
     }
 

@@ -4,8 +4,18 @@
 //! of the touched key ([`std::sync::Arc::make_mut`]), so read snapshots taken before a
 //! commit keep observing the old tree at zero cost — LMDB's core design,
 //! expressed with Rust ownership instead of an mmap'd page file.
+//!
+//! Keys and values are immutable refcounted buffers ([`Bytes`]), so
+//! copying a node on that path clones pointers, never key or value
+//! bytes: a put costs one value-sized copy (into its cell) plus
+//! O(depth × fanout) refcount bumps, whatever the neighbouring values
+//! weigh.
 
 use std::sync::Arc;
+
+/// An immutable, refcounted byte buffer: the unit of sharing between the
+/// tree, its snapshots, the WAL op log and 2PC prepare records.
+pub type Bytes = Arc<[u8]>;
 
 /// Maximum keys per node before splitting (LMDB pages hold dozens of
 /// entries for the paper's 24-byte keys; 32 keeps trees shallow without
@@ -14,8 +24,8 @@ pub(crate) const ORDER: usize = 32;
 /// Minimum keys per non-root node (rebalance threshold).
 const MIN_KEYS: usize = ORDER / 4;
 
-type Key = Box<[u8]>;
-type Val = Box<[u8]>;
+type Key = Bytes;
+type Val = Bytes;
 
 /// A B+Tree node.
 #[derive(Debug, Clone)]
@@ -91,8 +101,9 @@ enum InsertResult {
 }
 
 /// Insert `key` → `value`, path-copying as needed. Returns whether the
-/// entry count grew (false on overwrite).
-pub fn insert(root: &mut Arc<Node>, key: &[u8], value: &[u8]) -> bool {
+/// entry count grew (false on overwrite). The value cell is stored as
+/// given; the key is copied only when it is new to the tree.
+pub fn insert(root: &mut Arc<Node>, key: &[u8], value: Val) -> bool {
     match insert_into(root, key, value) {
         InsertResult::Done { grew } => grew,
         InsertResult::Split { sep, right, grew } => {
@@ -104,17 +115,17 @@ pub fn insert(root: &mut Arc<Node>, key: &[u8], value: &[u8]) -> bool {
     }
 }
 
-fn insert_into(node: &mut Arc<Node>, key: &[u8], value: &[u8]) -> InsertResult {
+fn insert_into(node: &mut Arc<Node>, key: &[u8], value: Val) -> InsertResult {
     let n = Arc::make_mut(node);
     match n {
         Node::Leaf { keys, vals, count } => match keys.binary_search_by(|k| k.as_ref().cmp(key)) {
             Ok(i) => {
-                vals[i] = value.into();
+                vals[i] = value;
                 InsertResult::Done { grew: false }
             }
             Err(i) => {
                 keys.insert(i, key.into());
-                vals.insert(i, value.into());
+                vals.insert(i, value);
                 *count += 1;
                 if keys.len() > ORDER {
                     let mid = keys.len() / 2;
@@ -328,7 +339,7 @@ mod tests {
             let op = state % 3;
             if op < 2 {
                 let value = step.to_le_bytes().to_vec();
-                insert(&mut root, &key, &value);
+                insert(&mut root, &key, value.as_slice().into());
                 model.insert(key, value);
             } else {
                 let removed = remove(&mut root, &key);
@@ -346,11 +357,11 @@ mod tests {
     fn snapshots_are_unaffected_by_path_copying() {
         let mut root = Arc::new(Node::empty_leaf());
         for i in 0..200u32 {
-            insert(&mut root, &i.to_be_bytes(), b"v0");
+            insert(&mut root, &i.to_be_bytes(), b"v0"[..].into());
         }
         let snapshot = root.clone();
         for i in 0..200u32 {
-            insert(&mut root, &i.to_be_bytes(), b"v1");
+            insert(&mut root, &i.to_be_bytes(), b"v1"[..].into());
         }
         for i in 0..200u32 {
             assert_eq!(snapshot.get(&i.to_be_bytes()), Some(&b"v0"[..]), "{i}");
@@ -358,11 +369,28 @@ mod tests {
         }
     }
 
+    /// Path copying clones pointers: a neighbour of the overwritten key
+    /// lives in a copied leaf, yet both trees serve it from one buffer.
+    #[test]
+    fn path_copy_shares_untouched_buffers() {
+        let mut root = Arc::new(Node::empty_leaf());
+        for i in 0..200u32 {
+            insert(&mut root, &i.to_be_bytes(), vec![i as u8; 64].into());
+        }
+        let snapshot = root.clone();
+        insert(&mut root, &7u32.to_be_bytes(), vec![0xEE; 64].into());
+        let old = snapshot.get(&8u32.to_be_bytes()).unwrap();
+        let new = root.get(&8u32.to_be_bytes()).unwrap();
+        assert!(std::ptr::eq(old, new), "neighbour value must not be deep-copied");
+        assert_eq!(snapshot.get(&7u32.to_be_bytes()), Some(&[7u8; 64][..]));
+        assert_eq!(root.get(&7u32.to_be_bytes()), Some(&[0xEE; 64][..]));
+    }
+
     #[test]
     fn deleting_everything_returns_to_empty() {
         let mut root = Arc::new(Node::empty_leaf());
         for i in 0..1000u32 {
-            insert(&mut root, &i.to_be_bytes(), b"x");
+            insert(&mut root, &i.to_be_bytes(), b"x"[..].into());
         }
         for i in 0..1000u32 {
             assert!(remove(&mut root, &i.to_be_bytes()), "{i}");
@@ -379,7 +407,7 @@ mod tests {
             let keys: Vec<u32> =
                 if descending { (0..2000).rev().collect() } else { (0..2000).collect() };
             for k in &keys {
-                insert(&mut root, &k.to_be_bytes(), &k.to_le_bytes());
+                insert(&mut root, &k.to_be_bytes(), k.to_le_bytes()[..].into());
             }
             check_invariants(&root, true);
             assert_eq!(root.len(), 2000);

@@ -33,7 +33,7 @@ use std::io::Read;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use crate::SyncMode;
+use crate::{Bytes, SyncMode};
 
 /// Record tags.
 const TAG_PUT: u8 = 1;
@@ -48,13 +48,34 @@ const TAG_DECISION: u8 = 5;
 const DECIDE_ABORT: u8 = 0;
 const DECIDE_COMMIT: u8 = 1;
 
-/// One logged operation.
+/// One logged operation. Keys and values are refcounted buffers: an op
+/// in a transaction's log or a prepare record shares the value cell with
+/// the tree instead of carrying its own copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalOp {
     /// Insert/replace.
-    Put(Vec<u8>, Vec<u8>),
+    Put(Bytes, Bytes),
     /// Delete.
-    Del(Vec<u8>),
+    Del(Bytes),
+}
+
+impl WalOp {
+    /// The key this operation touches.
+    pub(crate) fn key(&self) -> &Bytes {
+        match self {
+            WalOp::Put(k, _) | WalOp::Del(k) => k,
+        }
+    }
+}
+
+/// Read one length-prefixed chunk at `*pos`; `None` if it runs past the
+/// end of `bytes` (a torn or corrupt record).
+fn read_chunk<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+    let len_end = pos.checked_add(4)?;
+    let len = u32::from_le_bytes(bytes.get(*pos..len_end)?.try_into().ok()?) as usize;
+    let chunk = bytes.get(len_end..len_end.checked_add(len)?)?;
+    *pos = len_end + len;
+    Some(chunk)
 }
 
 /// Everything replay recovered from one WAL file.
@@ -103,41 +124,28 @@ impl Wal {
         let mut rec = WalRecovery::default();
         let mut pending = Vec::new();
         let mut pos = 0usize;
-        let read_chunk = |pos: &mut usize| -> Option<Vec<u8>> {
-            if *pos + 4 > bytes.len() {
-                return None;
-            }
-            let len = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().ok()?) as usize;
-            *pos += 4;
-            if *pos + len > bytes.len() {
-                return None;
-            }
-            let chunk = bytes[*pos..*pos + len].to_vec();
-            *pos += len;
-            Some(chunk)
-        };
         while pos < bytes.len() {
             let tag = bytes[pos];
             pos += 1;
             match tag {
                 TAG_PUT => {
-                    let Some(k) = read_chunk(&mut pos) else { break };
-                    let Some(v) = read_chunk(&mut pos) else { break };
-                    pending.push(WalOp::Put(k, v));
+                    let Some(k) = read_chunk(bytes, &mut pos) else { break };
+                    let Some(v) = read_chunk(bytes, &mut pos) else { break };
+                    pending.push(WalOp::Put(k.into(), v.into()));
                 }
                 TAG_DEL => {
-                    let Some(k) = read_chunk(&mut pos) else { break };
-                    pending.push(WalOp::Del(k));
+                    let Some(k) = read_chunk(bytes, &mut pos) else { break };
+                    pending.push(WalOp::Del(k.into()));
                 }
                 TAG_COMMIT => {
                     rec.committed.push(std::mem::take(&mut pending));
                 }
                 TAG_PREPARE => {
-                    let Some(header) = read_chunk(&mut pos) else { break };
-                    let Some(payload) = read_chunk(&mut pos) else { break };
-                    let Ok(id_bytes) = <[u8; 8]>::try_from(header.as_slice()) else { break };
+                    let Some(header) = read_chunk(bytes, &mut pos) else { break };
+                    let Some(payload) = read_chunk(bytes, &mut pos) else { break };
+                    let Ok(id_bytes) = <[u8; 8]>::try_from(header) else { break };
                     let txn_id = u64::from_le_bytes(id_bytes);
-                    let Some(ops) = decode_ops(&payload) else { break };
+                    let Some(ops) = decode_ops(payload) else { break };
                     rec.max_txn_id = rec.max_txn_id.max(txn_id);
                     // A re-prepare of the same id supersedes (append-only
                     // logs can only produce this via id recycling after a
@@ -146,8 +154,8 @@ impl Wal {
                     rec.in_doubt.push((txn_id, ops));
                 }
                 TAG_DECISION => {
-                    let Some(header) = read_chunk(&mut pos) else { break };
-                    let Ok(hdr) = <[u8; 9]>::try_from(header.as_slice()) else { break };
+                    let Some(header) = read_chunk(bytes, &mut pos) else { break };
+                    let Ok(hdr) = <[u8; 9]>::try_from(header) else { break };
                     let txn_id = u64::from_le_bytes(hdr[..8].try_into().expect("8-byte id"));
                     rec.max_txn_id = rec.max_txn_id.max(txn_id);
                     let prepared = rec
@@ -264,25 +272,15 @@ fn encode_ops(ops: &[WalOp]) -> Vec<u8> {
 fn decode_ops(payload: &[u8]) -> Option<Vec<WalOp>> {
     let mut ops = Vec::new();
     let mut pos = 0usize;
-    let read_chunk = |pos: &mut usize| -> Option<Vec<u8>> {
-        if *pos + 4 > payload.len() {
-            return None;
-        }
-        let len = u32::from_le_bytes(payload[*pos..*pos + 4].try_into().ok()?) as usize;
-        *pos += 4;
-        if *pos + len > payload.len() {
-            return None;
-        }
-        let chunk = payload[*pos..*pos + len].to_vec();
-        *pos += len;
-        Some(chunk)
-    };
     while pos < payload.len() {
         let tag = payload[pos];
         pos += 1;
         match tag {
-            TAG_PUT => ops.push(WalOp::Put(read_chunk(&mut pos)?, read_chunk(&mut pos)?)),
-            TAG_DEL => ops.push(WalOp::Del(read_chunk(&mut pos)?)),
+            TAG_PUT => {
+                let k = read_chunk(payload, &mut pos)?;
+                ops.push(WalOp::Put(k.into(), read_chunk(payload, &mut pos)?.into()));
+            }
+            TAG_DEL => ops.push(WalOp::Del(read_chunk(payload, &mut pos)?.into())),
             _ => return None,
         }
     }
@@ -308,6 +306,14 @@ mod tests {
         p.push(format!("hatkvdb-wal-{name}-{}", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    fn put(k: &[u8], v: &[u8]) -> WalOp {
+        WalOp::Put(k.into(), v.into())
+    }
+
+    fn del(k: &[u8]) -> WalOp {
+        WalOp::Del(k.into())
     }
 
     #[test]
@@ -423,7 +429,7 @@ mod tests {
     #[test]
     fn prepare_without_decision_is_in_doubt() {
         let path = temp_path("indoubt");
-        let ops = vec![WalOp::Put(b"a".to_vec(), b"1".to_vec()), WalOp::Del(b"b".to_vec())];
+        let ops = vec![put(b"a", b"1"), del(b"b")];
         let bytes = wal_bytes(&path, |wal| {
             wal.prepare(7, &ops, SyncMode::Async).unwrap();
         });
@@ -438,20 +444,17 @@ mod tests {
     #[test]
     fn commit_decision_promotes_prepared_ops_at_decision_position() {
         let path = temp_path("decide-commit");
-        let txn_ops = vec![WalOp::Put(b"t".to_vec(), b"txn".to_vec())];
+        let txn_ops = vec![put(b"t", b"txn")];
         let bytes = wal_bytes(&path, |wal| {
             wal.prepare(3, &txn_ops, SyncMode::Async).unwrap();
             // An unrelated plain batch lands between prepare and decision.
-            wal.commit(&[WalOp::Put(b"t".to_vec(), b"plain".to_vec())], SyncMode::Async).unwrap();
+            wal.commit(&[put(b"t", b"plain")], SyncMode::Async).unwrap();
             wal.decision(3, true, SyncMode::Async).unwrap();
         });
         let rec = Wal::replay(&bytes);
         // The txn batch replays *after* the plain batch: decision order,
         // not prepare order, decides visibility order.
-        assert_eq!(
-            rec.committed,
-            vec![vec![WalOp::Put(b"t".to_vec(), b"plain".to_vec())], txn_ops]
-        );
+        assert_eq!(rec.committed, vec![vec![put(b"t", b"plain")], txn_ops]);
         assert!(rec.in_doubt.is_empty());
         assert_eq!(rec.decided_commit, vec![3]);
         let _ = std::fs::remove_file(&path);
@@ -461,8 +464,7 @@ mod tests {
     fn abort_decision_discards_prepared_ops() {
         let path = temp_path("decide-abort");
         let bytes = wal_bytes(&path, |wal| {
-            wal.prepare(9, &[WalOp::Put(b"x".to_vec(), b"gone".to_vec())], SyncMode::Async)
-                .unwrap();
+            wal.prepare(9, &[put(b"x", b"gone")], SyncMode::Async).unwrap();
             wal.decision(9, false, SyncMode::Async).unwrap();
         });
         let rec = Wal::replay(&bytes);
@@ -480,11 +482,8 @@ mod tests {
     #[test]
     fn every_truncation_offset_is_atomic() {
         let path = temp_path("truncate-all");
-        let ops = vec![
-            WalOp::Put(b"key-one".to_vec(), b"value-one".to_vec()),
-            WalOp::Put(b"key-two".to_vec(), b"value-two".to_vec()),
-            WalOp::Del(b"key-three".to_vec()),
-        ];
+        let ops =
+            vec![put(b"key-one", b"value-one"), put(b"key-two", b"value-two"), del(b"key-three")];
         let bytes = wal_bytes(&path, |wal| {
             wal.prepare(42, &ops, SyncMode::Async).unwrap();
             wal.decision(42, true, SyncMode::Async).unwrap();
@@ -508,11 +507,7 @@ mod tests {
 
     #[test]
     fn ops_payload_roundtrips_binary_and_empty() {
-        let ops = vec![
-            WalOp::Put(vec![0, 255, 7], Vec::new()),
-            WalOp::Put(Vec::new(), b"empty-key".to_vec()),
-            WalOp::Del(vec![1, 2, 3]),
-        ];
+        let ops = vec![put(&[0, 255, 7], b""), put(b"", b"empty-key"), del(&[1, 2, 3])];
         assert_eq!(decode_ops(&encode_ops(&ops)), Some(ops));
         assert_eq!(decode_ops(&[0xEE]), None, "bad tag is corruption");
     }

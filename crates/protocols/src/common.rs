@@ -419,7 +419,16 @@ pub(crate) mod tests_support {
     /// Build a connected client/server pair of `kind` (handshakes run
     /// concurrently, as they must).
     pub(crate) fn echo_pair(kind: ProtocolKind, cfg: ProtocolConfig) -> (TestClient, TestServer) {
-        let fabric = Fabric::new(SimConfig::fast_test());
+        echo_pair_on(SimConfig::fast_test(), kind, cfg)
+    }
+
+    /// [`echo_pair`] on a fabric with the given simulator configuration.
+    pub(crate) fn echo_pair_on(
+        sim: SimConfig,
+        kind: ProtocolKind,
+        cfg: ProtocolConfig,
+    ) -> (TestClient, TestServer) {
+        let fabric = Fabric::new(sim);
         let cnode = fabric.add_node("client");
         let snode = fabric.add_node("server");
         let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();

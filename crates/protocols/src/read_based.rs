@@ -18,15 +18,18 @@
 //! `inbound_rdma_turnaround_ns` vs the initiator-side post+doorbell+NIC
 //! charges.
 
-use hat_rdma_sim::{Endpoint, MemoryRegion, PollMode, RecvWr, RemoteBuf, Result, SendWr};
+use hat_rdma_sim::time::dry_pause;
+use hat_rdma_sim::{
+    now_ns, Endpoint, MemoryRegion, PollMode, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
+};
 
 use crate::common::{charge_memcpy, poll_recv, ProtocolConfig, ProtocolKind, RpcClient, RpcServer};
 
-/// Sleep between memory/READ polls when the poller is in event-ish mode
-/// (these protocols have no completion to block on, so "event polling"
-/// degrades to periodic checking — the CPU-vs-latency trade-off is the
-/// same).
-const EVENT_POLL_PAUSE: std::time::Duration = std::time::Duration::from_micros(3);
+/// Modelled pause between memory/READ polls when the poller is in
+/// event-ish mode (these protocols have no completion to block on, so
+/// "event polling" degrades to periodic checking — the CPU-vs-latency
+/// trade-off is the same).
+const EVENT_POLL_PAUSE_NS: u64 = 3_000;
 
 /// Request channel: an eager SEND ring (client → server), used by Pilaf
 /// and FaRM whose *requests* travel as ordinary messages.
@@ -149,13 +152,38 @@ fn read_sync(
     Ok(())
 }
 
-/// Pause between poll attempts according to the polling flavour.
-fn poll_pause(poll: PollMode) {
-    match poll {
-        PollMode::Event => std::thread::sleep(EVENT_POLL_PAUSE),
-        // Busy polling still yields so the serving/producing peer can run
-        // on core-starved hosts (simulated CPU is accounted separately).
-        PollMode::Busy => std::thread::yield_now(),
+/// A polled wait in progress: for a response board to show the wanted
+/// sequence (clients) or the request region the next request (RFP server).
+struct PollWait {
+    since: u64,
+    deadline: u64,
+    /// Simulated time between two polls: [`EVENT_POLL_PAUSE_NS`] for an
+    /// event-ish poller; 0 for a busy one, which only yields so the
+    /// serving/producing peer can run on core-starved hosts (its simulated
+    /// CPU is accounted separately).
+    pause_ns: u64,
+}
+
+impl PollWait {
+    fn begin(ep: &Endpoint, cfg: &ProtocolConfig) -> PollWait {
+        let since = now_ns();
+        let pause_ns = match cfg.poll {
+            PollMode::Event => ep.node().config().scaled(EVENT_POLL_PAUSE_NS),
+            PollMode::Busy => 0,
+        };
+        PollWait { since, deadline: since.saturating_add(cfg.op_timeout_ns), pause_ns }
+    }
+
+    /// After a dry poll: give up past the deadline, else wait one step on
+    /// the simulator clock (`hat_rdma_sim::time::dry_pause`, the one wait
+    /// rule shared with the CQ arms).
+    fn pause(&self) -> Result<()> {
+        let now = now_ns();
+        if now > self.deadline {
+            return Err(RdmaError::Timeout);
+        }
+        dry_pause(self.since, now, self.pause_ns);
+        Ok(())
     }
 }
 
@@ -230,7 +258,7 @@ impl ReadPolled {
         self.req.send(request)?;
         let remote = self.remote.expect("client has a remote board");
         let timeout = self.cfg.op_timeout_ns;
-        let deadline = hat_rdma_sim::now_ns() + timeout;
+        let wait = PollWait::begin(&self.ep, &self.cfg);
 
         // Metadata phase. Pilaf polls the small directory word and then
         // issues a second READ for the item header (~2 metadata READs);
@@ -253,10 +281,7 @@ impl ReadPolled {
                     if seq == want {
                         break;
                     }
-                    if hat_rdma_sim::now_ns() > deadline {
-                        return Err(hat_rdma_sim::RdmaError::Timeout);
-                    }
-                    poll_pause(self.cfg.poll);
+                    wait.pause()?;
                 }
                 // READ #2: the item header.
                 read_sync(
@@ -288,10 +313,7 @@ impl ReadPolled {
                     if seq == want {
                         break u64::from_le_bytes(entry[24..32].try_into().expect("8B")) as usize;
                     }
-                    if hat_rdma_sim::now_ns() > deadline {
-                        return Err(hat_rdma_sim::RdmaError::Timeout);
-                    }
-                    poll_pause(self.cfg.poll);
+                    wait.pause()?;
                 }
             }
         };
@@ -453,7 +475,7 @@ impl Rfp {
 impl RpcClient for Rfp {
     fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
         if request.len() > self.cfg.max_msg {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
+            return Err(RdmaError::InvalidWorkRequest(format!(
                 "payload of {} bytes exceeds the RFP region ({} bytes)",
                 request.len(),
                 self.cfg.max_msg
@@ -479,7 +501,7 @@ impl RpcClient for Rfp {
         let remote_resp = self.remote_resp.expect("client knows the response region");
         let first = RFP_HDR + self.first_read_payload;
         let timeout = self.cfg.op_timeout_ns;
-        let deadline = hat_rdma_sim::now_ns() + timeout;
+        let wait = PollWait::begin(&self.ep, &self.cfg);
         let len = loop {
             read_sync(
                 &self.ep,
@@ -494,10 +516,7 @@ impl RpcClient for Rfp {
             if seq == want {
                 break u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize;
             }
-            if hat_rdma_sim::now_ns() > deadline {
-                return Err(hat_rdma_sim::RdmaError::Timeout);
-            }
-            poll_pause(self.cfg.poll);
+            wait.pause()?;
         };
 
         // Large response: one follow-up READ for the remainder.
@@ -526,13 +545,14 @@ impl RpcServer for Rfp {
         let want = self.seq + 1;
         let node = self.ep.node().clone();
         let request = {
-            // Busy memory polling burns a core, just like CQ busy polling.
+            // Busy memory polling burns a core, just like CQ busy polling;
+            // an event-ish poller parks between checks and is charged
+            // nothing.
             let _spin = (self.cfg.poll == PollMode::Busy).then(|| node.enter_spin());
-            let t0 = hat_rdma_sim::now_ns();
-            let deadline = t0 + self.cfg.op_timeout_ns;
+            let wait = PollWait::begin(&self.ep, &self.cfg);
             loop {
                 if let Some(dead) = self.ep.fault_down() {
-                    return Err(hat_rdma_sim::RdmaError::QpError(format!("node '{dead}' is down")));
+                    return Err(RdmaError::QpError(format!("node '{dead}' is down")));
                 }
                 if !self.ep.is_alive() {
                     return Ok(false);
@@ -543,19 +563,7 @@ impl RpcServer for Rfp {
                     let len = u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize;
                     break self.req_region.read_vec(RFP_HDR, len)?;
                 }
-                let now = hat_rdma_sim::now_ns();
-                if now > deadline {
-                    return Err(hat_rdma_sim::RdmaError::Timeout);
-                }
-                // Adaptive backoff for long-idle connections (see
-                // `CompletionQueue::poll_timeout`): hot polling keeps
-                // yielding, but a connection with no traffic for a while
-                // naps so it stops starving active threads on small hosts.
-                if now - t0 > 300_000 {
-                    std::thread::sleep(std::time::Duration::from_micros(30));
-                } else {
-                    poll_pause(self.cfg.poll);
-                }
+                wait.pause()?;
             }
         };
         self.seq = want;
@@ -677,6 +685,56 @@ mod tests {
         let resp = client.call(&[2u8; 300]).unwrap();
         assert_eq!(resp.len(), 300);
         drop(h.join().unwrap());
+    }
+
+    /// The wait layer: an event-mode poller waits on the simulator clock.
+    /// While a handler stalls, neither side is charged as a spinner
+    /// (`cpu_busy_ns` stays far below the stall), and the client's READ
+    /// polls are spaced by at least the modelled pause — their count is
+    /// bounded by the call's duration, not by how fast the host can loop.
+    #[test]
+    fn event_pollers_wait_on_the_sim_clock_uncharged() {
+        use crate::common::tests_support::echo_pair_on;
+        use hat_rdma_sim::SimConfig;
+
+        const STALL_NS: u64 = 200_000;
+        for kind in [ProtocolKind::Pilaf, ProtocolKind::Farm, ProtocolKind::Rfp] {
+            let cfg = ProtocolConfig { max_msg: 1024, poll: PollMode::Event, ..Default::default() };
+            let (mut client, mut server) = echo_pair_on(SimConfig::default(), kind, cfg);
+            let snode = server.node().clone();
+            let h = std::thread::spawn(move || {
+                server.serve_one(&mut |r| r.to_vec()).unwrap();
+                server
+                    .serve_one(&mut |r| {
+                        hat_rdma_sim::time::spin_for(STALL_NS);
+                        r.to_vec()
+                    })
+                    .unwrap();
+                server
+            });
+            client.call(&[1u8; 64]).unwrap(); // warm-up
+            let (c0, s0) = (client.node().stats_snapshot(), snode.stats_snapshot());
+            let t0 = now_ns();
+            assert_eq!(client.call(&[2u8; 64]).unwrap(), [2u8; 64]);
+            let elapsed = now_ns() - t0;
+            drop(h.join().unwrap());
+            let (c, s) = (client.node().stats_snapshot() - c0, snode.stats_snapshot() - s0);
+
+            assert!(
+                c.cpu_busy_ns < STALL_NS / 4 && s.cpu_busy_ns < STALL_NS / 4,
+                "{kind}: event pollers charged as spinners (client {} ns, server {} ns)",
+                c.cpu_busy_ns,
+                s.cpu_busy_ns
+            );
+            // Polls ≥ one pause apart, plus the request WRITE (RFP) and
+            // the header/payload READs that follow the polled one.
+            let bound = elapsed / EVENT_POLL_PAUSE_NS + 4;
+            assert!(
+                c.outbound_rdma <= bound,
+                "{kind}: {} one-sided ops in a {elapsed} ns call (bound {bound})",
+                c.outbound_rdma
+            );
+        }
     }
 
     #[test]

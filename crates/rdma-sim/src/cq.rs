@@ -180,9 +180,13 @@ impl CqNotify for CqWaker {
     }
 }
 
+/// Pending completions ordered by readiness, plus the push sequence that
+/// keeps equal-time entries FIFO.
+type Heap = (BinaryHeap<Entry>, u64);
+
 pub(crate) struct CqInner {
     node: Weak<Node>,
-    heap: Mutex<(BinaryHeap<Entry>, u64)>,
+    heap: Mutex<Heap>,
     cond: Condvar,
     /// Reactor notifiers to invoke on push; dead entries are pruned lazily.
     wakers: Mutex<Vec<Weak<dyn CqNotify>>>,
@@ -317,16 +321,9 @@ impl CompletionQueue {
                 // Spin: counts as an active CPU burner on this node.
                 let _spin = node.enter_spin();
                 let start = now_ns();
-                // Adaptive backoff: a poller that has been dry for a while
-                // (an idle server connection) briefly sleeps between
-                // checks so it stops starving *active* threads on hosts
-                // with fewer cores than simulated pollers. The threshold
-                // is far above any in-flight RPC's completion time, so
-                // hot-path latency is unaffected; simulated CPU is still
-                // accounted for the full window (a real busy poller burns
-                // its core whether or not messages arrive).
-                const IDLE_BACKOFF_AFTER_NS: u64 = 300_000;
-                const IDLE_NAP: std::time::Duration = std::time::Duration::from_micros(30);
+                // Long-idle pollers nap (`time::long_idle`); simulated CPU
+                // is still accounted for the full window (a real busy
+                // poller burns its core whether or not messages arrive).
                 loop {
                     node.drain_effects();
                     let now = now_ns();
@@ -352,22 +349,9 @@ impl CompletionQueue {
                         NodeStats::add(&node.stats().cpu_busy_ns, now - start);
                         return Err(RdmaError::Timeout);
                     }
-                    if now - start > IDLE_BACKOFF_AFTER_NS {
-                        // Nap on the condvar while still holding the heap
-                        // lock up to the wait: a push from another thread
-                        // cannot slip in between the dry check and the
-                        // park (it would either be seen by the peek or
-                        // notify the wait), so no wakeup is ever lost.
-                        self.inner.cond.wait_for(&mut guard, IDLE_NAP);
-                        drop(guard);
-                    } else {
-                        drop(guard);
-                        // Yield so the peer can run even on core-starved
-                        // hosts (see `time::spin_until`); the spinner
-                        // registration above still models the burned
-                        // simulated core.
-                        std::thread::yield_now();
-                    }
+                    // The spinner registration above models the burned
+                    // simulated core; the host core is yielded.
+                    self.dry_step(guard, start, now);
                 }
             }
             PollMode::Event => {
@@ -420,21 +404,24 @@ impl CompletionQueue {
                     if now >= give_up {
                         return Err(RdmaError::Timeout);
                     }
-                    // Long-idle waiters nap to free the host core (the
-                    // simulated thread is parked either way). The nap is a
-                    // timed condvar wait taken while still holding the
-                    // heap lock, so a push racing with the dry check
-                    // either lands before the peek or notifies the wait —
-                    // the wakeup cannot be lost.
-                    if now - start > 300_000 {
-                        self.inner.cond.wait_for(&mut guard, std::time::Duration::from_micros(30));
-                        drop(guard);
-                    } else {
-                        drop(guard);
-                        std::thread::yield_now();
-                    }
+                    self.dry_step(guard, start, now);
                 }
             }
+        }
+    }
+
+    /// One step of a dry `poll_timeout` wait, the CQ's form of
+    /// [`crate::time::dry_pause`]: yield so the peer can run even on
+    /// core-starved hosts, or — long idle — nap on the condvar. The nap is
+    /// taken while still holding the heap lock the dry check ran under, so
+    /// a push racing with the check either landed before the peek or
+    /// notifies the wait: no wakeup is ever lost.
+    fn dry_step(&self, mut heap: parking_lot::MutexGuard<'_, Heap>, dry_since: u64, now: u64) {
+        if crate::time::long_idle(dry_since, now) {
+            self.inner.cond.wait_for(&mut heap, crate::time::IDLE_NAP);
+        } else {
+            drop(heap);
+            std::thread::yield_now();
         }
     }
 

@@ -146,16 +146,12 @@ impl IpoibStream {
                 }
             }
             // A blocked read is parked in simulated terms; long-idle
-            // waiters nap to free the host core.
-            let waited = now_ns() - start;
-            if waited > READ_TIMEOUT_NS {
+            // waiters nap to free the host core (`time::dry_pause`).
+            let now = now_ns();
+            if now - start > READ_TIMEOUT_NS {
                 return Err(RdmaError::Timeout);
             }
-            if waited > 300_000 {
-                std::thread::sleep(std::time::Duration::from_micros(30));
-            } else {
-                std::thread::yield_now();
-            }
+            crate::time::dry_pause(start, now, 0);
         }
     }
 

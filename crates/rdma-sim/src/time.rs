@@ -45,6 +45,46 @@ pub fn spin_for(dur_ns: u64) {
     spin_until(now_ns() + dur_ns);
 }
 
+/// A wait that has been dry this long stops yield-polling and naps. Far
+/// above any in-flight RPC's completion time, so hot-path latency never
+/// meets a nap; an idle server connection does, and stops starving the
+/// *active* threads of a host with fewer cores than simulated pollers.
+pub const IDLE_BACKOFF_AFTER_NS: u64 = 300_000;
+
+/// Length of one long-idle nap (host time: the OS adds its timer slack).
+pub const IDLE_NAP: std::time::Duration = std::time::Duration::from_micros(30);
+
+/// Whether a wait dry since `dry_since_ns` should nap rather than yield.
+/// Waiters that can be woken (a CQ's condvar) nap on that; the rest call
+/// [`dry_pause`].
+#[inline]
+pub fn long_idle(dry_since_ns: u64, now_ns: u64) -> bool {
+    now_ns.saturating_sub(dry_since_ns) > IDLE_BACKOFF_AFTER_NS
+}
+
+/// One step between two checks of a simulated thread's wait — the single
+/// rule for how such a thread waits on something no completion announces
+/// (a memory word, the next READ of a polled board).
+///
+/// The wait is on the *simulator* clock: yield-poll until
+/// `now_ns + pause_ns` (`pause_ns == 0` is one bare yield, the busy
+/// poller's step). It is never an OS sleep: the kernel rounds a 3 µs
+/// sleep up to its timer slack (≥ 50 µs), which would put host scheduler
+/// latency, not the modelled pause, into every polled round trip. Nor
+/// does it register a spinner: a periodic poller parks between checks, so
+/// the simulated node is charged nothing for the gap. Only a wait dry for
+/// [`IDLE_BACKOFF_AFTER_NS`] gives the host core away with a real nap.
+#[inline]
+pub fn dry_pause(dry_since_ns: u64, now_ns: u64, pause_ns: u64) {
+    if long_idle(dry_since_ns, now_ns) {
+        std::thread::sleep(IDLE_NAP);
+    } else if pause_ns == 0 {
+        std::thread::yield_now();
+    } else {
+        spin_until(now_ns + pause_ns);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,5 +114,19 @@ mod tests {
     #[test]
     fn spin_for_zero_is_noop() {
         spin_for(0);
+    }
+
+    #[test]
+    fn dry_pause_waits_on_the_sim_clock_until_long_idle() {
+        let t0 = now_ns();
+        dry_pause(t0, t0, 20_000);
+        assert!(now_ns() - t0 >= 20_000, "a hot pause lasts at least its length");
+        assert!(!long_idle(t0, t0 + IDLE_BACKOFF_AFTER_NS));
+        assert!(long_idle(t0, t0 + IDLE_BACKOFF_AFTER_NS + 1));
+        // Long idle: the step is a nap, whatever pause was asked for.
+        spin_until(IDLE_BACKOFF_AFTER_NS + 2);
+        let t1 = now_ns();
+        dry_pause(t1 - IDLE_BACKOFF_AFTER_NS - 1, t1, 0);
+        assert!(now_ns() - t1 >= IDLE_NAP.as_nanos() as u64);
     }
 }
