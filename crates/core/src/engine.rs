@@ -1230,6 +1230,12 @@ pub enum ServerPolicy {
 /// Handle to a running hint-aware server.
 pub struct HatServer {
     shutdown: Arc<AtomicBool>,
+    /// The RDMA accept loop; it returns the per-connection serving threads
+    /// it spawned. Under [`ServerPolicy::Reactor`] it is joined *before*
+    /// the driver drains: once it has wound down, every connection it
+    /// negotiated has been registered — a client whose handshake completed
+    /// is never left behind a driver that already drained and exited.
+    accept: Option<std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>>,
     threads: Vec<std::thread::JoinHandle<()>>,
     service: String,
     fabric: Fabric,
@@ -1284,7 +1290,7 @@ impl HatServer {
         };
 
         // RDMA accept loop.
-        {
+        let accept = {
             let listener = fabric.listen(node, service, Default::default());
             let shutdown = shutdown.clone();
             let schema = schema.clone();
@@ -1307,7 +1313,7 @@ impl HatServer {
                 }
                 _ => None,
             };
-            threads.push(std::thread::spawn(move || {
+            std::thread::spawn(move || {
                 let mut conn_threads = Vec::new();
                 while !shutdown.load(Ordering::Acquire) {
                     let Ok(ep) = listener.accept_timeout(std::time::Duration::from_millis(50))
@@ -1358,11 +1364,9 @@ impl HatServer {
                     }
                 }
                 drop(pool_tx);
-                for t in conn_threads {
-                    let _ = t.join();
-                }
-            }));
-        }
+                conn_threads
+            })
+        };
 
         // IPoIB accept loop (hybrid transports).
         {
@@ -1393,6 +1397,7 @@ impl HatServer {
 
         HatServer {
             shutdown,
+            accept: Some(accept),
             threads,
             service: service.to_string(),
             fabric: fabric.clone(),
@@ -1421,21 +1426,7 @@ impl HatServer {
     /// Returns the telemetry sampler (stopped, final tail tick taken) when
     /// one was attached, so callers can export the run's timelines.
     pub fn shutdown(mut self) -> Option<hat_metrics::Sampler> {
-        self.shutdown.store(true, Ordering::Release);
-        self.fabric.unlisten(&self.service);
-        self.fabric.unlisten_ipoib(&tcp_service(&self.service));
-        if let Some(reactor) = self.reactor.take() {
-            reactor.shutdown();
-        }
-        for ep in self.conns.lock().drain(..) {
-            ep.close();
-        }
-        for stream in self.tcp_conns.lock().drain(..) {
-            stream.close();
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.wind_down();
         // Last: a final tail tick now sees every counter the serving
         // threads bumped on their way out.
         let mut sampler = self.metrics.take();
@@ -1567,10 +1558,15 @@ fn serve_connection(mut item: WorkItem, factory: &HandlerFactory) {
     let _ = item.server.serve_loop(&mut handler);
 }
 
-impl Drop for HatServer {
-    fn drop(&mut self) {
+impl HatServer {
+    /// The shutdown sequence shared by [`HatServer::shutdown`] and `Drop`
+    /// (idempotent: the second pass finds everything already taken).
+    fn wind_down(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        self.fabric.unlisten(&self.service);
+        self.fabric.unlisten_ipoib(&tcp_service(&self.service));
         if let Some(reactor) = self.reactor.take() {
+            self.join_accept_loop();
             reactor.shutdown();
         }
         for ep in self.conns.lock().drain(..) {
@@ -1579,9 +1575,24 @@ impl Drop for HatServer {
         for stream in self.tcp_conns.lock().drain(..) {
             stream.close();
         }
+        // Other policies: only now — `Simple` serves inside the accept
+        // loop and needs its endpoint closed to leave it.
+        self.join_accept_loop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+    }
+
+    fn join_accept_loop(&mut self) {
+        if let Some(accept) = self.accept.take() {
+            self.threads.extend(accept.join().unwrap_or_default());
+        }
+    }
+}
+
+impl Drop for HatServer {
+    fn drop(&mut self) {
+        self.wind_down();
     }
 }
 

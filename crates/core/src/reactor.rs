@@ -16,25 +16,32 @@
 //!
 //! Each connection's recv CQ gets a [`ConnWaker`] ([`CqNotify`]): on
 //! completion push it enqueues the connection's slab index on a shared
-//! ready list (deduplicated by an armed flag) and notifies the driver's
-//! park waker. The driver therefore does O(ready) work per wakeup —
-//! drain exactly the connections whose CQs fired — instead of re-polling
-//! all N connections per event, which is what lets one thread hold 10k
-//! mostly-idle connections without burning the core.
+//! ready list (deduplicated by an armed flag). The driver therefore does
+//! O(ready) work per pass — drain exactly the connections whose CQs
+//! fired — instead of re-polling all N connections per event, which is
+//! what lets one thread hold 10k mostly-idle connections.
 //!
-//! ## Waker protocol (lost-wakeup safety)
+//! ## How the driver waits
 //!
-//! A connection's armed flag is cleared *before* its drain runs, so a
-//! completion landing mid-drain re-enqueues it; the park waker latches
-//! its notified flag and [`CqWaker::park_timeout`] consumes it before
-//! sleeping (compare-and-park), so a notify that lands between the
-//! driver's last pop and its park returns immediately. The sim-side
-//! fan-out in the CQ push path runs notifiers **after** the entry is in
-//! the heap, so a woken driver always finds the work that woke it. The
-//! notify timestamp of the first unconsumed notify rides back from
-//! `park_timeout`, giving an honest *time-to-resume* measurement
-//! (recorded into the `Reactor/time_to_resume` latency histogram and the
-//! `reactor_wakeup` trace phase).
+//! A request riding the simulated wire is a *node effect*: it becomes a
+//! completion only when some thread observes the node, and with every
+//! connection handed to this driver, the driver is that thread. So the
+//! driver waits on the simulator clock like every other simulated thread
+//! ([`hat_rdma_sim::time::dry_pause`]): each pass applies the node's due
+//! effects (which fires the wakers), drains the ready batch, and — if
+//! nothing was served — yields once. Only a driver dry for
+//! [`hat_rdma_sim::time::IDLE_BACKOFF_AFTER_NS`] naps, for
+//! [`hat_rdma_sim::time::IDLE_NAP`] at a time. Nothing parks on a
+//! condvar, so there is no wakeup to lose: a notify only appends to the
+//! ready list, and the next pass (at most one nap away) pops it. A
+//! connection's armed flag is cleared *before* its drain runs, so a
+//! completion landing mid-drain re-enqueues it.
+//!
+//! A nap that ends with work found is counted (`reactor_wakeups`) and
+//! the time since the earliest pending request reached the node is
+//! recorded (`Reactor/time_to_resume` histogram, `reactor_wakeup` trace
+//! phase): that is the host-time price a cold request pays, and the only
+//! one.
 //!
 //! ## Shutdown
 //!
@@ -50,13 +57,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hat_protocols::ReactorServe;
-use hat_rdma_sim::{now_ns, CqNotify, CqWaker, Node, NodeStats};
+use hat_rdma_sim::{now_ns, time, CqNotify, Node, NodeStats};
 use hat_trace::Phase;
-
-/// How long the driver parks between wakeups. Purely a backstop — the
-/// waker protocol guarantees no event is missed — so it only bounds how
-/// fast the driver notices the stop flag when fully idle.
-const PARK: Duration = Duration::from_micros(200);
 
 /// Host-time grace the drain phase gets to flush in-flight completions
 /// after shutdown is signalled.
@@ -74,12 +76,9 @@ struct Conn {
     waker: Arc<ConnWaker>,
 }
 
-/// Readiness state shared by every connection's waker and the driver.
-struct Ready {
-    queue: parking_lot::Mutex<Vec<usize>>,
-    /// Parked driver thread to kick after enqueueing.
-    park: CqWaker,
-}
+/// Slab indices of the connections with completions to drain, shared by
+/// every connection's waker and the driver.
+type ReadyQueue = Arc<parking_lot::Mutex<Vec<usize>>>;
 
 /// Per-connection [`CqNotify`]: enqueue my slab index once per arming.
 struct ConnWaker {
@@ -88,15 +87,14 @@ struct ConnWaker {
     /// the driver before draining, so a completion that lands mid-drain
     /// re-enqueues the connection.
     armed: AtomicBool,
-    ready: Arc<Ready>,
+    ready: ReadyQueue,
 }
 
 impl CqNotify for ConnWaker {
     fn notify(&self) {
         if !self.armed.swap(true, Ordering::AcqRel) {
-            self.ready.queue.lock().push(self.idx);
+            self.ready.lock().push(self.idx);
         }
-        self.ready.park.notify();
     }
 }
 
@@ -107,20 +105,13 @@ type Registration = (Box<dyn ReactorServe>, ConnHandler);
 #[derive(Clone)]
 pub struct ReactorHandle {
     incoming: Arc<parking_lot::Mutex<Vec<Registration>>>,
-    ready: Arc<Ready>,
 }
 
 impl ReactorHandle {
     /// Hand a freshly negotiated connection to the driver. The driver
-    /// adopts it on its next pass, wires its recv CQ into the ready
-    /// queue, and treats it as initially ready — a request that raced
-    /// ahead of waker registration is still served.
-    ///
-    /// Deliberately does NOT kick the park waker: the park is already
-    /// bounded (a registration waits at most one park period to be
-    /// adopted), and an eager wake per accept turns a 10k-connection
-    /// ramp into a context-switch storm between the accept thread and
-    /// the driver on small hosts.
+    /// adopts it on its next pass (at most one idle nap away), wires its
+    /// recv CQ into the ready queue, and treats it as initially ready — a
+    /// request that raced ahead of waker registration is still served.
     pub fn register(&self, server: Box<dyn ReactorServe>, handler: ConnHandler) {
         self.incoming.lock().push((server, handler));
     }
@@ -143,14 +134,12 @@ impl std::fmt::Debug for Reactor {
 impl Reactor {
     /// Spawn the driver thread for `node`.
     pub fn start(node: &Arc<Node>) -> Reactor {
-        let ready =
-            Arc::new(Ready { queue: parking_lot::Mutex::new(Vec::new()), park: CqWaker::new() });
         let incoming: Arc<parking_lot::Mutex<Vec<Registration>>> = Default::default();
         let stop = Arc::new(AtomicBool::new(false));
-        let handle = ReactorHandle { incoming: incoming.clone(), ready: ready.clone() };
+        let handle = ReactorHandle { incoming: incoming.clone() };
         let node = node.clone();
         let stop2 = stop.clone();
-        let driver = std::thread::spawn(move || drive(&node, &incoming, &ready, &stop2));
+        let driver = std::thread::spawn(move || drive(&node, &incoming, &stop2));
         Reactor { handle, stop, driver: Some(driver) }
     }
 
@@ -162,68 +151,73 @@ impl Reactor {
     /// Signal the driver to drain and stop, then join it. Connections
     /// with completions already in flight are served before the driver
     /// exits (bounded by a grace period).
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.handle.ready.park.notify();
-        if let Some(t) = self.driver.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Reactor {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        self.handle.ready.park.notify();
         if let Some(t) = self.driver.take() {
             let _ = t.join();
         }
     }
 }
 
-/// The driver loop: adopt new connections, drain the ready ones, park
-/// when the ready queue is empty; on stop, sweep everything until every
-/// CQ is empty or the grace expires.
-fn drive(
-    node: &Arc<Node>,
-    incoming: &parking_lot::Mutex<Vec<Registration>>,
-    ready: &Arc<Ready>,
-    stop: &AtomicBool,
-) {
+/// The driver loop: adopt new connections, apply the node's due effects,
+/// drain the ready connections, and wait on the sim clock when a pass
+/// served nothing; on stop, sweep everything until every CQ is empty or
+/// the grace expires.
+fn drive(node: &Arc<Node>, incoming: &parking_lot::Mutex<Vec<Registration>>, stop: &AtomicBool) {
     // Slab of connections: ready-queue entries are indices, so retired
     // slots go to None (a stale queued index is skipped) and are reused.
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
+    let mut live = 0u64;
+    let ready: ReadyQueue = Default::default();
     let mut batch: Vec<usize> = Vec::new();
     let stats = node.stats();
     let node_id = node.id();
     let mut drain_deadline: Option<Instant> = None;
+    // When a pass last served a request, and whether the wait since then
+    // has already reached the napping stage.
+    let mut dry_since = now_ns();
+    let mut napped = false;
     loop {
         // Adopt connections the accept loop negotiated since last pass.
-        {
-            let mut q = incoming.lock();
-            for (server, handler) in q.drain(..) {
-                let idx = free.pop().unwrap_or(conns.len());
-                let waker = Arc::new(ConnWaker {
-                    idx,
-                    // Born armed + queued: a request that arrived before
-                    // this registration fired no notify we could see.
-                    armed: AtomicBool::new(true),
-                    ready: ready.clone(),
-                });
-                server.cq().register_notify(&waker);
-                ready.queue.lock().push(idx);
-                let conn = Conn { server, handler, waker };
-                if idx == conns.len() {
-                    conns.push(Some(conn));
-                } else {
-                    conns[idx] = Some(conn);
-                }
+        for (server, handler) in incoming.lock().drain(..) {
+            let idx = free.pop().unwrap_or(conns.len());
+            let waker = Arc::new(ConnWaker {
+                idx,
+                // Born armed + queued: a request that arrived before
+                // this registration fired no notify we could see.
+                armed: AtomicBool::new(true),
+                ready: ready.clone(),
+            });
+            server.cq().register_notify(&waker);
+            ready.lock().push(idx);
+            let conn = Conn { server, handler, waker };
+            if idx == conns.len() {
+                conns.push(Some(conn));
+            } else {
+                conns[idx] = Some(conn);
             }
+            live += 1;
+            stats.note_reactor_parked(live);
         }
 
-        let stopping = stop.load(Ordering::Acquire);
-        if stopping {
+        // The passive sim applies a node's deferred effects (requests
+        // riding the wire) only when some thread observes the node — with
+        // every connection handed to this driver, the driver IS that
+        // thread. Applying a due effect pushes its completion, which
+        // queues the connection for the batch below. Coming out of a nap,
+        // first note when the earliest of them reached the node: what the
+        // nap cost the request that ends it.
+        let arrived_at = if napped { node.next_effect_deadline() } else { None };
+        node.drain_effects();
+
+        if stop.load(Ordering::Acquire) {
             // Drain mode: sweep every live connection (ignoring the ready
             // queue) until all CQs are empty or the grace expires, so
             // accepted-but-unanswered requests get their responses before
@@ -231,7 +225,6 @@ fn drive(
             // simulated wire live in the node's effect queue, not any CQ,
             // so they gate the drain too.
             let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
-            node.drain_effects();
             let mut pending = node.next_effect_deadline().is_some();
             for slot in conns.iter_mut() {
                 let Some(conn) = slot else { continue };
@@ -253,10 +246,7 @@ fn drive(
         // Pop this pass's ready batch. O(ready): connections whose CQs
         // stayed quiet cost nothing.
         batch.clear();
-        {
-            let mut q = ready.queue.lock();
-            std::mem::swap(&mut *q, &mut batch);
-        }
+        std::mem::swap(&mut *ready.lock(), &mut batch);
         let mut served_any = false;
         for &idx in &batch {
             let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else { continue };
@@ -293,6 +283,7 @@ fn drive(
                     if !conn.server.is_open() {
                         conns[idx] = None;
                         free.push(idx);
+                        live -= 1;
                     }
                 }
                 Err(_) => {
@@ -301,41 +292,28 @@ fn drive(
                     // sees a typed error from its own endpoint.
                     conns[idx] = None;
                     free.push(idx);
+                    live -= 1;
                 }
             }
         }
 
-        if ready.queue.lock().is_empty() {
-            let live = conns.iter().filter(|c| c.is_some()).count() as u64;
-            stats.note_reactor_parked(live);
-            // The passive sim applies a node's deferred effects (requests
-            // riding the wire) only when some thread observes the node —
-            // with every connection parked on this driver, the driver IS
-            // that thread. Applying a due effect pushes its completion,
-            // which notifies a ConnWaker, which latches the park waker: a
-            // request that became due right here is picked up without
-            // sleeping. Future-due effects bound the park instead (their
-            // application fires no notify we could park on).
-            node.drain_effects();
-            let park = match node.next_effect_deadline() {
-                Some(dl) => Duration::from_nanos(
-                    dl.saturating_sub(now_ns()).clamp(1_000, PARK.as_nanos() as u64),
-                ),
-                None => PARK,
-            };
-            if let Some(notified_at) = ready.park.park_timeout(park) {
+        let now = now_ns();
+        if served_any {
+            if napped {
                 NodeStats::add(&stats.reactor_wakeups, 1);
-                let resume_ns = now_ns().saturating_sub(notified_at);
+                let resume_ns = now.saturating_sub(arrived_at.unwrap_or(now));
                 hat_trace::hist::record_latency("Reactor", "time_to_resume", 0, resume_ns);
                 if hat_trace::enabled() {
-                    hat_trace::event(Phase::ReactorWakeup, node_id, 0, resume_ns, now_ns());
+                    hat_trace::event(Phase::ReactorWakeup, node_id, 0, resume_ns, now);
                 }
             }
-        } else if !served_any {
-            // Every queued connection is waiting on a future-ready CQ
-            // entry: let the fabric's clock advance instead of re-draining
-            // in a hot spin.
-            std::thread::yield_now();
+            dry_since = now;
+            napped = false;
+        } else {
+            // One wait rule for every simulated thread: yield to the sim
+            // clock while recently busy, nap once long idle.
+            napped = time::long_idle(dry_since, now);
+            time::dry_pause(dry_since, now, 0);
         }
     }
 }

@@ -778,6 +778,10 @@ mod tests {
                 while !stop.load(Ordering::Acquire) {
                     index.apply_put(b"hot", &[tag; 256]);
                     tag = tag.wrapping_add(2);
+                    // Two writers that never yield can hold both cores of
+                    // a small host for the whole run and starve the reader
+                    // of every conflict-free window (`hits == 0`).
+                    std::thread::yield_now();
                 }
             }));
         }

@@ -139,10 +139,9 @@ impl Window {
 
     /// Claim the next token, mapped to its *ring* slot `token % len`.
     /// Fails while that specific slot is occupied — even when other slots
-    /// are free. Protocols whose wire format pins per-message stripes to
-    /// `token % window` on both sides (chained-write, write-imm, hybrid)
-    /// must use this mapping; their callers have to take response `k`
-    /// before submitting `k + window`.
+    /// are free. Protocols whose peer derives the stripe from the token
+    /// (chained-write, hybrid) must use this mapping; their callers have
+    /// to take response `k` before submitting `k + window`.
     fn begin(&mut self) -> Result<(Token, usize)> {
         let token = self.next_token;
         let slot = self.slot_of(token);
@@ -157,9 +156,10 @@ impl Window {
 
     /// Claim the next token, mapped to *any* free slot. Fails only when
     /// the window is genuinely full (`in_flight == len`). For protocols
-    /// that carry the token in-band in both directions (eager), where a
-    /// response left `Ready` in its slot — arrived, but its owner has not
-    /// polled it yet — must not block an unrelated submit.
+    /// that carry the token in-band in both directions (eager in the
+    /// frame; write-imm in the slot header, the slot itself in the IMM),
+    /// where a response left `Ready` in its slot — arrived, but its owner
+    /// has not polled it yet — must not block an unrelated submit.
     fn begin_any(&mut self) -> Result<(Token, usize)> {
         if self.in_flight == self.slots.len() {
             return Err(self.full_error());
@@ -264,6 +264,39 @@ fn note_burst(ep: &Endpoint, n: usize) {
             hat_rdma_sim::now_ns(),
         );
     }
+}
+
+/// The server half of the window's flow control, shared by the eager and
+/// write-imm servers in both their blocking and reactor forms: stage a
+/// response for `first` (the completion a blocking caller waited for, if
+/// any) and for every request completion ready *now*, and post the
+/// staged chain whenever it reaches half a window — the unit
+/// `call_many` refills in, so the client's next half-window is on the
+/// wire while this side is still answering the previous one — or the CQ
+/// runs dry. Returns how many requests were served.
+fn serve_burst(
+    ep: &Endpoint,
+    ring_slots: usize,
+    staged: &mut Vec<SendWr>,
+    first: Option<hat_rdma_sim::Completion>,
+    mut stage: impl FnMut(hat_rdma_sim::Completion, &mut Vec<SendWr>) -> Result<()>,
+) -> Result<usize> {
+    let unit = (ring_slots / 2).max(1);
+    let mut served = 0usize;
+    staged.clear();
+    let mut next = first.or_else(|| ep.recv_cq().try_poll());
+    while let Some(comp) = next {
+        stage(comp, staged)?;
+        served += 1;
+        next = ep.recv_cq().try_poll();
+        if staged.len() >= unit || next.is_none() {
+            note_burst(ep, staged.len());
+            ep.post_send(staged)?;
+            note_doorbell(ep, staged.len());
+            staged.clear();
+        }
+    }
+    Ok(served)
 }
 
 /// Charge one submitted call and refresh the in-flight high-water mark.
@@ -428,17 +461,17 @@ impl PipelinedClient for PipelinedEager {
 /// Server peer for [`PipelinedEager`]: like the synchronous Eager server,
 /// but frames carry a token that is echoed back with each response, and
 /// the serve loop drains request *bursts* — every response for a drained
-/// burst is staged into its own send-ring slot and the whole batch rides
-/// one doorbell (mirroring the client's batched submit path).
+/// burst is staged into its own send-ring slot and posted in half-window
+/// chains, one doorbell each ([`serve_burst`]).
 pub struct PipelinedEagerServer {
     ep: Endpoint,
     cfg: ProtocolConfig,
     recv_ring: MemoryRegion,
     send_ring: MemoryRegion,
     slot_size: usize,
-    /// Reusable response-staging scratch for reactor drains, so a driver
-    /// multiplexing thousands of connections allocates nothing per resume.
-    drain_staged: Vec<SendWr>,
+    /// Reusable response-staging scratch, so a driver multiplexing
+    /// thousands of connections allocates nothing per resume.
+    staged: Vec<SendWr>,
 }
 
 impl PipelinedEagerServer {
@@ -453,14 +486,28 @@ impl PipelinedEagerServer {
         // response at post time, so restaging slot `i` when a new request
         // occupies recv slot `i` cannot corrupt an in-flight response.
         let send_ring = ep.pd().register(cfg.ring_slots * slot_size)?;
-        let drain_staged = Vec::with_capacity(cfg.ring_slots);
-        Ok(PipelinedEagerServer { ep, cfg, recv_ring, send_ring, slot_size, drain_staged })
+        let staged = Vec::with_capacity(cfg.ring_slots);
+        Ok(PipelinedEagerServer { ep, cfg, recv_ring, send_ring, slot_size, staged })
+    }
+
+    /// [`serve_burst`] over this connection's staging scratch.
+    fn serve_ready(
+        &mut self,
+        first: Option<hat_rdma_sim::Completion>,
+        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+    ) -> Result<usize> {
+        let mut staged = std::mem::take(&mut self.staged);
+        let served = serve_burst(&self.ep, self.cfg.ring_slots, &mut staged, first, |c, out| {
+            self.stage_response(c, handler, out)
+        });
+        self.staged = staged;
+        served
     }
 
     /// Handle the request in `comp`'s ring slot, staging (not posting) the
     /// response SEND.
     fn stage_response(
-        &mut self,
+        &self,
         comp: hat_rdma_sim::Completion,
         handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
         staged: &mut Vec<SendWr>,
@@ -499,23 +546,11 @@ impl RpcServer for PipelinedEagerServer {
     }
 
     fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
-        let mut staged = Vec::with_capacity(self.cfg.ring_slots);
-        loop {
-            // Block for the head of a burst, then drain without blocking.
-            let Some(first) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-                return Ok(());
-            };
-            staged.clear();
-            self.stage_response(first, handler, &mut staged)?;
-            while staged.len() < self.cfg.ring_slots {
-                let Some(comp) = self.ep.recv_cq().try_poll() else { break };
-                self.stage_response(comp, handler, &mut staged)?;
-            }
-            // The whole burst's responses ride one doorbell.
-            note_burst(&self.ep, staged.len());
-            self.ep.post_send(&staged)?;
-            note_doorbell(&self.ep, staged.len());
+        // Block for the head of a burst, then drain without blocking.
+        while let Some(first) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? {
+            self.serve_ready(Some(first), handler)?;
         }
+        Ok(())
     }
 
     fn kind(&self) -> ProtocolKind {
@@ -823,7 +858,10 @@ impl PipelinedWriteImm {
 impl PipelinedClient for PipelinedWriteImm {
     fn submit(&mut self, request: &[u8]) -> Result<Token> {
         check_len(request.len(), self.cfg.max_msg)?;
-        let (token, slot) = self.win.begin()?;
+        // Any free slot: the slot rides in the IMM and the token in the
+        // slot header, both ways, so nothing pins a token to
+        // `token % window` (see `PipelinedEager::submit`).
+        let (token, slot) = self.win.begin_any()?;
         let base = slot * self.slot_size;
         self.out_stage.write(base, &(request.len() as u32).to_le_bytes())?;
         self.out_stage.write(base + 4, &token.to_le_bytes())?;
@@ -904,8 +942,8 @@ pub struct PipelinedWriteImmServer {
     peer_ring: RemoteBuf,
     imm_dummy: MemoryRegion,
     slot_size: usize,
-    /// Reusable response-staging scratch for reactor drains.
-    drain_staged: Vec<SendWr>,
+    /// Reusable response-staging scratch.
+    staged: Vec<SendWr>,
 }
 
 impl PipelinedWriteImmServer {
@@ -913,7 +951,7 @@ impl PipelinedWriteImmServer {
     pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedWriteImmServer> {
         let slot_size = IMM_HDR + cfg.max_msg;
         let (in_ring, out_stage, peer_ring, imm_dummy) = imm_setup(&ep, &cfg, slot_size)?;
-        let drain_staged = Vec::with_capacity(cfg.ring_slots);
+        let staged = Vec::with_capacity(cfg.ring_slots);
         Ok(PipelinedWriteImmServer {
             ep,
             cfg,
@@ -922,14 +960,28 @@ impl PipelinedWriteImmServer {
             peer_ring,
             imm_dummy,
             slot_size,
-            drain_staged,
+            staged,
         })
+    }
+
+    /// [`serve_burst`] over this connection's staging scratch.
+    fn serve_ready(
+        &mut self,
+        first: Option<hat_rdma_sim::Completion>,
+        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+    ) -> Result<usize> {
+        let mut staged = std::mem::take(&mut self.staged);
+        let served = serve_burst(&self.ep, self.cfg.ring_slots, &mut staged, first, |c, out| {
+            self.stage_response(c, handler, out)
+        });
+        self.staged = staged;
+        served
     }
 
     /// Handle the request in `comp`'s ring slot, staging (not posting) the
     /// response WRITE_WITH_IMM.
     fn stage_response(
-        &mut self,
+        &self,
         comp: hat_rdma_sim::Completion,
         handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
         staged: &mut Vec<SendWr>,
@@ -972,22 +1024,11 @@ impl RpcServer for PipelinedWriteImmServer {
     }
 
     fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
-        let mut staged = Vec::with_capacity(self.cfg.ring_slots);
-        loop {
-            let Some(first) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-                return Ok(());
-            };
-            staged.clear();
-            self.stage_response(first, handler, &mut staged)?;
-            while staged.len() < self.cfg.ring_slots {
-                let Some(comp) = self.ep.recv_cq().try_poll() else { break };
-                self.stage_response(comp, handler, &mut staged)?;
-            }
-            // The whole burst's responses ride one doorbell.
-            note_burst(&self.ep, staged.len());
-            self.ep.post_send(&staged)?;
-            note_doorbell(&self.ep, staged.len());
+        // Block for the head of a burst, then drain without blocking.
+        while let Some(first) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? {
+            self.serve_ready(Some(first), handler)?;
         }
+        Ok(())
     }
 
     fn kind(&self) -> ProtocolKind {
@@ -1340,7 +1381,7 @@ impl RpcServer for PipelinedHybridServer {
 /// `poll_recv` whenever the connection goes quiet; a reactor driver can
 /// afford neither. `ReactorServe` inverts the control flow: the reactor
 /// watches the connection's receive CQ (via [`Self::cq`] +
-/// [`hat_rdma_sim::CqWaker`] registration), and calls [`Self::drain`] when
+/// [`hat_rdma_sim::CqNotify`] registration), and calls [`Self::drain`] when
 /// completions may be ready. `drain` serves every request whose completion
 /// is ready *now* and returns without ever parking, so one driver thread
 /// can resume thousands of connections.
@@ -1352,8 +1393,8 @@ pub trait ReactorServe: Send {
     fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize>;
 
     /// The CQ this connection's request completions arrive on — the
-    /// reactor registers its waker here and uses queue depth /
-    /// `next_ready_at` to bound its park and gate shutdown drains.
+    /// reactor registers its waker here, re-queues the connection while
+    /// entries remain, and gates shutdown drains on it being empty.
     fn cq(&self) -> &hat_rdma_sim::CompletionQueue;
 
     /// False once the peer disconnected or a node died; the reactor
@@ -1366,27 +1407,7 @@ pub trait ReactorServe: Send {
 
 impl ReactorServe for PipelinedEagerServer {
     fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
-        let mut staged = std::mem::take(&mut self.drain_staged);
-        staged.clear();
-        let mut served = 0usize;
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            self.stage_response(comp, handler, &mut staged)?;
-            served += 1;
-            if staged.len() == self.cfg.ring_slots {
-                note_burst(&self.ep, staged.len());
-                self.ep.post_send(&staged)?;
-                note_doorbell(&self.ep, staged.len());
-                staged.clear();
-            }
-        }
-        if !staged.is_empty() {
-            note_burst(&self.ep, staged.len());
-            self.ep.post_send(&staged)?;
-            note_doorbell(&self.ep, staged.len());
-            staged.clear();
-        }
-        self.drain_staged = staged;
-        Ok(served)
+        self.serve_ready(None, handler)
     }
 
     fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
@@ -1404,27 +1425,7 @@ impl ReactorServe for PipelinedEagerServer {
 
 impl ReactorServe for PipelinedWriteImmServer {
     fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
-        let mut staged = std::mem::take(&mut self.drain_staged);
-        staged.clear();
-        let mut served = 0usize;
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            self.stage_response(comp, handler, &mut staged)?;
-            served += 1;
-            if staged.len() == self.cfg.ring_slots {
-                note_burst(&self.ep, staged.len());
-                self.ep.post_send(&staged)?;
-                note_doorbell(&self.ep, staged.len());
-                staged.clear();
-            }
-        }
-        if !staged.is_empty() {
-            note_burst(&self.ep, staged.len());
-            self.ep.post_send(&staged)?;
-            note_doorbell(&self.ep, staged.len());
-            staged.clear();
-        }
-        self.drain_staged = staged;
-        Ok(served)
+        self.serve_ready(None, handler)
     }
 
     fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
@@ -1622,15 +1623,14 @@ mod tests {
         let scfg = cfg.clone();
         let server = std::thread::spawn(move || {
             let mut s = accept_server_pipelined(kind, sep, scfg).unwrap();
-            s.serve_loop(&mut |req| {
-                let mut r = req.to_vec();
-                r.reverse();
-                r
-            })
-            .unwrap();
+            s.serve_loop(&mut reverse).unwrap();
         });
         let client = connect_client_pipelined(kind, cep, cfg).unwrap();
         PipePair { client, cnode, server, _fabric: fabric }
+    }
+
+    fn reverse(req: &[u8]) -> Vec<u8> {
+        req.iter().rev().copied().collect()
     }
 
     fn patterned(i: usize, size: usize) -> Vec<u8> {
@@ -1739,6 +1739,117 @@ mod tests {
             drop(pair.client);
             pair.server.join().unwrap();
         }
+    }
+
+    /// Where the token rides in-band both ways (eager, write-imm), a
+    /// caller that took responses out of token order — the common case
+    /// once the server answers in half-window bursts — refills to the
+    /// full window: no slot is pinned to `token % window`.
+    #[test]
+    fn out_of_order_takes_refill_the_window_on_in_band_token_kinds() {
+        for kind in [ProtocolKind::EagerSendRecv, ProtocolKind::DirectWriteImm] {
+            let cfg = ProtocolConfig { max_msg: 512, ring_slots: 8, ..Default::default() };
+            let mut pair = echo_pipe(kind, cfg);
+            let first: Vec<Token> =
+                (0..8).map(|i| pair.client.submit(&patterned(i, 40)).unwrap()).collect();
+            // Take three from the middle; tokens 0, 1, 3, 4, 6 stay in the
+            // window (arrived or not), so slots 0 and 1 — where tokens 8
+            // and 9 would be pinned — are occupied.
+            for t in [5, 2, 7] {
+                pair.client.wait(first[t]).unwrap();
+            }
+            assert_eq!(pair.client.in_flight(), 5, "{kind}");
+            let refill: Vec<Token> =
+                (8..11).map(|i| pair.client.submit(&patterned(i, 40)).unwrap()).collect();
+            assert_eq!(pair.client.in_flight(), 8, "{kind}: refilled to the window");
+            let err = pair.client.submit(&[0u8; 8]).unwrap_err();
+            assert!(err.to_string().contains("window full (8 of 8"), "{kind}: {err}");
+            for &t in first.iter().filter(|t| ![5, 2, 7].contains(*t)).chain(&refill) {
+                let mut expected = patterned(t as usize, 40);
+                expected.reverse();
+                assert_eq!(pair.client.wait(t).unwrap().as_slice(), &expected[..], "{kind} {t}");
+            }
+            drop(pair.client);
+            pair.server.join().unwrap();
+        }
+    }
+
+    /// A client with a full window of 8 flushed and landed on `S`'s CQ,
+    /// nothing served yet.
+    fn eight_ready<S: ReactorServe + 'static>(
+        kind: ProtocolKind,
+        make: fn(Endpoint, ProtocolConfig) -> Result<S>,
+    ) -> (Box<dyn PipelinedClient>, Vec<Token>, S, Arc<Node>, Fabric) {
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let cnode = fabric.add_node("client");
+        let snode = fabric.add_node("server");
+        let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
+        let cfg = ProtocolConfig { max_msg: 512, ring_slots: 8, ..Default::default() };
+        let scfg = cfg.clone();
+        // Write-imm construction handshakes, so the sides build concurrently.
+        let server = std::thread::spawn(move || make(sep, scfg).unwrap());
+        let mut client = connect_client_pipelined(kind, cep, cfg).unwrap();
+        let server = server.join().unwrap();
+        let tokens = (0..8).map(|i| client.submit(&patterned(i, 64)).unwrap()).collect();
+        client.flush().unwrap();
+        // A delivery is stamped ready when its effect is applied, so once
+        // all eight are queued all eight are ready.
+        while server.cq().len() < 8 {
+            snode.drain_effects();
+            std::thread::yield_now();
+        }
+        (client, tokens, server, snode, fabric)
+    }
+
+    fn assert_reversed_echoes(client: &mut dyn PipelinedClient, tokens: &[Token]) {
+        for (i, &t) in tokens.iter().enumerate() {
+            let mut expected = patterned(i, 64);
+            expected.reverse();
+            assert_eq!(client.wait(t).unwrap().as_slice(), &expected[..], "token {t}");
+        }
+    }
+
+    /// The burst rule, reactor form: eight ready requests are all served
+    /// by one `drain`, answered in two half-window chains.
+    #[test]
+    fn drain_answers_a_full_window_in_two_half_window_chains() {
+        fn check<S: ReactorServe + 'static>(
+            kind: ProtocolKind,
+            make: fn(Endpoint, ProtocolConfig) -> Result<S>,
+        ) {
+            let (mut client, tokens, mut server, snode, _fabric) = eight_ready(kind, make);
+            let before = snode.stats_snapshot();
+            assert_eq!(server.drain(&mut reverse).unwrap(), 8, "{kind}");
+            let delta = snode.stats_snapshot() - before;
+            assert_eq!(delta.doorbells, 2, "{kind}: two chains of four");
+            assert_eq!(delta.pipeline_doorbells, 2, "{kind}");
+            assert_eq!(delta.wrs_posted, 8, "{kind}");
+            assert_reversed_echoes(client.as_mut(), &tokens);
+        }
+        check(ProtocolKind::EagerSendRecv, PipelinedEagerServer::server);
+        check(ProtocolKind::DirectWriteImm, PipelinedWriteImmServer::server);
+    }
+
+    /// The same rule, blocking form: one `serve_loop` turn over eight
+    /// ready requests posts the same two chains.
+    #[test]
+    fn serve_loop_answers_a_full_window_in_two_half_window_chains() {
+        fn check<S: ReactorServe + RpcServer + 'static>(
+            kind: ProtocolKind,
+            make: fn(Endpoint, ProtocolConfig) -> Result<S>,
+        ) {
+            let (mut client, tokens, mut server, snode, _fabric) = eight_ready(kind, make);
+            let before = snode.stats_snapshot();
+            let server = std::thread::spawn(move || server.serve_loop(&mut reverse).unwrap());
+            assert_reversed_echoes(client.as_mut(), &tokens);
+            let delta = snode.stats_snapshot() - before;
+            assert_eq!(delta.doorbells, 2, "{kind}: two chains of four");
+            assert_eq!(delta.pipeline_doorbells, 2, "{kind}");
+            drop(client);
+            server.join().unwrap();
+        }
+        check(ProtocolKind::EagerSendRecv, PipelinedEagerServer::server);
+        check(ProtocolKind::DirectWriteImm, PipelinedWriteImmServer::server);
     }
 
     #[test]

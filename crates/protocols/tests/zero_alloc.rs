@@ -103,14 +103,25 @@ fn eager_pipelined_hot_path_is_allocation_free_after_warmup() {
 
     // Warmup: several full window laps fill the global buffer pool, grow
     // the completion/effect heaps to their steady-state capacity, and hit
-    // every first-use lazy path (clock epoch, thread locals). Also park
-    // once on a parking_lot condvar so this thread's parking slot exists
-    // before the measured phase (an idle busy-poller naps on one).
+    // every first-use lazy path (clock epoch, thread locals). The server
+    // answers in half-window chains, so how many responses this thread
+    // finds at once — and with it the high-water mark of every pool
+    // bucket and heap it touches — depends on timing: each warmup lap
+    // therefore lets the whole window's responses land before taking the
+    // first, the most the measured laps can ever meet. Also park once on
+    // a parking_lot condvar so this thread's parking slot exists before
+    // the measured phase (an idle busy-poller naps on one).
     for _ in 0..4 {
         tokens.clear();
+        let answered = snode.stats_snapshot().wrs_posted + WINDOW as u64;
         for _ in 0..WINDOW {
             tokens.push(client.submit(&request).unwrap());
         }
+        client.flush().unwrap();
+        while snode.stats_snapshot().wrs_posted < answered {
+            std::thread::yield_now();
+        }
+        hat_rdma_sim::time::spin_for(50_000);
         for &t in &tokens {
             let resp = client.wait(t).unwrap();
             assert_eq!(resp.as_slice(), &request[..]);

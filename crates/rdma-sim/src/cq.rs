@@ -107,77 +107,11 @@ impl Ord for Entry {
 /// finds the work that woke it. Implementations must be cheap and must
 /// not poll the CQ from inside the callback.
 ///
-/// [`CqWaker`] is the ready-made parking implementation; reactors layer
-/// richer demux (per-connection ready queues) on top by implementing this
-/// trait themselves.
+/// Reactors implement this to demux readiness per connection (a ready
+/// queue of connection indices); nothing parks on it.
 pub trait CqNotify: Send + Sync {
     /// A completion was pushed on a CQ this notifier is registered with.
     fn notify(&self);
-}
-
-/// A lightweight waker a reactor registers on one or more CQs so a single
-/// driver thread can park once and be woken by completion arrival on *any*
-/// of them — the event-multiplexing primitive `poll_timeout` can't provide
-/// (its condvar is per-CQ and per-caller).
-///
-/// The notified flag is latched under the waker's own mutex, and
-/// [`CqWaker::park_timeout`] consumes it *before* sleeping (compare-and-
-/// park), so a notify that lands between a reactor's CQ drain and its park
-/// is never lost: the park returns immediately. Multiple wakers may be
-/// registered on one CQ and every one is notified per push; a waker may
-/// likewise be registered on many CQs.
-pub struct CqWaker {
-    /// `(notified, virtual-time ns of the first un-consumed notify)`.
-    state: Mutex<(bool, u64)>,
-    cond: Condvar,
-}
-
-impl Default for CqWaker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CqWaker {
-    pub fn new() -> CqWaker {
-        CqWaker { state: Mutex::new((false, 0)), cond: Condvar::new() }
-    }
-
-    /// Latch the notified flag and wake any parked thread. Records the
-    /// virtual time of the *first* notify since the last park so callers
-    /// can measure time-to-resume.
-    pub fn notify(&self) {
-        let mut s = self.state.lock();
-        if !s.0 {
-            s.0 = true;
-            s.1 = now_ns();
-        }
-        drop(s);
-        self.cond.notify_all();
-    }
-
-    /// Park until notified or `dur` elapses. Returns `Some(notified_at_ns)`
-    /// (virtual time of the first pending notify) if a notify was consumed,
-    /// `None` on timeout. A notify that raced ahead of the park is consumed
-    /// without sleeping.
-    pub fn park_timeout(&self, dur: std::time::Duration) -> Option<u64> {
-        let mut s = self.state.lock();
-        if !s.0 {
-            self.cond.wait_for(&mut s, dur);
-        }
-        if s.0 {
-            s.0 = false;
-            Some(s.1)
-        } else {
-            None
-        }
-    }
-}
-
-impl CqNotify for CqWaker {
-    fn notify(&self) {
-        CqWaker::notify(self);
-    }
 }
 
 /// Pending completions ordered by readiness, plus the push sequence that
@@ -449,27 +383,12 @@ impl CompletionQueue {
         n
     }
 
-    /// Register a reactor waker: every subsequent [`CqInner::push`] on this
-    /// CQ notifies it. Dropping all `Arc`s to the waker unregisters it
-    /// lazily (the push path prunes dead weak refs).
-    pub fn register_waker(&self, waker: &Arc<CqWaker>) {
-        self.register_notify(waker);
-    }
-
-    /// Register an arbitrary [`CqNotify`] callback — the generic form of
-    /// [`CompletionQueue::register_waker`] for reactors that demux
-    /// readiness per connection instead of parking on one flag.
+    /// Register a [`CqNotify`] callback: every subsequent [`CqInner::push`]
+    /// on this CQ invokes it. Dropping all `Arc`s to the notifier
+    /// unregisters it lazily (the push path prunes dead weak refs).
     pub fn register_notify<N: CqNotify + 'static>(&self, notify: &Arc<N>) {
         let weak: Weak<dyn CqNotify> = Arc::downgrade(notify) as Weak<dyn CqNotify>;
         self.inner.wakers.lock().push(weak);
-    }
-
-    /// Virtual-time readiness of the earliest queued entry, if any —
-    /// including entries whose `ready_at` is still in the future. A reactor
-    /// uses this to bound its park: a future-ready entry fires no notify at
-    /// readiness, so the driver must wake itself by then.
-    pub fn next_ready_at(&self) -> Option<u64> {
-        self.inner.heap.lock().0.peek().map(|e| e.ready_at)
     }
 }
 
@@ -621,54 +540,27 @@ mod tests {
         assert!(cq.is_empty());
     }
 
-    /// Companion regression for the reactor waker protocol: with MULTIPLE
-    /// wakers registered on one CQ, a completion pushed between a
-    /// reactor-style drain and its park must wake every waiter — the
-    /// notified flag is latched before the park checks it, so neither
-    /// driver can sleep through a push and strand a ready completion.
+    /// Every registered notifier hears every push, after the entry is
+    /// observable; a dropped notifier is pruned, not called.
     #[test]
-    fn registered_wakers_never_miss_a_push_between_drain_and_park() {
-        let (_f, _n, cq) = cq();
-        const N: u64 = 400;
-        let consumed = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut drivers = Vec::new();
-        for _ in 0..2 {
-            let cq = cq.clone();
-            let consumed = Arc::clone(&consumed);
-            drivers.push(std::thread::spawn(move || {
-                let waker = Arc::new(CqWaker::new());
-                cq.register_waker(&waker);
-                let mut batch = Vec::new();
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-                while consumed.load(std::sync::atomic::Ordering::Acquire) < N {
-                    batch.clear();
-                    let n = cq.try_poll_batch(&mut batch, 64);
-                    if n > 0 {
-                        consumed.fetch_add(n as u64, std::sync::atomic::Ordering::AcqRel);
-                        continue;
-                    }
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "driver starved: a push was lost between drain and park"
-                    );
-                    // Reactor idiom under test: drain dry, then park. A push
-                    // racing in here must have latched the waker already.
-                    waker.park_timeout(std::time::Duration::from_millis(1));
-                }
-            }));
-        }
-        for i in 0..N {
-            cq.inner.push(now_ns(), comp(i));
-            if i % 32 == 0 {
-                // Let both drivers drain dry and reach their parks.
-                std::thread::sleep(std::time::Duration::from_millis(1));
+    fn registered_notifiers_see_each_push_after_it_lands() {
+        struct Seen(CompletionQueue, std::sync::atomic::AtomicUsize);
+        impl CqNotify for Seen {
+            fn notify(&self) {
+                assert!(!self.0.is_empty(), "entry lands before the callback");
+                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
         }
-        for d in drivers {
-            d.join().unwrap();
-        }
-        assert_eq!(consumed.load(std::sync::atomic::Ordering::Acquire), N);
-        assert!(cq.is_empty());
+        let (_f, _n, cq) = cq();
+        let a = Arc::new(Seen(cq.clone(), Default::default()));
+        let b = Arc::new(Seen(cq.clone(), Default::default()));
+        cq.register_notify(&a);
+        cq.register_notify(&b);
+        cq.inner.push(now_ns(), comp(1));
+        drop(b);
+        cq.inner.push(now_ns(), comp(2));
+        assert_eq!(a.1.load(std::sync::atomic::Ordering::Relaxed), 2);
+        assert_eq!(cq.inner.wakers.lock().len(), 1, "the dropped notifier is pruned");
     }
 
     #[test]
@@ -681,23 +573,12 @@ mod tests {
         let mut buf = Vec::with_capacity(8);
         assert_eq!(cq.try_poll_batch(&mut buf, 8), 2);
         assert_eq!(buf.len(), 2);
-        assert_eq!(cq.next_ready_at(), Some(t + 500_000_000));
+        assert_eq!(cq.len(), 1);
         // Append semantics: a second drain after more pushes keeps earlier
         // entries in place (callers clear between laps).
         cq.inner.push(t, comp(4));
         assert_eq!(cq.try_poll_batch(&mut buf, 8), 1);
         assert_eq!(buf.len(), 3);
-    }
-
-    #[test]
-    fn waker_notify_before_park_is_consumed_without_sleeping() {
-        let waker = CqWaker::new();
-        waker.notify();
-        let start = std::time::Instant::now();
-        assert!(waker.park_timeout(std::time::Duration::from_secs(5)).is_some());
-        assert!(start.elapsed() < std::time::Duration::from_secs(1));
-        // Flag consumed: next park times out.
-        assert!(waker.park_timeout(std::time::Duration::from_millis(1)).is_none());
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub mod time;
 pub mod wr;
 
 pub use cost::{CostModel, SimConfig};
-pub use cq::{Completion, CompletionQueue, CompletionStatus, CqNotify, CqWaker, PollMode};
+pub use cq::{Completion, CompletionQueue, CompletionStatus, CqNotify, PollMode};
 pub use error::{RdmaError, Result};
 pub use fabric::Fabric;
 pub use fault::{DelayDistribution, FaultAction, FaultPlan, FaultRule, FaultScope, FaultTrigger};

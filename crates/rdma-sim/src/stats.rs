@@ -183,15 +183,17 @@ node_counters! {
     /// Subset of `onesided_fallbacks` caused by a seqlock version
     /// conflict (a writer raced the two READs).
     counter onesided_conflicts,
-    /// Times a reactor driver on this node was woken out of a park by a
-    /// completion notify (each wakeup may resume many connections).
+    /// Long-idle naps of a reactor driver on this node that ended with
+    /// work found — the times a request met a cold driver. A driver that
+    /// has served anything in the last `IDLE_BACKOFF_AFTER_NS` polls the
+    /// sim clock and counts nothing here.
     counter reactor_wakeups,
     /// Connection state machines resumed by a reactor with at least one
-    /// request served; `resumes / wakeups` is the multiplexing figure of
-    /// merit (how many connections each wakeup pays for).
+    /// request served; `resumes / wakeups` is how much serving each cold
+    /// start was amortised over.
     counter reactor_resumes,
-    /// High-water mark of connections parked under one reactor driver when
-    /// it went idle — the connections-per-thread this node sustained.
+    /// High-water mark of connections one reactor driver held at once —
+    /// the connections-per-thread this node sustained.
     gauge reactor_parked_hwm,
 }
 
@@ -225,8 +227,8 @@ impl NodeStats {
         self.inflight_hwm.fetch_max(n, Ordering::Relaxed);
     }
 
-    /// Record `n` connections parked under a reactor driver going idle,
-    /// keeping the high-water mark.
+    /// Record `n` connections held by a reactor driver, keeping the
+    /// high-water mark.
     pub fn note_reactor_parked(&self, n: u64) {
         self.reactor_parked_hwm.fetch_max(n, Ordering::Relaxed);
     }

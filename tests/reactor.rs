@@ -54,8 +54,74 @@ fn reactor_policy_serves_many_clients_on_one_driver() {
 
     let stats = snode.stats_snapshot();
     assert!(stats.reactor_resumes >= 4, "each connection must resume on the driver: {stats:?}");
-    assert!(stats.reactor_wakeups >= 1, "the driver must have parked and woken: {stats:?}");
     assert!(stats.reactor_parked_hwm >= 1, "parked connections must be counted: {stats:?}");
+    server.shutdown();
+}
+
+/// A busy window never waits on the host: over 64 back-to-back batches
+/// the driver polls the sim clock, so it naps — and `reactor_wakeups`
+/// counts a nap that ended with work found — only when the host
+/// deschedules the client for 300 µs. A driver that parks between
+/// windows counts one per window; a quiet host counts a handful in all.
+#[test]
+fn back_to_back_batches_keep_the_driver_off_the_host_clock() {
+    const BATCHES: u64 = 64;
+    const WINDOWS: u64 = BATCHES * 32 / 8;
+    let fabric = Fabric::new(SimConfig::default());
+    let snode = fabric.add_node("server");
+    let server =
+        HatServer::serve(&fabric, &snode, "piped", schema(), ServerPolicy::Reactor, echo_factory());
+    let cnode = fabric.add_node("client");
+    let mut client = HatClient::new(&fabric, &cnode, "piped", &schema());
+    assert_eq!(client.call("piped", b"open the channel").unwrap(), b"open the channel");
+
+    let before = snode.stats_snapshot();
+    for b in 0..BATCHES {
+        let requests: Vec<Vec<u8>> = (0..32).map(|i| vec![(b * 32 + i) as u8; 512]).collect();
+        assert_eq!(client.call_many("piped", &requests).unwrap(), requests, "batch {b}");
+    }
+    let delta = snode.stats_snapshot() - before;
+    assert!(delta.reactor_resumes >= BATCHES, "the driver served the run: {delta:?}");
+    assert!(
+        delta.reactor_wakeups <= WINDOWS / 2,
+        "a busy driver must not nap between windows: {} wakeups over {WINDOWS} windows",
+        delta.reactor_wakeups
+    );
+    drop(client);
+    server.shutdown();
+}
+
+/// The cold path: a driver idle past `IDLE_BACKOFF_AFTER_NS` naps, and a
+/// nap delays — never loses — a request, a new registration, or shutdown.
+#[test]
+fn a_napping_driver_still_serves_adopts_and_shuts_down() {
+    let long_idle = Duration::from_nanos(8 * hatrpc::rdma::time::IDLE_BACKOFF_AFTER_NS);
+    let fabric = Fabric::new(SimConfig::fast_test());
+    let snode = fabric.add_node("server");
+    let server =
+        HatServer::serve(&fabric, &snode, "piped", schema(), ServerPolicy::Reactor, echo_factory());
+    let cnode = fabric.add_node("client");
+    let mut client = HatClient::new(&fabric, &cnode, "piped", &schema());
+    assert_eq!(client.call("piped", b"warm").unwrap(), b"warm");
+
+    // A request on an adopted connection, after the driver went cold.
+    std::thread::sleep(long_idle);
+    assert_eq!(client.call("piped", b"cold call").unwrap(), b"cold call");
+
+    // A connection registered while the driver naps is adopted and served.
+    std::thread::sleep(long_idle);
+    let late_node = fabric.add_node("late-client");
+    let mut late = HatClient::new(&fabric, &late_node, "piped", &schema());
+    let requests: Vec<Vec<u8>> = (0..24u8).map(|i| vec![i; 64]).collect();
+    assert_eq!(late.call_many("piped", &requests).unwrap(), requests);
+
+    let stats = snode.stats_snapshot();
+    assert!(stats.reactor_wakeups >= 1, "a nap that ends with work found is counted: {stats:?}");
+    assert_eq!(stats.reactor_parked_hwm, 2, "both connections sat on the one driver: {stats:?}");
+
+    // Shutdown of an idle (napping) driver returns.
+    std::thread::sleep(long_idle);
+    drop((client, late));
     server.shutdown();
 }
 
