@@ -13,6 +13,11 @@ use crate::error::{CoreError, Result};
 use crate::protocol::binary::{BinaryIn, BinaryOut};
 use crate::protocol::{TInputProtocol, TMessageType, TOutputProtocol, TType};
 
+/// Starting capacity of every message encoded here: a small call or reply
+/// (header, method name, a few scalar fields or a short key) is one
+/// allocation instead of a climb from empty through 8, 16, 32, 64 bytes.
+const MSG_START_CAP: usize = 128;
+
 /// A method body: reads its arguments from `input` and writes its result
 /// struct to `output` (header handling is the router's job).
 pub type MethodFn = Box<dyn FnMut(&mut BinaryIn<'_>, &mut BinaryOut) -> Result<()> + Send>;
@@ -83,7 +88,7 @@ impl Router {
                 ))
             }
         };
-        let mut output = BinaryOut::new();
+        let mut output = BinaryOut::with_capacity(MSG_START_CAP);
         output.write_message_begin(&header.name, TMessageType::Reply, header.seq);
         match method(&mut input, &mut output) {
             Ok(()) => {
@@ -103,7 +108,7 @@ fn peek_header(request: &[u8]) -> Option<(String, i32)> {
 
 /// Encode a `TApplicationException` reply (field 1: message, field 2: type).
 pub fn exception_reply(method: &str, seq: i32, message: &str) -> Vec<u8> {
-    let mut out = BinaryOut::new();
+    let mut out = BinaryOut::with_capacity(MSG_START_CAP);
     out.write_message_begin(method, TMessageType::Exception, seq);
     out.write_struct_begin("TApplicationException");
     out.write_field_begin(TType::String, 1);
@@ -120,7 +125,7 @@ pub fn exception_reply(method: &str, seq: i32, message: &str) -> Vec<u8> {
 
 /// Encode a request message: header + caller-provided args writer.
 pub fn encode_call(method: &str, seq: i32, write_args: impl FnOnce(&mut BinaryOut)) -> Vec<u8> {
-    let mut out = BinaryOut::new();
+    let mut out = BinaryOut::with_capacity(MSG_START_CAP);
     out.write_message_begin(method, TMessageType::Call, seq);
     write_args(&mut out);
     out.write_message_end();

@@ -87,7 +87,7 @@ impl TOutputProtocol for BinaryOut {
 
     fn write_binary(&mut self, v: &[u8]) {
         self.write_i32(v.len() as i32);
-        self.buf.extend_from_slice(v);
+        super::extend_binary(&mut self.buf, v);
     }
 
     fn write_list_begin(&mut self, elem: TType, len: usize) {

@@ -197,7 +197,7 @@ impl TOutputProtocol for CompactOut {
 
     fn write_binary(&mut self, v: &[u8]) {
         self.write_varint(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        super::extend_binary(&mut self.buf, v);
     }
 
     fn write_list_begin(&mut self, elem: TType, len: usize) {

@@ -13,6 +13,21 @@ pub mod compact;
 
 use crate::error::{CoreError, Result};
 
+/// Spare room kept behind a `binary` value that made its buffer grow: the
+/// field stops that always follow a field. Without it a buffer just sized
+/// to a 256 KiB payload doubles to push one stop byte.
+const BINARY_TAIL: usize = 16;
+
+/// Append a `binary`/`string` body. If the buffer has to grow it grows
+/// once, to the value plus [`BINARY_TAIL`] — or geometrically when that is
+/// more, so a long run of small values still reallocates O(log n) times.
+fn extend_binary(buf: &mut Vec<u8>, v: &[u8]) {
+    if buf.capacity() - buf.len() < v.len() {
+        buf.reserve(v.len() + BINARY_TAIL);
+    }
+    buf.extend_from_slice(v);
+}
+
 /// Thrift wire type ids (`TType`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]

@@ -1,7 +1,9 @@
 //! Shared protocol machinery: the client/server traits, configuration,
 //! control-message rings, and the out-of-band handshake.
 
-use hat_rdma_sim::{Endpoint, MemoryRegion, PollMode, RdmaError, RecvWr, Result, SendWr};
+use hat_rdma_sim::{
+    Endpoint, MemoryRegion, PollMode, PoolBuf, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
+};
 
 /// Identifies one of the implemented RDMA protocols (paper Figure 3 plus
 /// the Hybrid-EagerRNDV engine default).
@@ -174,6 +176,69 @@ pub trait RpcServer: Send {
     }
 }
 
+/// A connection that moves whole messages either way and lands large ones
+/// in a registered region (the rendezvous family and the hybrid): what
+/// [`msg_channel_endpoints`] builds an [`RpcClient`] and an [`RpcServer`] on.
+pub(crate) trait MsgChannel {
+    /// Send one message.
+    fn send_msg(&self, data: &[u8]) -> Result<()>;
+
+    /// Receive one message and take it out of its landing region with
+    /// `land` — the receive side's one copy, and the only thing that runs
+    /// under the region's lock. `None` on disconnect.
+    fn recv_msg<T>(&self, land: impl FnOnce(&[u8]) -> T) -> Result<Option<T>>;
+}
+
+/// [`RpcClient::call`] over a [`MsgChannel`]: the reply is copied out once,
+/// into the `Vec` the signature promises.
+pub(crate) fn call(ch: &impl MsgChannel, request: &[u8]) -> Result<Vec<u8>> {
+    ch.send_msg(request)?;
+    ch.recv_msg(<[u8]>::to_vec)?.ok_or(RdmaError::Disconnected)
+}
+
+/// [`RpcServer::serve_one`] over a [`MsgChannel`]: the request lands in a
+/// pooled buffer (one copy, no allocation) and the handler borrows *that*,
+/// never the registered region — a late or hostile in-bound WRITE to a
+/// region whose lock a handler held would park the node's effect drain,
+/// and with it every connection on the node, behind user code. The buffer
+/// is back in the pool before the response is staged.
+pub(crate) fn serve_one(
+    ch: &impl MsgChannel,
+    handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+) -> Result<bool> {
+    let Some(request) = ch.recv_msg(PoolBuf::copy_from)? else { return Ok(false) };
+    let response = handler(&request);
+    drop(request);
+    ch.send_msg(&response)?;
+    Ok(true)
+}
+
+/// Implement [`RpcClient`] and [`RpcServer`] for a [`MsgChannel`] of `$kind`.
+macro_rules! msg_channel_endpoints {
+    ($name:ident, $kind:expr) => {
+        impl $crate::common::RpcClient for $name {
+            fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
+                $crate::common::call(self, request)
+            }
+
+            fn kind(&self) -> ProtocolKind {
+                $kind
+            }
+        }
+
+        impl $crate::common::RpcServer for $name {
+            fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
+                $crate::common::serve_one(self, handler)
+            }
+
+            fn kind(&self) -> ProtocolKind {
+                $kind
+            }
+        }
+    };
+}
+pub(crate) use msg_channel_endpoints;
+
 /// Construct the client side of `kind` over a connected endpoint,
 /// performing the protocol's buffer handshake with the (concurrently
 /// constructed) server side.
@@ -239,6 +304,15 @@ pub(crate) fn charge_memcpy(ep: &Endpoint, len: usize) {
     hat_rdma_sim::stats::NodeStats::add(&node.stats().memcpys, 1);
 }
 
+/// A little-endian `u64` length field as the peer wrote it, saturated to
+/// `usize`. The value is a claim, to be checked against a region or
+/// `max_msg` before it sizes anything; one no `usize` holds fails every
+/// such check.
+pub(crate) fn wire_len(field: &[u8]) -> usize {
+    let len = u64::from_le_bytes(field.try_into().expect("8-byte length field"));
+    usize::try_from(len).unwrap_or(usize::MAX)
+}
+
 /// Default polling timeout: generous enough for heavily loaded sweeps,
 /// short enough for tests to fail fast on deadlock bugs. Per-connection
 /// deadlines override it via [`ProtocolConfig::op_timeout_ns`].
@@ -278,6 +352,36 @@ pub(crate) fn poll_recv(
     }
 }
 
+/// Largest control message any protocol sends: tag + length + one
+/// [`RemoteBuf`] (the rendezvous RTS/CTS).
+pub(crate) const CTRL_MAX: usize = 1 + 8 + RemoteBuf::WIRE_SIZE;
+
+/// One control message, held by value: control traffic is sent inline
+/// from, and received into, the stack — never the heap.
+pub(crate) struct CtrlMsg {
+    bytes: [u8; CTRL_MAX],
+    len: usize,
+}
+
+impl CtrlMsg {
+    /// Concatenate `parts` into one message.
+    pub(crate) fn new(parts: &[&[u8]]) -> CtrlMsg {
+        let mut msg = CtrlMsg { bytes: [0; CTRL_MAX], len: 0 };
+        for part in parts {
+            msg.bytes[msg.len..msg.len + part.len()].copy_from_slice(part);
+            msg.len += part.len();
+        }
+        msg
+    }
+}
+
+impl std::ops::Deref for CtrlMsg {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
 /// A small eager ring used for control traffic (handshakes, RTS/CTS/FIN,
 /// notify messages). Sends are inline (control messages are tiny); receive
 /// slots are pre-posted and re-posted after consumption.
@@ -297,6 +401,7 @@ impl CtrlRing {
         timeout_ns: u64,
     ) -> Result<CtrlRing> {
         assert!(slot_size <= ep.qp_config().max_inline, "control slots must fit inline sends");
+        assert!(slot_size <= CTRL_MAX, "control slots must fit a CtrlMsg");
         let mr = ep.pd().register(slots * slot_size)?;
         for i in 0..slots {
             ep.post_recv(RecvWr::new(i as u64, mr.clone(), i * slot_size, slot_size))?;
@@ -311,22 +416,24 @@ impl CtrlRing {
     }
 
     /// Receive one control message; returns `None` on disconnect.
-    pub(crate) fn recv(&self, poll: PollMode) -> Result<Option<Vec<u8>>> {
+    pub(crate) fn recv(&self, poll: PollMode) -> Result<Option<CtrlMsg>> {
         let Some(comp) = poll_recv(&self.ep, poll, self.timeout_ns)? else { return Ok(None) };
         self.read_slot(comp).map(Some)
     }
 
     /// Non-blocking receive: `None` when no message is ready right now.
-    pub(crate) fn try_recv(&self) -> Result<Option<Vec<u8>>> {
+    pub(crate) fn try_recv(&self) -> Result<Option<CtrlMsg>> {
         let Some(comp) = self.ep.recv_cq().try_poll() else { return Ok(None) };
         self.read_slot(comp).map(Some)
     }
 
     /// Copy one completed slot out and recycle it.
-    fn read_slot(&self, comp: hat_rdma_sim::Completion) -> Result<Vec<u8>> {
+    fn read_slot(&self, comp: hat_rdma_sim::Completion) -> Result<CtrlMsg> {
         comp.ok()?;
         let slot = comp.wr_id as usize % self.slots;
-        let data = self.mr.read_vec(slot * self.slot_size, comp.byte_len)?;
+        // A completed receive holds at most `slot_size` bytes.
+        let mut data = CtrlMsg { bytes: [0; CTRL_MAX], len: comp.byte_len.min(self.slot_size) };
+        self.mr.read(slot * self.slot_size, &mut data.bytes[..data.len])?;
         // Recycle the slot.
         self.ep.post_recv(RecvWr::new(
             comp.wr_id,
@@ -512,17 +619,17 @@ mod tests {
         let a = f.add_node("a");
         let b = f.add_node("b");
         let (ea, eb) = f.connect(&a, &b).unwrap();
-        let ra = CtrlRing::new(&ea, 2, 64, POLL_TIMEOUT_NS).unwrap();
-        let rb = CtrlRing::new(&eb, 2, 64, POLL_TIMEOUT_NS).unwrap();
+        let ra = CtrlRing::new(&ea, 2, CTRL_MAX, POLL_TIMEOUT_NS).unwrap();
+        let rb = CtrlRing::new(&eb, 2, CTRL_MAX, POLL_TIMEOUT_NS).unwrap();
         // Send more messages than slots to prove recycling works.
         for i in 0..6u8 {
             ra.send(i as u64, &[i; 8]).unwrap();
             let got = rb.recv(PollMode::Busy).unwrap().unwrap();
-            assert_eq!(got, vec![i; 8]);
+            assert_eq!(&got[..], [i; 8]);
         }
         // And the reverse direction.
         rb.send(0, b"reply").unwrap();
-        assert_eq!(ra.recv(PollMode::Busy).unwrap().unwrap(), b"reply");
+        assert_eq!(&ra.recv(PollMode::Busy).unwrap().unwrap()[..], b"reply");
     }
 
     #[test]
@@ -531,7 +638,7 @@ mod tests {
         let a = f.add_node("a");
         let b = f.add_node("b");
         let (ea, eb) = f.connect(&a, &b).unwrap();
-        let ring = CtrlRing::new(&eb, 2, 64, POLL_TIMEOUT_NS).unwrap();
+        let ring = CtrlRing::new(&eb, 2, CTRL_MAX, POLL_TIMEOUT_NS).unwrap();
         ea.close();
         assert!(ring.recv(PollMode::Busy).unwrap().is_none());
     }

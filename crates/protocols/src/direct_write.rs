@@ -18,7 +18,7 @@
 //! memory footprint for speed — exactly what the `res_util` hint steers
 //! away from.
 
-use hat_rdma_sim::{Endpoint, MemoryRegion, RecvWr, RemoteBuf, Result, SendWr};
+use hat_rdma_sim::{Endpoint, MemoryRegion, RdmaError, RecvWr, RemoteBuf, Result, SendWr};
 
 use crate::common::{poll_recv, CtrlRing, ProtocolConfig, ProtocolKind, RpcClient, RpcServer};
 
@@ -130,12 +130,18 @@ impl DirectWrite {
                 // Recycle the zero-length receive slot.
                 let dummy = self.imm_dummy.as_ref().expect("IMM variant has a dummy region");
                 self.ep.post_recv(RecvWr::new(comp.wr_id, dummy.clone(), 0, 0))?;
-                comp.imm.expect("WRITE_WITH_IMM carries a length") as usize
+                let imm = comp.imm.ok_or_else(|| {
+                    RdmaError::InvalidWorkRequest("notify without a length immediate".into())
+                })?;
+                imm as usize
             }
             _ => {
                 let ctrl = self.ctrl.as_ref().expect("notify variants use a ctrl ring");
                 let Some(msg) = ctrl.recv(self.cfg.poll)? else { return Ok(None) };
-                u32::from_le_bytes(msg[..4].try_into().expect("4-byte notify")) as usize
+                let len = msg.first_chunk::<4>().ok_or_else(|| {
+                    RdmaError::InvalidWorkRequest(format!("{}-byte notify", msg.len()))
+                })?;
+                u32::from_le_bytes(*len) as usize
             }
         };
         Ok(Some(self.in_region.read_vec(0, len)?))

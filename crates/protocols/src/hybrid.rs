@@ -9,9 +9,12 @@
 //! the switch point pay extra control messages — visible in our Figure 11
 //! reproduction right after 4 KB.
 
-use hat_rdma_sim::{Endpoint, MemoryRegion, RecvWr, RemoteBuf, Result, SendWr};
+use hat_rdma_sim::{Endpoint, MemoryRegion, RdmaError, RecvWr, RemoteBuf, Result, SendWr};
 
-use crate::common::{charge_memcpy, poll_recv, ProtocolConfig, ProtocolKind, RpcClient, RpcServer};
+use crate::common::{
+    charge_memcpy, msg_channel_endpoints, poll_recv, wire_len, MsgChannel, ProtocolConfig,
+    ProtocolKind,
+};
 
 /// Slot framing: 1-byte tag + 8-byte length.
 const HDR: usize = 9;
@@ -63,6 +66,48 @@ impl HybridEagerRndv {
         self.cfg.eager_threshold
     }
 
+    /// Wait for one ring frame and read its header. The body stays in the
+    /// slot until the caller has taken what it needs and [`recycle`]d it.
+    ///
+    /// [`recycle`]: HybridEagerRndv::recycle
+    fn recv_frame(&self) -> Result<Option<Frame>> {
+        let Some(comp) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
+            return Ok(None);
+        };
+        comp.ok()?;
+        let base = (comp.wr_id as usize % self.cfg.ring_slots) * self.slot_size;
+        let mut hdr = [0u8; HDR];
+        self.ring.read(base, &mut hdr)?;
+        Ok(Some(Frame {
+            tag: hdr[0],
+            len: wire_len(&hdr[1..]),
+            body: base + HDR,
+            body_len: comp.byte_len.saturating_sub(HDR),
+            wr_id: comp.wr_id,
+        }))
+    }
+
+    /// Re-post a consumed frame's slot.
+    fn recycle(&self, frame: &Frame) -> Result<()> {
+        let base = frame.body - HDR;
+        self.ep.post_recv(RecvWr::new(frame.wr_id, self.ring.clone(), base, self.slot_size))
+    }
+}
+
+/// A received ring frame whose body is still in its slot.
+struct Frame {
+    tag: u8,
+    /// Message length the header claims — the peer's word, checked against
+    /// `body_len` or `max_msg` before it sizes anything.
+    len: usize,
+    /// Ring offset of the body.
+    body: usize,
+    /// Bytes that actually arrived after the header.
+    body_len: usize,
+    wr_id: u64,
+}
+
+impl MsgChannel for HybridEagerRndv {
     fn send_msg(&self, data: &[u8]) -> Result<()> {
         if data.len() <= self.cfg.eager_threshold {
             // Eager path: copy + single SEND.
@@ -75,7 +120,7 @@ impl HybridEagerRndv {
         } else {
             // Rendezvous path: stage zero-copy, advertise, wait for FIN.
             if data.len() > self.cfg.max_msg {
-                return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
+                return Err(RdmaError::InvalidWorkRequest(format!(
                     "payload of {} bytes exceeds the rendezvous stage ({} bytes)",
                     data.len(),
                     self.cfg.max_msg
@@ -92,86 +137,51 @@ impl HybridEagerRndv {
             )])?;
             // The peer READs the staged payload and FINs.
             match self.recv_frame()? {
-                Some((TAG_FIN, _, _)) => Ok(()),
-                Some((tag, _, _)) => Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                    "expected FIN, got tag {tag}"
+                Some(fin) if fin.tag == TAG_FIN => self.recycle(&fin),
+                Some(other) => Err(RdmaError::InvalidWorkRequest(format!(
+                    "expected FIN, got tag {}",
+                    other.tag
                 ))),
-                None => Err(hat_rdma_sim::RdmaError::Disconnected),
+                None => Err(RdmaError::Disconnected),
             }
         }
     }
 
-    /// Receive one raw ring frame: (tag, len, body).
-    fn recv_frame(&self) -> Result<Option<(u8, usize, Vec<u8>)>> {
-        let Some(comp) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-            return Ok(None);
-        };
-        comp.ok()?;
-        let slot = comp.wr_id as usize % self.cfg.ring_slots;
-        let base = slot * self.slot_size;
-        let mut hdr = [0u8; HDR];
-        self.ring.read(base, &mut hdr)?;
-        let tag = hdr[0];
-        let len = u64::from_le_bytes(hdr[1..9].try_into().expect("8B")) as usize;
-        let body_len = comp.byte_len.saturating_sub(HDR);
-        let body = self.ring.read_vec(base + HDR, body_len)?;
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.ring.clone(), base, self.slot_size))?;
-        Ok(Some((tag, len, body)))
-    }
-
-    fn recv_msg(&self) -> Result<Option<Vec<u8>>> {
-        let Some((tag, len, body)) = self.recv_frame()? else { return Ok(None) };
-        match tag {
-            TAG_EAGER => {
+    fn recv_msg<T>(&self, land: impl FnOnce(&[u8]) -> T) -> Result<Option<T>> {
+        let Some(frame) = self.recv_frame()? else { return Ok(None) };
+        let len = frame.len;
+        match frame.tag {
+            TAG_EAGER if len <= frame.body_len => {
                 charge_memcpy(&self.ep, len);
-                Ok(Some(body[..len].to_vec()))
+                let msg = self.ring.with_bytes(frame.body, len, land)?;
+                self.recycle(&frame)?;
+                Ok(Some(msg))
             }
-            TAG_RTS => {
-                let src = RemoteBuf::decode(&body)?;
-                self.ep.post_send(&[SendWr::read(
-                    1,
-                    self.landing.slice(0, len),
-                    src.sub(0, len as u64),
-                )
-                .signaled()])?;
+            TAG_RTS if len <= self.cfg.max_msg && frame.body_len >= RemoteBuf::WIRE_SIZE => {
+                let mut src = [0u8; RemoteBuf::WIRE_SIZE];
+                self.ring.read(frame.body, &mut src)?;
+                self.recycle(&frame)?;
+                let src = RemoteBuf::decode(&src)?.sub(0, len as u64);
+                self.ep
+                    .post_send(&[SendWr::read(1, self.landing.slice(0, len), src).signaled()])?;
                 self.ep.send_cq().poll_timeout(self.cfg.poll, self.cfg.op_timeout_ns)?.ok()?;
                 // Release the peer's staging buffer.
                 let mut fin = [0u8; 9];
                 fin[0] = TAG_FIN;
                 fin[1..9].copy_from_slice(&(len as u64).to_le_bytes());
                 self.ep.post_send(&[SendWr::send_inline(2, &fin)])?;
-                Ok(Some(self.landing.read_vec(0, len)?))
+                self.landing.with_bytes(0, len, land).map(Some)
             }
-            other => Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "unexpected hybrid tag {other}"
+            TAG_EAGER | TAG_RTS => Err(RdmaError::InvalidWorkRequest(format!(
+                "hybrid frame (tag {}) of {} body bytes announces a {len}-byte message",
+                frame.tag, frame.body_len
             ))),
+            other => Err(RdmaError::InvalidWorkRequest(format!("unexpected hybrid tag {other}"))),
         }
     }
 }
 
-impl RpcClient for HybridEagerRndv {
-    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        self.send_msg(request)?;
-        self.recv_msg()?.ok_or(hat_rdma_sim::RdmaError::Disconnected)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HybridEagerRndv
-    }
-}
-
-impl RpcServer for HybridEagerRndv {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(request) = self.recv_msg()? else { return Ok(false) };
-        let response = handler(&request);
-        self.send_msg(&response)?;
-        Ok(true)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HybridEagerRndv
-    }
-}
+msg_channel_endpoints!(HybridEagerRndv, ProtocolKind::HybridEagerRndv);
 
 #[cfg(test)]
 mod tests {

@@ -23,7 +23,9 @@ use hat_rdma_sim::{
     now_ns, Endpoint, MemoryRegion, PollMode, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
 };
 
-use crate::common::{charge_memcpy, poll_recv, ProtocolConfig, ProtocolKind, RpcClient, RpcServer};
+use crate::common::{
+    charge_memcpy, poll_recv, wire_len, ProtocolConfig, ProtocolKind, RpcClient, RpcServer,
+};
 
 /// Modelled pause between memory/READ polls when the poller is in
 /// event-ish mode (these protocols have no completion to block on, so
@@ -276,9 +278,9 @@ impl ReadPolled {
                         self.cfg.poll,
                         timeout,
                     )?;
-                    let seq =
-                        u64::from_le_bytes(self.landing.read_vec(0, 8)?.try_into().expect("8B"));
-                    if seq == want {
+                    let mut seq = [0u8; 8];
+                    self.landing.read(0, &mut seq)?;
+                    if u64::from_le_bytes(seq) == want {
                         break;
                     }
                     wait.pause()?;
@@ -292,7 +294,8 @@ impl ReadPolled {
                     self.cfg.poll,
                     timeout,
                 )?;
-                let hdr = self.landing.read_vec(0, 16)?;
+                let mut hdr = [0u8; 16];
+                self.landing.read(0, &mut hdr)?;
                 let seq = u64::from_le_bytes(hdr[..8].try_into().expect("8B"));
                 debug_assert_eq!(seq, want, "item header lags directory");
                 u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize
@@ -308,7 +311,8 @@ impl ReadPolled {
                         self.cfg.poll,
                         timeout,
                     )?;
-                    let entry = self.landing.read_vec(0, 32)?;
+                    let mut entry = [0u8; 32];
+                    self.landing.read(0, &mut entry)?;
                     let seq = u64::from_le_bytes(entry[..8].try_into().expect("8B"));
                     if seq == want {
                         break u64::from_le_bytes(entry[24..32].try_into().expect("8B")) as usize;
@@ -403,6 +407,25 @@ read_polled_variant!(
 /// Header preceding RFP request/response payloads: `[seq u64, len u64]`.
 const RFP_HDR: usize = 16;
 
+fn rfp_header(seq: u64, len: usize) -> [u8; RFP_HDR] {
+    let mut hdr = [0u8; RFP_HDR];
+    hdr[..8].copy_from_slice(&seq.to_le_bytes());
+    hdr[8..].copy_from_slice(&(len as u64).to_le_bytes());
+    hdr
+}
+
+/// One memory poll: the payload length, once the header at the start of
+/// `region` shows sequence `want`. The length is the writer's claim; the
+/// read that uses it is bounds-checked against the region.
+fn read_rfp_header(region: &MemoryRegion, want: u64) -> Result<Option<usize>> {
+    let mut hdr = [0u8; RFP_HDR];
+    region.read(0, &mut hdr)?;
+    if u64::from_le_bytes(hdr[..8].try_into().expect("8B")) != want {
+        return Ok(None);
+    }
+    Ok(Some(wire_len(&hdr[8..])))
+}
+
 /// RFP emulation (Figure 3i): the client WRITEs `[seq, len, payload]` into
 /// a server-polled request region (in-bound RDMA — cheap for the server);
 /// the server CPU memory-polls, executes, and publishes the response in
@@ -485,16 +508,14 @@ impl RpcClient for Rfp {
         let want = self.seq;
 
         // One in-bound WRITE delivers header + payload together.
-        let mut msg = Vec::with_capacity(RFP_HDR + request.len());
-        msg.extend_from_slice(&want.to_le_bytes());
-        msg.extend_from_slice(&(request.len() as u64).to_le_bytes());
-        msg.extend_from_slice(request);
-        self.req_region.write(0, &msg)?;
+        let msg_len = RFP_HDR + request.len();
+        self.req_region.write(0, &rfp_header(want, request.len()))?;
+        self.req_region.write(RFP_HDR, request)?;
         let dst = self.remote_req.expect("client knows the request region");
         self.ep.post_send(&[SendWr::write(
             1,
-            self.req_region.slice(0, msg.len()),
-            dst.sub(0, msg.len() as u64),
+            self.req_region.slice(0, msg_len),
+            dst.sub(0, msg_len as u64),
         )])?;
 
         // READ-poll the response: header + first chunk in one READ.
@@ -511,10 +532,8 @@ impl RpcClient for Rfp {
                 self.cfg.poll,
                 timeout,
             )?;
-            let hdr = self.resp_region.read_vec(0, RFP_HDR)?;
-            let seq = u64::from_le_bytes(hdr[..8].try_into().expect("8B"));
-            if seq == want {
-                break u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize;
+            if let Some(len) = read_rfp_header(&self.resp_region, want)? {
+                break len;
             }
             wait.pause()?;
         };
@@ -557,10 +576,7 @@ impl RpcServer for Rfp {
                 if !self.ep.is_alive() {
                     return Ok(false);
                 }
-                let hdr = self.req_region.read_vec(0, RFP_HDR)?;
-                let seq = u64::from_le_bytes(hdr[..8].try_into().expect("8B"));
-                if seq == want {
-                    let len = u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize;
+                if let Some(len) = read_rfp_header(&self.req_region, want)? {
                     break self.req_region.read_vec(RFP_HDR, len)?;
                 }
                 wait.pause()?;
@@ -571,10 +587,7 @@ impl RpcServer for Rfp {
 
         // Publish: payload first, header (with fresh seq) last.
         self.resp_region.write(RFP_HDR, &response)?;
-        let mut hdr = [0u8; RFP_HDR];
-        hdr[..8].copy_from_slice(&want.to_le_bytes());
-        hdr[8..].copy_from_slice(&(response.len() as u64).to_le_bytes());
-        self.resp_region.write(0, &hdr)?;
+        self.resp_region.write(0, &rfp_header(want, response.len()))?;
         Ok(true)
     }
 

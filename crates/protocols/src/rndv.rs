@@ -18,9 +18,12 @@
 //! buffer) rather than to connection count — why Figure 6 maps the
 //! `res_util` hint to RNDV for large messages.
 
-use hat_rdma_sim::{Endpoint, MemoryRegion, RemoteBuf, Result, SendWr};
+use hat_rdma_sim::{Endpoint, MemoryRegion, PoolBuf, RdmaError, RemoteBuf, Result, SendWr};
 
-use crate::common::{CtrlRing, ProtocolConfig, ProtocolKind, RpcClient, RpcServer};
+use crate::common::{
+    msg_channel_endpoints, wire_len, CtrlMsg, CtrlRing, MsgChannel, ProtocolConfig, ProtocolKind,
+    CTRL_MAX,
+};
 
 /// Control-message tags shared by both rendezvous flavours.
 mod tag {
@@ -29,54 +32,56 @@ mod tag {
     pub const FIN: u8 = 3;
 }
 
-/// Encode a control message: tag byte + optional u64 len + optional RemoteBuf.
-fn ctrl_msg(tag: u8, len: usize, buf: Option<&RemoteBuf>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 8 + RemoteBuf::WIRE_SIZE);
-    out.push(tag);
-    out.extend_from_slice(&(len as u64).to_le_bytes());
-    if let Some(b) = buf {
-        out.extend_from_slice(&b.encode());
-    }
-    out
+/// Encode a control message: tag byte + u64 len + optional RemoteBuf.
+fn ctrl_msg(tag: u8, len: usize, buf: Option<&RemoteBuf>) -> CtrlMsg {
+    let buf = buf.map(RemoteBuf::encode);
+    CtrlMsg::new(&[&[tag], &(len as u64).to_le_bytes(), buf.as_ref().map_or(&[], |b| &b[..])])
 }
 
 /// Decode a control message produced by [`ctrl_msg`].
 fn parse_ctrl(msg: &[u8]) -> Result<(u8, usize, Option<RemoteBuf>)> {
     if msg.len() < 9 {
-        return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
+        return Err(RdmaError::InvalidWorkRequest(format!(
             "short rendezvous control message ({} bytes)",
             msg.len()
         )));
     }
-    let tag = msg[0];
-    let len = u64::from_le_bytes(msg[1..9].try_into().expect("8 bytes")) as usize;
-    let buf = if msg.len() >= 9 + RemoteBuf::WIRE_SIZE {
-        Some(RemoteBuf::decode(&msg[9..])?)
-    } else {
-        None
-    };
+    let (tag, len) = (msg[0], wire_len(&msg[1..9]));
+    let buf = if msg.len() >= CTRL_MAX { Some(RemoteBuf::decode(&msg[9..])?) } else { None };
     Ok((tag, len, buf))
 }
 
-/// Shared state for both rendezvous flavours: a control ring plus a pooled
-/// data buffer (allocated lazily, reused across transfers).
+/// Shared state for both rendezvous flavours: a control ring plus one
+/// registered data buffer per connection.
 struct Rndv {
     ep: Endpoint,
     cfg: ProtocolConfig,
     ctrl: CtrlRing,
-    /// Pooled staging/landing buffer (the paper's pre-registered buffer
-    /// pool, reduced to one slot because calls are synchronous).
+    /// The connection's pre-registered data buffer (the paper's buffer
+    /// pool, reduced to one slot because calls are synchronous): where the
+    /// peer's WRITE lands (Write-RNDV) or what the peer READs from
+    /// (Read-RNDV).
     pool: MemoryRegion,
 }
 
-/// Control slot size: tag + len + RemoteBuf.
-const CTRL_SLOT: usize = 1 + 8 + RemoteBuf::WIRE_SIZE;
-
 impl Rndv {
     fn new(ep: Endpoint, cfg: ProtocolConfig) -> Result<Rndv> {
-        let ctrl = CtrlRing::new(&ep, cfg.ring_slots, CTRL_SLOT, cfg.op_timeout_ns)?;
+        let ctrl = CtrlRing::new(&ep, cfg.ring_slots, CTRL_MAX, cfg.op_timeout_ns)?;
         let pool = ep.pd().register(cfg.max_msg)?;
         Ok(Rndv { ep, cfg, ctrl, pool })
+    }
+
+    /// A payload we are about to send, or one the peer's RTS announces,
+    /// must fit the registered buffers — checked before anything is
+    /// staged, advertised or fetched on its behalf.
+    fn check_len(&self, len: usize) -> Result<()> {
+        if len > self.cfg.max_msg {
+            return Err(RdmaError::InvalidWorkRequest(format!(
+                "payload of {len} bytes exceeds the rendezvous pool ({} bytes)",
+                self.cfg.max_msg
+            )));
+        }
+        Ok(())
     }
 
     /// Receive a control message of the expected tag (or disconnect).
@@ -84,11 +89,18 @@ impl Rndv {
         let Some(msg) = self.ctrl.recv(self.cfg.poll)? else { return Ok(None) };
         let (tag, len, buf) = parse_ctrl(&msg)?;
         if tag != want {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
+            return Err(RdmaError::InvalidWorkRequest(format!(
                 "rendezvous expected tag {want}, got {tag}"
             )));
         }
         Ok(Some((len, buf)))
+    }
+
+    /// Receive the RTS that opens a transfer, refusing an oversized one.
+    fn expect_rts(&self) -> Result<Option<(usize, Option<RemoteBuf>)>> {
+        let Some((len, src)) = self.expect_ctrl(tag::RTS)? else { return Ok(None) };
+        self.check_len(len)?;
+        Ok(Some((len, src)))
     }
 }
 
@@ -107,66 +119,39 @@ impl WriteRndv {
     pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<WriteRndv> {
         Ok(WriteRndv { inner: Rndv::new(ep, cfg)? })
     }
+}
 
+impl MsgChannel for WriteRndv {
     /// Initiator side of one WRITE-rendezvous transfer.
     fn send_msg(&self, data: &[u8]) -> Result<()> {
         let r = &self.inner;
-        if data.len() > r.cfg.max_msg {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "payload of {} bytes exceeds the rendezvous pool ({} bytes)",
-                data.len(),
-                r.cfg.max_msg
-            )));
-        }
+        r.check_len(data.len())?;
         // RTS: announce length.
         r.ctrl.send(0, &ctrl_msg(tag::RTS, data.len(), None))?;
+        // Stage the payload while the RTS/CTS exchange is in flight: the
+        // one send-side copy. The WRITE below moves this buffer onto the
+        // wire, so no registered staging region and no post-time snapshot.
+        let staged = PoolBuf::copy_from(data);
         // CTS: the target's landing buffer.
         let Some((_, Some(dst))) = r.expect_ctrl(tag::CTS)? else {
-            return Err(hat_rdma_sim::RdmaError::Disconnected);
+            return Err(RdmaError::Disconnected);
         };
-        // Stage and WRITE the payload, then FIN.
-        r.pool.write(0, data)?;
         r.ep.post_send(&[
-            SendWr::write(1, r.pool.slice(0, data.len()), dst.sub(0, data.len() as u64)),
+            SendWr::write_staged(1, staged, dst.sub(0, data.len() as u64)),
             SendWr::send_inline(2, &ctrl_msg(tag::FIN, data.len(), None)),
-        ])?;
-        Ok(())
+        ])
     }
 
     /// Target side of one WRITE-rendezvous transfer.
-    fn recv_msg(&self) -> Result<Option<Vec<u8>>> {
+    fn recv_msg<T>(&self, land: impl FnOnce(&[u8]) -> T) -> Result<Option<T>> {
         let r = &self.inner;
-        let Some((len, _)) = r.expect_ctrl(tag::RTS)? else { return Ok(None) };
-        // Advertise the pooled landing buffer.
+        let Some((len, _)) = r.expect_rts()? else { return Ok(None) };
+        // Advertise the registered landing buffer.
         let rb = r.pool.remote_buf(0, len);
         r.ctrl.send(0, &ctrl_msg(tag::CTS, len, Some(&rb)))?;
         // FIN means the WRITE has fully landed (RC ordering).
         let Some(_) = r.expect_ctrl(tag::FIN)? else { return Ok(None) };
-        Ok(Some(r.pool.read_vec(0, len)?))
-    }
-}
-
-impl RpcClient for WriteRndv {
-    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        self.send_msg(request)?;
-        self.recv_msg()?.ok_or(hat_rdma_sim::RdmaError::Disconnected)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::WriteRndv
-    }
-}
-
-impl RpcServer for WriteRndv {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(request) = self.recv_msg()? else { return Ok(false) };
-        let response = handler(&request);
-        self.send_msg(&response)?;
-        Ok(true)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::WriteRndv
+        r.pool.with_bytes(0, len, land).map(Some)
     }
 }
 
@@ -189,61 +174,37 @@ impl ReadRndv {
         let landing = ep.pd().register(cfg.max_msg)?;
         Ok(ReadRndv { inner: Rndv::new(ep, cfg)?, landing })
     }
+}
 
-    /// Initiator: stage the payload, advertise it, wait for the peer's FIN.
+impl MsgChannel for ReadRndv {
+    /// Initiator: stage the payload where the peer can READ it (so, unlike
+    /// Write-RNDV, in the registered region), advertise it, wait for FIN.
     fn send_msg(&self, data: &[u8]) -> Result<()> {
         let r = &self.inner;
-        if data.len() > r.cfg.max_msg {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "payload of {} bytes exceeds the rendezvous pool ({} bytes)",
-                data.len(),
-                r.cfg.max_msg
-            )));
-        }
+        r.check_len(data.len())?;
         r.pool.write(0, data)?;
         let rb = r.pool.remote_buf(0, data.len());
         r.ctrl.send(0, &ctrl_msg(tag::RTS, data.len(), Some(&rb)))?;
         // FIN: peer finished its READ; the pool slot is reusable.
         let Some(_) = r.expect_ctrl(tag::FIN)? else {
-            return Err(hat_rdma_sim::RdmaError::Disconnected);
+            return Err(RdmaError::Disconnected);
         };
         Ok(())
     }
 
     /// Target: READ the advertised payload, then release it with FIN.
-    fn recv_msg(&self) -> Result<Option<Vec<u8>>> {
+    fn recv_msg<T>(&self, land: impl FnOnce(&[u8]) -> T) -> Result<Option<T>> {
         let r = &self.inner;
-        let Some((len, Some(src))) = r.expect_ctrl(tag::RTS)? else { return Ok(None) };
+        let Some((len, Some(src))) = r.expect_rts()? else { return Ok(None) };
         r.ep.post_send(&[SendWr::read(1, self.landing.slice(0, len), src).signaled()])?;
         r.ep.send_cq().poll_timeout(r.cfg.poll, r.cfg.op_timeout_ns)?.ok()?;
         r.ctrl.send(0, &ctrl_msg(tag::FIN, len, None))?;
-        Ok(Some(self.landing.read_vec(0, len)?))
+        self.landing.with_bytes(0, len, land).map(Some)
     }
 }
 
-impl RpcClient for ReadRndv {
-    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        self.send_msg(request)?;
-        self.recv_msg()?.ok_or(hat_rdma_sim::RdmaError::Disconnected)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ReadRndv
-    }
-}
-
-impl RpcServer for ReadRndv {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(request) = self.recv_msg()? else { return Ok(false) };
-        let response = handler(&request);
-        self.send_msg(&response)?;
-        Ok(true)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ReadRndv
-    }
-}
+msg_channel_endpoints!(WriteRndv, ProtocolKind::WriteRndv);
+msg_channel_endpoints!(ReadRndv, ProtocolKind::ReadRndv);
 
 #[cfg(test)]
 mod tests {

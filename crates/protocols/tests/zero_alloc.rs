@@ -1,7 +1,7 @@
 //! Allocation-count proof for the pipelined eager hot path.
 //!
-//! A counting [`GlobalAlloc`] wrapper tracks every heap allocation made by
-//! the *client* thread. After a warmup phase (which fills the buffer pool,
+//! A counting `GlobalAlloc` wrapper (`support`) tracks every heap allocation
+//! made by the *client* thread. After a warmup phase (which fills the buffer pool,
 //! grows the simulator's completion heaps to their steady-state capacity,
 //! and touches every lazily-initialised thread-local), a full window lap —
 //! submit × window, one flush, wait × window — must perform **zero** heap
@@ -14,65 +14,13 @@
 //! returns a fresh `Vec` per request, which is an application choice, not
 //! part of the channel hot path.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod support;
 
 use hat_protocols::{
     accept_server_pipelined, connect_client_pipelined, ProtocolConfig, ProtocolKind, Token,
 };
 use hat_rdma_sim::{Fabric, PollMode, SimConfig};
-
-/// Pass-through allocator that counts allocation events (alloc, zeroed
-/// alloc, and growth reallocs) on threads that opted into tracking.
-struct CountingAlloc;
-
-thread_local! {
-    static TRACKING: Cell<bool> = const { Cell::new(false) };
-    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_alloc() {
-    // `try_with` keeps allocations during thread teardown (after TLS
-    // destruction) from panicking inside the allocator.
-    let _ = TRACKING.try_with(|t| {
-        if t.get() {
-            let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn tracked_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOC_EVENTS.with(|c| c.get());
-    TRACKING.with(|t| t.set(true));
-    let out = f();
-    TRACKING.with(|t| t.set(false));
-    let after = ALLOC_EVENTS.with(|c| c.get());
-    (out, after - before)
-}
+use support::tracked;
 
 #[test]
 fn eager_pipelined_hot_path_is_allocation_free_after_warmup() {
@@ -132,8 +80,8 @@ fn eager_pipelined_hot_path_is_allocation_free_after_warmup() {
     warm_cond.wait_for(&mut warm_mutex.lock(), std::time::Duration::from_millis(1));
 
     // Sanity: the counter itself works (a boxed value is one event).
-    let (_, counted) = tracked_allocs(|| std::hint::black_box(Box::new(17u64)));
-    assert!(counted >= 1, "counting allocator saw {counted} events for a Box::new");
+    let (_, counted) = tracked(|| std::hint::black_box(Box::new(17u64)));
+    assert!(counted.events >= 1, "counting allocator saw {counted:?} for a Box::new");
 
     // hat-metrics is linked into this binary but disabled — the hot path
     // must stay allocation-free with telemetry compiled in, paying only
@@ -141,7 +89,7 @@ fn eager_pipelined_hot_path_is_allocation_free_after_warmup() {
     assert!(!hat_metrics::enabled(), "telemetry stays off for the measured phase");
 
     // Measured phase: 16 window laps, zero client-side heap allocations.
-    let ((), allocs) = tracked_allocs(|| {
+    let ((), allocs) = tracked(|| {
         for _ in 0..16 {
             tokens.clear();
             for _ in 0..WINDOW {
@@ -154,9 +102,9 @@ fn eager_pipelined_hot_path_is_allocation_free_after_warmup() {
         }
     });
     assert_eq!(
-        allocs,
+        allocs.events,
         0,
-        "eager pipelined hot path allocated {allocs} times over 16 window laps \
+        "eager pipelined hot path allocated {allocs:?} over 16 window laps \
          ({} calls) after warmup",
         16 * WINDOW
     );

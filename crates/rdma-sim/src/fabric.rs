@@ -70,9 +70,34 @@ impl std::fmt::Debug for Fabric {
     }
 }
 
+/// Size of the one buffer [`pin_allocator_regime`] allocates and frees:
+/// twice the largest [`crate::PoolBuf`] class, so every buffer the stack
+/// or its callers size from a message stays below both thresholds.
+const ALLOC_PIN_BYTES: usize = 8 << 20;
+
+/// Fix glibc malloc's two dynamic thresholds for the life of the process.
+///
+/// By mallopt(3)'s `M_MMAP_THRESHOLD` rule, freeing an mmapped chunk
+/// raises the mmap threshold to that chunk's size and sets the trim
+/// threshold to twice it. Left alone, both end up wherever the largest
+/// message buffer freed so far puts them — a few hundred KiB — and a
+/// caller that holds and frees a request, a reply and a decoded value per
+/// call sits right at the trim threshold: a few KiB more or less of
+/// unrelated allocation decides whether every call returns ~1 MiB to the
+/// kernel and faults it back in (~100 page faults, more than the RPC
+/// itself costs). One untouched [`ALLOC_PIN_BYTES`] allocation, freed at
+/// once, holds the mmap threshold at 8 MiB and the trim threshold at
+/// 16 MiB instead. `black_box` keeps the unused pair from being elided;
+/// on other allocators this is one cheap no-op. DESIGN §4k.
+fn pin_allocator_regime() {
+    static PIN: std::sync::Once = std::sync::Once::new();
+    PIN.call_once(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(ALLOC_PIN_BYTES))));
+}
+
 impl Fabric {
     /// Create a fabric with the given configuration.
     pub fn new(config: SimConfig) -> Fabric {
+        pin_allocator_regime();
         Fabric {
             inner: Arc::new(FabricInner {
                 config: Arc::new(config),

@@ -24,6 +24,14 @@ use crate::node::Node;
 /// Monotonic id source for rkeys/lkeys across the whole process.
 static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
 
+/// `offset..offset + len` if it lies inside a region of `capacity` bytes.
+fn bounds(offset: usize, len: usize, capacity: usize) -> Result<std::ops::Range<usize>> {
+    match offset.checked_add(len) {
+        Some(end) if end <= capacity => Ok(offset..end),
+        _ => Err(RdmaError::OutOfBounds { offset, len, capacity }),
+    }
+}
+
 pub(crate) struct MrInner {
     /// Local key (slices carry it; checked on local access in debug builds).
     pub lkey: u64,
@@ -99,47 +107,48 @@ impl MemoryRegion {
         self.write_raw(offset, data)
     }
 
-    /// Copy bytes out of the region at `offset` (application-side access;
-    /// drains pending simulated effects first so in-flight RDMA WRITEs are
-    /// visible if and only if their deadline passed).
-    pub fn read(&self, offset: usize, out: &mut [u8]) -> Result<()> {
+    /// Borrow `len` bytes at `offset` for the duration of `f`
+    /// (application-side access: drains pending simulated effects first so
+    /// in-flight RDMA WRITEs are visible if and only if their deadline
+    /// passed). The range is checked against the region's capacity before
+    /// `f` sees anything, so a length that came off the wire can neither
+    /// index out of bounds nor size an allocation.
+    ///
+    /// `f` runs under the region's read lock. Copy out and return: an
+    /// in-bound WRITE applying to this region waits on that lock while
+    /// holding the node's effect-apply lock, so anything slow in `f` (a
+    /// user handler, a wait) would stall every connection on the node.
+    pub fn with_bytes<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         self.check_live()?;
         if let Some(node) = self.inner.node.upgrade() {
             node.drain_effects();
         }
         let buf = self.inner.buf.read();
-        let end = offset.checked_add(out.len()).ok_or(RdmaError::OutOfBounds {
-            offset,
-            len: out.len(),
-            capacity: buf.len(),
-        })?;
-        if end > buf.len() {
-            return Err(RdmaError::OutOfBounds { offset, len: out.len(), capacity: buf.len() });
-        }
-        out.copy_from_slice(&buf[offset..end]);
-        Ok(())
+        Ok(f(&buf[bounds(offset, len, buf.len())?]))
     }
 
-    /// Read the whole region (or a prefix) into a fresh `Vec`.
+    /// Copy bytes out of the region at `offset` into `out`.
+    pub fn read(&self, offset: usize, out: &mut [u8]) -> Result<()> {
+        self.with_bytes(offset, out.len(), |b| out.copy_from_slice(b))
+    }
+
+    /// Copy `len` bytes at `offset` into a fresh `Vec` (allocated only once
+    /// the range is known to lie inside the region).
     pub fn read_vec(&self, offset: usize, len: usize) -> Result<Vec<u8>> {
-        let mut v = vec![0u8; len];
-        self.read(offset, &mut v)?;
-        Ok(v)
+        self.with_bytes(offset, len, <[u8]>::to_vec)
     }
 
     /// Internal write that does *not* drain (used by the effect-apply path
     /// itself, which must not recurse).
     pub(crate) fn write_raw(&self, offset: usize, data: &[u8]) -> Result<()> {
         let mut buf = self.inner.buf.write();
-        let end = offset.checked_add(data.len()).ok_or(RdmaError::OutOfBounds {
-            offset,
-            len: data.len(),
-            capacity: buf.len(),
-        })?;
-        if end > buf.len() {
-            return Err(RdmaError::OutOfBounds { offset, len: data.len(), capacity: buf.len() });
-        }
-        buf[offset..end].copy_from_slice(data);
+        let range = bounds(offset, data.len(), buf.len())?;
+        buf[range].copy_from_slice(data);
         Ok(())
     }
 
@@ -148,15 +157,7 @@ impl MemoryRegion {
     /// simulated NIC when serving in-bound RDMA READ.
     pub(crate) fn read_pool_raw(&self, offset: usize, len: usize) -> Result<crate::pool::PoolBuf> {
         let buf = self.inner.buf.read();
-        let end = offset.checked_add(len).ok_or(RdmaError::OutOfBounds {
-            offset,
-            len,
-            capacity: buf.len(),
-        })?;
-        if end > buf.len() {
-            return Err(RdmaError::OutOfBounds { offset, len, capacity: buf.len() });
-        }
-        Ok(crate::pool::PoolBuf::copy_from(&buf[offset..end]))
+        Ok(crate::pool::PoolBuf::copy_from(&buf[bounds(offset, len, buf.len())?]))
     }
 
     /// Atomically read-modify-write an 8-byte word at `offset` under the
@@ -169,17 +170,10 @@ impl MemoryRegion {
         f: impl FnOnce(u64) -> Option<u64>,
     ) -> Result<u64> {
         let mut buf = self.inner.buf.write();
-        let end = offset.checked_add(8).ok_or(RdmaError::OutOfBounds {
-            offset,
-            len: 8,
-            capacity: buf.len(),
-        })?;
-        if end > buf.len() {
-            return Err(RdmaError::OutOfBounds { offset, len: 8, capacity: buf.len() });
-        }
-        let old = u64::from_le_bytes(buf[offset..end].try_into().expect("8 bytes"));
+        let range = bounds(offset, 8, buf.len())?;
+        let old = u64::from_le_bytes(buf[range.clone()].try_into().expect("8 bytes"));
         if let Some(new) = f(old) {
-            buf[offset..end].copy_from_slice(&new.to_le_bytes());
+            buf[range].copy_from_slice(&new.to_le_bytes());
         }
         Ok(old)
     }
@@ -218,15 +212,7 @@ pub struct MrSlice {
 impl MrSlice {
     /// Validate the slice against its region's bounds.
     pub fn validate(&self) -> Result<()> {
-        let cap = self.mr.len();
-        if self.offset.checked_add(self.len).is_none_or(|end| end > cap) {
-            return Err(RdmaError::OutOfBounds {
-                offset: self.offset,
-                len: self.len,
-                capacity: cap,
-            });
-        }
-        Ok(())
+        bounds(self.offset, self.len, self.mr.len()).map(|_| ())
     }
 }
 
@@ -374,6 +360,20 @@ mod tests {
         let mr = pd.register(8).unwrap();
         let mut out = [0u8; 4];
         assert!(mr.read(5, &mut out).is_err());
+    }
+
+    /// Lengths that came off the wire: checked before anything is sized
+    /// by them (`vec![0; usize::MAX]` panics, `vec![0; 3 << 30]` reserves
+    /// 3 GiB first).
+    #[test]
+    fn oversized_lengths_fail_typed_before_allocating() {
+        let (_f, pd) = pd();
+        let mr = pd.register(64).unwrap();
+        for len in [65, 3 << 30, usize::MAX] {
+            assert!(matches!(mr.read_vec(0, len), Err(RdmaError::OutOfBounds { .. })), "{len}");
+            assert!(matches!(mr.with_bytes(1, len, |_| ()), Err(RdmaError::OutOfBounds { .. })));
+        }
+        assert_eq!(mr.with_bytes(60, 4, <[u8]>::len).unwrap(), 4);
     }
 
     #[test]

@@ -416,6 +416,7 @@ impl Endpoint {
                     Ok((None, s.len))
                 }
                 SendPayload::Inline(d) => Ok((Some(d.len()), d.len())),
+                SendPayload::Staged(b) => Ok((None, b.len()?)),
             }
         };
         match &wr.op {
@@ -576,13 +577,15 @@ impl Endpoint {
         // buffer once the WR reaches the head of the send queue; protocols
         // must not reuse the buffer before the send completion anyway).
         // Snapshots live in pooled buffers: steady-state traffic recycles
-        // them instead of allocating per message.
+        // them instead of allocating per message. A staged payload *is*
+        // its snapshot and moves here without a copy.
         let data = match &wr.op {
             SendOp::Send { payload }
             | SendOp::Write { payload, .. }
             | SendOp::WriteImm { payload, .. } => match payload {
                 SendPayload::Mr(s) => s.mr.read_pool_raw(s.offset, s.len)?,
                 SendPayload::Inline(d) => PoolBuf::copy_from(d.as_slice()),
+                SendPayload::Staged(b) => b.take()?,
             },
             SendOp::Read { .. } | SendOp::CompSwap { .. } | SendOp::FetchAdd { .. } => {
                 unreachable!("handled above")
@@ -942,6 +945,49 @@ mod tests {
         let total = c.node().stats_snapshot() - before;
         assert_eq!(total.doorbells, 3);
         assert_eq!(total.wrs_posted, 4);
+    }
+
+    /// A staged payload moves onto the wire: the bytes land, the second
+    /// post of the same work request is a typed error, and a request whose
+    /// chain fails validation keeps its buffer and returns it to the pool.
+    /// (The 1 MiB size class is this test's alone, so the LIFO free list
+    /// tells where each buffer went.)
+    #[test]
+    fn staged_write_posts_once_and_never_leaks_its_buffer() {
+        const LEN: usize = 600_000;
+        let (_f, c, s) = pair();
+        let smr = s.pd().register(LEN).unwrap();
+        let rb = smr.remote_buf(0, LEN);
+
+        let mut staged = PoolBuf::for_overwrite(LEN);
+        staged.fill(0x5A);
+        let storage = staged.as_ptr();
+        let wr = SendWr::write_staged(1, staged, rb).signaled();
+        c.post_send(std::slice::from_ref(&wr)).unwrap();
+        c.send_cq().poll_timeout(PollMode::Busy, 1_000_000_000).unwrap();
+        let landed = |mr: &MemoryRegion| mr.with_bytes(0, LEN, |b| b.iter().all(|&x| x == 0x5A));
+        while !landed(&smr).unwrap() {
+            std::thread::yield_now();
+        }
+        let err = c.post_send(std::slice::from_ref(&wr)).unwrap_err();
+        assert!(matches!(err, RdmaError::InvalidWorkRequest(_)), "second post: {err:?}");
+        // The applied effect released the storage; nothing else holds it.
+        assert_eq!(PoolBuf::for_overwrite(LEN).as_ptr(), storage);
+
+        // A chain that fails validation posts nothing and consumes nothing.
+        let staged = PoolBuf::for_overwrite(LEN);
+        let storage = staged.as_ptr();
+        let bogus = RemoteBuf { node_id: 999, rkey: 424242, offset: 0, len: 8 };
+        let chain = [SendWr::write_staged(2, staged, rb), SendWr::write_inline(3, b"x", bogus)];
+        let before = c.node().stats_snapshot().wrs_posted;
+        assert!(matches!(c.post_send(&chain), Err(RdmaError::InvalidRKey(_))));
+        assert_eq!(c.node().stats_snapshot().wrs_posted, before);
+        match &chain[0].op {
+            SendOp::Write { payload, .. } => assert_eq!(payload.len(), LEN, "still staged"),
+            other => panic!("unexpected op {other:?}"),
+        }
+        drop(chain);
+        assert_eq!(PoolBuf::for_overwrite(LEN).as_ptr(), storage, "dropped WR returns its buffer");
     }
 
     #[test]

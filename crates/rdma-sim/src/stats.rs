@@ -120,7 +120,11 @@ node_counters! {
     counter inbound_rdma,
     /// Out-bound one-sided operations issued.
     counter outbound_rdma,
-    /// Host memcpys charged (eager copies etc.).
+    /// Host memcpys *charged to the cost model*: one per inline work
+    /// request posted (the copy into the WQE) and one per eager
+    /// staging/landing copy a protocol charges. It does not count the
+    /// simulator's own passes over a payload (post-time snapshot, effect
+    /// apply, copy-out) — a zero-copy WRITE of any size adds 0 here.
     counter memcpys,
     /// Receiver-not-ready stalls (SEND arrived before a RECV was posted).
     counter rnr_stalls,

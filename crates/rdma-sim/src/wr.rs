@@ -1,6 +1,10 @@
 //! Work requests: the verbs operations the paper's protocols are built from.
 
+use parking_lot::Mutex;
+
+use crate::error::{RdmaError, Result};
 use crate::memory::{MemoryRegion, MrSlice, RemoteBuf};
+use crate::pool::PoolBuf;
 
 /// Operation kind, mirroring `ibv_wr_opcode` / `ibv_wc_opcode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,6 +74,43 @@ impl std::fmt::Debug for InlineData {
     }
 }
 
+/// A payload the caller already staged in a pooled buffer. Posting *moves*
+/// the buffer into the wire effect — the simulator's post-time snapshot
+/// without the copy — so a staged work request can be posted once; a
+/// second post fails with [`crate::RdmaError::InvalidWorkRequest`]. A
+/// request that is dropped unposted, or whose chain failed validation,
+/// still owns its buffer and returns it to the pool.
+pub struct StagedBuf(Mutex<Option<PoolBuf>>);
+
+impl StagedBuf {
+    fn consumed() -> RdmaError {
+        RdmaError::InvalidWorkRequest("staged payload was consumed by an earlier post".into())
+    }
+
+    /// Length of the staged bytes (validation time).
+    pub(crate) fn len(&self) -> Result<usize> {
+        self.0.lock().as_ref().map(PoolBuf::len).ok_or_else(Self::consumed)
+    }
+
+    /// Hand the buffer to the wire (launch time).
+    pub(crate) fn take(&self) -> Result<PoolBuf> {
+        self.0.lock().take().ok_or_else(Self::consumed)
+    }
+}
+
+impl Clone for StagedBuf {
+    /// Copies the staged bytes (or the consumed state).
+    fn clone(&self) -> StagedBuf {
+        StagedBuf(Mutex::new(self.0.lock().clone()))
+    }
+}
+
+impl std::fmt::Debug for StagedBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("StagedBuf").field(&self.len().ok()).finish()
+    }
+}
+
 /// Payload source for a send-side work request.
 ///
 /// The variants differ in size by design: inline data is embedded in the
@@ -85,14 +126,19 @@ pub enum SendPayload {
     /// bounded by [`crate::qp::QpConfig::max_inline`]). Saves the lkey
     /// lookup/DMA at the cost of a host memcpy.
     Inline(InlineData),
+    /// Bytes staged once by the caller in a pooled buffer that the post
+    /// moves onto the wire (large messages: no registered staging region,
+    /// no post-time snapshot copy).
+    Staged(StagedBuf),
 }
 
 impl SendPayload {
-    /// Payload length in bytes.
+    /// Payload length in bytes (0 for a staged payload already posted).
     pub fn len(&self) -> usize {
         match self {
             SendPayload::Mr(s) => s.len,
             SendPayload::Inline(d) => d.len(),
+            SendPayload::Staged(b) => b.len().unwrap_or(0),
         }
     }
 
@@ -185,6 +231,13 @@ impl SendWr {
             op: SendOp::Write { payload: SendPayload::Mr(slice), remote },
             signaled: false,
         }
+    }
+
+    /// One-sided WRITE of a payload staged in a pooled buffer; the post
+    /// consumes the buffer (see [`StagedBuf`]).
+    pub fn write_staged(wr_id: u64, staged: PoolBuf, remote: RemoteBuf) -> SendWr {
+        let payload = SendPayload::Staged(StagedBuf(Mutex::new(Some(staged))));
+        SendWr { wr_id, op: SendOp::Write { payload, remote }, signaled: false }
     }
 
     /// One-sided WRITE of inline data (copied into the WQE; no allocation).
