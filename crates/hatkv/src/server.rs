@@ -52,8 +52,11 @@ pub fn wants_onesided(schema: &ServiceSchema) -> bool {
 }
 
 /// Mirrors committed KV writes into the one-sided index. Callbacks run
-/// inside the shard writer-lock scope, so per-key index updates land in
-/// commit order.
+/// after the commit has published and inside the shard writer-lock
+/// scope, so per-key index updates land in commit order and never ahead
+/// of the store. A multi-key batch has every slot opened (marked
+/// write-in-progress) before any is published, so a one-sided multiget
+/// cannot validate half of it.
 struct IndexMirror {
     index: Arc<OneSidedIndex>,
 }
@@ -64,6 +67,11 @@ impl hat_kvdb::WriteObserver for IndexMirror {
     }
     fn on_del(&self, key: &[u8]) {
         self.index.apply_del(key);
+    }
+    fn on_batch(&self, keys: &mut dyn Iterator<Item = &[u8]>) {
+        for key in keys {
+            self.index.open_write(key);
+        }
     }
 }
 

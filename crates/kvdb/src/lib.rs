@@ -485,15 +485,45 @@ impl WriteTxn<'_> {
     /// real WAL appends/flushes for persistent databases, a calibrated
     /// stall for in-memory ones.
     pub fn commit(self) {
+        self.commit_then(None, || ());
+    }
+
+    /// Commit without logging (WAL replay path).
+    fn commit_replayed(self) {
+        *self.db.inner.root.write() = self.root;
+        self.db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Publish this transaction's mutations as the *apply* step of a 2PC
+    /// commit: instead of re-logging the operations (the prepare record
+    /// already holds them), append a `DECISION(commit)` marker for
+    /// `txn_id` and publish the new root — all while still holding the
+    /// writer lock, so the log's decision order matches the shard's
+    /// apply order exactly.
+    pub fn commit_txn(self, txn_id: u64) {
+        self.commit_then(Some(txn_id), || ());
+    }
+
+    /// The one commit: log (this transaction's operations, or the 2PC
+    /// decision for `decided`), publish the new root, then run
+    /// `published` — all under the writer lock, which is released only
+    /// on return. `published` is where a [`sharded::WriteObserver`] hears
+    /// of the mutations: after they are durable and readable, never
+    /// before, and in commit order.
+    pub(crate) fn commit_then(self, decided: Option<u64>, published: impl FnOnce()) {
         let (sync, cost_override) = {
             let cfg = self.db.inner.config.read();
             (cfg.sync_mode, cfg.commit_cost_ns)
         };
         let mut wal = self.db.inner.wal.lock();
         match wal.as_mut() {
-            Some(wal) if !self.log.is_empty() => {
+            Some(wal) if decided.is_some() || !self.log.is_empty() => {
                 let t0 = std::time::Instant::now();
-                wal.commit(&self.log, sync).expect("WAL append");
+                match decided {
+                    Some(txn_id) => wal.decision(txn_id, true, sync),
+                    None => wal.commit(&self.log, sync),
+                }
+                .expect("WAL append");
                 self.db
                     .inner
                     .stats
@@ -515,51 +545,7 @@ impl WriteTxn<'_> {
         drop(wal);
         *self.db.inner.root.write() = self.root;
         self.db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Commit without logging (WAL replay path).
-    fn commit_replayed(self) {
-        *self.db.inner.root.write() = self.root;
-        self.db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publish this transaction's mutations as the *apply* step of a 2PC
-    /// commit: instead of re-logging the operations (the prepare record
-    /// already holds them), append a `DECISION(commit)` marker for
-    /// `txn_id` and publish the new root — all while still holding the
-    /// writer lock, so the log's decision order matches the shard's
-    /// apply order exactly.
-    pub fn commit_txn(self, txn_id: u64) {
-        let (sync, cost_override) = {
-            let cfg = self.db.inner.config.read();
-            (cfg.sync_mode, cfg.commit_cost_ns)
-        };
-        let mut wal = self.db.inner.wal.lock();
-        match wal.as_mut() {
-            Some(wal) => {
-                let t0 = std::time::Instant::now();
-                wal.decision(txn_id, true, sync).expect("WAL append");
-                self.db
-                    .inner
-                    .stats
-                    .sync_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-            None => {
-                let cost = cost_override.unwrap_or_else(|| sync.commit_cost_ns());
-                if self.dirty && cost > 0 {
-                    // Model the fsync stall, as `commit` does.
-                    let start = std::time::Instant::now();
-                    while (std::time::Instant::now() - start).as_nanos() < cost as u128 {
-                        std::thread::yield_now();
-                    }
-                    self.db.inner.stats.sync_ns.fetch_add(cost, Ordering::Relaxed);
-                }
-            }
-        }
-        drop(wal);
-        *self.db.inner.root.write() = self.root;
-        self.db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+        published();
     }
 
     /// Discard the transaction's mutations.

@@ -91,20 +91,48 @@ fn fnv1a(key: &[u8]) -> u64 {
 /// Observes every committed mutation flowing through a [`ShardedDb`].
 ///
 /// The hook for externally-maintained read structures (e.g. the one-sided
-/// GET index): callbacks run *inside* the owning shard's writer-lock
+/// GET index). Callbacks run once the commit has been logged and its root
+/// published — a mutation the store could still lose, or does not serve
+/// yet, is never announced — and *inside* the owning shard's writer-lock
 /// scope, so for any single key the observer sees mutations in exactly
-/// the order the shard applied them — two racing writers to the same key
+/// the order the shard applied them: two racing writers to the same key
 /// can never leave the observer's view and the database disagreeing about
-/// which write was last.
+/// which write was last. Between the publish and the callback the
+/// observer's view is stale, never early.
 ///
-/// Callbacks must not call back into the database (the shard writer lock
-/// is held) and should be quick: their cost serializes with all writes to
+/// Callbacks must not write to the database (the shard writer lock is
+/// held) and should be quick: their cost serializes with all writes to
 /// the shard.
 pub trait WriteObserver: Send + Sync {
     /// A key/value pair was written.
     fn on_put(&self, key: &[u8], value: &[u8]);
     /// A key was deleted.
     fn on_del(&self, key: &[u8]);
+    /// A batch of more than one key committed atomically in one shard:
+    /// each of `keys` gets its `on_put`/`on_del` next, before the shard
+    /// writer lock is released. An observer whose view is read
+    /// concurrently can use this to hide the batch until its last key is
+    /// in.
+    fn on_batch(&self, _keys: &mut dyn Iterator<Item = &[u8]>) {}
+}
+
+/// Tell the observer, if there is one, of what one shard just committed:
+/// the batch bracket, then every mutation in apply order (`None` =
+/// delete).
+fn announce<'a>(
+    observer: &Option<Arc<dyn WriteObserver>>,
+    ops: impl ExactSizeIterator<Item = (&'a [u8], Option<&'a [u8]>)> + Clone,
+) {
+    let Some(observer) = observer else { return };
+    if ops.len() > 1 {
+        observer.on_batch(&mut ops.clone().map(|(key, _)| key));
+    }
+    for (key, value) in ops {
+        match value {
+            Some(value) => observer.on_put(key, value),
+            None => observer.on_del(key),
+        }
+    }
 }
 
 /// Errors from the cross-shard transaction path.
@@ -389,8 +417,9 @@ impl ShardedDb {
     }
 
     /// Single-key autocommit write, routed to the owning shard. The
-    /// observer (if any) runs while the shard writer lock is held, so
-    /// per-key observer order always matches database commit order.
+    /// observer (if any) runs after the commit and while the shard writer
+    /// lock is still held, so per-key observer order always matches
+    /// database commit order.
     pub fn put(&self, key: &[u8], value: &[u8]) {
         // Clone the observer handle out before taking the shard lock:
         // holding the registry read guard across the shard lock would
@@ -399,10 +428,7 @@ impl ShardedDb {
         let observer = self.observer.read().clone();
         let mut txn = self.shards[self.shard_of(key)].begin_write().expect("writer lock");
         txn.put(key, value);
-        if let Some(obs) = &observer {
-            obs.on_put(key, value);
-        }
-        txn.commit();
+        txn.commit_then(None, || announce(&observer, [(key, Some(value))].into_iter()));
     }
 
     /// Single-key autocommit delete; returns whether the key existed.
@@ -410,10 +436,7 @@ impl ShardedDb {
         let observer = self.observer.read().clone();
         let mut txn = self.shards[self.shard_of(key)].begin_write().expect("writer lock");
         let existed = txn.del(key);
-        if let Some(obs) = &observer {
-            obs.on_del(key);
-        }
-        txn.commit();
+        txn.commit_then(None, || announce(&observer, [(key, None)].into_iter()));
         existed
     }
 
@@ -432,11 +455,10 @@ impl ShardedDb {
             let mut txn = shard.begin_write().expect("writer lock");
             for (k, v) in group {
                 txn.put(k, v);
-                if let Some(obs) = &observer {
-                    obs.on_put(k, v);
-                }
             }
-            txn.commit();
+            txn.commit_then(None, || {
+                announce(&observer, group.iter().map(|(k, v)| (&k[..], Some(&v[..]))))
+            });
         }
     }
 
@@ -529,13 +551,16 @@ impl ShardedDb {
             for op in &groups[s] {
                 // The prepared op's value cell becomes the tree's cell.
                 write.apply(op);
-                match (&observer, op) {
-                    (Some(obs), WalOp::Put(k, v)) => obs.on_put(k, v),
-                    (Some(obs), WalOp::Del(k)) => obs.on_del(k),
-                    (None, _) => {}
-                }
             }
-            write.commit_txn(txn_id);
+            write.commit_then(Some(txn_id), || {
+                announce(
+                    &observer,
+                    groups[s].iter().map(|op| match op {
+                        WalOp::Put(k, v) => (&k[..], Some(&v[..])),
+                        WalOp::Del(k) => (&k[..], None),
+                    }),
+                )
+            });
             if self.crash_hit(TxnCrashPoint::AfterDecisions(done + 1)) {
                 unlock_upto(touched.len());
                 return Err(TxnError::Crashed);
@@ -660,6 +685,45 @@ mod tests {
         ShardedDb::new(DbConfig { sync_mode: SyncMode::NoSync, ..Default::default() }, shards)
     }
 
+    type Mutation = (Vec<u8>, Option<Vec<u8>>);
+
+    /// Records every mutation it hears of, and checks the store already
+    /// serves it: an observer is told of a write after its commit has
+    /// published (and, under the shard writer lock, before the next one).
+    struct Recorder {
+        db: ShardedDb,
+        events: std::sync::Mutex<Vec<Mutation>>,
+        /// Per announced batch: its keys, and how many events preceded it.
+        batches: std::sync::Mutex<Vec<(Vec<Vec<u8>>, usize)>>,
+    }
+
+    impl Recorder {
+        fn observe(db: &ShardedDb) -> Arc<Recorder> {
+            let rec = Arc::new(Recorder {
+                db: db.clone(),
+                events: Default::default(),
+                batches: Default::default(),
+            });
+            db.set_write_observer(rec.clone());
+            rec
+        }
+    }
+
+    impl WriteObserver for Recorder {
+        fn on_put(&self, key: &[u8], value: &[u8]) {
+            assert_eq!(self.db.get(key).as_deref(), Some(value), "told of an unpublished put");
+            self.events.lock().unwrap().push((key.to_vec(), Some(value.to_vec())));
+        }
+        fn on_del(&self, key: &[u8]) {
+            assert_eq!(self.db.get(key), None, "told of an unpublished delete");
+            self.events.lock().unwrap().push((key.to_vec(), None));
+        }
+        fn on_batch(&self, keys: &mut dyn Iterator<Item = &[u8]>) {
+            let seen = self.events.lock().unwrap().len();
+            self.batches.lock().unwrap().push((keys.map(<[u8]>::to_vec).collect(), seen));
+        }
+    }
+
     #[test]
     fn routing_is_stable_and_total() {
         let db = db(8);
@@ -777,26 +841,8 @@ mod tests {
     /// the callback runs inside the shard writer-lock scope.
     #[test]
     fn write_observer_sees_all_mutations_in_per_key_order() {
-        use std::sync::Mutex;
-
-        type Event = (Vec<u8>, Option<Vec<u8>>);
-
-        #[derive(Default)]
-        struct Recorder {
-            events: Mutex<Vec<Event>>,
-        }
-        impl WriteObserver for Recorder {
-            fn on_put(&self, key: &[u8], value: &[u8]) {
-                self.events.lock().unwrap().push((key.to_vec(), Some(value.to_vec())));
-            }
-            fn on_del(&self, key: &[u8]) {
-                self.events.lock().unwrap().push((key.to_vec(), None));
-            }
-        }
-
         let db = db(4);
-        let rec = std::sync::Arc::new(Recorder::default());
-        db.set_write_observer(rec.clone());
+        let rec = Recorder::observe(&db);
 
         db.put(b"a", b"1");
         db.multi_put([(b"a".to_vec(), b"2".to_vec()), (b"b".to_vec(), b"1".to_vec())]);
@@ -984,31 +1030,27 @@ mod tests {
 
     #[test]
     fn txn_observer_sees_mutations_like_multi_put() {
-        use std::sync::Mutex as StdMutex;
-
-        type Mutation = (Vec<u8>, Option<Vec<u8>>);
-        #[derive(Default)]
-        struct Recorder {
-            events: StdMutex<Vec<Mutation>>,
-        }
-        impl WriteObserver for Recorder {
-            fn on_put(&self, key: &[u8], value: &[u8]) {
-                self.events.lock().unwrap().push((key.to_vec(), Some(value.to_vec())));
-            }
-            fn on_del(&self, key: &[u8]) {
-                self.events.lock().unwrap().push((key.to_vec(), None));
-            }
-        }
-
         let db = db(4);
-        let rec = Arc::new(Recorder::default());
-        db.set_write_observer(rec.clone());
+        let rec = Recorder::observe(&db);
         db.multi_put_txn([(b"o1".to_vec(), b"v".to_vec()), (b"o2".to_vec(), b"v".to_vec())])
             .unwrap();
         db.multi_del_txn([b"o1".to_vec()]).unwrap();
-        let events = rec.events.lock().unwrap();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[2], (b"o1".to_vec(), None));
+        assert_eq!(rec.events.lock().unwrap().len(), 3);
+        assert_eq!(rec.events.lock().unwrap()[2], (b"o1".to_vec(), None));
+
+        // Keys committed together in one shard are announced as a batch,
+        // bracket first, on the plain and the 2PC path alike; a lone key
+        // is not.
+        let one = self::db(1);
+        let rec = Recorder::observe(&one);
+        let pairs = |v: &[u8]| [(b"a".to_vec(), v.to_vec()), (b"b".to_vec(), v.to_vec())];
+        one.multi_put(pairs(b"1"));
+        one.multi_put_txn(pairs(b"2")).unwrap();
+        one.multi_put([(b"a".to_vec(), b"3".to_vec())]);
+        one.put(b"b", b"3");
+        let both = vec![b"a".to_vec(), b"b".to_vec()];
+        assert_eq!(*rec.batches.lock().unwrap(), [(both.clone(), 0), (both, 2)]);
+        assert_eq!(rec.events.lock().unwrap().len(), 6);
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! value heap — and keeps it current from the KV write path under a
 //! per-slot seqlock (odd version = write in progress). Clients resolve
 //! GETs entirely with simulated RDMA READs: one READ fetches the bucket
-//! set, a second fetches the value cell, and the cell's embedded version
-//! must match the slot version observed in the first READ. Any mismatch,
-//! index miss, or oversized value makes the client fall back to the
-//! ordinary RPC path — the index is an accelerator, never the source of
-//! truth.
+//! set, another fetches the value cell, and the cell's embedded version
+//! must match the slot version observed in the set READ. Every key has a
+//! *home way* ([`home_way`]) that the writer fills first and the reader
+//! bets on: a GET chains the set READ and the home cell's READ under one
+//! doorbell, and pays a second round trip only for a key living away from
+//! home. Any mismatch, index miss, or oversized value makes the client
+//! fall back to the ordinary RPC path — the index is an accelerator,
+//! never the source of truth.
 //!
 //! Geometry and MR descriptors travel out-of-band on a `{service}#onesided`
 //! side-channel ([`onesided_service`]): the engine's connection preamble
@@ -50,6 +53,10 @@ pub const CELL_BYTES: usize = CELL_HDR + VALUE_CAP;
 pub const MULTIGET_BATCH: usize = 32;
 /// Seqlock retry budget before a conflict becomes an RPC fallback.
 const MAX_ATTEMPTS: usize = 2;
+/// Most landing bytes one key may cost a reader (its set plus one cell).
+/// [`OneSidedAdvert::decode`] refuses geometry above it, so nothing a
+/// server advertises can size more than [`MULTIGET_BATCH`] times this.
+const MAX_KEY_FOOTPRINT: u64 = 64 * 1024;
 
 /// The side-channel service name carrying the index advert for `service`.
 pub fn onesided_service(service: &str) -> String {
@@ -68,6 +75,15 @@ pub fn key_fp(key: &[u8]) -> u64 {
     } else {
         h
     }
+}
+
+/// The way of its set a key is placed in while that way is free, and the
+/// way a reader fetches the cell of before it has seen the set. Part of
+/// the wire contract: both sides compute it from the fingerprint bits the
+/// set mapping (`fp % num_sets`) did not use. A writer that places keys
+/// some other way costs readers round trips, never correctness.
+fn home_way(fp: u64, num_sets: u64, ways: u64) -> u64 {
+    (fp / num_sets) % ways
 }
 
 /// Why a one-sided GET could not be resolved and must go over RPC.
@@ -139,19 +155,36 @@ impl OneSidedAdvert {
             heap: RemoteBuf::decode(&bytes[16 + RemoteBuf::WIRE_SIZE..])?,
         };
         // The slot layout is part of the protocol: a client parses raw
-        // bytes, so reject geometry it was not built for.
-        let expect_slots = advert.ways as u64 * advert.num_sets as u64 * advert.slot_bytes as u64;
-        if advert.ways == 0
-            || advert.num_sets == 0
-            || advert.slot_bytes != SLOT_BYTES as u32
-            || advert.value_cap == 0
-            || advert.slots.len != expect_slots
-        {
+        // bytes, sizes its landing region from the geometry and computes
+        // the home cell's address from it, so prove all of it here. The
+        // footprint cap comes first: under it `ways` < 2^11 and a cell
+        // < 2^16 bytes, so the region products below cannot overflow.
+        let slots = advert.ways as u64 * advert.num_sets as u64;
+        let consistent = advert.ways != 0
+            && advert.num_sets != 0
+            && advert.slot_bytes == SLOT_BYTES as u32
+            && advert.value_cap != 0
+            && advert.set_bytes() + advert.cell_bytes() <= MAX_KEY_FOOTPRINT
+            && advert.slots.len == slots * SLOT_BYTES as u64
+            && advert.heap.len == slots * advert.cell_bytes()
+            && advert.slots.offset.checked_add(advert.slots.len).is_some()
+            && advert.heap.offset.checked_add(advert.heap.len).is_some();
+        if !consistent {
             return Err(RdmaError::InvalidWorkRequest(format!(
                 "onesided advert geometry is inconsistent: {advert:?}"
             )));
         }
         Ok(advert)
+    }
+
+    /// Bytes per bucket set (what the set READ fetches).
+    fn set_bytes(&self) -> u64 {
+        self.ways as u64 * self.slot_bytes as u64
+    }
+
+    /// Bytes per value cell: version header plus `value_cap`.
+    fn cell_bytes(&self) -> u64 {
+        CELL_HDR as u64 + self.value_cap as u64
     }
 }
 
@@ -227,9 +260,13 @@ impl OneSidedIndex {
             }
             return;
         }
+        // A key already indexed keeps its way; a new one takes its home
+        // way while that is free (readers bet on it), else the first free.
+        let home = home_way(fp, NUM_SETS as u64, WAYS as u64) as usize;
         let way = shadow
             .iter()
             .position(|s| s.fp == fp)
+            .or_else(|| (shadow[home].fp == 0).then_some(home))
             .or_else(|| shadow.iter().position(|s| s.fp == 0))
             .unwrap_or_else(|| {
                 // Evict the least-recently-updated way (smallest version).
@@ -245,11 +282,14 @@ impl OneSidedIndex {
         let even = sh.version + 2;
         // 1. Odd version: write in progress.
         self.slots.write(slot_off + 8, &odd.to_le_bytes()).expect("slot in bounds");
-        // 2. Value cell, header + payload in one atomic region write.
-        let mut cell = Vec::with_capacity(CELL_HDR + value.len());
-        cell.extend_from_slice(&even.to_le_bytes());
-        cell.extend_from_slice(value);
-        self.heap.write(cell_off, &cell).expect("cell in bounds");
+        // 2. Value cell, header + payload in one atomic region write,
+        // built on the stack: this runs under the set mutex inside the
+        // shard writer lock.
+        let mut cell = [0u8; CELL_BYTES];
+        let cell = &mut cell[..CELL_HDR + value.len()];
+        cell[..CELL_HDR].copy_from_slice(&even.to_le_bytes());
+        cell[CELL_HDR..].copy_from_slice(value);
+        self.heap.write(cell_off, cell).expect("cell in bounds");
         // 3. Publish the slot.
         let mut slot = [0u8; SLOT_BYTES];
         slot[0..8].copy_from_slice(&fp.to_le_bytes());
@@ -288,10 +328,16 @@ impl OneSidedIndex {
         sh.version = even;
     }
 
-    /// Test hook: force the slot holding `key` to an odd (write-in-
-    /// progress) version so the next one-sided GET observes a conflict.
-    #[doc(hidden)]
-    pub fn poison_slot_for_test(&self, key: &[u8]) -> bool {
+    /// Mark `key`'s slot write-in-progress (odd version) ahead of the
+    /// [`apply_put`](Self::apply_put) / [`apply_del`](Self::apply_del)
+    /// that will follow for it; returns false for a key not indexed.
+    ///
+    /// A writer mirroring a multi-key batch opens every key first. From
+    /// then until the batch's last key is published, every key of it is
+    /// odd, absent, or already new — so no instant exists at which a
+    /// reader's two rounds can validate one key of the batch new and
+    /// another still old.
+    pub fn open_write(&self, key: &[u8]) -> bool {
         let fp = key_fp(key);
         let set = (fp % NUM_SETS as u64) as usize;
         let shadow = self.sets[set].lock();
@@ -366,7 +412,7 @@ impl OneSidedHost {
 }
 
 /// One slot as parsed from a READ of the bucket array.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SlotView {
     fp: u64,
     version: u64,
@@ -381,6 +427,44 @@ impl SlotView {
         };
         SlotView { fp: u(0..8), version: u(8..16), value_off: u(16..24), value_len: u(24..32) }
     }
+
+    /// The used prefix of this slot's value cell: header plus value.
+    fn cell_len(&self) -> u64 {
+        CELL_HDR as u64 + self.value_len
+    }
+}
+
+/// Locate `fp`'s slot in a freshly READ `set`. `Ok(slot)` has an even
+/// version and a value that fits both the reader's cell and the heap;
+/// `Err` is the per-key fallback classification.
+fn find_slot(set: &[u8], fp: u64, advert: &OneSidedAdvert) -> OneSidedOutcome<SlotView> {
+    let slot = set
+        .chunks_exact(SLOT_BYTES)
+        .map(SlotView::parse)
+        .find(|slot| slot.fp == fp)
+        .ok_or(FallbackReason::Miss)?;
+    if slot.version % 2 == 1 {
+        return Err(FallbackReason::Conflict);
+    }
+    if slot.value_len > advert.value_cap as u64 {
+        return Err(FallbackReason::Oversized);
+    }
+    match slot.value_off.checked_add(slot.cell_len()) {
+        Some(end) if end <= advert.heap.len => Ok(slot),
+        // A torn slot READ interleaved with a writer can pair an old
+        // offset with a new length; treat it as a conflict.
+        _ => Err(FallbackReason::Conflict),
+    }
+}
+
+/// Validate a READ value `cell` against the slot version observed before
+/// it; copies the value out (the one copy a GET makes) on success.
+fn check_cell(cell: &[u8], slot: &SlotView) -> OneSidedOutcome<Vec<u8>> {
+    let version = u64::from_le_bytes(cell[..CELL_HDR].try_into().expect("8 bytes"));
+    if version != slot.version {
+        return Err(FallbackReason::Conflict);
+    }
+    Ok(cell[CELL_HDR..slot.cell_len() as usize].to_vec())
 }
 
 /// Client side: resolves GETs against a remote [`OneSidedIndex`] with
@@ -415,9 +499,9 @@ impl OneSidedReader {
     pub fn connect(fabric: &Fabric, node: &Arc<Node>, service: &str) -> Result<OneSidedReader> {
         let ep = fabric.dial(node, &onesided_service(service))?;
         let advert = OneSidedAdvert::decode(&exchange_blobs(&ep, b"onesided-hello")?)?;
-        let set_bytes = (advert.ways * advert.slot_bytes) as usize;
-        let cell_bytes = CELL_HDR + advert.value_cap as usize;
-        let landing = ep.pd().register(MULTIGET_BATCH * (set_bytes + cell_bytes))?;
+        // At most MULTIGET_BATCH × MAX_KEY_FOOTPRINT, whatever was advertised.
+        let per_key = (advert.set_bytes() + advert.cell_bytes()) as usize;
+        let landing = ep.pd().register(MULTIGET_BATCH * per_key)?;
         Ok(OneSidedReader {
             ep,
             landing,
@@ -439,113 +523,110 @@ impl OneSidedReader {
     }
 
     fn set_bytes(&self) -> usize {
-        (self.advert.ways * self.advert.slot_bytes) as usize
+        self.advert.set_bytes() as usize
     }
 
     fn cell_bytes(&self) -> usize {
-        CELL_HDR + self.advert.value_cap as usize
+        self.advert.cell_bytes() as usize
     }
 
-    /// Issue a batch of READs under one doorbell; only the last is
-    /// signaled — link reservations are in posting order, so its
+    fn stats(&self) -> &NodeStats {
+        self.ep.node().stats()
+    }
+
+    /// A READ of `remote` into the landing region at `local_off`.
+    fn read_wr(&mut self, local_off: usize, remote: RemoteBuf) -> SendWr {
+        self.next_wr += 1;
+        self.bytes_read += remote.len;
+        SendWr::read(self.next_wr, self.landing.slice(local_off, remote.len as usize), remote)
+    }
+
+    /// Post `chain` under one doorbell and wait for its last READ, the
+    /// only one signaled — link reservations are in posting order, so its
     /// completion implies every earlier READ's data has landed.
-    fn post_reads(&mut self, reads: &[(usize, RemoteBuf)]) -> Result<()> {
-        let mut wrs = Vec::with_capacity(reads.len());
-        for (i, (local_off, remote)) in reads.iter().enumerate() {
-            let mut wr = SendWr::read(
-                self.next_wr,
-                self.landing.slice(*local_off, remote.len as usize),
-                *remote,
-            );
-            self.next_wr += 1;
-            if i + 1 == reads.len() {
-                wr = wr.signaled();
-            }
-            self.bytes_read += remote.len;
-            wrs.push(wr);
+    fn post_reads(&self, chain: &mut [SendWr]) -> Result<()> {
+        if let Some(last) = chain.last_mut() {
+            last.signaled = true;
         }
-        self.ep.post_send(&wrs)?;
+        self.ep.post_send(chain)?;
         self.ep.send_cq().poll_timeout(PollMode::Busy, self.timeout_ns)?.ok()?;
         Ok(())
     }
 
-    /// Locate `key`'s slot in a freshly READ set at `local_off`.
-    /// `Ok(slot)` has an even version and a plausible value; `Err` is the
-    /// per-key fallback classification.
-    fn find_slot(&self, local_off: usize, fp: u64) -> Result<OneSidedOutcome<SlotView>> {
-        let set = self.landing.read_vec(local_off, self.set_bytes())?;
-        for way in 0..self.advert.ways as usize {
-            let slot = SlotView::parse(&set[way * SLOT_BYTES..(way + 1) * SLOT_BYTES]);
-            if slot.fp != fp {
-                continue;
-            }
-            if slot.version % 2 == 1 {
-                return Ok(Err(FallbackReason::Conflict));
-            }
-            if slot.value_len > self.advert.value_cap as u64 {
-                return Ok(Err(FallbackReason::Oversized));
-            }
-            let end = slot.value_off + CELL_HDR as u64 + slot.value_len;
-            if end > self.advert.heap.len {
-                // A torn slot READ interleaved with a writer can pair an
-                // old offset with a new length; treat it as a conflict.
-                return Ok(Err(FallbackReason::Conflict));
-            }
-            return Ok(Ok(slot));
-        }
-        Ok(Err(FallbackReason::Miss))
-    }
-
-    /// Validate a value cell READ against the slot version observed
-    /// first; returns the value on success.
-    fn check_cell(&self, local_off: usize, slot: &SlotView) -> Result<OneSidedOutcome<Vec<u8>>> {
-        let cell = self.landing.read_vec(local_off, CELL_HDR + slot.value_len as usize)?;
-        let cell_version = u64::from_le_bytes(cell[0..8].try_into().expect("8 bytes"));
-        if cell_version != slot.version {
-            return Ok(Err(FallbackReason::Conflict));
-        }
-        Ok(Ok(cell[CELL_HDR..].to_vec()))
-    }
-
     fn set_remote(&self, fp: u64) -> RemoteBuf {
         let set = fp % self.advert.num_sets as u64;
-        self.advert.slots.sub(set * self.set_bytes() as u64, self.set_bytes() as u64)
+        self.advert.slots.sub(set * self.advert.set_bytes(), self.advert.set_bytes())
     }
 
-    /// Resolve one GET: two READs (bucket set, then value cell) plus
-    /// seqlock validation, retried once on conflict.
-    pub fn get(&mut self, key: &[u8]) -> Result<OneSidedOutcome<Vec<u8>>> {
-        let fp = key_fp(key);
-        let node = self.ep.node().clone();
-        let mut reason = FallbackReason::Conflict;
+    /// Heap offset of the cell `fp`'s home slot owns. Inside the heap for
+    /// every `fp`: `decode` proved the heap is exactly one cell per slot.
+    fn home_cell_off(&self, fp: u64) -> u64 {
+        let (sets, ways) = (self.advert.num_sets as u64, self.advert.ways as u64);
+        ((fp % sets) * ways + home_way(fp, sets, ways)) * self.advert.cell_bytes()
+    }
+
+    /// Run `attempt` until it resolves, fails for a reason a retry cannot
+    /// cure, or has lost the seqlock race [`MAX_ATTEMPTS`] times.
+    fn retrying<T>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self) -> Result<OneSidedOutcome<T>>,
+    ) -> Result<OneSidedOutcome<T>> {
         for _ in 0..MAX_ATTEMPTS {
-            self.post_reads(&[(0, self.set_remote(fp))])?;
-            let slot = match self.find_slot(0, fp)? {
-                Ok(slot) => slot,
-                Err(r) => {
-                    reason = r;
-                    if r == FallbackReason::Conflict {
-                        NodeStats::add(&node.stats().onesided_conflicts, 1);
-                        continue;
-                    }
-                    break;
+            match attempt(self)? {
+                Err(FallbackReason::Conflict) => {
+                    NodeStats::add(&self.stats().onesided_conflicts, 1);
                 }
-            };
-            let cell = self.advert.heap.sub(slot.value_off, CELL_HDR as u64 + slot.value_len);
-            self.post_reads(&[(self.set_bytes(), cell)])?;
-            match self.check_cell(self.set_bytes(), &slot)? {
-                Ok(value) => {
-                    NodeStats::add(&node.stats().onesided_gets, 1);
-                    return Ok(Ok(value));
-                }
-                Err(r) => {
-                    reason = r;
-                    NodeStats::add(&node.stats().onesided_conflicts, 1);
-                }
+                settled => return Ok(settled),
             }
         }
-        NodeStats::add(&node.stats().onesided_fallbacks, 1);
-        Ok(Err(reason))
+        Ok(Err(FallbackReason::Conflict))
+    }
+
+    /// Resolve one GET in one round trip when the key lives in its home
+    /// way: the bucket set and the whole home cell are READ in one chain
+    /// and validated under the seqlock rules. A key living in another way
+    /// costs the second READ its slot names; conflicts are retried once.
+    pub fn get(&mut self, key: &[u8]) -> Result<OneSidedOutcome<Vec<u8>>> {
+        let fp = key_fp(key);
+        let outcome = self.retrying(|reader| reader.get_once(fp))?;
+        let counter = match outcome {
+            Ok(_) => &self.stats().onesided_gets,
+            Err(_) => &self.stats().onesided_fallbacks,
+        };
+        NodeStats::add(counter, 1);
+        Ok(outcome)
+    }
+
+    fn get_once(&mut self, fp: u64) -> Result<OneSidedOutcome<Vec<u8>>> {
+        let (set_bytes, cell_bytes) = (self.set_bytes(), self.cell_bytes());
+        let home_off = self.home_cell_off(fp);
+        // The set READ is posted (and so served) before the cell READ: the
+        // slot version is observed first, as the seqlock needs. The
+        // value's length is in the slot, so the bet fetches the whole cell.
+        let mut chain = [
+            self.read_wr(0, self.set_remote(fp)),
+            self.read_wr(set_bytes, self.advert.heap.sub(home_off, cell_bytes as u64)),
+        ];
+        self.post_reads(&mut chain)?;
+        let found = self.landing.with_bytes(0, set_bytes + cell_bytes, |landed| {
+            let (set, cell) = landed.split_at(set_bytes);
+            find_slot(set, fp, &self.advert).map(|slot| {
+                let home = slot.value_off == home_off;
+                (slot, home.then(|| check_cell(cell, &slot)))
+            })
+        })?;
+        Ok(match found {
+            Err(reason) => Err(reason),
+            Ok((_, Some(checked))) => checked,
+            Ok((slot, None)) => {
+                // Away from home: fetch the cell the slot names.
+                let cell = self.advert.heap.sub(slot.value_off, slot.cell_len());
+                let mut away = [self.read_wr(set_bytes, cell)];
+                self.post_reads(&mut away)?;
+                self.landing
+                    .with_bytes(set_bytes, cell.len as usize, |cell| check_cell(cell, &slot))?
+            }
+        })
     }
 
     /// Resolve a whole batch one-sided or not at all: chained READs give
@@ -553,76 +634,67 @@ impl OneSidedReader {
     /// then all value cells). Any unresolvable key fails the entire call
     /// back to RPC — partial resolution would force the caller to merge.
     pub fn multiget(&mut self, keys: &[Vec<u8>]) -> Result<OneSidedOutcome<Vec<Vec<u8>>>> {
-        let node = self.ep.node().clone();
         let mut values = Vec::with_capacity(keys.len());
         for chunk in keys.chunks(MULTIGET_BATCH) {
-            match self.multiget_chunk(chunk)? {
-                Ok(chunk_values) => values.extend(chunk_values),
-                Err(reason) => {
-                    NodeStats::add(&node.stats().onesided_fallbacks, 1);
-                    return Ok(Err(reason));
-                }
+            if let Err(reason) = self.retrying(|reader| reader.chunk_once(chunk, &mut values))? {
+                NodeStats::add(&self.stats().onesided_fallbacks, 1);
+                return Ok(Err(reason));
             }
         }
-        NodeStats::add(&node.stats().onesided_gets, keys.len() as u64);
+        NodeStats::add(&self.stats().onesided_gets, keys.len() as u64);
         Ok(Ok(values))
     }
 
-    fn multiget_chunk(&mut self, keys: &[Vec<u8>]) -> Result<OneSidedOutcome<Vec<Vec<u8>>>> {
-        let node = self.ep.node().clone();
-        let set_bytes = self.set_bytes();
+    /// One attempt at up to [`MULTIGET_BATCH`] keys, appending their
+    /// values to `values` only if every one validated.
+    ///
+    /// Every cell is READ after every slot, and validation proves no key
+    /// changed between its own two READs, so the values returned are the
+    /// index's at one instant between the rounds. That instant cannot
+    /// show half of a mirrored batch: writers open every key of a batch
+    /// before publishing any ([`OneSidedIndex::open_write`]).
+    fn chunk_once(
+        &mut self,
+        keys: &[Vec<u8>],
+        values: &mut Vec<Vec<u8>>,
+    ) -> Result<OneSidedOutcome<()>> {
+        let (set_bytes, cell_bytes) = (self.set_bytes(), self.cell_bytes());
         let cell_base = MULTIGET_BATCH * set_bytes;
-        let cell_bytes = self.cell_bytes();
-        let fps: Vec<u64> = keys.iter().map(|k| key_fp(k)).collect();
-        let mut reason = FallbackReason::Conflict;
-        'attempt: for _ in 0..MAX_ATTEMPTS {
-            // Phase 1: every bucket set, one doorbell.
-            let set_reads: Vec<(usize, RemoteBuf)> = fps
-                .iter()
-                .enumerate()
-                .map(|(i, &fp)| (i * set_bytes, self.set_remote(fp)))
-                .collect();
-            self.post_reads(&set_reads)?;
-            let mut slots = Vec::with_capacity(keys.len());
-            for (i, &fp) in fps.iter().enumerate() {
-                match self.find_slot(i * set_bytes, fp)? {
-                    Ok(slot) => slots.push(slot),
-                    Err(r) => {
-                        reason = r;
-                        if r == FallbackReason::Conflict {
-                            NodeStats::add(&node.stats().onesided_conflicts, 1);
-                            continue 'attempt;
-                        }
-                        return Ok(Err(r));
-                    }
-                }
-            }
-            // Phase 2: every value cell, one doorbell.
-            let cell_reads: Vec<(usize, RemoteBuf)> = slots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    (
-                        cell_base + i * cell_bytes,
-                        self.advert.heap.sub(s.value_off, CELL_HDR as u64 + s.value_len),
-                    )
-                })
-                .collect();
-            self.post_reads(&cell_reads)?;
-            let mut values = Vec::with_capacity(keys.len());
-            for (i, slot) in slots.iter().enumerate() {
-                match self.check_cell(cell_base + i * cell_bytes, slot)? {
-                    Ok(v) => values.push(v),
-                    Err(r) => {
-                        reason = r;
-                        NodeStats::add(&node.stats().onesided_conflicts, 1);
-                        continue 'attempt;
-                    }
-                }
-            }
-            return Ok(Ok(values));
+        let mut slots = [SlotView::default(); MULTIGET_BATCH];
+        let slots = &mut slots[..keys.len()];
+        // Round 1: every bucket set, one doorbell.
+        let mut chain = Vec::with_capacity(keys.len());
+        for (i, key) in keys.iter().enumerate() {
+            chain.push(self.read_wr(i * set_bytes, self.set_remote(key_fp(key))));
         }
-        Ok(Err(reason))
+        self.post_reads(&mut chain)?;
+        let found = self.landing.with_bytes(0, keys.len() * set_bytes, |sets| {
+            let sets = sets.chunks_exact(set_bytes);
+            keys.iter().zip(sets).zip(slots.iter_mut()).try_for_each(|((key, set), slot)| {
+                find_slot(set, key_fp(key), &self.advert).map(|found| *slot = found)
+            })
+        })?;
+        if found.is_err() {
+            return Ok(found);
+        }
+        // Round 2: every value cell, one doorbell.
+        chain.clear();
+        for (i, slot) in slots.iter().enumerate() {
+            let cell = self.advert.heap.sub(slot.value_off, slot.cell_len());
+            chain.push(self.read_wr(cell_base + i * cell_bytes, cell));
+        }
+        self.post_reads(&mut chain)?;
+        let resolved = values.len();
+        let checked = self.landing.with_bytes(cell_base, keys.len() * cell_bytes, |cells| {
+            cells
+                .chunks_exact(cell_bytes)
+                .zip(slots.iter())
+                .try_for_each(|(cell, slot)| check_cell(cell, slot).map(|value| values.push(value)))
+        })?;
+        if checked.is_err() {
+            values.truncate(resolved);
+        }
+        Ok(checked)
     }
 }
 
@@ -660,6 +732,30 @@ mod tests {
         let mut short = advert;
         short.slots = rb(64);
         assert!(OneSidedAdvert::decode(&short.encode()).is_err());
+        // A heap that is not one cell per slot: the home cell's address is
+        // computed from the geometry, so it has to be the real geometry.
+        let mut thin = advert;
+        thin.heap = rb((NUM_SLOTS * CELL_BYTES - 1) as u64);
+        assert!(OneSidedAdvert::decode(&thin.encode()).is_err());
+        // Self-consistent but huge: a reader sizes its landing region from
+        // these, so they are capped, and no product of them may overflow.
+        let scaled = |ways: u32, value_cap: u32| {
+            let slots = ways as u64 * NUM_SETS as u64;
+            OneSidedAdvert {
+                ways,
+                value_cap,
+                slots: rb(slots * SLOT_BYTES as u64),
+                heap: rb(slots.wrapping_mul(CELL_HDR as u64 + value_cap as u64)),
+                ..advert
+            }
+        };
+        assert!(OneSidedAdvert::decode(&scaled(WAYS as u32, 60_000).encode()).is_ok());
+        assert!(OneSidedAdvert::decode(&scaled(WAYS as u32, u32::MAX).encode()).is_err());
+        assert!(OneSidedAdvert::decode(&scaled(1 << 27, VALUE_CAP as u32).encode()).is_err());
+        assert!(OneSidedAdvert::decode(&scaled(u32::MAX, u32::MAX).encode()).is_err());
+        let mut wrapping = advert;
+        wrapping.heap.offset = u64::MAX;
+        assert!(OneSidedAdvert::decode(&wrapping.encode()).is_err());
     }
 
     #[test]
@@ -695,7 +791,7 @@ mod tests {
         let (_f, host, mut reader) = host_and_reader();
         let index = host.index().clone();
         index.apply_put(b"k", b"v");
-        assert!(index.poison_slot_for_test(b"k"));
+        assert!(index.open_write(b"k"));
         let before = reader.ep.node().stats_snapshot();
         assert_eq!(reader.get(b"k").unwrap(), Err(FallbackReason::Conflict));
         let after = reader.ep.node().stats_snapshot();
@@ -725,12 +821,19 @@ mod tests {
         for (n, k) in keys.iter().enumerate() {
             index.apply_put(k, format!("v{n}").as_bytes());
         }
-        // The first-inserted key was evicted (smallest version); the
-        // later ones still resolve.
-        assert_eq!(reader.get(&keys[0]).unwrap(), Err(FallbackReason::Miss));
-        for (n, k) in keys.iter().enumerate().skip(1) {
-            assert_eq!(reader.get(k).unwrap(), Ok(format!("v{n}").into_bytes()), "key {n}");
+        // The set holds WAYS keys: exactly one was displaced (which one
+        // is placement's business) and misses; the rest resolve, the
+        // last written among them.
+        let outcomes: Vec<_> = keys.iter().map(|k| reader.get(k).unwrap()).collect();
+        for (n, outcome) in outcomes.iter().enumerate() {
+            assert!(
+                *outcome == Ok(format!("v{n}").into_bytes())
+                    || *outcome == Err(FallbackReason::Miss),
+                "key {n}: {outcome:?}"
+            );
         }
+        assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1, "{outcomes:?}");
+        assert!(outcomes[WAYS].is_ok(), "the last written key resolves");
         host.shutdown();
     }
 
@@ -748,6 +851,29 @@ mod tests {
         let mut with_ghost = keys.clone();
         with_ghost.push(b"ghost".to_vec());
         assert_eq!(reader.multiget(&with_ghost).unwrap(), Err(FallbackReason::Miss));
+        host.shutdown();
+    }
+
+    /// The batch bracket: a writer about to mirror several keys opens
+    /// them all first, so the index never holds one key of the batch
+    /// published next to another still validly old.
+    #[test]
+    fn a_half_mirrored_batch_does_not_validate() {
+        let (_f, host, mut reader) = host_and_reader();
+        let index = host.index().clone();
+        let keys = [b"left".to_vec(), b"right".to_vec()];
+        let all = |v: &[u8]| Ok(vec![v.to_vec(), v.to_vec()]);
+        index.apply_put(&keys[0], b"old");
+        index.apply_put(&keys[1], b"old");
+        assert_eq!(reader.multiget(&keys).unwrap(), all(b"old"));
+        assert!(index.open_write(&keys[0]) && index.open_write(&keys[1]));
+        assert_eq!(reader.multiget(&keys).unwrap(), Err(FallbackReason::Conflict));
+        index.apply_put(&keys[0], b"new");
+        assert_eq!(reader.get(&keys[0]).unwrap(), Ok(b"new".to_vec()));
+        assert_eq!(reader.multiget(&keys).unwrap(), Err(FallbackReason::Conflict));
+        index.apply_put(&keys[1], b"new");
+        assert_eq!(reader.multiget(&keys).unwrap(), all(b"new"));
+        assert!(!index.open_write(b"never indexed"));
         host.shutdown();
     }
 
