@@ -89,8 +89,13 @@ mod tests {
     use hat_protocols::ProtocolKind;
     use hat_rdma_sim::{PollMode, SimConfig};
 
+    /// Every modelled duration stretched 32×, ratios unchanged: these tests
+    /// compare orderings the *model* produces (a 296 ns memcpy charge, a
+    /// 6.5 µs kernel-stack traversal), and at 1× a debug build's own
+    /// 50–80 µs per round trip buries them — more so since charges absorb
+    /// the host work they model instead of stacking on it.
     fn run(mode: Mode, payload: usize) -> LatencyResult {
-        let fabric = Fabric::new(SimConfig::default());
+        let fabric = Fabric::new(SimConfig { time_scale: 32.0, ..SimConfig::default() });
         run_latency(&fabric, &LatencyConfig { mode, payload, warmup: 4, iters: 24 }).unwrap()
     }
 

@@ -295,13 +295,14 @@ pub fn accept_server(
     })
 }
 
-/// Charge a host memcpy of `len` bytes on the endpoint's node (eager
-/// protocols pay this; zero-copy ones don't).
-pub(crate) fn charge_memcpy(ep: &Endpoint, len: usize) {
+/// Open the charge for a host memcpy of `len` bytes on the endpoint's node
+/// (eager protocols pay this; zero-copy ones don't). The caller holds the
+/// guard over the real copy the charge models, so the copy's host time is
+/// absorbed by the modelled time instead of added to it.
+pub(crate) fn charge_memcpy(ep: &Endpoint, len: usize) -> hat_rdma_sim::Charge<'_> {
     let node = ep.node();
-    let ns = node.config().cost.memcpy_ns(len);
-    node.charge_cpu(ns);
     hat_rdma_sim::stats::NodeStats::add(&node.stats().memcpys, 1);
+    node.begin_charge(node.config().cost.memcpy_ns(len))
 }
 
 /// A little-endian `u64` length field as the peer wrote it, saturated to
@@ -641,6 +642,51 @@ mod tests {
         let ring = CtrlRing::new(&eb, 2, CTRL_MAX, POLL_TIMEOUT_NS).unwrap();
         ea.close();
         assert!(ring.recv(PollMode::Busy).unwrap().is_none());
+    }
+
+    /// A memcpy charge is a guard held over the real copy: the section
+    /// costs `max(copy, model)`, not their sum. The model is slowed to
+    /// ~2 ms for 1 MiB so the real copy (measured alone first) is well
+    /// inside it, and the accounting is the model's, exactly.
+    #[test]
+    fn a_memcpy_guard_held_over_the_real_copy_costs_max_not_sum() {
+        use hat_rdma_sim::{now_ns, CostModel};
+        const LEN: usize = 1 << 20;
+        let _nic_local = hat_rdma_sim::numa::bind_current_thread(0);
+        let cost = CostModel { memcpy_bytes_per_ns: 0.5, ..CostModel::default() };
+        let f = Fabric::new(SimConfig { cost, ..SimConfig::default() });
+        let (a, b) = (f.add_node("a"), f.add_node("b"));
+        let (ep, _peer) = f.connect(&a, &b).unwrap();
+        let model = f.config().cost.memcpy_ns(LEN);
+        let (src, mut dst) = (vec![7u8; LEN], vec![0u8; LEN]);
+
+        // Minima over a few runs: a descheduled run says nothing.
+        let mut time = |charged: bool| {
+            (0..5)
+                .map(|_| {
+                    let t = now_ns();
+                    let guard = charged.then(|| charge_memcpy(&ep, LEN));
+                    dst.copy_from_slice(std::hint::black_box(&src));
+                    std::hint::black_box(&mut dst);
+                    drop(guard);
+                    now_ns() - t
+                })
+                .min()
+                .expect("five runs")
+        };
+        let copy = time(false);
+        let before = a.stats_snapshot();
+        let charged = time(true);
+        let stats = a.stats_snapshot() - before;
+
+        assert!(copy < model / 2, "the model ({model} ns) must dwarf the copy ({copy} ns)");
+        assert!(charged >= model);
+        assert!(
+            charged - model < copy / 2,
+            "a charged 1 MiB copy took model + {} ns; the copy alone takes {copy} ns",
+            charged - model
+        );
+        assert_eq!((stats.cpu_busy_ns, stats.memcpys), (5 * model, 5));
     }
 
     #[test]

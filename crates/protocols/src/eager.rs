@@ -58,9 +58,10 @@ impl EagerSendRecv {
                 self.cfg.max_msg
             )));
         }
-        charge_memcpy(&self.ep, data.len());
+        let copy = charge_memcpy(&self.ep, data.len());
         self.send_buf.write(0, &(data.len() as u32).to_le_bytes())?;
         self.send_buf.write(HDR, data)?;
+        drop(copy);
         self.ep.post_send(&[SendWr::send(0, self.send_buf.slice(0, HDR + data.len()))])?;
         Ok(())
     }
@@ -78,8 +79,9 @@ impl EagerSendRecv {
         let len = u32::from_le_bytes(hdr) as usize;
         // The receiver copies the payload out of the ring slot before
         // recycling it — the second half of Eager's copy cost.
-        charge_memcpy(&self.ep, len);
+        let copy = charge_memcpy(&self.ep, len);
         let data = self.recv_ring.read_vec(base + HDR, len)?;
+        drop(copy);
         self.ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
         Ok(Some(data))
     }

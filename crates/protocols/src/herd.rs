@@ -119,8 +119,9 @@ impl RpcClient for Herd {
         let mut hdr = [0u8; HDR];
         self.resp_ring.read(base, &mut hdr)?;
         let len = u32::from_le_bytes(hdr) as usize;
-        charge_memcpy(&self.ep, len);
+        let copy = charge_memcpy(&self.ep, len);
         let data = self.resp_ring.read_vec(base + HDR, len)?;
+        drop(copy);
         self.ep.post_recv(RecvWr::new(comp.wr_id, self.resp_ring.clone(), base, self.slot_size))?;
         Ok(data)
     }
@@ -155,9 +156,10 @@ impl RpcServer for Herd {
         }
         // HERD's weakness: the response is copied into a send slot and
         // SENT two-sided.
-        charge_memcpy(&self.ep, response.len());
+        let copy = charge_memcpy(&self.ep, response.len());
         self.resp_stage.write(0, &(response.len() as u32).to_le_bytes())?;
         self.resp_stage.write(HDR, &response)?;
+        drop(copy);
         self.ep.post_send(&[SendWr::send(3, self.resp_stage.slice(0, HDR + response.len()))])?;
         Ok(true)
     }

@@ -111,10 +111,11 @@ impl MsgChannel for HybridEagerRndv {
     fn send_msg(&self, data: &[u8]) -> Result<()> {
         if data.len() <= self.cfg.eager_threshold {
             // Eager path: copy + single SEND.
-            charge_memcpy(&self.ep, data.len());
+            let copy = charge_memcpy(&self.ep, data.len());
             self.eager_stage.write(0, &[TAG_EAGER])?;
             self.eager_stage.write(1, &(data.len() as u64).to_le_bytes())?;
             self.eager_stage.write(HDR, data)?;
+            drop(copy);
             self.ep.post_send(&[SendWr::send(0, self.eager_stage.slice(0, HDR + data.len()))])?;
             Ok(())
         } else {
@@ -152,8 +153,9 @@ impl MsgChannel for HybridEagerRndv {
         let len = frame.len;
         match frame.tag {
             TAG_EAGER if len <= frame.body_len => {
-                charge_memcpy(&self.ep, len);
+                let copy = charge_memcpy(&self.ep, len);
                 let msg = self.ring.with_bytes(frame.body, len, land)?;
+                drop(copy);
                 self.recycle(&frame)?;
                 Ok(Some(msg))
             }

@@ -374,9 +374,10 @@ impl PipelinedEager {
         self.recv_ring.read(base, &mut hdr)?;
         let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
         let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        charge_memcpy(&self.ep, len);
+        let copy = charge_memcpy(&self.ep, len);
         let mut buf = PoolBuf::for_overwrite(len);
         self.recv_ring.read(base + EAGER_HDR, buf.as_mut_slice())?;
+        drop(copy);
         self.ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
         self.win.complete(token, buf)
     }
@@ -392,10 +393,11 @@ impl PipelinedClient for PipelinedEager {
         // poll.
         let (token, slot) = self.win.begin_any()?;
         let base = slot * self.slot_size;
-        charge_memcpy(&self.ep, request.len());
+        let copy = charge_memcpy(&self.ep, request.len());
         self.send_ring.write(base, &(request.len() as u32).to_le_bytes())?;
         self.send_ring.write(base + 4, &token.to_le_bytes())?;
         self.send_ring.write(base + EAGER_HDR, request)?;
+        drop(copy);
         self.staged
             .push(SendWr::send(token, self.send_ring.slice(base, EAGER_HDR + request.len())));
         note_submit(&self.ep, self.win.in_flight);
@@ -519,16 +521,18 @@ impl PipelinedEagerServer {
         self.recv_ring.read(base, &mut hdr)?;
         let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
         let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        charge_memcpy(&self.ep, len);
+        let copy = charge_memcpy(&self.ep, len);
         let request = self.recv_ring.read_vec(base + EAGER_HDR, len)?;
+        drop(copy);
         self.ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
 
         let response = handler(&request);
         check_len(response.len(), self.cfg.max_msg)?;
-        charge_memcpy(&self.ep, response.len());
+        let copy = charge_memcpy(&self.ep, response.len());
         self.send_ring.write(base, &(response.len() as u32).to_le_bytes())?;
         self.send_ring.write(base + 4, &token.to_le_bytes())?;
         self.send_ring.write(base + EAGER_HDR, &response)?;
+        drop(copy);
         staged.push(SendWr::send(token, self.send_ring.slice(base, EAGER_HDR + response.len())));
         Ok(())
     }
@@ -1122,9 +1126,10 @@ impl PipelinedHybrid {
         let token = u64::from_le_bytes(hdr[9..17].try_into().expect("8B"));
         match tag {
             HY_EAGER => {
-                charge_memcpy(&self.ep, len);
+                let copy = charge_memcpy(&self.ep, len);
                 let mut buf = PoolBuf::for_overwrite(len);
                 self.ring.read(base + HY_HDR, buf.as_mut_slice())?;
+                drop(copy);
                 self.recycle(comp.wr_id, base)?;
                 self.win.complete(token, buf)
             }
@@ -1163,9 +1168,10 @@ impl PipelinedClient for PipelinedHybrid {
         let (token, slot) = self.win.begin()?;
         let fbase = slot * self.slot_size;
         if request.len() <= self.cfg.eager_threshold {
-            charge_memcpy(&self.ep, request.len());
+            let copy = charge_memcpy(&self.ep, request.len());
             write_hybrid_hdr(&self.eager_stage, fbase, HY_EAGER, request.len(), token)?;
             self.eager_stage.write(fbase + HY_HDR, request)?;
+            drop(copy);
             self.staged
                 .push(SendWr::send(token, self.eager_stage.slice(fbase, HY_HDR + request.len())));
         } else {
@@ -1292,8 +1298,9 @@ impl PipelinedHybridServer {
         let slot = token as usize % self.cfg.ring_slots;
         let request = match tag {
             HY_EAGER => {
-                charge_memcpy(&self.ep, len);
+                let copy = charge_memcpy(&self.ep, len);
                 let data = self.ring.read_vec(base + HY_HDR, len)?;
+                drop(copy);
                 self.ep.post_recv(RecvWr::new(
                     comp.wr_id,
                     self.ring.clone(),
@@ -1332,9 +1339,10 @@ impl PipelinedHybridServer {
         let response = handler(&request);
         check_len(response.len(), self.cfg.max_msg)?;
         if response.len() <= self.cfg.eager_threshold {
-            charge_memcpy(&self.ep, response.len());
+            let copy = charge_memcpy(&self.ep, response.len());
             write_hybrid_hdr(&self.eager_stage, 0, HY_EAGER, response.len(), token)?;
             self.eager_stage.write(HY_HDR, &response)?;
+            drop(copy);
             self.ep.post_send(&[SendWr::send(
                 token,
                 self.eager_stage.slice(0, HY_HDR + response.len()),

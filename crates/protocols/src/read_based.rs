@@ -69,9 +69,10 @@ impl RequestChannel {
     }
 
     fn send(&self, data: &[u8]) -> Result<()> {
-        charge_memcpy(&self.ep, data.len());
+        let copy = charge_memcpy(&self.ep, data.len());
         self.staging.write(0, &(data.len() as u32).to_le_bytes())?;
         self.staging.write(REQ_HDR, data)?;
+        drop(copy);
         self.ep.post_send(&[SendWr::send(0, self.staging.slice(0, REQ_HDR + data.len()))])
     }
 
@@ -657,11 +658,17 @@ mod tests {
     }
 
     /// Pilaf issues more READs per call than FaRM (3 vs 2 at minimum).
+    /// Time is stretched 32× so that how many polls a call needs is decided
+    /// by the modelled READ round trip, not by how long a debug build's
+    /// server thread takes to be scheduled.
     #[test]
     fn pilaf_issues_more_reads_than_farm() {
+        use crate::common::tests_support::echo_pair_on;
+        let stretched =
+            || hat_rdma_sim::SimConfig { time_scale: 32.0, ..hat_rdma_sim::SimConfig::default() };
         let count_reads = |kind| {
-            let (mut client, mut server) =
-                echo_pair(kind, ProtocolConfig { max_msg: 1024, ..Default::default() });
+            let cfg = ProtocolConfig { max_msg: 1024, ..Default::default() };
+            let (mut client, mut server) = echo_pair_on(stretched(), kind, cfg);
             // Return the server from the thread so its registered regions
             // outlive the client's final READs (avoids a shutdown race).
             let h = std::thread::spawn(move || {
@@ -719,7 +726,7 @@ mod tests {
                 server.serve_one(&mut |r| r.to_vec()).unwrap();
                 server
                     .serve_one(&mut |r| {
-                        hat_rdma_sim::time::spin_for(STALL_NS);
+                        hat_rdma_sim::time::spin_until(now_ns() + STALL_NS);
                         r.to_vec()
                     })
                     .unwrap();

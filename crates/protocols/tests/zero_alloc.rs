@@ -69,7 +69,7 @@ fn eager_pipelined_hot_path_is_allocation_free_after_warmup() {
         while snode.stats_snapshot().wrs_posted < answered {
             std::thread::yield_now();
         }
-        hat_rdma_sim::time::spin_for(50_000);
+        hat_rdma_sim::time::spin_until(hat_rdma_sim::now_ns() + 50_000);
         for &t in &tokens {
             let resp = client.wait(t).unwrap();
             assert_eq!(resp.as_slice(), &request[..]);

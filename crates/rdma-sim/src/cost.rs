@@ -41,12 +41,6 @@ pub struct CostModel {
     pub poll_cqe_ns: u64,
     /// CPU cost of posting one receive work request (ns).
     pub post_recv_ns: u64,
-    /// Legacy RNR NAK retry interval, ns. Receiver-not-ready messages now
-    /// park in a per-endpoint FIFO backlog (preserving RC ordering) and
-    /// deliver the moment a receive is posted, so this constant is kept
-    /// only for configs that want to model an additional fixed RNR delay
-    /// in custom analyses.
-    pub rnr_retry_ns: u64,
     /// One-time cost of establishing a connection (QP exchange etc.), ns.
     pub connect_ns: u64,
     /// Memory registration cost per 4 KiB page (ns).
@@ -74,7 +68,6 @@ impl Default for CostModel {
             event_wakeup_ns: 2_600,
             poll_cqe_ns: 60,
             post_recv_ns: 60,
-            rnr_retry_ns: 50_000,
             connect_ns: 40_000,
             mr_register_per_page_ns: 120,
             remote_numa_factor: 1.35,

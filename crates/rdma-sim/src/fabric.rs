@@ -178,7 +178,7 @@ impl Fabric {
         a_opts: &EndpointOptions,
         b_opts: &EndpointOptions,
     ) -> Result<(Endpoint, Endpoint)> {
-        a.charge_cpu(self.inner.config.cost.connect_ns);
+        let _charge = a.begin_charge(self.inner.config.cost.connect_ns);
         let ea = Endpoint::new(
             self.inner.next_ep.fetch_add(1, Ordering::Relaxed),
             a.clone(),

@@ -57,9 +57,9 @@ impl IpoibStream {
     /// Create a connected pair between two nodes. The `a` side is the
     /// dialer and is charged the TCP connection-establishment cost.
     pub fn pair(a: &Arc<Node>, b: &Arc<Node>) -> (IpoibStream, IpoibStream) {
+        let _charge = a.begin_charge(a.config().ipoib.connect_ns);
         let ab = StreamDir::new();
         let ba = StreamDir::new();
-        a.charge_cpu(a.config().ipoib.connect_ns);
         let sa = IpoibStream {
             node: a.clone(),
             peer_node: b.clone(),
@@ -84,10 +84,12 @@ impl IpoibStream {
         }
         let cfg = self.node.config();
         let ip = &cfg.ipoib;
-        self.node.charge_cpu(ip.syscall_ns + ip.copy_ns(data.len()));
+        // The syscall + copy charge covers the real copy below; the bytes
+        // reach the link when the modelled syscall returns.
+        let charge = self.node.begin_charge(ip.syscall_ns + ip.copy_ns(data.len()));
+        let t0 = charge.end_ns();
 
         let ser = cfg.scaled(ip.serialize_ns(data.len()));
-        let t0 = now_ns();
         let (es, _) = self.node.egress().reserve_at(t0, ser);
         let (_, ie) =
             self.peer_node.ingress().reserve_at(es + cfg.scaled(ip.one_way_latency_ns), ser);
@@ -136,9 +138,10 @@ impl IpoibStream {
                             chunks.pop_front();
                         }
                         drop(chunks);
-                        // Receiver-side syscall + kernel→user copy.
+                        // Receiver-side syscall + kernel→user copy, begun
+                        // at the `now` that found the chunk readable.
                         let ip = &cfg.ipoib;
-                        self.node.charge_cpu(ip.syscall_ns + ip.copy_ns(n));
+                        let _charge = self.node.begin_charge_at(now, ip.syscall_ns + ip.copy_ns(n));
                         return Ok(n);
                     }
                 } else if self.incoming.closed.load(Ordering::Acquire) {

@@ -12,8 +12,11 @@
 //! assigned a completion **deadline** computed from the [`CostModel`]:
 //!
 //! * CPU-side costs (posting a work request, ringing an MMIO doorbell,
-//!   memcpys) are charged by spinning the calling thread, scaled by the
-//!   node's deterministic CPU load factor (see below).
+//!   memcpys) are [`Charge`]s: a deadline fixed at the *entry* of the work
+//!   they stand for, scaled by the node's deterministic CPU load factor
+//!   (see below). The calling thread does the host work inside the charged
+//!   interval and waits out only what is left of it, so a verb takes
+//!   `max(host work, model)`, not their sum.
 //! * Wire-side costs (link serialization at 100 Gbps, propagation latency,
 //!   NIC processing) schedule the operation on the sender's egress link and
 //!   the receiver's ingress link via atomic busy-until reservations.
@@ -99,7 +102,7 @@ pub use error::{RdmaError, Result};
 pub use fabric::Fabric;
 pub use fault::{DelayDistribution, FaultAction, FaultPlan, FaultRule, FaultScope, FaultTrigger};
 pub use memory::{MemoryRegion, MrSlice, ProtectionDomain, RemoteBuf};
-pub use node::Node;
+pub use node::{Charge, Node};
 pub use numa::{CoreBinding, NumaTopology};
 pub use pool::PoolBuf;
 pub use qp::{Endpoint, QpConfig};

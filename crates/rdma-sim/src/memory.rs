@@ -300,6 +300,8 @@ impl ProtectionDomain {
     /// Charges the calibrated per-page registration cost and records the
     /// pinned footprint.
     pub fn register(&self, len: usize) -> Result<MemoryRegion> {
+        // The charge covers the allocation and bookkeeping it models.
+        let _charge = self.node.begin_charge(self.node.config().cost.register_ns(len));
         let lkey = NEXT_KEY.fetch_add(1, Ordering::Relaxed);
         let rkey = NEXT_KEY.fetch_add(1, Ordering::Relaxed);
         let inner = Arc::new(MrInner {
@@ -309,7 +311,6 @@ impl ProtectionDomain {
             node: Arc::downgrade(&self.node),
             dead: AtomicBool::new(false),
         });
-        self.node.charge_cpu(self.node.config().cost.register_ns(len));
         self.node.stats().mem_registered(len as u64);
         self.node.remember_mr(rkey, &inner);
         Ok(MemoryRegion { inner })

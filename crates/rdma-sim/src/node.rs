@@ -8,6 +8,14 @@
 //! deadline, and are applied in deadline order by whichever thread next
 //! observes the node (a CQ poll or a memory access). See the crate docs for
 //! the full model.
+//!
+//! CPU accounting has one primitive, [`Charge`]: a modelled cost is opened
+//! at the entry of the host work it stands for ([`Node::begin_charge`],
+//! [`Node::begin_charge_at`]) and closed by dropping the guard after that
+//! work, which waits out only what is left of `[start, start + eff)`.
+//! Every charge site in the workspace — `post_send`, `post_recv`, CQE
+//! consumption, memcpys, registration, connects, the IPoIB syscalls — goes
+//! through it; nothing does its work first and spins for the cost after.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -24,7 +32,7 @@ use crate::numa::{numa_penalty, NumaTopology};
 use crate::pool::PoolBuf;
 use crate::qp::EndpointInner;
 use crate::stats::{NodeStats, NodeStatsSnapshot};
-use crate::time::{now_ns, spin_for};
+use crate::time::{now_ns, spin_until};
 use crate::wr::Opcode;
 
 /// One direction of a NIC link with an atomic busy-until reservation.
@@ -271,24 +279,28 @@ impl Node {
 
     /// Register the current thread as an active spinner for the duration of
     /// the returned guard (used by CPU charges and busy-poll loops).
-    pub fn enter_spin(self: &Arc<Self>) -> SpinGuard {
+    pub fn enter_spin(&self) -> SpinGuard<'_> {
         self.spinners.fetch_add(1, Ordering::Relaxed);
-        SpinGuard { node: self.clone() }
+        SpinGuard { node: self }
     }
 
-    /// Burn `ns` of simulated CPU on the calling thread, scaled by the
-    /// global time scale, the thread's NUMA penalty, and the node's load
-    /// factor. Accounted in [`NodeStats::cpu_busy_ns`].
-    pub fn charge_cpu(self: &Arc<Self>, ns: u64) {
-        if ns == 0 {
-            return;
-        }
-        let _guard = self.enter_spin();
+    /// Open a charge of `ns` modelled CPU on the calling thread, starting
+    /// now. See [`Charge`].
+    pub fn begin_charge(&self, ns: u64) -> Charge<'_> {
+        self.begin_charge_at(now_ns(), ns)
+    }
+
+    /// Open a charge of `ns` modelled CPU whose interval began at `start`
+    /// (a clock value the caller already read: the verb's entry, the `now`
+    /// a readiness check used). The thread counts as a spinner until the
+    /// guard drops, and the effective length — `ns` × the thread's NUMA
+    /// penalty × the node's load factor × the global time scale — is fixed
+    /// here, at entry.
+    pub fn begin_charge_at(&self, start: u64, ns: u64) -> Charge<'_> {
+        let spin = self.enter_spin();
         let penalty = numa_penalty(&self.topology, self.config.cost.remote_numa_factor);
-        let eff = (ns as f64 * penalty * self.load_factor()) as u64;
-        let eff = self.config.scaled(eff);
-        spin_for(eff);
-        NodeStats::add(&self.stats.cpu_busy_ns, eff);
+        let eff = self.config.scaled((ns as f64 * penalty * self.load_factor()) as u64);
+        Charge { spin, end_ns: start + eff, eff }
     }
 
     // ---- memory-region registry -----------------------------------------
@@ -503,13 +515,46 @@ impl Node {
 }
 
 /// RAII guard for active-spinner registration (see [`Node::enter_spin`]).
-pub struct SpinGuard {
-    node: Arc<Node>,
+pub struct SpinGuard<'a> {
+    node: &'a Node,
 }
 
-impl Drop for SpinGuard {
+impl Drop for SpinGuard<'_> {
     fn drop(&mut self) {
         self.node.spinners.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A modelled CPU cost as a *deadline*: the interval `[start, start + eff)`
+/// of simulated time the calling thread is busy for, opened by
+/// [`Node::begin_charge`] / [`Node::begin_charge_at`] **before** the host
+/// work the cost stands for and closed by dropping the guard after it.
+///
+/// Dropping waits out whatever is left of the interval
+/// ([`spin_until`]`(end_ns)`; nothing if the host work already overran it)
+/// and adds exactly `eff` to [`NodeStats::cpu_busy_ns`]. The host work done
+/// while the guard is alive is thereby *absorbed* by the model instead of
+/// being added to it: the charged section takes `max(host work, model)`.
+#[must_use = "a charge covers the work done while the guard is alive; bind it (`let _c = ...`)"]
+pub struct Charge<'a> {
+    /// Released after `drop` below has waited out the interval.
+    spin: SpinGuard<'a>,
+    end_ns: u64,
+    eff: u64,
+}
+
+impl Charge<'_> {
+    /// The modelled instant the charged work finishes (for a post: the
+    /// instant the doorbell rings), whether or not the host is there yet.
+    pub fn end_ns(&self) -> u64 {
+        self.end_ns
+    }
+}
+
+impl Drop for Charge<'_> {
+    fn drop(&mut self) {
+        spin_until(self.end_ns);
+        NodeStats::add(&self.spin.node.stats.cpu_busy_ns, self.eff);
     }
 }
 
@@ -545,11 +590,52 @@ mod tests {
         assert_eq!(n.load_factor(), 1.0);
     }
 
+    /// A charge is the interval `[start, start + eff)`: the guard's drop
+    /// waits out what is left of it, accounts exactly `eff`, and the thread
+    /// is a spinner only while the guard lives.
     #[test]
-    fn charge_cpu_accumulates_stats() {
-        let n = node();
-        n.charge_cpu(10_000);
-        assert!(n.stats_snapshot().cpu_busy_ns > 0);
+    fn a_charge_ends_at_start_plus_eff_and_accounts_exactly_eff() {
+        let _nic_local = crate::numa::bind_current_thread(0); // NUMA penalty 1.0
+        let n = node(); // fast_test: time_scale 0.1
+        let start = now_ns();
+        let charge = n.begin_charge_at(start, 2_000_000);
+        assert_eq!(charge.end_ns(), start + 200_000);
+        assert_eq!(n.spinners.load(Ordering::Relaxed), 1);
+        drop(charge);
+        assert!(now_ns() >= start + 200_000);
+        assert_eq!(n.spinners.load(Ordering::Relaxed), 0);
+        assert_eq!(n.stats_snapshot().cpu_busy_ns, 200_000);
+    }
+
+    /// A guard dropped after its deadline does not wait again: the host
+    /// work it covered already took longer than the model.
+    #[test]
+    fn a_charge_dropped_after_its_deadline_does_not_spin() {
+        let _nic_local = crate::numa::bind_current_thread(0);
+        let n = Node::new(0, "n".into(), Arc::new(SimConfig::default()));
+        const NS: u64 = 50_000_000;
+        let start = now_ns();
+        let charge = n.begin_charge_at(start, NS);
+        spin_until(charge.end_ns() + 1_000_000); // the "host work" overruns by 1 ms
+        let before_drop = now_ns();
+        drop(charge);
+        let drop_took = now_ns() - before_drop;
+        assert!(drop_took < NS / 2, "drop waited {drop_took} ns after the deadline had passed");
+        assert_eq!(n.stats_snapshot().cpu_busy_ns, NS, "accounting is the model, not the host");
+    }
+
+    /// The load-factor stretch is fixed at entry and includes the charging
+    /// thread itself, as it did when the charge was a trailing spin.
+    #[test]
+    fn a_charge_is_stretched_by_the_load_factor_at_entry() {
+        let _nic_local = crate::numa::bind_current_thread(0);
+        let n = Node::new(0, "n".into(), Arc::new(SimConfig::default()));
+        let guards: Vec<_> = (0..55).map(|_| n.enter_spin()).collect();
+        let charge = n.begin_charge_at(1_000, 1_000); // 56th spinner on 28 cores
+        drop(guards);
+        assert_eq!(charge.end_ns(), 3_000);
+        drop(charge);
+        assert_eq!(n.stats_snapshot().cpu_busy_ns, 2_000);
     }
 
     #[test]

@@ -1,10 +1,19 @@
 //! Monotonic simulation clock and spin-wait primitives.
 //!
 //! The simulator runs on real wall-clock time: deadlines are nanosecond
-//! timestamps relative to a process-wide epoch, and simulated CPU costs are
-//! realized by spinning the calling thread for the scaled duration. Using
-//! real time keeps the multithreaded behaviour (contention, scheduling,
-//! overlap) honest while the cost model controls the magnitudes.
+//! timestamps relative to a process-wide epoch. Using real time keeps the
+//! multithreaded behaviour (contention, scheduling, overlap) honest while
+//! the cost model controls the magnitudes.
+//!
+//! Every modelled duration is realized the same way: as a *deadline* on
+//! this clock, waited out with [`spin_until`]. There is deliberately no
+//! "spin for N ns from now" primitive. A wire time is a deadline computed
+//! at post time; a modelled CPU cost is a [`crate::node::Charge`], a
+//! deadline fixed at the entry of the work it stands for, so the host time
+//! that work takes counts *toward* the modelled time instead of on top of
+//! it. What the model cannot absorb still leaks into results: host work
+//! that outlasts its model, and the granularity of a yield-polling loop
+//! (a waiter notices a deadline up to one yield late).
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -34,15 +43,6 @@ pub fn spin_until(deadline_ns: u64) {
     while now_ns() < deadline_ns {
         std::thread::yield_now();
     }
-}
-
-/// Spin for `dur_ns` nanoseconds of real time.
-#[inline]
-pub fn spin_for(dur_ns: u64) {
-    if dur_ns == 0 {
-        return;
-    }
-    spin_until(now_ns() + dur_ns);
 }
 
 /// A wait that has been dry this long stops yield-polling and naps. Far
@@ -97,9 +97,9 @@ mod tests {
     }
 
     #[test]
-    fn spin_for_waits_at_least_requested() {
+    fn spin_until_waits_at_least_requested() {
         let start = now_ns();
-        spin_for(50_000); // 50 us
+        spin_until(start + 50_000); // 50 us
         assert!(now_ns() - start >= 50_000);
     }
 
@@ -109,11 +109,6 @@ mod tests {
         spin_until(start.saturating_sub(1));
         // Should not have taken measurable time (few microseconds of slack).
         assert!(now_ns() - start < 1_000_000);
-    }
-
-    #[test]
-    fn spin_for_zero_is_noop() {
-        spin_for(0);
     }
 
     #[test]
