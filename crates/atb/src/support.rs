@@ -272,6 +272,7 @@ impl AtbServer {
                             let node_id = ep.node().id();
                             let built = if depth > 1 {
                                 hat_protocols::accept_server_pipelined(kind, ep, cfg)
+                                    .map(|s| s as Box<dyn hat_protocols::RpcServer>)
                             } else {
                                 accept_server(kind, ep, cfg)
                             };

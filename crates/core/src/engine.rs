@@ -16,14 +16,16 @@
 //!   the server may poll differently than the client), and serves with
 //!   the configured threading policy.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hat_idl::hints::{ResolvedHints, Side, TransportHint};
 use hat_protocols::{
-    accept_server, accept_server_pipelined, accept_server_reactor, connect_client,
-    connect_client_pipelined, ProtocolConfig, ProtocolKind, RpcClient, PIPELINED_KINDS,
+    accept_server, accept_server_pipelined, connect_client, connect_client_pipelined,
+    PipelinedClient, ProtocolConfig, ProtocolKind, ReactorServe, RpcClient, RpcServer, Token,
+    PIPELINED_KINDS,
 };
 use hat_rdma_sim::{now_ns, numa, Fabric, Node, NodeStats, PollMode, RdmaError};
 use hat_trace::Phase;
@@ -332,7 +334,10 @@ pub struct HatClient {
     service: String,
     plans: HashMap<String, FnPlan>,
     default_plan: FnPlan,
-    channels: HashMap<ChannelKey, Box<dyn ClientTransport>>,
+    channels: HashMap<ChannelKey, OpenChannel>,
+    /// How many channels this client has opened so far — the incarnation
+    /// number the next one is stamped with.
+    opened: u64,
     bounds: SubscriptionBounds,
     policy: CallPolicy,
     /// Core chosen when a plan requests NUMA binding.
@@ -392,6 +397,7 @@ impl HatClient {
             plans,
             default_plan,
             channels: HashMap::new(),
+            opened: 0,
             bounds,
             policy: CallPolicy::default(),
             bind_core,
@@ -421,10 +427,30 @@ impl HatClient {
         &self.bounds
     }
 
+    /// `func`'s cached plan (the default plan for a function outside the
+    /// schema).
+    fn plan(&self, func: &str) -> &FnPlan {
+        self.plans.get(func).unwrap_or(&self.default_plan)
+    }
+
+    /// `func`'s plan, its channel sized to hold a `len`-byte request. A
+    /// request larger than the hinted buffer upgrades to a larger channel
+    /// rather than failing: mis-hinted payloads cost extra connections and
+    /// pinned memory, not correctness.
+    fn plan_sized_for(&self, func: &str, len: usize) -> FnPlan {
+        let mut plan = self.plan(func).clone();
+        let required = (len as u64 + ENVELOPE_SLACK).next_power_of_two().max(MIN_CHANNEL_MSG);
+        if required > plan.max_msg {
+            plan.max_msg = required;
+            plan.key.max_msg = required;
+        }
+        plan
+    }
+
     /// The plan's protocol selection for `func` (introspection for tests
     /// and the repro harness).
     pub fn selection_for(&self, func: &str) -> Selection {
-        self.plans.get(func).unwrap_or(&self.default_plan).selection
+        self.plan(func).selection
     }
 
     /// The resolved server-side `shards` hint for `func` (1 = unsharded),
@@ -432,14 +458,14 @@ impl HatClient {
     /// this to size their storage partitioning; clients may use it to
     /// pre-group batched keys.
     pub fn shards_for(&self, func: &str) -> u32 {
-        self.plans.get(func).unwrap_or(&self.default_plan).shards
+        self.plan(func).shards
     }
 
     /// Whether `func` resolved the `txn` hint (multi-key writes commit
     /// atomically across backend shards). Introspection for tests and the
     /// repro harness; the semantics are enforced server-side.
     pub fn txn_for(&self, func: &str) -> bool {
-        self.plans.get(func).unwrap_or(&self.default_plan).txn
+        self.plan(func).txn
     }
 
     /// Number of distinct channels currently open.
@@ -453,15 +479,65 @@ impl HatClient {
     /// want the first real RPC to pay QP setup + protocol handshake.
     /// Returns the number of channels now open.
     pub fn warm_all(&mut self) -> Result<usize> {
-        let funcs: Vec<String> = self.plans.keys().cloned().collect();
-        for func in funcs {
-            let plan = self.plans.get(&func).expect("listed key").clone();
-            if !self.channels.contains_key(&plan.key) {
-                let channel = self.open_channel(&plan, &func)?;
-                self.channels.insert(plan.key.clone(), channel);
-            }
+        let plans: Vec<(String, FnPlan)> =
+            self.plans.iter().map(|(func, plan)| (func.clone(), plan.clone())).collect();
+        for (func, plan) in plans {
+            self.ensure_channel(&plan, &func)?;
         }
         Ok(self.channels.len())
+    }
+
+    /// The plan's channel, opened (and stamped with a fresh incarnation
+    /// number) if this client does not hold one — the first use, or the
+    /// first after a failure poisoned the last one.
+    fn ensure_channel(&mut self, plan: &FnPlan, func: &str) -> Result<&mut OpenChannel> {
+        if !self.channels.contains_key(&plan.key) {
+            let transport = self.open_channel(plan, func)?;
+            self.opened += 1;
+            self.channels
+                .insert(plan.key.clone(), OpenChannel { transport, incarnation: self.opened });
+        }
+        Ok(self.channels.get_mut(&plan.key).expect("just inserted"))
+    }
+
+    /// Run `attempt` under the client's [`CallPolicy`]: a retryable
+    /// transport failure drops the plan's channel — it is poisoned; the
+    /// next attempt reconnects and re-runs the handshake — backs off
+    /// (doubling) and tries again, up to `policy.retries` times. Retries
+    /// are marked on the timeline against `call_id`.
+    fn with_retries<T>(
+        &mut self,
+        key: &ChannelKey,
+        call_id: u64,
+        mut attempt: impl FnMut(&mut HatClient) -> Result<T>,
+    ) -> Result<T> {
+        let mut backoff = self.policy.backoff;
+        let mut attempts_left = self.policy.retries;
+        loop {
+            match attempt(self) {
+                Err(e) if attempts_left > 0 && is_retryable(&e) => {
+                    attempts_left -= 1;
+                    NodeStats::add(&self.node.stats().calls_retried, 1);
+                    if hat_trace::enabled() {
+                        let left = attempts_left as u64;
+                        hat_trace::event(Phase::Retry, self.node.id(), call_id, left, now_ns());
+                    }
+                    self.channels.remove(key);
+                    if !backoff.is_zero() {
+                        std::thread::sleep(backoff);
+                        backoff = backoff.saturating_mul(2);
+                    }
+                }
+                outcome => return outcome,
+            }
+        }
+    }
+
+    /// Count one call (or one `call_many` batch) that ultimately failed.
+    fn count_failure(&self, e: &CoreError) {
+        let stats = self.node.stats();
+        let counter = if is_timeout(e) { &stats.calls_timed_out } else { &stats.calls_failed };
+        NodeStats::add(counter, 1);
     }
 
     /// Issue one RPC: route `request` through the channel selected by
@@ -470,124 +546,33 @@ impl HatClient {
     /// transport failures are retried over a fresh connection (with
     /// doubling backoff) up to `policy.retries` times.
     pub fn call(&mut self, func: &str, request: &[u8]) -> Result<Vec<u8>> {
-        let mut plan = self.plans.get(func).unwrap_or(&self.default_plan).clone();
-        // A request larger than the hinted buffer upgrades to a larger
-        // channel rather than failing: mis-hinted payloads cost extra
-        // connections and pinned memory, not correctness.
-        let required =
-            (request.len() as u64 + ENVELOPE_SLACK).next_power_of_two().max(MIN_CHANNEL_MSG);
-        if required > plan.max_msg {
-            plan.max_msg = required;
-            plan.key.max_msg = required;
-        }
-        let policy = self.policy;
-        let mut backoff = policy.backoff;
-        let mut attempts_left = policy.retries;
-        // One span per engine-level call: the id rides thread-local state
-        // so sim-layer events (WR post, doorbell, wire, completion) land
-        // on the same timeline row. The latency histogram covers the
-        // whole retry loop — retries and timeouts are part of the latency
-        // a caller observes, not a separate population. Histograms also
-        // record under a standalone hist capture (a live hat-metrics
-        // sampler) with full tracing off — only the span events are
-        // trace-gated.
-        let traced = hat_trace::enabled();
-        let histing = hat_trace::hist_enabled();
-        let label = plan.selection.protocol.label();
-        let (call_id, start_ns) = if traced {
-            let id = hat_trace::next_call_id();
-            let t = now_ns();
-            hat_trace::register_call(id, label, func, request.len() as u64);
-            hat_trace::event(Phase::CallBegin, self.node.id(), id, request.len() as u64, t);
-            (id, t)
-        } else if histing {
-            (0, now_ns())
-        } else {
-            (0, 0)
-        };
-        let _span = hat_trace::call_scope(call_id);
-        loop {
-            match self.call_attempt(&plan, func, request) {
-                Ok(resp) => {
-                    NodeStats::add(&self.node.stats().calls_ok, 1);
-                    if traced || histing {
-                        let end = now_ns();
-                        if traced {
-                            hat_trace::event(
-                                Phase::CallEnd,
-                                self.node.id(),
-                                call_id,
-                                resp.len() as u64,
-                                end,
-                            );
-                        }
-                        hat_trace::hist::record_latency(
-                            label,
-                            func,
-                            request.len() as u64,
-                            end.saturating_sub(start_ns),
-                        );
-                    }
-                    return Ok(resp);
-                }
-                Err(e) if attempts_left > 0 && is_retryable(&e) => {
-                    attempts_left -= 1;
-                    NodeStats::add(&self.node.stats().calls_retried, 1);
-                    if traced {
-                        hat_trace::event(
-                            Phase::Retry,
-                            self.node.id(),
-                            call_id,
-                            attempts_left as u64,
-                            now_ns(),
-                        );
-                    }
-                    // The cached channel is poisoned — drop it so the next
-                    // attempt reconnects and re-runs the handshake.
-                    self.channels.remove(&plan.key);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                        backoff = backoff.saturating_mul(2);
-                    }
-                }
-                Err(e) => {
-                    let timed_out = matches!(e, CoreError::Rdma(RdmaError::Timeout));
-                    let counter = if timed_out {
-                        &self.node.stats().calls_timed_out
-                    } else {
-                        &self.node.stats().calls_failed
-                    };
-                    NodeStats::add(counter, 1);
-                    if traced || histing {
-                        let end = now_ns();
-                        if traced {
-                            if timed_out {
-                                hat_trace::event(Phase::TimedOut, self.node.id(), call_id, 0, end);
-                            }
-                            hat_trace::event(Phase::CallEnd, self.node.id(), call_id, 0, end);
-                        }
-                        hat_trace::hist::record_latency(
-                            label,
-                            func,
-                            request.len() as u64,
-                            end.saturating_sub(start_ns),
-                        );
-                    }
-                    return Err(e);
-                }
+        let plan = self.plan_sized_for(func, request.len());
+        // One span per engine-level call, covering the whole retry loop —
+        // retries and timeouts are part of the latency a caller observes,
+        // not a separate population.
+        let mut span = CallSpan::begin(self.node.id(), &plan, Cow::Borrowed(func), request.len());
+        let _scope = span.enter();
+        let outcome =
+            self.with_retries(&plan.key, span.call_id, |c| c.call_attempt(&plan, func, request));
+        match &outcome {
+            Ok(resp) => {
+                NodeStats::add(&self.node.stats().calls_ok, 1);
+                span.ok(resp.len());
+            }
+            Err(e) => {
+                self.count_failure(e);
+                span.fail(e);
             }
         }
+        outcome
     }
 
     /// One attempt: (re)open the plan's channel if needed and run the call.
     fn call_attempt(&mut self, plan: &FnPlan, func: &str, request: &[u8]) -> Result<Vec<u8>> {
-        if !self.channels.contains_key(&plan.key) {
-            let channel = self.open_channel(plan, func)?;
-            self.channels.insert(plan.key.clone(), channel);
-        }
-        let channel = self.channels.get_mut(&plan.key).expect("just inserted");
-        let _bind = plan.numa_bind.then(|| numa::bind_current_thread(self.bind_core));
-        channel.call(func, request)
+        let bind_core = self.bind_core;
+        let channel = self.ensure_channel(plan, func)?;
+        let _bind = plan.numa_bind.then(|| numa::bind_current_thread(bind_core));
+        channel.transport.call(func, request)
     }
 
     /// Issue a batch of calls to `func`, keeping up to `queue_depth`
@@ -605,66 +590,35 @@ impl HatClient {
     /// single-call retries, a request whose response was lost in flight
     /// may execute twice server-side; retries remain opt-in.)
     pub fn call_many(&mut self, func: &str, requests: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let plan = self.plans.get(func).unwrap_or(&self.default_plan).clone();
-        if plan.queue_depth <= 1 {
+        if self.plan(func).queue_depth <= 1 {
             return requests.iter().map(|r| self.call(func, r)).collect();
         }
-        let mut plan = plan;
         let largest = requests.iter().map(Vec::len).max().unwrap_or(0);
-        let required = (largest as u64 + ENVELOPE_SLACK).next_power_of_two().max(MIN_CHANNEL_MSG);
-        if required > plan.max_msg {
-            plan.max_msg = required;
-            plan.key.max_msg = required;
-        }
-        let policy = self.policy;
-        let mut backoff = policy.backoff;
-        let mut attempts_left = policy.retries;
+        let plan = self.plan_sized_for(func, largest);
         let mut done: Vec<Option<Vec<u8>>> = vec![None; requests.len()];
-        loop {
-            match self.call_many_attempt(&plan, func, requests, &mut done) {
-                Ok(()) => {
-                    NodeStats::add(&self.node.stats().calls_ok, requests.len() as u64);
-                    return Ok(done
-                        .into_iter()
-                        .map(|r| r.expect("completed attempt banked every response"))
-                        .collect());
-                }
-                Err(e) if attempts_left > 0 && is_retryable(&e) => {
-                    attempts_left -= 1;
-                    NodeStats::add(&self.node.stats().calls_retried, 1);
-                    if hat_trace::enabled() {
-                        // Batch-level retry: the unacked spans are re-minted
-                        // on the next attempt, so no single call id applies.
-                        hat_trace::event(
-                            Phase::Retry,
-                            self.node.id(),
-                            0,
-                            attempts_left as u64,
-                            now_ns(),
-                        );
-                    }
-                    self.channels.remove(&plan.key);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                        backoff = backoff.saturating_mul(2);
-                    }
-                }
-                Err(e) => {
-                    let counter = if matches!(e, CoreError::Rdma(RdmaError::Timeout)) {
-                        &self.node.stats().calls_timed_out
-                    } else {
-                        &self.node.stats().calls_failed
-                    };
-                    NodeStats::add(counter, 1);
-                    return Err(e);
-                }
+        // A batch-level retry: the unacked requests' spans are re-minted
+        // on the next attempt, so no single call id applies.
+        let outcome = self
+            .with_retries(&plan.key, 0, |c| c.call_many_attempt(&plan, func, requests, &mut done));
+        match outcome {
+            Ok(()) => {
+                NodeStats::add(&self.node.stats().calls_ok, requests.len() as u64);
+                Ok(done
+                    .into_iter()
+                    .map(|r| r.expect("completed attempt banked every response"))
+                    .collect())
+            }
+            Err(e) => {
+                self.count_failure(&e);
+                Err(e)
             }
         }
     }
 
     /// One sliding-window pass over the requests still missing a
     /// response in `done`. On error the window's unacked slots stay
-    /// `None`, ready for re-issue by the retry loop in `call_many`.
+    /// `None`, ready for re-issue by the retry loop in `call_many` — and
+    /// their spans, dropped with the window, close as failed.
     fn call_many_attempt(
         &mut self,
         plan: &FnPlan,
@@ -672,27 +626,16 @@ impl HatClient {
         requests: &[Vec<u8>],
         done: &mut [Option<Vec<u8>>],
     ) -> Result<()> {
-        if !self.channels.contains_key(&plan.key) {
-            let channel = self.open_channel(plan, func)?;
-            self.channels.insert(plan.key.clone(), channel);
-        }
-        let channel = self.channels.get_mut(&plan.key).expect("just inserted");
-        let _bind = plan.numa_bind.then(|| numa::bind_current_thread(self.bind_core));
-        let pipe = channel
-            .pipelined()
-            .ok_or_else(|| CoreError::Protocol("plan promised a pipelined channel".into()))?;
+        let bind_core = self.bind_core;
+        let node_id = self.node.id();
+        let pipe = self.ensure_channel(plan, func)?.window()?;
+        let _bind = plan.numa_bind.then(|| numa::bind_current_thread(bind_core));
         let window = pipe.window();
-        let mut inflight: VecDeque<(hat_protocols::Token, usize)> = VecDeque::new();
-        let mut next = 0usize;
         // Each windowed request gets its own span (re-issued requests get
         // a fresh one per attempt). Batched flushes inside submit/wait are
         // attributed to the call whose submit or wait triggered them.
-        let traced = hat_trace::enabled();
-        let histing = hat_trace::hist_enabled();
-        let label = plan.selection.protocol.label();
-        let node_id = self.node.id();
-        let mut spans: Vec<(u64, u64)> =
-            if traced || histing { vec![(0, 0); requests.len()] } else { Vec::new() };
+        let mut inflight: VecDeque<(Token, usize, CallSpan)> = VecDeque::new();
+        let mut next = 0usize;
         loop {
             // Refill with hysteresis: top the window up only once it has
             // drained to half. Refilling one slot per completion would
@@ -704,79 +647,22 @@ impl HatClient {
             if inflight.len() <= window / 2 {
                 while inflight.len() < window && next < requests.len() {
                     if done[next].is_none() {
-                        let token = if traced {
-                            let id = hat_trace::next_call_id();
-                            let t = now_ns();
-                            let bytes = requests[next].len() as u64;
-                            hat_trace::register_call(id, label, func, bytes);
-                            hat_trace::event(Phase::CallBegin, node_id, id, bytes, t);
-                            spans[next] = (id, t);
-                            let _span = hat_trace::call_scope(id);
-                            pipe.submit(&requests[next])?
-                        } else {
-                            if histing {
-                                spans[next] = (0, now_ns());
-                            }
-                            pipe.submit(&requests[next])?
-                        };
-                        inflight.push_back((token, next));
+                        let request = &requests[next];
+                        let span =
+                            CallSpan::begin(node_id, plan, Cow::Borrowed(func), request.len());
+                        let _scope = span.enter();
+                        inflight.push_back((pipe.submit(request)?, next, span));
                     }
                     next += 1;
                 }
             }
-            let Some(&(token, idx)) = inflight.front() else { return Ok(()) };
-            let response = if traced {
-                let _span = hat_trace::call_scope(spans[idx].0);
-                pipe.wait(token)?
-            } else {
-                pipe.wait(token)?
-            };
-            if traced || histing {
-                let (id, t0) = spans[idx];
-                let end = now_ns();
-                if traced {
-                    hat_trace::event(Phase::CallEnd, node_id, id, response.len() as u64, end);
-                }
-                hat_trace::hist::record_latency(
-                    label,
-                    func,
-                    requests[idx].len() as u64,
-                    end.saturating_sub(t0),
-                );
-            }
-            done[idx] = Some(response.to_vec());
+            let Some((token, idx, span)) = inflight.front_mut() else { return Ok(()) };
+            let _scope = span.enter();
+            let response = pipe.wait(*token)?;
+            span.ok(response.len());
+            done[*idx] = Some(response.to_vec());
             inflight.pop_front();
         }
-    }
-
-    /// Borrow the raw pipelined window for `func` — submit/try_complete/
-    /// wait at will. Opens the channel on first use. Errors when the
-    /// function's plan is not pipelined (no `queue_depth` hint above 1,
-    /// or a protocol without a pipelined implementation).
-    ///
-    /// Unlike [`HatClient::call`] / [`HatClient::call_many`], direct
-    /// window access is NOT wrapped in the retry policy: the caller owns
-    /// the tokens and decides what to re-issue after a failure.
-    pub fn call_pipelined(
-        &mut self,
-        func: &str,
-    ) -> Result<&mut dyn hat_protocols::PipelinedClient> {
-        let plan = self.plans.get(func).unwrap_or(&self.default_plan).clone();
-        if plan.queue_depth <= 1 {
-            return Err(CoreError::Protocol(format!(
-                "function '{func}' has no pipelined channel: hint it with queue_depth > 1 \
-                 over a pipelined-capable protocol"
-            )));
-        }
-        if !self.channels.contains_key(&plan.key) {
-            let channel = self.open_channel(&plan, func)?;
-            self.channels.insert(plan.key.clone(), channel);
-        }
-        self.channels
-            .get_mut(&plan.key)
-            .expect("just inserted")
-            .pipelined()
-            .ok_or_else(|| CoreError::Protocol("plan promised a pipelined channel".into()))
     }
 
     /// Begin one asynchronous call on `func`'s pipelined channel and
@@ -786,40 +672,23 @@ impl HatClient {
     /// pipelined, or when `queue_depth` calls are already in flight on
     /// the channel — take a completion before submitting more.
     ///
-    /// Like [`HatClient::call_pipelined`], async calls sit outside the
-    /// retry policy: the caller owns the handle and decides what to
-    /// re-issue after a failure. The [`CallPolicy`] deadline *does*
-    /// apply — a poll past the deadline surfaces [`RdmaError::Timeout`]
-    /// instead of pending forever.
+    /// Async calls sit outside the retry policy: the caller owns the
+    /// handle and decides what to re-issue after a failure. The
+    /// [`CallPolicy`] deadline *does* apply — a poll past the deadline
+    /// surfaces [`RdmaError::Timeout`] instead of pending forever.
     pub fn call_async(&mut self, func: &str, request: &[u8]) -> Result<AsyncCall> {
-        let mut plan = self.plans.get(func).unwrap_or(&self.default_plan).clone();
+        let plan = self.plan_sized_for(func, request.len());
         if plan.queue_depth <= 1 {
             return Err(CoreError::Protocol(format!(
                 "function '{func}' has no pipelined channel: hint it with queue_depth > 1 \
                  over a pipelined-capable protocol"
             )));
         }
-        let required =
-            (request.len() as u64 + ENVELOPE_SLACK).next_power_of_two().max(MIN_CHANNEL_MSG);
-        if required > plan.max_msg {
-            plan.max_msg = required;
-            plan.key.max_msg = required;
-        }
-        if !self.channels.contains_key(&plan.key) {
-            let channel = self.open_channel(&plan, func)?;
-            self.channels.insert(plan.key.clone(), channel);
-        }
-        let node_id = self.node.id();
-        let traced = hat_trace::enabled();
-        let histing = hat_trace::hist_enabled();
-        let label = plan.selection.protocol.label();
         let deadline_ns = now_ns().saturating_add(self.policy.deadline.as_nanos() as u64);
-        let pipe = self
-            .channels
-            .get_mut(&plan.key)
-            .expect("just inserted")
-            .pipelined()
-            .ok_or_else(|| CoreError::Protocol("plan promised a pipelined channel".into()))?;
+        let node_id = self.node.id();
+        let channel = self.ensure_channel(&plan, func)?;
+        let incarnation = channel.incarnation;
+        let pipe = channel.window()?;
         // Fail fast on a full window, before minting a span: this is a
         // caller pacing error, not a transport failure, so the channel
         // (and its in-flight siblings) stays healthy.
@@ -830,44 +699,21 @@ impl HatClient {
                 pipe.in_flight()
             ))));
         }
-        let (call_id, start_ns) = if traced {
-            let id = hat_trace::next_call_id();
-            let t = now_ns();
-            hat_trace::register_call(id, label, func, request.len() as u64);
-            hat_trace::event(Phase::CallBegin, node_id, id, request.len() as u64, t);
-            (id, t)
-        } else if histing {
-            (0, now_ns())
-        } else {
-            (0, 0)
-        };
+        let mut span = CallSpan::begin(node_id, &plan, Cow::Owned(func.to_string()), request.len());
         let submitted = {
-            let _span = hat_trace::call_scope(call_id);
+            let _scope = span.enter();
             pipe.submit(request)
         };
         match submitted {
-            Ok(token) => Ok(AsyncCall {
-                func: func.to_string(),
-                key: plan.key,
-                token,
-                deadline_ns,
-                call_id,
-                start_ns,
-                req_len: request.len() as u64,
-                label,
-                traced,
-                histing,
-                done: false,
-            }),
+            Ok(token) => Ok(AsyncCall { key: plan.key, incarnation, token, deadline_ns, span }),
             Err(e) => {
                 // Transport failure at submit poisons the channel, as in
                 // the synchronous path: the next call reconnects.
                 self.channels.remove(&plan.key);
-                NodeStats::add(&self.node.stats().calls_failed, 1);
-                if traced {
-                    hat_trace::event(Phase::CallEnd, node_id, call_id, 0, now_ns());
-                }
-                Err(e.into())
+                let e = CoreError::from(e);
+                self.count_failure(&e);
+                span.fail(&e);
+                Err(e)
             }
         }
     }
@@ -879,80 +725,46 @@ impl HatClient {
     /// the channel (every sibling in flight on it fails too, typed — no
     /// handle ever pends forever).
     pub fn poll_async(&mut self, call: &mut AsyncCall) -> Result<Option<Vec<u8>>> {
-        if call.done {
+        if call.is_done() {
             return Err(CoreError::Protocol("async call already completed".into()));
         }
-        let node_id = self.node.id();
-        let Some(pipe) = self.channels.get_mut(&call.key).and_then(|c| c.pipelined()) else {
-            // The channel was poisoned by a sibling call's failure.
-            call.done = true;
-            NodeStats::add(&self.node.stats().calls_failed, 1);
-            if call.traced {
-                hat_trace::event(Phase::CallEnd, node_id, call.call_id, 0, now_ns());
+        // A handle belongs to one opening of its channel. If that channel
+        // is gone (poisoned by a sibling's failure) or has been reopened
+        // since, the handle's token names nothing — tokens restart at 0 on
+        // every channel, so on the new one it could name a *sibling's*
+        // request. Such a handle fails typed and leaves the channel alone.
+        let channel =
+            self.channels.get_mut(&call.key).filter(|c| c.incarnation == call.incarnation);
+        let owns_channel = channel.is_some();
+        let polled = match channel {
+            Some(channel) => {
+                let _scope = call.span.enter();
+                channel.window().and_then(|pipe| Ok(pipe.try_wait(call.token)?))
             }
-            return Err(CoreError::Rdma(RdmaError::Disconnected));
+            None => Err(CoreError::Rdma(RdmaError::Disconnected)),
         };
-        let polled = {
-            let _span = hat_trace::call_scope(call.call_id);
-            pipe.try_wait(call.token)
+        let outcome = match polled {
+            Ok(Some(buf)) => Ok(buf.to_vec()),
+            Ok(None) if now_ns() < call.deadline_ns => return Ok(None),
+            Ok(None) => Err(CoreError::Rdma(RdmaError::Timeout)),
+            Err(e) => Err(e),
         };
-        match polled {
-            Ok(Some(buf)) => {
-                call.done = true;
-                let resp = buf.to_vec();
+        match outcome {
+            Ok(resp) => {
                 NodeStats::add(&self.node.stats().calls_ok, 1);
-                if call.traced || call.histing {
-                    let end = now_ns();
-                    if call.traced {
-                        hat_trace::event(
-                            Phase::CallEnd,
-                            node_id,
-                            call.call_id,
-                            resp.len() as u64,
-                            end,
-                        );
-                    }
-                    hat_trace::hist::record_latency(
-                        call.label,
-                        &call.func,
-                        call.req_len,
-                        end.saturating_sub(call.start_ns),
-                    );
-                }
+                call.span.ok(resp.len());
                 Ok(Some(resp))
             }
-            Ok(None) => {
-                if now_ns() < call.deadline_ns {
-                    return Ok(None);
-                }
-                call.done = true;
-                // The token still owns a window slot; poison the channel
-                // so the next call starts from a clean window.
-                self.channels.remove(&call.key);
-                NodeStats::add(&self.node.stats().calls_timed_out, 1);
-                if call.traced || call.histing {
-                    let end = now_ns();
-                    if call.traced {
-                        hat_trace::event(Phase::TimedOut, node_id, call.call_id, 0, end);
-                        hat_trace::event(Phase::CallEnd, node_id, call.call_id, 0, end);
-                    }
-                    hat_trace::hist::record_latency(
-                        call.label,
-                        &call.func,
-                        call.req_len,
-                        end.saturating_sub(call.start_ns),
-                    );
-                }
-                Err(CoreError::Rdma(RdmaError::Timeout))
-            }
             Err(e) => {
-                call.done = true;
-                self.channels.remove(&call.key);
-                NodeStats::add(&self.node.stats().calls_failed, 1);
-                if call.traced {
-                    hat_trace::event(Phase::CallEnd, node_id, call.call_id, 0, now_ns());
+                // A failed or timed-out token still owns a window slot;
+                // poison the channel so the next call starts from a clean
+                // window.
+                if owns_channel {
+                    self.channels.remove(&call.key);
                 }
-                Err(e.into())
+                self.count_failure(&e);
+                call.span.fail(&e);
+                Err(e)
             }
         }
     }
@@ -995,7 +807,7 @@ impl HatClient {
     /// index miss, oversized value, or seqlock conflict). Never an error:
     /// the one-sided path is an accelerator, not a source of truth.
     pub fn try_onesided_get(&mut self, func: &str, key: &[u8]) -> Option<Vec<u8>> {
-        if !self.plans.get(func).unwrap_or(&self.default_plan).onesided {
+        if !self.plan(func).onesided {
             return None;
         }
         let traced = hat_trace::enabled();
@@ -1042,7 +854,7 @@ impl HatClient {
     /// not at all — a single unresolvable key sends the entire batch back
     /// to the RPC path so the caller never has to merge partial results.
     pub fn try_onesided_multiget(&mut self, func: &str, keys: &[Vec<u8>]) -> Option<Vec<Vec<u8>>> {
-        if keys.is_empty() || !self.plans.get(func).unwrap_or(&self.default_plan).onesided {
+        if keys.is_empty() || !self.plan(func).onesided {
             return None;
         }
         let traced = hat_trace::enabled();
@@ -1127,38 +939,137 @@ impl HatClient {
     }
 }
 
-/// Handle to one in-flight asynchronous call (see
-/// [`HatClient::call_async`]). Holds the channel key and window token —
-/// poll it with [`HatClient::poll_async`] or block with
-/// [`HatClient::wait_async`]. Dropping an unfinished handle leaks its
-/// window slot until the channel is next poisoned; poll to completion.
+/// A channel this client holds open, and which opening of its key it is.
+struct OpenChannel {
+    transport: Box<dyn ClientTransport>,
+    /// Per-client sequence number of this opening. A [`ChannelKey`] is
+    /// reopened after a failure and window tokens restart at 0 on every
+    /// channel, so key + token alone cannot tell an [`AsyncCall`] from
+    /// before the failure apart from a request submitted after it.
+    incarnation: u64,
+}
+
+impl OpenChannel {
+    /// The channel's pipelined window — there whenever the plan that
+    /// opened it resolved `queue_depth > 1`.
+    fn window(&mut self) -> Result<&mut dyn PipelinedClient> {
+        self.transport
+            .pipelined()
+            .ok_or_else(|| CoreError::Protocol("plan promised a pipelined channel".into()))
+    }
+}
+
+fn is_timeout(e: &CoreError) -> bool {
+    matches!(e, CoreError::Rdma(RdmaError::Timeout))
+}
+
+/// The observable life of one engine-level call: a `CallBegin` event when
+/// it opens, then exactly one `CallEnd` (after a `TimedOut` marker when
+/// that is how it ended) and one latency sample when it closes — by
+/// [`CallSpan::ok`], by [`CallSpan::fail`], or as failed by being dropped
+/// open, so no early return can leave a begin without its end. The call
+/// id rides thread-local state while [`CallSpan::enter`]'s guard lives, so
+/// sim-layer events (WR post, doorbell, wire, completion) land on the same
+/// timeline row. Histograms also record under a standalone hist capture (a
+/// live hat-metrics sampler) with full tracing off — only the events are
+/// trace-gated. With both off a span is inert: no clock read, no id.
 #[derive(Debug)]
-pub struct AsyncCall {
-    func: String,
-    key: ChannelKey,
-    token: hat_protocols::Token,
-    /// Virtual-time deadline, from the [`CallPolicy`] at submit.
-    deadline_ns: u64,
+struct CallSpan<'f> {
+    node_id: u64,
+    /// 0 when tracing was off at `begin`.
     call_id: u64,
     start_ns: u64,
-    req_len: u64,
     label: &'static str,
+    func: Cow<'f, str>,
+    req_len: u64,
+    /// Pinned at `begin`, so a span closes the way it opened.
     traced: bool,
-    /// Latency histograms wanted (tracing on, or a standalone hist
-    /// capture such as a live hat-metrics sampler), pinned at submit.
     histing: bool,
-    done: bool,
+    open: bool,
+}
+
+impl<'f> CallSpan<'f> {
+    fn begin(node_id: u64, plan: &FnPlan, func: Cow<'f, str>, req_len: usize) -> CallSpan<'f> {
+        let traced = hat_trace::enabled();
+        let histing = hat_trace::hist_enabled();
+        let label = plan.selection.protocol.label();
+        let req_len = req_len as u64;
+        let (call_id, start_ns) = if traced {
+            let id = hat_trace::next_call_id();
+            let t = now_ns();
+            hat_trace::register_call(id, label, &func, req_len);
+            hat_trace::event(Phase::CallBegin, node_id, id, req_len, t);
+            (id, t)
+        } else if histing {
+            (0, now_ns())
+        } else {
+            (0, 0)
+        };
+        CallSpan { node_id, call_id, start_ns, label, func, req_len, traced, histing, open: true }
+    }
+
+    /// Attribute this thread's sim-layer events to the call while the
+    /// guard lives.
+    fn enter(&self) -> Option<hat_trace::CallScope> {
+        self.traced.then(|| hat_trace::call_scope(self.call_id))
+    }
+
+    fn ok(&mut self, resp_len: usize) {
+        self.close(resp_len as u64, false);
+    }
+
+    fn fail(&mut self, e: &CoreError) {
+        self.close(0, is_timeout(e));
+    }
+
+    fn close(&mut self, resp_len: u64, timed_out: bool) {
+        if !std::mem::take(&mut self.open) || !(self.traced || self.histing) {
+            return;
+        }
+        let end = now_ns();
+        if self.traced {
+            if timed_out {
+                hat_trace::event(Phase::TimedOut, self.node_id, self.call_id, 0, end);
+            }
+            hat_trace::event(Phase::CallEnd, self.node_id, self.call_id, resp_len, end);
+        }
+        let latency = end.saturating_sub(self.start_ns);
+        hat_trace::hist::record_latency(self.label, &self.func, self.req_len, latency);
+    }
+}
+
+impl Drop for CallSpan<'_> {
+    fn drop(&mut self) {
+        self.close(0, false);
+    }
+}
+
+/// Handle to one in-flight asynchronous call (see
+/// [`HatClient::call_async`]). Holds the channel key, which opening of
+/// that channel it was submitted on, and the window token — poll it with
+/// [`HatClient::poll_async`] or block with [`HatClient::wait_async`].
+/// Dropping an unfinished handle leaks its window slot until the channel
+/// is next poisoned (its span closes as failed); poll to completion.
+#[derive(Debug)]
+pub struct AsyncCall {
+    key: ChannelKey,
+    incarnation: u64,
+    token: Token,
+    /// Virtual-time deadline, from the [`CallPolicy`] at submit.
+    deadline_ns: u64,
+    /// Open until the call has yielded a response or a typed error.
+    span: CallSpan<'static>,
 }
 
 impl AsyncCall {
     /// The function this call targets.
     pub fn func(&self) -> &str {
-        &self.func
+        &self.span.func
     }
 
     /// True once the call has yielded a response or a typed error.
     pub fn is_done(&self) -> bool {
-        self.done
+        !self.span.open
     }
 }
 
@@ -1180,9 +1091,9 @@ impl ClientTransport for RdmaCall {
 /// Adapter from a pipelined protocol client to [`ClientTransport`]:
 /// single calls degrade to a submit-then-wait window of one, and the
 /// window surfaces through [`ClientTransport::pipelined`] for
-/// [`HatClient::call_many`] / [`HatClient::call_pipelined`].
+/// [`HatClient::call_many`] / [`HatClient::call_async`].
 struct RdmaPipelinedCall {
-    inner: Box<dyn hat_protocols::PipelinedClient>,
+    inner: Box<dyn PipelinedClient>,
 }
 
 impl ClientTransport for RdmaPipelinedCall {
@@ -1194,7 +1105,7 @@ impl ClientTransport for RdmaPipelinedCall {
         "trdma-hinted-pipelined"
     }
 
-    fn pipelined(&mut self) -> Option<&mut dyn hat_protocols::PipelinedClient> {
+    fn pipelined(&mut self) -> Option<&mut dyn PipelinedClient> {
         Some(self.inner.as_mut())
     }
 }
@@ -1208,10 +1119,6 @@ fn tcp_service(service: &str) -> String {
 /// Figure 2, plus the completion-driven reactor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerPolicy {
-    /// Serve connections one at a time on the accept thread. Note that a
-    /// Simple server can only shut down once its current client
-    /// disconnects (the accept thread is busy serving it).
-    Simple,
     /// One thread per connection (TThreadedServer).
     Threaded,
     /// Fixed pool of worker threads (TThreadPoolServer). Workers pin one
@@ -1231,10 +1138,10 @@ pub enum ServerPolicy {
 pub struct HatServer {
     shutdown: Arc<AtomicBool>,
     /// The RDMA accept loop; it returns the per-connection serving threads
-    /// it spawned. Under [`ServerPolicy::Reactor`] it is joined *before*
-    /// the driver drains: once it has wound down, every connection it
-    /// negotiated has been registered — a client whose handshake completed
-    /// is never left behind a driver that already drained and exited.
+    /// it spawned. It is joined *before* a reactor driver drains: once it
+    /// has wound down, every connection it negotiated has been registered
+    /// — a client whose handshake completed is never left behind a driver
+    /// that already drained and exited.
     accept: Option<std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>>,
     threads: Vec<std::thread::JoinHandle<()>>,
     service: String,
@@ -1299,7 +1206,7 @@ impl HatServer {
             let reactor_handle: Option<ReactorHandle> = reactor.as_ref().map(Reactor::handle);
             let pool_tx = match policy {
                 ServerPolicy::ThreadPool(n) => {
-                    let (tx, rx) = crossbeam::channel::unbounded::<WorkItem>();
+                    let (tx, rx) = crossbeam::channel::unbounded::<Connection>();
                     for _ in 0..n.max(1) {
                         let rx = rx.clone();
                         let factory = factory.clone();
@@ -1321,8 +1228,8 @@ impl HatServer {
                         continue;
                     };
                     let ep_handle = ep.clone();
-                    let negotiated = match negotiate(ep, &schema, reactor_handle.is_some()) {
-                        Ok(negotiated) => negotiated,
+                    let conn = match negotiate(ep, &schema) {
+                        Ok(conn) => conn,
                         Err(e) => {
                             hat_trace::annotate(
                                 ep_handle.node().id(),
@@ -1333,33 +1240,31 @@ impl HatServer {
                         }
                     };
                     conns.lock().push(ep_handle);
-                    let item = match negotiated {
-                        Negotiated::Reactor(item) => {
+                    // The reactor drives the same servers a thread would,
+                    // so it takes exactly the pipelined connections.
+                    let conn = match (conn.server, &reactor_handle) {
+                        (ConnServer::Pipelined(server), Some(reactor)) => {
                             let handler = make_handler(
                                 &factory,
-                                item.node_id,
-                                item.proto_label,
-                                &item.fn_scope,
+                                conn.node_id,
+                                conn.proto_label,
+                                &conn.fn_scope,
                             );
-                            reactor_handle
-                                .as_ref()
-                                .expect("reactor negotiation only under Reactor policy")
-                                .register(item.server, handler);
+                            reactor.register(server, handler);
                             continue;
                         }
-                        Negotiated::Classic(item) => item,
+                        (server, _) => Connection { server, ..conn },
                     };
                     match policy {
-                        ServerPolicy::Simple => serve_connection(item, &factory),
                         // Under Reactor, connections without a reactor
                         // state machine get a thread each, as Threaded.
                         ServerPolicy::Threaded | ServerPolicy::Reactor => {
                             let factory = factory.clone();
                             conn_threads
-                                .push(std::thread::spawn(move || serve_connection(item, &factory)));
+                                .push(std::thread::spawn(move || serve_connection(conn, &factory)));
                         }
                         ServerPolicy::ThreadPool(_) => {
-                            let _ = pool_tx.as_ref().expect("pool created").send(item);
+                            let _ = pool_tx.as_ref().expect("pool created").send(conn);
                         }
                     }
                 }
@@ -1437,9 +1342,20 @@ impl HatServer {
     }
 }
 
+/// The protocol server a connection negotiated.
+enum ConnServer {
+    /// A classic depth-1 channel: only a blocking thread can serve it.
+    Blocking(Box<dyn RpcServer>),
+    /// A pipelined channel (`queue_depth > 1`): one server that a thread's
+    /// `serve_loop` and the reactor's `drain` serve alike.
+    Pipelined(Box<dyn ReactorServe>),
+}
+
 /// A negotiated, ready-to-serve connection.
-struct WorkItem {
-    server: Box<dyn hat_protocols::RpcServer>,
+struct Connection {
+    server: ConnServer,
+    /// Ignored on the reactor: its one driver thread serves every
+    /// connection, so per-connection binding cannot apply.
     numa_bind: bool,
     bind_core: u32,
     /// Function scope from the preamble — names server-side trace spans.
@@ -1450,33 +1366,9 @@ struct WorkItem {
     node_id: u64,
 }
 
-/// A negotiated connection destined for the reactor driver: the
-/// completion-driven state machine plus the metadata its handler wrapper
-/// needs. No `numa_bind` — the driver thread serves every connection, so
-/// per-connection binding cannot apply.
-struct ReactorItem {
-    server: Box<dyn hat_protocols::ReactorServe>,
-    fn_scope: String,
-    proto_label: &'static str,
-    node_id: u64,
-}
-
-/// Outcome of connection negotiation: a blocking serve-loop connection
-/// (one thread/worker drives it) or a reactor state machine (the node's
-/// driver thread multiplexes it).
-enum Negotiated {
-    Classic(WorkItem),
-    Reactor(ReactorItem),
-}
-
 /// Read the preamble, resolve server-side hints, build the protocol
-/// server. With `want_reactor`, pipelined-capable connections come back
-/// as [`Negotiated::Reactor`] state machines instead of serve-loops.
-fn negotiate(
-    ep: hat_rdma_sim::Endpoint,
-    schema: &ServiceSchema,
-    want_reactor: bool,
-) -> Result<Negotiated> {
+/// server.
+fn negotiate(ep: hat_rdma_sim::Endpoint, schema: &ServiceSchema) -> Result<Connection> {
     let blob = hat_protocols::exchange_blobs(&ep, b"hatrpc-ok")?;
     let preamble = Preamble::decode(&blob)?;
     let server_hints: ResolvedHints = schema.resolved(&preamble.fn_scope, Side::Server);
@@ -1501,29 +1393,21 @@ fn negotiate(
     };
     let bind_core = ep.node().topology().nic_node * ep.node().topology().cores_per_numa();
     let node_id = ep.node().id();
-    let fn_scope = preamble.fn_scope.clone();
-    let proto_label = preamble.kind.label();
-    // The reactor drives the same state machines the pipelined servers
-    // are built from, so it covers exactly the pipelined-capable kinds.
-    if want_reactor && preamble.queue_depth > 1 && PIPELINED_KINDS.contains(&preamble.kind) {
-        let server = accept_server_reactor(preamble.kind, ep, cfg)?;
-        return Ok(Negotiated::Reactor(ReactorItem { server, fn_scope, proto_label, node_id }));
-    }
     // queue_depth > 1 asks for the protocol's pipelined variant: the
     // window rides in `ring_slots`, so the geometry above already fits.
     let server = if preamble.queue_depth > 1 {
-        accept_server_pipelined(preamble.kind, ep, cfg)?
+        ConnServer::Pipelined(accept_server_pipelined(preamble.kind, ep, cfg)?)
     } else {
-        accept_server(preamble.kind, ep, cfg)?
+        ConnServer::Blocking(accept_server(preamble.kind, ep, cfg)?)
     };
-    Ok(Negotiated::Classic(WorkItem {
+    Ok(Connection {
         server,
         numa_bind: server_hints.numa_binding.unwrap_or(false),
         bind_core,
-        fn_scope,
-        proto_label,
+        proto_label: preamble.kind.label(),
+        fn_scope: preamble.fn_scope,
         node_id,
-    }))
+    })
 }
 
 /// Build the per-connection raw-message handler: the factory's handler,
@@ -1552,10 +1436,14 @@ fn make_handler(
     })
 }
 
-fn serve_connection(mut item: WorkItem, factory: &HandlerFactory) {
-    let _bind = item.numa_bind.then(|| numa::bind_current_thread(item.bind_core));
-    let mut handler = make_handler(factory, item.node_id, item.proto_label, &item.fn_scope);
-    let _ = item.server.serve_loop(&mut handler);
+fn serve_connection(conn: Connection, factory: &HandlerFactory) {
+    let _bind = conn.numa_bind.then(|| numa::bind_current_thread(conn.bind_core));
+    let mut handler = make_handler(factory, conn.node_id, conn.proto_label, &conn.fn_scope);
+    let mut server: Box<dyn RpcServer> = match conn.server {
+        ConnServer::Blocking(server) => server,
+        ConnServer::Pipelined(server) => server,
+    };
+    let _ = server.serve_loop(&mut handler);
 }
 
 impl HatServer {
@@ -1565,8 +1453,10 @@ impl HatServer {
         self.shutdown.store(true, Ordering::Release);
         self.fabric.unlisten(&self.service);
         self.fabric.unlisten_ipoib(&tcp_service(&self.service));
+        if let Some(accept) = self.accept.take() {
+            self.threads.extend(accept.join().unwrap_or_default());
+        }
         if let Some(reactor) = self.reactor.take() {
-            self.join_accept_loop();
             reactor.shutdown();
         }
         for ep in self.conns.lock().drain(..) {
@@ -1575,17 +1465,8 @@ impl HatServer {
         for stream in self.tcp_conns.lock().drain(..) {
             stream.close();
         }
-        // Other policies: only now — `Simple` serves inside the accept
-        // loop and needs its endpoint closed to leave it.
-        self.join_accept_loop();
         for t in self.threads.drain(..) {
             let _ = t.join();
-        }
-    }
-
-    fn join_accept_loop(&mut self) {
-        if let Some(accept) = self.accept.take() {
-            self.threads.extend(accept.join().unwrap_or_default());
         }
     }
 }
@@ -1594,12 +1475,6 @@ impl Drop for HatServer {
     fn drop(&mut self) {
         self.wind_down();
     }
-}
-
-/// Convert connection-level RDMA errors we tolerate during shutdown.
-#[allow(dead_code)]
-fn is_disconnect(e: &CoreError) -> bool {
-    matches!(e, CoreError::Rdma(RdmaError::Disconnected))
 }
 
 #[cfg(test)]
@@ -1793,56 +1668,6 @@ mod tests {
     }
 
     #[test]
-    fn simple_policy_serves_sequentially() {
-        let (fabric, _snode, server, schema) = setup(ServerPolicy::Simple);
-        let cnode = fabric.add_node("client");
-        let mut client = HatClient::new(&fabric, &cnode, "mix", &schema);
-        for i in 0..4u8 {
-            assert_eq!(client.call("fast", &[i; 32]).unwrap(), [i; 32]);
-        }
-        // Simple policy serves on the accept thread: the client must
-        // disconnect before shutdown can join it.
-        drop(client);
-        server.shutdown();
-    }
-
-    #[test]
-    fn simple_policy_blocks_the_accept_thread_while_serving() {
-        // The documented Simple-policy hazard: one connected client pins
-        // the accept thread, so a second client cannot even negotiate
-        // until the first disconnects.
-        let (fabric, _snode, server, schema) = setup(ServerPolicy::Simple);
-        let anode = fabric.add_node("client-a");
-        let mut client_a = HatClient::new(&fabric, &anode, "mix", &schema);
-        assert_eq!(client_a.call("fast", b"pin").unwrap(), b"pin");
-        // client_a stays connected: serve_connection keeps the accept
-        // thread until it disconnects.
-
-        let bnode = fabric.add_node("client-b");
-        let short = CallPolicy {
-            deadline: std::time::Duration::from_millis(200),
-            retries: 0,
-            ..CallPolicy::default()
-        };
-        let mut client_b = HatClient::new(&fabric, &bnode, "mix", &schema).with_policy(short);
-        let starved = client_b.call("fast", b"starved");
-        assert!(
-            starved.is_err(),
-            "a second client must time out while the accept thread is pinned: {starved:?}"
-        );
-
-        // Once the first client disconnects, the accept thread frees up
-        // and a fresh client is served normally.
-        drop(client_a);
-        drop(client_b);
-        let cnode = fabric.add_node("client-c");
-        let mut client_c = HatClient::new(&fabric, &cnode, "mix", &schema);
-        assert_eq!(client_c.call("fast", b"after").unwrap(), b"after");
-        drop(client_c);
-        server.shutdown();
-    }
-
-    #[test]
     fn thread_pool_policy_progresses_while_one_connection_stalls() {
         // A pool of two workers with one worker pinned by a long-lived
         // connection: every later short-lived client must still be served
@@ -1976,25 +1801,27 @@ mod tests {
     }
 
     #[test]
-    fn call_pipelined_exposes_the_raw_window() {
+    fn async_handles_name_completions_by_token_not_fifo_position() {
         let (fabric, _snode, server, schema) = piped_setup();
         let cnode = fabric.add_node("client");
         let mut client = HatClient::new(&fabric, &cnode, "piped", &schema);
 
-        let pipe = client.call_pipelined("piped").unwrap();
-        assert_eq!(pipe.window(), 8);
-        let tokens: Vec<_> = (0..8u8).map(|i| pipe.submit(&[i; 48]).unwrap()).collect();
-        assert_eq!(pipe.in_flight(), 8);
+        let mut calls: Vec<AsyncCall> =
+            (0..8u8).map(|i| client.call_async("piped", &[i; 48]).unwrap()).collect();
+        assert!(client.call_async("piped", b"ninth").is_err(), "the window is 8 deep");
+        // One poll rings the doorbell for all eight staged submits.
+        let mut responses = vec![None; 8];
+        responses[0] = client.poll_async(&mut calls[0]).unwrap();
         // Take responses in reverse submission order: tokens, not FIFO
         // position, name the completions.
-        for (i, &tok) in tokens.iter().enumerate().rev() {
-            let resp = pipe.wait(tok).unwrap();
-            assert_eq!(resp.as_slice(), &[i as u8; 48]);
+        for (i, call) in calls.iter_mut().enumerate().rev() {
+            let response = responses[i].take().unwrap_or_else(|| client.wait_async(call).unwrap());
+            assert_eq!(response, [i as u8; 48]);
         }
-        assert_eq!(pipe.in_flight(), 0);
+        assert_eq!(cnode.stats_snapshot().calls_ok, 8);
 
         // The unhinted sibling has no window to hand out.
-        match client.call_pipelined("solo") {
+        match client.call_async("solo", b"x") {
             Err(e) => assert!(e.to_string().contains("queue_depth"), "unexpected error: {e}"),
             Ok(_) => panic!("unhinted function must not expose a window"),
         }

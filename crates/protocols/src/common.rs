@@ -422,14 +422,9 @@ impl CtrlRing {
         self.read_slot(comp).map(Some)
     }
 
-    /// Non-blocking receive: `None` when no message is ready right now.
-    pub(crate) fn try_recv(&self) -> Result<Option<CtrlMsg>> {
-        let Some(comp) = self.ep.recv_cq().try_poll() else { return Ok(None) };
-        self.read_slot(comp).map(Some)
-    }
-
-    /// Copy one completed slot out and recycle it.
-    fn read_slot(&self, comp: hat_rdma_sim::Completion) -> Result<CtrlMsg> {
+    /// Copy one completed slot out and recycle it: the second half of
+    /// `recv`, for a caller that polls the CQ itself.
+    pub(crate) fn read_slot(&self, comp: hat_rdma_sim::Completion) -> Result<CtrlMsg> {
         comp.ok()?;
         let slot = comp.wr_id as usize % self.slots;
         // A completed receive holds at most `slot_size` bytes.

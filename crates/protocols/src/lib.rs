@@ -24,7 +24,10 @@
 //! Four protocols additionally offer a **pipelined** channel
 //! ([`pipeline::PipelinedClient`]): a sliding window of in-flight
 //! requests with doorbell-batched posting and pooled zero-alloc response
-//! delivery — see the [`pipeline`] module docs.
+//! delivery. There a protocol is only a wire format: one window driver
+//! and one server driver ([`pipeline::ReactorServe`], serving from a
+//! blocking thread or a reactor alike) are shared by all four — see the
+//! [`pipeline`] module docs.
 
 pub mod common;
 pub mod direct_write;
@@ -48,8 +51,8 @@ pub use onesided::{
     onesided_service, FallbackReason, OneSidedAdvert, OneSidedHost, OneSidedIndex, OneSidedReader,
 };
 pub use pipeline::{
-    accept_server_pipelined, accept_server_reactor, connect_client_pipelined, PipelinedAsSync,
-    PipelinedClient, ReactorServe, Token, PIPELINED_KINDS,
+    accept_server_pipelined, connect_client_pipelined, PipelinedClient, ReactorServe, Token,
+    PIPELINED_KINDS,
 };
 pub use read_based::{Farm, Pilaf, Rfp};
 pub use rndv::{ReadRndv, WriteRndv};

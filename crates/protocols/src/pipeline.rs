@@ -15,8 +15,8 @@
 //!   submit burst followed by a completion wait pays one MMIO total).
 //! * [`PipelinedClient::try_complete`] / [`PipelinedClient::wait`] deliver
 //!   responses as pooled [`PoolBuf`]s — after warmup the per-call hot path
-//!   performs **zero heap allocations** (eager path; verified by the
-//!   `zero_alloc` integration test).
+//!   performs **zero heap allocations** (at or below the eager threshold;
+//!   verified for every kind by the `zero_alloc` integration test).
 //!
 //! Every frame carries its token explicitly, so completions map back to
 //! the right request even when fault injection delays and reorders CQ
@@ -26,25 +26,35 @@
 //! needed: by the time token `t + window` can be submitted, the buffers of
 //! token `t` are provably quiescent).
 //!
-//! Four protocols have pipelined implementations, mirroring their
-//! synchronous counterparts' wire behaviour:
+//! A channel is **one window driver plus a wire format**. The client
+//! driver (`Pipelined<W>`: the window, the staged-WR vector, flush, pump,
+//! wait) and the server driver (`PipelinedServer<W>`: serve whatever is
+//! ready, from a blocking thread or a reactor alike) are written once; a
+//! protocol is a `Wire` — its slot geometry and handshake, how one message
+//! is framed into a slot, and how one receive completion is turned back
+//! into `(token, slot, payload)`. Both ends of a connection run the *same*
+//! wire: a request and a response are framed identically.
 //!
-//! | kind | request path | notify | doorbells per flushed batch |
-//! |------|--------------|--------|------------------------------|
-//! | Eager-SendRecv | copy + SEND per slot | in-frame | 1 |
-//! | Chained-Write-Send | WRITE to per-slot remote ring | chained inline SEND | 1 |
-//! | Direct-WriteIMM | WRITE_WITH_IMM, imm = slot | in-slot header | 1 |
-//! | Hybrid-EagerRNDV | eager frame or RTS + peer READ | in-frame | 1 |
+//! | kind | slot (both sides, per window entry) | message path | token rides | slot claim | responses | doorbells per flushed batch |
+//! |------|-------------------------------------|--------------|-------------|------------|-----------|------------------------------|
+//! | Eager-SendRecv | send + recv frame of `12 + max_msg` | copy + SEND | frame header | any free | half-window chains | 1 |
+//! | Chained-Write-Send | landing + staging stripe of `max_msg` | WRITE to the peer's stripe + chained inline SEND | notify message | `token % window` | one post each | 1 |
+//! | Direct-WriteIMM | landing + staging stripe of `12 + max_msg` | WRITE_WITH_IMM, imm = slot | slot header | any free | half-window chains | 1 |
+//! | Hybrid-EagerRNDV | frame of `17 + max(threshold, 32)`, plus rendezvous stage + landing of `max_msg` | eager frame, or RTS + peer READ | frame header | `token % window` | one post each | 1 |
 
 use hat_rdma_sim::stats::NodeStats;
-use hat_rdma_sim::{Endpoint, MemoryRegion, PoolBuf, RecvWr, RemoteBuf, Result, SendWr};
+use hat_rdma_sim::{
+    Completion, CompletionQueue, Endpoint, MemoryRegion, PoolBuf, RdmaError, RecvWr, RemoteBuf,
+    Result, SendWr,
+};
 
 use crate::common::{
-    charge_memcpy, poll_recv, CtrlRing, ProtocolConfig, ProtocolKind, RpcClient, RpcServer,
+    charge_memcpy, exchange_blobs, poll_recv, wire_len, CtrlRing, ProtocolConfig, ProtocolKind,
+    RpcServer,
 };
 
 /// Identifies one submitted request. Tokens are sequential per channel,
-/// starting at 0; token `t` occupies window slot `t % window`.
+/// starting at 0.
 pub type Token = u64;
 
 /// Client side of a pipelined RPC channel. See the module docs for the
@@ -124,12 +134,8 @@ impl Window {
         self.slots.len()
     }
 
-    fn slot_of(&self, token: Token) -> usize {
-        token as usize % self.slots.len()
-    }
-
-    fn full_error(&self) -> hat_rdma_sim::RdmaError {
-        hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
+    fn full_error(&self) -> RdmaError {
+        RdmaError::InvalidWorkRequest(format!(
             "pipeline window full ({} of {} in flight): take a completed \
              response before submitting more",
             self.in_flight,
@@ -143,15 +149,11 @@ impl Window {
     /// (chained-write, hybrid) must use this mapping; their callers have
     /// to take response `k` before submitting `k + window`.
     fn begin(&mut self) -> Result<(Token, usize)> {
-        let token = self.next_token;
-        let slot = self.slot_of(token);
+        let slot = self.next_token as usize % self.slots.len();
         if !matches!(self.slots[slot], Slot::Free) {
             return Err(self.full_error());
         }
-        self.slots[slot] = Slot::Waiting(token);
-        self.next_token += 1;
-        self.in_flight += 1;
-        Ok((token, slot))
+        Ok(self.claim(slot))
     }
 
     /// Claim the next token, mapped to *any* free slot. Fails only when
@@ -169,11 +171,15 @@ impl Window {
             .iter()
             .position(|s| matches!(s, Slot::Free))
             .expect("in_flight < len implies a free slot");
+        Ok(self.claim(slot))
+    }
+
+    fn claim(&mut self, slot: usize) -> (Token, usize) {
         let token = self.next_token;
         self.slots[slot] = Slot::Waiting(token);
         self.next_token += 1;
         self.in_flight += 1;
-        Ok((token, slot))
+        (token, slot)
     }
 
     /// Record an arrived response for `token`.
@@ -184,54 +190,43 @@ impl Window {
                 return Ok(());
             }
         }
-        Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
+        Err(RdmaError::InvalidWorkRequest(format!(
             "completion for token {token} does not match any in-flight request"
         )))
     }
 
     /// Take the lowest-token ready response, if any.
     fn take_any(&mut self) -> Option<(Token, PoolBuf)> {
-        let mut best: Option<usize> = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Slot::Ready(t, _) = s {
-                if best.is_none_or(|b| match &self.slots[b] {
-                    Slot::Ready(bt, _) => t < bt,
-                    _ => true,
-                }) {
-                    best = Some(i);
-                }
-            }
-        }
-        let i = best?;
-        match std::mem::replace(&mut self.slots[i], Slot::Free) {
-            Slot::Ready(t, buf) => {
-                self.in_flight -= 1;
-                Some((t, buf))
-            }
-            _ => unreachable!("slot was just observed Ready"),
-        }
+        let lowest = self
+            .slots
+            .iter()
+            .filter_map(|s| match s {
+                Slot::Ready(t, _) => Some(*t),
+                _ => None,
+            })
+            .min()?;
+        let buf = self.try_take(lowest).expect("token was just observed Ready")?;
+        Some((lowest, buf))
     }
 
     /// Take the response for `token` if it arrived; `Ok(None)` while it is
     /// still in flight; an error if the token is unknown (never submitted,
     /// already taken, or overwritten by a later window lap).
     fn try_take(&mut self, token: Token) -> Result<Option<PoolBuf>> {
-        for slot in 0..self.slots.len() {
-            match &self.slots[slot] {
+        for slot in self.slots.iter_mut() {
+            match slot {
                 Slot::Waiting(t) if *t == token => return Ok(None),
                 Slot::Ready(t, _) if *t == token => {
-                    match std::mem::replace(&mut self.slots[slot], Slot::Free) {
-                        Slot::Ready(_, buf) => {
-                            self.in_flight -= 1;
-                            return Ok(Some(buf));
-                        }
-                        _ => unreachable!("slot was just observed Ready"),
-                    }
+                    let Slot::Ready(_, buf) = std::mem::replace(slot, Slot::Free) else {
+                        unreachable!("slot was just observed Ready")
+                    };
+                    self.in_flight -= 1;
+                    return Ok(Some(buf));
                 }
                 _ => {}
             }
         }
-        Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
+        Err(RdmaError::InvalidWorkRequest(format!(
             "token {token} is not in flight on this channel"
         )))
     }
@@ -266,39 +261,6 @@ fn note_burst(ep: &Endpoint, n: usize) {
     }
 }
 
-/// The server half of the window's flow control, shared by the eager and
-/// write-imm servers in both their blocking and reactor forms: stage a
-/// response for `first` (the completion a blocking caller waited for, if
-/// any) and for every request completion ready *now*, and post the
-/// staged chain whenever it reaches half a window — the unit
-/// `call_many` refills in, so the client's next half-window is on the
-/// wire while this side is still answering the previous one — or the CQ
-/// runs dry. Returns how many requests were served.
-fn serve_burst(
-    ep: &Endpoint,
-    ring_slots: usize,
-    staged: &mut Vec<SendWr>,
-    first: Option<hat_rdma_sim::Completion>,
-    mut stage: impl FnMut(hat_rdma_sim::Completion, &mut Vec<SendWr>) -> Result<()>,
-) -> Result<usize> {
-    let unit = (ring_slots / 2).max(1);
-    let mut served = 0usize;
-    staged.clear();
-    let mut next = first.or_else(|| ep.recv_cq().try_poll());
-    while let Some(comp) = next {
-        stage(comp, staged)?;
-        served += 1;
-        next = ep.recv_cq().try_poll();
-        if staged.len() >= unit || next.is_none() {
-            note_burst(ep, staged.len());
-            ep.post_send(staged)?;
-            note_doorbell(ep, staged.len());
-            staged.clear();
-        }
-    }
-    Ok(served)
-}
-
 /// Charge one submitted call and refresh the in-flight high-water mark.
 fn note_submit(ep: &Endpoint, in_flight: usize) {
     let stats = ep.node().stats();
@@ -309,7 +271,7 @@ fn note_submit(ep: &Endpoint, in_flight: usize) {
 /// Reject payloads that exceed the per-slot capacity.
 fn check_len(len: usize, max_msg: usize) -> Result<()> {
     if len > max_msg {
-        return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
+        return Err(RdmaError::InvalidWorkRequest(format!(
             "payload of {len} bytes exceeds the pipelined slot ({max_msg} bytes)"
         )));
     }
@@ -317,567 +279,133 @@ fn check_len(len: usize, max_msg: usize) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Eager-SendRecv, pipelined.
+// What a protocol supplies: its wire format.
 // ---------------------------------------------------------------------------
 
-/// Frame header: 4-byte length + 8-byte token, little endian.
-const EAGER_HDR: usize = 12;
-
-/// Pipelined Eager-SendRecv client: a per-slot send ring (so staged frames
-/// survive until the batched post), a pre-posted receive ring, and SEND
-/// work requests accumulated into one chain per flush.
-pub struct PipelinedEager {
+/// One side of a connection: the endpoint and the geometry both peers
+/// negotiated. Owned by a driver, lent to its wire.
+struct Link {
     ep: Endpoint,
     cfg: ProtocolConfig,
-    send_ring: MemoryRegion,
-    recv_ring: MemoryRegion,
-    slot_size: usize,
-    win: Window,
-    staged: Vec<SendWr>,
 }
 
-impl PipelinedEager {
-    /// Build the client side; the peer must be a [`PipelinedEagerServer`].
-    pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedEager> {
-        let window = cfg.ring_slots;
-        let slot_size = EAGER_HDR + cfg.max_msg;
-        let recv_ring = ep.pd().register(window * slot_size)?;
-        for i in 0..window {
-            ep.post_recv(RecvWr::new(i as u64, recv_ring.clone(), i * slot_size, slot_size))?;
-        }
-        let send_ring = ep.pd().register(window * slot_size)?;
-        Ok(PipelinedEager {
-            ep,
-            cfg,
-            send_ring,
-            recv_ring,
-            slot_size,
-            win: Window::new(window),
-            staged: Vec::with_capacity(window),
-        })
-    }
+/// Where an absorbed payload lands: the client takes responses in pooled
+/// buffers (its zero-alloc hot path), the server hands its handler a `Vec`.
+trait Landing: Sized {
+    /// Copy `len` bytes at `offset` out of `mr`.
+    fn land(mr: &MemoryRegion, offset: usize, len: usize) -> Result<Self>;
+}
 
-    /// Drain every response frame the CQ has ready, without blocking.
-    fn pump(&mut self) -> Result<()> {
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            self.absorb(comp)?;
-        }
-        Ok(())
-    }
-
-    /// Read one response frame out of its ring slot and recycle the slot.
-    fn absorb(&mut self, comp: hat_rdma_sim::Completion) -> Result<()> {
-        comp.ok()?;
-        let slot = comp.wr_id as usize % self.win.len();
-        let base = slot * self.slot_size;
-        let mut hdr = [0u8; EAGER_HDR];
-        self.recv_ring.read(base, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
-        let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        let copy = charge_memcpy(&self.ep, len);
+impl Landing for PoolBuf {
+    fn land(mr: &MemoryRegion, offset: usize, len: usize) -> Result<PoolBuf> {
         let mut buf = PoolBuf::for_overwrite(len);
-        self.recv_ring.read(base + EAGER_HDR, buf.as_mut_slice())?;
-        drop(copy);
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
-        self.win.complete(token, buf)
+        mr.read(offset, buf.as_mut_slice())?;
+        Ok(buf)
     }
 }
 
-impl PipelinedClient for PipelinedEager {
-    fn submit(&mut self, request: &[u8]) -> Result<Token> {
-        check_len(request.len(), self.cfg.max_msg)?;
-        // Any free slot: eager frames carry the token in-band both ways,
-        // so nothing on the wire pins a token to `token % window`. An
-        // async caller can refill as soon as it has taken *some* response
-        // even while older responses sit Ready awaiting their owner's
-        // poll.
-        let (token, slot) = self.win.begin_any()?;
-        let base = slot * self.slot_size;
-        let copy = charge_memcpy(&self.ep, request.len());
-        self.send_ring.write(base, &(request.len() as u32).to_le_bytes())?;
-        self.send_ring.write(base + 4, &token.to_le_bytes())?;
-        self.send_ring.write(base + EAGER_HDR, request)?;
-        drop(copy);
-        self.staged
-            .push(SendWr::send(token, self.send_ring.slice(base, EAGER_HDR + request.len())));
-        note_submit(&self.ep, self.win.in_flight);
-        Ok(token)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let batch = self.staged.len();
-        self.ep.post_send(&self.staged)?;
-        self.staged.clear();
-        note_doorbell(&self.ep, batch);
-        Ok(())
-    }
-
-    fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>> {
-        self.flush()?;
-        if let Some(done) = self.win.take_any() {
-            return Ok(Some(done));
-        }
-        self.pump()?;
-        Ok(self.win.take_any())
-    }
-
-    fn wait(&mut self, token: Token) -> Result<PoolBuf> {
-        self.flush()?;
-        loop {
-            // Drain the whole ready batch before (possibly) blocking: the
-            // peer posts response bursts under one doorbell, and absorbing
-            // them together frees a burst of slots for the caller to refill
-            // under one doorbell of its own.
-            self.pump()?;
-            if let Some(buf) = self.win.try_take(token)? {
-                return Ok(buf);
-            }
-            let comp = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)?
-                .ok_or(hat_rdma_sim::RdmaError::Disconnected)?;
-            self.absorb(comp)?;
-        }
-    }
-
-    fn try_wait(&mut self, token: Token) -> Result<Option<PoolBuf>> {
-        self.flush()?;
-        self.pump()?;
-        self.win.try_take(token)
-    }
-
-    fn window(&self) -> usize {
-        self.win.len()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.win.in_flight
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::EagerSendRecv
+impl Landing for Vec<u8> {
+    fn land(mr: &MemoryRegion, offset: usize, len: usize) -> Result<Vec<u8>> {
+        mr.read_vec(offset, len)
     }
 }
 
-/// Server peer for [`PipelinedEager`]: like the synchronous Eager server,
-/// but frames carry a token that is echoed back with each response, and
-/// the serve loop drains request *bursts* — every response for a drained
-/// burst is staged into its own send-ring slot and posted in half-window
-/// chains, one doorbell each ([`serve_burst`]).
-pub struct PipelinedEagerServer {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    recv_ring: MemoryRegion,
-    send_ring: MemoryRegion,
-    slot_size: usize,
-    /// Reusable response-staging scratch, so a driver multiplexing
-    /// thousands of connections allocates nothing per resume.
-    staged: Vec<SendWr>,
-}
+/// Everything that differs between two pipelined protocols. A wire is
+/// symmetric — the client frames requests and absorbs responses with the
+/// same two functions the server absorbs requests and frames responses
+/// with — so each kind is one implementation, not one per side.
+trait Wire: Send + Sized {
+    const KIND: ProtocolKind;
 
-impl PipelinedEagerServer {
-    /// Build the server side.
-    pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedEagerServer> {
-        let slot_size = EAGER_HDR + cfg.max_msg;
-        let recv_ring = ep.pd().register(cfg.ring_slots * slot_size)?;
-        for i in 0..cfg.ring_slots {
-            ep.post_recv(RecvWr::new(i as u64, recv_ring.clone(), i * slot_size, slot_size))?;
-        }
-        // One response slot per receive slot. The NIC snapshots the
-        // response at post time, so restaging slot `i` when a new request
-        // occupies recv slot `i` cannot corrupt an in-flight response.
-        let send_ring = ep.pd().register(cfg.ring_slots * slot_size)?;
-        let staged = Vec::with_capacity(cfg.ring_slots);
-        Ok(PipelinedEagerServer { ep, cfg, recv_ring, send_ring, slot_size, staged })
-    }
+    /// Whether the peer derives a message's stripe from `token % window`,
+    /// so the client must claim exactly that slot ([`Window::begin`]).
+    /// False where token and slot both ride in-band both ways, so nothing
+    /// on the wire pins a token to a slot and any free one will do
+    /// ([`Window::begin_any`]): an async caller can refill as soon as it
+    /// has taken *some* response even while older responses sit `Ready`
+    /// awaiting their owner's poll.
+    const PINS_TOKEN: bool;
 
-    /// [`serve_burst`] over this connection's staging scratch.
-    fn serve_ready(
-        &mut self,
-        first: Option<hat_rdma_sim::Completion>,
-        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
-    ) -> Result<usize> {
-        let mut staged = std::mem::take(&mut self.staged);
-        let served = serve_burst(&self.ep, self.cfg.ring_slots, &mut staged, first, |c, out| {
-            self.stage_response(c, handler, out)
-        });
-        self.staged = staged;
-        served
-    }
+    /// Whether a server stages responses into half-window chains (see
+    /// [`PipelinedServer::serve_ready`]) or posts each under its own
+    /// doorbell, as the kind's depth-1 form does.
+    const CHAINS_RESPONSES: bool;
 
-    /// Handle the request in `comp`'s ring slot, staging (not posting) the
-    /// response SEND.
-    fn stage_response(
+    /// Work requests one message takes (sizes the staging vectors).
+    const WRS_PER_MSG: usize;
+
+    /// Register the per-slot regions, pre-post the receives and run the
+    /// kind's handshake, if it has one — concurrently with the peer, which
+    /// runs the same function.
+    fn setup(link: &Link) -> Result<Self>;
+
+    /// Frame `payload` for `token` into window slot `slot` and push the
+    /// work request(s) that carry it — staged, not posted. The caller has
+    /// checked `payload` against `max_msg`.
+    fn stage(
         &self,
-        comp: hat_rdma_sim::Completion,
-        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+        link: &Link,
+        token: Token,
+        slot: usize,
+        payload: &[u8],
         staged: &mut Vec<SendWr>,
-    ) -> Result<()> {
-        comp.ok()?;
-        let slot = comp.wr_id as usize % self.cfg.ring_slots;
-        let base = slot * self.slot_size;
-        let mut hdr = [0u8; EAGER_HDR];
-        self.recv_ring.read(base, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
-        let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        let copy = charge_memcpy(&self.ep, len);
-        let request = self.recv_ring.read_vec(base + EAGER_HDR, len)?;
-        drop(copy);
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
+    ) -> Result<()>;
 
-        let response = handler(&request);
-        check_len(response.len(), self.cfg.max_msg)?;
-        let copy = charge_memcpy(&self.ep, response.len());
-        self.send_ring.write(base, &(response.len() as u32).to_le_bytes())?;
-        self.send_ring.write(base + 4, &token.to_le_bytes())?;
-        self.send_ring.write(base + EAGER_HDR, &response)?;
-        drop(copy);
-        staged.push(SendWr::send(token, self.send_ring.slice(base, EAGER_HDR + response.len())));
-        Ok(())
-    }
-}
-
-impl RpcServer for PipelinedEagerServer {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(comp) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-            return Ok(false);
-        };
-        let mut staged = Vec::with_capacity(1);
-        self.stage_response(comp, handler, &mut staged)?;
-        self.ep.post_send(&staged)?;
-        Ok(true)
-    }
-
-    fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
-        // Block for the head of a burst, then drain without blocking.
-        while let Some(first) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? {
-            self.serve_ready(Some(first), handler)?;
-        }
-        Ok(())
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::EagerSendRecv
-    }
+    /// Take the message behind one receive completion out of its slot and
+    /// recycle the receive: `(token, slot, payload)`, where `slot` is the
+    /// one an answer to this message is staged in.
+    fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)>;
 }
 
 // ---------------------------------------------------------------------------
-// Chained-Write-Send, pipelined.
+// The client driver.
 // ---------------------------------------------------------------------------
 
-/// Notify message: 4-byte length + 8-byte token.
-const NOTIFY_LEN: usize = 12;
-
-fn encode_notify(len: usize, token: Token) -> [u8; NOTIFY_LEN] {
-    let mut msg = [0u8; NOTIFY_LEN];
-    msg[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    msg[4..].copy_from_slice(&token.to_le_bytes());
-    msg
-}
-
-fn decode_notify(msg: &[u8]) -> Result<(usize, Token)> {
-    if msg.len() < NOTIFY_LEN {
-        return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-            "pipelined notify of {} bytes is too short",
-            msg.len()
-        )));
-    }
-    let len = u32::from_le_bytes(msg[..4].try_into().expect("4B")) as usize;
-    let token = u64::from_le_bytes(msg[4..NOTIFY_LEN].try_into().expect("8B"));
-    Ok((len, token))
-}
-
-/// Pipelined Chained-Write-Send client: each window slot owns a stripe of
-/// the peer's pre-known ring; a submit stages a WRITE into that stripe plus
-/// a chained inline SEND notify, and a flush posts the whole
-/// `(WRITE, SEND)*` chain under one doorbell.
-pub struct PipelinedChainedWrite {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    /// Per-slot landing stripes the peer WRITEs responses into.
-    in_ring: MemoryRegion,
-    /// Per-slot staging stripes outbound WRITEs are issued from.
-    out_stage: MemoryRegion,
-    /// The peer's advertised in-ring.
-    peer_ring: RemoteBuf,
-    ctrl: CtrlRing,
+/// A pipelined channel's client side: the window, the staged-WR vector and
+/// the flush/pump/wait loop, over the wire format `W`.
+struct Pipelined<W> {
+    link: Link,
+    wire: W,
     win: Window,
     staged: Vec<SendWr>,
 }
 
-impl PipelinedChainedWrite {
-    /// Build the client side (handshakes with the concurrently constructed
-    /// [`PipelinedChainedWriteServer`]).
-    pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedChainedWrite> {
-        let (in_ring, out_stage, peer_ring, ctrl) = chained_setup(&ep, &cfg)?;
+impl<W: Wire> Pipelined<W> {
+    /// Build the client side; the peer must be a [`PipelinedServer<W>`]
+    /// being constructed concurrently (some wires handshake).
+    fn connect(ep: Endpoint, cfg: ProtocolConfig) -> Result<Pipelined<W>> {
         let window = cfg.ring_slots;
-        Ok(PipelinedChainedWrite {
-            ep,
-            cfg,
-            in_ring,
-            out_stage,
-            peer_ring,
-            ctrl,
+        let link = Link { ep, cfg };
+        let wire = W::setup(&link)?;
+        Ok(Pipelined {
+            link,
+            wire,
             win: Window::new(window),
-            staged: Vec::with_capacity(2 * window),
+            staged: Vec::with_capacity(W::WRS_PER_MSG * window),
         })
     }
 
-    fn absorb(&mut self, msg: &[u8]) -> Result<()> {
-        let (len, token) = decode_notify(msg)?;
-        let base = self.win.slot_of(token) * self.cfg.max_msg;
-        let mut buf = PoolBuf::for_overwrite(len);
-        self.in_ring.read(base, buf.as_mut_slice())?;
-        self.win.complete(token, buf)
-    }
-}
-
-/// Shared geometry for both sides of a pipelined chained-write channel:
-/// register the per-slot in-ring and staging stripes, exchange ring
-/// advertisements (before any control recv is posted — receive queues are
-/// FIFO), and build the notify ring.
-type ChainedSetup = (MemoryRegion, MemoryRegion, RemoteBuf, CtrlRing);
-
-fn chained_setup(ep: &Endpoint, cfg: &ProtocolConfig) -> Result<ChainedSetup> {
-    let window = cfg.ring_slots;
-    let in_ring = ep.pd().register(window * cfg.max_msg)?;
-    let out_stage = ep.pd().register(window * cfg.max_msg)?;
-    let blob = in_ring.remote_buf(0, window * cfg.max_msg).encode();
-    let peer_blob = crate::common::exchange_blobs(ep, &blob)?;
-    let peer_ring = RemoteBuf::decode(&peer_blob)?;
-    let ctrl = CtrlRing::new(ep, window, 16, cfg.op_timeout_ns)?;
-    Ok((in_ring, out_stage, peer_ring, ctrl))
-}
-
-impl PipelinedClient for PipelinedChainedWrite {
-    fn submit(&mut self, request: &[u8]) -> Result<Token> {
-        check_len(request.len(), self.cfg.max_msg)?;
-        let (token, slot) = self.win.begin()?;
-        let base = slot * self.cfg.max_msg;
-        // Zero-copy staging, as in the synchronous variant: no memcpy is
-        // charged for writing into the registered stripe.
-        self.out_stage.write(base, request)?;
-        let dst = self.peer_ring.sub(base as u64, request.len() as u64);
-        self.staged.push(SendWr::write(token, self.out_stage.slice(base, request.len()), dst));
-        self.staged.push(SendWr::send_inline(token, &encode_notify(request.len(), token)));
-        note_submit(&self.ep, self.win.in_flight);
-        Ok(token)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let batch = self.staged.len();
-        self.ep.post_send(&self.staged)?;
-        self.staged.clear();
-        note_doorbell(&self.ep, batch);
-        Ok(())
-    }
-
-    fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>> {
-        self.flush()?;
-        if let Some(done) = self.win.take_any() {
-            return Ok(Some(done));
-        }
-        while let Some(msg) = self.ctrl.try_recv()? {
-            self.absorb(&msg)?;
-        }
-        Ok(self.win.take_any())
-    }
-
-    fn wait(&mut self, token: Token) -> Result<PoolBuf> {
-        self.flush()?;
-        loop {
-            // Drain ready notifications before blocking so a batch of
-            // responses frees a batch of slots at once.
-            while let Some(msg) = self.ctrl.try_recv()? {
-                self.absorb(&msg)?;
-            }
-            if let Some(buf) = self.win.try_take(token)? {
-                return Ok(buf);
-            }
-            let msg =
-                self.ctrl.recv(self.cfg.poll)?.ok_or(hat_rdma_sim::RdmaError::Disconnected)?;
-            self.absorb(&msg)?;
-        }
-    }
-
-    fn try_wait(&mut self, token: Token) -> Result<Option<PoolBuf>> {
-        self.flush()?;
-        while let Some(msg) = self.ctrl.try_recv()? {
-            self.absorb(&msg)?;
-        }
-        self.win.try_take(token)
-    }
-
-    fn window(&self) -> usize {
-        self.win.len()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.win.in_flight
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ChainedWriteSend
-    }
-}
-
-/// Server peer for [`PipelinedChainedWrite`]: requests land in per-slot
-/// stripes of the pre-known ring; responses are WRITE + chained SEND with
-/// the request's token, one doorbell per response.
-pub struct PipelinedChainedWriteServer {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    in_ring: MemoryRegion,
-    out_stage: MemoryRegion,
-    peer_ring: RemoteBuf,
-    ctrl: CtrlRing,
-}
-
-impl PipelinedChainedWriteServer {
-    /// Build the server side.
-    pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedChainedWriteServer> {
-        let (in_ring, out_stage, peer_ring, ctrl) = chained_setup(&ep, &cfg)?;
-        Ok(PipelinedChainedWriteServer { ep, cfg, in_ring, out_stage, peer_ring, ctrl })
-    }
-
-    /// Serve the request a received notify describes: read it out of its
-    /// in-ring stripe, run the handler, and post the WRITE + chained SEND
-    /// response pair.
-    fn respond(&mut self, msg: &[u8], handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
-        let (len, token) = decode_notify(msg)?;
-        let slot = token as usize % self.cfg.ring_slots;
-        let base = slot * self.cfg.max_msg;
-        let request = self.in_ring.read_vec(base, len)?;
-
-        let response = handler(&request);
-        check_len(response.len(), self.cfg.max_msg)?;
-        self.out_stage.write(base, &response)?;
-        let dst = self.peer_ring.sub(base as u64, response.len() as u64);
-        self.ep.post_send(&[
-            SendWr::write(token, self.out_stage.slice(base, response.len()), dst),
-            SendWr::send_inline(token, &encode_notify(response.len(), token)),
-        ])
-    }
-}
-
-impl RpcServer for PipelinedChainedWriteServer {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(msg) = self.ctrl.recv(self.cfg.poll)? else { return Ok(false) };
-        self.respond(&msg, handler)?;
-        Ok(true)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ChainedWriteSend
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Direct-WriteIMM, pipelined.
-// ---------------------------------------------------------------------------
-
-/// In-slot header for the IMM variant: 4-byte length + 8-byte token. The
-/// immediate only carries the slot index; the header disambiguates which
-/// token currently occupies the slot.
-const IMM_HDR: usize = 12;
-
-/// Pipelined Direct-WriteIMM: one WRITE_WITH_IMM per message (imm = window
-/// slot), per-slot stripes on both sides, batched under one doorbell per
-/// flush. The fastest pipelined small-message path, matching Figure 4.
-pub struct PipelinedWriteImm {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    in_ring: MemoryRegion,
-    out_stage: MemoryRegion,
-    peer_ring: RemoteBuf,
-    imm_dummy: MemoryRegion,
-    slot_size: usize,
-    win: Window,
-    staged: Vec<SendWr>,
-}
-
-/// Register the stripes, exchange ring advertisements, and pre-post the
-/// zero-length receives WRITE_WITH_IMM completions consume.
-type ImmSetup = (MemoryRegion, MemoryRegion, RemoteBuf, MemoryRegion);
-
-fn imm_setup(ep: &Endpoint, cfg: &ProtocolConfig, slot_size: usize) -> Result<ImmSetup> {
-    let window = cfg.ring_slots;
-    let in_ring = ep.pd().register(window * slot_size)?;
-    let out_stage = ep.pd().register(window * slot_size)?;
-    let blob = in_ring.remote_buf(0, window * slot_size).encode();
-    let peer_blob = crate::common::exchange_blobs(ep, &blob)?;
-    let peer_ring = RemoteBuf::decode(&peer_blob)?;
-    let dummy = ep.pd().register(1)?;
-    for i in 0..window {
-        ep.post_recv(RecvWr::new(i as u64, dummy.clone(), 0, 0))?;
-    }
-    Ok((in_ring, out_stage, peer_ring, dummy))
-}
-
-impl PipelinedWriteImm {
-    /// Build the client side.
-    pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedWriteImm> {
-        let slot_size = IMM_HDR + cfg.max_msg;
-        let (in_ring, out_stage, peer_ring, imm_dummy) = imm_setup(&ep, &cfg, slot_size)?;
-        let window = cfg.ring_slots;
-        Ok(PipelinedWriteImm {
-            ep,
-            cfg,
-            in_ring,
-            out_stage,
-            peer_ring,
-            imm_dummy,
-            slot_size,
-            win: Window::new(window),
-            staged: Vec::with_capacity(window),
-        })
-    }
-
+    /// Drain every response the CQ has ready, without blocking.
     fn pump(&mut self) -> Result<()> {
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
+        while let Some(comp) = self.link.ep.recv_cq().try_poll() {
             self.absorb(comp)?;
         }
         Ok(())
     }
 
-    fn absorb(&mut self, comp: hat_rdma_sim::Completion) -> Result<()> {
-        comp.ok()?;
-        let slot = comp.imm.expect("WRITE_WITH_IMM carries the slot index") as usize;
-        let base = slot * self.slot_size;
-        let mut hdr = [0u8; IMM_HDR];
-        self.in_ring.read(base, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
-        let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        let mut buf = PoolBuf::for_overwrite(len);
-        self.in_ring.read(base + IMM_HDR, buf.as_mut_slice())?;
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.imm_dummy.clone(), 0, 0))?;
-        self.win.complete(token, buf)
+    /// Bank the response behind one receive completion in the window.
+    fn absorb(&mut self, comp: Completion) -> Result<()> {
+        let (token, _, response) = self.wire.absorb(&self.link, comp)?;
+        self.win.complete(token, response)
     }
 }
 
-impl PipelinedClient for PipelinedWriteImm {
+impl<W: Wire> PipelinedClient for Pipelined<W> {
     fn submit(&mut self, request: &[u8]) -> Result<Token> {
-        check_len(request.len(), self.cfg.max_msg)?;
-        // Any free slot: the slot rides in the IMM and the token in the
-        // slot header, both ways, so nothing pins a token to
-        // `token % window` (see `PipelinedEager::submit`).
-        let (token, slot) = self.win.begin_any()?;
-        let base = slot * self.slot_size;
-        self.out_stage.write(base, &(request.len() as u32).to_le_bytes())?;
-        self.out_stage.write(base + 4, &token.to_le_bytes())?;
-        self.out_stage.write(base + IMM_HDR, request)?;
-        let total = IMM_HDR + request.len();
-        self.staged.push(SendWr::write_imm(
-            token,
-            self.out_stage.slice(base, total),
-            self.peer_ring.sub(base as u64, total as u64),
-            slot as u32,
-        ));
-        note_submit(&self.ep, self.win.in_flight);
+        check_len(request.len(), self.link.cfg.max_msg)?;
+        let (token, slot) = if W::PINS_TOKEN { self.win.begin()? } else { self.win.begin_any()? };
+        self.wire.stage(&self.link, token, slot, request, &mut self.staged)?;
+        note_submit(&self.link.ep, self.win.in_flight);
         Ok(token)
     }
 
@@ -886,9 +414,9 @@ impl PipelinedClient for PipelinedWriteImm {
             return Ok(());
         }
         let batch = self.staged.len();
-        self.ep.post_send(&self.staged)?;
+        self.link.ep.post_send(&self.staged)?;
         self.staged.clear();
-        note_doorbell(&self.ep, batch);
+        note_doorbell(&self.link.ep, batch);
         Ok(())
     }
 
@@ -912,8 +440,9 @@ impl PipelinedClient for PipelinedWriteImm {
             if let Some(buf) = self.win.try_take(token)? {
                 return Ok(buf);
             }
-            let comp = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)?
-                .ok_or(hat_rdma_sim::RdmaError::Disconnected)?;
+            let Link { ep, cfg } = &self.link;
+            let comp =
+                poll_recv(ep, cfg.poll, cfg.op_timeout_ns)?.ok_or(RdmaError::Disconnected)?;
             self.absorb(comp)?;
         }
     }
@@ -933,457 +462,16 @@ impl PipelinedClient for PipelinedWriteImm {
     }
 
     fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DirectWriteImm
-    }
-}
-
-/// Server peer for [`PipelinedWriteImm`].
-pub struct PipelinedWriteImmServer {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    in_ring: MemoryRegion,
-    out_stage: MemoryRegion,
-    peer_ring: RemoteBuf,
-    imm_dummy: MemoryRegion,
-    slot_size: usize,
-    /// Reusable response-staging scratch.
-    staged: Vec<SendWr>,
-}
-
-impl PipelinedWriteImmServer {
-    /// Build the server side.
-    pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedWriteImmServer> {
-        let slot_size = IMM_HDR + cfg.max_msg;
-        let (in_ring, out_stage, peer_ring, imm_dummy) = imm_setup(&ep, &cfg, slot_size)?;
-        let staged = Vec::with_capacity(cfg.ring_slots);
-        Ok(PipelinedWriteImmServer {
-            ep,
-            cfg,
-            in_ring,
-            out_stage,
-            peer_ring,
-            imm_dummy,
-            slot_size,
-            staged,
-        })
-    }
-
-    /// [`serve_burst`] over this connection's staging scratch.
-    fn serve_ready(
-        &mut self,
-        first: Option<hat_rdma_sim::Completion>,
-        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
-    ) -> Result<usize> {
-        let mut staged = std::mem::take(&mut self.staged);
-        let served = serve_burst(&self.ep, self.cfg.ring_slots, &mut staged, first, |c, out| {
-            self.stage_response(c, handler, out)
-        });
-        self.staged = staged;
-        served
-    }
-
-    /// Handle the request in `comp`'s ring slot, staging (not posting) the
-    /// response WRITE_WITH_IMM.
-    fn stage_response(
-        &self,
-        comp: hat_rdma_sim::Completion,
-        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
-        staged: &mut Vec<SendWr>,
-    ) -> Result<()> {
-        comp.ok()?;
-        let slot = comp.imm.expect("WRITE_WITH_IMM carries the slot index") as usize;
-        let base = slot * self.slot_size;
-        let mut hdr = [0u8; IMM_HDR];
-        self.in_ring.read(base, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
-        let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        let request = self.in_ring.read_vec(base + IMM_HDR, len)?;
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.imm_dummy.clone(), 0, 0))?;
-
-        let response = handler(&request);
-        check_len(response.len(), self.cfg.max_msg)?;
-        self.out_stage.write(base, &(response.len() as u32).to_le_bytes())?;
-        self.out_stage.write(base + 4, &token.to_le_bytes())?;
-        self.out_stage.write(base + IMM_HDR, &response)?;
-        let total = IMM_HDR + response.len();
-        staged.push(SendWr::write_imm(
-            token,
-            self.out_stage.slice(base, total),
-            self.peer_ring.sub(base as u64, total as u64),
-            slot as u32,
-        ));
-        Ok(())
-    }
-}
-
-impl RpcServer for PipelinedWriteImmServer {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(comp) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-            return Ok(false);
-        };
-        let mut staged = Vec::with_capacity(1);
-        self.stage_response(comp, handler, &mut staged)?;
-        self.ep.post_send(&staged)?;
-        Ok(true)
-    }
-
-    fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
-        // Block for the head of a burst, then drain without blocking.
-        while let Some(first) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? {
-            self.serve_ready(Some(first), handler)?;
-        }
-        Ok(())
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DirectWriteImm
+        W::KIND
     }
 }
 
 // ---------------------------------------------------------------------------
-// Hybrid-EagerRNDV, pipelined.
+// The server driver, for a blocking thread and a reactor alike.
 // ---------------------------------------------------------------------------
 
-/// Frame header: 1-byte tag + 8-byte length + 8-byte token.
-const HY_HDR: usize = 17;
-const HY_EAGER: u8 = 0;
-const HY_RTS: u8 = 1;
-
-/// Pipelined Hybrid-EagerRNDV: payloads at or below the threshold ride
-/// eager frames; larger ones are staged in a per-slot rendezvous stripe
-/// and advertised with an RTS the peer READs from. No FIN messages are
-/// needed: slot reuse is gated on the caller taking the response, by which
-/// point the slot's staging stripe is provably no longer referenced.
-pub struct PipelinedHybrid {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    ring: MemoryRegion,
-    eager_stage: MemoryRegion,
-    rndv_stage: MemoryRegion,
-    landing: MemoryRegion,
-    slot_size: usize,
-    win: Window,
-    staged: Vec<SendWr>,
-}
-
-/// Frame-slot geometry shared by both sides.
-fn hybrid_slot_size(cfg: &ProtocolConfig) -> usize {
-    HY_HDR + cfg.eager_threshold.max(RemoteBuf::WIRE_SIZE)
-}
-
-fn write_hybrid_hdr(
-    mr: &MemoryRegion,
-    base: usize,
-    tag: u8,
-    len: usize,
-    token: Token,
-) -> Result<()> {
-    mr.write(base, &[tag])?;
-    mr.write(base + 1, &(len as u64).to_le_bytes())?;
-    mr.write(base + 9, &token.to_le_bytes())
-}
-
-impl PipelinedHybrid {
-    /// Build the client side; the peer must be a [`PipelinedHybridServer`].
-    pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedHybrid> {
-        let window = cfg.ring_slots;
-        let slot_size = hybrid_slot_size(&cfg);
-        let ring = ep.pd().register(window * slot_size)?;
-        for i in 0..window {
-            ep.post_recv(RecvWr::new(i as u64, ring.clone(), i * slot_size, slot_size))?;
-        }
-        let eager_stage = ep.pd().register(window * slot_size)?;
-        let rndv_stage = ep.pd().register(window * cfg.max_msg)?;
-        let landing = ep.pd().register(window * cfg.max_msg)?;
-        Ok(PipelinedHybrid {
-            ep,
-            cfg,
-            ring,
-            eager_stage,
-            rndv_stage,
-            landing,
-            slot_size,
-            win: Window::new(window),
-            staged: Vec::with_capacity(window),
-        })
-    }
-
-    fn pump(&mut self) -> Result<()> {
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            self.absorb(comp)?;
-        }
-        Ok(())
-    }
-
-    fn absorb(&mut self, comp: hat_rdma_sim::Completion) -> Result<()> {
-        comp.ok()?;
-        let rslot = comp.wr_id as usize % self.win.len();
-        let base = rslot * self.slot_size;
-        let mut hdr = [0u8; HY_HDR];
-        self.ring.read(base, &mut hdr)?;
-        let tag = hdr[0];
-        let len = u64::from_le_bytes(hdr[1..9].try_into().expect("8B")) as usize;
-        let token = u64::from_le_bytes(hdr[9..17].try_into().expect("8B"));
-        match tag {
-            HY_EAGER => {
-                let copy = charge_memcpy(&self.ep, len);
-                let mut buf = PoolBuf::for_overwrite(len);
-                self.ring.read(base + HY_HDR, buf.as_mut_slice())?;
-                drop(copy);
-                self.recycle(comp.wr_id, base)?;
-                self.win.complete(token, buf)
-            }
-            HY_RTS => {
-                let mut enc = [0u8; RemoteBuf::WIRE_SIZE];
-                self.ring.read(base + HY_HDR, &mut enc)?;
-                self.recycle(comp.wr_id, base)?;
-                let src = RemoteBuf::decode(&enc)?;
-                // READ the staged response into this slot's landing stripe.
-                let dbase = self.win.slot_of(token) * self.cfg.max_msg;
-                self.ep.post_send(&[SendWr::read(
-                    token,
-                    self.landing.slice(dbase, len),
-                    src.sub(0, len as u64),
-                )
-                .signaled()])?;
-                self.ep.send_cq().poll_timeout(self.cfg.poll, self.cfg.op_timeout_ns)?.ok()?;
-                let mut buf = PoolBuf::for_overwrite(len);
-                self.landing.read(dbase, buf.as_mut_slice())?;
-                self.win.complete(token, buf)
-            }
-            other => Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "unexpected pipelined hybrid tag {other}"
-            ))),
-        }
-    }
-
-    fn recycle(&self, wr_id: u64, base: usize) -> Result<()> {
-        self.ep.post_recv(RecvWr::new(wr_id, self.ring.clone(), base, self.slot_size))
-    }
-}
-
-impl PipelinedClient for PipelinedHybrid {
-    fn submit(&mut self, request: &[u8]) -> Result<Token> {
-        check_len(request.len(), self.cfg.max_msg)?;
-        let (token, slot) = self.win.begin()?;
-        let fbase = slot * self.slot_size;
-        if request.len() <= self.cfg.eager_threshold {
-            let copy = charge_memcpy(&self.ep, request.len());
-            write_hybrid_hdr(&self.eager_stage, fbase, HY_EAGER, request.len(), token)?;
-            self.eager_stage.write(fbase + HY_HDR, request)?;
-            drop(copy);
-            self.staged
-                .push(SendWr::send(token, self.eager_stage.slice(fbase, HY_HDR + request.len())));
-        } else {
-            // Stage zero-copy in this slot's rendezvous stripe; the server
-            // READs it before its response can possibly arrive.
-            let sbase = slot * self.cfg.max_msg;
-            self.rndv_stage.write(sbase, request)?;
-            let rb = self.rndv_stage.remote_buf(sbase, request.len());
-            write_hybrid_hdr(&self.eager_stage, fbase, HY_RTS, request.len(), token)?;
-            self.eager_stage.write(fbase + HY_HDR, &rb.encode())?;
-            self.staged.push(SendWr::send(
-                token,
-                self.eager_stage.slice(fbase, HY_HDR + RemoteBuf::WIRE_SIZE),
-            ));
-        }
-        note_submit(&self.ep, self.win.in_flight);
-        Ok(token)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let batch = self.staged.len();
-        self.ep.post_send(&self.staged)?;
-        self.staged.clear();
-        note_doorbell(&self.ep, batch);
-        Ok(())
-    }
-
-    fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>> {
-        self.flush()?;
-        if let Some(done) = self.win.take_any() {
-            return Ok(Some(done));
-        }
-        self.pump()?;
-        Ok(self.win.take_any())
-    }
-
-    fn wait(&mut self, token: Token) -> Result<PoolBuf> {
-        self.flush()?;
-        loop {
-            // Drain the whole ready batch before (possibly) blocking: the
-            // peer posts response bursts under one doorbell, and absorbing
-            // them together frees a burst of slots for the caller to refill
-            // under one doorbell of its own.
-            self.pump()?;
-            if let Some(buf) = self.win.try_take(token)? {
-                return Ok(buf);
-            }
-            let comp = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)?
-                .ok_or(hat_rdma_sim::RdmaError::Disconnected)?;
-            self.absorb(comp)?;
-        }
-    }
-
-    fn try_wait(&mut self, token: Token) -> Result<Option<PoolBuf>> {
-        self.flush()?;
-        // `pump` absorbs RNDV responses with a nested synchronous READ;
-        // that READ's completion is bounded by the op timeout, so this
-        // stays "non-blocking" in the sense async callers need: it never
-        // parks waiting for the *peer* to produce anything new.
-        self.pump()?;
-        self.win.try_take(token)
-    }
-
-    fn window(&self) -> usize {
-        self.win.len()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.win.in_flight
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HybridEagerRndv
-    }
-}
-
-/// Server peer for [`PipelinedHybrid`].
-pub struct PipelinedHybridServer {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    ring: MemoryRegion,
-    eager_stage: MemoryRegion,
-    rndv_stage: MemoryRegion,
-    landing: MemoryRegion,
-    slot_size: usize,
-}
-
-impl PipelinedHybridServer {
-    /// Build the server side.
-    pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedHybridServer> {
-        let window = cfg.ring_slots;
-        let slot_size = hybrid_slot_size(&cfg);
-        let ring = ep.pd().register(window * slot_size)?;
-        for i in 0..window {
-            ep.post_recv(RecvWr::new(i as u64, ring.clone(), i * slot_size, slot_size))?;
-        }
-        let eager_stage = ep.pd().register(slot_size)?;
-        let rndv_stage = ep.pd().register(window * cfg.max_msg)?;
-        let landing = ep.pd().register(window * cfg.max_msg)?;
-        Ok(PipelinedHybridServer { ep, cfg, ring, eager_stage, rndv_stage, landing, slot_size })
-    }
-
-    /// Serve the request behind one receive completion: decode the frame,
-    /// READ the rendezvous payload if advertised, run the handler, and
-    /// post the response (eager or RTS). The single `eager_stage` response
-    /// buffer is reused per response, so each response is posted before
-    /// the next request is decoded — hybrid drains cannot doorbell-batch.
-    fn serve_comp(
-        &mut self,
-        comp: hat_rdma_sim::Completion,
-        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
-    ) -> Result<()> {
-        comp.ok()?;
-        let rslot = comp.wr_id as usize % self.cfg.ring_slots;
-        let base = rslot * self.slot_size;
-        let mut hdr = [0u8; HY_HDR];
-        self.ring.read(base, &mut hdr)?;
-        let tag = hdr[0];
-        let len = u64::from_le_bytes(hdr[1..9].try_into().expect("8B")) as usize;
-        let token = u64::from_le_bytes(hdr[9..17].try_into().expect("8B"));
-        let slot = token as usize % self.cfg.ring_slots;
-        let request = match tag {
-            HY_EAGER => {
-                let copy = charge_memcpy(&self.ep, len);
-                let data = self.ring.read_vec(base + HY_HDR, len)?;
-                drop(copy);
-                self.ep.post_recv(RecvWr::new(
-                    comp.wr_id,
-                    self.ring.clone(),
-                    base,
-                    self.slot_size,
-                ))?;
-                data
-            }
-            HY_RTS => {
-                let mut enc = [0u8; RemoteBuf::WIRE_SIZE];
-                self.ring.read(base + HY_HDR, &mut enc)?;
-                self.ep.post_recv(RecvWr::new(
-                    comp.wr_id,
-                    self.ring.clone(),
-                    base,
-                    self.slot_size,
-                ))?;
-                let src = RemoteBuf::decode(&enc)?;
-                let dbase = slot * self.cfg.max_msg;
-                self.ep.post_send(&[SendWr::read(
-                    token,
-                    self.landing.slice(dbase, len),
-                    src.sub(0, len as u64),
-                )
-                .signaled()])?;
-                self.ep.send_cq().poll_timeout(self.cfg.poll, self.cfg.op_timeout_ns)?.ok()?;
-                self.landing.read_vec(dbase, len)?
-            }
-            other => {
-                return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                    "unexpected pipelined hybrid tag {other}"
-                )))
-            }
-        };
-
-        let response = handler(&request);
-        check_len(response.len(), self.cfg.max_msg)?;
-        if response.len() <= self.cfg.eager_threshold {
-            let copy = charge_memcpy(&self.ep, response.len());
-            write_hybrid_hdr(&self.eager_stage, 0, HY_EAGER, response.len(), token)?;
-            self.eager_stage.write(HY_HDR, &response)?;
-            drop(copy);
-            self.ep.post_send(&[SendWr::send(
-                token,
-                self.eager_stage.slice(0, HY_HDR + response.len()),
-            )])?;
-        } else {
-            // Stage the response in this slot's stripe and advertise it;
-            // the client's READ acts as the FIN (see module docs).
-            let sbase = slot * self.cfg.max_msg;
-            self.rndv_stage.write(sbase, &response)?;
-            let rb = self.rndv_stage.remote_buf(sbase, response.len());
-            write_hybrid_hdr(&self.eager_stage, 0, HY_RTS, response.len(), token)?;
-            self.eager_stage.write(HY_HDR, &rb.encode())?;
-            self.ep.post_send(&[SendWr::send(
-                token,
-                self.eager_stage.slice(0, HY_HDR + RemoteBuf::WIRE_SIZE),
-            )])?;
-        }
-        Ok(())
-    }
-}
-
-impl RpcServer for PipelinedHybridServer {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(comp) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-            return Ok(false);
-        };
-        self.serve_comp(comp, handler)?;
-        Ok(true)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HybridEagerRndv
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reactor-driven serving.
-// ---------------------------------------------------------------------------
-
-/// Server side of a pipelined channel driven by an external reactor
-/// instead of a dedicated blocking thread.
+/// Server side of a pipelined channel, for a driver that must not block:
+/// what a reactor needs on top of [`RpcServer`].
 ///
 /// [`RpcServer::serve_loop`] owns its thread and parks it inside
 /// `poll_recv` whenever the connection goes quiet; a reactor driver can
@@ -1392,139 +480,491 @@ impl RpcServer for PipelinedHybridServer {
 /// [`hat_rdma_sim::CqNotify`] registration), and calls [`Self::drain`] when
 /// completions may be ready. `drain` serves every request whose completion
 /// is ready *now* and returns without ever parking, so one driver thread
-/// can resume thousands of connections.
-pub trait ReactorServe: Send {
+/// can resume thousands of connections. The client cannot tell which of
+/// the two forms serves it.
+pub trait ReactorServe: RpcServer {
     /// Serve every ready request, posting responses (doorbell-batched
-    /// where the protocol's staging memory allows). Returns how many
-    /// requests were served; `Ok(0)` means the CQ had nothing ready.
-    /// An error poisons the connection — the reactor retires it.
+    /// where the protocol chains them). Returns how many requests were
+    /// served; `Ok(0)` means the CQ had nothing ready. An error poisons
+    /// the connection — the reactor retires it.
     fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize>;
 
     /// The CQ this connection's request completions arrive on — the
     /// reactor registers its waker here, re-queues the connection while
     /// entries remain, and gates shutdown drains on it being empty.
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue;
+    fn cq(&self) -> &CompletionQueue;
 
     /// False once the peer disconnected or a node died; the reactor
     /// retires the connection after a final drain.
     fn is_open(&self) -> bool;
-
-    /// Which protocol this connection speaks.
-    fn kind(&self) -> ProtocolKind;
 }
 
-impl ReactorServe for PipelinedEagerServer {
+/// A pipelined channel's server side over the wire format `W`: absorb a
+/// request, run the handler, frame the response with the request's token.
+struct PipelinedServer<W> {
+    link: Link,
+    wire: W,
+    /// Reusable response-staging scratch, so a driver multiplexing
+    /// thousands of connections allocates nothing per resume.
+    staged: Vec<SendWr>,
+}
+
+impl<W: Wire> PipelinedServer<W> {
+    /// Build the server side, concurrently with the peer's
+    /// [`Pipelined::connect`].
+    fn accept(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedServer<W>> {
+        let staged = Vec::with_capacity(W::WRS_PER_MSG * cfg.ring_slots);
+        let link = Link { ep, cfg };
+        let wire = W::setup(&link)?;
+        Ok(PipelinedServer { link, wire, staged })
+    }
+
+    /// The one serving primitive, and the server half of the window's flow
+    /// control: answer `first` (the completion a blocking caller waited
+    /// for, if any) and every request completion ready *now*. Responses
+    /// are staged, and the staged chain is posted whenever it reaches half
+    /// a window — the unit `call_many` refills in, so the client's next
+    /// half-window is on the wire while this side is still answering the
+    /// previous one — or the CQ runs dry; a wire that does not chain posts
+    /// each response on its own. Returns how many requests were served.
+    fn serve_ready(
+        &mut self,
+        first: Option<Completion>,
+        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+    ) -> Result<usize> {
+        let Link { ep, cfg } = &self.link;
+        let unit = if W::CHAINS_RESPONSES { (cfg.ring_slots / 2).max(1) } else { 1 };
+        let mut served = 0usize;
+        self.staged.clear();
+        let mut next = first.or_else(|| ep.recv_cq().try_poll());
+        while let Some(comp) = next {
+            let (token, slot, request): (_, _, Vec<u8>) = self.wire.absorb(&self.link, comp)?;
+            let response = handler(&request);
+            check_len(response.len(), cfg.max_msg)?;
+            self.wire.stage(&self.link, token, slot, &response, &mut self.staged)?;
+            served += 1;
+            next = ep.recv_cq().try_poll();
+            if self.staged.len() >= unit || next.is_none() {
+                note_burst(ep, self.staged.len());
+                ep.post_send(&self.staged)?;
+                note_doorbell(ep, self.staged.len());
+                self.staged.clear();
+            }
+        }
+        Ok(served)
+    }
+}
+
+impl<W: Wire> RpcServer for PipelinedServer<W> {
+    /// Block for the head of a burst, then serve it and whatever else is
+    /// ready without blocking: a pipelined peer sends windows, so "one
+    /// request" here is one turn of [`PipelinedServer::serve_ready`].
+    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
+        let Link { ep, cfg } = &self.link;
+        let Some(first) = poll_recv(ep, cfg.poll, cfg.op_timeout_ns)? else { return Ok(false) };
+        self.serve_ready(Some(first), handler)?;
+        Ok(true)
+    }
+
+    fn kind(&self) -> ProtocolKind {
+        W::KIND
+    }
+}
+
+impl<W: Wire> ReactorServe for PipelinedServer<W> {
     fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
         self.serve_ready(None, handler)
     }
 
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
-        self.ep.recv_cq()
+    fn cq(&self) -> &CompletionQueue {
+        self.link.ep.recv_cq()
     }
 
     fn is_open(&self) -> bool {
-        self.ep.is_alive()
+        self.link.ep.is_alive()
     }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::EagerSendRecv
-    }
-}
-
-impl ReactorServe for PipelinedWriteImmServer {
-    fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
-        self.serve_ready(None, handler)
-    }
-
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
-        self.ep.recv_cq()
-    }
-
-    fn is_open(&self) -> bool {
-        self.ep.is_alive()
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DirectWriteImm
-    }
-}
-
-impl ReactorServe for PipelinedChainedWriteServer {
-    fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
-        // Each response is a WRITE + chained SEND pair posted under its
-        // own doorbell (the pair itself is one chain, as in `serve_one`).
-        let mut served = 0usize;
-        while let Some(msg) = self.ctrl.try_recv()? {
-            self.respond(&msg, handler)?;
-            served += 1;
-        }
-        Ok(served)
-    }
-
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
-        // Control-ring notifies arrive as receive completions on the
-        // connection's endpoint.
-        self.ep.recv_cq()
-    }
-
-    fn is_open(&self) -> bool {
-        self.ep.is_alive()
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ChainedWriteSend
-    }
-}
-
-impl ReactorServe for PipelinedHybridServer {
-    fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
-        let mut served = 0usize;
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            // A rendezvous request nests a synchronous READ, bounded by
-            // the op timeout — slow, but never an unbounded park.
-            self.serve_comp(comp, handler)?;
-            served += 1;
-        }
-        Ok(served)
-    }
-
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
-        self.ep.recv_cq()
-    }
-
-    fn is_open(&self) -> bool {
-        self.ep.is_alive()
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HybridEagerRndv
-    }
-}
-
-/// Construct the reactor-driven server peer of a pipelined channel of
-/// `kind`. Wire-compatible with [`connect_client_pipelined`] clients —
-/// the client cannot tell whether a thread or a reactor serves it.
-pub fn accept_server_reactor(
-    kind: ProtocolKind,
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-) -> Result<Box<dyn ReactorServe>> {
-    Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(PipelinedEagerServer::server(ep, cfg)?),
-        ProtocolKind::ChainedWriteSend => Box::new(PipelinedChainedWriteServer::server(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => Box::new(PipelinedWriteImmServer::server(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(PipelinedHybridServer::server(ep, cfg)?),
-        other => {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "{other} has no pipelined implementation"
-            )))
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
-// Factories.
+// The four wire formats.
 // ---------------------------------------------------------------------------
+
+/// The header of an eager frame and of a write-imm slot, and the whole of
+/// a chained-write notify: 4-byte length + 8-byte token, little endian.
+const HDR: usize = 12;
+
+fn frame_hdr(len: usize, token: Token) -> [u8; HDR] {
+    let mut hdr = [0u8; HDR];
+    hdr[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    hdr[4..].copy_from_slice(&token.to_le_bytes());
+    hdr
+}
+
+fn parse_hdr(hdr: &[u8]) -> Result<(usize, Token)> {
+    if hdr.len() < HDR {
+        return Err(RdmaError::InvalidWorkRequest(format!(
+            "pipelined frame header of {} bytes is too short",
+            hdr.len()
+        )));
+    }
+    let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
+    let token = u64::from_le_bytes(hdr[4..HDR].try_into().expect("8B"));
+    Ok((len, token))
+}
+
+/// Read and parse the [`HDR`] at `base` of `mr`.
+fn read_hdr(mr: &MemoryRegion, base: usize) -> Result<(usize, Token)> {
+    let mut hdr = [0u8; HDR];
+    mr.read(base, &mut hdr)?;
+    parse_hdr(&hdr)
+}
+
+/// A region of `window` slots with one receive pre-posted per slot.
+fn posted_ring(ep: &Endpoint, window: usize, slot_size: usize) -> Result<MemoryRegion> {
+    let ring = ep.pd().register(window * slot_size)?;
+    for i in 0..window {
+        ep.post_recv(RecvWr::new(i as u64, ring.clone(), i * slot_size, slot_size))?;
+    }
+    Ok(ring)
+}
+
+/// A landing region of `window` stripes and a staging region to match,
+/// plus the peer's landing region, advertised over the handshake (which
+/// must run before any other receive is posted — receive queues are FIFO).
+fn striped_setup(
+    ep: &Endpoint,
+    window: usize,
+    stripe: usize,
+) -> Result<(MemoryRegion, MemoryRegion, RemoteBuf)> {
+    let in_ring = ep.pd().register(window * stripe)?;
+    let out_stage = ep.pd().register(window * stripe)?;
+    let blob = in_ring.remote_buf(0, window * stripe).encode();
+    let peer_ring = RemoteBuf::decode(&exchange_blobs(ep, &blob)?)?;
+    Ok((in_ring, out_stage, peer_ring))
+}
+
+/// Eager-SendRecv: a per-slot send ring (so staged frames survive until
+/// the batched post), a pre-posted receive ring, one SEND per frame. The
+/// token rides in the frame and is echoed back with each response.
+struct EagerWire {
+    send_ring: MemoryRegion,
+    recv_ring: MemoryRegion,
+    slot_size: usize,
+}
+
+impl Wire for EagerWire {
+    const KIND: ProtocolKind = ProtocolKind::EagerSendRecv;
+    const PINS_TOKEN: bool = false;
+    const CHAINS_RESPONSES: bool = true;
+    const WRS_PER_MSG: usize = 1;
+
+    fn setup(link: &Link) -> Result<EagerWire> {
+        let window = link.cfg.ring_slots;
+        let slot_size = HDR + link.cfg.max_msg;
+        let recv_ring = posted_ring(&link.ep, window, slot_size)?;
+        // One send slot per receive slot. The NIC snapshots a frame at
+        // post time, so a server restaging slot `i` when a new request
+        // occupies recv slot `i` cannot corrupt an in-flight response.
+        let send_ring = link.ep.pd().register(window * slot_size)?;
+        Ok(EagerWire { send_ring, recv_ring, slot_size })
+    }
+
+    fn stage(
+        &self,
+        link: &Link,
+        token: Token,
+        slot: usize,
+        payload: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()> {
+        let base = slot * self.slot_size;
+        let copy = charge_memcpy(&link.ep, payload.len());
+        self.send_ring.write(base, &frame_hdr(payload.len(), token))?;
+        self.send_ring.write(base + HDR, payload)?;
+        drop(copy);
+        staged.push(SendWr::send(token, self.send_ring.slice(base, HDR + payload.len())));
+        Ok(())
+    }
+
+    fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)> {
+        comp.ok()?;
+        let slot = comp.wr_id as usize % link.cfg.ring_slots;
+        let base = slot * self.slot_size;
+        let (len, token) = read_hdr(&self.recv_ring, base)?;
+        let copy = charge_memcpy(&link.ep, len);
+        let payload = B::land(&self.recv_ring, base + HDR, len)?;
+        drop(copy);
+        link.ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
+        Ok((token, slot, payload))
+    }
+}
+
+/// Chained-Write-Send: each window slot owns a stripe of the peer's
+/// pre-known ring; a message is a WRITE into that stripe plus a chained
+/// inline SEND notify carrying length and token, so a flush posts the
+/// whole `(WRITE, SEND)*` chain under one doorbell.
+struct ChainedWire {
+    /// Per-slot landing stripes the peer WRITEs into.
+    in_ring: MemoryRegion,
+    /// Per-slot staging stripes outbound WRITEs are issued from.
+    out_stage: MemoryRegion,
+    /// The peer's advertised in-ring.
+    peer_ring: RemoteBuf,
+    ctrl: CtrlRing,
+}
+
+impl Wire for ChainedWire {
+    const KIND: ProtocolKind = ProtocolKind::ChainedWriteSend;
+    const PINS_TOKEN: bool = true;
+    const CHAINS_RESPONSES: bool = false;
+    const WRS_PER_MSG: usize = 2;
+
+    fn setup(link: &Link) -> Result<ChainedWire> {
+        let Link { ep, cfg } = link;
+        let (in_ring, out_stage, peer_ring) = striped_setup(ep, cfg.ring_slots, cfg.max_msg)?;
+        let ctrl = CtrlRing::new(ep, cfg.ring_slots, 16, cfg.op_timeout_ns)?;
+        Ok(ChainedWire { in_ring, out_stage, peer_ring, ctrl })
+    }
+
+    fn stage(
+        &self,
+        link: &Link,
+        token: Token,
+        slot: usize,
+        payload: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()> {
+        let base = slot * link.cfg.max_msg;
+        // Zero-copy staging, as in the synchronous variant: no memcpy is
+        // charged for writing into the registered stripe.
+        self.out_stage.write(base, payload)?;
+        let dst = self.peer_ring.sub(base as u64, payload.len() as u64);
+        staged.push(SendWr::write(token, self.out_stage.slice(base, payload.len()), dst));
+        staged.push(SendWr::send_inline(token, &frame_hdr(payload.len(), token)));
+        Ok(())
+    }
+
+    fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)> {
+        // Notifies arrive as receive completions on the control ring.
+        let (len, token) = parse_hdr(&self.ctrl.read_slot(comp)?)?;
+        let slot = token as usize % link.cfg.ring_slots;
+        let payload = B::land(&self.in_ring, slot * link.cfg.max_msg, len)?;
+        Ok((token, slot, payload))
+    }
+}
+
+/// Direct-WriteIMM: one WRITE_WITH_IMM per message into the peer's
+/// per-slot stripe, batched under one doorbell per flush — the fastest
+/// pipelined small-message path, matching Figure 4. The immediate only
+/// carries the slot index; the in-slot header disambiguates which token
+/// currently occupies the slot.
+struct ImmWire {
+    in_ring: MemoryRegion,
+    out_stage: MemoryRegion,
+    peer_ring: RemoteBuf,
+    /// Target of the zero-length receives WRITE_WITH_IMM completions
+    /// consume.
+    imm_dummy: MemoryRegion,
+    slot_size: usize,
+}
+
+impl Wire for ImmWire {
+    const KIND: ProtocolKind = ProtocolKind::DirectWriteImm;
+    const PINS_TOKEN: bool = false;
+    const CHAINS_RESPONSES: bool = true;
+    const WRS_PER_MSG: usize = 1;
+
+    fn setup(link: &Link) -> Result<ImmWire> {
+        let Link { ep, cfg } = link;
+        let slot_size = HDR + cfg.max_msg;
+        let (in_ring, out_stage, peer_ring) = striped_setup(ep, cfg.ring_slots, slot_size)?;
+        let imm_dummy = ep.pd().register(1)?;
+        for i in 0..cfg.ring_slots {
+            ep.post_recv(RecvWr::new(i as u64, imm_dummy.clone(), 0, 0))?;
+        }
+        Ok(ImmWire { in_ring, out_stage, peer_ring, imm_dummy, slot_size })
+    }
+
+    fn stage(
+        &self,
+        _link: &Link,
+        token: Token,
+        slot: usize,
+        payload: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()> {
+        let base = slot * self.slot_size;
+        self.out_stage.write(base, &frame_hdr(payload.len(), token))?;
+        self.out_stage.write(base + HDR, payload)?;
+        let total = HDR + payload.len();
+        staged.push(SendWr::write_imm(
+            token,
+            self.out_stage.slice(base, total),
+            self.peer_ring.sub(base as u64, total as u64),
+            slot as u32,
+        ));
+        Ok(())
+    }
+
+    fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)> {
+        comp.ok()?;
+        let slot = comp.imm.ok_or_else(|| {
+            RdmaError::InvalidWorkRequest("write-imm completion carries no slot index".into())
+        })? as usize;
+        let base = slot * self.slot_size;
+        let (len, token) = read_hdr(&self.in_ring, base)?;
+        let payload = B::land(&self.in_ring, base + HDR, len)?;
+        link.ep.post_recv(RecvWr::new(comp.wr_id, self.imm_dummy.clone(), 0, 0))?;
+        Ok((token, slot, payload))
+    }
+}
+
+/// Hybrid frame header: 1-byte tag + 8-byte length + 8-byte token.
+const HY_HDR: usize = 17;
+const HY_EAGER: u8 = 0;
+const HY_RTS: u8 = 1;
+
+/// Hybrid-EagerRNDV: payloads at or below the threshold ride eager frames;
+/// larger ones are staged in a per-slot rendezvous stripe and advertised
+/// with an RTS the peer READs from. No FIN messages are needed: slot reuse
+/// is gated on the caller taking the response, by which point the slot's
+/// staging stripe is provably no longer referenced — the client's READ of
+/// a response acts as its FIN.
+struct HybridWire {
+    /// Pre-posted frame ring (eager frames and RTS advertisements land here).
+    ring: MemoryRegion,
+    /// Per-slot staging for outbound frames.
+    frame_stage: MemoryRegion,
+    /// Per-slot stripes large payloads are advertised from …
+    rndv_stage: MemoryRegion,
+    /// … and READ into.
+    landing: MemoryRegion,
+    slot_size: usize,
+}
+
+impl HybridWire {
+    /// Write a frame — header plus `body` — into `slot` of the frame stage
+    /// and push its SEND. `len` is the payload's length, which an RTS
+    /// body (an advertisement) does not have.
+    fn stage_frame(
+        &self,
+        tag: u8,
+        len: usize,
+        token: Token,
+        slot: usize,
+        body: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()> {
+        let base = slot * self.slot_size;
+        let mut hdr = [0u8; HY_HDR];
+        hdr[0] = tag;
+        hdr[1..9].copy_from_slice(&(len as u64).to_le_bytes());
+        hdr[9..].copy_from_slice(&token.to_le_bytes());
+        self.frame_stage.write(base, &hdr)?;
+        self.frame_stage.write(base + HY_HDR, body)?;
+        staged.push(SendWr::send(token, self.frame_stage.slice(base, HY_HDR + body.len())));
+        Ok(())
+    }
+}
+
+impl Wire for HybridWire {
+    const KIND: ProtocolKind = ProtocolKind::HybridEagerRndv;
+    const PINS_TOKEN: bool = true;
+    const CHAINS_RESPONSES: bool = false;
+    const WRS_PER_MSG: usize = 1;
+
+    fn setup(link: &Link) -> Result<HybridWire> {
+        let Link { ep, cfg } = link;
+        let window = cfg.ring_slots;
+        let slot_size = HY_HDR + cfg.eager_threshold.max(RemoteBuf::WIRE_SIZE);
+        let ring = posted_ring(ep, window, slot_size)?;
+        let frame_stage = ep.pd().register(window * slot_size)?;
+        let rndv_stage = ep.pd().register(window * cfg.max_msg)?;
+        let landing = ep.pd().register(window * cfg.max_msg)?;
+        Ok(HybridWire { ring, frame_stage, rndv_stage, landing, slot_size })
+    }
+
+    fn stage(
+        &self,
+        link: &Link,
+        token: Token,
+        slot: usize,
+        payload: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()> {
+        if payload.len() <= link.cfg.eager_threshold {
+            let _copy = charge_memcpy(&link.ep, payload.len());
+            return self.stage_frame(HY_EAGER, payload.len(), token, slot, payload, staged);
+        }
+        // Stage zero-copy in this slot's rendezvous stripe; the peer READs
+        // it before anything that could overwrite it can be submitted.
+        let sbase = slot * link.cfg.max_msg;
+        self.rndv_stage.write(sbase, payload)?;
+        let rb = self.rndv_stage.remote_buf(sbase, payload.len());
+        self.stage_frame(HY_RTS, payload.len(), token, slot, &rb.encode(), staged)
+    }
+
+    /// An RTS nests a synchronous READ, bounded by the op timeout — slow,
+    /// but never an unbounded park: `try_wait` and `drain` stay
+    /// "non-blocking" in the sense their callers need, never waiting for
+    /// the *peer* to produce anything new.
+    fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)> {
+        comp.ok()?;
+        let Link { ep, cfg } = link;
+        let base = (comp.wr_id as usize % cfg.ring_slots) * self.slot_size;
+        let recycle =
+            || ep.post_recv(RecvWr::new(comp.wr_id, self.ring.clone(), base, self.slot_size));
+        let mut hdr = [0u8; HY_HDR];
+        self.ring.read(base, &mut hdr)?;
+        let len = wire_len(&hdr[1..9]);
+        let token = u64::from_le_bytes(hdr[9..17].try_into().expect("8B"));
+        let slot = token as usize % cfg.ring_slots;
+        let payload = match hdr[0] {
+            HY_EAGER => {
+                let copy = charge_memcpy(ep, len);
+                let payload = B::land(&self.ring, base + HY_HDR, len)?;
+                drop(copy);
+                recycle()?;
+                payload
+            }
+            HY_RTS => {
+                let mut enc = [0u8; RemoteBuf::WIRE_SIZE];
+                self.ring.read(base + HY_HDR, &mut enc)?;
+                recycle()?;
+                let src = RemoteBuf::decode(&enc)?;
+                // READ the advertised payload into this slot's landing stripe.
+                let dbase = slot * cfg.max_msg;
+                let read =
+                    SendWr::read(token, self.landing.slice(dbase, len), src.sub(0, len as u64));
+                ep.post_send(&[read.signaled()])?;
+                ep.send_cq().poll_timeout(cfg.poll, cfg.op_timeout_ns)?.ok()?;
+                B::land(&self.landing, dbase, len)?
+            }
+            other => {
+                return Err(RdmaError::InvalidWorkRequest(format!(
+                    "unexpected pipelined hybrid tag {other}"
+                )))
+            }
+        };
+        Ok((token, slot, payload))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Constructor tables: the one place a kind is matched to its wire.
+// ---------------------------------------------------------------------------
+
+/// The protocols with pipelined implementations.
+pub const PIPELINED_KINDS: [ProtocolKind; 4] = [
+    ProtocolKind::EagerSendRecv,
+    ProtocolKind::ChainedWriteSend,
+    ProtocolKind::DirectWriteImm,
+    ProtocolKind::HybridEagerRndv,
+];
+
+fn not_pipelined(kind: ProtocolKind) -> RdmaError {
+    RdmaError::InvalidWorkRequest(format!("{kind} has no pipelined implementation"))
+}
 
 /// Construct the pipelined client side of `kind` over a connected
 /// endpoint. The window is `cfg.ring_slots`. Errors for protocols without
@@ -1535,74 +975,32 @@ pub fn connect_client_pipelined(
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn PipelinedClient>> {
     Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(PipelinedEager::client(ep, cfg)?),
-        ProtocolKind::ChainedWriteSend => Box::new(PipelinedChainedWrite::client(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => Box::new(PipelinedWriteImm::client(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(PipelinedHybrid::client(ep, cfg)?),
-        other => {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "{other} has no pipelined implementation"
-            )))
-        }
+        ProtocolKind::EagerSendRecv => Box::new(Pipelined::<EagerWire>::connect(ep, cfg)?),
+        ProtocolKind::ChainedWriteSend => Box::new(Pipelined::<ChainedWire>::connect(ep, cfg)?),
+        ProtocolKind::DirectWriteImm => Box::new(Pipelined::<ImmWire>::connect(ep, cfg)?),
+        ProtocolKind::HybridEagerRndv => Box::new(Pipelined::<HybridWire>::connect(ep, cfg)?),
+        other => return Err(not_pipelined(other)),
     })
 }
 
-/// Construct the server peer of a pipelined channel of `kind`. The server
-/// still speaks [`RpcServer`] — pipelining is a client-side property; the
-/// server just echoes each request's token.
+/// Construct the server peer of a pipelined channel of `kind`: one value
+/// that serves from a blocking thread ([`RpcServer::serve_loop`]) or from
+/// a reactor ([`ReactorServe::drain`]) — pipelining is a client-side
+/// property; the server just echoes each request's token.
 pub fn accept_server_pipelined(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
-) -> Result<Box<dyn RpcServer>> {
+) -> Result<Box<dyn ReactorServe>> {
     Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(PipelinedEagerServer::server(ep, cfg)?),
-        ProtocolKind::ChainedWriteSend => Box::new(PipelinedChainedWriteServer::server(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => Box::new(PipelinedWriteImmServer::server(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(PipelinedHybridServer::server(ep, cfg)?),
-        other => {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "{other} has no pipelined implementation"
-            )))
+        ProtocolKind::EagerSendRecv => Box::new(PipelinedServer::<EagerWire>::accept(ep, cfg)?),
+        ProtocolKind::ChainedWriteSend => {
+            Box::new(PipelinedServer::<ChainedWire>::accept(ep, cfg)?)
         }
+        ProtocolKind::DirectWriteImm => Box::new(PipelinedServer::<ImmWire>::accept(ep, cfg)?),
+        ProtocolKind::HybridEagerRndv => Box::new(PipelinedServer::<HybridWire>::accept(ep, cfg)?),
+        other => return Err(not_pipelined(other)),
     })
-}
-
-/// The protocols with pipelined implementations.
-pub const PIPELINED_KINDS: [ProtocolKind; 4] = [
-    ProtocolKind::EagerSendRecv,
-    ProtocolKind::ChainedWriteSend,
-    ProtocolKind::DirectWriteImm,
-    ProtocolKind::HybridEagerRndv,
-];
-
-/// Adapter: drive a pipelined channel through the synchronous
-/// [`RpcClient`] trait (depth-1 usage; lets the engine hold a single
-/// channel type regardless of the negotiated queue depth).
-pub struct PipelinedAsSync {
-    inner: Box<dyn PipelinedClient>,
-}
-
-impl PipelinedAsSync {
-    /// Wrap a pipelined channel.
-    pub fn new(inner: Box<dyn PipelinedClient>) -> PipelinedAsSync {
-        PipelinedAsSync { inner }
-    }
-
-    /// Borrow the pipelined channel for windowed use.
-    pub fn pipelined(&mut self) -> &mut dyn PipelinedClient {
-        self.inner.as_mut()
-    }
-}
-
-impl RpcClient for PipelinedAsSync {
-    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        call_sync(self.inner.as_mut(), request)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        self.inner.kind()
-    }
 }
 
 #[cfg(test)]
@@ -1782,20 +1180,25 @@ mod tests {
         }
     }
 
-    /// A client with a full window of 8 flushed and landed on `S`'s CQ,
-    /// nothing served yet.
-    fn eight_ready<S: ReactorServe + 'static>(
-        kind: ProtocolKind,
-        make: fn(Endpoint, ProtocolConfig) -> Result<S>,
-    ) -> (Box<dyn PipelinedClient>, Vec<Token>, S, Arc<Node>, Fabric) {
+    /// A client with a full window of 8 flushed and landed on the server's
+    /// CQ, nothing served yet.
+    struct EightReady {
+        client: Box<dyn PipelinedClient>,
+        tokens: Vec<Token>,
+        server: Box<dyn ReactorServe>,
+        snode: Arc<Node>,
+        _fabric: Fabric,
+    }
+
+    fn eight_ready(kind: ProtocolKind) -> EightReady {
         let fabric = Fabric::new(SimConfig::fast_test());
         let cnode = fabric.add_node("client");
         let snode = fabric.add_node("server");
         let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
         let cfg = ProtocolConfig { max_msg: 512, ring_slots: 8, ..Default::default() };
         let scfg = cfg.clone();
-        // Write-imm construction handshakes, so the sides build concurrently.
-        let server = std::thread::spawn(move || make(sep, scfg).unwrap());
+        // Some wires handshake, so the sides build concurrently.
+        let server = std::thread::spawn(move || accept_server_pipelined(kind, sep, scfg).unwrap());
         let mut client = connect_client_pipelined(kind, cep, cfg).unwrap();
         let server = server.join().unwrap();
         let tokens = (0..8).map(|i| client.submit(&patterned(i, 64)).unwrap()).collect();
@@ -1806,7 +1209,7 @@ mod tests {
             snode.drain_effects();
             std::thread::yield_now();
         }
-        (client, tokens, server, snode, fabric)
+        EightReady { client, tokens, server, snode, _fabric: fabric }
     }
 
     fn assert_reversed_echoes(client: &mut dyn PipelinedClient, tokens: &[Token]) {
@@ -1817,47 +1220,39 @@ mod tests {
         }
     }
 
-    /// The burst rule, reactor form: eight ready requests are all served
-    /// by one `drain`, answered in two half-window chains.
+    /// The burst rule, every kind, both serving forms: eight ready
+    /// requests are all answered by one reactor `drain`, or by one turn of
+    /// a blocking `serve_loop`, with the same responses and the same posts
+    /// — two half-window chains where the wire chains responses, one post
+    /// per response where it does not.
     #[test]
-    fn drain_answers_a_full_window_in_two_half_window_chains() {
-        fn check<S: ReactorServe + 'static>(
-            kind: ProtocolKind,
-            make: fn(Endpoint, ProtocolConfig) -> Result<S>,
-        ) {
-            let (mut client, tokens, mut server, snode, _fabric) = eight_ready(kind, make);
-            let before = snode.stats_snapshot();
-            assert_eq!(server.drain(&mut reverse).unwrap(), 8, "{kind}");
-            let delta = snode.stats_snapshot() - before;
-            assert_eq!(delta.doorbells, 2, "{kind}: two chains of four");
-            assert_eq!(delta.pipeline_doorbells, 2, "{kind}");
-            assert_eq!(delta.wrs_posted, 8, "{kind}");
-            assert_reversed_echoes(client.as_mut(), &tokens);
+    fn a_full_window_is_answered_alike_by_drain_and_serve_loop_for_every_kind() {
+        for kind in PIPELINED_KINDS {
+            let chains = matches!(kind, ProtocolKind::EagerSendRecv | ProtocolKind::DirectWriteImm);
+            let posts = if chains { 2 } else { 8 };
+            let wrs = if kind == ProtocolKind::ChainedWriteSend { 16 } else { 8 };
+            for blocking in [false, true] {
+                let form = if blocking { "serve_loop" } else { "drain" };
+                let EightReady { mut client, tokens, mut server, snode, _fabric } =
+                    eight_ready(kind);
+                let before = snode.stats_snapshot();
+                let server = if blocking {
+                    Some(std::thread::spawn(move || server.serve_loop(&mut reverse).unwrap()))
+                } else {
+                    assert_eq!(server.drain(&mut reverse).unwrap(), 8, "{kind} {form}");
+                    None
+                };
+                assert_reversed_echoes(client.as_mut(), &tokens);
+                let delta = snode.stats_snapshot() - before;
+                assert_eq!(delta.doorbells, posts, "{kind} {form}");
+                assert_eq!(delta.pipeline_doorbells, posts, "{kind} {form}");
+                assert_eq!(delta.wrs_posted, wrs, "{kind} {form}");
+                drop(client);
+                if let Some(server) = server {
+                    server.join().unwrap();
+                }
+            }
         }
-        check(ProtocolKind::EagerSendRecv, PipelinedEagerServer::server);
-        check(ProtocolKind::DirectWriteImm, PipelinedWriteImmServer::server);
-    }
-
-    /// The same rule, blocking form: one `serve_loop` turn over eight
-    /// ready requests posts the same two chains.
-    #[test]
-    fn serve_loop_answers_a_full_window_in_two_half_window_chains() {
-        fn check<S: ReactorServe + RpcServer + 'static>(
-            kind: ProtocolKind,
-            make: fn(Endpoint, ProtocolConfig) -> Result<S>,
-        ) {
-            let (mut client, tokens, mut server, snode, _fabric) = eight_ready(kind, make);
-            let before = snode.stats_snapshot();
-            let server = std::thread::spawn(move || server.serve_loop(&mut reverse).unwrap());
-            assert_reversed_echoes(client.as_mut(), &tokens);
-            let delta = snode.stats_snapshot() - before;
-            assert_eq!(delta.doorbells, 2, "{kind}: two chains of four");
-            assert_eq!(delta.pipeline_doorbells, 2, "{kind}");
-            drop(client);
-            server.join().unwrap();
-        }
-        check(ProtocolKind::EagerSendRecv, PipelinedEagerServer::server);
-        check(ProtocolKind::DirectWriteImm, PipelinedWriteImmServer::server);
     }
 
     #[test]
@@ -1910,26 +1305,6 @@ mod tests {
         }
         drop(pair.client);
         pair.server.join().unwrap();
-    }
-
-    #[test]
-    fn sync_adapter_speaks_rpc_client() {
-        let fabric = Fabric::new(SimConfig::fast_test());
-        let cnode = fabric.add_node("client");
-        let snode = fabric.add_node("server");
-        let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
-        let cfg = ProtocolConfig { max_msg: 256, ring_slots: 4, ..Default::default() };
-        let scfg = cfg.clone();
-        let server = std::thread::spawn(move || {
-            let mut s = accept_server_pipelined(ProtocolKind::EagerSendRecv, sep, scfg).unwrap();
-            s.serve_loop(&mut |req| req.to_vec()).unwrap();
-        });
-        let inner = connect_client_pipelined(ProtocolKind::EagerSendRecv, cep, cfg).unwrap();
-        let mut sync = PipelinedAsSync::new(inner);
-        assert_eq!(sync.call(b"ping").unwrap(), b"ping");
-        assert_eq!(sync.kind(), ProtocolKind::EagerSendRecv);
-        drop(sync);
-        server.join().unwrap();
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! async client calls against it, fault injection mid-window, and
 //! drain-before-close shutdown.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -346,17 +347,20 @@ fn shutdown_drains_inflight_reactor_window_before_close() {
         std::thread::spawn(move || {
             let cnode = fabric.add_node("client");
             let mut client = HatClient::new(&fabric, &cnode, "deep", &schema);
-            let pipe = client.call_pipelined("deep").unwrap();
             let requests: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 128]).collect();
-            let tokens: Vec<_> = requests.iter().map(|r| pipe.submit(r).unwrap()).collect();
-            // Ring the doorbell so all 16 are on the wire, then let the
-            // main thread race shutdown against our waits.
-            pipe.flush().unwrap();
+            let mut calls: Vec<_> =
+                requests.iter().map(|r| client.call_async("deep", r).unwrap()).collect();
+            // One poll rings the doorbell so all 16 are on the wire, then
+            // let the main thread race shutdown against our waits.
+            let mut responses = vec![None; 16];
+            responses[0] = client.poll_async(&mut calls[0]).unwrap();
             tx.send(()).unwrap();
-            let mut responses = Vec::with_capacity(16);
-            for t in tokens {
-                responses.push(pipe.wait(t).unwrap().to_vec());
+            for (call, response) in calls.iter_mut().zip(&mut responses) {
+                if response.is_none() {
+                    *response = Some(client.wait_async(call).unwrap());
+                }
             }
+            let responses: Vec<Vec<u8>> = responses.into_iter().flatten().collect();
             (requests, responses)
         })
     };
@@ -365,4 +369,60 @@ fn shutdown_drains_inflight_reactor_window_before_close() {
     server.shutdown();
     let (requests, responses) = client_thread.join().unwrap();
     assert_eq!(responses, requests, "the full burst must be answered before close");
+}
+
+/// A handle belongs to one opening of its channel. When a timeout poisons
+/// the channel and a later call reopens it, window tokens restart at 0 —
+/// so a handle that survived the failure must fail typed, not match a new
+/// request's token and take that request's response.
+#[test]
+fn stale_async_handle_fails_typed_and_never_takes_a_siblings_response() {
+    // An echo handler that can be held, so "A has not been answered when
+    // it is polled" is forced rather than raced.
+    let hold = Arc::new(AtomicBool::new(false));
+    let held = hold.clone();
+    let factory: hatrpc::core::engine::HandlerFactory = Arc::new(move || {
+        let held = held.clone();
+        Box::new(move |req: &[u8]| {
+            while held.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            req.to_vec()
+        })
+    });
+    let fabric = Fabric::new(SimConfig::fast_test());
+    let snode = fabric.add_node("server");
+    let server =
+        HatServer::serve(&fabric, &snode, "piped", schema(), ServerPolicy::Reactor, factory);
+    let cnode = fabric.add_node("client");
+    let mut client = HatClient::new(&fabric, &cnode, "piped", &schema());
+    // Open the channels without spending a token on them (a zero
+    // deadline could not open one).
+    let warm = client.warm_all().unwrap();
+
+    // Submit A and B under a deadline that has already passed; polling A
+    // times it out and drops the channel under B.
+    let normal = client.call_policy();
+    client.set_call_policy(CallPolicy { deadline: Duration::ZERO, ..normal });
+    hold.store(true, Ordering::Release);
+    let mut a = client.call_async("piped", &[0xAA; 32]).unwrap();
+    let mut b = client.call_async("piped", &[0xBB; 32]).unwrap();
+    let err = client.poll_async(&mut a).unwrap_err();
+    assert!(matches!(err, CoreError::Rdma(RdmaError::Timeout)), "got: {err}");
+    assert_eq!(client.open_channels(), warm - 1, "the timeout poisons the channel");
+    hold.store(false, Ordering::Release);
+
+    // C and D reopen it: their tokens are 0 and 1, as A's and B's were.
+    client.set_call_policy(normal);
+    let mut c = client.call_async("piped", &[0xCC; 32]).unwrap();
+    let mut d = client.call_async("piped", &[0xDD; 32]).unwrap();
+    assert_eq!(client.wait_async(&mut c).unwrap(), [0xCC; 32]);
+
+    let err = client.poll_async(&mut b).unwrap_err();
+    assert!(matches!(err, CoreError::Rdma(RdmaError::Disconnected)), "got: {err}");
+    assert!(b.is_done());
+    assert_eq!(client.open_channels(), warm, "a stale handle leaves the live channel alone");
+    assert_eq!(client.wait_async(&mut d).unwrap(), [0xDD; 32], "D's response is D's to take");
+    drop(client);
+    server.shutdown();
 }
