@@ -424,7 +424,7 @@ impl AtbClient {
         let reply = match self {
             AtbClient::Hat(c) => c.call(method, &request)?,
             AtbClient::Fixed(c) => c.call(&request)?,
-            AtbClient::Piped(p) => hat_protocols::pipeline::call_sync(p.as_mut(), &request)?,
+            AtbClient::Piped(p) => p.call(&request)?,
             AtbClient::Ipoib(c) => {
                 hatrpc_core::transport::ClientTransport::call(c, method, &request)?
             }

@@ -208,7 +208,8 @@ struct FnPlan {
     key: ChannelKey,
 }
 
-/// Default eager ring depth for engine-created channels.
+/// `ring_slots` of a depth-1 channel: the control-ring depth of a non-wire
+/// kind (a wire kind's blocking channel is a window of one regardless).
 const ENGINE_RING_SLOTS: usize = 16;
 /// Upper bound on the `queue_depth` hint: every in-flight slot pins ring
 /// memory on both peers, so a runaway hint must not exhaust the MR budget.
@@ -501,10 +502,12 @@ impl HatClient {
     }
 
     /// Run `attempt` under the client's [`CallPolicy`]: a retryable
-    /// transport failure drops the plan's channel — it is poisoned; the
-    /// next attempt reconnects and re-runs the handshake — backs off
-    /// (doubling) and tries again, up to `policy.retries` times. Retries
-    /// are marked on the timeline against `call_id`.
+    /// transport failure drops the plan's channel — it is poisoned (a call
+    /// that gave up still holds its window slot, and its late response
+    /// must not answer the next call); the next attempt or call reconnects
+    /// and re-runs the handshake — then backs off (doubling) and tries
+    /// again, up to `policy.retries` times. Retries are marked on the
+    /// timeline against `call_id`.
     fn with_retries<T>(
         &mut self,
         key: &ChannelKey,
@@ -515,14 +518,17 @@ impl HatClient {
         let mut attempts_left = self.policy.retries;
         loop {
             match attempt(self) {
-                Err(e) if attempts_left > 0 && is_retryable(&e) => {
+                Err(e) if is_retryable(&e) => {
+                    self.channels.remove(key);
+                    if attempts_left == 0 {
+                        return Err(e);
+                    }
                     attempts_left -= 1;
                     NodeStats::add(&self.node.stats().calls_retried, 1);
                     if hat_trace::enabled() {
                         let left = attempts_left as u64;
                         hat_trace::event(Phase::Retry, self.node.id(), call_id, left, now_ns());
                     }
-                    self.channels.remove(key);
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2);
@@ -1089,16 +1095,17 @@ impl ClientTransport for RdmaCall {
 }
 
 /// Adapter from a pipelined protocol client to [`ClientTransport`]:
-/// single calls degrade to a submit-then-wait window of one, and the
-/// window surfaces through [`ClientTransport::pipelined`] for
-/// [`HatClient::call_many`] / [`HatClient::call_async`].
+/// single calls are a submit and a wait on the window
+/// ([`RpcClient::call`]), and the window surfaces through
+/// [`ClientTransport::pipelined`] for [`HatClient::call_many`] /
+/// [`HatClient::call_async`].
 struct RdmaPipelinedCall {
     inner: Box<dyn PipelinedClient>,
 }
 
 impl ClientTransport for RdmaPipelinedCall {
     fn call(&mut self, _fn_name: &str, request: &[u8]) -> Result<Vec<u8>> {
-        Ok(hat_protocols::pipeline::call_sync(self.inner.as_mut(), request)?)
+        Ok(self.inner.call(request)?)
     }
 
     fn label(&self) -> &'static str {
@@ -1790,12 +1797,68 @@ mod tests {
         let cnode = fabric.add_node("client");
         let mut client = HatClient::new(&fabric, &cnode, "piped", &schema);
 
+        // Open the channel first, so its handshake posts are not counted.
+        assert_eq!(client.call("solo", b"warm").unwrap(), b"warm");
+        let before = cnode.stats_snapshot();
         let requests: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 32]).collect();
         let responses = client.call_many("solo", &requests).unwrap();
         assert_eq!(responses, requests);
+        // A blocking channel is a window of one, so every call passes
+        // through a window; unhinted, the six ran one at a time, each
+        // under a doorbell of its own.
         let stats = cnode.stats_snapshot();
-        assert_eq!(stats.pipelined_calls, 0, "unhinted function stays on the classic path");
-        assert_eq!(stats.calls_ok, 6);
+        let delta = stats - before;
+        assert_eq!(stats.inflight_hwm, 1, "unhinted calls never overlap: {stats:?}");
+        assert_eq!((delta.doorbells, delta.pipeline_doorbells), (6, 6), "{delta:?}");
+        assert_eq!(delta.calls_ok, 6);
+        drop(client);
+        server.shutdown();
+    }
+
+    /// A blocking call that times out poisons its channel even with no
+    /// retries left, so the next call opens a fresh one and takes its own
+    /// response — not the late answer to the call that gave up, and not a
+    /// "window full" from the slot that call still holds.
+    #[test]
+    fn a_timed_out_call_poisons_its_channel_and_the_next_call_gets_its_own_response() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let hold = Arc::new(AtomicBool::new(true));
+        let held = hold.clone();
+        let factory: HandlerFactory = Arc::new(move || {
+            let held = held.clone();
+            Box::new(move |req: &[u8]| {
+                while held.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                req.to_vec()
+            })
+        });
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let snode = fabric.add_node("server");
+        let schema = ServiceSchema::parse(PIPED_IDL, "Piped").unwrap();
+        let server = HatServer::serve(
+            &fabric,
+            &snode,
+            "piped",
+            schema.clone(),
+            ServerPolicy::Threaded,
+            factory,
+        );
+        let cnode = fabric.add_node("client");
+        let policy = CallPolicy {
+            deadline: std::time::Duration::from_millis(50),
+            retries: 0,
+            backoff: std::time::Duration::ZERO,
+        };
+        let mut client = HatClient::new(&fabric, &cnode, "piped", &schema).with_policy(policy);
+
+        let err = client.call("solo", &[0xAA; 32]).unwrap_err();
+        // Release the handler before asserting, so a failure cannot leave
+        // the server's shutdown waiting on it.
+        hold.store(false, Ordering::Release);
+        assert!(matches!(err, CoreError::Rdma(RdmaError::Timeout)), "got: {err}");
+        assert_eq!(client.open_channels(), 0, "the timeout poisons the channel");
+        assert_eq!(client.call("solo", &[0xBB; 32]).unwrap(), [0xBB; 32]);
         drop(client);
         server.shutdown();
     }

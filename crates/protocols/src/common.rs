@@ -102,7 +102,9 @@ pub struct ProtocolConfig {
     /// Largest message this connection must carry (sizes the pre-known
     /// buffers and eager slots).
     pub max_msg: usize,
-    /// Number of slots in eager receive rings.
+    /// A pipelined channel's window, or the depth of a non-wire kind's
+    /// control ring. A blocking client or server of a kind with a wire
+    /// ignores it: its window is one.
     pub ring_slots: usize,
     /// Eager-vs-rendezvous switch point for [`ProtocolKind::HybridEagerRndv`].
     /// The paper fixes this at 4 KB.
@@ -176,8 +178,8 @@ pub trait RpcServer: Send {
     }
 }
 
-/// A connection that moves whole messages either way and lands large ones
-/// in a registered region (the rendezvous family and the hybrid): what
+/// A connection that moves whole messages either way and lands them in a
+/// registered region (the rendezvous family and Direct-Write-Send): what
 /// [`msg_channel_endpoints`] builds an [`RpcClient`] and an [`RpcServer`] on.
 pub(crate) trait MsgChannel {
     /// Send one message.
@@ -241,56 +243,61 @@ pub(crate) use msg_channel_endpoints;
 
 /// Construct the client side of `kind` over a connected endpoint,
 /// performing the protocol's buffer handshake with the (concurrently
-/// constructed) server side.
+/// constructed) server side. A kind with a wire
+/// ([`crate::PIPELINED_KINDS`]) is its pipelined channel with a window of
+/// one, whatever `cfg.ring_slots` says: a blocking client has one request
+/// in flight.
 pub fn connect_client(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn RpcClient>> {
     Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(crate::eager::EagerSendRecv::client(ep, cfg)?),
+        ProtocolKind::EagerSendRecv
+        | ProtocolKind::ChainedWriteSend
+        | ProtocolKind::DirectWriteImm
+        | ProtocolKind::HybridEagerRndv => crate::pipeline::connect_client_pipelined(
+            kind,
+            ep,
+            ProtocolConfig { ring_slots: 1, ..cfg },
+        )?,
         ProtocolKind::DirectWriteSend => {
-            Box::new(crate::direct_write::DirectWriteSend::client(ep, cfg)?)
-        }
-        ProtocolKind::ChainedWriteSend => {
-            Box::new(crate::direct_write::ChainedWriteSend::client(ep, cfg)?)
+            Box::new(crate::direct_write::DirectWriteSend::new(ep, cfg)?)
         }
         ProtocolKind::WriteRndv => Box::new(crate::rndv::WriteRndv::client(ep, cfg)?),
         ProtocolKind::ReadRndv => Box::new(crate::rndv::ReadRndv::client(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => {
-            Box::new(crate::direct_write::DirectWriteImm::client(ep, cfg)?)
-        }
         ProtocolKind::Pilaf => Box::new(crate::read_based::Pilaf::client(ep, cfg)?),
         ProtocolKind::Farm => Box::new(crate::read_based::Farm::client(ep, cfg)?),
         ProtocolKind::Rfp => Box::new(crate::read_based::Rfp::client(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(crate::hybrid::HybridEagerRndv::client(ep, cfg)?),
         ProtocolKind::Herd => Box::new(crate::herd::Herd::client(ep, cfg)?),
     })
 }
 
-/// Construct the server side of `kind` over an accepted endpoint.
+/// Construct the server side of `kind` over an accepted endpoint — for a
+/// kind with a wire, the server of a window of one (see
+/// [`connect_client`]).
 pub fn accept_server(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn RpcServer>> {
     Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(crate::eager::EagerSendRecv::server(ep, cfg)?),
+        ProtocolKind::EagerSendRecv
+        | ProtocolKind::ChainedWriteSend
+        | ProtocolKind::DirectWriteImm
+        | ProtocolKind::HybridEagerRndv => crate::pipeline::accept_server_pipelined(
+            kind,
+            ep,
+            ProtocolConfig { ring_slots: 1, ..cfg },
+        )?,
         ProtocolKind::DirectWriteSend => {
-            Box::new(crate::direct_write::DirectWriteSend::server(ep, cfg)?)
-        }
-        ProtocolKind::ChainedWriteSend => {
-            Box::new(crate::direct_write::ChainedWriteSend::server(ep, cfg)?)
+            Box::new(crate::direct_write::DirectWriteSend::new(ep, cfg)?)
         }
         ProtocolKind::WriteRndv => Box::new(crate::rndv::WriteRndv::server(ep, cfg)?),
         ProtocolKind::ReadRndv => Box::new(crate::rndv::ReadRndv::server(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => {
-            Box::new(crate::direct_write::DirectWriteImm::server(ep, cfg)?)
-        }
         ProtocolKind::Pilaf => Box::new(crate::read_based::Pilaf::server(ep, cfg)?),
         ProtocolKind::Farm => Box::new(crate::read_based::Farm::server(ep, cfg)?),
         ProtocolKind::Rfp => Box::new(crate::read_based::Rfp::server(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(crate::hybrid::HybridEagerRndv::server(ep, cfg)?),
         ProtocolKind::Herd => Box::new(crate::herd::Herd::server(ep, cfg)?),
     })
 }
@@ -560,7 +567,7 @@ pub(crate) mod tests_support {
                         resp.reverse();
                         resp
                     })
-                    .unwrap());
+                    .unwrap_or_else(|e| panic!("{kind} server: {e:?}")));
             }
             server
         });
@@ -577,8 +584,66 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod tests {
+    use super::tests_support::{echo_pair, run_echo_calls};
     use super::*;
-    use hat_rdma_sim::{Fabric, SimConfig};
+    use hat_rdma_sim::{Fabric, NodeStatsSnapshot, SimConfig};
+
+    /// Every kind echoes byte-exact across the sizes that exercise its
+    /// paths — an eager slot, the hybrid threshold and one byte past it,
+    /// RFP's follow-up READ — and its server reports a client that went
+    /// away as `Ok(false)`, not as an error or a hang.
+    #[test]
+    fn every_kind_roundtrips_and_its_server_sees_disconnect() {
+        for kind in ProtocolKind::ALL {
+            run_echo_calls(kind, &[4, 512, 4096, 4097, 65536]);
+            let (client, mut server) =
+                echo_pair(kind, ProtocolConfig { max_msg: 1024, ..Default::default() });
+            drop(client);
+            assert!(!server.serve_one(&mut |r| r.to_vec()).unwrap(), "{kind}");
+        }
+    }
+
+    /// What eight echoes of `payload` cost the client and the server node,
+    /// after a first echo has absorbed any handshake traffic.
+    fn eight_echoes(kind: ProtocolKind, payload: usize) -> (NodeStatsSnapshot, NodeStatsSnapshot) {
+        let (mut client, mut server) = echo_pair(kind, ProtocolConfig::default());
+        let (cnode, snode) = (client.node().clone(), server.node().clone());
+        let h = std::thread::spawn(move || {
+            for _ in 0..9 {
+                assert!(server.serve_one(&mut |r| r.to_vec()).unwrap());
+            }
+            // Alive until the client has READ the last rendezvous reply.
+            server
+        });
+        let request = vec![7u8; payload];
+        client.call(&request).unwrap();
+        let (c0, s0) = (cnode.stats_snapshot(), snode.stats_snapshot());
+        for _ in 0..8 {
+            assert_eq!(client.call(&request).unwrap(), request, "{kind}");
+        }
+        h.join().unwrap();
+        (cnode.stats_snapshot() - c0, snode.stats_snapshot() - s0)
+    }
+
+    /// The per-message count each kind is in Figure 3 for, one row each.
+    #[test]
+    fn each_kind_keeps_its_per_message_counts() {
+        use ProtocolKind::*;
+        // Chaining the WRITE and its SEND notify rings half the doorbells
+        // of posting them separately (3c vs 3b).
+        let separate = eight_echoes(DirectWriteSend, 128).0.doorbells;
+        let chained = eight_echoes(ChainedWriteSend, 128).0.doorbells;
+        assert_eq!((separate, chained), (16, 8), "doorbells: separate vs chained");
+        // Write-imm posts one work request per message (3f).
+        assert_eq!(eight_echoes(DirectWriteImm, 64).0.wrs_posted, 8, "write-imm WRs");
+        // Eager charges a staging and a landing copy on both sides (3a).
+        let (client, server) = eight_echoes(EagerSendRecv, 1024);
+        assert_eq!((client.memcpys, server.memcpys), (16, 16), "eager copies");
+        // Hybrid's rendezvous path copies no payload, and sends no control
+        // message that would cost one (§4.3).
+        let (client, server) = eight_echoes(HybridEagerRndv, 64 * 1024);
+        assert_eq!((client.memcpys, server.memcpys), (0, 0), "hybrid rendezvous copies");
+    }
 
     #[test]
     fn protocol_labels_are_unique() {

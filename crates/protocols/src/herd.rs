@@ -172,12 +172,7 @@ impl RpcServer for Herd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::tests_support::{echo_pair, run_echo_calls};
-
-    #[test]
-    fn herd_roundtrips() {
-        run_echo_calls(ProtocolKind::Herd, &[8, 512, 4096, 65536]);
-    }
+    use crate::common::tests_support::echo_pair;
 
     #[test]
     fn request_path_is_zero_copy_response_path_is_not() {
@@ -195,13 +190,5 @@ mod tests {
         // the sim layer).
         assert!(client.node_memcpys() - c_before <= 2);
         assert!(server.node_memcpys() >= 1, "server copies every response");
-    }
-
-    #[test]
-    fn server_sees_disconnect() {
-        let (client, mut server) =
-            echo_pair(ProtocolKind::Herd, ProtocolConfig { max_msg: 512, ..Default::default() });
-        drop(client);
-        assert!(!server.serve_one(&mut |r| r.to_vec()).unwrap());
     }
 }

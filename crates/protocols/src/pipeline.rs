@@ -1,11 +1,14 @@
 //! Pipelined RPC channels: sliding-window in-flight requests with
 //! doorbell-batched posting and a zero-alloc hot path.
 //!
-//! The synchronous [`crate::RpcClient`] issues one request and blocks for
+//! A blocking [`crate::RpcClient::call`] issues one request and waits for
 //! its response, leaving the wire idle for a full round trip per call. A
 //! [`PipelinedClient`] instead keeps up to `window` requests in flight
-//! (the window is bounded by [`crate::ProtocolConfig::ring_slots`], which
-//! the engine derives from the `queue_depth` hint):
+//! (the window is [`crate::ProtocolConfig::ring_slots`], which the engine
+//! derives from the `queue_depth` hint). The blocking form of these four
+//! kinds is the same channel with a window of one — what
+//! [`crate::connect_client`] and [`crate::accept_server`] build — so each
+//! kind has one implementation, its wire:
 //!
 //! * [`PipelinedClient::submit`] stages a request and returns a [`Token`]
 //!   immediately — **no doorbell is rung yet**. Consecutive submits
@@ -41,6 +44,12 @@
 //! | Chained-Write-Send | landing + staging stripe of `max_msg` | WRITE to the peer's stripe + chained inline SEND | notify message | `token % window` | one post each | 1 |
 //! | Direct-WriteIMM | landing + staging stripe of `12 + max_msg` | WRITE_WITH_IMM, imm = slot | slot header | any free | half-window chains | 1 |
 //! | Hybrid-EagerRNDV | frame of `17 + max(threshold, 32)`, plus rendezvous stage + landing of `max_msg` | eager frame, or RTS + peer READ | frame header | `token % window` | one post each | 1 |
+//!
+//! Each side frames a message with one region access (header and payload
+//! together) and absorbs one with one borrow of its slot — parse the
+//! header, check the peer's length against the bytes that arrived (or
+//! against `max_msg`), copy the payload out — so no length off the wire
+//! sizes a buffer or a READ before it is checked.
 
 use hat_rdma_sim::stats::NodeStats;
 use hat_rdma_sim::{
@@ -50,7 +59,7 @@ use hat_rdma_sim::{
 
 use crate::common::{
     charge_memcpy, exchange_blobs, poll_recv, wire_len, CtrlRing, ProtocolConfig, ProtocolKind,
-    RpcServer,
+    RpcClient, RpcServer,
 };
 
 /// Identifies one submitted request. Tokens are sequential per channel,
@@ -58,8 +67,9 @@ use crate::common::{
 pub type Token = u64;
 
 /// Client side of a pipelined RPC channel. See the module docs for the
-/// submit/flush/complete protocol.
-pub trait PipelinedClient: Send {
+/// submit/flush/complete protocol; [`RpcClient::call`] is a submit and a
+/// wait for that token.
+pub trait PipelinedClient: RpcClient {
     /// Stage one request and return its token. Fails with
     /// `InvalidWorkRequest` when the window is full — the caller must take
     /// a completed response (via [`Self::try_complete`] or [`Self::wait`])
@@ -91,16 +101,6 @@ pub trait PipelinedClient: Send {
 
     /// Requests submitted but not yet taken by the caller.
     fn in_flight(&self) -> usize;
-
-    /// Which protocol this channel speaks.
-    fn kind(&self) -> ProtocolKind;
-}
-
-/// One call at a time, expressed over the pipelined API — lets the engine
-/// reuse a pipelined channel for plain synchronous calls.
-pub fn call_sync(client: &mut dyn PipelinedClient, request: &[u8]) -> Result<Vec<u8>> {
-    let token = client.submit(request)?;
-    Ok(client.wait(token)?.to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -232,19 +232,23 @@ impl Window {
     }
 }
 
-/// Charge one batched post of `batch` staged WRs to the pipeline
-/// statistics, and mark the flush boundary on the trace timeline.
-fn note_doorbell(ep: &Endpoint, batch: usize) {
+/// Post a staged chain under one doorbell, charge it to the pipeline
+/// statistics, mark the flush boundary on the trace timeline, and empty
+/// the staging vector for reuse.
+fn post_chain(ep: &Endpoint, staged: &mut Vec<SendWr>) -> Result<()> {
+    ep.post_send(staged)?;
     NodeStats::add(&ep.node().stats().pipeline_doorbells, 1);
     if hat_trace::enabled() {
         hat_trace::event(
             hat_trace::Phase::Flush,
             ep.node().id(),
             hat_trace::current_call(),
-            batch as u64,
+            staged.len() as u64,
             hat_rdma_sim::now_ns(),
         );
     }
+    staged.clear();
+    Ok(())
 }
 
 /// Mark a server-side burst drain of `n` requests on the trace timeline
@@ -268,11 +272,12 @@ fn note_submit(ep: &Endpoint, in_flight: usize) {
     stats.note_inflight(in_flight as u64);
 }
 
-/// Reject payloads that exceed the per-slot capacity.
-fn check_len(len: usize, max_msg: usize) -> Result<()> {
-    if len > max_msg {
+/// Reject payloads that exceed the per-slot capacity `room` — one we are
+/// about to send, or one a peer's header announces.
+fn check_len(len: usize, room: usize) -> Result<()> {
+    if len > room {
         return Err(RdmaError::InvalidWorkRequest(format!(
-            "payload of {len} bytes exceeds the pipelined slot ({max_msg} bytes)"
+            "payload of {len} bytes exceeds the pipelined slot ({room} bytes)"
         )));
     }
     Ok(())
@@ -289,26 +294,13 @@ struct Link {
     cfg: ProtocolConfig,
 }
 
-/// Where an absorbed payload lands: the client takes responses in pooled
-/// buffers (its zero-alloc hot path), the server hands its handler a `Vec`.
-trait Landing: Sized {
-    /// Copy `len` bytes at `offset` out of `mr`.
-    fn land(mr: &MemoryRegion, offset: usize, len: usize) -> Result<Self>;
-}
+/// Where an absorbed payload is copied out to: the client takes responses
+/// in pooled buffers (its zero-alloc hot path), the server hands its
+/// handler a `Vec`. Built from the checked payload bytes, so it is sized
+/// by what arrived, never by what a header claims.
+trait Landing: for<'a> From<&'a [u8]> {}
 
-impl Landing for PoolBuf {
-    fn land(mr: &MemoryRegion, offset: usize, len: usize) -> Result<PoolBuf> {
-        let mut buf = PoolBuf::for_overwrite(len);
-        mr.read(offset, buf.as_mut_slice())?;
-        Ok(buf)
-    }
-}
-
-impl Landing for Vec<u8> {
-    fn land(mr: &MemoryRegion, offset: usize, len: usize) -> Result<Vec<u8>> {
-        mr.read_vec(offset, len)
-    }
-}
+impl<B: for<'a> From<&'a [u8]>> Landing for B {}
 
 /// Everything that differs between two pipelined protocols. A wire is
 /// symmetric — the client frames requests and absorbs responses with the
@@ -353,7 +345,9 @@ trait Wire: Send + Sized {
 
     /// Take the message behind one receive completion out of its slot and
     /// recycle the receive: `(token, slot, payload)`, where `slot` is the
-    /// one an answer to this message is staged in.
+    /// one an answer to this message is staged in. Every length and index
+    /// the peer wrote is checked before it sizes, indexes or READs
+    /// anything; a bad one is a typed error.
     fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)>;
 }
 
@@ -413,11 +407,7 @@ impl<W: Wire> PipelinedClient for Pipelined<W> {
         if self.staged.is_empty() {
             return Ok(());
         }
-        let batch = self.staged.len();
-        self.link.ep.post_send(&self.staged)?;
-        self.staged.clear();
-        note_doorbell(&self.link.ep, batch);
-        Ok(())
+        post_chain(&self.link.ep, &mut self.staged)
     }
 
     fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>> {
@@ -431,12 +421,13 @@ impl<W: Wire> PipelinedClient for Pipelined<W> {
 
     fn wait(&mut self, token: Token) -> Result<PoolBuf> {
         self.flush()?;
+        // Drain the whole ready batch before (possibly) blocking: the peer
+        // posts response bursts under one doorbell, and absorbing them
+        // together frees a burst of slots for the caller to refill under
+        // one doorbell of its own. After that, return the moment `token`
+        // is banked — the rest of a burst waits for the next call.
+        self.pump()?;
         loop {
-            // Drain the whole ready batch before (possibly) blocking: the
-            // peer posts response bursts under one doorbell, and absorbing
-            // them together frees a burst of slots for the caller to refill
-            // under one doorbell of its own.
-            self.pump()?;
             if let Some(buf) = self.win.try_take(token)? {
                 return Ok(buf);
             }
@@ -459,6 +450,14 @@ impl<W: Wire> PipelinedClient for Pipelined<W> {
 
     fn in_flight(&self) -> usize {
         self.win.in_flight
+    }
+}
+
+impl<W: Wire> RpcClient for Pipelined<W> {
+    /// One request in flight: submit it, wait for its token.
+    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
+        let token = self.submit(request)?;
+        Ok(self.wait(token)?.to_vec())
     }
 
     fn kind(&self) -> ProtocolKind {
@@ -521,12 +520,18 @@ impl<W: Wire> PipelinedServer<W> {
 
     /// The one serving primitive, and the server half of the window's flow
     /// control: answer `first` (the completion a blocking caller waited
-    /// for, if any) and every request completion ready *now*. Responses
-    /// are staged, and the staged chain is posted whenever it reaches half
-    /// a window — the unit `call_many` refills in, so the client's next
-    /// half-window is on the wire while this side is still answering the
-    /// previous one — or the CQ runs dry; a wire that does not chain posts
-    /// each response on its own. Returns how many requests were served.
+    /// for, if any) and every request completion ready *now*, up to a
+    /// window's worth — all a client can have in flight, and for a window
+    /// of one exactly the one request [`RpcServer::serve_one`] promises,
+    /// not also the next one its client sent on seeing the response.
+    /// Responses are staged, and the staged chain is posted the moment it
+    /// reaches half a window — the unit `call_many` refills in, so the
+    /// client's next half-window is on the wire while this side is still
+    /// answering the previous one — before the CQ is polled again, so no
+    /// response waits behind a poll; whatever is left is posted once the
+    /// turn ends. A wire that does not chain posts each response on its
+    /// own, as does a window of one. Returns how many requests were
+    /// served.
     fn serve_ready(
         &mut self,
         first: Option<Completion>,
@@ -543,13 +548,18 @@ impl<W: Wire> PipelinedServer<W> {
             check_len(response.len(), cfg.max_msg)?;
             self.wire.stage(&self.link, token, slot, &response, &mut self.staged)?;
             served += 1;
-            next = ep.recv_cq().try_poll();
-            if self.staged.len() >= unit || next.is_none() {
+            if self.staged.len() >= unit {
                 note_burst(ep, self.staged.len());
-                ep.post_send(&self.staged)?;
-                note_doorbell(ep, self.staged.len());
-                self.staged.clear();
+                post_chain(ep, &mut self.staged)?;
             }
+            if served == cfg.ring_slots {
+                break;
+            }
+            next = ep.recv_cq().try_poll();
+        }
+        if !self.staged.is_empty() {
+            note_burst(ep, self.staged.len());
+            post_chain(ep, &mut self.staged)?;
         }
         Ok(served)
     }
@@ -558,7 +568,8 @@ impl<W: Wire> PipelinedServer<W> {
 impl<W: Wire> RpcServer for PipelinedServer<W> {
     /// Block for the head of a burst, then serve it and whatever else is
     /// ready without blocking: a pipelined peer sends windows, so "one
-    /// request" here is one turn of [`PipelinedServer::serve_ready`].
+    /// request" here is one turn of [`PipelinedServer::serve_ready`] — one
+    /// request exactly on a window of one.
     fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
         let Link { ep, cfg } = &self.link;
         let Some(first) = poll_recv(ep, cfg.poll, cfg.op_timeout_ns)? else { return Ok(false) };
@@ -612,11 +623,14 @@ fn parse_hdr(hdr: &[u8]) -> Result<(usize, Token)> {
     Ok((len, token))
 }
 
-/// Read and parse the [`HDR`] at `base` of `mr`.
-fn read_hdr(mr: &MemoryRegion, base: usize) -> Result<(usize, Token)> {
-    let mut hdr = [0u8; HDR];
-    mr.read(base, &mut hdr)?;
-    parse_hdr(&hdr)
+/// `(token, payload)` of the [`HDR`]-framed message in `slot`, of which
+/// the peer wrote the first `arrived` bytes: the header's length is checked
+/// against those before it slices anything.
+fn framed(slot: &[u8], arrived: usize) -> Result<(Token, &[u8])> {
+    let frame = &slot[..arrived.min(slot.len())];
+    let (len, token) = parse_hdr(frame)?;
+    check_len(len, frame.len() - HDR)?;
+    Ok((token, &frame[HDR..HDR + len]))
 }
 
 /// A region of `window` slots with one receive pre-posted per slot.
@@ -679,8 +693,7 @@ impl Wire for EagerWire {
     ) -> Result<()> {
         let base = slot * self.slot_size;
         let copy = charge_memcpy(&link.ep, payload.len());
-        self.send_ring.write(base, &frame_hdr(payload.len(), token))?;
-        self.send_ring.write(base + HDR, payload)?;
+        self.send_ring.write_parts(base, &[&frame_hdr(payload.len(), token), payload])?;
         drop(copy);
         staged.push(SendWr::send(token, self.send_ring.slice(base, HDR + payload.len())));
         Ok(())
@@ -690,9 +703,14 @@ impl Wire for EagerWire {
         comp.ok()?;
         let slot = comp.wr_id as usize % link.cfg.ring_slots;
         let base = slot * self.slot_size;
-        let (len, token) = read_hdr(&self.recv_ring, base)?;
-        let copy = charge_memcpy(&link.ep, len);
-        let payload = B::land(&self.recv_ring, base + HDR, len)?;
+        // The copy out of the slot is charged from the moment its length
+        // is known, and waited out once the borrow has released the ring.
+        let (token, payload, copy) =
+            self.recv_ring.with_bytes(base, self.slot_size, |slot| {
+                let (token, payload) = framed(slot, comp.byte_len)?;
+                let copy = charge_memcpy(&link.ep, payload.len());
+                Ok::<_, RdmaError>((token, B::from(payload), copy))
+            })??;
         drop(copy);
         link.ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
         Ok((token, slot, payload))
@@ -745,10 +763,13 @@ impl Wire for ChainedWire {
     }
 
     fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)> {
-        // Notifies arrive as receive completions on the control ring.
+        // Notifies arrive as receive completions on the control ring; the
+        // payload they announce must fit the slot's stripe.
         let (len, token) = parse_hdr(&self.ctrl.read_slot(comp)?)?;
-        let slot = token as usize % link.cfg.ring_slots;
-        let payload = B::land(&self.in_ring, slot * link.cfg.max_msg, len)?;
+        let Link { cfg, .. } = link;
+        check_len(len, cfg.max_msg)?;
+        let slot = token as usize % cfg.ring_slots;
+        let payload = self.in_ring.with_bytes(slot * cfg.max_msg, len, |b| B::from(b))?;
         Ok((token, slot, payload))
     }
 }
@@ -794,8 +815,7 @@ impl Wire for ImmWire {
         staged: &mut Vec<SendWr>,
     ) -> Result<()> {
         let base = slot * self.slot_size;
-        self.out_stage.write(base, &frame_hdr(payload.len(), token))?;
-        self.out_stage.write(base + HDR, payload)?;
+        self.out_stage.write_parts(base, &[&frame_hdr(payload.len(), token), payload])?;
         let total = HDR + payload.len();
         staged.push(SendWr::write_imm(
             token,
@@ -808,12 +828,17 @@ impl Wire for ImmWire {
 
     fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)> {
         comp.ok()?;
-        let slot = comp.imm.ok_or_else(|| {
-            RdmaError::InvalidWorkRequest("write-imm completion carries no slot index".into())
-        })? as usize;
+        let slot = comp.imm.map(|imm| imm as usize).filter(|&slot| slot < link.cfg.ring_slots);
+        let slot = slot.ok_or_else(|| {
+            RdmaError::InvalidWorkRequest(format!(
+                "write-imm immediate {:?} names no slot of the window",
+                comp.imm
+            ))
+        })?;
         let base = slot * self.slot_size;
-        let (len, token) = read_hdr(&self.in_ring, base)?;
-        let payload = B::land(&self.in_ring, base + HDR, len)?;
+        let (token, payload) = self.in_ring.with_bytes(base, self.slot_size, |slot| {
+            framed(slot, comp.byte_len).map(|(token, payload)| (token, B::from(payload)))
+        })??;
         link.ep.post_recv(RecvWr::new(comp.wr_id, self.imm_dummy.clone(), 0, 0))?;
         Ok((token, slot, payload))
     }
@@ -860,11 +885,18 @@ impl HybridWire {
         hdr[0] = tag;
         hdr[1..9].copy_from_slice(&(len as u64).to_le_bytes());
         hdr[9..].copy_from_slice(&token.to_le_bytes());
-        self.frame_stage.write(base, &hdr)?;
-        self.frame_stage.write(base + HY_HDR, body)?;
+        self.frame_stage.write_parts(base, &[&hdr, body])?;
         staged.push(SendWr::send(token, self.frame_stage.slice(base, HY_HDR + body.len())));
         Ok(())
     }
+}
+
+/// What one hybrid frame carried, as taken out of its slot.
+enum HybridFrame<B> {
+    /// An eager payload.
+    Eager(B),
+    /// A rendezvous advert, cut to the announced (checked) length.
+    Rts(RemoteBuf),
 }
 
 impl Wire for HybridWire {
@@ -912,38 +944,48 @@ impl Wire for HybridWire {
         comp.ok()?;
         let Link { ep, cfg } = link;
         let base = (comp.wr_id as usize % cfg.ring_slots) * self.slot_size;
-        let recycle =
-            || ep.post_recv(RecvWr::new(comp.wr_id, self.ring.clone(), base, self.slot_size));
-        let mut hdr = [0u8; HY_HDR];
-        self.ring.read(base, &mut hdr)?;
-        let len = wire_len(&hdr[1..9]);
-        let token = u64::from_le_bytes(hdr[9..17].try_into().expect("8B"));
+        // An eager payload must fit the bytes that arrived behind its
+        // header, an advertised one the landing stripe. The eager copy is
+        // charged as in the eager wire.
+        let (token, frame, copy) = self.ring.with_bytes(base, self.slot_size, |slot| {
+            let frame = &slot[..comp.byte_len.min(slot.len())];
+            let Some((hdr, body)) = frame.split_first_chunk::<HY_HDR>() else {
+                return Err(RdmaError::InvalidWorkRequest(format!(
+                    "hybrid frame of {} bytes is too short",
+                    frame.len()
+                )));
+            };
+            let len = wire_len(&hdr[1..9]);
+            let token = u64::from_le_bytes(hdr[9..].try_into().expect("8B"));
+            Ok(match hdr[0] {
+                HY_EAGER => {
+                    check_len(len, body.len())?;
+                    let copy = charge_memcpy(ep, len);
+                    (token, HybridFrame::Eager(B::from(&body[..len])), Some(copy))
+                }
+                HY_RTS => {
+                    check_len(len, cfg.max_msg)?;
+                    (token, HybridFrame::Rts(RemoteBuf::decode(body)?.sub(0, len as u64)), None)
+                }
+                other => {
+                    return Err(RdmaError::InvalidWorkRequest(format!(
+                        "unexpected pipelined hybrid tag {other}"
+                    )))
+                }
+            })
+        })??;
+        drop(copy);
+        ep.post_recv(RecvWr::new(comp.wr_id, self.ring.clone(), base, self.slot_size))?;
         let slot = token as usize % cfg.ring_slots;
-        let payload = match hdr[0] {
-            HY_EAGER => {
-                let copy = charge_memcpy(ep, len);
-                let payload = B::land(&self.ring, base + HY_HDR, len)?;
-                drop(copy);
-                recycle()?;
-                payload
-            }
-            HY_RTS => {
-                let mut enc = [0u8; RemoteBuf::WIRE_SIZE];
-                self.ring.read(base + HY_HDR, &mut enc)?;
-                recycle()?;
-                let src = RemoteBuf::decode(&enc)?;
+        let payload = match frame {
+            HybridFrame::Eager(payload) => payload,
+            HybridFrame::Rts(src) => {
                 // READ the advertised payload into this slot's landing stripe.
-                let dbase = slot * cfg.max_msg;
-                let read =
-                    SendWr::read(token, self.landing.slice(dbase, len), src.sub(0, len as u64));
+                let (dbase, len) = (slot * cfg.max_msg, src.len as usize);
+                let read = SendWr::read(token, self.landing.slice(dbase, len), src);
                 ep.post_send(&[read.signaled()])?;
                 ep.send_cq().poll_timeout(cfg.poll, cfg.op_timeout_ns)?.ok()?;
-                B::land(&self.landing, dbase, len)?
-            }
-            other => {
-                return Err(RdmaError::InvalidWorkRequest(format!(
-                    "unexpected pipelined hybrid tag {other}"
-                )))
+                self.landing.with_bytes(dbase, len, |b| B::from(b))?
             }
         };
         Ok((token, slot, payload))
@@ -967,8 +1009,9 @@ fn not_pipelined(kind: ProtocolKind) -> RdmaError {
 }
 
 /// Construct the pipelined client side of `kind` over a connected
-/// endpoint. The window is `cfg.ring_slots`. Errors for protocols without
-/// a pipelined implementation.
+/// endpoint. The window is `cfg.ring_slots` ([`crate::connect_client`]
+/// builds the same channel with a window of one). Errors for protocols
+/// without a pipelined implementation.
 pub fn connect_client_pipelined(
     kind: ProtocolKind,
     ep: Endpoint,
@@ -1243,14 +1286,16 @@ mod tests {
                     None
                 };
                 assert_reversed_echoes(client.as_mut(), &tokens);
-                let delta = snode.stats_snapshot() - before;
-                assert_eq!(delta.doorbells, posts, "{kind} {form}");
-                assert_eq!(delta.pipeline_doorbells, posts, "{kind} {form}");
-                assert_eq!(delta.wrs_posted, wrs, "{kind} {form}");
+                // A serving thread counts a post after ringing it: read the
+                // counters once it is done.
                 drop(client);
                 if let Some(server) = server {
                     server.join().unwrap();
                 }
+                let delta = snode.stats_snapshot() - before;
+                assert_eq!(delta.doorbells, posts, "{kind} {form}");
+                assert_eq!(delta.pipeline_doorbells, posts, "{kind} {form}");
+                assert_eq!(delta.wrs_posted, wrs, "{kind} {form}");
             }
         }
     }
@@ -1305,6 +1350,38 @@ mod tests {
         }
         drop(pair.client);
         pair.server.join().unwrap();
+    }
+
+    /// `serve_one` on a window of one serves one request, even when the
+    /// next is already waiting: here a client overruns the window (two
+    /// requests against one posted receive), so the second lands the
+    /// moment the first one's receive is recycled — before the server
+    /// looks for more work.
+    #[test]
+    fn serve_one_on_a_window_of_one_serves_exactly_one_request() {
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let cnode = fabric.add_node("client");
+        let snode = fabric.add_node("server");
+        let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
+        let cfg = ProtocolConfig {
+            max_msg: 256,
+            ring_slots: 2,
+            op_timeout_ns: 2_000_000_000,
+            ..Default::default()
+        };
+        let kind = ProtocolKind::EagerSendRecv;
+        let mut server = crate::accept_server(kind, sep, cfg.clone()).unwrap();
+        let mut client = connect_client_pipelined(kind, cep, cfg).unwrap();
+        let tokens = [client.submit(b"one").unwrap(), client.submit(b"two").unwrap()];
+        client.flush().unwrap();
+        let mut served = Vec::new();
+        for _ in 0..2 {
+            assert!(server.serve_one(&mut |req| reverse(req)).unwrap());
+            served.push(snode.stats_snapshot().completions);
+        }
+        assert_eq!(served, [1, 2], "one request per serve_one");
+        assert_eq!(client.wait(tokens[0]).unwrap().as_slice(), b"eno");
+        assert_eq!(client.wait(tokens[1]).unwrap().as_slice(), b"owt");
     }
 
     #[test]

@@ -600,23 +600,7 @@ impl RpcServer for Rfp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::tests_support::{echo_pair, run_echo_calls};
-
-    #[test]
-    fn pilaf_roundtrips() {
-        run_echo_calls(ProtocolKind::Pilaf, &[8, 512, 16384]);
-    }
-
-    #[test]
-    fn farm_roundtrips() {
-        run_echo_calls(ProtocolKind::Farm, &[8, 512, 16384]);
-    }
-
-    #[test]
-    fn rfp_roundtrips_including_second_read_path() {
-        // 512 fits the first READ; 65536 forces the follow-up READ.
-        run_echo_calls(ProtocolKind::Rfp, &[8, 512, 65536]);
-    }
+    use crate::common::tests_support::echo_pair;
 
     /// The server-bypass property: Pilaf/FaRM/RFP responses cost the
     /// server zero posted work requests.
@@ -754,16 +738,6 @@ mod tests {
                 "{kind}: {} one-sided ops in a {elapsed} ns call (bound {bound})",
                 c.outbound_rdma
             );
-        }
-    }
-
-    #[test]
-    fn servers_see_disconnect() {
-        for kind in [ProtocolKind::Pilaf, ProtocolKind::Farm, ProtocolKind::Rfp] {
-            let (client, mut server) =
-                echo_pair(kind, ProtocolConfig { max_msg: 512, ..Default::default() });
-            drop(client);
-            assert!(!server.serve_one(&mut |r| r.to_vec()).unwrap(), "{kind}");
         }
     }
 }

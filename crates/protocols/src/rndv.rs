@@ -209,17 +209,7 @@ msg_channel_endpoints!(ReadRndv, ProtocolKind::ReadRndv);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::tests_support::{echo_pair, run_echo_calls};
-
-    #[test]
-    fn write_rndv_roundtrips() {
-        run_echo_calls(ProtocolKind::WriteRndv, &[16, 4096, 131072]);
-    }
-
-    #[test]
-    fn read_rndv_roundtrips() {
-        run_echo_calls(ProtocolKind::ReadRndv, &[16, 4096, 131072]);
-    }
+    use crate::common::tests_support::echo_pair;
 
     #[test]
     fn ctrl_msg_roundtrip() {
@@ -247,15 +237,5 @@ mod tests {
             rndv_bytes < dw_bytes,
             "rendezvous ({rndv_bytes}B) should pin less than direct-write ({dw_bytes}B)"
         );
-    }
-
-    #[test]
-    fn servers_see_disconnect() {
-        for kind in [ProtocolKind::WriteRndv, ProtocolKind::ReadRndv] {
-            let (client, mut server) =
-                echo_pair(kind, ProtocolConfig { max_msg: 1024, ..Default::default() });
-            drop(client);
-            assert!(!server.serve_one(&mut |r| r.to_vec()).unwrap(), "{kind}");
-        }
     }
 }

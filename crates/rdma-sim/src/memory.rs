@@ -100,11 +100,25 @@ impl MemoryRegion {
     /// Copy `data` into the region at `offset` (application-side access;
     /// drains pending simulated effects first).
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<()> {
+        self.write_parts(offset, &[data])
+    }
+
+    /// Copy `parts` back to back into the region from `offset`, under one
+    /// drain and one lock: a header and its payload framed in one access.
+    /// The whole range is checked before any byte is written.
+    pub fn write_parts(&self, offset: usize, parts: &[&[u8]]) -> Result<()> {
         self.check_live()?;
         if let Some(node) = self.inner.node.upgrade() {
             node.drain_effects();
         }
-        self.write_raw(offset, data)
+        let mut buf = self.inner.buf.write();
+        let len = parts.iter().map(|p| p.len()).sum();
+        let mut at = bounds(offset, len, buf.len())?.start;
+        for part in parts {
+            buf[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        Ok(())
     }
 
     /// Borrow `len` bytes at `offset` for the duration of `f`
@@ -353,6 +367,12 @@ mod tests {
         let mr = pd.register(8).unwrap();
         let err = mr.write(6, b"abc").unwrap_err();
         assert!(matches!(err, RdmaError::OutOfBounds { .. }));
+        // A multi-part write is checked whole: no part lands.
+        let err = mr.write_parts(4, &[b"ab", b"cde"]).unwrap_err();
+        assert!(matches!(err, RdmaError::OutOfBounds { .. }));
+        assert_eq!(mr.read_vec(0, 8).unwrap(), [0; 8]);
+        mr.write_parts(3, &[b"ab", b"cde"]).unwrap();
+        assert_eq!(mr.read_vec(0, 8).unwrap(), b"\0\0\0abcde");
     }
 
     #[test]
