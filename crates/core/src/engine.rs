@@ -208,8 +208,9 @@ struct FnPlan {
     key: ChannelKey,
 }
 
-/// `ring_slots` of a depth-1 channel: the control-ring depth of a non-wire
-/// kind (a wire kind's blocking channel is a window of one regardless).
+/// `ring_slots` of a depth-1 channel: the ring depth of a kind without a
+/// wire, the READ-based family and HERD (every other kind's blocking
+/// channel is a window of one regardless).
 const ENGINE_RING_SLOTS: usize = 16;
 /// Upper bound on the `queue_depth` hint: every in-flight slot pins ring
 /// memory on both peers, so a runaway hint must not exhaust the MR budget.
@@ -1134,10 +1135,12 @@ pub enum ServerPolicy {
     ThreadPool(usize),
     /// One completion-driven driver thread multiplexes every
     /// reactor-capable connection (pipelined protocols, i.e. the client
-    /// hinted `queue_depth > 1`) — see [`crate::reactor`]. Connections
-    /// whose protocol has no reactor state machine (classic depth-1
-    /// channels, rendezvous/read-based kinds) fall back to a thread each,
-    /// as under [`ServerPolicy::Threaded`].
+    /// hinted `queue_depth > 1`) — see [`crate::reactor`]. Every other
+    /// connection falls back to a thread each, as under
+    /// [`ServerPolicy::Threaded`]: a depth-1 channel (a window of one, on
+    /// every kind with a wire — the rendezvous kinds and
+    /// Direct-Write-Send have no other), and the READ-based family and
+    /// HERD, which have no wire.
     Reactor,
 }
 

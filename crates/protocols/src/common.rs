@@ -2,7 +2,7 @@
 //! control-message rings, and the out-of-band handshake.
 
 use hat_rdma_sim::{
-    Endpoint, MemoryRegion, PollMode, PoolBuf, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
+    Endpoint, MemoryRegion, PollMode, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
 };
 
 /// Identifies one of the implemented RDMA protocols (paper Figure 3 plus
@@ -102,9 +102,9 @@ pub struct ProtocolConfig {
     /// Largest message this connection must carry (sizes the pre-known
     /// buffers and eager slots).
     pub max_msg: usize,
-    /// A pipelined channel's window, or the depth of a non-wire kind's
-    /// control ring. A blocking client or server of a kind with a wire
-    /// ignores it: its window is one.
+    /// A pipelined channel's window, or the ring depth of a kind without a
+    /// wire (the READ-based family and HERD). A blocking client or server
+    /// of a kind with a wire ignores it: its window is one.
     pub ring_slots: usize,
     /// Eager-vs-rendezvous switch point for [`ProtocolKind::HybridEagerRndv`].
     /// The paper fixes this at 4 KB.
@@ -178,98 +178,23 @@ pub trait RpcServer: Send {
     }
 }
 
-/// A connection that moves whole messages either way and lands them in a
-/// registered region (the rendezvous family and Direct-Write-Send): what
-/// [`msg_channel_endpoints`] builds an [`RpcClient`] and an [`RpcServer`] on.
-pub(crate) trait MsgChannel {
-    /// Send one message.
-    fn send_msg(&self, data: &[u8]) -> Result<()>;
-
-    /// Receive one message and take it out of its landing region with
-    /// `land` — the receive side's one copy, and the only thing that runs
-    /// under the region's lock. `None` on disconnect.
-    fn recv_msg<T>(&self, land: impl FnOnce(&[u8]) -> T) -> Result<Option<T>>;
-}
-
-/// [`RpcClient::call`] over a [`MsgChannel`]: the reply is copied out once,
-/// into the `Vec` the signature promises.
-pub(crate) fn call(ch: &impl MsgChannel, request: &[u8]) -> Result<Vec<u8>> {
-    ch.send_msg(request)?;
-    ch.recv_msg(<[u8]>::to_vec)?.ok_or(RdmaError::Disconnected)
-}
-
-/// [`RpcServer::serve_one`] over a [`MsgChannel`]: the request lands in a
-/// pooled buffer (one copy, no allocation) and the handler borrows *that*,
-/// never the registered region — a late or hostile in-bound WRITE to a
-/// region whose lock a handler held would park the node's effect drain,
-/// and with it every connection on the node, behind user code. The buffer
-/// is back in the pool before the response is staged.
-pub(crate) fn serve_one(
-    ch: &impl MsgChannel,
-    handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
-) -> Result<bool> {
-    let Some(request) = ch.recv_msg(PoolBuf::copy_from)? else { return Ok(false) };
-    let response = handler(&request);
-    drop(request);
-    ch.send_msg(&response)?;
-    Ok(true)
-}
-
-/// Implement [`RpcClient`] and [`RpcServer`] for a [`MsgChannel`] of `$kind`.
-macro_rules! msg_channel_endpoints {
-    ($name:ident, $kind:expr) => {
-        impl $crate::common::RpcClient for $name {
-            fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-                $crate::common::call(self, request)
-            }
-
-            fn kind(&self) -> ProtocolKind {
-                $kind
-            }
-        }
-
-        impl $crate::common::RpcServer for $name {
-            fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-                $crate::common::serve_one(self, handler)
-            }
-
-            fn kind(&self) -> ProtocolKind {
-                $kind
-            }
-        }
-    };
-}
-pub(crate) use msg_channel_endpoints;
-
 /// Construct the client side of `kind` over a connected endpoint,
 /// performing the protocol's buffer handshake with the (concurrently
-/// constructed) server side. A kind with a wire
-/// ([`crate::PIPELINED_KINDS`]) is its pipelined channel with a window of
-/// one, whatever `cfg.ring_slots` says: a blocking client has one request
-/// in flight.
+/// constructed) server side. Every kind but the READ-based family and
+/// HERD is a wire ([`crate::pipeline`]) driven with a window of one,
+/// whatever `cfg.ring_slots` says: a blocking client has one request in
+/// flight.
 pub fn connect_client(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn RpcClient>> {
     Ok(match kind {
-        ProtocolKind::EagerSendRecv
-        | ProtocolKind::ChainedWriteSend
-        | ProtocolKind::DirectWriteImm
-        | ProtocolKind::HybridEagerRndv => crate::pipeline::connect_client_pipelined(
-            kind,
-            ep,
-            ProtocolConfig { ring_slots: 1, ..cfg },
-        )?,
-        ProtocolKind::DirectWriteSend => {
-            Box::new(crate::direct_write::DirectWriteSend::new(ep, cfg)?)
-        }
-        ProtocolKind::WriteRndv => Box::new(crate::rndv::WriteRndv::client(ep, cfg)?),
-        ProtocolKind::ReadRndv => Box::new(crate::rndv::ReadRndv::client(ep, cfg)?),
         ProtocolKind::Pilaf => Box::new(crate::read_based::Pilaf::client(ep, cfg)?),
         ProtocolKind::Farm => Box::new(crate::read_based::Farm::client(ep, cfg)?),
         ProtocolKind::Rfp => Box::new(crate::read_based::Rfp::client(ep, cfg)?),
         ProtocolKind::Herd => Box::new(crate::herd::Herd::client(ep, cfg)?),
+        wire => crate::pipeline::connect_wire(wire, ep, ProtocolConfig { ring_slots: 1, ..cfg })?,
     })
 }
 
@@ -282,23 +207,11 @@ pub fn accept_server(
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn RpcServer>> {
     Ok(match kind {
-        ProtocolKind::EagerSendRecv
-        | ProtocolKind::ChainedWriteSend
-        | ProtocolKind::DirectWriteImm
-        | ProtocolKind::HybridEagerRndv => crate::pipeline::accept_server_pipelined(
-            kind,
-            ep,
-            ProtocolConfig { ring_slots: 1, ..cfg },
-        )?,
-        ProtocolKind::DirectWriteSend => {
-            Box::new(crate::direct_write::DirectWriteSend::new(ep, cfg)?)
-        }
-        ProtocolKind::WriteRndv => Box::new(crate::rndv::WriteRndv::server(ep, cfg)?),
-        ProtocolKind::ReadRndv => Box::new(crate::rndv::ReadRndv::server(ep, cfg)?),
         ProtocolKind::Pilaf => Box::new(crate::read_based::Pilaf::server(ep, cfg)?),
         ProtocolKind::Farm => Box::new(crate::read_based::Farm::server(ep, cfg)?),
         ProtocolKind::Rfp => Box::new(crate::read_based::Rfp::server(ep, cfg)?),
         ProtocolKind::Herd => Box::new(crate::herd::Herd::server(ep, cfg)?),
+        wire => crate::pipeline::accept_wire(wire, ep, ProtocolConfig { ring_slots: 1, ..cfg })?,
     })
 }
 
@@ -360,9 +273,9 @@ pub(crate) fn poll_recv(
     }
 }
 
-/// Largest control message any protocol sends: tag + length + one
+/// Largest control message any protocol sends: tag + length + token + one
 /// [`RemoteBuf`] (the rendezvous RTS/CTS).
-pub(crate) const CTRL_MAX: usize = 1 + 8 + RemoteBuf::WIRE_SIZE;
+pub(crate) const CTRL_MAX: usize = 1 + 8 + 8 + RemoteBuf::WIRE_SIZE;
 
 /// One control message, held by value: control traffic is sent inline
 /// from, and received into, the stack — never the heap.
@@ -643,6 +556,30 @@ mod tests {
         // message that would cost one (§4.3).
         let (client, server) = eight_echoes(HybridEagerRndv, 64 * 1024);
         assert_eq!((client.memcpys, server.memcpys), (0, 0), "hybrid rendezvous copies");
+    }
+
+    /// Rendezvous pins less memory than direct-write for the same max_msg:
+    /// the paper's reason to map `res_util` → RNDV for large payloads. On
+    /// a window of one each side pins, besides its payload regions, two
+    /// rendezvous control slots or one 16 B direct-write notify slot.
+    #[test]
+    fn rndv_server_footprint_below_direct_write() {
+        use ProtocolKind::*;
+        let max = 256 * 1024;
+        let pinned = |kind| {
+            let (client, server) =
+                echo_pair(kind, ProtocolConfig { max_msg: max, ..Default::default() });
+            let bytes = |node: &std::sync::Arc<hat_rdma_sim::Node>| {
+                node.stats_snapshot().registered_bytes as usize
+            };
+            (bytes(client.node()), bytes(server.node()))
+        };
+        let ctrl = 2 * CTRL_MAX;
+        // Write-RNDV: the landing region; Read-RNDV: the stage and the
+        // landing region; direct-write: a landing and a staging stripe.
+        assert_eq!(pinned(WriteRndv), (max + ctrl, max + ctrl));
+        assert_eq!(pinned(ReadRndv), (2 * max + ctrl, 2 * max + ctrl));
+        assert_eq!(pinned(DirectWriteSend), (2 * max + 16, 2 * max + 16));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! its response, leaving the wire idle for a full round trip per call. A
 //! [`PipelinedClient`] instead keeps up to `window` requests in flight
 //! (the window is [`crate::ProtocolConfig::ring_slots`], which the engine
-//! derives from the `queue_depth` hint). The blocking form of these four
-//! kinds is the same channel with a window of one — what
+//! derives from the `queue_depth` hint). The blocking form of every kind
+//! with a wire is the same channel with a window of one — what
 //! [`crate::connect_client`] and [`crate::accept_server`] build — so each
 //! kind has one implementation, its wire:
 //!
@@ -25,9 +25,9 @@
 //! the right request even when fault injection delays and reorders CQ
 //! entries. Responses may be taken in any order; a window slot is recycled
 //! only once its response has been *taken* by the caller, which doubles as
-//! flow control for the per-slot remote rings (no FIN control messages are
-//! needed: by the time token `t + window` can be submitted, the buffers of
-//! token `t` are provably quiescent).
+//! flow control for the per-slot remote rings (the pipelined wires need no
+//! FIN control messages: by the time token `t + window` can be submitted,
+//! the buffers of token `t` are provably quiescent).
 //!
 //! A channel is **one window driver plus a wire format**. The client
 //! driver (`Pipelined<W>`: the window, the staged-WR vector, flush, pump,
@@ -38,28 +38,40 @@
 //! into `(token, slot, payload)`. Both ends of a connection run the *same*
 //! wire: a request and a response are framed identically.
 //!
-//! | kind | slot (both sides, per window entry) | message path | token rides | slot claim | responses | doorbells per flushed batch |
-//! |------|-------------------------------------|--------------|-------------|------------|-----------|------------------------------|
-//! | Eager-SendRecv | send + recv frame of `12 + max_msg` | copy + SEND | frame header | any free | half-window chains | 1 |
-//! | Chained-Write-Send | landing + staging stripe of `max_msg` | WRITE to the peer's stripe + chained inline SEND | notify message | `token % window` | one post each | 1 |
-//! | Direct-WriteIMM | landing + staging stripe of `12 + max_msg` | WRITE_WITH_IMM, imm = slot | slot header | any free | half-window chains | 1 |
-//! | Hybrid-EagerRNDV | frame of `17 + max(threshold, 32)`, plus rendezvous stage + landing of `max_msg` | eager frame, or RTS + peer READ | frame header | `token % window` | one post each | 1 |
+//! | kind | slot (both sides, per window entry) | message path | token rides | slot claim | responses | doorbells per message |
+//! |------|-------------------------------------|--------------|-------------|------------|-----------|-----------------------|
+//! | Eager-SendRecv | send + recv frame of `12 + max_msg` | copy + SEND | frame header | any free | half-window chains | 1 per flushed batch |
+//! | Direct-Write-Send (window 1) | as Chained-Write-Send | WRITE to the peer's stripe, then a separate inline SEND | notify message | `token % window` | one post each | 2 |
+//! | Chained-Write-Send | landing + staging stripe of `max_msg` | WRITE to the peer's stripe + chained inline SEND | notify message | `token % window` | one post each | 1 per flushed batch |
+//! | Write-RNDV (window 1) | landing region of `max_msg`; two 49 B control slots | RTS → CTS → pooled WRITE + FIN | RTS | the one slot | one post each | 3 (RTS, CTS, WRITE + FIN) |
+//! | Read-RNDV (window 1) | stage + landing of `max_msg`; two 49 B control slots | RTS with the stage's rkey → peer READ → FIN | RTS | the one slot | one post each | 3 (RTS, READ, FIN) |
+//! | Direct-WriteIMM | landing + staging stripe of `12 + max_msg` | WRITE_WITH_IMM, imm = slot | slot header | any free | half-window chains | 1 per flushed batch |
+//! | Hybrid-EagerRNDV | frame of `17 + max(threshold, 32)`, plus rendezvous stage + landing of `max_msg` | eager frame, or RTS + peer READ | frame header | `token % window` | one post each | 1 per flushed batch |
 //!
 //! Each side frames a message with one region access (header and payload
 //! together) and absorbs one with one borrow of its slot — parse the
 //! header, check the peer's length against the bytes that arrived (or
 //! against `max_msg`), copy the payload out — so no length off the wire
-//! sizes a buffer or a READ before it is checked.
+//! sizes a buffer or a READ before it is checked. The payload is copied
+//! out once per side: the server lands a request in a pooled buffer its
+//! handler borrows, and a blocking [`RpcClient::call`] lands its reply in
+//! the `Vec` it returns.
+//!
+//! Three wires serve a window of one only, and are not in
+//! [`PIPELINED_KINDS`]: Direct-Write-Send, whose Figure 3b cost is the
+//! second doorbell a batched chain would save, and the two rendezvous
+//! kinds, whose `stage` and `absorb` wait on the peer mid-message (for
+//! the CTS or the FIN) — sound only with one message in flight each way.
 
 use hat_rdma_sim::stats::NodeStats;
 use hat_rdma_sim::{
-    Completion, CompletionQueue, Endpoint, MemoryRegion, PoolBuf, RdmaError, RecvWr, RemoteBuf,
-    Result, SendWr,
+    Completion, CompletionQueue, Endpoint, MemoryRegion, MrSlice, PoolBuf, RdmaError, RecvWr,
+    RemoteBuf, Result, SendWr,
 };
 
 use crate::common::{
-    charge_memcpy, exchange_blobs, poll_recv, wire_len, CtrlRing, ProtocolConfig, ProtocolKind,
-    RpcClient, RpcServer,
+    charge_memcpy, exchange_blobs, poll_recv, wire_len, CtrlMsg, CtrlRing, ProtocolConfig,
+    ProtocolKind, RpcClient, RpcServer, CTRL_MAX,
 };
 
 /// Identifies one submitted request. Tokens are sequential per channel,
@@ -294,10 +306,10 @@ struct Link {
     cfg: ProtocolConfig,
 }
 
-/// Where an absorbed payload is copied out to: the client takes responses
-/// in pooled buffers (its zero-alloc hot path), the server hands its
-/// handler a `Vec`. Built from the checked payload bytes, so it is sized
-/// by what arrived, never by what a header claims.
+/// Where an absorbed payload is copied out to: a pooled buffer (the
+/// server's request, a pipelined client's response) or the `Vec` a
+/// blocking call returns. Built from the checked payload bytes, so it is
+/// sized by what arrived, never by what a header claims.
 trait Landing: for<'a> From<&'a [u8]> {}
 
 impl<B: for<'a> From<&'a [u8]>> Landing for B {}
@@ -332,8 +344,9 @@ trait Wire: Send + Sized {
     fn setup(link: &Link) -> Result<Self>;
 
     /// Frame `payload` for `token` into window slot `slot` and push the
-    /// work request(s) that carry it — staged, not posted. The caller has
-    /// checked `payload` against `max_msg`.
+    /// work request(s) that carry it — staged, not posted (a window-one
+    /// wire may post its first leg itself). The caller has checked
+    /// `payload` against `max_msg`.
     fn stage(
         &self,
         link: &Link,
@@ -454,10 +467,28 @@ impl<W: Wire> PipelinedClient for Pipelined<W> {
 }
 
 impl<W: Wire> RpcClient for Pipelined<W> {
-    /// One request in flight: submit it, wait for its token.
+    /// Submit one request and wait for its token. Replies are copied out
+    /// of the wire straight into a `Vec`, so this call's costs one copy; a
+    /// sibling's met on the way (an async call's, on a pipelined channel)
+    /// is banked in the window as a pooled buffer, as [`Self::wait`] banks
+    /// it.
     fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
         let token = self.submit(request)?;
-        Ok(self.wait(token)?.to_vec())
+        self.flush()?;
+        loop {
+            let Link { ep, cfg } = &self.link;
+            let comp =
+                poll_recv(ep, cfg.poll, cfg.op_timeout_ns)?.ok_or(RdmaError::Disconnected)?;
+            let (t, _, reply): (_, _, Vec<u8>) = self.wire.absorb(&self.link, comp)?;
+            if t != token {
+                self.win.complete(t, PoolBuf::from(&reply[..]))?;
+                continue;
+            }
+            // Free the slot as taking a banked response does.
+            self.win.complete(t, PoolBuf::empty())?;
+            self.win.try_take(t)?;
+            return Ok(reply);
+        }
     }
 
     fn kind(&self) -> ProtocolKind {
@@ -532,6 +563,14 @@ impl<W: Wire> PipelinedServer<W> {
     /// turn ends. A wire that does not chain posts each response on its
     /// own, as does a window of one. Returns how many requests were
     /// served.
+    ///
+    /// A request lands in a pooled buffer (one copy, no allocation) and
+    /// the handler borrows *that*, never the registered region: a late or
+    /// hostile in-bound WRITE to a region whose lock a handler held would
+    /// park the node's effect drain, and with it every connection on the
+    /// node, behind user code. The buffer is back in the pool before the
+    /// response is staged, so a Write-RNDV response, staged in a pooled
+    /// buffer of its own, can take the same storage.
     fn serve_ready(
         &mut self,
         first: Option<Completion>,
@@ -543,8 +582,9 @@ impl<W: Wire> PipelinedServer<W> {
         self.staged.clear();
         let mut next = first.or_else(|| ep.recv_cq().try_poll());
         while let Some(comp) = next {
-            let (token, slot, request): (_, _, Vec<u8>) = self.wire.absorb(&self.link, comp)?;
+            let (token, slot, request): (_, _, PoolBuf) = self.wire.absorb(&self.link, comp)?;
             let response = handler(&request);
+            drop(request);
             check_len(response.len(), cfg.max_msg)?;
             self.wire.stage(&self.link, token, slot, &response, &mut self.staged)?;
             served += 1;
@@ -597,7 +637,7 @@ impl<W: Wire> ReactorServe for PipelinedServer<W> {
 }
 
 // ---------------------------------------------------------------------------
-// The four wire formats.
+// The wire formats.
 // ---------------------------------------------------------------------------
 
 /// The header of an eager frame and of a write-imm slot, and the whole of
@@ -717,11 +757,17 @@ impl Wire for EagerWire {
     }
 }
 
-/// Chained-Write-Send: each window slot owns a stripe of the peer's
-/// pre-known ring; a message is a WRITE into that stripe plus a chained
-/// inline SEND notify carrying length and token, so a flush posts the
-/// whole `(WRITE, SEND)*` chain under one doorbell.
-struct ChainedWire {
+/// Chained-Write-Send (`SPLIT = false`, Figure 3c): each window slot owns
+/// a stripe of the peer's pre-known ring; a message is a WRITE into that
+/// stripe plus a chained inline SEND notify carrying length and token, so
+/// a flush posts the whole `(WRITE, SEND)*` chain under one doorbell.
+///
+/// Direct-Write-Send (`SPLIT = true`, Figure 3b) is the same wire with the
+/// WRITE posted on its own before the notify is staged: two doorbells per
+/// message, the one cost 3c's chaining exists to save. A window of one
+/// only ([`PIPELINED_KINDS`] leaves it out), since a batched flush would
+/// hide that second doorbell.
+struct ChainedWire<const SPLIT: bool> {
     /// Per-slot landing stripes the peer WRITEs into.
     in_ring: MemoryRegion,
     /// Per-slot staging stripes outbound WRITEs are issued from.
@@ -731,13 +777,14 @@ struct ChainedWire {
     ctrl: CtrlRing,
 }
 
-impl Wire for ChainedWire {
-    const KIND: ProtocolKind = ProtocolKind::ChainedWriteSend;
+impl<const SPLIT: bool> Wire for ChainedWire<SPLIT> {
+    const KIND: ProtocolKind =
+        if SPLIT { ProtocolKind::DirectWriteSend } else { ProtocolKind::ChainedWriteSend };
     const PINS_TOKEN: bool = true;
     const CHAINS_RESPONSES: bool = false;
-    const WRS_PER_MSG: usize = 2;
+    const WRS_PER_MSG: usize = if SPLIT { 1 } else { 2 };
 
-    fn setup(link: &Link) -> Result<ChainedWire> {
+    fn setup(link: &Link) -> Result<ChainedWire<SPLIT>> {
         let Link { ep, cfg } = link;
         let (in_ring, out_stage, peer_ring) = striped_setup(ep, cfg.ring_slots, cfg.max_msg)?;
         let ctrl = CtrlRing::new(ep, cfg.ring_slots, 16, cfg.op_timeout_ns)?;
@@ -753,11 +800,16 @@ impl Wire for ChainedWire {
         staged: &mut Vec<SendWr>,
     ) -> Result<()> {
         let base = slot * link.cfg.max_msg;
-        // Zero-copy staging, as in the synchronous variant: no memcpy is
-        // charged for writing into the registered stripe.
+        // Zero-copy staging: no memcpy is charged for writing into the
+        // registered stripe.
         self.out_stage.write(base, payload)?;
         let dst = self.peer_ring.sub(base as u64, payload.len() as u64);
-        staged.push(SendWr::write(token, self.out_stage.slice(base, payload.len()), dst));
+        let write = SendWr::write(token, self.out_stage.slice(base, payload.len()), dst);
+        if SPLIT {
+            link.ep.post_send(&[write])?;
+        } else {
+            staged.push(write);
+        }
         staged.push(SendWr::send_inline(token, &frame_hdr(payload.len(), token)));
         Ok(())
     }
@@ -844,10 +896,45 @@ impl Wire for ImmWire {
     }
 }
 
-/// Hybrid frame header: 1-byte tag + 8-byte length + 8-byte token.
-const HY_HDR: usize = 17;
-const HY_EAGER: u8 = 0;
-const HY_RTS: u8 = 1;
+/// The header of a hybrid frame and of a rendezvous control message:
+/// 1-byte tag + 8-byte length + 8-byte token, little endian.
+const TAG_HDR: usize = 17;
+/// Tags: a hybrid eager payload, and the rendezvous handshake (hybrid
+/// frames use RTS alone).
+const EAGER: u8 = 0;
+const RTS: u8 = 1;
+const CTS: u8 = 2;
+const FIN: u8 = 3;
+
+fn tag_hdr(tag: u8, len: usize, token: Token) -> [u8; TAG_HDR] {
+    let mut hdr = [0u8; TAG_HDR];
+    hdr[0] = tag;
+    hdr[1..9].copy_from_slice(&(len as u64).to_le_bytes());
+    hdr[9..].copy_from_slice(&token.to_le_bytes());
+    hdr
+}
+
+/// `(tag, len, token, body)` of a tagged message. `len` is the peer's
+/// claim, for the caller to check before it sizes or READs anything.
+fn parse_tagged(msg: &[u8]) -> Result<(u8, usize, Token, &[u8])> {
+    let Some((hdr, body)) = msg.split_first_chunk::<TAG_HDR>() else {
+        return Err(RdmaError::InvalidWorkRequest(format!(
+            "tagged message of {} bytes is too short",
+            msg.len()
+        )));
+    };
+    let token = u64::from_le_bytes(hdr[9..].try_into().expect("8B"));
+    Ok((hdr[0], wire_len(&hdr[1..9]), token, body))
+}
+
+/// READ `src` into `local` and wait for it, bounded by the op timeout —
+/// slow, but never an unbounded park.
+fn read_now(link: &Link, token: Token, local: MrSlice, src: RemoteBuf) -> Result<()> {
+    let Link { ep, cfg } = link;
+    ep.post_send(&[SendWr::read(token, local, src).signaled()])?;
+    ep.send_cq().poll_timeout(cfg.poll, cfg.op_timeout_ns)?.ok()?;
+    Ok(())
+}
 
 /// Hybrid-EagerRNDV: payloads at or below the threshold ride eager frames;
 /// larger ones are staged in a per-slot rendezvous stripe and advertised
@@ -881,12 +968,8 @@ impl HybridWire {
         staged: &mut Vec<SendWr>,
     ) -> Result<()> {
         let base = slot * self.slot_size;
-        let mut hdr = [0u8; HY_HDR];
-        hdr[0] = tag;
-        hdr[1..9].copy_from_slice(&(len as u64).to_le_bytes());
-        hdr[9..].copy_from_slice(&token.to_le_bytes());
-        self.frame_stage.write_parts(base, &[&hdr, body])?;
-        staged.push(SendWr::send(token, self.frame_stage.slice(base, HY_HDR + body.len())));
+        self.frame_stage.write_parts(base, &[&tag_hdr(tag, len, token), body])?;
+        staged.push(SendWr::send(token, self.frame_stage.slice(base, TAG_HDR + body.len())));
         Ok(())
     }
 }
@@ -908,7 +991,7 @@ impl Wire for HybridWire {
     fn setup(link: &Link) -> Result<HybridWire> {
         let Link { ep, cfg } = link;
         let window = cfg.ring_slots;
-        let slot_size = HY_HDR + cfg.eager_threshold.max(RemoteBuf::WIRE_SIZE);
+        let slot_size = TAG_HDR + cfg.eager_threshold.max(RemoteBuf::WIRE_SIZE);
         let ring = posted_ring(ep, window, slot_size)?;
         let frame_stage = ep.pd().register(window * slot_size)?;
         let rndv_stage = ep.pd().register(window * cfg.max_msg)?;
@@ -926,20 +1009,19 @@ impl Wire for HybridWire {
     ) -> Result<()> {
         if payload.len() <= link.cfg.eager_threshold {
             let _copy = charge_memcpy(&link.ep, payload.len());
-            return self.stage_frame(HY_EAGER, payload.len(), token, slot, payload, staged);
+            return self.stage_frame(EAGER, payload.len(), token, slot, payload, staged);
         }
         // Stage zero-copy in this slot's rendezvous stripe; the peer READs
         // it before anything that could overwrite it can be submitted.
         let sbase = slot * link.cfg.max_msg;
         self.rndv_stage.write(sbase, payload)?;
         let rb = self.rndv_stage.remote_buf(sbase, payload.len());
-        self.stage_frame(HY_RTS, payload.len(), token, slot, &rb.encode(), staged)
+        self.stage_frame(RTS, payload.len(), token, slot, &rb.encode(), staged)
     }
 
-    /// An RTS nests a synchronous READ, bounded by the op timeout — slow,
-    /// but never an unbounded park: `try_wait` and `drain` stay
-    /// "non-blocking" in the sense their callers need, never waiting for
-    /// the *peer* to produce anything new.
+    /// An RTS nests a synchronous READ ([`read_now`]): `try_wait` and
+    /// `drain` stay "non-blocking" in the sense their callers need, never
+    /// waiting for the *peer* to produce anything new.
     fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)> {
         comp.ok()?;
         let Link { ep, cfg } = link;
@@ -948,22 +1030,14 @@ impl Wire for HybridWire {
         // header, an advertised one the landing stripe. The eager copy is
         // charged as in the eager wire.
         let (token, frame, copy) = self.ring.with_bytes(base, self.slot_size, |slot| {
-            let frame = &slot[..comp.byte_len.min(slot.len())];
-            let Some((hdr, body)) = frame.split_first_chunk::<HY_HDR>() else {
-                return Err(RdmaError::InvalidWorkRequest(format!(
-                    "hybrid frame of {} bytes is too short",
-                    frame.len()
-                )));
-            };
-            let len = wire_len(&hdr[1..9]);
-            let token = u64::from_le_bytes(hdr[9..].try_into().expect("8B"));
-            Ok(match hdr[0] {
-                HY_EAGER => {
+            let (tag, len, token, body) = parse_tagged(&slot[..comp.byte_len.min(slot.len())])?;
+            Ok(match tag {
+                EAGER => {
                     check_len(len, body.len())?;
                     let copy = charge_memcpy(ep, len);
                     (token, HybridFrame::Eager(B::from(&body[..len])), Some(copy))
                 }
-                HY_RTS => {
+                RTS => {
                     check_len(len, cfg.max_msg)?;
                     (token, HybridFrame::Rts(RemoteBuf::decode(body)?.sub(0, len as u64)), None)
                 }
@@ -982,13 +1056,142 @@ impl Wire for HybridWire {
             HybridFrame::Rts(src) => {
                 // READ the advertised payload into this slot's landing stripe.
                 let (dbase, len) = (slot * cfg.max_msg, src.len as usize);
-                let read = SendWr::read(token, self.landing.slice(dbase, len), src);
-                ep.post_send(&[read.signaled()])?;
-                ep.send_cq().poll_timeout(cfg.poll, cfg.op_timeout_ns)?.ok()?;
+                read_now(link, token, self.landing.slice(dbase, len), src)?;
                 self.landing.with_bytes(dbase, len, |b| B::from(b))?
             }
         };
         Ok((token, slot, payload))
+    }
+}
+
+/// Write-RNDV (`READ = false`, Figure 3d) and Read-RNDV (`READ = true`,
+/// Figure 3e): a payload moves zero-copy after a control exchange on a
+/// two-slot ring, so the pinned footprint is one landing region (plus, for
+/// Read-RNDV, the stage the peer READs) — not a stripe per window slot,
+/// which is why Figure 6 sends `res_util` + large payloads here.
+///
+/// * Write-RNDV: RTS (length, token) → CTS (the target's landing region)
+///   → the initiator WRITEs a pooled stage and sends FIN, under one
+///   doorbell.
+/// * Read-RNDV: RTS (length, token, the registered stage's rkey) → the
+///   target READs the stage and answers FIN, freeing it.
+///
+/// `stage` waits for the CTS or the FIN and `absorb` for the FIN or the
+/// READ, which is sound only with one message in flight each way: the
+/// window is one (`setup` refuses more).
+struct RndvWire<const READ: bool> {
+    ctrl: CtrlRing,
+    /// Write-RNDV: where the peer's WRITE lands. Read-RNDV: the stage the
+    /// peer READs, then (at `max_msg`) the stripe this side READs into.
+    region: MemoryRegion,
+}
+
+impl<const READ: bool> RndvWire<READ> {
+    fn send(&self, tag: u8, len: usize, token: Token, buf: Option<&RemoteBuf>) -> Result<()> {
+        self.ctrl.send(token, &ctrl_msg(tag, len, token, buf))
+    }
+
+    /// Wait for the peer's next control message, which must be `want`.
+    fn expect(&self, link: &Link, want: u8) -> Result<(usize, Token, Option<RemoteBuf>)> {
+        let msg = self.ctrl.recv(link.cfg.poll)?.ok_or(RdmaError::Disconnected)?;
+        parse_ctrl(&msg, want)
+    }
+}
+
+/// A rendezvous control message: the tagged header, plus the buffer a
+/// Read-RNDV RTS or a CTS advertises.
+fn ctrl_msg(tag: u8, len: usize, token: Token, buf: Option<&RemoteBuf>) -> CtrlMsg {
+    let buf = buf.map(RemoteBuf::encode);
+    CtrlMsg::new(&[&tag_hdr(tag, len, token), buf.as_ref().map_or(&[], |b| &b[..])])
+}
+
+/// `(len, token, advertised buffer)` of a [`ctrl_msg`] that must carry
+/// `want`.
+fn parse_ctrl(msg: &[u8], want: u8) -> Result<(usize, Token, Option<RemoteBuf>)> {
+    let (tag, len, token, body) = parse_tagged(msg)?;
+    if tag != want {
+        return Err(RdmaError::InvalidWorkRequest(format!(
+            "rendezvous expected tag {want}, got {tag}"
+        )));
+    }
+    let buf = if body.is_empty() { None } else { Some(RemoteBuf::decode(body)?) };
+    Ok((len, token, buf))
+}
+
+impl<const READ: bool> Wire for RndvWire<READ> {
+    const KIND: ProtocolKind = if READ { ProtocolKind::ReadRndv } else { ProtocolKind::WriteRndv };
+    const PINS_TOKEN: bool = false;
+    const CHAINS_RESPONSES: bool = false;
+    const WRS_PER_MSG: usize = 2;
+
+    fn setup(link: &Link) -> Result<RndvWire<READ>> {
+        let Link { ep, cfg } = link;
+        if cfg.ring_slots != 1 {
+            return Err(RdmaError::InvalidWorkRequest(format!(
+                "{} waits on its peer mid-message: its window is one, not {}",
+                Self::KIND,
+                cfg.ring_slots
+            )));
+        }
+        // Two control slots: a FIN and the RTS right behind it can both
+        // arrive before the first is recycled.
+        let ctrl = CtrlRing::new(ep, 2, CTRL_MAX, cfg.op_timeout_ns)?;
+        let region = ep.pd().register(if READ { 2 * cfg.max_msg } else { cfg.max_msg })?;
+        Ok(RndvWire { ctrl, region })
+    }
+
+    fn stage(
+        &self,
+        link: &Link,
+        token: Token,
+        _slot: usize,
+        payload: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()> {
+        let len = payload.len();
+        if READ {
+            // The peer READs the stage, so the bytes must live in the
+            // registered region; its FIN frees it.
+            self.region.write(0, payload)?;
+            self.send(RTS, len, token, Some(&self.region.remote_buf(0, len)))?;
+            self.expect(link, FIN)?;
+            return Ok(());
+        }
+        self.send(RTS, len, token, None)?;
+        // Stage while the RTS/CTS round trip is in flight: the one
+        // send-side copy. The WRITE moves this buffer onto the wire, so no
+        // registered staging region and no post-time snapshot.
+        let buf = PoolBuf::copy_from(payload);
+        let dst = match self.expect(link, CTS)? {
+            (_, _, Some(dst)) if dst.len >= len as u64 => dst.sub(0, len as u64),
+            (_, _, offered) => {
+                return Err(RdmaError::InvalidWorkRequest(format!(
+                    "a CTS offering {offered:?} cannot take a {len}-byte payload"
+                )))
+            }
+        };
+        staged.push(SendWr::write_staged(token, buf, dst));
+        staged.push(SendWr::send_inline(token, &tag_hdr(FIN, len, token)));
+        Ok(())
+    }
+
+    fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)> {
+        let (len, token, src) = parse_ctrl(&self.ctrl.read_slot(comp)?, RTS)?;
+        check_len(len, link.cfg.max_msg)?;
+        let at = if READ { link.cfg.max_msg } else { 0 };
+        if READ {
+            let src = src.ok_or_else(|| {
+                RdmaError::InvalidWorkRequest("a Read-RNDV RTS advertises no stage".into())
+            })?;
+            read_now(link, token, self.region.slice(at, len), src.sub(0, len as u64))?;
+            self.send(FIN, len, token, None)?;
+        } else {
+            self.send(CTS, len, token, Some(&self.region.remote_buf(at, len)))?;
+            // FIN means the WRITE has fully landed (RC ordering).
+            self.expect(link, FIN)?;
+        }
+        let payload = self.region.with_bytes(at, len, |b| B::from(b))?;
+        Ok((token, 0, payload))
     }
 }
 
@@ -1011,19 +1214,16 @@ fn not_pipelined(kind: ProtocolKind) -> RdmaError {
 /// Construct the pipelined client side of `kind` over a connected
 /// endpoint. The window is `cfg.ring_slots` ([`crate::connect_client`]
 /// builds the same channel with a window of one). Errors for protocols
-/// without a pipelined implementation.
+/// outside [`PIPELINED_KINDS`].
 pub fn connect_client_pipelined(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn PipelinedClient>> {
-    Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(Pipelined::<EagerWire>::connect(ep, cfg)?),
-        ProtocolKind::ChainedWriteSend => Box::new(Pipelined::<ChainedWire>::connect(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => Box::new(Pipelined::<ImmWire>::connect(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(Pipelined::<HybridWire>::connect(ep, cfg)?),
-        other => return Err(not_pipelined(other)),
-    })
+    if !PIPELINED_KINDS.contains(&kind) {
+        return Err(not_pipelined(kind));
+    }
+    connect_wire(kind, ep, cfg)
 }
 
 /// Construct the server peer of a pipelined channel of `kind`: one value
@@ -1035,13 +1235,47 @@ pub fn accept_server_pipelined(
     ep: Endpoint,
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn ReactorServe>> {
+    if !PIPELINED_KINDS.contains(&kind) {
+        return Err(not_pipelined(kind));
+    }
+    accept_wire(kind, ep, cfg)
+}
+
+/// The client side of `kind`'s wire, with a window of `cfg.ring_slots` —
+/// for the window-one-only wires too. Errors for a kind without a wire.
+pub(crate) fn connect_wire(
+    kind: ProtocolKind,
+    ep: Endpoint,
+    cfg: ProtocolConfig,
+) -> Result<Box<dyn PipelinedClient>> {
+    use ProtocolKind::*;
     Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(PipelinedServer::<EagerWire>::accept(ep, cfg)?),
-        ProtocolKind::ChainedWriteSend => {
-            Box::new(PipelinedServer::<ChainedWire>::accept(ep, cfg)?)
-        }
-        ProtocolKind::DirectWriteImm => Box::new(PipelinedServer::<ImmWire>::accept(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(PipelinedServer::<HybridWire>::accept(ep, cfg)?),
+        EagerSendRecv => Box::new(Pipelined::<EagerWire>::connect(ep, cfg)?),
+        DirectWriteSend => Box::new(Pipelined::<ChainedWire<true>>::connect(ep, cfg)?),
+        ChainedWriteSend => Box::new(Pipelined::<ChainedWire<false>>::connect(ep, cfg)?),
+        WriteRndv => Box::new(Pipelined::<RndvWire<false>>::connect(ep, cfg)?),
+        ReadRndv => Box::new(Pipelined::<RndvWire<true>>::connect(ep, cfg)?),
+        DirectWriteImm => Box::new(Pipelined::<ImmWire>::connect(ep, cfg)?),
+        HybridEagerRndv => Box::new(Pipelined::<HybridWire>::connect(ep, cfg)?),
+        other => return Err(not_pipelined(other)),
+    })
+}
+
+/// The server side of `kind`'s wire: [`connect_wire`]'s peer.
+pub(crate) fn accept_wire(
+    kind: ProtocolKind,
+    ep: Endpoint,
+    cfg: ProtocolConfig,
+) -> Result<Box<dyn ReactorServe>> {
+    use ProtocolKind::*;
+    Ok(match kind {
+        EagerSendRecv => Box::new(PipelinedServer::<EagerWire>::accept(ep, cfg)?),
+        DirectWriteSend => Box::new(PipelinedServer::<ChainedWire<true>>::accept(ep, cfg)?),
+        ChainedWriteSend => Box::new(PipelinedServer::<ChainedWire<false>>::accept(ep, cfg)?),
+        WriteRndv => Box::new(PipelinedServer::<RndvWire<false>>::accept(ep, cfg)?),
+        ReadRndv => Box::new(PipelinedServer::<RndvWire<true>>::accept(ep, cfg)?),
+        DirectWriteImm => Box::new(PipelinedServer::<ImmWire>::accept(ep, cfg)?),
+        HybridEagerRndv => Box::new(PipelinedServer::<HybridWire>::accept(ep, cfg)?),
         other => return Err(not_pipelined(other)),
     })
 }
@@ -1384,15 +1618,40 @@ mod tests {
         assert_eq!(client.wait(tokens[1]).unwrap().as_slice(), b"owt");
     }
 
+    /// Kinds without a wire, and the window-one-only wires, have no
+    /// pipelined form; a rendezvous wire refuses a window above one even
+    /// when asked for it directly.
     #[test]
     fn unsupported_kinds_are_rejected() {
+        use ProtocolKind::*;
         let fabric = Fabric::new(SimConfig::fast_test());
         let a = fabric.add_node("a");
         let b = fabric.add_node("b");
-        let (ea, _eb) = fabric.connect(&a, &b).unwrap();
-        match connect_client_pipelined(ProtocolKind::Pilaf, ea, ProtocolConfig::default()) {
-            Err(err) => assert!(err.to_string().contains("no pipelined implementation")),
-            Ok(_) => panic!("Pilaf must not have a pipelined implementation"),
+        for kind in [Pilaf, DirectWriteSend, WriteRndv, ReadRndv] {
+            let (ea, eb) = fabric.connect(&a, &b).unwrap();
+            let client = connect_client_pipelined(kind, ea, ProtocolConfig::default());
+            let server = accept_server_pipelined(kind, eb, ProtocolConfig::default());
+            for err in [client.err(), server.err()] {
+                let err = err.unwrap_or_else(|| panic!("{kind} must not be pipelined"));
+                assert!(err.to_string().contains("no pipelined implementation"), "{kind}: {err}");
+            }
         }
+        for kind in [WriteRndv, ReadRndv] {
+            let (ea, _eb) = fabric.connect(&a, &b).unwrap();
+            let cfg = ProtocolConfig { ring_slots: 2, ..Default::default() };
+            let err = connect_wire(kind, ea, cfg).err().expect("a window of two is refused");
+            assert!(err.to_string().contains("its window is one, not 2"), "{kind}: {err}");
+        }
+    }
+
+    #[test]
+    fn ctrl_msg_roundtrip() {
+        let rb = RemoteBuf { node_id: 1, rkey: 2, offset: 3, len: 4 };
+        let m = ctrl_msg(CTS, 77, 9, Some(&rb));
+        assert_eq!(m.len(), CTRL_MAX);
+        assert_eq!(parse_ctrl(&m, CTS).unwrap(), (77, 9, Some(rb)));
+        assert_eq!(parse_ctrl(&ctrl_msg(FIN, 0, 1, None), FIN).unwrap(), (0, 1, None));
+        assert!(parse_ctrl(&ctrl_msg(FIN, 0, 1, None), CTS).is_err(), "wrong tag");
+        assert!(parse_ctrl(&[1, 2], RTS).is_err(), "short message");
     }
 }

@@ -3,7 +3,8 @@
 //! Every protocol reads a message length its peer wrote — a rendezvous RTS
 //! field, a frame header, an RFP request header, a chained-write notify —
 //! or a slot index (a WRITE_WITH_IMM immediate), and then reads that many
-//! bytes out of a registered region or READs them from the peer. Each case
+//! bytes out of a registered region or READs them from the peer; a buffer
+//! the peer advertises (a CTS, a landing ring) aims a WRITE. Each case
 //! drives one side with a raw, hostile peer speaking plain verbs: the
 //! server's `serve_one`, or the client's `call`, must return a typed
 //! [`RdmaError`] having allocated next to nothing (counted by the `support`
@@ -65,38 +66,63 @@ struct Attacker {
     ep: Endpoint,
     region: MemoryRegion,
     client_ring: Option<RemoteBuf>,
+    _fabric: Fabric,
 }
 
-/// Connect a `kind` client with a window of `window` — `connect_client` for
-/// one, `connect_client_pipelined` for more — to a raw peer playing the
-/// server's half of any handshake, let `answer` respond to the client's one
-/// call, and return what the call made of it together with the bytes the
-/// calling thread allocated while it ran.
-fn call_hostile(
+/// Connect a `kind` client (built by `connect`) to a raw peer playing the
+/// server's half of any handshake, where it advertises `advert` of its
+/// region as the server's landing ring.
+fn connect_to_attacker<C>(
     kind: ProtocolKind,
-    window: usize,
-    answer: impl FnOnce(&Attacker),
-) -> (RdmaError, u64) {
+    advert: impl FnOnce(RemoteBuf) -> RemoteBuf + Send + 'static,
+    connect: impl FnOnce(Endpoint) -> C,
+) -> (C, Attacker) {
     let fabric = Fabric::new(SimConfig::fast_test());
     let cnode = fabric.add_node("client");
     let snode = fabric.add_node("attacker");
     let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
     let handshake = std::thread::spawn(move || {
         let region = sep.pd().register(2 * MAX_MSG).unwrap();
-        let handshakes =
-            matches!(kind, ProtocolKind::ChainedWriteSend | ProtocolKind::DirectWriteImm);
+        let handshakes = matches!(
+            kind,
+            ProtocolKind::DirectWriteSend
+                | ProtocolKind::ChainedWriteSend
+                | ProtocolKind::DirectWriteImm
+        );
         let client_ring = handshakes.then(|| {
-            let blob = exchange_blobs(&sep, &region.remote_buf(0, region.len()).encode());
+            let blob = exchange_blobs(&sep, &advert(region.remote_buf(0, region.len())).encode());
             RemoteBuf::decode(&blob.unwrap()).unwrap()
         });
-        Attacker { ep: sep, region, client_ring }
+        (sep, region, client_ring)
     });
-    let mut client: Box<dyn RpcClient> = if window == 1 {
-        connect_client(kind, cep, cfg(window)).unwrap()
-    } else {
-        connect_client_pipelined(kind, cep, cfg(window)).unwrap()
-    };
-    let attacker = handshake.join().unwrap();
+    let client = connect(cep);
+    let (ep, region, client_ring) = handshake.join().unwrap();
+    (client, Attacker { ep, region, client_ring, _fabric: fabric })
+}
+
+/// Connect a `kind` client with a window of `window` — `connect_client` for
+/// one, `connect_client_pipelined` for more — to an honestly advertising
+/// [`connect_to_attacker`], let `answer` respond to the client's one call,
+/// and return what the call made of it together with the bytes the calling
+/// thread allocated while it ran.
+fn call_hostile(
+    kind: ProtocolKind,
+    window: usize,
+    answer: impl FnOnce(&Attacker),
+) -> (RdmaError, u64) {
+    let (mut client, attacker) = connect_to_attacker(
+        kind,
+        |ring| ring,
+        |cep| {
+            if window == 1 {
+                connect_client(kind, cep, cfg(window)).unwrap()
+            } else {
+                let client: Box<dyn RpcClient> =
+                    connect_client_pipelined(kind, cep, cfg(window)).unwrap();
+                client
+            }
+        },
+    );
     answer(&attacker);
     let (outcome, allocated) = tracked(|| client.call(b"request"));
     let err = match outcome {
@@ -114,18 +140,10 @@ fn assert_refused(what: &str, (err, bytes): (RdmaError, u64)) {
     assert!(bytes < ALLOC_LIMIT, "{what}: {bytes} B allocated on the peer's say-so");
 }
 
-/// `[tag][len u64 LE]`: the rendezvous control message.
-fn tagged(tag: u8, len: u64) -> [u8; 9] {
-    let mut msg = [0u8; 9];
-    msg[0] = tag;
-    msg[1..].copy_from_slice(&len.to_le_bytes());
-    msg
-}
-
-/// A hybrid frame header, `[tag][len u64][token u64]`, for token 0,
-/// followed by `body`.
-fn hybrid_frame(tag: u8, len: u64, body: &[u8]) -> Vec<u8> {
-    [&tagged(tag, len)[..], &0u64.to_le_bytes(), body].concat()
+/// A hybrid frame or a rendezvous control message: `[tag][len u64][token
+/// u64]`, little endian, for token 0, followed by `body`.
+fn tagged(tag: u8, len: u64, body: &[u8]) -> Vec<u8> {
+    [&[tag][..], &len.to_le_bytes(), &0u64.to_le_bytes(), body].concat()
 }
 
 /// The `[len u32][token u64]` header of an eager frame, a write-imm slot
@@ -137,26 +155,36 @@ fn frame_hdr(len: u64) -> [u8; 12] {
     hdr
 }
 
-const HY_EAGER: u8 = 0;
-const HY_RTS: u8 = 1;
+const EAGER: u8 = 0;
+const RTS: u8 = 1;
+const CTS: u8 = 2;
+const FIN: u8 = 3;
 
 #[test]
 fn rendezvous_rts_and_hybrid_frame_announcing_a_hostile_length_are_refused() {
-    const RTS: u8 = 1;
-    const FIN: u8 = 3;
     for len in HOSTILE_LENS {
         // Write-RNDV: RTS, then the FIN that (absent the check) would send
         // the server to read `len` bytes out of its landing region.
         let outcome = serve_hostile(ProtocolKind::WriteRndv, |ep| {
-            ep.post_send(&[SendWr::send_inline(0, &tagged(RTS, len))]).unwrap();
-            ep.post_send(&[SendWr::send_inline(0, &tagged(FIN, len))]).unwrap();
+            ep.post_send(&[SendWr::send_inline(0, &tagged(RTS, len, &[]))]).unwrap();
+            ep.post_send(&[SendWr::send_inline(0, &tagged(FIN, len, &[]))]).unwrap();
         });
         assert_refused(&format!("Write-RNDV RTS len {len}"), outcome);
+
+        // Read-RNDV: an RTS advertising a stage of that length, which
+        // (absent the check) the server would READ into its landing stripe.
+        let outcome = serve_hostile(ProtocolKind::ReadRndv, |ep| {
+            let stage = ep.pd().register(64).unwrap();
+            let advert = RemoteBuf { len, ..stage.remote_buf(0, 64) };
+            let rts = tagged(RTS, len, &advert.encode());
+            ep.post_send(&[SendWr::send_inline(0, &rts)]).unwrap();
+        });
+        assert_refused(&format!("Read-RNDV RTS len {len}"), outcome);
 
         // Hybrid, eager half: a frame header claiming more than the 4 body
         // bytes that follow it.
         let outcome = serve_hostile(ProtocolKind::HybridEagerRndv, |ep| {
-            let frame = hybrid_frame(HY_EAGER, len, &[0; 4]);
+            let frame = tagged(EAGER, len, &[0; 4]);
             ep.post_send(&[SendWr::send_inline(0, &frame)]).unwrap();
         });
         assert_refused(&format!("Hybrid eager header len {len}"), outcome);
@@ -206,28 +234,31 @@ fn write_imm_slot_header_or_immediate_out_of_range_is_refused() {
 }
 
 /// The client half of the same rule, for every wire, blocking (window 1)
-/// and pipelined (window 4): a server answering the client's one request
-/// with a hostile length makes the call fail typed, having allocated
-/// nothing on the server's say-so.
+/// and, where the wire has a pipelined form, pipelined (window 4): a
+/// server answering the client's one request with a hostile length makes
+/// the call fail typed, having allocated nothing on the server's say-so.
 #[test]
 fn a_hostile_response_length_fails_the_call_typed_on_every_wire() {
     for window in [1, 4] {
+        let window_one_only = (window == 1).then_some(ProtocolKind::DirectWriteSend);
         for len in HOSTILE_LENS {
-            for kind in PIPELINED_KINDS {
+            for kind in PIPELINED_KINDS.into_iter().chain(window_one_only) {
                 let outcome = call_hostile(kind, window, |a| {
                     let answer = match kind {
                         ProtocolKind::EagerSendRecv => {
                             SendWr::send_inline(0, &[&frame_hdr(len)[..], &[0; 4]].concat())
                         }
-                        ProtocolKind::ChainedWriteSend => SendWr::send_inline(0, &frame_hdr(len)),
+                        ProtocolKind::DirectWriteSend | ProtocolKind::ChainedWriteSend => {
+                            SendWr::send_inline(0, &frame_hdr(len))
+                        }
                         ProtocolKind::DirectWriteImm => {
                             let ring = a.client_ring.expect("write-imm handshakes");
                             SendWr::write_imm_inline(0, &frame_hdr(len), ring.sub(0, 12), 0)
                         }
                         ProtocolKind::HybridEagerRndv => {
-                            SendWr::send_inline(0, &hybrid_frame(HY_EAGER, len, &[0; 4]))
+                            SendWr::send_inline(0, &tagged(EAGER, len, &[0; 4]))
                         }
-                        other => unreachable!("{other} has no wire"),
+                        other => unreachable!("{other} is not answered here"),
                     };
                     a.ep.post_send(&[answer]).unwrap();
                 });
@@ -237,10 +268,70 @@ fn a_hostile_response_length_fails_the_call_typed_on_every_wire() {
             // `max_msg` must not be READ into the landing stripe.
             let outcome = call_hostile(ProtocolKind::HybridEagerRndv, window, |a| {
                 let advert = a.region.remote_buf(0, a.region.len()).encode();
-                let rts = hybrid_frame(HY_RTS, len, &advert);
+                let rts = tagged(RTS, len, &advert);
                 a.ep.post_send(&[SendWr::send_inline(0, &rts)]).unwrap();
             });
             assert_refused(&format!("Hybrid window {window} RTS len {len}"), outcome);
         }
+    }
+}
+
+/// The rendezvous wires (window 1 only): the server lets the client's
+/// request through — a CTS for Write-RNDV, a FIN for Read-RNDV, sent ahead
+/// — and then announces a reply over `max_msg` in its RTS. The client
+/// refuses it before it advertises a landing buffer or READs anything.
+#[test]
+fn a_rendezvous_rts_over_max_msg_fails_the_call_typed() {
+    for len in HOSTILE_LENS {
+        let outcome = call_hostile(ProtocolKind::WriteRndv, 1, |a| {
+            let landing = a.region.remote_buf(0, MAX_MSG);
+            a.ep.post_send(&[SendWr::send_inline(0, &tagged(CTS, 7, &landing.encode()))]).unwrap();
+            a.ep.post_send(&[SendWr::send_inline(0, &tagged(RTS, len, &[]))]).unwrap();
+        });
+        assert_refused(&format!("Write-RNDV RTS len {len}"), outcome);
+
+        let outcome = call_hostile(ProtocolKind::ReadRndv, 1, |a| {
+            let stage = RemoteBuf { len, ..a.region.remote_buf(0, MAX_MSG) };
+            a.ep.post_send(&[SendWr::send_inline(0, &tagged(FIN, 7, &[]))]).unwrap();
+            a.ep.post_send(&[SendWr::send_inline(0, &tagged(RTS, len, &stage.encode()))]).unwrap();
+        });
+        assert_refused(&format!("Read-RNDV RTS len {len}"), outcome);
+    }
+}
+
+/// A Write-RNDV CTS aims the initiator's WRITE, so it is checked before the
+/// WRITE is posted: one offering fewer bytes than the payload, or no
+/// buffer at all, fails the call typed — not a WRITE past what the peer
+/// offered and then a wait for a reply that never comes.
+#[test]
+fn a_cts_that_cannot_take_the_payload_fails_before_the_write() {
+    for (what, offers_a_buffer) in [("a 4-byte CTS", true), ("a CTS with no buffer", false)] {
+        let outcome = call_hostile(ProtocolKind::WriteRndv, 1, |a| {
+            let offer = a.region.remote_buf(0, 4).encode();
+            let cts = tagged(CTS, 7, if offers_a_buffer { &offer } else { &[] });
+            a.ep.post_send(&[SendWr::send_inline(0, &cts)]).unwrap();
+        });
+        assert_refused(what, outcome);
+    }
+}
+
+/// A server that advertises its landing ring at an offset near `u64::MAX`:
+/// the second submit on a window of four addresses the ring's second slot,
+/// past the end of the address space. The verbs refuse the descriptor when
+/// the window is flushed; nothing overflows on the way there.
+#[test]
+fn a_landing_ring_advertised_near_u64_max_fails_typed() {
+    for kind in [ProtocolKind::ChainedWriteSend, ProtocolKind::DirectWriteImm] {
+        let near_the_end = |ring| RemoteBuf { offset: u64::MAX - 8, ..ring };
+        let (mut client, _attacker) = connect_to_attacker(kind, near_the_end, |cep| {
+            connect_client_pipelined(kind, cep, cfg(4)).unwrap()
+        });
+        let outcome = tracked(|| {
+            client.submit(b"one")?;
+            client.submit(b"two")?;
+            client.flush()
+        });
+        let outcome = (outcome.0.expect_err("the window must not post"), outcome.1.bytes);
+        assert_refused(&format!("{kind} ring at u64::MAX - 8"), outcome);
     }
 }

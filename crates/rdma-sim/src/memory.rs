@@ -274,9 +274,12 @@ impl RemoteBuf {
         Ok(RemoteBuf { node_id: u(0..8), rkey: u(8..16), offset: u(16..24), len: u(24..32) })
     }
 
-    /// A sub-range of this remote buffer.
+    /// A sub-range of this remote buffer. The offset saturates: a peer
+    /// that advertised one near `u64::MAX` gets a descriptor every post
+    /// refuses with [`RdmaError::OutOfBounds`], not an overflow.
     pub fn sub(&self, offset: u64, len: u64) -> RemoteBuf {
-        RemoteBuf { node_id: self.node_id, rkey: self.rkey, offset: self.offset + offset, len }
+        let offset = self.offset.saturating_add(offset);
+        RemoteBuf { node_id: self.node_id, rkey: self.rkey, offset, len }
     }
 }
 

@@ -147,6 +147,12 @@ pub(crate) enum EffectKind {
     },
 }
 
+/// Pending effects a node holds before its heap first grows: a window of
+/// 32 chained messages, two effects each. The thread that pays for growth
+/// is the *peer* posting into this node, mid hot path, so the room is
+/// reserved up front rather than found when a burst first outruns a drain.
+const PENDING_RESERVE: usize = 64;
+
 /// A simulated machine in the fabric.
 pub struct Node {
     id: u64,
@@ -192,7 +198,7 @@ impl Node {
             topology,
             egress: Link::default(),
             ingress: Link::default(),
-            pending: Mutex::new(BinaryHeap::new()),
+            pending: Mutex::new(BinaryHeap::with_capacity(PENDING_RESERVE)),
             apply_lock: Mutex::new(()),
             mrs: Mutex::new(HashMap::new()),
             stats: NodeStats::default(),
