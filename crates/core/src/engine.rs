@@ -34,40 +34,19 @@ use crate::error::{CoreError, Result};
 use crate::reactor::{ConnHandler, Reactor, ReactorHandle};
 use crate::selection::{select_protocol, Selection, SubscriptionBounds};
 use crate::service::ServiceSchema;
-use crate::transport::{ClientTransport, ServerTransport, TServerSocket, TSocket};
+use crate::transport::{
+    ClientTransport, ServerTransport, TServerSocket, TSocket, DEFAULT_MAX_FRAME,
+};
 
-/// Encode a protocol kind for the connection preamble.
+/// A protocol kind's code in the connection preamble: its index in
+/// [`ProtocolKind::ALL`], whose order is the wire format.
 fn kind_to_u8(k: ProtocolKind) -> u8 {
-    match k {
-        ProtocolKind::EagerSendRecv => 0,
-        ProtocolKind::DirectWriteSend => 1,
-        ProtocolKind::ChainedWriteSend => 2,
-        ProtocolKind::WriteRndv => 3,
-        ProtocolKind::ReadRndv => 4,
-        ProtocolKind::DirectWriteImm => 5,
-        ProtocolKind::Pilaf => 6,
-        ProtocolKind::Farm => 7,
-        ProtocolKind::Rfp => 8,
-        ProtocolKind::HybridEagerRndv => 9,
-        ProtocolKind::Herd => 10,
-    }
+    ProtocolKind::ALL.iter().position(|&a| a == k).expect("ALL lists every kind") as u8
 }
 
 fn kind_from_u8(v: u8) -> Result<ProtocolKind> {
-    Ok(match v {
-        0 => ProtocolKind::EagerSendRecv,
-        1 => ProtocolKind::DirectWriteSend,
-        2 => ProtocolKind::ChainedWriteSend,
-        3 => ProtocolKind::WriteRndv,
-        4 => ProtocolKind::ReadRndv,
-        5 => ProtocolKind::DirectWriteImm,
-        6 => ProtocolKind::Pilaf,
-        7 => ProtocolKind::Farm,
-        8 => ProtocolKind::Rfp,
-        9 => ProtocolKind::HybridEagerRndv,
-        10 => ProtocolKind::Herd,
-        other => return Err(CoreError::Protocol(format!("bad protocol kind {other}"))),
-    })
+    let kind = ProtocolKind::ALL.get(v as usize);
+    kind.copied().ok_or_else(|| CoreError::Protocol(format!("bad protocol kind {v}")))
 }
 
 /// What the dialing side tells the accepting side before protocol
@@ -167,6 +146,26 @@ impl Preamble {
             fn_scope,
         })
     }
+
+    /// Refuse a buffer geometry [`plan_for`] and [`HatClient`] cannot
+    /// produce, before it sizes a registration: the peer's preamble is a
+    /// claim, and `max_msg` × `ring_slots` is what the server pins. A
+    /// hybrid frame slot is sized by `eager_threshold`, so it may not
+    /// exceed `max_msg` either.
+    fn check_geometry(&self) -> Result<()> {
+        if self.max_msg > MAX_CHANNEL_MSG
+            || !(1..=MAX_QUEUE_DEPTH).contains(&self.ring_slots)
+            || self.queue_depth > MAX_QUEUE_DEPTH
+            || u64::from(self.eager_threshold) > self.max_msg
+        {
+            return Err(CoreError::Protocol(format!(
+                "refused preamble geometry: max_msg {}, ring_slots {}, queue_depth {}, \
+                 eager_threshold {}",
+                self.max_msg, self.ring_slots, self.queue_depth, self.eager_threshold
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Identity of a client-side channel; calls whose plans coincide share a
@@ -208,9 +207,9 @@ struct FnPlan {
     key: ChannelKey,
 }
 
-/// `ring_slots` of a depth-1 channel: the ring depth of a kind without a
-/// wire, the READ-based family and HERD (every other kind's blocking
-/// channel is a window of one regardless).
+/// `ring_slots` of a depth-1 channel: the depth of the one SEND ring a kind
+/// without a wire has — Pilaf's and FaRM's request ring, HERD's reply ring
+/// (every other kind's blocking channel is a window of one regardless).
 const ENGINE_RING_SLOTS: usize = 16;
 /// Upper bound on the `queue_depth` hint: every in-flight slot pins ring
 /// memory on both peers, so a runaway hint must not exhaust the MR budget.
@@ -230,6 +229,16 @@ const MIN_CHANNEL_MSG: u64 = 4096;
 const UNHINTED_CHANNEL_MSG: u64 = 64 * 1024;
 /// Headroom for the Thrift message envelope around a hinted payload.
 const ENVELOPE_SLACK: u64 = 512;
+/// Ceiling for channel buffer sizing: the socket transport's frame bound.
+const MAX_CHANNEL_MSG: u64 = DEFAULT_MAX_FRAME as u64;
+
+/// The channel size for a `payload`-byte message: payload plus envelope,
+/// rounded up to a power of two so compatible functions share channels,
+/// and at most [`MAX_CHANNEL_MSG`] — a larger message fails typed at
+/// submit rather than ask a server for a channel it refuses.
+fn channel_msg(payload: u64) -> u64 {
+    payload.saturating_add(ENVELOPE_SLACK).min(MAX_CHANNEL_MSG).next_power_of_two()
+}
 
 fn plan_for(schema: &ServiceSchema, func: &str, bounds: &SubscriptionBounds) -> FnPlan {
     let client = schema.resolved(func, Side::Client);
@@ -243,7 +252,7 @@ fn plan_for(schema: &ServiceSchema, func: &str, bounds: &SubscriptionBounds) -> 
         (None, None) => UNHINTED_CHANNEL_MSG,
         (c, s) => c.unwrap_or(1024).max(s.unwrap_or(1024)).max(MIN_CHANNEL_MSG),
     };
-    let max_msg = (payload + ENVELOPE_SLACK).next_power_of_two();
+    let max_msg = channel_msg(payload);
     let transport = client.transport.unwrap_or(TransportHint::Rdma);
     let tcp = transport == TransportHint::Tcp;
     // The queue_depth hint only bites when the selected protocol has a
@@ -441,7 +450,7 @@ impl HatClient {
     /// pinned memory, not correctness.
     fn plan_sized_for(&self, func: &str, len: usize) -> FnPlan {
         let mut plan = self.plan(func).clone();
-        let required = (len as u64 + ENVELOPE_SLACK).next_power_of_two().max(MIN_CHANNEL_MSG);
+        let required = channel_msg(len as u64).max(MIN_CHANNEL_MSG);
         if required > plan.max_msg {
             plan.max_msg = required;
             plan.key.max_msg = required;
@@ -1381,6 +1390,7 @@ struct Connection {
 fn negotiate(ep: hat_rdma_sim::Endpoint, schema: &ServiceSchema) -> Result<Connection> {
     let blob = hat_protocols::exchange_blobs(&ep, b"hatrpc-ok")?;
     let preamble = Preamble::decode(&blob)?;
+    preamble.check_geometry()?;
     let server_hints: ResolvedHints = schema.resolved(&preamble.fn_scope, Side::Server);
     // Lateral freedom: the server's polling can differ from the client's.
     let poll = match server_hints.polling {
@@ -1612,12 +1622,76 @@ mod tests {
         }
     }
 
+    /// The preamble's kind codes are a wire format: each kind keeps its
+    /// code, whatever else changes.
     #[test]
     fn kind_codes_roundtrip() {
-        for k in ProtocolKind::ALL {
-            assert_eq!(kind_from_u8(kind_to_u8(k)).unwrap(), k);
+        use ProtocolKind::*;
+        let codes = [
+            (EagerSendRecv, 0),
+            (DirectWriteSend, 1),
+            (ChainedWriteSend, 2),
+            (WriteRndv, 3),
+            (ReadRndv, 4),
+            (DirectWriteImm, 5),
+            (Pilaf, 6),
+            (Farm, 7),
+            (Rfp, 8),
+            (HybridEagerRndv, 9),
+            (Herd, 10),
+        ];
+        assert_eq!(codes.len(), ProtocolKind::ALL.len());
+        for (k, code) in codes {
+            assert_eq!(kind_to_u8(k), code, "{k}");
+            assert_eq!(kind_from_u8(code).unwrap(), k);
         }
+        assert!(kind_from_u8(11).is_err());
         assert!(kind_from_u8(99).is_err());
+    }
+
+    /// A preamble asking for a geometry no plan produces is refused before
+    /// the server registers anything for it, and the accept loop goes on:
+    /// after each, the server has pinned under 1 MiB and an honest call on
+    /// a fresh client (a connection accepted after the hostile one)
+    /// succeeds.
+    #[test]
+    fn hostile_preamble_geometry_is_refused_and_accepting_goes_on() {
+        use ProtocolKind::*;
+        let (fabric, snode, server, schema) = setup(ServerPolicy::Threaded);
+        let cnode = fabric.add_node("client");
+        let base = snode.stats_snapshot().registered_bytes;
+        let honest = Preamble {
+            kind: DirectWriteImm,
+            client_poll: PollMode::Busy,
+            max_msg: 8192,
+            ring_slots: ENGINE_RING_SLOTS as u32,
+            eager_threshold: ENGINE_EAGER_THRESHOLD as u32,
+            queue_depth: 1,
+            flags: 0,
+            fn_scope: "fast".into(),
+        };
+        let over = MAX_QUEUE_DEPTH + 1;
+        let hostile = [
+            Preamble { max_msg: 1 << 30, ..honest.clone() },
+            Preamble { max_msg: 1 << 33, ..honest.clone() },
+            Preamble { max_msg: u64::MAX, ..honest.clone() },
+            Preamble { ring_slots: 0, ..honest.clone() },
+            Preamble { kind: Pilaf, ring_slots: over, ..honest.clone() },
+            Preamble { kind: Pilaf, ring_slots: u32::MAX, ..honest.clone() },
+            Preamble { ring_slots: MAX_QUEUE_DEPTH, queue_depth: over, ..honest.clone() },
+            Preamble { kind: HybridEagerRndv, eager_threshold: u32::MAX, ..honest.clone() },
+        ];
+        for preamble in hostile {
+            let ep = fabric.dial(&cnode, "mix").unwrap();
+            let ack = hat_protocols::exchange_blobs(&ep, &preamble.encode()).unwrap();
+            assert_eq!(ack, b"hatrpc-ok");
+            drop(ep);
+            let mut client = HatClient::new(&fabric, &cnode, "mix", &schema);
+            assert_eq!(client.call("fast", b"ping").unwrap(), b"ping", "after {preamble:?}");
+            let pinned = snode.stats_snapshot().registered_bytes - base;
+            assert!(pinned < 1 << 20, "{pinned} B registered after {preamble:?}");
+        }
+        server.shutdown();
     }
 
     #[test]

@@ -218,7 +218,7 @@ pub fn parse_payload_size(v: &str) -> Option<u64> {
         b'm' | b'M' => (&v[..v.len() - 1], 1024 * 1024),
         _ => (v, 1),
     };
-    num.trim().parse::<u64>().ok().map(|n| n * mult)
+    num.trim().parse::<u64>().ok()?.checked_mul(mult)
 }
 
 impl HintSet {
@@ -422,6 +422,18 @@ mod tests {
         assert_eq!(parse_payload_size("2M"), Some(2 * 1024 * 1024));
         assert_eq!(parse_payload_size("zebra"), None);
         assert_eq!(parse_payload_size(""), None);
+    }
+
+    /// A size whose suffix overflows `u64` is malformed, not a panic.
+    #[test]
+    fn an_overflowing_payload_size_is_a_warning() {
+        assert_eq!(parse_payload_size("18446744073709551615M"), None);
+        assert_eq!(parse_payload_size("18014398509481984K"), None);
+        assert_eq!(parse_payload_size("18014398509481983K"), Some((u64::MAX >> 10) << 10));
+        let mut warnings = Vec::new();
+        let set = HintSet::from_raw([("payload_size", "18446744073709551615M")], &mut warnings);
+        assert_eq!(set.payload_size, None);
+        assert_eq!(warnings.len(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! control-message rings, and the out-of-band handshake.
 
 use hat_rdma_sim::{
-    Endpoint, MemoryRegion, PollMode, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
+    Endpoint, MemoryRegion, MrSlice, PollMode, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
 };
 
 /// Identifies one of the implemented RDMA protocols (paper Figure 3 plus
@@ -37,6 +37,9 @@ pub enum ProtocolKind {
 impl ProtocolKind {
     /// All implemented protocols, in the paper's Figure 3 order (plus
     /// the HERD emulation used by the §5.4 comparison).
+    ///
+    /// The order is a wire format: a kind's index here is its code in the
+    /// engine's connection preamble, so a kind is only ever appended.
     pub const ALL: [ProtocolKind; 11] = [
         ProtocolKind::EagerSendRecv,
         ProtocolKind::DirectWriteSend,
@@ -102,9 +105,10 @@ pub struct ProtocolConfig {
     /// Largest message this connection must carry (sizes the pre-known
     /// buffers and eager slots).
     pub max_msg: usize,
-    /// A pipelined channel's window, or the ring depth of a kind without a
-    /// wire (the READ-based family and HERD). A blocking client or server
-    /// of a kind with a wire ignores it: its window is one.
+    /// A pipelined channel's window, or the depth of the one SEND ring a
+    /// kind without a wire has: Pilaf's and FaRM's request ring, HERD's
+    /// reply ring (RFP has none). A blocking client or server of a kind
+    /// with a wire ignores it: its window is one.
     pub ring_slots: usize,
     /// Eager-vs-rendezvous switch point for [`ProtocolKind::HybridEagerRndv`].
     /// The paper fixes this at 4 KB.
@@ -181,19 +185,17 @@ pub trait RpcServer: Send {
 /// Construct the client side of `kind` over a connected endpoint,
 /// performing the protocol's buffer handshake with the (concurrently
 /// constructed) server side. Every kind but the READ-based family and
-/// HERD is a wire ([`crate::pipeline`]) driven with a window of one,
-/// whatever `cfg.ring_slots` says: a blocking client has one request in
-/// flight.
+/// HERD ([`crate::read_based`]) is a wire ([`crate::pipeline`]) driven
+/// with a window of one, whatever `cfg.ring_slots` says: a blocking client
+/// has one request in flight.
 pub fn connect_client(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn RpcClient>> {
+    use ProtocolKind::*;
     Ok(match kind {
-        ProtocolKind::Pilaf => Box::new(crate::read_based::Pilaf::client(ep, cfg)?),
-        ProtocolKind::Farm => Box::new(crate::read_based::Farm::client(ep, cfg)?),
-        ProtocolKind::Rfp => Box::new(crate::read_based::Rfp::client(ep, cfg)?),
-        ProtocolKind::Herd => Box::new(crate::herd::Herd::client(ep, cfg)?),
+        Pilaf | Farm | Rfp | Herd => crate::read_based::connect(kind, ep, cfg)?,
         wire => crate::pipeline::connect_wire(wire, ep, ProtocolConfig { ring_slots: 1, ..cfg })?,
     })
 }
@@ -206,11 +208,9 @@ pub fn accept_server(
     ep: Endpoint,
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn RpcServer>> {
+    use ProtocolKind::*;
     Ok(match kind {
-        ProtocolKind::Pilaf => Box::new(crate::read_based::Pilaf::server(ep, cfg)?),
-        ProtocolKind::Farm => Box::new(crate::read_based::Farm::server(ep, cfg)?),
-        ProtocolKind::Rfp => Box::new(crate::read_based::Rfp::server(ep, cfg)?),
-        ProtocolKind::Herd => Box::new(crate::herd::Herd::server(ep, cfg)?),
+        Pilaf | Farm | Rfp | Herd => crate::read_based::accept(kind, ep, cfg)?,
         wire => crate::pipeline::accept_wire(wire, ep, ProtocolConfig { ring_slots: 1, ..cfg })?,
     })
 }
@@ -232,6 +232,51 @@ pub(crate) fn charge_memcpy(ep: &Endpoint, len: usize) -> hat_rdma_sim::Charge<'
 pub(crate) fn wire_len(field: &[u8]) -> usize {
     let len = u64::from_le_bytes(field.try_into().expect("8-byte length field"));
     usize::try_from(len).unwrap_or(usize::MAX)
+}
+
+/// Reject payloads that exceed the per-slot capacity `room` — one we are
+/// about to send, or one a peer's header announces.
+pub(crate) fn check_len(len: usize, room: usize) -> Result<()> {
+    if len > room {
+        return Err(RdmaError::InvalidWorkRequest(format!(
+            "payload of {len} bytes exceeds its slot ({room} bytes)"
+        )));
+    }
+    Ok(())
+}
+
+/// One side of a connection: the endpoint and the geometry both peers
+/// negotiated. Owned by a client or server, lent to the parts it is built
+/// from.
+pub(crate) struct Link {
+    pub(crate) ep: Endpoint,
+    pub(crate) cfg: ProtocolConfig,
+}
+
+/// Where a received payload is copied out to: a pooled buffer (the
+/// server's request, a pipelined client's response) or the `Vec` a
+/// blocking call returns. Built from the checked payload bytes, so it is
+/// sized by what arrived, never by what a header claims.
+pub(crate) trait Landing: for<'a> From<&'a [u8]> {}
+
+impl<B: for<'a> From<&'a [u8]>> Landing for B {}
+
+/// A region of `slots` slots with one receive pre-posted per slot.
+pub(crate) fn posted_ring(ep: &Endpoint, slots: usize, slot_size: usize) -> Result<MemoryRegion> {
+    let ring = ep.pd().register(slots * slot_size)?;
+    for i in 0..slots {
+        ep.post_recv(RecvWr::new(i as u64, ring.clone(), i * slot_size, slot_size))?;
+    }
+    Ok(ring)
+}
+
+/// READ `src` into `local` and wait for it, bounded by the op timeout —
+/// slow, but never an unbounded park.
+pub(crate) fn read_now(link: &Link, wr_id: u64, local: MrSlice, src: RemoteBuf) -> Result<()> {
+    let Link { ep, cfg } = link;
+    ep.post_send(&[SendWr::read(wr_id, local, src).signaled()])?;
+    ep.send_cq().poll_timeout(cfg.poll, cfg.op_timeout_ns)?.ok()?;
+    Ok(())
 }
 
 /// Default polling timeout: generous enough for heavily loaded sweeps,
@@ -323,10 +368,7 @@ impl CtrlRing {
     ) -> Result<CtrlRing> {
         assert!(slot_size <= ep.qp_config().max_inline, "control slots must fit inline sends");
         assert!(slot_size <= CTRL_MAX, "control slots must fit a CtrlMsg");
-        let mr = ep.pd().register(slots * slot_size)?;
-        for i in 0..slots {
-            ep.post_recv(RecvWr::new(i as u64, mr.clone(), i * slot_size, slot_size))?;
-        }
+        let mr = posted_ring(ep, slots, slot_size)?;
         Ok(CtrlRing { ep: ep.clone(), mr, slot_size, slots, timeout_ns })
     }
 

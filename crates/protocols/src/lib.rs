@@ -13,10 +13,11 @@
 //! | Write-RNDV, a [`pipeline`] wire (window 1) | 3d | RTS → CTS → WRITE + FIN | same |
 //! | Read-RNDV, a [`pipeline`] wire (window 1) | 3e | RTS(with rkey) → server READs → FIN | RTS → client READs → FIN |
 //! | Direct-WriteIMM, a [`pipeline`] wire | 3f | WRITE_WITH_IMM (1 WR) | WRITE_WITH_IMM |
-//! | [`read_based::Pilaf`] | 3g | SEND | client: 2 READs metadata + 1 READ payload |
-//! | [`read_based::Farm`] | 3h | SEND | client: 1 READ metadata + 1 READ payload |
-//! | [`read_based::Rfp`] | 3i | WRITE into server buf (server polls memory) | client READ-polls server buf |
+//! | Pilaf, in [`read_based`] | 3g | copy + SEND into pre-posted ring | client: 2 READs metadata + 1 READ payload |
+//! | FaRM, in [`read_based`] | 3h | copy + SEND into pre-posted ring | client: 1 READ metadata + 1 READ payload |
+//! | RFP, in [`read_based`] | 3i | WRITE into server buf (server polls memory) | client READ-polls server buf |
 //! | Hybrid-EagerRNDV, a [`pipeline`] wire | §4.3 | eager ≤ 4 KB else RTS → peer READs | same |
+//! | HERD, in [`read_based`] | §5.4 | WRITE into server buf + chained SEND notify | copy + SEND into pre-posted ring |
 //!
 //! The HatRPC engine (`hatrpc-core`) selects among these per service or
 //! function based on user hints; benchmarks compare them head-to-head to
@@ -28,10 +29,11 @@
 //! delivery, and one server driver ([`pipeline::ReactorServe`], serving
 //! from a blocking thread or a reactor alike). Their blocking form is the
 //! same channel with a window of one, and three of them (window 1 above)
-//! have no other — see the [`pipeline`] module docs.
+//! have no other — see the [`pipeline`] module docs. The other four are
+//! one request path plus one reply path each, under one client and one
+//! server — see the [`read_based`] module docs.
 
 pub mod common;
-pub mod herd;
 pub mod onesided;
 pub mod pipeline;
 pub mod read_based;
@@ -40,7 +42,6 @@ pub use common::{
     accept_server, connect_client, exchange_blobs, exchange_blobs_deadline, ProtocolConfig,
     ProtocolKind, RpcClient, RpcServer,
 };
-pub use herd::Herd;
 pub use onesided::{
     onesided_service, FallbackReason, OneSidedAdvert, OneSidedHost, OneSidedIndex, OneSidedReader,
 };
@@ -48,4 +49,3 @@ pub use pipeline::{
     accept_server_pipelined, connect_client_pipelined, PipelinedClient, ReactorServe, Token,
     PIPELINED_KINDS,
 };
-pub use read_based::{Farm, Pilaf, Rfp};

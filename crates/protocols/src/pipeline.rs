@@ -65,13 +65,13 @@
 
 use hat_rdma_sim::stats::NodeStats;
 use hat_rdma_sim::{
-    Completion, CompletionQueue, Endpoint, MemoryRegion, MrSlice, PoolBuf, RdmaError, RecvWr,
-    RemoteBuf, Result, SendWr,
+    Completion, CompletionQueue, Endpoint, MemoryRegion, PoolBuf, RdmaError, RecvWr, RemoteBuf,
+    Result, SendWr,
 };
 
 use crate::common::{
-    charge_memcpy, exchange_blobs, poll_recv, wire_len, CtrlMsg, CtrlRing, ProtocolConfig,
-    ProtocolKind, RpcClient, RpcServer, CTRL_MAX,
+    charge_memcpy, check_len, exchange_blobs, poll_recv, posted_ring, read_now, wire_len, CtrlMsg,
+    CtrlRing, Landing, Link, ProtocolConfig, ProtocolKind, RpcClient, RpcServer, CTRL_MAX,
 };
 
 /// Identifies one submitted request. Tokens are sequential per channel,
@@ -284,35 +284,9 @@ fn note_submit(ep: &Endpoint, in_flight: usize) {
     stats.note_inflight(in_flight as u64);
 }
 
-/// Reject payloads that exceed the per-slot capacity `room` — one we are
-/// about to send, or one a peer's header announces.
-fn check_len(len: usize, room: usize) -> Result<()> {
-    if len > room {
-        return Err(RdmaError::InvalidWorkRequest(format!(
-            "payload of {len} bytes exceeds the pipelined slot ({room} bytes)"
-        )));
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // What a protocol supplies: its wire format.
 // ---------------------------------------------------------------------------
-
-/// One side of a connection: the endpoint and the geometry both peers
-/// negotiated. Owned by a driver, lent to its wire.
-struct Link {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-}
-
-/// Where an absorbed payload is copied out to: a pooled buffer (the
-/// server's request, a pipelined client's response) or the `Vec` a
-/// blocking call returns. Built from the checked payload bytes, so it is
-/// sized by what arrived, never by what a header claims.
-trait Landing: for<'a> From<&'a [u8]> {}
-
-impl<B: for<'a> From<&'a [u8]>> Landing for B {}
 
 /// Everything that differs between two pipelined protocols. A wire is
 /// symmetric — the client frames requests and absorbs responses with the
@@ -673,15 +647,6 @@ fn framed(slot: &[u8], arrived: usize) -> Result<(Token, &[u8])> {
     Ok((token, &frame[HDR..HDR + len]))
 }
 
-/// A region of `window` slots with one receive pre-posted per slot.
-fn posted_ring(ep: &Endpoint, window: usize, slot_size: usize) -> Result<MemoryRegion> {
-    let ring = ep.pd().register(window * slot_size)?;
-    for i in 0..window {
-        ep.post_recv(RecvWr::new(i as u64, ring.clone(), i * slot_size, slot_size))?;
-    }
-    Ok(ring)
-}
-
 /// A landing region of `window` stripes and a staging region to match,
 /// plus the peer's landing region, advertised over the handshake (which
 /// must run before any other receive is posted — receive queues are FIFO).
@@ -925,15 +890,6 @@ fn parse_tagged(msg: &[u8]) -> Result<(u8, usize, Token, &[u8])> {
     };
     let token = u64::from_le_bytes(hdr[9..].try_into().expect("8B"));
     Ok((hdr[0], wire_len(&hdr[1..9]), token, body))
-}
-
-/// READ `src` into `local` and wait for it, bounded by the op timeout —
-/// slow, but never an unbounded park.
-fn read_now(link: &Link, token: Token, local: MrSlice, src: RemoteBuf) -> Result<()> {
-    let Link { ep, cfg } = link;
-    ep.post_send(&[SendWr::read(token, local, src).signaled()])?;
-    ep.send_cq().poll_timeout(cfg.poll, cfg.op_timeout_ns)?.ok()?;
-    Ok(())
 }
 
 /// Hybrid-EagerRNDV: payloads at or below the threshold ride eager frames;

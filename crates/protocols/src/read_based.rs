@@ -1,30 +1,48 @@
-//! Server-bypass protocols built on RDMA READ (paper Figures 3g–3i).
+//! The four kinds without a wire: the server-bypass protocols built on
+//! RDMA READ (paper Figures 3g–3i) and the HERD comparator of §5.4. Each
+//! kind is one request path plus one reply path, and one client and one
+//! server, parameterised by those two choices, serve all four:
 //!
-//! These designs offload response delivery to the *client*, which fetches
-//! results out of server memory with one-sided READs — the server CPU
-//! never posts a response:
+//! | kind | request path | reply path |
+//! |---|---|---|
+//! | Pilaf (3g) | SEND ring | board: the 8 B directory word (polled), the 16 B item header, the payload |
+//! | FaRM (3h) | SEND ring | board: the 32 B entry (polled), the payload |
+//! | RFP (3i) | written region, memory-polled | board: the 16 B header and the first `min(max_msg, 1024)` B (polled), one READ for the rest, if any |
+//! | HERD (§5.4) | written region + notify SEND | SEND ring |
 //!
-//! * [`Pilaf`] (Figure 3g) — ~3 READs per operation: two metadata READs
-//!   (directory entry, then item header) plus one payload READ.
-//! * [`Farm`] (Figure 3h) — ≥2 READs: one combined metadata READ plus one
-//!   payload READ.
-//! * [`Rfp`] (Figure 3i) — requests arrive as in-bound RDMA WRITEs into a
-//!   server-polled region; the client fetches metadata *and* payload with
-//!   a single READ when the response is small (RFP's headline claim),
-//!   falling back to a second READ for the remainder otherwise.
+//! * A **SEND ring** is eager: the sender copies `[len u32][payload]` into
+//!   a staging slot and SENDs it, the receiver lands the payload and
+//!   reposts the slot, and each copy is charged. Only the receiving side
+//!   registers the ring.
+//! * A **written request** is one WRITE of `[seq u64][len u64][payload]`
+//!   into the server's pre-known request region: in-bound RDMA, which costs
+//!   the server's NIC posting nothing. RFP's server memory-polls the
+//!   header; HERD chains a zero-length notify SEND under the WRITE's
+//!   doorbell.
+//! * A **board** holds the server's reply for the client to fetch with
+//!   READs, so the server CPU never posts it: `[seq u64][0 u64][seq
+//!   u64][len u64][payload]`. The payload is written first and the 32 B
+//!   header after it in one region write, so a READ that shows a fresh seq
+//!   never shows a stale payload. Pilaf polls the first word (its
+//!   directory), FaRM the whole header (its entry), RFP the second half
+//!   with the first payload bytes behind it.
 //!
 //! The RFP asymmetry the paper leans on — issuing an out-bound RDMA is
 //! costlier than serving an in-bound one — emerges from the cost model's
 //! `inbound_rdma_turnaround_ns` vs the initiator-side post+doorbell+NIC
-//! charges.
+//! charges. HERD's weakness is the paper's: "HERD uses RDMA SEND for
+//! sending server's response, thereby it can not deliver good performance
+//! for GET or MultiGET operations" — a reply is copied into a send slot
+//! and delivered two-sided.
 
 use hat_rdma_sim::time::dry_pause;
 use hat_rdma_sim::{
-    now_ns, Endpoint, MemoryRegion, PollMode, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
+    now_ns, Endpoint, MemoryRegion, PollMode, PoolBuf, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
 };
 
 use crate::common::{
-    charge_memcpy, poll_recv, wire_len, ProtocolConfig, ProtocolKind, RpcClient, RpcServer,
+    charge_memcpy, check_len, exchange_blobs, poll_recv, posted_ring, read_now, wire_len, Landing,
+    Link, ProtocolConfig, ProtocolKind, RpcClient, RpcServer,
 };
 
 /// Modelled pause between memory/READ polls when the poller is in
@@ -33,130 +51,93 @@ use crate::common::{
 /// trade-off is the same).
 const EVENT_POLL_PAUSE_NS: u64 = 3_000;
 
-/// Request channel: an eager SEND ring (client → server), used by Pilaf
-/// and FaRM whose *requests* travel as ordinary messages.
-struct RequestChannel {
-    ep: Endpoint,
-    poll: PollMode,
-    timeout_ns: u64,
-    ring: MemoryRegion,
-    staging: MemoryRegion,
-    slots: usize,
-    slot_size: usize,
+/// `[len u32]`: the header of a SEND-ring message.
+const RING_HDR: usize = 4;
+/// `[seq u64][len u64]`: the header of a written request, and the second
+/// half of a board's.
+const SEQ_HDR: usize = 16;
+/// A board's header: the directory word, 8 unused bytes, then a
+/// [`SEQ_HDR`]. The payload follows it.
+const BOARD_HDR: usize = 32;
+/// Payload bytes RFP's polled READ brings behind the header, at most: the
+/// paper notes RFP shines below 1 KB; beyond, one more READ fetches the
+/// rest.
+const RFP_FIRST_READ: usize = 1024;
+
+/// Whether `kind`'s request is written into the server's region (RFP,
+/// HERD) rather than SENT into its ring (Pilaf, FaRM).
+fn written_request(kind: ProtocolKind) -> bool {
+    matches!(kind, ProtocolKind::Rfp | ProtocolKind::Herd)
 }
 
-const REQ_HDR: usize = 4;
+/// Whether `kind`'s reply is fetched off the server's board (Pilaf, FaRM,
+/// RFP) rather than SENT into the client's ring (HERD).
+fn board_reply(kind: ProtocolKind) -> bool {
+    kind != ProtocolKind::Herd
+}
 
-impl RequestChannel {
-    fn new(ep: &Endpoint, cfg: &ProtocolConfig, post_recvs: bool) -> Result<RequestChannel> {
-        let slot_size = cfg.max_msg + REQ_HDR;
-        let ring = ep.pd().register(cfg.ring_slots * slot_size)?;
-        if post_recvs {
-            for i in 0..cfg.ring_slots {
-                ep.post_recv(RecvWr::new(i as u64, ring.clone(), i * slot_size, slot_size))?;
-            }
+fn seq_hdr(seq: u64, len: usize) -> [u8; SEQ_HDR] {
+    let mut hdr = [0u8; SEQ_HDR];
+    hdr[..8].copy_from_slice(&seq.to_le_bytes());
+    hdr[8..].copy_from_slice(&(len as u64).to_le_bytes());
+    hdr
+}
+
+/// Copy `payload` into the staging slot `stage` behind its `[len u32]`
+/// and SEND it.
+fn ring_send(ep: &Endpoint, stage: &MemoryRegion, payload: &[u8]) -> Result<()> {
+    let copy = charge_memcpy(ep, payload.len());
+    stage.write_parts(0, &[&(payload.len() as u32).to_le_bytes(), payload])?;
+    drop(copy);
+    ep.post_send(&[SendWr::send(0, stage.slice(0, RING_HDR + payload.len()))])
+}
+
+/// Wait for the next message on `ring`, land its payload and repost the
+/// slot; `None` on a clean disconnect. The length is checked against the
+/// bytes that arrived behind it — at most a slot's `max_msg` — before it
+/// sizes anything, and the copy out is charged from the moment it is
+/// known.
+fn ring_recv<B: Landing>(link: &Link, ring: &MemoryRegion) -> Result<Option<B>> {
+    let Link { ep, cfg } = link;
+    let Some(comp) = poll_recv(ep, cfg.poll, cfg.op_timeout_ns)? else { return Ok(None) };
+    comp.ok()?;
+    let slot_size = RING_HDR + cfg.max_msg;
+    let base = (comp.wr_id as usize % cfg.ring_slots) * slot_size;
+    let (payload, copy) = ring.with_bytes(base, slot_size, |slot| {
+        let frame = &slot[..comp.byte_len.min(slot_size)];
+        let Some((hdr, body)) = frame.split_first_chunk::<RING_HDR>() else {
+            return Err(RdmaError::InvalidWorkRequest(format!(
+                "a {}-byte ring message has no header",
+                frame.len()
+            )));
+        };
+        let len = u32::from_le_bytes(*hdr) as usize;
+        check_len(len, body.len())?;
+        let copy = charge_memcpy(ep, len);
+        Ok((B::from(&body[..len]), copy))
+    })??;
+    drop(copy);
+    ep.post_recv(RecvWr::new(comp.wr_id, ring.clone(), base, slot_size))?;
+    Ok(Some(payload))
+}
+
+/// Request `want` out of a written-request `region`, landed in a pooled
+/// buffer, if its header shows that seq. The length is checked against
+/// `max_msg` (the region's room behind the header) first.
+fn land_written(region: &MemoryRegion, want: u64) -> Result<Option<PoolBuf>> {
+    region.with_bytes(0, region.len(), |bytes| {
+        let (hdr, body) = bytes.split_at(SEQ_HDR);
+        if hdr[..8] != want.to_le_bytes() {
+            return Ok(None);
         }
-        let staging = ep.pd().register(slot_size)?;
-        Ok(RequestChannel {
-            ep: ep.clone(),
-            poll: cfg.poll,
-            timeout_ns: cfg.op_timeout_ns,
-            ring,
-            staging,
-            slots: cfg.ring_slots,
-            slot_size,
-        })
-    }
-
-    fn send(&self, data: &[u8]) -> Result<()> {
-        let copy = charge_memcpy(&self.ep, data.len());
-        self.staging.write(0, &(data.len() as u32).to_le_bytes())?;
-        self.staging.write(REQ_HDR, data)?;
-        drop(copy);
-        self.ep.post_send(&[SendWr::send(0, self.staging.slice(0, REQ_HDR + data.len()))])
-    }
-
-    fn recv(&self) -> Result<Option<Vec<u8>>> {
-        let Some(comp) = poll_recv(&self.ep, self.poll, self.timeout_ns)? else { return Ok(None) };
-        comp.ok()?;
-        let slot = comp.wr_id as usize % self.slots;
-        let base = slot * self.slot_size;
-        let mut hdr = [0u8; REQ_HDR];
-        self.ring.read(base, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr) as usize;
-        let data = self.ring.read_vec(base + REQ_HDR, len)?;
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.ring.clone(), base, self.slot_size))?;
-        Ok(Some(data))
-    }
+        let len = wire_len(&hdr[8..]);
+        check_len(len, body.len())?;
+        Ok(Some(PoolBuf::from(&body[..len])))
+    })?
 }
 
-/// Server-side response board: payload region + metadata words the client
-/// READ-polls. Layout:
-/// * `meta[0..8]`   — directory sequence (Pilaf's first READ)
-/// * `meta[16..24]` — item sequence, `meta[24..32]` — payload length
-///   (Pilaf's second READ; FaRM reads 16..32 in one go)
-struct ResponseBoard {
-    meta: MemoryRegion,
-    payload: MemoryRegion,
-}
-
-impl ResponseBoard {
-    fn new(ep: &Endpoint, max_msg: usize) -> Result<ResponseBoard> {
-        Ok(ResponseBoard { meta: ep.pd().register(64)?, payload: ep.pd().register(max_msg)? })
-    }
-
-    /// Publish a response under sequence `seq` (payload first, directory
-    /// word last, so a client never observes a fresh seq with stale data).
-    fn publish(&self, seq: u64, data: &[u8]) -> Result<()> {
-        self.payload.write(0, data)?;
-        let mut item = [0u8; 16];
-        item[..8].copy_from_slice(&seq.to_le_bytes());
-        item[8..].copy_from_slice(&(data.len() as u64).to_le_bytes());
-        self.meta.write(16, &item)?;
-        self.meta.write(0, &seq.to_le_bytes())?;
-        Ok(())
-    }
-
-    fn blob(&self, max_msg: usize) -> Vec<u8> {
-        let mut b = Vec::with_capacity(2 * RemoteBuf::WIRE_SIZE);
-        b.extend_from_slice(&self.meta.remote_buf(0, 64).encode());
-        b.extend_from_slice(&self.payload.remote_buf(0, max_msg).encode());
-        b
-    }
-}
-
-/// Remote view of a [`ResponseBoard`].
-#[derive(Clone, Copy)]
-struct RemoteBoard {
-    meta: RemoteBuf,
-    payload: RemoteBuf,
-}
-
-impl RemoteBoard {
-    fn decode(blob: &[u8]) -> Result<RemoteBoard> {
-        Ok(RemoteBoard {
-            meta: RemoteBuf::decode(blob)?,
-            payload: RemoteBuf::decode(&blob[RemoteBuf::WIRE_SIZE..])?,
-        })
-    }
-}
-
-/// One synchronous one-sided READ into `landing[offset..offset+len]`.
-fn read_sync(
-    ep: &Endpoint,
-    landing: &MemoryRegion,
-    offset: usize,
-    src: RemoteBuf,
-    poll: PollMode,
-    timeout_ns: u64,
-) -> Result<()> {
-    ep.post_send(&[SendWr::read(7, landing.slice(offset, src.len as usize), src).signaled()])?;
-    ep.send_cq().poll_timeout(poll, timeout_ns)?.ok()?;
-    Ok(())
-}
-
-/// A polled wait in progress: for a response board to show the wanted
-/// sequence (clients) or the request region the next request (RFP server).
+/// A polled wait in progress: for a board to show the wanted sequence
+/// (clients) or the request region the next request (RFP server).
 struct PollWait {
     since: u64,
     deadline: u64,
@@ -168,7 +149,7 @@ struct PollWait {
 }
 
 impl PollWait {
-    fn begin(ep: &Endpoint, cfg: &ProtocolConfig) -> PollWait {
+    fn begin(Link { ep, cfg }: &Link) -> PollWait {
         let since = now_ns();
         let pause_ns = match cfg.poll {
             PollMode::Event => ep.node().config().scaled(EVENT_POLL_PAUSE_NS),
@@ -190,410 +171,248 @@ impl PollWait {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pilaf & FaRM
-// ---------------------------------------------------------------------------
-
-/// How many metadata READs the client issues before the payload READ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetaReads {
-    /// Pilaf: directory READ + item-header READ.
-    Two,
-    /// FaRM: one combined metadata READ.
-    One,
+/// The client of any of the four kinds.
+struct Client {
+    link: Link,
+    kind: ProtocolKind,
+    /// Where a request is framed: the SEND-ring staging slot, or the stage
+    /// a written request is WRITten from.
+    stage: MemoryRegion,
+    /// Where a reply arrives: the landing for board READs, or the reply
+    /// ring.
+    inbox: MemoryRegion,
+    /// The server's request region, for a written request.
+    request: Option<RemoteBuf>,
+    /// The server's board, for a board reply.
+    board: Option<RemoteBuf>,
+    seq: u64,
 }
 
-/// Shared client/server implementation for the Pilaf and FaRM emulations.
-struct ReadPolled {
+/// Build the client side of `kind` (Pilaf, FaRM, RFP or HERD), concurrently
+/// with its peer's [`accept`]: the server advertises its request region
+/// and its board, whichever of the two the kind has, in that order.
+pub(crate) fn connect(
+    kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
-    req: RequestChannel,
-    /// Server side only.
-    board: Option<ResponseBoard>,
-    /// Client side only.
-    remote: Option<RemoteBoard>,
-    landing: MemoryRegion,
-    seq: u64,
-    meta_reads: MetaReads,
-}
-
-impl ReadPolled {
-    fn client(ep: Endpoint, cfg: ProtocolConfig, meta_reads: MetaReads) -> Result<ReadPolled> {
-        // Handshake first: the FIFO receive queue must not mix handshake
-        // and data-ring receives.
-        let peer = crate::common::exchange_blobs(&ep, b"client")?;
-        let remote = RemoteBoard::decode(&peer)?;
-        let req = RequestChannel::new(&ep, &cfg, false)?;
-        let landing = ep.pd().register(cfg.max_msg.max(64))?;
-        Ok(ReadPolled {
-            ep,
-            cfg,
-            req,
-            board: None,
-            remote: Some(remote),
-            landing,
-            seq: 0,
-            meta_reads,
-        })
-    }
-
-    fn server(ep: Endpoint, cfg: ProtocolConfig, meta_reads: MetaReads) -> Result<ReadPolled> {
-        let board = ResponseBoard::new(&ep, cfg.max_msg)?;
-        let blob = board.blob(cfg.max_msg);
-        crate::common::exchange_blobs(&ep, &blob)?;
-        let req = RequestChannel::new(&ep, &cfg, true)?;
-        let landing = ep.pd().register(64)?;
-        Ok(ReadPolled {
-            ep,
-            cfg,
-            req,
-            board: Some(board),
-            remote: None,
-            landing,
-            seq: 0,
-            meta_reads,
-        })
-    }
-
-    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        self.seq += 1;
-        let want = self.seq;
-        self.req.send(request)?;
-        let remote = self.remote.expect("client has a remote board");
-        let timeout = self.cfg.op_timeout_ns;
-        let wait = PollWait::begin(&self.ep, &self.cfg);
-
-        // Metadata phase. Pilaf polls the small directory word and then
-        // issues a second READ for the item header (~2 metadata READs);
-        // FaRM's single metadata READ covers the whole 32-byte entry —
-        // directory word and length together.
-        let len = match self.meta_reads {
-            MetaReads::Two => {
-                // READ #1 (polled): directory word only.
-                loop {
-                    read_sync(
-                        &self.ep,
-                        &self.landing,
-                        0,
-                        remote.meta.sub(0, 8),
-                        self.cfg.poll,
-                        timeout,
-                    )?;
-                    let mut seq = [0u8; 8];
-                    self.landing.read(0, &mut seq)?;
-                    if u64::from_le_bytes(seq) == want {
-                        break;
-                    }
-                    wait.pause()?;
-                }
-                // READ #2: the item header.
-                read_sync(
-                    &self.ep,
-                    &self.landing,
-                    0,
-                    remote.meta.sub(16, 16),
-                    self.cfg.poll,
-                    timeout,
-                )?;
-                let mut hdr = [0u8; 16];
-                self.landing.read(0, &mut hdr)?;
-                let seq = u64::from_le_bytes(hdr[..8].try_into().expect("8B"));
-                debug_assert_eq!(seq, want, "item header lags directory");
-                u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize
-            }
-            MetaReads::One => {
-                // One polled READ of the combined 32-byte entry.
-                loop {
-                    read_sync(
-                        &self.ep,
-                        &self.landing,
-                        0,
-                        remote.meta.sub(0, 32),
-                        self.cfg.poll,
-                        timeout,
-                    )?;
-                    let mut entry = [0u8; 32];
-                    self.landing.read(0, &mut entry)?;
-                    let seq = u64::from_le_bytes(entry[..8].try_into().expect("8B"));
-                    if seq == want {
-                        break u64::from_le_bytes(entry[24..32].try_into().expect("8B")) as usize;
-                    }
-                    wait.pause()?;
-                }
-            }
-        };
-
-        // Final READ: the payload.
-        read_sync(
-            &self.ep,
-            &self.landing,
-            0,
-            remote.payload.sub(0, len as u64),
-            self.cfg.poll,
-            timeout,
-        )?;
-        self.landing.read_vec(0, len)
-    }
-
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(request) = self.req.recv()? else { return Ok(false) };
-        let response = handler(&request);
-        self.seq += 1;
-        self.board.as_ref().expect("server has a board").publish(self.seq, &response)?;
-        Ok(true)
-    }
-}
-
-macro_rules! read_polled_variant {
-    ($name:ident, $meta:expr, $kind:expr, $doc:literal) => {
-        #[doc = $doc]
-        pub struct $name {
-            inner: ReadPolled,
-        }
-
-        impl $name {
-            /// Build the client side.
-            pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<$name> {
-                Ok($name { inner: ReadPolled::client(ep, cfg, $meta)? })
-            }
-
-            /// Build the server side.
-            pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<$name> {
-                Ok($name { inner: ReadPolled::server(ep, cfg, $meta)? })
-            }
-        }
-
-        impl RpcClient for $name {
-            fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-                self.inner.call(request)
-            }
-
-            fn kind(&self) -> ProtocolKind {
-                $kind
-            }
-        }
-
-        impl RpcServer for $name {
-            fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-                self.inner.serve_one(handler)
-            }
-
-            fn kind(&self) -> ProtocolKind {
-                $kind
-            }
-        }
+) -> Result<Box<dyn RpcClient>> {
+    // The handshake comes first: receive queues are FIFO, and the reply
+    // ring must not take the server's advert.
+    let advert = exchange_blobs(&ep, b"client")?;
+    let nth = |i: usize| RemoteBuf::decode(advert.get(i * RemoteBuf::WIRE_SIZE..).unwrap_or(&[]));
+    let request = if written_request(kind) { Some(nth(0)?) } else { None };
+    let board = if board_reply(kind) { Some(nth(request.is_some() as usize)?) } else { None };
+    let hdr = if written_request(kind) { SEQ_HDR } else { RING_HDR };
+    let stage = ep.pd().register(hdr + cfg.max_msg)?;
+    let inbox = if board_reply(kind) {
+        // RFP's payload lands behind the header its polled READ brings.
+        let at = if kind == ProtocolKind::Rfp { SEQ_HDR } else { 0 };
+        ep.pd().register(at + cfg.max_msg.max(BOARD_HDR))?
+    } else {
+        posted_ring(&ep, cfg.ring_slots, RING_HDR + cfg.max_msg)?
     };
+    Ok(Box::new(Client { link: Link { ep, cfg }, kind, stage, inbox, request, board, seq: 0 }))
 }
 
-read_polled_variant!(
-    Pilaf,
-    MetaReads::Two,
-    ProtocolKind::Pilaf,
-    "Pilaf emulation (Figure 3g): request via SEND; the client fetches the \
-     response with two metadata READs plus one payload READ (~3 READs/op)."
-);
-
-read_polled_variant!(
-    Farm,
-    MetaReads::One,
-    ProtocolKind::Farm,
-    "FaRM emulation (Figure 3h): request via SEND; the client fetches the \
-     response with one metadata READ plus one payload READ (≥2 READs/op)."
-);
-
-// ---------------------------------------------------------------------------
-// RFP
-// ---------------------------------------------------------------------------
-
-/// Header preceding RFP request/response payloads: `[seq u64, len u64]`.
-const RFP_HDR: usize = 16;
-
-fn rfp_header(seq: u64, len: usize) -> [u8; RFP_HDR] {
-    let mut hdr = [0u8; RFP_HDR];
-    hdr[..8].copy_from_slice(&seq.to_le_bytes());
-    hdr[8..].copy_from_slice(&(len as u64).to_le_bytes());
-    hdr
-}
-
-/// One memory poll: the payload length, once the header at the start of
-/// `region` shows sequence `want`. The length is the writer's claim; the
-/// read that uses it is bounds-checked against the region.
-fn read_rfp_header(region: &MemoryRegion, want: u64) -> Result<Option<usize>> {
-    let mut hdr = [0u8; RFP_HDR];
-    region.read(0, &mut hdr)?;
-    if u64::from_le_bytes(hdr[..8].try_into().expect("8B")) != want {
-        return Ok(None);
-    }
-    Ok(Some(wire_len(&hdr[8..])))
-}
-
-/// RFP emulation (Figure 3i): the client WRITEs `[seq, len, payload]` into
-/// a server-polled request region (in-bound RDMA — cheap for the server);
-/// the server CPU memory-polls, executes, and publishes the response in
-/// its response region; the client fetches header *and* payload with one
-/// READ when the response fits [`Rfp::first_read_payload`], else issues one
-/// follow-up READ for the remainder.
-pub struct Rfp {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    /// Server: polled request region. Client: staging for outbound WRITEs.
-    req_region: MemoryRegion,
-    /// Server: response board. Client: landing buffer for READs.
-    resp_region: MemoryRegion,
-    /// Client's view of the server regions.
-    remote_req: Option<RemoteBuf>,
-    remote_resp: Option<RemoteBuf>,
-    seq: u64,
-    first_read_payload: usize,
-}
-
-impl Rfp {
-    /// Payload bytes covered by the first response READ. The paper notes
-    /// RFP shines below 1 KB; beyond this a second READ fetches the rest.
-    pub fn first_read_payload(&self) -> usize {
-        self.first_read_payload
-    }
-
-    /// Build the client side.
-    pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<Rfp> {
-        let req_region = ep.pd().register(RFP_HDR + cfg.max_msg)?;
-        let resp_region = ep.pd().register(RFP_HDR + cfg.max_msg)?;
-        let peer = crate::common::exchange_blobs(&ep, b"rfp-client")?;
-        let remote_req = RemoteBuf::decode(&peer)?;
-        let remote_resp = RemoteBuf::decode(&peer[RemoteBuf::WIRE_SIZE..])?;
-        let first_read_payload = cfg.max_msg.min(1024);
-        Ok(Rfp {
-            ep,
-            cfg,
-            req_region,
-            resp_region,
-            remote_req: Some(remote_req),
-            remote_resp: Some(remote_resp),
-            seq: 0,
-            first_read_payload,
-        })
-    }
-
-    /// Build the server side.
-    pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<Rfp> {
-        let req_region = ep.pd().register(RFP_HDR + cfg.max_msg)?;
-        let resp_region = ep.pd().register(RFP_HDR + cfg.max_msg)?;
-        let mut blob = Vec::with_capacity(2 * RemoteBuf::WIRE_SIZE);
-        blob.extend_from_slice(&req_region.remote_buf(0, RFP_HDR + cfg.max_msg).encode());
-        blob.extend_from_slice(&resp_region.remote_buf(0, RFP_HDR + cfg.max_msg).encode());
-        crate::common::exchange_blobs(&ep, &blob)?;
-        let first_read_payload = cfg.max_msg.min(1024);
-        Ok(Rfp {
-            ep,
-            cfg,
-            req_region,
-            resp_region,
-            remote_req: None,
-            remote_resp: None,
-            seq: 0,
-            first_read_payload,
-        })
-    }
-}
-
-impl RpcClient for Rfp {
-    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        if request.len() > self.cfg.max_msg {
-            return Err(RdmaError::InvalidWorkRequest(format!(
-                "payload of {} bytes exceeds the RFP region ({} bytes)",
-                request.len(),
-                self.cfg.max_msg
-            )));
-        }
-        self.seq += 1;
-        let want = self.seq;
-
-        // One in-bound WRITE delivers header + payload together.
-        let msg_len = RFP_HDR + request.len();
-        self.req_region.write(0, &rfp_header(want, request.len()))?;
-        self.req_region.write(RFP_HDR, request)?;
-        let dst = self.remote_req.expect("client knows the request region");
-        self.ep.post_send(&[SendWr::write(
-            1,
-            self.req_region.slice(0, msg_len),
-            dst.sub(0, msg_len as u64),
-        )])?;
-
-        // READ-poll the response: header + first chunk in one READ.
-        let remote_resp = self.remote_resp.expect("client knows the response region");
-        let first = RFP_HDR + self.first_read_payload;
-        let timeout = self.cfg.op_timeout_ns;
-        let wait = PollWait::begin(&self.ep, &self.cfg);
-        let len = loop {
-            read_sync(
-                &self.ep,
-                &self.resp_region,
-                0,
-                remote_resp.sub(0, first as u64),
-                self.cfg.poll,
-                timeout,
-            )?;
-            if let Some(len) = read_rfp_header(&self.resp_region, want)? {
-                break len;
+impl Client {
+    /// Fetch reply `want` off `board`: READ-poll until the kind's polled
+    /// READ shows `want` in its first word, then READ what is left — the
+    /// item header (Pilaf), the payload or the rest of it (RFP) — into the
+    /// landing, and copy the payload out. The announced length is checked
+    /// against `max_msg` before it sizes a READ.
+    fn fetch(&self, board: RemoteBuf, want: u64) -> Result<Vec<u8>> {
+        let landing = &self.inbox;
+        let read = |at: usize, from: usize, len: usize| {
+            read_now(&self.link, 7, landing.slice(at, len), board.sub(from as u64, len as u64))
+        };
+        let seq = |at: usize| landing.with_bytes(at, 8, |b| b == want.to_le_bytes());
+        let len_at = |at: usize| landing.with_bytes(at, 8, wire_len);
+        // RFP's polled READ brings the header and `first` payload bytes;
+        // Pilaf and FaRM READ the payload whole, whatever its length.
+        let first = self.link.cfg.max_msg.min(RFP_FIRST_READ);
+        let (from, poll_len, at, fetched) = match self.kind {
+            ProtocolKind::Pilaf => (0, 8, 0, 0),
+            ProtocolKind::Farm => (0, BOARD_HDR, 0, 0),
+            _ => (BOARD_HDR - SEQ_HDR, SEQ_HDR + first, SEQ_HDR, first),
+        };
+        let wait = PollWait::begin(&self.link);
+        loop {
+            read(0, from, poll_len)?;
+            if seq(0)? {
+                break;
             }
             wait.pause()?;
-        };
-
-        // Large response: one follow-up READ for the remainder.
-        if len > self.first_read_payload {
-            let rest = len - self.first_read_payload;
-            read_sync(
-                &self.ep,
-                &self.resp_region,
-                RFP_HDR + self.first_read_payload,
-                remote_resp.sub((RFP_HDR + self.first_read_payload) as u64, rest as u64),
-                self.cfg.poll,
-                timeout,
-            )?;
         }
-        self.resp_region.read_vec(RFP_HDR, len)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Rfp
+        let len = match self.kind {
+            ProtocolKind::Pilaf => {
+                read(0, BOARD_HDR - SEQ_HDR, SEQ_HDR)?;
+                if !seq(0)? {
+                    return Err(RdmaError::InvalidWorkRequest(format!(
+                        "the item header of reply {want} lags its directory word"
+                    )));
+                }
+                len_at(8)?
+            }
+            ProtocolKind::Farm => len_at(BOARD_HDR - 8)?,
+            _ => len_at(8)?,
+        };
+        check_len(len, self.link.cfg.max_msg)?;
+        if len > fetched || fetched == 0 {
+            read(at + fetched, BOARD_HDR + fetched, len - fetched)?;
+        }
+        landing.with_bytes(at, len, <[u8]>::to_vec)
     }
 }
 
-impl RpcServer for Rfp {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        // Memory-poll the request region for the next sequence number.
-        let want = self.seq + 1;
-        let node = self.ep.node().clone();
-        let request = {
-            // Busy memory polling burns a core, just like CQ busy polling;
-            // an event-ish poller parks between checks and is charged
-            // nothing.
-            let _spin = (self.cfg.poll == PollMode::Busy).then(|| node.enter_spin());
-            let wait = PollWait::begin(&self.ep, &self.cfg);
-            loop {
-                if let Some(dead) = self.ep.fault_down() {
-                    return Err(RdmaError::QpError(format!("node '{dead}' is down")));
-                }
-                if !self.ep.is_alive() {
-                    return Ok(false);
-                }
-                if let Some(len) = read_rfp_header(&self.req_region, want)? {
-                    break self.req_region.read_vec(RFP_HDR, len)?;
-                }
-                wait.pause()?;
+impl RpcClient for Client {
+    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
+        let Link { ep, cfg } = &self.link;
+        check_len(request.len(), cfg.max_msg)?;
+        self.seq += 1;
+        let want = self.seq;
+        if let Some(region) = self.request {
+            // One region write frames the request, and one WRITE moves it.
+            let total = SEQ_HDR + request.len();
+            self.stage.write_parts(0, &[&seq_hdr(want, request.len()), request])?;
+            let write = SendWr::write(1, self.stage.slice(0, total), region.sub(0, total as u64));
+            if self.kind == ProtocolKind::Herd {
+                // HERD's trick: the notify rides the WRITE's doorbell.
+                ep.post_send(&[write, SendWr::send_inline(2, &[])])?;
+            } else {
+                ep.post_send(&[write])?;
             }
+        } else {
+            ring_send(ep, &self.stage, request)?;
+        }
+        match self.board {
+            Some(board) => self.fetch(board, want),
+            None => ring_recv(&self.link, &self.inbox)?.ok_or(RdmaError::Disconnected),
+        }
+    }
+
+    fn kind(&self) -> ProtocolKind {
+        self.kind
+    }
+}
+
+/// The server of any of the four kinds.
+struct Server {
+    link: Link,
+    kind: ProtocolKind,
+    /// Where requests arrive: the request ring, or the region a written
+    /// request lands in.
+    inbox: MemoryRegion,
+    /// Where replies leave: the board, or the reply ring's staging slot.
+    outbox: MemoryRegion,
+    /// HERD: the one region its zero-length notify receives target.
+    notify: Option<MemoryRegion>,
+    seq: u64,
+}
+
+/// Build the server side of `kind`, concurrently with its peer's
+/// [`connect`].
+pub(crate) fn accept(
+    kind: ProtocolKind,
+    ep: Endpoint,
+    cfg: ProtocolConfig,
+) -> Result<Box<dyn RpcServer>> {
+    let mut advert = Vec::with_capacity(2 * RemoteBuf::WIRE_SIZE);
+    let mut advertised = |len: usize| -> Result<MemoryRegion> {
+        let region = ep.pd().register(len)?;
+        advert.extend_from_slice(&region.remote_buf(0, len).encode());
+        Ok(region)
+    };
+    let region =
+        if written_request(kind) { Some(advertised(SEQ_HDR + cfg.max_msg)?) } else { None };
+    let outbox = if board_reply(kind) {
+        advertised(BOARD_HDR + cfg.max_msg)?
+    } else {
+        ep.pd().register(RING_HDR + cfg.max_msg)?
+    };
+    exchange_blobs(&ep, &advert)?;
+    // Receives are posted only now, behind the handshake's.
+    let inbox = match region {
+        Some(region) => region,
+        None => posted_ring(&ep, cfg.ring_slots, RING_HDR + cfg.max_msg)?,
+    };
+    let notify = if kind == ProtocolKind::Herd {
+        let target = ep.pd().register(1)?;
+        for i in 0..cfg.ring_slots {
+            ep.post_recv(RecvWr::new(i as u64, target.clone(), 0, 0))?;
+        }
+        Some(target)
+    } else {
+        None
+    };
+    Ok(Box::new(Server { link: Link { ep, cfg }, kind, inbox, outbox, notify, seq: 0 }))
+}
+
+impl Server {
+    /// RFP: memory-poll the request region until it holds request `want`;
+    /// `None` once the client has gone.
+    fn polled(&self, want: u64) -> Result<Option<PoolBuf>> {
+        let Link { ep, cfg } = &self.link;
+        // Busy memory polling burns a core, just like CQ busy polling; an
+        // event-ish poller parks between checks and is charged nothing.
+        let _spin = (cfg.poll == PollMode::Busy).then(|| ep.node().enter_spin());
+        let wait = PollWait::begin(&self.link);
+        loop {
+            if let Some(dead) = ep.fault_down() {
+                return Err(RdmaError::QpError(format!("node '{dead}' is down")));
+            }
+            if !ep.is_alive() {
+                return Ok(None);
+            }
+            if let Some(request) = land_written(&self.inbox, want)? {
+                return Ok(Some(request));
+            }
+            wait.pause()?;
+        }
+    }
+
+    /// HERD: wait for the notify SEND, then take request `want` out of the
+    /// region the WRITE ahead of it filled. A header showing any other seq
+    /// is a typed error.
+    fn notified(&self, want: u64) -> Result<Option<PoolBuf>> {
+        let Link { ep, cfg } = &self.link;
+        let Some(comp) = poll_recv(ep, cfg.poll, cfg.op_timeout_ns)? else { return Ok(None) };
+        comp.ok()?;
+        let target = self.notify.clone().expect("a HERD server posts notify receives");
+        ep.post_recv(RecvWr::new(comp.wr_id, target, 0, 0))?;
+        let request = land_written(&self.inbox, want)?.ok_or_else(|| {
+            RdmaError::InvalidWorkRequest(format!("a notify found no request {want} written"))
+        })?;
+        Ok(Some(request))
+    }
+}
+
+impl RpcServer for Server {
+    /// The handler borrows the request from a pooled buffer, never from a
+    /// registered region (see `PipelinedServer::serve_ready`).
+    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
+        let want = self.seq + 1;
+        let request = match self.kind {
+            ProtocolKind::Rfp => self.polled(want)?,
+            ProtocolKind::Herd => self.notified(want)?,
+            _ => ring_recv(&self.link, &self.inbox)?,
         };
+        let Some(request) = request else { return Ok(false) };
         self.seq = want;
         let response = handler(&request);
-
-        // Publish: payload first, header (with fresh seq) last.
-        self.resp_region.write(RFP_HDR, &response)?;
-        self.resp_region.write(0, &rfp_header(want, response.len()))?;
+        drop(request);
+        check_len(response.len(), self.link.cfg.max_msg)?;
+        if !board_reply(self.kind) {
+            return ring_send(&self.link.ep, &self.outbox, &response).map(|()| true);
+        }
+        // Publish: payload first, then the whole header in one write.
+        self.outbox.write(BOARD_HDR, &response)?;
+        let hdr = seq_hdr(want, response.len());
+        self.outbox.write_parts(0, &[&want.to_le_bytes(), &[0; 8], &hdr])?;
         Ok(true)
     }
 
     fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Rfp
+        self.kind
     }
 }
 
@@ -613,14 +432,12 @@ mod tests {
                 server.serve_one(&mut |r| r.to_vec()).unwrap();
                 server
             });
-            let before = client.node().stats_snapshot();
             client.call(&[9u8; 100]).unwrap();
             let server = h.join().unwrap();
             let s = server.node().stats_snapshot();
             // The only server WR ever posted is the one handshake SEND.
             assert_eq!(s.wrs_posted, 1, "{kind}: server posts nothing beyond the handshake");
             assert!(s.inbound_rdma >= 2, "{kind}: client READs are in-bound at the server");
-            let _ = before;
         }
     }
 
@@ -641,35 +458,64 @@ mod tests {
         assert_eq!(server.node().stats_snapshot().wrs_posted, 1);
     }
 
-    /// Pilaf issues more READs per call than FaRM (3 vs 2 at minimum).
-    /// Time is stretched 32× so that how many polls a call needs is decided
-    /// by the modelled READ round trip, not by how long a debug build's
-    /// server thread takes to be scheduled.
+    /// HERD's request WRITE is zero-copy; its reply is copied into a send
+    /// slot by the server and out of the ring by the client.
+    #[test]
+    fn herd_request_path_is_zero_copy_response_path_is_not() {
+        let (mut client, mut server) =
+            echo_pair(ProtocolKind::Herd, ProtocolConfig { max_msg: 4096, ..Default::default() });
+        let h = std::thread::spawn(move || {
+            server.serve_one(&mut |r| r.to_vec()).unwrap();
+            server
+        });
+        let c_before = client.node_memcpys();
+        client.call(&[1u8; 1024]).unwrap();
+        let server = h.join().unwrap();
+        // Client pays a copy only to pull the response off the ring; the
+        // request WRITE is zero-copy (plus one inline notify counted by
+        // the sim layer).
+        assert!(client.node_memcpys() - c_before <= 2);
+        assert!(server.node_memcpys() >= 1, "server copies every response");
+    }
+
+    /// Pilaf issues more READs per call than FaRM (3 vs 2 at minimum). Both
+    /// poll until the reply is published — as often as the host takes to
+    /// serve it — and then Pilaf READs the item header and the payload,
+    /// FaRM the payload alone. A poll is told apart by its size (an 8 B
+    /// directory word, a 32 B entry), so the READs after the polls are
+    /// counted exactly, however long the server takes.
     #[test]
     fn pilaf_issues_more_reads_than_farm() {
-        use crate::common::tests_support::echo_pair_on;
-        let stretched =
-            || hat_rdma_sim::SimConfig { time_scale: 32.0, ..hat_rdma_sim::SimConfig::default() };
-        let count_reads = |kind| {
+        const CALLS: u64 = 4;
+        const PAYLOAD: u64 = 64;
+        let reads_and_polls = |kind| {
             let cfg = ProtocolConfig { max_msg: 1024, ..Default::default() };
-            let (mut client, mut server) = echo_pair_on(stretched(), kind, cfg);
+            let (mut client, mut server) = echo_pair(kind, cfg);
             // Return the server from the thread so its registered regions
             // outlive the client's final READs (avoids a shutdown race).
             let h = std::thread::spawn(move || {
-                for _ in 0..4 {
+                for _ in 0..CALLS {
                     server.serve_one(&mut |r| r.to_vec()).unwrap();
                 }
                 server
             });
-            for _ in 0..4 {
-                client.call(&[5u8; 64]).unwrap();
+            let before = client.node().stats_snapshot();
+            for _ in 0..CALLS {
+                client.call(&[5u8; PAYLOAD as usize]).unwrap();
             }
             drop(h.join().unwrap());
-            client.node().stats_snapshot().outbound_rdma
+            let c = client.node().stats_snapshot() - before;
+            let polled = match kind {
+                ProtocolKind::Pilaf => (c.bytes_rx - CALLS * (16 + PAYLOAD)) / 8,
+                _ => (c.bytes_rx - CALLS * PAYLOAD) / 32,
+            };
+            (c.outbound_rdma, polled)
         };
-        let pilaf = count_reads(ProtocolKind::Pilaf);
-        let farm = count_reads(ProtocolKind::Farm);
-        assert!(pilaf > farm, "Pilaf ({pilaf}) should issue more READs than FaRM ({farm})");
+        let (pilaf, pilaf_polls) = reads_and_polls(ProtocolKind::Pilaf);
+        let (farm, farm_polls) = reads_and_polls(ProtocolKind::Farm);
+        assert_eq!(pilaf - pilaf_polls, 2 * CALLS, "Pilaf: header and payload READs");
+        assert_eq!(farm - farm_polls, CALLS, "FaRM: a payload READ");
+        assert!(pilaf >= 3 * CALLS && farm >= 2 * CALLS, "Pilaf {pilaf}, FaRM {farm} READs");
     }
 
     #[test]

@@ -40,7 +40,9 @@ fn cfg(window: usize) -> ProtocolConfig {
 /// Start a `kind` server on one end of a fresh connection, let `attack`
 /// (the raw peer; it also plays the client's half of any handshake) loose
 /// on the other, and return what `serve_one` made of it together with the
-/// bytes the serving thread allocated while it ran.
+/// bytes the serving thread allocated while it ran. The handler answers
+/// any request it is handed with two bytes, so a hostile request that got
+/// through cannot fail on the way out instead.
 fn serve_hostile(kind: ProtocolKind, attack: impl FnOnce(&Endpoint)) -> (RdmaError, u64) {
     let fabric = Fabric::new(SimConfig::fast_test());
     let cnode = fabric.add_node("attacker");
@@ -48,7 +50,7 @@ fn serve_hostile(kind: ProtocolKind, attack: impl FnOnce(&Endpoint)) -> (RdmaErr
     let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
     let server = std::thread::spawn(move || {
         let mut server = accept_server(kind, sep, cfg(16)).unwrap();
-        let (outcome, allocated) = tracked(|| server.serve_one(&mut |req| req.to_vec()));
+        let (outcome, allocated) = tracked(|| server.serve_one(&mut |_| b"ok".to_vec()));
         (outcome, allocated.bytes, server)
     });
     attack(&cep);
@@ -61,7 +63,8 @@ fn serve_hostile(kind: ProtocolKind, attack: impl FnOnce(&Endpoint)) -> (RdmaErr
 }
 
 /// The raw peer's side of a connection whose client handshakes: a region
-/// the client's request WRITEs land in, and the client's own landing ring.
+/// the client's request WRITEs land in (or whose board its READs fetch),
+/// and the client's own landing ring, if it advertises one.
 struct Attacker {
     ep: Endpoint,
     region: MemoryRegion,
@@ -71,7 +74,9 @@ struct Attacker {
 
 /// Connect a `kind` client (built by `connect`) to a raw peer playing the
 /// server's half of any handshake, where it advertises `advert` of its
-/// region as the server's landing ring.
+/// region as the server's landing ring — followed by the region's tail
+/// from byte 32, for a client that decodes a second buffer (RFP's board
+/// follows its request region).
 fn connect_to_attacker<C>(
     kind: ProtocolKind,
     advert: impl FnOnce(RemoteBuf) -> RemoteBuf + Send + 'static,
@@ -83,16 +88,22 @@ fn connect_to_attacker<C>(
     let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
     let handshake = std::thread::spawn(move || {
         let region = sep.pd().register(2 * MAX_MSG).unwrap();
-        let handshakes = matches!(
+        let handshakes = !matches!(
             kind,
-            ProtocolKind::DirectWriteSend
-                | ProtocolKind::ChainedWriteSend
-                | ProtocolKind::DirectWriteImm
+            ProtocolKind::EagerSendRecv
+                | ProtocolKind::WriteRndv
+                | ProtocolKind::ReadRndv
+                | ProtocolKind::HybridEagerRndv
         );
-        let client_ring = handshakes.then(|| {
-            let blob = exchange_blobs(&sep, &advert(region.remote_buf(0, region.len())).encode());
-            RemoteBuf::decode(&blob.unwrap()).unwrap()
-        });
+        // A client of a kind without a wire advertises no ring.
+        let client_ring = handshakes
+            .then(|| {
+                let whole = region.remote_buf(0, region.len());
+                let tail = whole.sub(32, whole.len - 32);
+                let blob = [advert(whole).encode(), tail.encode()].concat();
+                RemoteBuf::decode(&exchange_blobs(&sep, &blob).unwrap()).ok()
+            })
+            .flatten();
         (sep, region, client_ring)
     });
     let client = connect(cep);
@@ -101,10 +112,11 @@ fn connect_to_attacker<C>(
 }
 
 /// Connect a `kind` client with a window of `window` — `connect_client` for
-/// one, `connect_client_pipelined` for more — to an honestly advertising
-/// [`connect_to_attacker`], let `answer` respond to the client's one call,
-/// and return what the call made of it together with the bytes the calling
-/// thread allocated while it ran.
+/// one, `connect_client_pipelined` for more; for a kind without a wire,
+/// `connect_client` with a ring of `window` slots — to an honestly
+/// advertising [`connect_to_attacker`], let `answer` respond to the
+/// client's one call, and return what the call made of it together with
+/// the bytes the calling thread allocated while it ran.
 fn call_hostile(
     kind: ProtocolKind,
     window: usize,
@@ -114,7 +126,7 @@ fn call_hostile(
         kind,
         |ring| ring,
         |cep| {
-            if window == 1 {
+            if window == 1 || !PIPELINED_KINDS.contains(&kind) {
                 connect_client(kind, cep, cfg(window)).unwrap()
             } else {
                 let client: Box<dyn RpcClient> =
@@ -205,6 +217,67 @@ fn rfp_request_header_with_a_hostile_length_is_refused() {
         });
         assert_refused(&format!("RFP header len {len}"), outcome);
     }
+}
+
+/// A SEND-ring message — Pilaf's and FaRM's request, HERD's reply —
+/// announcing `len` (a length no `u32` holds as `u32::MAX`) with four
+/// bytes behind it.
+fn ring_msg(len: u64) -> Vec<u8> {
+    [&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes()[..], &[0; 4]].concat()
+}
+
+/// A Pilaf or FaRM request announcing more than arrived is refused — not
+/// served out of the ring past its slot, off the neighbouring slots'
+/// stale bytes.
+#[test]
+fn a_ring_request_announcing_more_than_arrived_is_refused() {
+    for kind in [ProtocolKind::Pilaf, ProtocolKind::Farm] {
+        for len in HOSTILE_LENS {
+            let outcome = serve_hostile(kind, |ep| {
+                exchange_blobs(ep, b"client").unwrap();
+                ep.post_send(&[SendWr::send_inline(0, &ring_msg(len))]).unwrap();
+            });
+            assert_refused(&format!("{kind} ring request len {len}"), outcome);
+        }
+    }
+}
+
+/// A HERD server takes the request its notify announces out of the region
+/// the WRITE ahead of the notify filled. A header there showing any seq
+/// but the next one — the one before it, as a region no request was
+/// written to still shows, or one ahead — is refused.
+#[test]
+fn a_herd_notify_over_a_stale_or_skipped_header_is_refused() {
+    for seq in [0u64, 2] {
+        let outcome = serve_hostile(ProtocolKind::Herd, |ep| {
+            let region = RemoteBuf::decode(&exchange_blobs(ep, b"client").unwrap()).unwrap();
+            let request = [&seq.to_le_bytes()[..], &4u64.to_le_bytes(), b"ping"].concat();
+            let dst = region.sub(0, request.len() as u64);
+            let notify = SendWr::send_inline(2, &[]);
+            ep.post_send(&[SendWr::write_inline(1, &request, dst), notify]).unwrap();
+        });
+        assert_refused(&format!("HERD header seq {seq}"), outcome);
+    }
+}
+
+/// The client half for the kinds without a wire, on a 16-slot reply ring:
+/// a HERD reply announcing more than arrived, and a Pilaf board whose
+/// item header does not show the reply its directory word shows, fail the
+/// call typed.
+#[test]
+fn a_herd_reply_or_a_pilaf_board_that_lies_fails_the_call_typed() {
+    for len in HOSTILE_LENS {
+        let outcome = call_hostile(ProtocolKind::Herd, 16, |a| {
+            a.ep.post_send(&[SendWr::send_inline(0, &ring_msg(len))]).unwrap();
+        });
+        assert_refused(&format!("HERD reply len {len}"), outcome);
+    }
+    // The directory word shows reply 1; the item header still shows
+    // reply 0, and announces 7 bytes.
+    let outcome = call_hostile(ProtocolKind::Pilaf, 16, |a| {
+        a.region.write(0, &[1u64, 0, 0, 7].map(u64::to_le_bytes).concat()).unwrap();
+    });
+    assert_refused("Pilaf item header behind its directory word", outcome);
 }
 
 /// Write-imm's immediate names a window slot and the slot's header the

@@ -14,14 +14,17 @@ mod support;
 
 use hat_protocols::{accept_server, connect_client, ProtocolConfig, ProtocolKind};
 use hat_rdma_sim::{Fabric, SimConfig};
-use support::{track, tracked, Counts};
+use support::{stock_pool, track, tracked, Counts};
 
 const PAYLOAD: usize = 256 * 1024;
 const WARMUP: usize = 8;
 const MEASURED: usize = 16;
 
-/// (client counts, server-transport counts) over `MEASURED` warmed echoes.
+/// (client counts, server-transport counts) over `MEASURED` warmed echoes,
+/// on a stocked buffer pool ([`stock_pool`]: without it, a timing-dependent
+/// peak of live 64 B control-message snapshots failed about 1 run in 50).
 fn measure(kind: ProtocolKind) -> (Counts, Counts) {
+    stock_pool(PAYLOAD);
     let fabric = Fabric::new(SimConfig::fast_test());
     let cnode = fabric.add_node("client");
     let snode = fabric.add_node("server");

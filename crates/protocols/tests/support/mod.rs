@@ -111,3 +111,16 @@ pub fn tracked<R>(f: impl FnOnce() -> R) -> (R, Counts) {
     track(was);
     (out, counts() - before)
 }
+
+/// Put eight spare buffers of every pool size class up to `max_len` in the
+/// simulator's global buffer pool. How many pooled buffers are live at
+/// once — WR snapshots and effects in flight, a landed request — depends
+/// on thread timing, and the pool allocates the first time a run meets a
+/// new peak: growth, not a cost of the call, but counted on whichever
+/// thread meets it.
+pub fn stock_pool(max_len: usize) {
+    let classes = (6..=max_len.next_power_of_two().trailing_zeros()).map(|shift| 1usize << shift);
+    let spares: Vec<_> =
+        classes.flat_map(|len| [len; 8]).map(hat_rdma_sim::PoolBuf::for_overwrite).collect();
+    drop(spares);
+}
