@@ -5,7 +5,7 @@ use hat_rdma_sim::{now_ns, Fabric};
 use hat_ycsb::measure::Histogram;
 use hatrpc_core::error::Result;
 
-use crate::support::{latency_schema, AtbClient, AtbServer};
+use crate::support::{latency_schema, serve, AtbClient};
 use crate::Mode;
 
 /// Latency benchmark parameters.
@@ -53,8 +53,8 @@ pub fn run_latency(fabric: &Fabric, cfg: &LatencyConfig) -> Result<LatencyResult
     let snode = fabric.add_node("atb-lat-server");
     let cnode = fabric.add_node("atb-lat-client");
     let schema = latency_schema(cfg.payload);
-    let server = AtbServer::start(fabric, &snode, "atb-lat", cfg.mode, schema.clone(), cfg.payload);
-    let mut client = AtbClient::connect(fabric, &cnode, "atb-lat", cfg.mode, &schema, cfg.payload)?;
+    let server = serve(fabric, &snode, "atb-lat", cfg.mode, &schema);
+    let mut client = AtbClient::connect(fabric, &cnode, "atb-lat", cfg.mode, &schema);
 
     let payload = vec![0x5A; cfg.payload];
     let mut seq = 0;

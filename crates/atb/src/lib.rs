@@ -12,10 +12,15 @@
 //!
 //! Every benchmark can run in three modes ([`Mode`]): the hint-driven
 //! HatRPC engine, a fixed RDMA protocol (the per-protocol baselines of
-//! the figures), or vanilla Thrift over IPoIB. All modes move identical
-//! Thrift-encoded messages, "developed based on the generated code
-//! skeletons" — the echo service's wire format is exactly what the
-//! generated processor would produce.
+//! the figures), or vanilla Thrift over IPoIB. All three are one runtime:
+//! a [`hatrpc_core::engine::HatServer`] serves every mode, and the client
+//! is a `HatClient` that is hinted (HatRPC), pinned to the mode's protocol
+//! and polling (`HatClient::pinned`, a baseline), or hinted
+//! `transport = tcp` (IPoIB). The schema's `payload_size` sizes the
+//! channel and its `queue_depth` sets the window in every mode. All modes
+//! move identical Thrift-encoded messages, "developed based on the
+//! generated code skeletons" — the echo service's wire format is exactly
+//! what the generated processor would produce.
 
 pub mod latency;
 pub mod mix;

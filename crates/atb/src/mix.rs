@@ -11,7 +11,7 @@ use hatrpc_core::error::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::support::{mix_schema, AtbClient, AtbServer};
+use crate::support::{mix_schema, serve, AtbClient};
 use crate::Mode;
 
 /// Mix benchmark parameters.
@@ -68,7 +68,7 @@ pub struct MixResult {
 pub fn run_mix(fabric: &Fabric, cfg: &MixConfig) -> Result<MixResult> {
     let snode = fabric.add_node("atb-mix-server");
     let schema = mix_schema(cfg.payload, cfg.clients);
-    let server = AtbServer::start(fabric, &snode, "atb-mix", cfg.mode, schema.clone(), cfg.payload);
+    let server = serve(fabric, &snode, "atb-mix", cfg.mode, &schema);
 
     let client_nodes: Vec<_> = (0..cfg.client_nodes.max(1))
         .map(|i| fabric.add_node(&format!("atb-mix-client{i}")))
@@ -88,8 +88,7 @@ pub fn run_mix(fabric: &Fabric, cfg: &MixConfig) -> Result<MixResult> {
             let mut rng = StdRng::seed_from_u64(c as u64 + 99);
             // The barrier must be reached on every path (see throughput.rs).
             let setup = (|| {
-                let mut client =
-                    AtbClient::connect(&fabric, &node, "atb-mix", cfg.mode, &schema, cfg.payload)?;
+                let mut client = AtbClient::connect(&fabric, &node, "atb-mix", cfg.mode, &schema);
                 // Warm both channels before the measured window.
                 client.call("fast", 0, &payload)?;
                 client.call("bulk", 0, &payload)?;
@@ -162,23 +161,17 @@ mod tests {
         let fabric = Fabric::new(SimConfig::fast_test());
         let snode = fabric.add_node("s");
         let schema = mix_schema(128 * 1024, 64);
-        let server =
-            AtbServer::start(&fabric, &snode, "mix-iso", Mode::HatRpc, schema.clone(), 128 * 1024);
+        let server = serve(&fabric, &snode, "mix-iso", Mode::HatRpc, &schema);
         let cnode = fabric.add_node("c");
-        let mut client =
-            AtbClient::connect(&fabric, &cnode, "mix-iso", Mode::HatRpc, &schema, 128 * 1024)
-                .unwrap();
+        let mut client = AtbClient::connect(&fabric, &cnode, "mix-iso", Mode::HatRpc, &schema);
         let payload = vec![1u8; 1024];
         client.call("fast", 1, &payload).unwrap();
         client.call("bulk", 2, &payload).unwrap();
-        if let AtbClient::Hat(hat) = &client {
-            assert!(hat.open_channels() >= 2, "fast and bulk must not share a channel");
-            use hat_protocols::ProtocolKind;
-            assert_eq!(hat.selection_for("fast").protocol, ProtocolKind::DirectWriteImm);
-            assert_eq!(hat.selection_for("bulk").protocol, ProtocolKind::Rfp);
-        } else {
-            panic!("expected engine client");
-        }
+        let hat = client.engine();
+        assert!(hat.open_channels() >= 2, "fast and bulk must not share a channel");
+        use hat_protocols::ProtocolKind;
+        assert_eq!(hat.selection_for("fast").protocol, ProtocolKind::DirectWriteImm);
+        assert_eq!(hat.selection_for("bulk").protocol, ProtocolKind::Rfp);
         drop(client);
         server.shutdown();
     }

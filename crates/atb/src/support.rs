@@ -1,18 +1,16 @@
-//! Shared ATB plumbing: the echo/mix service, servers and clients for
-//! each [`crate::Mode`], and hint-schema builders.
+//! Shared ATB plumbing: the echo/mix service, its hint schemas, and the
+//! one server and client every [`crate::Mode`] runs on.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hat_idl::hints::{Hint, HintBlock};
-use hat_protocols::{accept_server, connect_client, ProtocolConfig};
 use hat_rdma_sim::{Fabric, Node};
 use hatrpc_core::dispatch::{decode_reply, encode_call, Router};
 use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
 use hatrpc_core::error::Result;
 use hatrpc_core::protocol::TType;
+use hatrpc_core::selection::Selection;
 use hatrpc_core::service::ServiceSchema;
-use hatrpc_core::transport::{ServerTransport, TServerSocket, TSocket};
 
 use crate::Mode;
 
@@ -173,322 +171,96 @@ pub fn decode_echo(reply: &[u8], seq: i32) -> Result<Vec<u8>> {
     })
 }
 
-/// Extra wire bytes the Thrift envelope adds around an ATB payload
-/// (message header + arg struct framing). Used to size fixed-protocol
-/// buffers.
-pub const ENVELOPE_SLACK: usize = 128;
-
-/// Ring geometry for fixed-protocol channels: a pipelined channel's
-/// window IS its ring depth; classic channels keep the default ring.
-fn fixed_ring_slots(depth: usize) -> usize {
-    if depth > 1 {
-        depth
-    } else {
-        ProtocolConfig::default().ring_slots
-    }
+/// Start the echo/mix server for `mode`. Every mode runs a [`HatServer`]:
+/// HatRPC and IPoIB serve `schema` (an IPoIB client reaches the server's
+/// `{service}/tcp` socket loop), and a fixed-protocol baseline serves an
+/// unhinted schema, so the server polls the way the client's preamble
+/// asks — the pinned mode's polling on both sides.
+pub fn serve(
+    fabric: &Fabric,
+    node: &Arc<Node>,
+    service: &str,
+    mode: Mode,
+    schema: &ServiceSchema,
+) -> HatServer {
+    let schema = match mode {
+        Mode::Fixed(..) => ServiceSchema::unhinted(&schema.name),
+        Mode::HatRpc | Mode::Ipoib => schema.clone(),
+    };
+    HatServer::serve(
+        fabric,
+        node,
+        service,
+        schema,
+        ServerPolicy::Threaded,
+        Arc::new(|| {
+            let mut router = atb_router();
+            Box::new(move |req: &[u8]| router.handle(req))
+        }),
+    )
 }
 
-/// A running ATB server for any [`Mode`].
-pub enum AtbServer {
-    /// Hint-aware engine server.
-    Hat(HatServer),
-    /// Fixed-protocol accept loop.
-    Fixed {
-        shutdown: Arc<AtomicBool>,
-        thread: Option<std::thread::JoinHandle<()>>,
-        fabric: Fabric,
-        service: String,
-    },
-    /// IPoIB accept loop.
-    Ipoib {
-        shutdown: Arc<AtomicBool>,
-        thread: Option<std::thread::JoinHandle<()>>,
-        fabric: Fabric,
-        service: String,
-    },
-}
-
-impl AtbServer {
-    /// Start the server for `mode` with the given hint `schema` (HatRPC
-    /// mode) or buffer geometry (fixed mode).
-    pub fn start(
-        fabric: &Fabric,
-        node: &Arc<Node>,
-        service: &str,
-        mode: Mode,
-        schema: ServiceSchema,
-        max_msg: usize,
-    ) -> AtbServer {
-        Self::start_depth(fabric, node, service, mode, schema, max_msg, 1)
-    }
-
-    /// Like [`AtbServer::start`] with an explicit pipeline depth. Fixed
-    /// mode builds the protocol's pipelined server when `depth > 1`;
-    /// HatRPC mode ignores `depth` here — it negotiates the window from
-    /// the schema's `queue_depth` hint per connection.
-    pub fn start_depth(
-        fabric: &Fabric,
-        node: &Arc<Node>,
-        service: &str,
-        mode: Mode,
-        schema: ServiceSchema,
-        max_msg: usize,
-        depth: usize,
-    ) -> AtbServer {
-        match mode {
-            Mode::HatRpc => {
-                let server = HatServer::serve(
-                    fabric,
-                    node,
-                    service,
-                    schema,
-                    ServerPolicy::Threaded,
-                    Arc::new(|| {
-                        let mut router = atb_router();
-                        Box::new(move |req: &[u8]| router.handle(req))
-                    }),
-                );
-                AtbServer::Hat(server)
-            }
-            Mode::Fixed(kind, poll) => {
-                let shutdown = Arc::new(AtomicBool::new(false));
-                let listener = fabric.listen(node, service, Default::default());
-                let flag = shutdown.clone();
-                let cfg = ProtocolConfig {
-                    poll,
-                    max_msg: max_msg + ENVELOPE_SLACK,
-                    ring_slots: fixed_ring_slots(depth),
-                    ..Default::default()
-                };
-                let thread = std::thread::spawn(move || {
-                    let mut conns = Vec::new();
-                    while !flag.load(Ordering::Acquire) {
-                        let Ok(ep) = listener.accept_timeout(std::time::Duration::from_millis(50))
-                        else {
-                            continue;
-                        };
-                        let cfg = cfg.clone();
-                        conns.push(std::thread::spawn(move || {
-                            let node_id = ep.node().id();
-                            let built = if depth > 1 {
-                                hat_protocols::accept_server_pipelined(kind, ep, cfg)
-                                    .map(|s| s as Box<dyn hat_protocols::RpcServer>)
-                            } else {
-                                accept_server(kind, ep, cfg)
-                            };
-                            let mut server = match built {
-                                Ok(s) => s,
-                                Err(e) => {
-                                    hat_trace::annotate(
-                                        node_id,
-                                        hat_rdma_sim::now_ns(),
-                                        &format!("server-side protocol setup failed: {e}"),
-                                    );
-                                    return;
-                                }
-                            };
-                            let mut router = atb_router();
-                            if let Err(e) = server.serve_loop(&mut |req| router.handle(req)) {
-                                hat_trace::annotate(
-                                    node_id,
-                                    hat_rdma_sim::now_ns(),
-                                    &format!("serve loop ended with error: {e}"),
-                                );
-                            }
-                        }));
-                    }
-                    for c in conns {
-                        let _ = c.join();
-                    }
-                });
-                AtbServer::Fixed {
-                    shutdown,
-                    thread: Some(thread),
-                    fabric: fabric.clone(),
-                    service: service.to_string(),
-                }
-            }
-            Mode::Ipoib => {
-                let shutdown = Arc::new(AtomicBool::new(false));
-                let listener = fabric.listen_ipoib(node, service);
-                let flag = shutdown.clone();
-                let thread = std::thread::spawn(move || {
-                    let mut conns = Vec::new();
-                    while !flag.load(Ordering::Acquire) {
-                        let Ok(stream) =
-                            listener.accept_timeout(std::time::Duration::from_millis(50))
-                        else {
-                            continue;
-                        };
-                        conns.push(std::thread::spawn(move || {
-                            let mut server = TServerSocket::from_stream(stream);
-                            let mut router = atb_router();
-                            let _ = server.serve_loop(&mut |req| router.handle(req));
-                        }));
-                    }
-                    for c in conns {
-                        let _ = c.join();
-                    }
-                });
-                AtbServer::Ipoib {
-                    shutdown,
-                    thread: Some(thread),
-                    fabric: fabric.clone(),
-                    service: service.to_string(),
-                }
-            }
-        }
-    }
-
-    /// Stop the server.
-    pub fn shutdown(self) {
-        match self {
-            AtbServer::Hat(s) => {
-                s.shutdown();
-            }
-            AtbServer::Fixed { shutdown, mut thread, fabric, service } => {
-                shutdown.store(true, Ordering::Release);
-                fabric.unlisten(&service);
-                if let Some(t) = thread.take() {
-                    let _ = t.join();
-                }
-            }
-            AtbServer::Ipoib { shutdown, mut thread, fabric, service } => {
-                shutdown.store(true, Ordering::Release);
-                fabric.unlisten_ipoib(&service);
-                if let Some(t) = thread.take() {
-                    let _ = t.join();
-                }
-            }
-        }
-    }
-}
-
-/// An ATB client for any [`Mode`]: issues Thrift-encoded echo calls.
-pub enum AtbClient {
-    Hat(Box<HatClient>),
-    Fixed(Box<dyn hat_protocols::RpcClient>),
-    /// Fixed protocol over its pipelined channel (depth > 1).
-    Piped(Box<dyn hat_protocols::PipelinedClient>),
-    Ipoib(TSocket),
+/// An ATB client for any [`Mode`]: Thrift-encoded echo calls over one
+/// [`HatClient`] — hinted (HatRPC), pinned to the mode's protocol and
+/// polling (a fixed baseline), or hinted `transport = tcp` (IPoIB). The
+/// schema sizes the channel and its `queue_depth` hint sets the window
+/// in every mode.
+pub struct AtbClient {
+    engine: HatClient,
 }
 
 impl AtbClient {
-    /// Connect to `service` for `mode`.
+    /// A client of `service` for `mode`; its channels open on first use.
     pub fn connect(
         fabric: &Fabric,
         node: &Arc<Node>,
         service: &str,
         mode: Mode,
         schema: &ServiceSchema,
-        max_msg: usize,
-    ) -> Result<AtbClient> {
-        Self::connect_depth(fabric, node, service, mode, schema, max_msg, 1)
+    ) -> AtbClient {
+        let engine = match mode {
+            Mode::HatRpc => HatClient::new(fabric, node, service, schema),
+            Mode::Fixed(protocol, poll) => {
+                HatClient::pinned(fabric, node, service, schema, Selection { protocol, poll })
+            }
+            Mode::Ipoib => {
+                let mut schema = schema.clone();
+                schema
+                    .service_hints
+                    .shared
+                    .push(Hint { key: "transport".into(), value: "tcp".into() });
+                HatClient::new(fabric, node, service, &schema)
+            }
+        };
+        AtbClient { engine }
     }
 
-    /// Like [`AtbClient::connect`] with an explicit pipeline depth. Fixed
-    /// mode opens the protocol's pipelined channel when `depth > 1`;
-    /// HatRPC mode takes its window from the schema's `queue_depth` hint.
-    pub fn connect_depth(
-        fabric: &Fabric,
-        node: &Arc<Node>,
-        service: &str,
-        mode: Mode,
-        schema: &ServiceSchema,
-        max_msg: usize,
-        depth: usize,
-    ) -> Result<AtbClient> {
-        Ok(match mode {
-            Mode::HatRpc => AtbClient::Hat(Box::new(HatClient::new(fabric, node, service, schema))),
-            Mode::Fixed(kind, poll) => {
-                let ep = fabric.dial(node, service)?;
-                let cfg = ProtocolConfig {
-                    poll,
-                    max_msg: max_msg + ENVELOPE_SLACK,
-                    ring_slots: fixed_ring_slots(depth),
-                    ..Default::default()
-                };
-                if depth > 1 {
-                    AtbClient::Piped(hat_protocols::connect_client_pipelined(kind, ep, cfg)?)
-                } else {
-                    AtbClient::Fixed(connect_client(kind, ep, cfg)?)
-                }
-            }
-            Mode::Ipoib => AtbClient::Ipoib(TSocket::dial(fabric, node, service)?),
-        })
+    /// The engine underneath (plans, open channels).
+    pub fn engine(&self) -> &HatClient {
+        &self.engine
     }
 
     /// One echo round trip of `method` carrying `payload`.
     pub fn call(&mut self, method: &str, seq: i32, payload: &[u8]) -> Result<Vec<u8>> {
-        let request = encode_echo(method, seq, payload);
-        let reply = match self {
-            AtbClient::Hat(c) => c.call(method, &request)?,
-            AtbClient::Fixed(c) => c.call(&request)?,
-            AtbClient::Piped(p) => p.call(&request)?,
-            AtbClient::Ipoib(c) => {
-                hatrpc_core::transport::ClientTransport::call(c, method, &request)?
-            }
-        };
+        let reply = self.engine.call(method, &encode_echo(method, seq, payload))?;
         decode_echo(&reply, seq)
     }
 
-    /// Open-loop batch: issue one echo per payload, keeping the channel's
-    /// window full (pipelined stacks) or degrading to back-to-back
-    /// closed-loop calls (classic stacks). Sequence numbers run from
-    /// `base_seq`; replies come back in request order.
+    /// Open-loop batch: one echo per payload, kept `queue_depth` deep on
+    /// the channel's window ([`HatClient::call_many`]; back-to-back calls
+    /// on a window of one). Sequence numbers run from `base_seq`; replies
+    /// come back in request order.
     pub fn call_many(
         &mut self,
         method: &str,
         base_seq: i32,
         payloads: &[Vec<u8>],
     ) -> Result<Vec<Vec<u8>>> {
-        match self {
-            AtbClient::Hat(c) => {
-                let requests: Vec<Vec<u8>> = payloads
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| encode_echo(method, base_seq + i as i32, p))
-                    .collect();
-                let replies = c.call_many(method, &requests)?;
-                replies
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| decode_echo(r, base_seq + i as i32))
-                    .collect()
-            }
-            AtbClient::Piped(p) => {
-                // Sliding window straight on the protocol channel.
-                let window = p.window();
-                let mut inflight = std::collections::VecDeque::with_capacity(window);
-                let mut out = Vec::with_capacity(payloads.len());
-                let mut next = 0usize;
-                loop {
-                    // Refill only once the window has drained to half, so
-                    // submits stay bursty (one doorbell per burst) instead
-                    // of ack-clocking into one doorbell per call.
-                    if inflight.len() <= window / 2 {
-                        while inflight.len() < window && next < payloads.len() {
-                            let seq = base_seq + next as i32;
-                            let token = p.submit(&encode_echo(method, seq, &payloads[next]))?;
-                            inflight.push_back((token, seq));
-                            next += 1;
-                        }
-                    }
-                    let Some(&(token, seq)) = inflight.front() else { break };
-                    let reply = p.wait(token)?;
-                    out.push(decode_echo(reply.as_slice(), seq)?);
-                    inflight.pop_front();
-                }
-                Ok(out)
-            }
-            _ => {
-                let mut out = Vec::with_capacity(payloads.len());
-                for (i, p) in payloads.iter().enumerate() {
-                    out.push(self.call(method, base_seq + i as i32, p)?);
-                }
-                Ok(out)
-            }
-        }
+        let seq = |i: usize| base_seq + i as i32;
+        let requests: Vec<Vec<u8>> =
+            payloads.iter().enumerate().map(|(i, p)| encode_echo(method, seq(i), p)).collect();
+        let replies = self.engine.call_many(method, &requests)?;
+        replies.iter().enumerate().map(|(i, r)| decode_echo(r, seq(i))).collect()
     }
 }
 
@@ -533,9 +305,8 @@ mod tests {
             let snode = fabric.add_node("server");
             let cnode = fabric.add_node("client");
             let schema = latency_schema(1024);
-            let server = AtbServer::start(&fabric, &snode, "atb", mode, schema.clone(), 1024);
-            let mut client =
-                AtbClient::connect(&fabric, &cnode, "atb", mode, &schema, 1024).unwrap();
+            let server = serve(&fabric, &snode, "atb", mode, &schema);
+            let mut client = AtbClient::connect(&fabric, &cnode, "atb", mode, &schema);
             let payload = vec![5u8; 777];
             let echoed = client.call("echo", 1, &payload).unwrap();
             assert_eq!(echoed, payload, "{}", mode.label());

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use hat_rdma_sim::{now_ns, Fabric};
 use hatrpc_core::error::Result;
 
-use crate::support::{throughput_schema_depth, AtbClient, AtbServer};
+use crate::support::{serve, throughput_schema_depth, AtbClient};
 use crate::Mode;
 
 /// Throughput benchmark parameters.
@@ -26,8 +26,9 @@ pub struct ThroughputConfig {
     /// In-flight requests per client. `1` is the classic closed loop
     /// (each call waits for its reply); `> 1` drives the channel open
     /// loop through the pipelined path, keeping up to `depth` echoes in
-    /// flight — HatRPC mode via the `queue_depth` hint, fixed mode via
-    /// the protocol's pipelined channel directly.
+    /// flight via the schema's `queue_depth` hint — in every mode whose
+    /// protocol has a pipelined form (IPoIB and the other kinds run the
+    /// batch closed-loop).
     pub depth: usize,
 }
 
@@ -65,15 +66,7 @@ pub struct ThroughputResult {
 pub fn run_throughput(fabric: &Fabric, cfg: &ThroughputConfig) -> Result<ThroughputResult> {
     let snode = fabric.add_node("atb-thr-server");
     let schema = throughput_schema_depth(cfg.payload, cfg.clients, cfg.depth);
-    let server = AtbServer::start_depth(
-        fabric,
-        &snode,
-        "atb-thr",
-        cfg.mode,
-        schema.clone(),
-        cfg.payload,
-        cfg.depth,
-    );
+    let server = serve(fabric, &snode, "atb-thr", cfg.mode, &schema);
 
     let client_nodes: Vec<_> = (0..cfg.client_nodes.max(1))
         .map(|i| fabric.add_node(&format!("atb-thr-client{i}")))
@@ -97,15 +90,7 @@ pub fn run_throughput(fabric: &Fabric, cfg: &ThroughputConfig) -> Result<Through
             // deadlocks the whole harness at the rendezvous.
             let payload = vec![0xA5u8; payload_len];
             let setup = (|| {
-                let mut client = AtbClient::connect_depth(
-                    &fabric,
-                    &node,
-                    "atb-thr",
-                    mode,
-                    &schema,
-                    payload_len,
-                    depth,
-                )?;
+                let mut client = AtbClient::connect(&fabric, &node, "atb-thr", mode, &schema);
                 // Warm up the channel before the measured window.
                 client.call("echo", 0, &payload)?;
                 Ok::<_, hatrpc_core::CoreError>(client)

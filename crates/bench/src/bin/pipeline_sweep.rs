@@ -10,8 +10,8 @@
 //! with 8 concurrent clients over two stacks:
 //!
 //! * `eager` — Eager-SendRecv with event polling, pinned via fixed mode
-//!   (the acceptance configuration: depth 8 must reach ≥ 2x the ops/sec
-//!   of depth 1),
+//!   (`HatClient::pinned`; the acceptance configuration: depth 8 must
+//!   reach ≥ 2x the ops/sec of depth 1),
 //! * `hatrpc` — the hint-driven engine, window negotiated end to end
 //!   from the schema's `queue_depth` hint.
 //!

@@ -1,15 +1,15 @@
 //! The Figures 15/16 runner: YCSB over HatKV and the four emulated
-//! comparators, all sharing the same backend (paper §5.4).
+//! comparators, all sharing the same server and backend (paper §5.4) —
+//! a comparator is a `HatKVClient` pinned to its protocol.
 
 use std::sync::Arc;
 
-use hat_hatkv::comparators::{Comparator, ComparatorServer, RawKvClient};
-use hat_hatkv::server::{service_only_schema, HatKvServer, KvVariant};
+use hat_hatkv::comparators::{self, Comparator};
+use hat_hatkv::server::{service_only_schema, HatKvServer};
 use hat_hatkv::{hat_k_v_schema, HatKVClient};
 use hat_idl::hints::Hint;
 use hat_kvdb::{DbConfig, DbStatsSnapshot, ShardedDb, SyncMode};
-use hat_protocols::ProtocolConfig;
-use hat_rdma_sim::{now_ns, Fabric, PollMode, SimConfig};
+use hat_rdma_sim::{now_ns, Fabric, SimConfig};
 use hat_ycsb::measure::RunMeasurement;
 use hat_ycsb::{Op, OpGenerator, OpType, WorkloadSpec};
 use hatrpc_core::engine::HatClient;
@@ -145,13 +145,6 @@ pub struct YcsbPoint {
     pub shard_stats: Vec<DbStatsSnapshot>,
 }
 
-/// Comparator wire configuration: buffers sized for MultiGet responses,
-/// busy-polling clients, event-polling servers (the scalable choice at
-/// the paper's 128-client scale).
-fn comparator_cfg(poll: PollMode) -> ProtocolConfig {
-    ProtocolConfig { poll, max_msg: 32 * 1024, ..Default::default() }
-}
-
 /// The generated schema with its service-level `concurrency` hint set to
 /// the *actual* deployment size. The checked-in IDL says 128 (the
 /// paper's deployment); when the harness runs a different client count,
@@ -192,23 +185,12 @@ fn schema_for(clients: usize, service_only: bool, shards: u32, onesided: bool) -
     schema
 }
 
-enum AnyKv {
-    Hat(Box<HatKVClient>),
-    Raw(RawKvClient),
-}
-
-impl AnyKv {
-    fn run_op(&mut self, op: Op) -> hatrpc_core::Result<()> {
-        match (self, op) {
-            (AnyKv::Hat(c), Op::Get { key }) => c.get(key).map(drop),
-            (AnyKv::Hat(c), Op::Put { key, value }) => c.put(key, value),
-            (AnyKv::Hat(c), Op::MultiGet { keys }) => c.multiget(keys).map(drop),
-            (AnyKv::Hat(c), Op::MultiPut { keys, values }) => c.multiput(keys, values),
-            (AnyKv::Raw(c), Op::Get { key }) => c.get(&key).map(drop),
-            (AnyKv::Raw(c), Op::Put { key, value }) => c.put(&key, &value),
-            (AnyKv::Raw(c), Op::MultiGet { keys }) => c.multiget(&keys).map(drop),
-            (AnyKv::Raw(c), Op::MultiPut { keys, values }) => c.multiput(&keys, &values),
-        }
+fn run_op(client: &mut HatKVClient, op: Op) -> hatrpc_core::Result<()> {
+    match op {
+        Op::Get { key } => client.get(key).map(drop),
+        Op::Put { key, value } => client.put(key, value),
+        Op::MultiGet { keys } => client.multiget(keys).map(drop),
+        Op::MultiPut { keys, values } => client.multiput(keys, values),
     }
 }
 
@@ -235,46 +217,23 @@ pub fn run_ycsb_sampled(
 
     let spec = cfg.workload.spec(cfg.records);
 
-    enum Server {
-        // Boxed: HatKvServer carries the engine's reactor/thread plumbing
-        // and dwarfs the comparator variant.
-        Hat(Box<HatKvServer>),
-        Comp(ComparatorServer),
-    }
-    let (server, db) = match cfg.system.comparator() {
+    let server = match cfg.system.comparator() {
         None => {
-            let variant = if cfg.system == KvSystem::HatRpcFunction {
-                KvVariant::FunctionHints
-            } else {
-                KvVariant::ServiceHints
-            };
             // The HatRPC deployments build their backend from the
             // negotiated `shards` hint; the bench only writes the schema.
-            let schema = schema_for(
-                cfg.clients,
-                variant == KvVariant::ServiceHints,
-                cfg.shards,
-                cfg.onesided,
-            );
-            let server = HatKvServer::start_with_schema(&fabric, &snode, "kv", schema, db_config);
-            let db = server.db().clone();
-            (Server::Hat(Box::new(server)), db)
+            let service_only = cfg.system == KvSystem::HatRpcService;
+            let schema = schema_for(cfg.clients, service_only, cfg.shards, cfg.onesided);
+            HatKvServer::start_with_schema(&fabric, &snode, "kv", schema, db_config)
         }
-        Some(c) => {
-            // Comparators have no hint machinery: the backend is built
-            // directly at the same shard count for a fair comparison.
+        Some(_) => {
+            // The comparator schema carries no `shards` hint: the backend
+            // is built directly at the same shard count for a fair
+            // comparison.
             let db = ShardedDb::new(db_config, cfg.shards);
-            let server = ComparatorServer::start(
-                &fabric,
-                &snode,
-                "kv",
-                c.protocol(),
-                comparator_cfg(PollMode::Event),
-                db.clone(),
-            );
-            (Server::Comp(server), db)
+            HatKvServer::start_with_db(&fabric, &snode, "kv", comparators::schema(), db)
         }
     };
+    let db = server.db().clone();
 
     // Load phase (direct, as YCSB's load phase is not what's measured —
     // after server start so the hint-constructed backend is the one
@@ -317,31 +276,12 @@ pub fn run_ycsb_sampled(
             // NOTE: setup panics here would strand the main thread at the
             // barrier; keep every fallible step before the barrier
             // infallible or .expect() only on genuinely impossible paths.
-            let mut client = match system {
-                KvSystem::HatRpcFunction => AnyKv::Hat(Box::new(HatKVClient::new(HatClient::new(
-                    &fabric,
-                    &node,
-                    "kv",
-                    &schema_for(clients, false, shards, onesided),
-                )))),
-                KvSystem::HatRpcService => AnyKv::Hat(Box::new(HatKVClient::new(HatClient::new(
-                    &fabric,
-                    &node,
-                    "kv",
-                    &schema_for(clients, true, shards, onesided),
-                )))),
-                other => {
-                    let comp = other.comparator().expect("comparator system");
-                    AnyKv::Raw(
-                        RawKvClient::connect(
-                            &fabric,
-                            &node,
-                            "kv",
-                            comp.protocol(),
-                            comparator_cfg(PollMode::Busy),
-                        )
-                        .expect("comparator connect"),
-                    )
+            let mut client = match system.comparator() {
+                Some(comp) => comp.connect(&fabric, &node, "kv"),
+                None => {
+                    let service_only = system == KvSystem::HatRpcService;
+                    let schema = schema_for(clients, service_only, shards, onesided);
+                    HatKVClient::new(HatClient::new(&fabric, &node, "kv", &schema))
                 }
             };
             let mut generator = OpGenerator::new(spec, c as u64 + 1);
@@ -350,7 +290,7 @@ pub fn run_ycsb_sampled(
                 Op::Get { key: generator.spec().key(0) },
                 Op::MultiGet { keys: vec![generator.spec().key(0)] },
             ] {
-                let _ = client.run_op(warm);
+                let _ = run_op(&mut client, warm);
             }
             barrier.wait();
             let mut m = RunMeasurement::new();
@@ -359,7 +299,7 @@ pub fn run_ycsb_sampled(
                 let op = generator.next_op();
                 let ty = op.op_type();
                 let t = now_ns();
-                client.run_op(op).expect("kv op");
+                run_op(&mut client, op).expect("kv op");
                 m.record(ty, now_ns() - t);
             }
             m.elapsed_ns = now_ns() - t0;
@@ -379,10 +319,7 @@ pub fn run_ycsb_sampled(
         s.stop();
     }
     let shard_stats = db.shard_stats();
-    match server {
-        Server::Hat(s) => s.shutdown(),
-        Server::Comp(s) => s.shutdown(),
-    }
+    server.shutdown();
 
     let mean_us = [OpType::Get, OpType::Put, OpType::MultiGet, OpType::MultiPut]
         .map(|t| aggregate.histogram(t).map_or(0.0, |h| h.mean_ns() as f64 / 1000.0));

@@ -10,6 +10,8 @@
 //!   Functions hinted `transport = tcp` ride the IPoIB socket instead
 //!   (hybrid transports, §5.5); `numa_binding = true` pins the calling
 //!   thread to a NIC-local core for the duration of each call.
+//!   [`HatClient::pinned`] replaces the Figure 6 pick with one fixed
+//!   selection: the §5 fixed-protocol baselines are such clients.
 //! * [`HatServer`] accepts connections, reads each connection's preamble
 //!   (protocol kind + buffer geometry + originating function scope),
 //!   resolves its *own* server-side hints for that scope (lateral hints:
@@ -34,9 +36,7 @@ use crate::error::{CoreError, Result};
 use crate::reactor::{ConnHandler, Reactor, ReactorHandle};
 use crate::selection::{select_protocol, Selection, SubscriptionBounds};
 use crate::service::ServiceSchema;
-use crate::transport::{
-    ClientTransport, ServerTransport, TServerSocket, TSocket, DEFAULT_MAX_FRAME,
-};
+use crate::transport::{ClientTransport, TServerSocket, TSocket, DEFAULT_MAX_FRAME};
 
 /// A protocol kind's code in the connection preamble: its index in
 /// [`ProtocolKind::ALL`], whose order is the wire format.
@@ -240,10 +240,18 @@ fn channel_msg(payload: u64) -> u64 {
     payload.saturating_add(ENVELOPE_SLACK).min(MAX_CHANNEL_MSG).next_power_of_two()
 }
 
-fn plan_for(schema: &ServiceSchema, func: &str, bounds: &SubscriptionBounds) -> FnPlan {
+/// `func`'s plan. A `pin` replaces Figure 6's pick; everything else —
+/// channel size, window, transport — still resolves from the hints, and
+/// the window is vetted against whichever protocol the plan ends up with.
+fn plan_for(
+    schema: &ServiceSchema,
+    func: &str,
+    bounds: &SubscriptionBounds,
+    pin: Option<Selection>,
+) -> FnPlan {
     let client = schema.resolved(func, Side::Client);
     let server = schema.resolved(func, Side::Server);
-    let selection = select_protocol(&client, bounds);
+    let selection = pin.unwrap_or_else(|| select_protocol(&client, bounds));
     // The channel must hold the larger of the two directions' payloads
     // plus serialization envelope overhead; rounding to a power of two
     // lets compatible functions share channels. With no hint at all,
@@ -321,6 +329,15 @@ impl Default for CallPolicy {
     }
 }
 
+impl CallPolicy {
+    /// [`CallPolicy::deadline`] in nanoseconds, saturating at `u64::MAX`
+    /// (about 585 years): a longer deadline means "never", not whatever
+    /// its low 64 bits happen to say.
+    fn deadline_ns(&self) -> u64 {
+        u64::try_from(self.deadline.as_nanos()).unwrap_or(u64::MAX)
+    }
+}
+
 /// Transport failures worth retrying over a fresh connection: the peer
 /// vanished, the QP broke, the call timed out, or the service is not
 /// (re-)registered yet. Application errors and protocol violations are not
@@ -391,12 +408,39 @@ impl HatClient {
         schema: &ServiceSchema,
         bounds: SubscriptionBounds,
     ) -> HatClient {
+        Self::build(fabric, node, service, schema, bounds, None)
+    }
+
+    /// A fixed-protocol baseline: every function rides `selection` instead
+    /// of Figure 6's pick. The schema still sizes the channel
+    /// (`payload_size`), sets the window (`queue_depth`, kept only when
+    /// `selection.protocol` has a pipelined form) and picks the transport
+    /// (`transport = tcp` rides IPoIB, where the pin has no effect).
+    pub fn pinned(
+        fabric: &Fabric,
+        node: &Arc<Node>,
+        service: &str,
+        schema: &ServiceSchema,
+        selection: Selection,
+    ) -> HatClient {
+        let bounds = SubscriptionBounds::default();
+        Self::build(fabric, node, service, schema, bounds, Some(selection))
+    }
+
+    fn build(
+        fabric: &Fabric,
+        node: &Arc<Node>,
+        service: &str,
+        schema: &ServiceSchema,
+        bounds: SubscriptionBounds,
+        pin: Option<Selection>,
+    ) -> HatClient {
         let plans = schema
             .functions
             .iter()
-            .map(|(name, _)| (name.clone(), plan_for(schema, name, &bounds)))
+            .map(|(name, _)| (name.clone(), plan_for(schema, name, &bounds, pin)))
             .collect();
-        let default_plan = plan_for(schema, "\u{0}default\u{0}", &bounds);
+        let default_plan = plan_for(schema, "\u{0}default\u{0}", &bounds, pin);
         // Spread bound threads across the NIC-local socket's cores.
         let cores_per_numa = node.topology().cores_per_numa();
         let bind_core = (NEXT_BIND_CORE.fetch_add(1, Ordering::Relaxed) as u32) % cores_per_numa
@@ -700,7 +744,7 @@ impl HatClient {
                  over a pipelined-capable protocol"
             )));
         }
-        let deadline_ns = now_ns().saturating_add(self.policy.deadline.as_nanos() as u64);
+        let deadline_ns = now_ns().saturating_add(self.policy.deadline_ns());
         let node_id = self.node.id();
         let channel = self.ensure_channel(&plan, func)?;
         let incarnation = channel.incarnation;
@@ -934,7 +978,7 @@ impl HatClient {
         let ack = hat_protocols::exchange_blobs_deadline(
             &ep,
             &preamble.encode(),
-            self.policy.deadline.as_nanos() as u64,
+            self.policy.deadline_ns(),
         )?;
         if ack != b"hatrpc-ok" {
             return Err(CoreError::Protocol("bad preamble ack".into()));
@@ -944,7 +988,7 @@ impl HatClient {
             max_msg: plan.max_msg as usize,
             ring_slots,
             eager_threshold: ENGINE_EAGER_THRESHOLD,
-            op_timeout_ns: self.policy.deadline.as_nanos() as u64,
+            op_timeout_ns: self.policy.deadline_ns(),
         };
         if plan.queue_depth > 1 {
             let client = connect_client_pipelined(plan.selection.protocol, ep, cfg)?;
@@ -1098,10 +1142,6 @@ impl ClientTransport for RdmaCall {
     fn call(&mut self, _fn_name: &str, request: &[u8]) -> Result<Vec<u8>> {
         Ok(self.inner.call(request)?)
     }
-
-    fn label(&self) -> &'static str {
-        "trdma-hinted"
-    }
 }
 
 /// Adapter from a pipelined protocol client to [`ClientTransport`]:
@@ -1116,10 +1156,6 @@ struct RdmaPipelinedCall {
 impl ClientTransport for RdmaPipelinedCall {
     fn call(&mut self, _fn_name: &str, request: &[u8]) -> Result<Vec<u8>> {
         Ok(self.inner.call(request)?)
-    }
-
-    fn label(&self) -> &'static str {
-        "trdma-hinted-pipelined"
     }
 
     fn pipelined(&mut self) -> Option<&mut dyn PipelinedClient> {
@@ -1936,6 +1972,53 @@ mod tests {
         assert!(matches!(err, CoreError::Rdma(RdmaError::Timeout)), "got: {err}");
         assert_eq!(client.open_channels(), 0, "the timeout poisons the channel");
         assert_eq!(client.call("solo", &[0xBB; 32]).unwrap(), [0xBB; 32]);
+        drop(client);
+        server.shutdown();
+    }
+
+    /// A deadline longer than 2⁶⁴ ns saturates instead of wrapping. The
+    /// old `as u64` cast read `2⁶²` s as 0 ns, so a plain echo timed out
+    /// at once, and about 585 years as 0.29 s.
+    #[test]
+    fn a_deadline_longer_than_u64_nanoseconds_saturates() {
+        use std::time::Duration;
+        for deadline in [Duration::from_secs(1 << 62), Duration::from_secs(18_446_744_074)] {
+            assert_eq!(CallPolicy { deadline, ..CallPolicy::default() }.deadline_ns(), u64::MAX);
+        }
+        let policy = CallPolicy { deadline: Duration::from_secs(1 << 62), ..CallPolicy::default() };
+        let (fabric, _snode, server, schema) = piped_setup();
+        let cnode = fabric.add_node("client");
+        let mut client = HatClient::new(&fabric, &cnode, "piped", &schema).with_policy(policy);
+        assert_eq!(client.call("solo", b"echo").unwrap(), b"echo");
+        let mut call = client.call_async("piped", b"async").unwrap();
+        assert_eq!(client.wait_async(&mut call).unwrap(), b"async");
+        drop(client);
+        server.shutdown();
+    }
+
+    /// A pinned client rides its selection for every function, declared or
+    /// not, while the hints still size the channel and set the window —
+    /// vetted against the pinned protocol, not Figure 6's pick.
+    #[test]
+    fn a_pinned_client_replaces_the_pick_and_keeps_the_rest_of_the_plan() {
+        let (fabric, _snode, server, schema) = piped_setup();
+        let cnode = fabric.add_node("client");
+        let eager = Selection { protocol: ProtocolKind::EagerSendRecv, poll: PollMode::Event };
+        let mut client = HatClient::pinned(&fabric, &cnode, "piped", &schema, eager);
+        for func in ["piped", "solo", "undeclared"] {
+            assert_eq!(client.selection_for(func), eager, "{func}");
+        }
+        let hinted = HatClient::new(&fabric, &cnode, "piped", &schema);
+        assert_eq!(client.plan("solo").max_msg, hinted.plan("solo").max_msg);
+        assert_eq!(client.plan("piped").queue_depth, 8, "Eager-SendRecv has a window");
+        let requests: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 40]).collect();
+        assert_eq!(client.call_many("piped", &requests).unwrap(), requests);
+        assert_eq!(cnode.stats_snapshot().inflight_hwm, 8);
+
+        let rfp = Selection { protocol: ProtocolKind::Rfp, poll: PollMode::Busy };
+        let mut client = HatClient::pinned(&fabric, &cnode, "piped", &schema, rfp);
+        assert_eq!(client.plan("piped").queue_depth, 1, "RFP has no window");
+        assert_eq!(client.call("piped", b"rfp").unwrap(), b"rfp");
         drop(client);
         server.shutdown();
     }

@@ -4,8 +4,8 @@
 //! hint-accelerated RDMA engine of Figure 9 underneath:
 //!
 //! * [`protocol`] — Thrift binary and compact serialization.
-//! * [`transport`] — the `TSocket`-compatible message transports: IPoIB
-//!   sockets (baseline) and fixed RDMA channels.
+//! * [`transport`] — the `TSocket`-compatible message transport and its
+//!   IPoIB socket (the vanilla-Thrift baseline's wire).
 //! * [`dispatch`] — message routing: method dispatch, application
 //!   exceptions, call/reply framing helpers used by generated code.
 //! * [`service`] — [`service::ServiceSchema`]: the hint tables carried
@@ -57,6 +57,4 @@ pub use error::{CoreError, Result};
 pub use reactor::{Reactor, ReactorHandle};
 pub use selection::{select_protocol, Selection, SubscriptionBounds};
 pub use service::ServiceSchema;
-pub use transport::{
-    read_frame, write_frame, ClientTransport, ServerTransport, TSocket, DEFAULT_MAX_FRAME,
-};
+pub use transport::{read_frame, write_frame, ClientTransport, TSocket, DEFAULT_MAX_FRAME};

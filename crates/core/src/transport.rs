@@ -3,14 +3,14 @@
 //!
 //! Thrift's transports are byte streams; HatRPC's insight is that keeping
 //! `TRdma`'s programming model identical to `TSocket`'s lets the code
-//! generator reuse the whole stack. We capture that shared model as a
-//! message-oriented pair of traits — [`ClientTransport`] (request →
-//! response) and [`ServerTransport`] (serve one request) — implemented by:
-//!
-//! * [`TSocket`]/[`TServerSocket`] — 4-byte-framed messages over the
-//!   simulated IPoIB TCP stream (the vanilla-Thrift baseline), and
-//! * the RDMA engine in [`crate::engine`], which routes each call through
-//!   the hint-selected RDMA protocol.
+//! generator reuse the whole stack. We capture that shared model as one
+//! message-oriented trait, [`ClientTransport`] (request → response),
+//! implemented by [`TSocket`] — 4-byte-framed messages over the simulated
+//! IPoIB TCP stream, served by [`TServerSocket`] — and by the RDMA
+//! channels the engine in [`crate::engine`] opens per hint plan. The
+//! socket has no server loop of its own: a plan hinted `transport = tcp`
+//! (the vanilla-Thrift baseline is a schema hinted so) rides the
+//! `{service}/tcp` loop of a [`crate::engine::HatServer`].
 
 use std::sync::Arc;
 
@@ -25,29 +25,11 @@ pub trait ClientTransport: Send {
     /// hint-aware transports; plain transports ignore it.
     fn call(&mut self, fn_name: &str, request: &[u8]) -> Result<Vec<u8>>;
 
-    /// Transport label for diagnostics.
-    fn label(&self) -> &'static str;
-
     /// The underlying pipelined channel, when this transport has one.
     /// Channels opened with `queue_depth > 1` over a pipelined-capable
     /// protocol expose it; every other transport answers `None`.
     fn pipelined(&mut self) -> Option<&mut dyn hat_protocols::PipelinedClient> {
         None
-    }
-}
-
-/// Server side of a message transport, bound to one accepted connection.
-pub trait ServerTransport: Send {
-    /// Serve exactly one request with `handler`; `Ok(false)` on disconnect.
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool>;
-
-    /// Transport label for diagnostics.
-    fn label(&self) -> &'static str;
-
-    /// Serve until disconnect.
-    fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
-        while self.serve_one(handler)? {}
-        Ok(())
     }
 }
 
@@ -132,10 +114,6 @@ impl ClientTransport for TSocket {
         write_frame(&self.stream, request)?;
         read_frame(&self.stream, DEFAULT_MAX_FRAME)?.ok_or(CoreError::Rdma(RdmaError::Disconnected))
     }
-
-    fn label(&self) -> &'static str {
-        "tsocket-ipoib"
-    }
 }
 
 /// One accepted server-side socket connection.
@@ -165,10 +143,9 @@ impl TServerSocket {
     pub fn stream_handle(&self) -> Arc<IpoibStream> {
         self.stream.clone()
     }
-}
 
-impl ServerTransport for TServerSocket {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
+    /// Serve exactly one request with `handler`; `Ok(false)` on disconnect.
+    pub fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
         let Some(request) = read_frame(&self.stream, DEFAULT_MAX_FRAME)? else {
             return Ok(false);
         };
@@ -177,54 +154,10 @@ impl ServerTransport for TServerSocket {
         Ok(true)
     }
 
-    fn label(&self) -> &'static str {
-        "tserversocket-ipoib"
-    }
-}
-
-/// Adapter exposing a fixed-protocol RDMA channel (from [`hat_protocols`])
-/// as a [`ClientTransport`] — the non-hinted building block benchmarks use
-/// to compare raw protocols through the same runtime.
-pub struct TRdmaChannel {
-    inner: Box<dyn hat_protocols::RpcClient>,
-}
-
-impl TRdmaChannel {
-    /// Wrap a connected protocol client.
-    pub fn new(inner: Box<dyn hat_protocols::RpcClient>) -> TRdmaChannel {
-        TRdmaChannel { inner }
-    }
-}
-
-impl ClientTransport for TRdmaChannel {
-    fn call(&mut self, _fn_name: &str, request: &[u8]) -> Result<Vec<u8>> {
-        Ok(self.inner.call(request)?)
-    }
-
-    fn label(&self) -> &'static str {
-        "trdma-fixed"
-    }
-}
-
-/// Server-side counterpart of [`TRdmaChannel`].
-pub struct TRdmaServerChannel {
-    inner: Box<dyn hat_protocols::RpcServer>,
-}
-
-impl TRdmaServerChannel {
-    /// Wrap an accepted protocol server.
-    pub fn new(inner: Box<dyn hat_protocols::RpcServer>) -> TRdmaServerChannel {
-        TRdmaServerChannel { inner }
-    }
-}
-
-impl ServerTransport for TRdmaServerChannel {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        Ok(self.inner.serve_one(handler)?)
-    }
-
-    fn label(&self) -> &'static str {
-        "trdma-server-fixed"
+    /// Serve until disconnect.
+    pub fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
+        while self.serve_one(handler)? {}
+        Ok(())
     }
 }
 
@@ -259,28 +192,6 @@ mod tests {
         let mut server = TServerSocket::from_stream(listener.accept().unwrap());
         drop(client);
         assert!(!server.serve_one(&mut |r| r.to_vec()).unwrap());
-    }
-
-    #[test]
-    fn rdma_channel_adapters_roundtrip() {
-        use hat_protocols::{accept_server, connect_client, ProtocolConfig, ProtocolKind};
-        let fabric = Fabric::new(SimConfig::fast_test());
-        let snode = fabric.add_node("server");
-        let cnode = fabric.add_node("client");
-        let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
-        let cfg = ProtocolConfig { max_msg: 1024, ..Default::default() };
-        let scfg = cfg.clone();
-        let h = std::thread::spawn(move || {
-            let mut server = TRdmaServerChannel::new(
-                accept_server(ProtocolKind::DirectWriteImm, sep, scfg).unwrap(),
-            );
-            server.serve_one(&mut |r| r.to_vec()).unwrap();
-        });
-        let mut client =
-            TRdmaChannel::new(connect_client(ProtocolKind::DirectWriteImm, cep, cfg).unwrap());
-        assert_eq!(client.call("f", b"zz").unwrap(), b"zz");
-        assert_eq!(client.label(), "trdma-fixed");
-        h.join().unwrap();
     }
 
     fn stream_pair(fabric: &Fabric) -> (IpoibStream, IpoibStream) {

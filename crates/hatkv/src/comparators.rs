@@ -4,8 +4,10 @@
 //! different data layouts, it is hard to unify them. Therefore, we only
 //! study their communication protocols and emulate them … We make all six
 //! candidates share the same backend implementation to avoid unfair
-//! comparison." Accordingly each comparator here is the same HatKV
-//! processor and [`hat_kvdb`] backend behind a *fixed* RDMA protocol:
+//! comparison." Accordingly each comparator is the HatKV deployment itself
+//! with Figure 6's choice replaced: the same [`crate::HatKvServer`],
+//! processor and [`hat_kvdb`] backend, dialed by a [`HatClient::pinned`]
+//! to one protocol with busy polling:
 //!
 //! | System | Emulated protocol |
 //! |---|---|
@@ -13,19 +15,23 @@
 //! | HERD | [`ProtocolKind::Herd`] (WRITE requests, copied SEND responses) |
 //! | Pilaf | [`ProtocolKind::Pilaf`] (2 metadata READs + payload READ) |
 //! | RFP | [`ProtocolKind::Rfp`] (in-bound WRITE + READ-polled response) |
+//!
+//! The server runs on [`schema`]: its only hints are a server-side
+//! `polling = event` — the scalable choice at the paper's 128-client scale
+//! — and a `payload_size` that gives every function a 32 KiB channel, big
+//! enough for a MultiGet response.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use hat_kvdb::ShardedDb;
-use hat_protocols::{accept_server, connect_client, ProtocolConfig, ProtocolKind, RpcClient};
-use hat_rdma_sim::{Fabric, Node};
-use hatrpc_core::dispatch::{decode_reply, encode_call};
-use hatrpc_core::error::Result;
-use hatrpc_core::protocol::{TInputProtocol, TOutputProtocol, TType};
+use hat_idl::hints::{Hint, HintBlock};
+use hat_protocols::ProtocolKind;
+use hat_rdma_sim::{Fabric, Node, PollMode};
+use hatrpc_core::engine::HatClient;
+use hatrpc_core::selection::Selection;
+use hatrpc_core::service::ServiceSchema;
 
-use crate::generated::HatKVProcessor;
-use crate::handler::KvStoreHandler;
+use crate::generated::HatKVClient;
+use crate::server::service_only_schema;
 
 /// The four comparator systems of Figures 15/16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,238 +70,36 @@ impl Comparator {
             Comparator::Rfp => "RFP",
         }
     }
-}
 
-/// A fixed-protocol KV server sharing the HatKV backend.
-pub struct ComparatorServer {
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    service: String,
-    fabric: Fabric,
-}
-
-impl ComparatorServer {
-    /// Serve `service` on `node` with the comparator's fixed protocol.
-    /// Every connection gets a thread (like the HatRPC threaded policy).
-    pub fn start(
-        fabric: &Fabric,
-        node: &Arc<Node>,
-        service: &str,
-        kind: ProtocolKind,
-        cfg: ProtocolConfig,
-        db: ShardedDb,
-    ) -> ComparatorServer {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let listener = fabric.listen(node, service, Default::default());
-        let accept_shutdown = shutdown.clone();
-        let accept_thread = std::thread::spawn(move || {
-            let mut conn_threads = Vec::new();
-            while !accept_shutdown.load(Ordering::Acquire) {
-                let Ok(ep) = listener.accept_timeout(std::time::Duration::from_millis(50)) else {
-                    continue;
-                };
-                let cfg = cfg.clone();
-                let db = db.clone();
-                conn_threads.push(std::thread::spawn(move || {
-                    let Ok(mut server) = accept_server(kind, ep, cfg) else { return };
-                    let mut processor = HatKVProcessor::new(KvStoreHandler::new(db));
-                    let _ = server.serve_loop(&mut |req| processor.handle(req));
-                }));
-            }
-            for t in conn_threads {
-                let _ = t.join();
-            }
-        });
-        ComparatorServer {
-            shutdown,
-            accept_thread: Some(accept_thread),
-            service: service.to_string(),
-            fabric: fabric.clone(),
-        }
-    }
-
-    /// Stop accepting and join the accept loop.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.fabric.unlisten(&self.service);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+    /// A KV client of `service` speaking this system's protocol with busy
+    /// polling, whatever the schema's hints would pick.
+    pub fn connect(&self, fabric: &Fabric, node: &Arc<Node>, service: &str) -> HatKVClient {
+        let selection = Selection { protocol: self.protocol(), poll: PollMode::Busy };
+        HatKVClient::new(HatClient::pinned(fabric, node, service, &schema(), selection))
     }
 }
 
-impl Drop for ComparatorServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// A typed KV client over any fixed protocol, speaking the same Thrift
-/// wire format as the generated [`crate::HatKVClient`] — so comparator
-/// clients and HatRPC clients hit identical server-side processors.
-pub struct RawKvClient {
-    inner: Box<dyn RpcClient>,
-    seq: i32,
-}
-
-impl RawKvClient {
-    /// Dial `service` and speak `kind` with the given configuration.
-    pub fn connect(
-        fabric: &Fabric,
-        node: &Arc<Node>,
-        service: &str,
-        kind: ProtocolKind,
-        cfg: ProtocolConfig,
-    ) -> Result<RawKvClient> {
-        let ep = fabric.dial(node, service)?;
-        Ok(RawKvClient { inner: connect_client(kind, ep, cfg)?, seq: 0 })
-    }
-
-    fn next_seq(&mut self) -> i32 {
-        self.seq += 1;
-        self.seq
-    }
-
-    /// `get` RPC.
-    pub fn get(&mut self, key: &[u8]) -> Result<Vec<u8>> {
-        let seq = self.next_seq();
-        let req = encode_call("get", seq, |out| {
-            out.write_struct_begin("get_args");
-            out.write_field_begin(TType::String, 1);
-            out.write_binary(key);
-            out.write_field_end();
-            out.write_field_stop();
-            out.write_struct_end();
-        });
-        let reply = self.inner.call(&req)?;
-        decode_reply(&reply, seq, |input| {
-            input.read_struct_begin()?;
-            let mut ret = Vec::new();
-            loop {
-                let (fty, fid) = input.read_field_begin()?;
-                if fty == TType::Stop {
-                    break;
-                }
-                if fid == 0 {
-                    ret = input.read_binary()?;
-                } else {
-                    input.skip(fty)?;
-                }
-            }
-            Ok(ret)
-        })
-    }
-
-    /// `put` RPC.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        let seq = self.next_seq();
-        let req = encode_call("put", seq, |out| {
-            out.write_struct_begin("put_args");
-            out.write_field_begin(TType::String, 1);
-            out.write_binary(key);
-            out.write_field_end();
-            out.write_field_begin(TType::String, 2);
-            out.write_binary(value);
-            out.write_field_end();
-            out.write_field_stop();
-            out.write_struct_end();
-        });
-        let reply = self.inner.call(&req)?;
-        decode_reply(&reply, seq, |input| {
-            input.read_struct_begin()?;
-            loop {
-                let (fty, _) = input.read_field_begin()?;
-                if fty == TType::Stop {
-                    break;
-                }
-                input.skip(fty)?;
-            }
-            Ok(())
-        })
-    }
-
-    /// `multiget` RPC.
-    pub fn multiget(&mut self, keys: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let seq = self.next_seq();
-        let req = encode_call("multiget", seq, |out| {
-            out.write_struct_begin("multiget_args");
-            out.write_field_begin(TType::List, 1);
-            out.write_list_begin(TType::String, keys.len());
-            for k in keys {
-                out.write_binary(k);
-            }
-            out.write_list_end();
-            out.write_field_end();
-            out.write_field_stop();
-            out.write_struct_end();
-        });
-        let reply = self.inner.call(&req)?;
-        decode_reply(&reply, seq, |input| {
-            input.read_struct_begin()?;
-            let mut ret = Vec::new();
-            loop {
-                let (fty, fid) = input.read_field_begin()?;
-                if fty == TType::Stop {
-                    break;
-                }
-                if fid == 0 {
-                    let (_ety, n) = input.read_list_begin()?;
-                    for _ in 0..n {
-                        ret.push(input.read_binary()?);
-                    }
-                    input.read_list_end()?;
-                } else {
-                    input.skip(fty)?;
-                }
-            }
-            Ok(ret)
-        })
-    }
-
-    /// `multiput` RPC.
-    pub fn multiput(&mut self, keys: &[Vec<u8>], values: &[Vec<u8>]) -> Result<()> {
-        let seq = self.next_seq();
-        let req = encode_call("multiput", seq, |out| {
-            out.write_struct_begin("multiput_args");
-            out.write_field_begin(TType::List, 1);
-            out.write_list_begin(TType::String, keys.len());
-            for k in keys {
-                out.write_binary(k);
-            }
-            out.write_list_end();
-            out.write_field_end();
-            out.write_field_begin(TType::List, 2);
-            out.write_list_begin(TType::String, values.len());
-            for v in values {
-                out.write_binary(v);
-            }
-            out.write_list_end();
-            out.write_field_end();
-            out.write_field_stop();
-            out.write_struct_end();
-        });
-        let reply = self.inner.call(&req)?;
-        decode_reply(&reply, seq, |input| {
-            input.read_struct_begin()?;
-            loop {
-                let (fty, _) = input.read_field_begin()?;
-                if fty == TType::Stop {
-                    break;
-                }
-                input.skip(fty)?;
-            }
-            Ok(())
-        })
+/// The schema every comparator deployment is served and dialed with: the
+/// HatKV functions with no hints of their own, a 16 KiB `payload_size`
+/// (a 32 KiB channel) and a server-side `polling = event`. Serve it with
+/// [`crate::HatKvServer::start_with_db`].
+pub fn schema() -> ServiceSchema {
+    let hint = |key: &str, value: &str| Hint { key: key.into(), value: value.into() };
+    ServiceSchema {
+        service_hints: HintBlock {
+            shared: vec![hint("payload_size", "16K")],
+            server: vec![hint("polling", "event")],
+            ..Default::default()
+        },
+        ..service_only_schema()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hat_kvdb::{DbConfig, SyncMode};
+    use crate::HatKvServer;
+    use hat_kvdb::{DbConfig, ShardedDb, SyncMode};
     use hat_rdma_sim::SimConfig;
 
     fn db() -> ShardedDb {
@@ -318,25 +122,26 @@ mod tests {
             let fabric = Fabric::new(SimConfig::fast_test());
             let snode = fabric.add_node("server");
             let cnode = fabric.add_node("client");
-            let cfg = ProtocolConfig { max_msg: 32 * 1024, ..Default::default() };
-            let server = ComparatorServer::start(
-                &fabric,
-                &snode,
-                "kv",
-                comparator.protocol(),
-                cfg.clone(),
-                db(),
-            );
-            let mut client =
-                RawKvClient::connect(&fabric, &cnode, "kv", comparator.protocol(), cfg).unwrap();
+            let server = HatKvServer::start_with_db(&fabric, &snode, "kv", schema(), db());
+            let mut client = comparator.connect(&fabric, &cnode, "kv");
 
-            client.put(b"key", &vec![9u8; 1000]).unwrap();
-            assert_eq!(client.get(b"key").unwrap(), vec![9u8; 1000], "{comparator:?}");
+            client.put(b"key".to_vec(), vec![9u8; 1000]).unwrap();
+            assert_eq!(client.get(b"key".to_vec()).unwrap(), vec![9u8; 1000], "{comparator:?}");
 
             let keys: Vec<Vec<u8>> = (0..10u8).map(|i| vec![b'k', i]).collect();
             let values: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 1000]).collect();
-            client.multiput(&keys, &values).unwrap();
-            assert_eq!(client.multiget(&keys).unwrap(), values, "{comparator:?}");
+            client.multiput(keys.clone(), values.clone()).unwrap();
+            assert_eq!(client.multiget(keys).unwrap(), values, "{comparator:?}");
+
+            // Every call went through the engine, on the pinned protocol,
+            // over one 32 KiB channel the event-polling server shares.
+            let engine = client.engine();
+            for func in ["get", "put", "multiget", "multiput"] {
+                let want = Selection { protocol: comparator.protocol(), poll: PollMode::Busy };
+                assert_eq!(engine.selection_for(func), want, "{comparator:?} {func}");
+            }
+            assert_eq!(engine.open_channels(), 1, "{comparator:?}");
+            assert_eq!(cnode.stats_snapshot().calls_ok, 4, "{comparator:?}");
             drop(client);
             server.shutdown();
         }

@@ -12,11 +12,11 @@
 //!   hint blocks stripped),
 //! * **HatRPC-Function** — the full hierarchical hint set.
 //!
-//! Plus the four emulated comparators sharing the *same* backend and wire
-//! format (the paper: "we make all six candidates share the same backend
-//! implementation to avoid unfair comparison"): AR-gRPC
-//! (Hybrid-EagerRNDV), HERD, Pilaf, and RFP, each as a fixed-protocol
-//! deployment in [`comparators`].
+//! Plus the four emulated comparators sharing the *same* server, backend
+//! and wire format (the paper: "we make all six candidates share the same
+//! backend implementation to avoid unfair comparison"): AR-gRPC
+//! (Hybrid-EagerRNDV), HERD, Pilaf, and RFP, each a [`HatKVClient`]
+//! pinned to its protocol in [`comparators`].
 
 pub mod comparators;
 // Codegen output is compared byte-for-byte against a fresh `hatc` run by

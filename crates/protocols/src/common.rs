@@ -296,7 +296,7 @@ pub(crate) fn poll_recv(
     poll: PollMode,
     timeout_ns: u64,
 ) -> Result<Option<hat_rdma_sim::Completion>> {
-    let give_up = hat_rdma_sim::now_ns() + timeout_ns;
+    let give_up = hat_rdma_sim::now_ns().saturating_add(timeout_ns);
     // Wake at least every 100ms to notice disconnects and dead nodes.
     let slice = timeout_ns.clamp(1, 100_000_000);
     loop {

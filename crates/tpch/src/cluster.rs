@@ -1,6 +1,8 @@
 //! The distributed deployment: one coordinator + N workers, with the
-//! query exchange riding a pluggable transport (paper Figure 17's three
-//! configurations).
+//! query exchange riding one of paper Figure 17's three configurations.
+//! Every configuration is a `HatServer` per worker and a `HatClient` per
+//! worker connection; they differ only in the hint schema, and the
+//! IPoIB baseline is the schema hinted `transport = tcp`.
 
 use std::sync::Arc;
 
@@ -11,7 +13,6 @@ use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
 use hatrpc_core::error::Result;
 use hatrpc_core::protocol::{TInputProtocol, TOutputProtocol, TType};
 use hatrpc_core::service::ServiceSchema;
-use hatrpc_core::transport::{ClientTransport, ServerTransport, TServerSocket, TSocket};
 
 use crate::queries::{
     all_queries, decode_groups, encode_groups, ExchangeClass, QueryDef, QueryResult,
@@ -118,6 +119,19 @@ fn function_schema(workers: usize) -> ServiceSchema {
     }
 }
 
+/// The exchange schema of `mode`: the vanilla-Thrift baseline is the
+/// service's functions with every call hinted onto the IPoIB socket.
+fn schema(mode: TransportMode, workers: usize) -> ServiceSchema {
+    match mode {
+        TransportMode::Ipoib => ServiceSchema {
+            service_hints: hints(&[("transport", "tcp")]),
+            ..service_schema(workers)
+        },
+        TransportMode::HatRpcService => service_schema(workers),
+        TransportMode::HatRpcFunction => function_schema(workers),
+    }
+}
+
 /// Build the worker-side router: executes fragment requests against the
 /// worker's partition.
 fn worker_router(partition: Arc<Partition>) -> Router {
@@ -189,60 +203,42 @@ fn worker_router(partition: Arc<Partition>) -> Router {
         })
 }
 
-enum WorkerServer {
-    Hat(HatServer),
-    Ipoib {
-        shutdown: Arc<std::sync::atomic::AtomicBool>,
-        thread: Option<std::thread::JoinHandle<()>>,
-    },
-}
-
-enum Conn {
-    Hat(Box<HatClient>),
-    Ipoib(TSocket),
-}
-
-impl Conn {
-    fn call(&mut self, method: &str, seq: i32, blob: &[u8]) -> Result<Vec<u8>> {
-        let request = encode_call(method, seq, |out| {
-            out.write_struct_begin("args");
-            out.write_field_begin(TType::String, 1);
-            out.write_binary(blob);
-            out.write_field_end();
-            out.write_field_stop();
-            out.write_struct_end();
-        });
-        let reply = match self {
-            Conn::Hat(c) => c.call(method, &request)?,
-            Conn::Ipoib(c) => c.call(method, &request)?,
-        };
-        decode_reply(&reply, seq, |input| {
-            input.read_struct_begin()?;
-            let mut blob = Vec::new();
-            loop {
-                let (fty, fid) = input.read_field_begin()?;
-                if fty == TType::Stop {
-                    break;
-                }
-                if fid == 0 {
-                    blob = input.read_binary()?;
-                } else {
-                    input.skip(fty)?;
-                }
+/// One fragment exchange: `blob` in, the worker's partial result out.
+fn exchange(client: &mut HatClient, method: &str, seq: i32, blob: &[u8]) -> Result<Vec<u8>> {
+    let request = encode_call(method, seq, |out| {
+        out.write_struct_begin("args");
+        out.write_field_begin(TType::String, 1);
+        out.write_binary(blob);
+        out.write_field_end();
+        out.write_field_stop();
+        out.write_struct_end();
+    });
+    let reply = client.call(method, &request)?;
+    decode_reply(&reply, seq, |input| {
+        input.read_struct_begin()?;
+        let mut blob = Vec::new();
+        loop {
+            let (fty, fid) = input.read_field_begin()?;
+            if fty == TType::Stop {
+                break;
             }
-            Ok(blob)
-        })
-    }
+            if fid == 0 {
+                blob = input.read_binary()?;
+            } else {
+                input.skip(fty)?;
+            }
+        }
+        Ok(blob)
+    })
 }
 
 /// A running TPC-H cluster: coordinator-resident dimensions, worker
 /// partitions behind RPC, per-worker connections.
 pub struct TpchCluster {
     dims: Dataset,
-    servers: Vec<WorkerServer>,
-    conns: Vec<Conn>,
+    servers: Vec<HatServer>,
+    conns: Vec<HatClient>,
     mode: TransportMode,
-    fabric: Fabric,
     seq: i32,
 }
 
@@ -258,59 +254,20 @@ impl TpchCluster {
             let wnode = fabric.add_node(&format!("tpch-worker{w}"));
             let service = format!("tpch/{w}");
             let partition = Arc::new(partition.clone());
-            match mode {
-                TransportMode::Ipoib => {
-                    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-                    let listener = fabric.listen_ipoib(&wnode, &service);
-                    let flag = shutdown.clone();
-                    let part = partition.clone();
-                    let thread = std::thread::spawn(move || {
-                        let mut conns = Vec::new();
-                        while !flag.load(std::sync::atomic::Ordering::Acquire) {
-                            let Ok(stream) =
-                                listener.accept_timeout(std::time::Duration::from_millis(50))
-                            else {
-                                continue;
-                            };
-                            let part = part.clone();
-                            conns.push(std::thread::spawn(move || {
-                                let mut server = TServerSocket::from_stream(stream);
-                                let mut router = worker_router(part);
-                                let _ = server.serve_loop(&mut |req| router.handle(req));
-                            }));
-                        }
-                        for c in conns {
-                            let _ = c.join();
-                        }
-                    });
-                    servers.push(WorkerServer::Ipoib { shutdown, thread: Some(thread) });
-                    conns.push(Conn::Ipoib(
-                        TSocket::dial(fabric, &coord, &service).expect("worker listening"),
-                    ));
-                }
-                TransportMode::HatRpcService | TransportMode::HatRpcFunction => {
-                    let schema = match mode {
-                        TransportMode::HatRpcService => service_schema(cfg.workers),
-                        _ => function_schema(cfg.workers),
-                    };
-                    let part = partition.clone();
-                    let server = HatServer::serve(
-                        fabric,
-                        &wnode,
-                        &service,
-                        schema.clone(),
-                        ServerPolicy::Threaded,
-                        Arc::new(move || {
-                            let mut router = worker_router(part.clone());
-                            Box::new(move |req: &[u8]| router.handle(req))
-                        }),
-                    );
-                    servers.push(WorkerServer::Hat(server));
-                    conns.push(Conn::Hat(Box::new(HatClient::new(
-                        fabric, &coord, &service, &schema,
-                    ))));
-                }
-            }
+            let schema = schema(mode, cfg.workers);
+            let server = HatServer::serve(
+                fabric,
+                &wnode,
+                &service,
+                schema.clone(),
+                ServerPolicy::Threaded,
+                Arc::new(move || {
+                    let mut router = worker_router(partition.clone());
+                    Box::new(move |req: &[u8]| router.handle(req))
+                }),
+            );
+            servers.push(server);
+            conns.push(HatClient::new(fabric, &coord, &service, &schema));
         }
         let dims = Dataset {
             customers: dataset.customers,
@@ -318,15 +275,14 @@ impl TpchCluster {
             suppliers: dataset.suppliers,
             partitions: Vec::new(),
         };
-        let mut cluster =
-            TpchCluster { dims, servers, conns, mode, fabric: fabric.clone(), seq: 0 };
+        let mut cluster = TpchCluster { dims, servers, conns, mode, seq: 0 };
         // HatRPC-Function's hybrid transport (§5.5): session-setup control
         // traffic rides the TCP-hinted `ctl` function, keeping the RDMA
         // channels for data. Done once at cluster start, off the query
         // critical path.
         if mode == TransportMode::HatRpcFunction {
             for conn in &mut cluster.conns {
-                let _ = conn.call("ctl", 0, b"prepare");
+                let _ = exchange(conn, "ctl", 0, b"prepare");
             }
         }
         cluster
@@ -358,7 +314,7 @@ impl TpchCluster {
             for conn in &mut self.conns {
                 let blob = &blob;
                 handles.push(scope.spawn(move || -> Result<crate::queries::Groups> {
-                    let bytes = conn.call(method, seq, blob)?;
+                    let bytes = exchange(conn, method, seq, blob)?;
                     Ok(decode_groups(&bytes))
                 }));
             }
@@ -391,20 +347,9 @@ impl TpchCluster {
     /// Stop all worker servers.
     pub fn shutdown(self) {
         drop(self.conns);
-        for s in self.servers {
-            match s {
-                WorkerServer::Hat(h) => {
-                    h.shutdown();
-                }
-                WorkerServer::Ipoib { shutdown, mut thread } => {
-                    shutdown.store(true, std::sync::atomic::Ordering::Release);
-                    if let Some(t) = thread.take() {
-                        let _ = t.join();
-                    }
-                }
-            }
+        for server in self.servers {
+            server.shutdown();
         }
-        let _ = self.fabric;
     }
 }
 
@@ -456,15 +401,12 @@ mod tests {
         let q19 = qs.iter().find(|q| q.id == 19).unwrap();
         cluster.run_query(q1).unwrap();
         cluster.run_query(q19).unwrap();
-        if let Conn::Hat(c) = &cluster.conns[0] {
-            use hat_protocols::ProtocolKind;
-            assert_eq!(c.selection_for("frag_small").protocol, ProtocolKind::DirectWriteImm);
-            assert_eq!(c.selection_for("frag_bulk").protocol, ProtocolKind::DirectWriteImm);
-            // ctl + small + bulk channels all open and isolated.
-            assert!(c.open_channels() >= 3, "open {}", c.open_channels());
-        } else {
-            panic!("expected engine connection");
-        }
+        let c = &cluster.conns[0];
+        use hat_protocols::ProtocolKind;
+        assert_eq!(c.selection_for("frag_small").protocol, ProtocolKind::DirectWriteImm);
+        assert_eq!(c.selection_for("frag_bulk").protocol, ProtocolKind::DirectWriteImm);
+        // ctl + small + bulk channels all open and isolated.
+        assert!(c.open_channels() >= 3, "open {}", c.open_channels());
         cluster.shutdown();
     }
 }

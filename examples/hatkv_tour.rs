@@ -1,16 +1,15 @@
 //! Tour of HatKV (paper §4.4): the key-value store co-designed with
 //! HatRPC and the embedded B+Tree store, compared against an emulated
-//! RDMA KV comparator on the same backend.
+//! RDMA KV comparator on the same server and backend.
 //!
 //! ```text
 //! cargo run --example hatkv_tour
 //! ```
 
-use hatrpc::hatkv::comparators::{Comparator, ComparatorServer, RawKvClient};
+use hatrpc::hatkv::comparators::{self, Comparator};
 use hatrpc::hatkv::server::{HatKvServer, KvVariant};
 use hatrpc::hatkv::HatKVClient;
 use hatrpc::kvdb::{DbConfig, ShardedDb, SyncMode};
-use hatrpc::protocols::ProtocolConfig;
 use hatrpc::rdma::{now_ns, Fabric, SimConfig};
 
 fn fresh_config() -> DbConfig {
@@ -57,24 +56,17 @@ fn main() {
     server.shutdown();
 
     // ---- the same workload through an emulated comparator -------------
+    // A comparator is the same HatKV server, dialed by a client pinned to
+    // the comparator's protocol.
     let pnode = fabric.add_node("pilaf-server");
-    let cfg = ProtocolConfig { max_msg: 32 * 1024, ..Default::default() };
-    let pilaf = ComparatorServer::start(
-        &fabric,
-        &pnode,
-        "pilaf-kv",
-        Comparator::Pilaf.protocol(),
-        cfg.clone(),
-        ShardedDb::new(fresh_config(), 1),
-    );
+    let db = ShardedDb::new(fresh_config(), 1);
+    let pilaf = HatKvServer::start_with_db(&fabric, &pnode, "pilaf-kv", comparators::schema(), db);
     let cnode2 = fabric.add_node("pilaf-client");
-    let mut raw =
-        RawKvClient::connect(&fabric, &cnode2, "pilaf-kv", Comparator::Pilaf.protocol(), cfg)
-            .expect("connect");
-    raw.put(b"user:42", b"Grace Hopper").expect("put");
+    let mut raw = Comparator::Pilaf.connect(&fabric, &cnode2, "pilaf-kv");
+    raw.put(b"user:42".to_vec(), b"Grace Hopper".to_vec()).expect("put");
     let t1 = now_ns();
     for _ in 0..50 {
-        raw.get(b"user:42").expect("get");
+        raw.get(b"user:42".to_vec()).expect("get");
     }
     println!(
         "Pilaf-emulation get (2 metadata READs + 1 payload READ): {:.1} us/op",

@@ -179,7 +179,7 @@ fn figure6_selection_switch_points() {
 /// paper's workload geometry correctly on the shared backend.
 #[test]
 fn all_six_kv_systems_serve_the_paper_geometry() {
-    use hatrpc::hatkv::comparators::{Comparator, ComparatorServer, RawKvClient};
+    use hatrpc::hatkv::comparators::{self, Comparator};
     use hatrpc::hatkv::server::{HatKvServer, KvVariant};
     use hatrpc::hatkv::HatKVClient;
     use hatrpc::kvdb::{DbConfig, ShardedDb, SyncMode};
@@ -210,13 +210,11 @@ fn all_six_kv_systems_serve_the_paper_geometry() {
         let fabric = Fabric::new(SimConfig::fast_test());
         let snode = fabric.add_node("s");
         let db = ShardedDb::new(DbConfig { sync_mode: SyncMode::NoSync, ..Default::default() }, 1);
-        let cfg = ProtocolConfig { max_msg: 32 * 1024, ..Default::default() };
-        let server =
-            ComparatorServer::start(&fabric, &snode, "kv", comp.protocol(), cfg.clone(), db);
+        let server = HatKvServer::start_with_db(&fabric, &snode, "kv", comparators::schema(), db);
         let cnode = fabric.add_node("c");
-        let mut kv = RawKvClient::connect(&fabric, &cnode, "kv", comp.protocol(), cfg).unwrap();
-        kv.put(&key, &value).unwrap();
-        assert_eq!(kv.get(&key).unwrap(), value, "{comp:?}");
+        let mut kv = comp.connect(&fabric, &cnode, "kv");
+        kv.put(key.clone(), value.clone()).unwrap();
+        assert_eq!(kv.get(key.clone()).unwrap(), value, "{comp:?}");
         drop(kv);
         server.shutdown();
     }
