@@ -52,6 +52,9 @@ fn kind_from_u8(v: u8) -> Result<ProtocolKind> {
 /// What the dialing side tells the accepting side before protocol
 /// construction: chosen protocol, buffer geometry, and the function scope
 /// that motivated the connection (so the server can resolve its own hints).
+/// Nothing else: every connection speaks the binary codec, and hints the
+/// server enforces from its own schema (`txn`, `onesided_get`) stay off
+/// the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Preamble {
     kind: ProtocolKind,
@@ -63,26 +66,11 @@ struct Preamble {
     /// pipelined variant of the protocol; `1` (or `0` from old peers)
     /// means the classic one-at-a-time channel.
     queue_depth: u32,
-    /// Capability bits ([`FLAG_ONESIDED`] is the only one defined).
-    flags: u8,
     fn_scope: String,
 }
 
-/// Preamble flag: the client may resolve hinted GETs one-sided (RDMA
-/// READs against the service's published index) and expects the
-/// `{service}#onesided` side-channel to exist.
-const FLAG_ONESIDED: u8 = 1;
-
-/// Preamble flag: the function's writes are hinted `txn = true` — the
-/// client expects multi-key batches to commit atomically across the
-/// service's backend shards (2PC over the per-shard WALs). Like
-/// [`FLAG_ONESIDED`] this is a capability advertisement only: it never
-/// changes the wire protocol, and the server's handler — not the channel
-/// — enforces the transactional semantics.
-const FLAG_TXN: u8 = 2;
-
 /// Fixed-size prefix of the encoded preamble, before the variable scope.
-const PREAMBLE_FIXED: usize = 25;
+const PREAMBLE_FIXED: usize = 24;
 /// Byte budget for the function scope carried in the preamble.
 const MAX_SCOPE_BYTES: usize = 120;
 
@@ -112,7 +100,6 @@ impl Preamble {
         out.extend_from_slice(&self.ring_slots.to_le_bytes());
         out.extend_from_slice(&self.eager_threshold.to_le_bytes());
         out.extend_from_slice(&self.queue_depth.to_le_bytes());
-        out.push(self.flags);
         out.extend_from_slice(&(scope.len() as u16).to_le_bytes());
         out.extend_from_slice(scope);
         out
@@ -128,8 +115,7 @@ impl Preamble {
         let ring_slots = u32::from_le_bytes(bytes[10..14].try_into().expect("4B"));
         let eager_threshold = u32::from_le_bytes(bytes[14..18].try_into().expect("4B"));
         let queue_depth = u32::from_le_bytes(bytes[18..22].try_into().expect("4B"));
-        let flags = bytes[22];
-        let slen = u16::from_le_bytes(bytes[23..25].try_into().expect("2B")) as usize;
+        let slen = u16::from_le_bytes(bytes[22..24].try_into().expect("2B")) as usize;
         if bytes.len() < PREAMBLE_FIXED + slen {
             return Err(CoreError::Protocol("truncated preamble scope".into()));
         }
@@ -142,7 +128,6 @@ impl Preamble {
             ring_slots,
             eager_threshold,
             queue_depth,
-            flags,
             fn_scope,
         })
     }
@@ -200,9 +185,9 @@ struct FnPlan {
     /// server-bypass READ path, falling back to this plan's channel.
     onesided: bool,
     /// Resolved `txn` hint: the function's multi-key writes commit
-    /// atomically across backend shards. Advertised in the preamble flag
-    /// byte, enforced by the server handler — never part of
-    /// [`ChannelKey`], so hinted and unhinted functions share channels.
+    /// atomically across backend shards. Enforced by the server handler —
+    /// never on the wire nor part of [`ChannelKey`], so hinted and unhinted
+    /// functions share channels.
     txn: bool,
     key: ChannelKey,
 }
@@ -243,15 +228,10 @@ fn channel_msg(payload: u64) -> u64 {
 /// `func`'s plan. A `pin` replaces Figure 6's pick; everything else —
 /// channel size, window, transport — still resolves from the hints, and
 /// the window is vetted against whichever protocol the plan ends up with.
-fn plan_for(
-    schema: &ServiceSchema,
-    func: &str,
-    bounds: &SubscriptionBounds,
-    pin: Option<Selection>,
-) -> FnPlan {
+fn plan_for(schema: &ServiceSchema, func: &str, pin: Option<Selection>) -> FnPlan {
     let client = schema.resolved(func, Side::Client);
     let server = schema.resolved(func, Side::Server);
-    let selection = pin.unwrap_or_else(|| select_protocol(&client, bounds));
+    let selection = pin.unwrap_or_else(|| select_protocol(&client, &SubscriptionBounds::default()));
     // The channel must hold the larger of the two directions' payloads
     // plus serialization envelope overhead; rounding to a power of two
     // lets compatible functions share channels. With no hint at all,
@@ -285,8 +265,8 @@ fn plan_for(
         // itself changes its access pattern, so it resolves client-side.
         onesided: client.onesided_get.unwrap_or(false) && !tcp,
         // `txn` resolves client-side like `onesided_get`: the client
-        // chooses to call the transactional functions and advertises that
-        // in the preamble; the semantics live entirely in the handler.
+        // chooses to call the transactional functions; the semantics live
+        // entirely in the handler.
         txn: client.txn.unwrap_or(false),
         key: ChannelKey {
             kind: selection.protocol,
@@ -366,7 +346,6 @@ pub struct HatClient {
     /// How many channels this client has opened so far — the incarnation
     /// number the next one is stamped with.
     opened: u64,
-    bounds: SubscriptionBounds,
     policy: CallPolicy,
     /// Core chosen when a plan requests NUMA binding.
     bind_core: u32,
@@ -397,18 +376,7 @@ impl HatClient {
         service: &str,
         schema: &ServiceSchema,
     ) -> HatClient {
-        Self::with_bounds(fabric, node, service, schema, SubscriptionBounds::default())
-    }
-
-    /// Like [`HatClient::new`] with explicit subscription bounds.
-    pub fn with_bounds(
-        fabric: &Fabric,
-        node: &Arc<Node>,
-        service: &str,
-        schema: &ServiceSchema,
-        bounds: SubscriptionBounds,
-    ) -> HatClient {
-        Self::build(fabric, node, service, schema, bounds, None)
+        Self::build(fabric, node, service, schema, None)
     }
 
     /// A fixed-protocol baseline: every function rides `selection` instead
@@ -423,8 +391,7 @@ impl HatClient {
         schema: &ServiceSchema,
         selection: Selection,
     ) -> HatClient {
-        let bounds = SubscriptionBounds::default();
-        Self::build(fabric, node, service, schema, bounds, Some(selection))
+        Self::build(fabric, node, service, schema, Some(selection))
     }
 
     fn build(
@@ -432,15 +399,14 @@ impl HatClient {
         node: &Arc<Node>,
         service: &str,
         schema: &ServiceSchema,
-        bounds: SubscriptionBounds,
         pin: Option<Selection>,
     ) -> HatClient {
         let plans = schema
             .functions
             .iter()
-            .map(|(name, _)| (name.clone(), plan_for(schema, name, &bounds, pin)))
+            .map(|(name, _)| (name.clone(), plan_for(schema, name, pin)))
             .collect();
-        let default_plan = plan_for(schema, "\u{0}default\u{0}", &bounds, pin);
+        let default_plan = plan_for(schema, "\u{0}default\u{0}", pin);
         // Spread bound threads across the NIC-local socket's cores.
         let cores_per_numa = node.topology().cores_per_numa();
         let bind_core = (NEXT_BIND_CORE.fetch_add(1, Ordering::Relaxed) as u32) % cores_per_numa
@@ -453,7 +419,6 @@ impl HatClient {
             default_plan,
             channels: HashMap::new(),
             opened: 0,
-            bounds,
             policy: CallPolicy::default(),
             bind_core,
             onesided: OneSidedState::Untried,
@@ -475,11 +440,6 @@ impl HatClient {
     /// The call policy in use.
     pub fn call_policy(&self) -> CallPolicy {
         self.policy
-    }
-
-    /// The subscription bounds in use.
-    pub fn bounds(&self) -> &SubscriptionBounds {
-        &self.bounds
     }
 
     /// `func`'s cached plan (the default plan for a function outside the
@@ -971,8 +931,6 @@ impl HatClient {
             ring_slots: ring_slots as u32,
             eager_threshold: ENGINE_EAGER_THRESHOLD as u32,
             queue_depth: plan.queue_depth,
-            flags: (if plan.onesided { FLAG_ONESIDED } else { 0 })
-                | (if plan.txn { FLAG_TXN } else { 0 }),
             fn_scope: func.to_string(),
         };
         let ack = hat_protocols::exchange_blobs_deadline(
@@ -1569,20 +1527,10 @@ mod tests {
             ring_slots: 16,
             eager_threshold: 4096,
             queue_depth: 8,
-            flags: FLAG_ONESIDED | FLAG_TXN,
             fn_scope: "bulk".into(),
         };
         assert_eq!(Preamble::decode(&p.encode()).unwrap(), p);
         assert!(Preamble::decode(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn preamble_flag_bits_are_distinct() {
-        // Each capability owns one bit of the flag byte; a collision
-        // would make one hint silently imply the other on the wire.
-        assert_eq!(FLAG_ONESIDED & FLAG_TXN, 0);
-        assert_eq!(FLAG_ONESIDED.count_ones(), 1);
-        assert_eq!(FLAG_TXN.count_ones(), 1);
     }
 
     #[test]
@@ -1598,7 +1546,6 @@ mod tests {
             ring_slots: 16,
             eager_threshold: 4096,
             queue_depth: 1,
-            flags: 0,
             fn_scope: scope.clone(),
         };
         let decoded = Preamble::decode(&p.encode()).unwrap();
@@ -1625,7 +1572,6 @@ mod tests {
             ring_slots in proptest::prelude::any::<u32>(),
             eager_threshold in proptest::prelude::any::<u32>(),
             queue_depth in proptest::prelude::any::<u32>(),
-            flags in proptest::prelude::any::<u8>(),
             scope in ".{0,200}",
         ) {
             let p = Preamble {
@@ -1635,7 +1581,6 @@ mod tests {
                 ring_slots,
                 eager_threshold,
                 queue_depth,
-                flags,
                 fn_scope: scope.clone(),
             };
             let d = Preamble::decode(&p.encode()).unwrap();
@@ -1645,11 +1590,6 @@ mod tests {
             proptest::prop_assert_eq!(d.ring_slots, ring_slots);
             proptest::prop_assert_eq!(d.eager_threshold, eager_threshold);
             proptest::prop_assert_eq!(d.queue_depth, queue_depth);
-            proptest::prop_assert_eq!(d.flags, flags);
-            // Capability bits decode independently: whatever else is in
-            // the byte, the ONESIDED and TXN bits survive untouched.
-            proptest::prop_assert_eq!(d.flags & FLAG_ONESIDED, flags & FLAG_ONESIDED);
-            proptest::prop_assert_eq!(d.flags & FLAG_TXN, flags & FLAG_TXN);
             proptest::prop_assert!(d.fn_scope.len() <= MAX_SCOPE_BYTES);
             proptest::prop_assert!(scope.starts_with(&d.fn_scope));
             if scope.len() <= MAX_SCOPE_BYTES {
@@ -1703,7 +1643,6 @@ mod tests {
             ring_slots: ENGINE_RING_SLOTS as u32,
             eager_threshold: ENGINE_EAGER_THRESHOLD as u32,
             queue_depth: 1,
-            flags: 0,
             fn_scope: "fast".into(),
         };
         let over = MAX_QUEUE_DEPTH + 1;
@@ -2140,8 +2079,8 @@ mod tests {
 
     /// Mirror of [`shards_do_not_split_channels`] for the `txn` hint: a
     /// transactional function and its plain sibling must share one
-    /// channel — `txn` changes handler semantics and a preamble flag bit,
-    /// never the wire protocol or the channel key.
+    /// channel — `txn` changes handler semantics, never the wire protocol
+    /// or the channel key.
     #[test]
     fn txn_does_not_split_channels() {
         let fabric = Fabric::new(SimConfig::fast_test());

@@ -3,7 +3,7 @@
 //! The Thrift-compatible RPC stack of the paper's Figure 2, with the
 //! hint-accelerated RDMA engine of Figure 9 underneath:
 //!
-//! * [`protocol`] — Thrift binary and compact serialization.
+//! * [`protocol`] — Thrift binary serialization.
 //! * [`transport`] — the `TSocket`-compatible message transport and its
 //!   IPoIB socket (the vanilla-Thrift baseline's wire).
 //! * [`dispatch`] — message routing: method dispatch, application

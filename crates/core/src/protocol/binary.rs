@@ -222,6 +222,7 @@ impl TInputProtocol for BinaryIn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::MAX_SKIP_DEPTH;
 
     #[test]
     fn scalar_roundtrip() {
@@ -309,6 +310,48 @@ mod tests {
             i.skip(ty).unwrap();
         }
         assert_eq!(i.remaining(), 0);
+    }
+
+    /// `levels` structs, each the unknown field 99 of the one around it.
+    fn nested_structs(levels: usize) -> Vec<u8> {
+        let mut out = BinaryOut::new();
+        for _ in 1..levels {
+            out.write_field_begin(TType::Struct, 99);
+        }
+        for _ in 0..levels {
+            out.write_field_stop();
+        }
+        out.into_bytes()
+    }
+
+    /// `levels` lists, each the one element of the list around it.
+    fn nested_lists(levels: usize) -> Vec<u8> {
+        let mut out = BinaryOut::new();
+        for _ in 1..levels {
+            out.write_list_begin(TType::List, 1);
+        }
+        out.write_list_begin(TType::I32, 0);
+        out.into_bytes()
+    }
+
+    /// Skipping recurses once per level, so a peer's deep nest overflowed
+    /// the stack and aborted the process: 100 000 levels did. Past
+    /// [`MAX_SKIP_DEPTH`] levels `skip` refuses typed.
+    #[test]
+    fn skip_refuses_65_nested_levels() {
+        for (ty, nest) in
+            [(TType::Struct, nested_structs as fn(usize) -> Vec<u8>), (TType::List, nested_lists)]
+        {
+            let deepest_allowed = nest(MAX_SKIP_DEPTH);
+            let mut i = BinaryIn::new(&deepest_allowed);
+            i.skip(ty).unwrap();
+            assert_eq!(i.remaining(), 0, "{ty:?}");
+
+            let too_deep = nest(MAX_SKIP_DEPTH + 1);
+            assert!(too_deep.len() < 400, "{} B", too_deep.len());
+            let err = BinaryIn::new(&too_deep).skip(ty).unwrap_err();
+            assert!(matches!(err, CoreError::Protocol(_)), "{ty:?}: {err}");
+        }
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Thrift serialization protocols.
 //!
 //! The Protocol layer of the Thrift stack (paper Figure 2): turns typed
-//! values into wire bytes and back. Two of the stack's options are
-//! implemented — [`binary::BinaryOut`]/[`binary::BinaryIn`] (the default)
-//! and [`compact::CompactOut`]/[`compact::CompactIn`] (varint/zigzag).
-//! Generated code and the dynamic dispatcher are written against the
-//! [`TOutputProtocol`]/[`TInputProtocol`] traits so either can be plugged
-//! in per connection.
+//! values into wire bytes and back. Every connection speaks Thrift's
+//! binary protocol, [`binary::BinaryOut`]/[`binary::BinaryIn`]; the
+//! preamble negotiates a protocol kind and a buffer geometry, never a
+//! codec. The [`TOutputProtocol`]/[`TInputProtocol`] traits keep Thrift's
+//! layering, so generated code reads like Apache Thrift's.
 
 pub mod binary;
-pub mod compact;
 
 use crate::error::{CoreError, Result};
 
@@ -170,64 +168,69 @@ pub trait TInputProtocol {
         Ok(())
     }
 
-    /// Skip a value of the given type (for unknown fields).
+    /// Skip a value of the given type (for unknown fields), following at
+    /// most [`MAX_SKIP_DEPTH`] nested structs, lists, sets and maps.
     fn skip(&mut self, ty: TType) -> Result<()> {
-        match ty {
-            TType::Stop => Err(CoreError::Protocol("cannot skip STOP".into())),
-            TType::Bool => self.read_bool().map(drop),
-            TType::Byte => self.read_byte().map(drop),
-            TType::Double => self.read_double().map(drop),
-            TType::I16 => self.read_i16().map(drop),
-            TType::I32 => self.read_i32().map(drop),
-            TType::I64 => self.read_i64().map(drop),
-            TType::String => self.read_binary().map(drop),
-            TType::Struct => {
-                self.read_struct_begin()?;
-                loop {
-                    let (fty, _) = self.read_field_begin()?;
-                    if fty == TType::Stop {
-                        break;
-                    }
-                    self.skip(fty)?;
-                    self.read_field_end()?;
-                }
-                self.read_struct_end()
-            }
-            TType::List => {
-                let (ety, n) = self.read_list_begin()?;
-                for _ in 0..n {
-                    self.skip(ety)?;
-                }
-                self.read_list_end()
-            }
-            TType::Set => {
-                let (ety, n) = self.read_set_begin()?;
-                for _ in 0..n {
-                    self.skip(ety)?;
-                }
-                self.read_set_end()
-            }
-            TType::Map => {
-                let (kty, vty, n) = self.read_map_begin()?;
-                for _ in 0..n {
-                    self.skip(kty)?;
-                    self.skip(vty)?;
-                }
-                self.read_map_end()
-            }
-        }
+        skip_nested(self, ty, 0)
     }
 }
 
-/// Which serialization protocol a connection uses (part of the engine
-/// preamble so both sides agree).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ProtocolFlavor {
-    /// [`binary`] — Thrift's default.
-    #[default]
-    Binary,
-    /// [`compact`] — varint/zigzag, smaller payloads.
-    Compact,
+/// How many nested structs, lists, sets and maps [`TInputProtocol::skip`]
+/// follows: Apache Thrift's default recursion limit. Each level is a stack
+/// frame, so an unbounded skip lets a peer's nested unknown field overflow
+/// the stack and abort the process.
+pub const MAX_SKIP_DEPTH: usize = 64;
+
+/// [`TInputProtocol::skip`] inside `depth` enclosing containers.
+fn skip_nested<P: TInputProtocol + ?Sized>(p: &mut P, ty: TType, depth: usize) -> Result<()> {
+    let inner = depth + 1;
+    match ty {
+        TType::Struct | TType::List | TType::Set | TType::Map if depth == MAX_SKIP_DEPTH => {
+            Err(CoreError::Protocol(format!("skip nests deeper than {MAX_SKIP_DEPTH} levels")))
+        }
+        TType::Stop => Err(CoreError::Protocol("cannot skip STOP".into())),
+        TType::Bool => p.read_bool().map(drop),
+        TType::Byte => p.read_byte().map(drop),
+        TType::Double => p.read_double().map(drop),
+        TType::I16 => p.read_i16().map(drop),
+        TType::I32 => p.read_i32().map(drop),
+        TType::I64 => p.read_i64().map(drop),
+        TType::String => p.read_binary().map(drop),
+        TType::Struct => {
+            p.read_struct_begin()?;
+            loop {
+                let (fty, _) = p.read_field_begin()?;
+                if fty == TType::Stop {
+                    break;
+                }
+                skip_nested(p, fty, inner)?;
+                p.read_field_end()?;
+            }
+            p.read_struct_end()
+        }
+        TType::List => {
+            let (ety, n) = p.read_list_begin()?;
+            for _ in 0..n {
+                skip_nested(p, ety, inner)?;
+            }
+            p.read_list_end()
+        }
+        TType::Set => {
+            let (ety, n) = p.read_set_begin()?;
+            for _ in 0..n {
+                skip_nested(p, ety, inner)?;
+            }
+            p.read_set_end()
+        }
+        TType::Map => {
+            let (kty, vty, n) = p.read_map_begin()?;
+            for _ in 0..n {
+                skip_nested(p, kty, inner)?;
+                skip_nested(p, vty, inner)?;
+            }
+            p.read_map_end()
+        }
+    }
 }
 
 #[cfg(test)]

@@ -102,11 +102,6 @@ impl TSocket {
     pub fn dial(fabric: &Fabric, client_node: &Arc<Node>, service: &str) -> Result<TSocket> {
         Ok(TSocket { stream: fabric.dial_ipoib(client_node, service)? })
     }
-
-    /// Wrap an already-connected stream.
-    pub fn from_stream(stream: IpoibStream) -> TSocket {
-        TSocket { stream }
-    }
 }
 
 impl ClientTransport for TSocket {

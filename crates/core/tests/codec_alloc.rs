@@ -1,4 +1,4 @@
-//! How the encoders grow their buffer, counted.
+//! How the binary encoder grows its buffer, counted.
 //!
 //! A message with one large `binary` field is sized once: the buffer grows
 //! to the value plus a small tail, so the field stop that follows does not
@@ -11,7 +11,6 @@
 mod support;
 
 use hatrpc_core::dispatch::{encode_call, exception_reply};
-use hatrpc_core::protocol::compact::CompactOut;
 use hatrpc_core::protocol::{TOutputProtocol, TType};
 use support::tracked;
 
@@ -37,18 +36,6 @@ fn one_large_binary_field_is_allocated_once_not_doubled() {
         binary.bytes <= PAYLOAD as u64 + SLACK,
         "BinaryOut allocated {} B to encode a {PAYLOAD} B field: {binary:?}",
         binary.bytes
-    );
-
-    let (encoded, compact) = tracked(|| {
-        let mut out = CompactOut::new();
-        write_binary_field(&mut out, &payload);
-        out.into_bytes()
-    });
-    assert!(encoded.len() > PAYLOAD);
-    assert!(
-        compact.bytes <= PAYLOAD as u64 + SLACK,
-        "CompactOut allocated {} B to encode a {PAYLOAD} B field: {compact:?}",
-        compact.bytes
     );
 }
 

@@ -1,12 +1,12 @@
-//! Property-based tests: both Thrift serialization protocols round-trip
-//! arbitrary values, and the binary and compact codecs agree with each
-//! other on every value.
+//! Property-based tests: the Thrift binary protocol round-trips arbitrary
+//! values, skips what it does not know to the byte, and turns truncated or
+//! arbitrary bytes into typed errors, never panics.
 
 use proptest::prelude::*;
 
 use hatrpc_core::protocol::binary::{BinaryIn, BinaryOut};
-use hatrpc_core::protocol::compact::{CompactIn, CompactOut};
 use hatrpc_core::protocol::{TInputProtocol, TMessageType, TOutputProtocol, TType};
+use hatrpc_core::CoreError;
 
 /// A serializable value tree covering the full Thrift type system.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,17 +115,7 @@ proptest! {
     }
 
     #[test]
-    fn compact_roundtrips_any_value(v in value()) {
-        let mut out = CompactOut::new();
-        v.write(&mut out);
-        let bytes = out.into_bytes();
-        let mut input = CompactIn::new(&bytes);
-        prop_assert_eq!(v.read(&mut input), v.clone());
-        prop_assert_eq!(input.remaining(), 0, "no trailing bytes");
-    }
-
-    #[test]
-    fn message_headers_roundtrip_both_protocols(
+    fn binary_message_headers_roundtrip(
         name in "[a-zA-Z_][a-zA-Z0-9_]{0,30}",
         seq in any::<i32>(),
         ty_idx in 0usize..4,
@@ -135,17 +125,9 @@ proptest! {
         b.write_message_begin(&name, ty, seq);
         let bytes = b.into_bytes();
         let h = BinaryIn::new(&bytes).read_message_begin().unwrap();
-        prop_assert_eq!(&h.name, &name);
+        prop_assert_eq!(h.name, name);
         prop_assert_eq!(h.ty, ty);
         prop_assert_eq!(h.seq, seq);
-
-        let mut c = CompactOut::new();
-        c.write_message_begin(&name, ty, seq);
-        let cbytes = c.into_bytes();
-        let hc = CompactIn::new(&cbytes).read_message_begin().unwrap();
-        prop_assert_eq!(hc.name, name);
-        prop_assert_eq!(hc.ty, ty);
-        prop_assert_eq!(hc.seq, seq);
     }
 
     /// Struct skipping: a reader that knows none of the fields must end
@@ -189,14 +171,19 @@ proptest! {
         }
     }
 
-    /// Arbitrary bytes fed to the compact reader never panic.
+    /// Arbitrary bytes fed to the binary reader — the codec every request
+    /// goes through — return a value or a typed error, never panic: as a
+    /// message header, as a length-prefixed binary, and skipped as every
+    /// wire type.
     #[test]
-    fn compact_reader_tolerates_garbage(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
-        let mut input = CompactIn::new(&bytes);
-        let _ = input.read_message_begin();
-        let mut input2 = CompactIn::new(&bytes);
-        let _ = input2.read_i64();
-        let _ = input2.read_binary();
+    fn binary_reader_tolerates_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        let typed = |r: hatrpc_core::Result<()>| matches!(r, Ok(()) | Err(CoreError::Protocol(_)));
+        prop_assert!(typed(BinaryIn::new(&bytes).read_message_begin().map(drop)));
+        prop_assert!(typed(BinaryIn::new(&bytes).read_binary().map(drop)));
+        // Every wire type, `Stop` included (skipping it is an error).
+        for ty in (0..=15).filter_map(|v| TType::from_u8(v).ok()) {
+            prop_assert!(typed(BinaryIn::new(&bytes).skip(ty)), "{:?}", ty);
+        }
     }
 }
 

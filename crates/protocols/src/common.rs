@@ -132,31 +132,6 @@ impl Default for ProtocolConfig {
     }
 }
 
-impl ProtocolConfig {
-    /// A config sized for small control/data messages.
-    pub fn small() -> Self {
-        ProtocolConfig { max_msg: 8 * 1024, ..Default::default() }
-    }
-
-    /// Builder-style poll-mode override.
-    pub fn with_poll(mut self, poll: PollMode) -> Self {
-        self.poll = poll;
-        self
-    }
-
-    /// Builder-style max message size override.
-    pub fn with_max_msg(mut self, max_msg: usize) -> Self {
-        self.max_msg = max_msg;
-        self
-    }
-
-    /// Builder-style per-operation deadline override.
-    pub fn with_op_timeout_ns(mut self, op_timeout_ns: u64) -> Self {
-        self.op_timeout_ns = op_timeout_ns;
-        self
-    }
-}
-
 /// Client side of an RPC protocol: synchronous request/response.
 pub trait RpcClient: Send {
     /// Issue one RPC: send `request`, block for the response.
@@ -726,13 +701,5 @@ mod tests {
             charged - model
         );
         assert_eq!((stats.cpu_busy_ns, stats.memcpys), (5 * model, 5));
-    }
-
-    #[test]
-    fn config_builders() {
-        let c = ProtocolConfig::default().with_poll(PollMode::Event).with_max_msg(512);
-        assert_eq!(c.poll, PollMode::Event);
-        assert_eq!(c.max_msg, 512);
-        assert_eq!(ProtocolConfig::small().max_msg, 8 * 1024);
     }
 }

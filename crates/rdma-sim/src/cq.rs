@@ -360,23 +360,6 @@ impl CompletionQueue {
         }
     }
 
-    /// Non-blocking batch drain into a caller-owned buffer (appended, not
-    /// cleared) so a reactor's hot loop allocates nothing after warm-up.
-    /// Returns the number of completions drained.
-    pub fn try_poll_batch(&self, out: &mut Vec<Completion>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.try_poll() {
-                Some(c) => {
-                    out.push(c);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-
     /// Register a [`CqNotify`] callback: every subsequent [`CqInner::push`]
     /// on this CQ invokes it. Dropping all `Arc`s to the notifier
     /// unregisters it lazily (the push path prunes dead weak refs).
@@ -546,24 +529,6 @@ mod tests {
         cq.inner.push(now_ns(), comp(2));
         assert_eq!(a.1.load(std::sync::atomic::Ordering::Relaxed), 2);
         assert_eq!(cq.inner.wakers.lock().len(), 1, "the dropped notifier is pruned");
-    }
-
-    #[test]
-    fn try_poll_batch_appends_into_reused_buffer() {
-        let (_f, _n, cq) = cq();
-        let t = now_ns();
-        cq.inner.push(t, comp(1));
-        cq.inner.push(t, comp(2));
-        cq.inner.push(t + 500_000_000, comp(3)); // far future: not drained
-        let mut buf = Vec::with_capacity(8);
-        assert_eq!(cq.try_poll_batch(&mut buf, 8), 2);
-        assert_eq!(buf.len(), 2);
-        assert_eq!(cq.len(), 1);
-        // Append semantics: a second drain after more pushes keeps earlier
-        // entries in place (callers clear between laps).
-        cq.inner.push(t, comp(4));
-        assert_eq!(cq.try_poll_batch(&mut buf, 8), 1);
-        assert_eq!(buf.len(), 3);
     }
 
     #[test]

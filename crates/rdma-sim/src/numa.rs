@@ -77,13 +77,6 @@ pub fn bind_current_thread(core: u32) -> BindGuard {
     BindGuard { prev }
 }
 
-/// Remove any binding from the current thread (returns a guard like
-/// [`bind_current_thread`]).
-pub fn unbind_current_thread() -> BindGuard {
-    let prev = BINDING.with(|b| b.replace(CoreBinding::Unbound));
-    BindGuard { prev }
-}
-
 /// Current thread's binding.
 pub fn current_binding() -> CoreBinding {
     BINDING.with(|b| b.get())

@@ -268,11 +268,6 @@ impl Endpoint {
         &self.inner.config
     }
 
-    /// Number of receives currently posted.
-    pub fn posted_recvs(&self) -> usize {
-        self.inner.recv_queue.lock().len()
-    }
-
     /// Mark the connection dead; the peer's subsequent posts fail with
     /// [`RdmaError::Disconnected`].
     pub fn close(&self) {

@@ -197,38 +197,3 @@ fn thrift_types_round_trip_over_the_wire() {
     .unwrap();
     assert_eq!(sum, 1000 + 6 + 30 + 64);
 }
-
-/// Compact protocol interoperates with itself across realistic structures.
-#[test]
-fn compact_protocol_round_trip() {
-    use hatrpc::core::protocol::compact::{CompactIn, CompactOut};
-    use hatrpc::core::protocol::{TInputProtocol, TOutputProtocol, TType};
-
-    let mut out = CompactOut::new();
-    out.write_struct_begin("S");
-    out.write_field_begin(TType::Bool, 1);
-    out.write_bool(true);
-    out.write_field_begin(TType::List, 2);
-    out.write_list_begin(TType::I64, 4);
-    for v in [-1i64, 0, 1, i64::MAX] {
-        out.write_i64(v);
-    }
-    out.write_list_end();
-    out.write_field_stop();
-    out.write_struct_end();
-    let bytes = out.into_bytes();
-
-    let mut input = CompactIn::new(&bytes);
-    input.read_struct_begin().unwrap();
-    let (t1, id1) = input.read_field_begin().unwrap();
-    assert_eq!((t1, id1), (TType::Bool, 1));
-    assert!(input.read_bool().unwrap());
-    let (t2, _) = input.read_field_begin().unwrap();
-    assert_eq!(t2, TType::List);
-    let (et, n) = input.read_list_begin().unwrap();
-    assert_eq!((et, n), (TType::I64, 4));
-    assert_eq!(input.read_i64().unwrap(), -1);
-    assert_eq!(input.read_i64().unwrap(), 0);
-    assert_eq!(input.read_i64().unwrap(), 1);
-    assert_eq!(input.read_i64().unwrap(), i64::MAX);
-}

@@ -197,6 +197,45 @@ fn unknown_method_over_full_stack_returns_exception() {
     server.shutdown();
 }
 
+/// A `get` whose arguments hold an unknown field nested 100 000 structs
+/// deep (300 015 B). Skipping it recursed once per level and overflowed
+/// the serving thread's stack, aborting the server process; now the skip
+/// stops at 64 levels, the server answers with an exception and serves
+/// the next call.
+#[test]
+fn a_deeply_nested_unknown_field_gets_an_exception_and_the_server_serves_on() {
+    use hatrpc::core::dispatch::decode_reply;
+    use hatrpc::core::protocol::binary::{BinaryIn, BinaryOut};
+    use hatrpc::core::protocol::{TInputProtocol, TMessageType, TOutputProtocol, TType};
+    use hatrpc::hatkv::{HatKVClient, HatKvServer, KvVariant};
+    use hatrpc::kvdb::{DbConfig, SyncMode};
+
+    let fabric = Fabric::new(SimConfig::fast_test());
+    let snode = fabric.add_node("server");
+    let config = DbConfig { sync_mode: SyncMode::NoSync, ..Default::default() };
+    let server = HatKvServer::start(&fabric, &snode, "kv", KvVariant::ServiceHints, config);
+    let cnode = fabric.add_node("client");
+    let mut kv = HatKVClient::new(HatClient::new(&fabric, &cnode, "kv", server.schema()));
+    kv.put(b"key".to_vec(), b"value".to_vec()).unwrap();
+
+    let mut out = BinaryOut::new();
+    out.write_message_begin("get", TMessageType::Call, 1);
+    for _ in 0..100_000 {
+        out.write_field_begin(TType::Struct, 99);
+    }
+    let nested = out.into_bytes();
+    assert_eq!(nested.len(), 300_015);
+    let reply = kv.engine().call("get", &nested).unwrap();
+    let header = BinaryIn::new(&reply).read_message_begin().unwrap();
+    assert_eq!(header.ty, TMessageType::Exception);
+    let err = decode_reply(&reply, header.seq, |_| Ok(())).unwrap_err();
+    assert!(matches!(&err, CoreError::Application(m) if m.contains("64 levels")), "{err}");
+
+    assert_eq!(kv.get(b"key".to_vec()).unwrap(), b"value");
+    drop(kv);
+    server.shutdown();
+}
+
 fn echo_factory() -> hatrpc::core::engine::HandlerFactory {
     Arc::new(|| Box::new(|req: &[u8]| req.to_vec()))
 }
