@@ -2,7 +2,7 @@
 //! (paper Figures 4 and 11).
 
 use hat_rdma_sim::{now_ns, Fabric};
-use hat_ycsb::measure::Histogram;
+use hat_trace::hist::Histogram;
 use hatrpc_core::error::Result;
 
 use crate::support::{latency_schema, serve, AtbClient};
@@ -62,7 +62,7 @@ pub fn run_latency(fabric: &Fabric, cfg: &LatencyConfig) -> Result<LatencyResult
         seq += 1;
         client.call("echo", seq, &payload)?;
     }
-    let mut hist = Histogram::new();
+    let hist = Histogram::default();
     for _ in 0..cfg.iters {
         seq += 1;
         let t0 = now_ns();
@@ -75,10 +75,10 @@ pub fn run_latency(fabric: &Fabric, cfg: &LatencyConfig) -> Result<LatencyResult
     Ok(LatencyResult {
         label: cfg.mode.label(),
         payload: cfg.payload,
-        mean_ns: hist.mean_ns(),
-        p50_ns: hist.percentile_ns(50.0),
-        p99_ns: hist.percentile_ns(99.0),
-        min_ns: hist.min_ns(),
+        mean_ns: hist.mean(),
+        p50_ns: hist.p50(),
+        p99_ns: hist.p99(),
+        min_ns: hist.min(),
         iters: cfg.iters,
     })
 }

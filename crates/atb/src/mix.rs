@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use hat_rdma_sim::{now_ns, Fabric};
-use hat_ycsb::measure::Histogram;
+use hat_trace::hist::Histogram;
 use hatrpc_core::error::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,7 +96,7 @@ pub fn run_mix(fabric: &Fabric, cfg: &MixConfig) -> Result<MixResult> {
             })();
             barrier.wait();
             let mut client = setup?;
-            let mut fast_hist = Histogram::new();
+            let fast_hist = Histogram::default();
             let mut bulk_ops = 0u64;
             let t0 = now_ns();
             for i in 0..cfg.iters {
@@ -115,7 +115,7 @@ pub fn run_mix(fabric: &Fabric, cfg: &MixConfig) -> Result<MixResult> {
     }
     barrier.wait();
     let t0 = now_ns();
-    let mut fast_all = Histogram::new();
+    let fast_all = Histogram::default();
     let mut bulk_total = 0u64;
     for h in handles {
         let (hist, bulk, _elapsed) = h.join().expect("client thread")?;
@@ -130,8 +130,8 @@ pub fn run_mix(fabric: &Fabric, cfg: &MixConfig) -> Result<MixResult> {
         label: cfg.mode.label(),
         payload: cfg.payload,
         clients: cfg.clients,
-        fast_mean_ns: fast_all.mean_ns(),
-        fast_p99_ns: fast_all.percentile_ns(99.0),
+        fast_mean_ns: fast_all.mean(),
+        fast_p99_ns: fast_all.p99(),
         bulk_ops_per_sec,
         bulk_mb_per_sec: bulk_ops_per_sec * (2 * cfg.payload) as f64 / 1e6,
     })

@@ -65,8 +65,4 @@ impl RpcClient for NullClient {
     fn call(&mut self, _request: &[u8]) -> hat_rdma_sim::Result<Vec<u8>> {
         Err(hat_rdma_sim::RdmaError::Disconnected)
     }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::EagerSendRecv
-    }
 }

@@ -1,15 +1,13 @@
-//! Metrics capture harness: run a live micro workload with the
-//! hat-metrics sampler attached through the engine's own lifecycle hook
-//! (`HatServer::serve` attaches, `shutdown` stops and returns it), and
-//! export the Prometheus exposition, the timeline JSON, and `repro top`
-//! frames. Backs `repro metrics` / `repro top` and the metrics-schema
-//! integration test.
+//! Metrics capture harness: run a live micro workload with a hat-metrics
+//! sampler attached to its fabric, and export the Prometheus exposition,
+//! the timeline JSON, and `repro top` frames. Backs `repro metrics` /
+//! `repro top` and the metrics-schema integration test.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hat_metrics::{SamplerConfig, SloSpec};
+use hat_metrics::{Sampler, SamplerConfig, SloSpec};
 use hat_rdma_sim::{Fabric, SimConfig};
 use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
@@ -38,21 +36,18 @@ pub struct MicroMetrics {
     pub ops: u64,
 }
 
-/// A served micro deployment with a background load loop, sampled by the
-/// server-owned sampler.
+/// A served micro deployment with a background load loop, and the
+/// sampler watching its fabric.
 struct LiveMicro {
     server: HatServer,
+    sampler: Sampler,
     stop: Arc<AtomicBool>,
     worker: std::thread::JoinHandle<u64>,
 }
 
-/// Start the deployment. The sampler config is installed globally and
-/// the global enable flag raised just for the `serve` call — exactly the
-/// operator flow (`configure`, `set_enabled`, start servers).
+/// Start the deployment and attach a sampler to its fabric.
 fn start_live(cfg: SamplerConfig) -> LiveMicro {
     hat_trace::hist::reset();
-    hat_metrics::configure(cfg);
-    hat_metrics::set_enabled(true);
     let fabric = Fabric::new(SimConfig::fast_test());
     let snode = fabric.add_node("server");
     let schema = ServiceSchema::parse(METRICS_IDL, "Micro").expect("micro IDL parses");
@@ -64,10 +59,7 @@ fn start_live(cfg: SamplerConfig) -> LiveMicro {
         ServerPolicy::Threaded,
         Arc::new(|| Box::new(|req: &[u8]| req.to_vec())),
     );
-    // Attached at serve time; lower the flag so nothing else in this
-    // process accidentally starts sampling.
-    hat_metrics::set_enabled(false);
-    assert!(server.metrics().is_some(), "serve() attaches the sampler when enabled");
+    let sampler = Sampler::attach(&fabric, cfg);
     let stop = Arc::new(AtomicBool::new(false));
     let worker = {
         let stop = stop.clone();
@@ -89,7 +81,7 @@ fn start_live(cfg: SamplerConfig) -> LiveMicro {
             ops
         })
     };
-    LiveMicro { server, stop, worker }
+    LiveMicro { server, sampler, stop, worker }
 }
 
 /// The micro capture's sampler configuration: a fast interval so even a
@@ -114,20 +106,23 @@ fn micro_config() -> SamplerConfig {
 
 /// Run the micro workload under sampling and export everything.
 ///
-/// Global state (the histogram registry, the metrics configuration) is
-/// reset/installed up front: concurrent captures in one process would
-/// interleave, so callers (tests, `repro`) run this alone.
+/// The process-global histogram registry is reset up front: concurrent
+/// captures in one process would interleave, so callers (tests, `repro`)
+/// run this alone.
 pub fn capture_micro_metrics() -> MicroMetrics {
-    let live = start_live(micro_config());
+    let LiveMicro { server, mut sampler, stop, worker } = start_live(micro_config());
     // Let the load loop span enough intervals for trends and the SLO
     // window; bounded so a loaded host can't hang the capture.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while live.server.metrics().map_or(0, |s| s.ticks()) < 24 && Instant::now() < deadline {
+    while sampler.ticks() < 24 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
-    live.stop.store(true, Ordering::Relaxed);
-    let ops = live.worker.join().expect("load thread");
-    let sampler = live.server.shutdown().expect("sampler rides the server lifecycle");
+    stop.store(true, Ordering::Relaxed);
+    let ops = worker.join().expect("load thread");
+    server.shutdown();
+    // Last: a final tail tick now sees every counter the serving threads
+    // bumped on their way out.
+    sampler.stop();
     MicroMetrics {
         prometheus: sampler.prometheus_text(),
         timeline: sampler.timeline_json(),
@@ -144,12 +139,7 @@ pub fn top_frames(frames: usize, interval: Duration) -> Vec<String> {
     let mut out = Vec::with_capacity(frames);
     for _ in 0..frames {
         std::thread::sleep(interval);
-        let frame = live
-            .server
-            .metrics()
-            .map(|s| s.render_top())
-            .unwrap_or_else(|| "no sampler attached".to_string());
-        out.push(frame);
+        out.push(live.sampler.render_top());
     }
     live.stop.store(true, Ordering::Relaxed);
     let _ = live.worker.join();

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use hat_protocols::{accept_server, connect_client, ProtocolConfig, ProtocolKind};
 use hat_rdma_sim::{now_ns, Fabric, PollMode, SimConfig};
-use hat_ycsb::measure::Histogram;
+use hat_trace::hist::Histogram;
 
 /// One latency measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +72,7 @@ pub(crate) fn raw_latency_impl(
     for _ in 0..4 {
         client.call(&payload).expect("warmup");
     }
-    let mut hist = Histogram::new();
+    let hist = Histogram::default();
     for _ in 0..iters {
         let t0 = now_ns();
         client.call(&payload).expect("echo");
@@ -80,11 +80,7 @@ pub(crate) fn raw_latency_impl(
     }
     drop(client);
     drop(server.join().expect("server thread"));
-    RawLatencyPoint {
-        mean_ns: hist.mean_ns(),
-        p99_ns: hist.percentile_ns(99.0),
-        min_ns: hist.min_ns(),
-    }
+    RawLatencyPoint { mean_ns: hist.mean(), p99_ns: hist.p99(), min_ns: hist.min() }
 }
 
 /// Multi-client echo throughput for `(kind, poll, size, clients)`.

@@ -132,7 +132,7 @@ pub struct YcsbConfig {
 }
 
 /// One measured YCSB point.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct YcsbPoint {
     /// Aggregate throughput, ops/s.
     pub throughput_ops_s: f64,
@@ -322,7 +322,7 @@ pub fn run_ycsb_sampled(
     server.shutdown();
 
     let mean_us = [OpType::Get, OpType::Put, OpType::MultiGet, OpType::MultiPut]
-        .map(|t| aggregate.histogram(t).map_or(0.0, |h| h.mean_ns() as f64 / 1000.0));
+        .map(|t| aggregate.histogram(t).map_or(0.0, |h| h.mean() as f64 / 1000.0));
     let point = YcsbPoint {
         throughput_ops_s: aggregate.throughput_ops_s(),
         mean_us,

@@ -61,7 +61,6 @@ struct Preamble {
     client_poll: PollMode,
     max_msg: u64,
     ring_slots: u32,
-    eager_threshold: u32,
     /// Requested in-flight window. `> 1` asks the server to build the
     /// pipelined variant of the protocol; `1` (or `0` from old peers)
     /// means the classic one-at-a-time channel.
@@ -70,7 +69,7 @@ struct Preamble {
 }
 
 /// Fixed-size prefix of the encoded preamble, before the variable scope.
-const PREAMBLE_FIXED: usize = 24;
+const PREAMBLE_FIXED: usize = 20;
 /// Byte budget for the function scope carried in the preamble.
 const MAX_SCOPE_BYTES: usize = 120;
 
@@ -98,7 +97,6 @@ impl Preamble {
         });
         out.extend_from_slice(&self.max_msg.to_le_bytes());
         out.extend_from_slice(&self.ring_slots.to_le_bytes());
-        out.extend_from_slice(&self.eager_threshold.to_le_bytes());
         out.extend_from_slice(&self.queue_depth.to_le_bytes());
         out.extend_from_slice(&(scope.len() as u16).to_le_bytes());
         out.extend_from_slice(scope);
@@ -113,40 +111,27 @@ impl Preamble {
         let client_poll = if bytes[1] == 0 { PollMode::Busy } else { PollMode::Event };
         let max_msg = u64::from_le_bytes(bytes[2..10].try_into().expect("8B"));
         let ring_slots = u32::from_le_bytes(bytes[10..14].try_into().expect("4B"));
-        let eager_threshold = u32::from_le_bytes(bytes[14..18].try_into().expect("4B"));
-        let queue_depth = u32::from_le_bytes(bytes[18..22].try_into().expect("4B"));
-        let slen = u16::from_le_bytes(bytes[22..24].try_into().expect("2B")) as usize;
+        let queue_depth = u32::from_le_bytes(bytes[14..18].try_into().expect("4B"));
+        let slen = u16::from_le_bytes(bytes[18..20].try_into().expect("2B")) as usize;
         if bytes.len() < PREAMBLE_FIXED + slen {
             return Err(CoreError::Protocol("truncated preamble scope".into()));
         }
         let fn_scope =
             String::from_utf8_lossy(&bytes[PREAMBLE_FIXED..PREAMBLE_FIXED + slen]).into_owned();
-        Ok(Preamble {
-            kind,
-            client_poll,
-            max_msg,
-            ring_slots,
-            eager_threshold,
-            queue_depth,
-            fn_scope,
-        })
+        Ok(Preamble { kind, client_poll, max_msg, ring_slots, queue_depth, fn_scope })
     }
 
     /// Refuse a buffer geometry [`plan_for`] and [`HatClient`] cannot
     /// produce, before it sizes a registration: the peer's preamble is a
-    /// claim, and `max_msg` × `ring_slots` is what the server pins. A
-    /// hybrid frame slot is sized by `eager_threshold`, so it may not
-    /// exceed `max_msg` either.
+    /// claim, and `max_msg` × `ring_slots` is what the server pins.
     fn check_geometry(&self) -> Result<()> {
         if self.max_msg > MAX_CHANNEL_MSG
             || !(1..=MAX_QUEUE_DEPTH).contains(&self.ring_slots)
             || self.queue_depth > MAX_QUEUE_DEPTH
-            || u64::from(self.eager_threshold) > self.max_msg
         {
             return Err(CoreError::Protocol(format!(
-                "refused preamble geometry: max_msg {}, ring_slots {}, queue_depth {}, \
-                 eager_threshold {}",
-                self.max_msg, self.ring_slots, self.queue_depth, self.eager_threshold
+                "refused preamble geometry: max_msg {}, ring_slots {}, queue_depth {}",
+                self.max_msg, self.ring_slots, self.queue_depth
             )));
         }
         Ok(())
@@ -176,19 +161,9 @@ struct FnPlan {
     /// Resolved `queue_depth` hint, already vetted against the selected
     /// protocol (forced to 1 when pipelining is unavailable).
     queue_depth: u32,
-    /// Resolved server-side `shards` hint: how many backend storage
-    /// partitions the service asked for (1 = unsharded). Purely a
-    /// server-side deployment knob — it never changes the wire protocol,
-    /// so it is not part of [`ChannelKey`].
-    shards: u32,
     /// Resolved client-side `onesided_get` hint: GETs first try the
     /// server-bypass READ path, falling back to this plan's channel.
     onesided: bool,
-    /// Resolved `txn` hint: the function's multi-key writes commit
-    /// atomically across backend shards. Enforced by the server handler —
-    /// never on the wire nor part of [`ChannelKey`], so hinted and unhinted
-    /// functions share channels.
-    txn: bool,
     key: ChannelKey,
 }
 
@@ -199,10 +174,6 @@ const ENGINE_RING_SLOTS: usize = 16;
 /// Upper bound on the `queue_depth` hint: every in-flight slot pins ring
 /// memory on both peers, so a runaway hint must not exhaust the MR budget.
 const MAX_QUEUE_DEPTH: u32 = 1024;
-/// Upper bound on the `shards` hint: each backend shard pins a reader
-/// table and (when persistent) a WAL handle, so a runaway hint must not
-/// exhaust them. Mirrors `hat_kvdb::sharded::MAX_SHARDS`.
-const MAX_BACKEND_SHARDS: u32 = 64;
 /// The Hybrid-EagerRNDV threshold (paper §4.3: 4 KB).
 const ENGINE_EAGER_THRESHOLD: usize = 4096;
 /// Floor for channel buffer sizing.
@@ -257,17 +228,9 @@ fn plan_for(schema: &ServiceSchema, func: &str, pin: Option<Selection>) -> FnPla
         max_msg,
         numa_bind: client.numa_binding.unwrap_or(false),
         queue_depth,
-        // Backend partitioning is negotiated from the *server* side of the
-        // hint resolution — it describes the service's storage, which the
-        // client cannot observe on the wire.
-        shards: server.shards.map(|s| s.min(MAX_BACKEND_SHARDS)).unwrap_or(1),
-        // Unlike `shards`, `onesided_get` is client-visible: the client
-        // itself changes its access pattern, so it resolves client-side.
+        // `onesided_get` is client-visible: the client itself changes its
+        // access pattern, so it resolves client-side.
         onesided: client.onesided_get.unwrap_or(false) && !tcp,
-        // `txn` resolves client-side like `onesided_get`: the client
-        // chooses to call the transactional functions; the semantics live
-        // entirely in the handler.
-        txn: client.txn.unwrap_or(false),
         key: ChannelKey {
             kind: selection.protocol,
             poll: selection.poll,
@@ -466,21 +429,6 @@ impl HatClient {
     /// and the repro harness).
     pub fn selection_for(&self, func: &str) -> Selection {
         self.plan(func).selection
-    }
-
-    /// The resolved server-side `shards` hint for `func` (1 = unsharded),
-    /// already clamped to the engine's backend-shard ceiling. Servers use
-    /// this to size their storage partitioning; clients may use it to
-    /// pre-group batched keys.
-    pub fn shards_for(&self, func: &str) -> u32 {
-        self.plan(func).shards
-    }
-
-    /// Whether `func` resolved the `txn` hint (multi-key writes commit
-    /// atomically across backend shards). Introspection for tests and the
-    /// repro harness; the semantics are enforced server-side.
-    pub fn txn_for(&self, func: &str) -> bool {
-        self.plan(func).txn
     }
 
     /// Number of distinct channels currently open.
@@ -929,7 +877,6 @@ impl HatClient {
             client_poll: plan.selection.poll,
             max_msg: plan.max_msg,
             ring_slots: ring_slots as u32,
-            eager_threshold: ENGINE_EAGER_THRESHOLD as u32,
             queue_depth: plan.queue_depth,
             fn_scope: func.to_string(),
         };
@@ -1169,11 +1116,6 @@ pub struct HatServer {
     /// Shut down (draining in-flight state machines) *before* endpoints
     /// close — a response can only post on a live endpoint.
     reactor: Option<Reactor>,
-    /// Live telemetry sampler, attached when `hat_metrics::enabled()` at
-    /// serve time. Stopped *last* in [`HatServer::shutdown`] — after the
-    /// serving threads join — so its final tail tick captures everything
-    /// the run did.
-    metrics: Option<hat_metrics::Sampler>,
 }
 
 impl std::fmt::Debug for HatServer {
@@ -1322,15 +1264,7 @@ impl HatServer {
             conns,
             tcp_conns,
             reactor,
-            metrics: hat_metrics::attach_if_enabled(fabric),
         }
-    }
-
-    /// The live telemetry sampler, when the server started with
-    /// [`hat_metrics::enabled`] set. Exporters (`repro metrics`,
-    /// `repro top`) read frames and expositions from it while serving.
-    pub fn metrics(&self) -> Option<&hat_metrics::Sampler> {
-        self.metrics.as_ref()
     }
 
     /// Stop accepting, close every live connection, and wait for the
@@ -1340,18 +1274,8 @@ impl HatServer {
     /// in-flight request on a reactor connection gets its response posted
     /// (bounded by a grace period) *before* the endpoints close — a
     /// client mid-burst sees its whole window complete, not a reset.
-    ///
-    /// Returns the telemetry sampler (stopped, final tail tick taken) when
-    /// one was attached, so callers can export the run's timelines.
-    pub fn shutdown(mut self) -> Option<hat_metrics::Sampler> {
+    pub fn shutdown(mut self) {
         self.wind_down();
-        // Last: a final tail tick now sees every counter the serving
-        // threads bumped on their way out.
-        let mut sampler = self.metrics.take();
-        if let Some(s) = sampler.as_mut() {
-            s.stop();
-        }
-        sampler
     }
 }
 
@@ -1402,7 +1326,7 @@ fn negotiate(ep: hat_rdma_sim::Endpoint, schema: &ServiceSchema) -> Result<Conne
         poll,
         max_msg: preamble.max_msg as usize,
         ring_slots: preamble.ring_slots as usize,
-        eager_threshold: preamble.eager_threshold as usize,
+        eager_threshold: ENGINE_EAGER_THRESHOLD,
         ..ProtocolConfig::default()
     };
     let bind_core = ep.node().topology().nic_node * ep.node().topology().cores_per_numa();
@@ -1525,7 +1449,6 @@ mod tests {
             client_poll: PollMode::Event,
             max_msg: 131072,
             ring_slots: 16,
-            eager_threshold: 4096,
             queue_depth: 8,
             fn_scope: "bulk".into(),
         };
@@ -1544,7 +1467,6 @@ mod tests {
             client_poll: PollMode::Busy,
             max_msg: 4096,
             ring_slots: 16,
-            eager_threshold: 4096,
             queue_depth: 1,
             fn_scope: scope.clone(),
         };
@@ -1570,7 +1492,6 @@ mod tests {
             busy in proptest::prelude::any::<bool>(),
             max_msg in proptest::prelude::any::<u64>(),
             ring_slots in proptest::prelude::any::<u32>(),
-            eager_threshold in proptest::prelude::any::<u32>(),
             queue_depth in proptest::prelude::any::<u32>(),
             scope in ".{0,200}",
         ) {
@@ -1579,7 +1500,6 @@ mod tests {
                 client_poll: if busy { PollMode::Busy } else { PollMode::Event },
                 max_msg,
                 ring_slots,
-                eager_threshold,
                 queue_depth,
                 fn_scope: scope.clone(),
             };
@@ -1588,7 +1508,6 @@ mod tests {
             proptest::prop_assert_eq!(d.client_poll, p.client_poll);
             proptest::prop_assert_eq!(d.max_msg, max_msg);
             proptest::prop_assert_eq!(d.ring_slots, ring_slots);
-            proptest::prop_assert_eq!(d.eager_threshold, eager_threshold);
             proptest::prop_assert_eq!(d.queue_depth, queue_depth);
             proptest::prop_assert!(d.fn_scope.len() <= MAX_SCOPE_BYTES);
             proptest::prop_assert!(scope.starts_with(&d.fn_scope));
@@ -1641,7 +1560,6 @@ mod tests {
             client_poll: PollMode::Busy,
             max_msg: 8192,
             ring_slots: ENGINE_RING_SLOTS as u32,
-            eager_threshold: ENGINE_EAGER_THRESHOLD as u32,
             queue_depth: 1,
             fn_scope: "fast".into(),
         };
@@ -1654,7 +1572,6 @@ mod tests {
             Preamble { kind: Pilaf, ring_slots: over, ..honest.clone() },
             Preamble { kind: Pilaf, ring_slots: u32::MAX, ..honest.clone() },
             Preamble { ring_slots: MAX_QUEUE_DEPTH, queue_depth: over, ..honest.clone() },
-            Preamble { kind: HybridEagerRndv, eager_threshold: u32::MAX, ..honest.clone() },
         ];
         for preamble in hostile {
             let ep = fabric.dial(&cnode, "mix").unwrap();
@@ -1666,6 +1583,36 @@ mod tests {
             let pinned = snode.stats_snapshot().registered_bytes - base;
             assert!(pinned < 1 << 20, "{pinned} B registered after {preamble:?}");
         }
+        server.shutdown();
+    }
+
+    /// The server sizes a hybrid frame slot by its own eager threshold, so
+    /// a hybrid preamble whose `max_msg` is below that threshold is served
+    /// like any other: small messages go eager.
+    #[test]
+    fn a_hybrid_preamble_with_a_small_max_msg_is_served() {
+        let (fabric, _snode, server, _schema) = setup(ServerPolicy::Threaded);
+        let cnode = fabric.add_node("client");
+        let ep = fabric.dial(&cnode, "mix").unwrap();
+        let preamble = Preamble {
+            kind: ProtocolKind::HybridEagerRndv,
+            client_poll: PollMode::Busy,
+            max_msg: 64,
+            ring_slots: ENGINE_RING_SLOTS as u32,
+            queue_depth: 1,
+            fn_scope: "fast".into(),
+        };
+        let ack = hat_protocols::exchange_blobs(&ep, &preamble.encode()).unwrap();
+        assert_eq!(ack, b"hatrpc-ok");
+        let cfg = ProtocolConfig {
+            max_msg: 64,
+            ring_slots: ENGINE_RING_SLOTS,
+            eager_threshold: ENGINE_EAGER_THRESHOLD,
+            ..ProtocolConfig::default()
+        };
+        let mut client = connect_client(ProtocolKind::HybridEagerRndv, ep, cfg).unwrap();
+        assert_eq!(client.call(b"ping").unwrap(), b"ping");
+        drop(client);
         server.shutdown();
     }
 
@@ -2002,28 +1949,18 @@ mod tests {
         }
     "#;
 
+    /// The engine plans no storage: `shards` is resolved server-side from
+    /// the schema, which the HatKV server reads (and clamps) itself.
     #[test]
-    fn shards_hint_resolves_server_side_into_the_plan() {
-        let fabric = Fabric::new(SimConfig::fast_test());
-        let cnode = fabric.add_node("client");
+    fn shards_hint_resolves_server_side_in_the_schema() {
         let schema = ServiceSchema::parse(SHARDED_IDL, "Store").unwrap();
-        let client = HatClient::new(&fabric, &cnode, "store", &schema);
-        assert_eq!(client.shards_for("get"), 4, "service-level hint applies to every function");
-        assert_eq!(client.shards_for("put"), 8, "function-level hint overrides the service");
-        assert_eq!(
-            client.shards_for("greedy"),
-            MAX_BACKEND_SHARDS,
-            "runaway hints clamp to the backend ceiling"
-        );
-        assert_eq!(
-            client.shards_for("unknown"),
-            4,
-            "functions outside the schema inherit the service-level hint"
-        );
+        let shards = |func| schema.resolved(func, Side::Server).shards;
+        assert_eq!(shards("get"), Some(4), "service-level hint applies to every function");
+        assert_eq!(shards("put"), Some(8), "function-level hint overrides the service");
+        assert_eq!(shards("greedy"), Some(4096), "clamping is the backend's business");
+        assert_eq!(shards("unknown"), Some(4), "unknown functions inherit the service hint");
         let plain = ServiceSchema::unhinted("Plain");
-        let unhinted = HatClient::new(&fabric, &cnode, "plain", &plain);
-        assert_eq!(unhinted.shards_for("get"), 1, "no hint anywhere means unsharded");
-
+        assert_eq!(plain.resolved("get", Side::Server).shards, None);
         // The hint is server-side only: the client-side resolution of the
         // same schema must not see it.
         let resolved = schema.resolved("get", Side::Client);
@@ -2066,15 +2003,13 @@ mod tests {
     "#;
 
     #[test]
-    fn txn_hint_resolves_into_the_plan() {
-        let fabric = Fabric::new(SimConfig::fast_test());
-        let cnode = fabric.add_node("client");
+    fn txn_hint_resolves_in_the_schema() {
         let schema = ServiceSchema::parse(TXN_IDL, "TxnStore").unwrap();
-        let client = HatClient::new(&fabric, &cnode, "txnstore", &schema);
-        assert!(client.txn_for("put_txn"), "explicit txn = true resolves");
-        assert!(!client.txn_for("put"), "unhinted functions stay non-transactional");
-        assert!(!client.txn_for("put_plain"), "explicit txn = false stays off");
-        assert!(!client.txn_for("unknown"), "functions outside the schema inherit nothing");
+        let txn = |func| schema.resolved(func, Side::Client).txn;
+        assert_eq!(txn("put_txn"), Some(true), "explicit txn = true resolves");
+        assert_eq!(txn("put"), None, "unhinted functions stay non-transactional");
+        assert_eq!(txn("put_plain"), Some(false), "explicit txn = false stays off");
+        assert_eq!(txn("unknown"), None, "functions outside the schema inherit nothing");
     }
 
     /// Mirror of [`shards_do_not_split_channels`] for the `txn` hint: a

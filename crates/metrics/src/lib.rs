@@ -6,8 +6,13 @@
 //! [`NodeStats`](hat_rdma_sim::NodeStats) snapshot and every hat-trace
 //! latency histogram's cumulative state into fixed-size overwrite-oldest
 //! [`ring::TsRing`]s — lock-free publish, zero allocation on the sample
-//! path in the steady state, and (like hat-trace) a single relaxed
-//! atomic load for [`enabled`] when the subsystem is off.
+//! path in the steady state.
+//!
+//! A sampler is attached by whoever reads it: [`Sampler::attach`] on the
+//! fabric to watch, [`Sampler::stop`] once the run's serving threads have
+//! stopped, so the final tail tick sees every counter. Nothing else in the
+//! stack starts one or checks for one, so a run nobody samples pays
+//! nothing for this crate.
 //!
 //! Rings store **cumulative** values, not deltas: any two retained
 //! samples difference into the activity between them, a wrap only loses
@@ -23,7 +28,7 @@ pub mod ring;
 pub mod top;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use hat_rdma_sim::stats::FIELD_COUNT;
@@ -38,51 +43,6 @@ const HIST_WIDTH: usize = 2 + NUM_BUCKETS;
 /// Reserved trace track the SLO engine emits breach events on (fabric
 /// node ids start at 1, so 0 never collides with a real node).
 const SLO_TRACK: u64 = 0;
-
-// ---------------------------------------------------------------------------
-// Global enable flag + default configuration
-// ---------------------------------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Is live sampling requested? One relaxed load — the only cost the
-/// subsystem imposes anywhere when it is off.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn the subsystem on or off globally. Servers consult this when they
-/// start and attach a [`Sampler`] to their fabric if set.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-fn global_cfg() -> &'static Mutex<SamplerConfig> {
-    static CFG: OnceLock<Mutex<SamplerConfig>> = OnceLock::new();
-    CFG.get_or_init(|| Mutex::new(SamplerConfig::default()))
-}
-
-/// Replace the configuration [`attach_if_enabled`] hands to new samplers
-/// (interval, ring depth, SLOs).
-pub fn configure(cfg: SamplerConfig) {
-    *global_cfg().lock().unwrap_or_else(|e| e.into_inner()) = cfg;
-}
-
-/// The configuration new samplers get from [`attach_if_enabled`].
-pub fn global_config() -> SamplerConfig {
-    global_cfg().lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Engine hook: attach a sampler to `fabric` with the global
-/// configuration iff the subsystem is enabled. One relaxed load when
-/// disabled.
-pub fn attach_if_enabled(fabric: &Fabric) -> Option<Sampler> {
-    if !enabled() {
-        return None;
-    }
-    Some(Sampler::attach(fabric, global_config()))
-}
 
 /// Index of a per-node counter in timeline `values` arrays, by its
 /// `NodeStats` field name (e.g. `"calls_ok"`). Benches use this to
@@ -564,20 +524,13 @@ impl Drop for Sampler {
 mod tests {
     use super::*;
     use hat_rdma_sim::SimConfig;
+    use std::sync::Mutex;
 
     /// Serializes tests that touch the process-global histogram registry.
     static HIST_GATE: Mutex<()> = Mutex::new(());
 
     fn fabric() -> Fabric {
         Fabric::new(SimConfig::fast_test())
-    }
-
-    #[test]
-    fn disabled_flag_is_default_and_attach_if_enabled_respects_it() {
-        set_enabled(false);
-        assert!(!enabled());
-        let f = fabric();
-        assert!(attach_if_enabled(&f).is_none());
     }
 
     #[test]

@@ -136,9 +136,6 @@ impl Default for ProtocolConfig {
 pub trait RpcClient: Send {
     /// Issue one RPC: send `request`, block for the response.
     fn call(&mut self, request: &[u8]) -> Result<Vec<u8>>;
-
-    /// Which protocol this client speaks.
-    fn kind(&self) -> ProtocolKind;
 }
 
 /// Server side of an RPC protocol, serving one connection.
@@ -146,9 +143,6 @@ pub trait RpcServer: Send {
     /// Serve exactly one request with `handler`. Returns `Ok(false)` when
     /// the peer disconnected, `Ok(true)` after a served request.
     fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool>;
-
-    /// Which protocol this server speaks.
-    fn kind(&self) -> ProtocolKind;
 
     /// Serve until the peer disconnects.
     fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {

@@ -14,9 +14,9 @@
 //!   immediately — **no doorbell is rung yet**. Consecutive submits
 //!   accumulate into one work-request chain.
 //! * [`PipelinedClient::flush`] posts every staged work request under a
-//!   **single doorbell** (implicitly called by `try_complete`/`wait`, so a
+//!   **single doorbell** (implicitly called by `wait`/`try_wait`, so a
 //!   submit burst followed by a completion wait pays one MMIO total).
-//! * [`PipelinedClient::try_complete`] / [`PipelinedClient::wait`] deliver
+//! * [`PipelinedClient::wait`] / [`PipelinedClient::try_wait`] deliver
 //!   responses as pooled [`PoolBuf`]s — after warmup the per-call hot path
 //!   performs **zero heap allocations** (at or below the eager threshold;
 //!   verified for every kind by the `zero_alloc` integration test).
@@ -84,17 +84,13 @@ pub type Token = u64;
 pub trait PipelinedClient: RpcClient {
     /// Stage one request and return its token. Fails with
     /// `InvalidWorkRequest` when the window is full — the caller must take
-    /// a completed response (via [`Self::try_complete`] or [`Self::wait`])
+    /// a completed response (via [`Self::wait`] or [`Self::try_wait`])
     /// before submitting more. No doorbell is rung until [`Self::flush`].
     fn submit(&mut self, request: &[u8]) -> Result<Token>;
 
     /// Post all staged work requests under a single doorbell. A no-op when
     /// nothing is staged. Called implicitly by the completion methods.
     fn flush(&mut self) -> Result<()>;
-
-    /// Deliver one completed response if any is ready, lowest token first.
-    /// Non-blocking: `Ok(None)` means nothing has completed yet.
-    fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>>;
 
     /// Block until the response for `token` arrives and return it. Errors
     /// on unknown/already-taken tokens and on channel failure.
@@ -205,20 +201,6 @@ impl Window {
         Err(RdmaError::InvalidWorkRequest(format!(
             "completion for token {token} does not match any in-flight request"
         )))
-    }
-
-    /// Take the lowest-token ready response, if any.
-    fn take_any(&mut self) -> Option<(Token, PoolBuf)> {
-        let lowest = self
-            .slots
-            .iter()
-            .filter_map(|s| match s {
-                Slot::Ready(t, _) => Some(*t),
-                _ => None,
-            })
-            .min()?;
-        let buf = self.try_take(lowest).expect("token was just observed Ready")?;
-        Some((lowest, buf))
     }
 
     /// Take the response for `token` if it arrived; `Ok(None)` while it is
@@ -397,15 +379,6 @@ impl<W: Wire> PipelinedClient for Pipelined<W> {
         post_chain(&self.link.ep, &mut self.staged)
     }
 
-    fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>> {
-        self.flush()?;
-        if let Some(done) = self.win.take_any() {
-            return Ok(Some(done));
-        }
-        self.pump()?;
-        Ok(self.win.take_any())
-    }
-
     fn wait(&mut self, token: Token) -> Result<PoolBuf> {
         self.flush()?;
         // Drain the whole ready batch before (possibly) blocking: the peer
@@ -463,10 +436,6 @@ impl<W: Wire> RpcClient for Pipelined<W> {
             self.win.try_take(t)?;
             return Ok(reply);
         }
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        W::KIND
     }
 }
 
@@ -589,10 +558,6 @@ impl<W: Wire> RpcServer for PipelinedServer<W> {
         let Some(first) = poll_recv(ep, cfg.poll, cfg.op_timeout_ns)? else { return Ok(false) };
         self.serve_ready(Some(first), handler)?;
         Ok(true)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        W::KIND
     }
 }
 
@@ -1317,23 +1282,6 @@ mod tests {
             drop(pair.client);
             pair.server.join().unwrap();
         }
-    }
-
-    #[test]
-    fn try_complete_delivers_lowest_token_first() {
-        let cfg = ProtocolConfig { max_msg: 256, ring_slots: 4, ..Default::default() };
-        let mut pair = echo_pipe(ProtocolKind::EagerSendRecv, cfg);
-        let tokens: Vec<Token> =
-            (0..4).map(|i| pair.client.submit(&patterned(i, 16)).unwrap()).collect();
-        let mut got = Vec::new();
-        while got.len() < 4 {
-            if let Some((t, _)) = pair.client.try_complete().unwrap() {
-                got.push(t);
-            }
-        }
-        assert_eq!(got, tokens, "lowest-token-first delivery");
-        drop(pair.client);
-        pair.server.join().unwrap();
     }
 
     #[test]

@@ -289,10 +289,6 @@ impl RpcClient for Client {
             None => ring_recv(&self.link, &self.inbox)?.ok_or(RdmaError::Disconnected),
         }
     }
-
-    fn kind(&self) -> ProtocolKind {
-        self.kind
-    }
 }
 
 /// The server of any of the four kinds.
@@ -409,10 +405,6 @@ impl RpcServer for Server {
         let hdr = seq_hdr(want, response.len());
         self.outbox.write_parts(0, &[&want.to_le_bytes(), &[0; 8], &hdr])?;
         Ok(true)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        self.kind
     }
 }
 

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::error::{RdmaError, Result};
 use crate::node::Node;
@@ -22,17 +22,12 @@ use crate::time::now_ns;
 struct StreamDir {
     /// (ready_at, data, read_offset)
     chunks: Mutex<VecDeque<(u64, Vec<u8>, usize)>>,
-    cond: Condvar,
     closed: AtomicBool,
 }
 
 impl StreamDir {
     fn new() -> Arc<StreamDir> {
-        Arc::new(StreamDir {
-            chunks: Mutex::new(VecDeque::new()),
-            cond: Condvar::new(),
-            closed: AtomicBool::new(false),
-        })
+        Arc::new(StreamDir { chunks: Mutex::new(VecDeque::new()), closed: AtomicBool::new(false) })
     }
 }
 
@@ -98,10 +93,7 @@ impl IpoibStream {
         NodeStats::add(&self.node.stats().bytes_tx, data.len() as u64);
         NodeStats::add(&self.peer_node.stats().bytes_rx, data.len() as u64);
 
-        let mut chunks = self.outgoing.chunks.lock();
-        chunks.push_back((ready_at, data.to_vec(), 0));
-        drop(chunks);
-        self.outgoing.cond.notify_all();
+        self.outgoing.chunks.lock().push_back((ready_at, data.to_vec(), 0));
         Ok(())
     }
 
@@ -176,8 +168,6 @@ impl IpoibStream {
     pub fn close(&self) {
         self.incoming.closed.store(true, Ordering::Release);
         self.outgoing.closed.store(true, Ordering::Release);
-        self.incoming.cond.notify_all();
-        self.outgoing.cond.notify_all();
     }
 }
 

@@ -12,6 +12,11 @@
 //! rank lands in, clamped into `[min, max]` of the actually recorded
 //! values — so percentiles are never below the true minimum nor above
 //! the true maximum (property-tested).
+//!
+//! [`Histogram`] is the only latency histogram in the workspace: the
+//! benchmark harnesses (ATB, the Figure 4/5 runners, YCSB's per-op
+//! measurements) record into standalone instances of it, so every
+//! reported percentile follows the one bucket rule above.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -103,6 +108,18 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Add everything `other` recorded, as if each of its values had been
+    /// recorded here (per-thread histograms folded into one).
+    pub fn merge(&self, other: &Histogram) {
+        for (mine, theirs) in self.counts.iter().zip(&other.counts) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.count.fetch_add(other.count(), Ordering::Relaxed);
+        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max.fetch_max(other.max(), Ordering::Relaxed);
     }
 
     /// Number of recorded values.
@@ -373,6 +390,7 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
+        assert_eq!(h.mean(), 0);
         assert_eq!(h.p50(), 0);
         assert_eq!(h.p99(), 0);
     }

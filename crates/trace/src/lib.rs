@@ -11,7 +11,9 @@
 //! * **Spans** — a per-RPC *call id* minted by the engine
 //!   ([`next_call_id`]) and threaded through the protocol layer into
 //!   sim-level events via a thread-local ([`call_scope`]), so a WR post
-//!   deep inside `hat-rdma-sim` knows which RPC it belongs to.
+//!   deep inside `hat-rdma-sim` knows which RPC it belongs to. The table
+//!   naming those calls ([`register_call`]) is bounded like the ring: it
+//!   keeps the most recent calls, at most one per ring slot.
 //! * **Histograms** — log2-bucketed latency distributions keyed by
 //!   protocol × fn-scope × payload-size class ([`hist`]).
 //! * **Export** — a Chrome-trace-event / Perfetto JSON rendering of the
@@ -34,6 +36,7 @@ pub mod export;
 pub mod hist;
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -443,30 +446,34 @@ pub struct CallMeta {
     pub bytes: u64,
 }
 
-fn calls_table() -> &'static Mutex<Vec<CallMeta>> {
-    static CALLS: OnceLock<Mutex<Vec<CallMeta>>> = OnceLock::new();
-    CALLS.get_or_init(|| Mutex::new(Vec::new()))
+/// The call table holds at most one entry per ring slot: a call needs at
+/// least one event in the ring to show in an export, so older entries name
+/// calls whose events have been overwritten.
+fn calls_table() -> &'static Mutex<VecDeque<CallMeta>> {
+    static CALLS: OnceLock<Mutex<VecDeque<CallMeta>>> = OnceLock::new();
+    CALLS.get_or_init(|| Mutex::new(VecDeque::new()))
 }
 
 /// Register metadata for a call id (engine-level; allocation is fine
-/// here — the engine call path allocates for payloads anyway). No-op
-/// when disabled.
+/// here — the engine call path allocates for payloads anyway), dropping
+/// the oldest entry once the table holds as many calls as the event ring
+/// holds events. No-op when disabled.
 #[inline]
 pub fn register_call(call_id: u64, protocol: &'static str, fn_scope: &str, bytes: u64) {
     if !enabled() {
         return;
     }
-    calls_table().lock().expect("call table poisoned").push(CallMeta {
-        call_id,
-        protocol,
-        fn_scope: fn_scope.to_string(),
-        bytes,
-    });
+    let mut calls = calls_table().lock().expect("call table poisoned");
+    if calls.len() == RING_CAPACITY {
+        calls.pop_front();
+    }
+    calls.push_back(CallMeta { call_id, protocol, fn_scope: fn_scope.to_string(), bytes });
 }
 
-/// Snapshot of all registered call metadata.
+/// Snapshot of the registered call metadata, oldest first: the most
+/// recent calls, at most one per event-ring slot.
 pub fn calls() -> Vec<CallMeta> {
-    calls_table().lock().expect("call table poisoned").clone()
+    calls_table().lock().expect("call table poisoned").iter().cloned().collect()
 }
 
 fn tracks_table() -> &'static Mutex<Vec<(u64, String)>> {
@@ -579,6 +586,20 @@ mod tests {
             // The 10 oldest events were overwritten.
             assert_eq!(evs.first().map(|e| e.call_id), Some(10));
             assert_eq!(evs.last().map(|e| e.call_id), Some((RING_CAPACITY + 9) as u64));
+        });
+    }
+
+    #[test]
+    fn call_table_is_bounded_by_the_ring() {
+        with_tracing(|| {
+            let n = 3 * RING_CAPACITY as u64;
+            for id in 1..=n {
+                register_call(id, "Eager-SendRecv", "Svc.fn", 64);
+            }
+            let calls = calls();
+            assert_eq!(calls.len(), RING_CAPACITY, "the table keeps one entry per ring slot");
+            assert_eq!(calls.first().map(|c| c.call_id), Some(n - RING_CAPACITY as u64 + 1));
+            assert_eq!(calls.last().map(|c| c.call_id), Some(n), "the newest call keeps its name");
         });
     }
 

@@ -1,100 +1,15 @@
-//! Latency/throughput measurement: log-bucketed histograms with per-op
-//! breakdowns, matching what the paper's Figures 15/16 report (throughput
-//! per operation type, average latency per operation type).
+//! Latency/throughput measurement: per-op breakdowns over hat-trace's
+//! log2 latency histogram, matching what the paper's Figures 15/16 report
+//! (throughput per operation type, average latency per operation type).
 
 use std::collections::BTreeMap;
 
+use hat_trace::hist::Histogram;
+
 use crate::OpType;
 
-/// Number of log2 buckets (covers 1 ns .. ~584 years).
-const BUCKETS: usize = 64;
-
-/// A log2-bucketed latency histogram.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { buckets: vec![0; BUCKETS], count: 0, sum_ns: 0, min_ns: u64::MAX, max_ns: 0 }
-    }
-}
-
-impl Histogram {
-    /// Empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, ns: u64) {
-        let bucket = (64 - ns.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1);
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum_ns += ns;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency in ns (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Approximate percentile (bucket upper bound), `p` in [0, 100].
-    pub fn percentile_ns(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((p / 100.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        self.max_ns
-    }
-
-    /// Smallest sample.
-    pub fn min_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min_ns
-        }
-    }
-
-    /// Largest sample.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-}
-
 /// Per-operation-type measurements for one run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RunMeasurement {
     per_op: BTreeMap<&'static str, Histogram>,
     /// Wall-clock span of the run, ns.
@@ -155,40 +70,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_basic_stats() {
-        let mut h = Histogram::new();
-        for ns in [100, 200, 300, 400, 1000] {
-            h.record(ns);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean_ns(), 400);
-        assert_eq!(h.min_ns(), 100);
-        assert_eq!(h.max_ns(), 1000);
-        assert!(h.percentile_ns(50.0) >= 200);
-        assert!(h.percentile_ns(99.0) >= 1000);
-    }
-
-    #[test]
-    fn empty_histogram_is_zeroed() {
-        let h = Histogram::new();
-        assert_eq!(h.mean_ns(), 0);
-        assert_eq!(h.percentile_ns(99.0), 0);
-        assert_eq!(h.min_ns(), 0);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = Histogram::new();
-        a.record(10);
-        let mut b = Histogram::new();
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max_ns(), 1_000_000);
-        assert_eq!(a.min_ns(), 10);
-    }
-
-    #[test]
     fn run_measurement_throughput() {
         let mut m = RunMeasurement::new();
         for _ in 0..1000 {
@@ -202,7 +83,7 @@ mod tests {
         assert!((m.throughput_ops_s() - 1500.0).abs() < 1e-6);
         assert!((m.op_throughput_ops_s(OpType::Get) - 1000.0).abs() < 1e-6);
         assert_eq!(m.op_throughput_ops_s(OpType::Put), 0.0);
-        assert!(m.histogram(OpType::MultiPut).unwrap().mean_ns() == 20_000);
+        assert_eq!(m.histogram(OpType::MultiPut).unwrap().mean(), 20_000);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Property-based tests for the YCSB measurement and generation core.
+//! Property-based tests for the YCSB generation core.
 
 use hat_ycsb::generators::{KeyChooser, RequestDistribution, Zipfian};
-use hat_ycsb::measure::Histogram;
 use hat_ycsb::{OpGenerator, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -9,51 +8,6 @@ use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Histogram invariants: count/mean/min/max consistent with inputs,
-    /// percentiles monotone in p and bounded by min/max buckets.
-    #[test]
-    fn histogram_invariants(samples in prop::collection::vec(1u64..10_000_000, 1..300)) {
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        let exact_mean = samples.iter().sum::<u64>() / samples.len() as u64;
-        prop_assert_eq!(h.mean_ns(), exact_mean);
-        prop_assert_eq!(h.min_ns(), *samples.iter().min().unwrap());
-        prop_assert_eq!(h.max_ns(), *samples.iter().max().unwrap());
-        let mut last = 0;
-        for p in [1.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-            let v = h.percentile_ns(p);
-            prop_assert!(v >= last, "percentiles must be monotone");
-            last = v;
-        }
-        // Bucketed percentile never exceeds 2x the true max's bucket top.
-        prop_assert!(h.percentile_ns(100.0) <= h.max_ns().next_power_of_two().max(2) * 2);
-    }
-
-    /// Merging histograms equals recording the union of their samples.
-    #[test]
-    fn histogram_merge_equals_union(
-        a in prop::collection::vec(1u64..1_000_000, 1..100),
-        b in prop::collection::vec(1u64..1_000_000, 1..100),
-    ) {
-        let mut ha = Histogram::new();
-        for &s in &a { ha.record(s); }
-        let mut hb = Histogram::new();
-        for &s in &b { hb.record(s); }
-        ha.merge(&hb);
-        let mut hu = Histogram::new();
-        for &s in a.iter().chain(&b) { hu.record(s); }
-        prop_assert_eq!(ha.count(), hu.count());
-        prop_assert_eq!(ha.mean_ns(), hu.mean_ns());
-        prop_assert_eq!(ha.min_ns(), hu.min_ns());
-        prop_assert_eq!(ha.max_ns(), hu.max_ns());
-        for p in [50.0, 95.0, 99.0] {
-            prop_assert_eq!(ha.percentile_ns(p), hu.percentile_ns(p));
-        }
-    }
 
     /// Zipfian samples stay in range for any item count and skew.
     #[test]

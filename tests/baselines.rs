@@ -258,7 +258,7 @@ fn every_baseline_server_shuts_down_with_a_client_still_connected() {
         let server = serve(&fabric, &snode, "atb", mode, &schema);
         let mut client = AtbClient::connect(&fabric, &cnode, "atb", mode, &schema);
         assert_eq!(client.call("echo", 1, &[7; 512]).unwrap(), [7; 512], "{}", mode.label());
-        if shutdown_time(move || drop(server.shutdown()), client).is_none() {
+        if shutdown_time(move || server.shutdown(), client).is_none() {
             blocked.push(mode.label());
         }
     }
