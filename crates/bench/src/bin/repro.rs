@@ -3,7 +3,6 @@
 //! ```text
 //! repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]
 //! repro trace [--out FILE]    # capture a traced micro run (Chrome trace JSON)
-//! repro stats [--json]       # per-node sim counters + latency histograms
 //! repro metrics [--out FILE] [--json-out FILE] [--check]
 //!                            # sampled micro run -> Prometheus exposition
 //! repro top [--frames N] [--interval-ms N]
@@ -20,7 +19,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let tsv = args.iter().any(|a| a == "--tsv");
-    let json = args.iter().any(|a| a == "--json");
     let check = args.iter().any(|a| a == "--check");
     fn take_flag_value(name: &str, args: &mut Vec<String>) -> Option<String> {
         match args.iter().position(|a| a == name) {
@@ -96,40 +94,6 @@ fn main() {
                     trace.latency.len()
                 );
             }
-            "stats" => {
-                let trace = hat_bench::capture_micro_trace();
-                if json {
-                    println!("{}", hat_bench::stats_json(&trace.fabric, &trace.latency));
-                } else {
-                    let mut table = Table::new(
-                        "Per-node simulator counters (micro workload)",
-                        &["node", "counter", "value"],
-                    );
-                    for (name, snap) in &trace.fabric.stats().nodes {
-                        for (key, value) in snap.fields() {
-                            table.row(vec![name.clone(), key.to_string(), value.to_string()]);
-                        }
-                    }
-                    print(table);
-                    let mut hists = Table::new(
-                        "Latency histograms (ns)",
-                        &["protocol", "fn", "size", "count", "p50", "p90", "p99", "max"],
-                    );
-                    for row in &trace.latency {
-                        hists.row(vec![
-                            row.protocol.to_string(),
-                            row.fn_scope.clone(),
-                            row.size_label.to_string(),
-                            row.snapshot.count.to_string(),
-                            row.snapshot.p50.to_string(),
-                            row.snapshot.p90.to_string(),
-                            row.snapshot.p99.to_string(),
-                            row.snapshot.max.to_string(),
-                        ]);
-                    }
-                    print(hists);
-                }
-            }
             "metrics" => {
                 let metrics_out =
                     out_flag.clone().unwrap_or_else(|| "METRICS_micro.prom".to_string());
@@ -177,7 +141,7 @@ fn main() {
             other => {
                 eprintln!("repro: unknown target '{other}'");
                 eprintln!(
-                    "usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]\n       repro trace [--out FILE]\n       repro stats [--json]\n       repro metrics [--out FILE] [--json-out FILE] [--check]\n       repro top [--frames N] [--interval-ms N]"
+                    "usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]\n       repro trace [--out FILE]\n       repro metrics [--out FILE] [--json-out FILE] [--check]\n       repro top [--frames N] [--interval-ms N]"
                 );
                 std::process::exit(2);
             }

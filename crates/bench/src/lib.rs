@@ -32,7 +32,7 @@ use hat_tpch::{ClusterConfig, TpchCluster, TransportMode};
 pub use metrics_bench::{capture_micro_metrics, top_frames, MicroMetrics};
 pub use protocol_bench::{raw_latency, raw_throughput, RawLatencyPoint, RawThroughputPoint};
 pub use table::Table;
-pub use trace_bench::{capture_micro_trace, latency_json, stats_json, MicroTrace};
+pub use trace_bench::{capture_micro_trace, MicroTrace};
 pub use ycsb_bench::{run_ycsb, run_ycsb_sampled, KvSystem, KvWorkload, YcsbConfig, YcsbPoint};
 
 /// Sweep size preset.

@@ -3,7 +3,6 @@
 //! describes — "transfer fix-sized messages between client(s) and a
 //! server".
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hat_protocols::{accept_server, connect_client, ProtocolConfig, ProtocolKind};
@@ -102,17 +101,13 @@ pub fn raw_throughput(
         (0..clients.clamp(1, 4)).map(|i| fabric.add_node(&format!("raw-client{i}"))).collect();
     let cfg = cfg_for(size, poll);
 
-    // Server accept loop.
-    let accepting = Arc::new(AtomicBool::new(true));
-    let listener = fabric.listen(&snode, "raw-thr", Default::default());
-    let accept_flag = accepting.clone();
+    // Server accept loop, until the service is unlistened; each
+    // connection's handshake runs on its own serving thread.
+    let listener = fabric.listen(&snode, "raw-thr");
     let scfg = cfg.clone();
     let accept_thread = std::thread::spawn(move || {
         let mut conns = Vec::new();
-        while accept_flag.load(Ordering::Acquire) {
-            let Ok(ep) = listener.accept_timeout(std::time::Duration::from_millis(20)) else {
-                continue;
-            };
+        while let Ok(ep) = listener.accept() {
             let scfg = scfg.clone();
             conns.push(std::thread::spawn(move || {
                 let Ok(mut server) = accept_server(kind, ep, scfg) else { return };
@@ -148,7 +143,7 @@ pub fn raw_throughput(
         h.join().expect("client thread");
     }
     let wall_ns = now_ns() - t0;
-    accepting.store(false, Ordering::Release);
+    fabric.unlisten("raw-thr");
     accept_thread.join().expect("accept thread");
 
     let total_ops = (clients * iters) as f64;

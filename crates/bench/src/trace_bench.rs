@@ -1,14 +1,13 @@
 //! Trace capture harness: run a small hint-driven workload with
 //! `hat-trace` recording on, and export the timeline + latency
-//! histograms. Backs `repro trace` / `repro stats --json` and the
-//! trace-schema integration test.
+//! histograms. Backs `repro trace` and the trace-schema integration
+//! test.
 
 use std::sync::Arc;
 
 use hat_rdma_sim::{Fabric, SimConfig};
 use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
-use serde_json::{Map, Number, Value};
 
 /// Two-function micro service: a plain latency-hinted echo (eager
 /// protocol, one span per call) and a `queue_depth = 8` pipelined
@@ -28,8 +27,6 @@ pub struct MicroTrace {
     pub events: usize,
     /// Per protocol × fn_scope × size-class latency digests.
     pub latency: Vec<hat_trace::hist::LatencyRow>,
-    /// The fabric the workload ran on, for counter inspection.
-    pub fabric: Fabric,
 }
 
 /// Run the micro workload under tracing and export the timeline.
@@ -69,68 +66,5 @@ pub fn capture_micro_trace() -> MicroTrace {
         json: hat_trace::export::chrome_trace_json(),
         events: hat_trace::events_recorded(),
         latency: hat_trace::hist::latency_rows(),
-        fabric,
-    }
-}
-
-fn num(v: u64) -> Value {
-    Value::Number(Number::from(v))
-}
-
-/// Latency-histogram rows as a JSON array.
-pub fn latency_json(rows: &[hat_trace::hist::LatencyRow]) -> Value {
-    let hists: Vec<Value> = rows
-        .iter()
-        .map(|row| {
-            let mut h = Map::new();
-            h.insert("protocol".into(), Value::String(row.protocol.to_string()));
-            h.insert("fn_scope".into(), Value::String(row.fn_scope.clone()));
-            h.insert("size_class".into(), Value::String(row.size_label.to_string()));
-            h.insert("count".into(), num(row.snapshot.count));
-            h.insert("min_ns".into(), num(row.snapshot.min));
-            h.insert("max_ns".into(), num(row.snapshot.max));
-            h.insert("mean_ns".into(), num(row.snapshot.mean));
-            h.insert("p50_ns".into(), num(row.snapshot.p50));
-            h.insert("p90_ns".into(), num(row.snapshot.p90));
-            h.insert("p99_ns".into(), num(row.snapshot.p99));
-            Value::Object(h)
-        })
-        .collect();
-    Value::Array(hists)
-}
-
-/// Every per-node simulator counter plus the latency histograms, as a
-/// machine-readable JSON document (`repro stats --json`).
-pub fn stats_json(fabric: &Fabric, latency: &[hat_trace::hist::LatencyRow]) -> String {
-    let stats = fabric.stats();
-    let mut nodes = Map::new();
-    for (name, snap) in &stats.nodes {
-        let mut counters = Map::new();
-        for (key, value) in snap.fields() {
-            counters.insert(key.to_string(), num(value));
-        }
-        nodes.insert(name.clone(), Value::Object(counters));
-    }
-    let mut root = Map::new();
-    root.insert("nodes".into(), Value::Object(nodes));
-    root.insert("latency_histograms".into(), latency_json(latency));
-    Value::Object(root).to_string()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_json_covers_every_counter() {
-        let fabric = Fabric::new(SimConfig::fast_test());
-        let node = fabric.add_node("n0");
-        let json = stats_json(&fabric, &[]);
-        let doc: Value = serde_json::from_str(&json).unwrap();
-        let counters = doc["nodes"]["n0"].as_object().expect("node entry");
-        assert_eq!(counters.len(), node.stats_snapshot().fields().len());
-        assert!(counters.contains_key("doorbells"));
-        assert!(counters.contains_key("pipeline_doorbells"));
-        assert!(doc["latency_histograms"].as_array().unwrap().is_empty());
     }
 }

@@ -104,11 +104,4 @@ fn micro_trace_histograms_key_by_protocol_scope_and_size() {
         let s = &row.snapshot;
         assert!(s.min <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max);
     }
-
-    // stats --json carries the same rows plus every per-node counter.
-    let json = hat_bench::stats_json(&trace.fabric, &trace.latency);
-    let doc: Value = serde_json::from_str(&json).expect("stats JSON parses");
-    assert_eq!(doc["latency_histograms"].as_array().unwrap().len(), trace.latency.len());
-    assert!(doc["nodes"]["client"]["doorbells"].as_u64().unwrap() > 0);
-    assert!(doc["nodes"]["server"]["completions"].as_u64().unwrap() > 0);
 }

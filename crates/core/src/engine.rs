@@ -12,16 +12,23 @@
 //!   thread to a NIC-local core for the duration of each call.
 //!   [`HatClient::pinned`] replaces the Figure 6 pick with one fixed
 //!   selection: the §5 fixed-protocol baselines are such clients.
-//! * [`HatServer`] accepts connections, reads each connection's preamble
-//!   (protocol kind + buffer geometry + originating function scope),
-//!   resolves its *own* server-side hints for that scope (lateral hints:
-//!   the server may poll differently than the client), and serves with
-//!   the configured threading policy.
+//! * [`HatServer`] accepts connections and, on a thread per connection
+//!   (so a silent dialer holds up no one), reads each preamble (protocol
+//!   kind, `max_msg`, `queue_depth` and the originating function scope —
+//!   both sides derive the ring depth from kind and depth), resolves its
+//!   *own* server-side hints for that scope (lateral hints: the server
+//!   may poll differently than the client), and serves with the
+//!   configured threading policy.
+//!
+//! A client channel is one protocol client (or, for `transport = tcp`,
+//! one `TSocket`) per connection, the plain "one transport per
+//! connection" model the paper's TRdma bridge keeps from TSocket (§4.3).
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use hat_idl::hints::{ResolvedHints, Side, TransportHint};
 use hat_protocols::{
@@ -29,14 +36,18 @@ use hat_protocols::{
     PipelinedClient, ProtocolConfig, ProtocolKind, ReactorServe, RpcClient, RpcServer, Token,
     PIPELINED_KINDS,
 };
-use hat_rdma_sim::{now_ns, numa, Fabric, Node, NodeStats, PollMode, RdmaError};
+use hat_rdma_sim::ipoib::IpoibStream;
+use hat_rdma_sim::{
+    now_ns, numa, Endpoint, Fabric, Node, NodeStats, PollMode, RdmaError, RECV_DEPTH,
+};
 use hat_trace::Phase;
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::{CoreError, Result};
 use crate::reactor::{ConnHandler, Reactor, ReactorHandle};
 use crate::selection::{select_protocol, Selection, SubscriptionBounds};
 use crate::service::ServiceSchema;
-use crate::transport::{ClientTransport, TServerSocket, TSocket, DEFAULT_MAX_FRAME};
+use crate::transport::{TServerSocket, TSocket, DEFAULT_MAX_FRAME};
 
 /// A protocol kind's code in the connection preamble: its index in
 /// [`ProtocolKind::ALL`], whose order is the wire format.
@@ -52,24 +63,24 @@ fn kind_from_u8(v: u8) -> Result<ProtocolKind> {
 /// What the dialing side tells the accepting side before protocol
 /// construction: chosen protocol, buffer geometry, and the function scope
 /// that motivated the connection (so the server can resolve its own hints).
-/// Nothing else: every connection speaks the binary codec, and hints the
+/// Nothing else: every connection speaks the binary codec, hints the
 /// server enforces from its own schema (`txn`, `onesided_get`) stay off
-/// the wire.
+/// the wire, and both sides derive the ring depth from `kind` and
+/// `queue_depth` ([`ring_slots`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Preamble {
     kind: ProtocolKind,
     client_poll: PollMode,
     max_msg: u64,
-    ring_slots: u32,
-    /// Requested in-flight window. `> 1` asks the server to build the
-    /// pipelined variant of the protocol; `1` (or `0` from old peers)
-    /// means the classic one-at-a-time channel.
+    /// Requested in-flight window, `1..=MAX_QUEUE_DEPTH`. `> 1` asks the
+    /// server to build the pipelined variant of the protocol; `1` means
+    /// the classic one-at-a-time channel.
     queue_depth: u32,
     fn_scope: String,
 }
 
 /// Fixed-size prefix of the encoded preamble, before the variable scope.
-const PREAMBLE_FIXED: usize = 20;
+const PREAMBLE_FIXED: usize = 16;
 /// Byte budget for the function scope carried in the preamble.
 const MAX_SCOPE_BYTES: usize = 120;
 
@@ -96,7 +107,6 @@ impl Preamble {
             PollMode::Event => 1,
         });
         out.extend_from_slice(&self.max_msg.to_le_bytes());
-        out.extend_from_slice(&self.ring_slots.to_le_bytes());
         out.extend_from_slice(&self.queue_depth.to_le_bytes());
         out.extend_from_slice(&(scope.len() as u16).to_le_bytes());
         out.extend_from_slice(scope);
@@ -110,31 +120,38 @@ impl Preamble {
         let kind = kind_from_u8(bytes[0])?;
         let client_poll = if bytes[1] == 0 { PollMode::Busy } else { PollMode::Event };
         let max_msg = u64::from_le_bytes(bytes[2..10].try_into().expect("8B"));
-        let ring_slots = u32::from_le_bytes(bytes[10..14].try_into().expect("4B"));
-        let queue_depth = u32::from_le_bytes(bytes[14..18].try_into().expect("4B"));
-        let slen = u16::from_le_bytes(bytes[18..20].try_into().expect("2B")) as usize;
+        let queue_depth = u32::from_le_bytes(bytes[10..14].try_into().expect("4B"));
+        let slen = u16::from_le_bytes(bytes[14..16].try_into().expect("2B")) as usize;
         if bytes.len() < PREAMBLE_FIXED + slen {
             return Err(CoreError::Protocol("truncated preamble scope".into()));
         }
         let fn_scope =
             String::from_utf8_lossy(&bytes[PREAMBLE_FIXED..PREAMBLE_FIXED + slen]).into_owned();
-        Ok(Preamble { kind, client_poll, max_msg, ring_slots, queue_depth, fn_scope })
+        Ok(Preamble { kind, client_poll, max_msg, queue_depth, fn_scope })
     }
 
     /// Refuse a buffer geometry [`plan_for`] and [`HatClient`] cannot
     /// produce, before it sizes a registration: the peer's preamble is a
-    /// claim, and `max_msg` × `ring_slots` is what the server pins.
+    /// claim, and `max_msg` × [`ring_slots`] is what the server pins.
     fn check_geometry(&self) -> Result<()> {
-        if self.max_msg > MAX_CHANNEL_MSG
-            || !(1..=MAX_QUEUE_DEPTH).contains(&self.ring_slots)
-            || self.queue_depth > MAX_QUEUE_DEPTH
-        {
+        if self.max_msg > MAX_CHANNEL_MSG || !(1..=MAX_QUEUE_DEPTH).contains(&self.queue_depth) {
             return Err(CoreError::Protocol(format!(
-                "refused preamble geometry: max_msg {}, ring_slots {}, queue_depth {}",
-                self.max_msg, self.ring_slots, self.queue_depth
+                "refused preamble geometry: max_msg {}, queue_depth {}",
+                self.max_msg, self.queue_depth
             )));
         }
         Ok(())
+    }
+}
+
+/// The ring depth of a `queue_depth` channel of `kind`, derived alike by
+/// both sides: a wire's window is the queue depth; a kind without a wire
+/// has one SEND ring of [`ENGINE_RING_SLOTS`] whatever the peer asked for.
+fn ring_slots(kind: ProtocolKind, queue_depth: u32) -> usize {
+    use ProtocolKind::*;
+    match kind {
+        Pilaf | Farm | Rfp | Herd => ENGINE_RING_SLOTS,
+        _ => queue_depth as usize,
     }
 }
 
@@ -167,13 +184,12 @@ struct FnPlan {
     key: ChannelKey,
 }
 
-/// `ring_slots` of a depth-1 channel: the depth of the one SEND ring a kind
-/// without a wire has — Pilaf's and FaRM's request ring, HERD's reply ring
-/// (every other kind's blocking channel is a window of one regardless).
+/// The depth of the one SEND ring a kind without a wire has: Pilaf's and
+/// FaRM's request ring, HERD's reply ring.
 const ENGINE_RING_SLOTS: usize = 16;
-/// Upper bound on the `queue_depth` hint: every in-flight slot pins ring
-/// memory on both peers, so a runaway hint must not exhaust the MR budget.
-const MAX_QUEUE_DEPTH: u32 = 1024;
+/// Upper bound on the `queue_depth` hint: a window posts one receive per
+/// slot, so it is the queue pair's receive depth.
+const MAX_QUEUE_DEPTH: u32 = RECV_DEPTH as u32;
 /// The Hybrid-EagerRNDV threshold (paper §4.3: 4 KB).
 const ENGINE_EAGER_THRESHOLD: usize = 4096;
 /// Floor for channel buffer sizing.
@@ -455,10 +471,10 @@ impl HatClient {
     /// first after a failure poisoned the last one.
     fn ensure_channel(&mut self, plan: &FnPlan, func: &str) -> Result<&mut OpenChannel> {
         if !self.channels.contains_key(&plan.key) {
-            let transport = self.open_channel(plan, func)?;
+            let channel = self.open_channel(plan, func)?;
             self.opened += 1;
             self.channels
-                .insert(plan.key.clone(), OpenChannel { transport, incarnation: self.opened });
+                .insert(plan.key.clone(), OpenChannel { channel, incarnation: self.opened });
         }
         Ok(self.channels.get_mut(&plan.key).expect("just inserted"))
     }
@@ -540,7 +556,7 @@ impl HatClient {
         let bind_core = self.bind_core;
         let channel = self.ensure_channel(plan, func)?;
         let _bind = plan.numa_bind.then(|| numa::bind_current_thread(bind_core));
-        channel.transport.call(func, request)
+        channel.call(request)
     }
 
     /// Issue a batch of calls to `func`, keeping up to `queue_depth`
@@ -862,21 +878,17 @@ impl HatClient {
         }
     }
 
-    fn open_channel(&self, plan: &FnPlan, func: &str) -> Result<Box<dyn ClientTransport>> {
+    fn open_channel(&self, plan: &FnPlan, func: &str) -> Result<Channel> {
         if plan.key.tcp {
             let socket = TSocket::dial(&self.fabric, &self.node, &tcp_service(&self.service))?;
-            return Ok(Box::new(socket));
+            return Ok(Channel::Tcp(socket));
         }
         let ep = self.fabric.dial(&self.node, &self.service)?;
-        // A pipelined channel's window IS its ring depth: each in-flight
-        // request owns one slot of every ring for its whole lifetime.
-        let ring_slots =
-            if plan.queue_depth > 1 { plan.queue_depth as usize } else { ENGINE_RING_SLOTS };
+        let kind = plan.selection.protocol;
         let preamble = Preamble {
-            kind: plan.selection.protocol,
+            kind,
             client_poll: plan.selection.poll,
             max_msg: plan.max_msg,
-            ring_slots: ring_slots as u32,
             queue_depth: plan.queue_depth,
             fn_scope: func.to_string(),
         };
@@ -891,22 +903,32 @@ impl HatClient {
         let cfg = ProtocolConfig {
             poll: plan.selection.poll,
             max_msg: plan.max_msg as usize,
-            ring_slots,
+            ring_slots: ring_slots(kind, plan.queue_depth),
             eager_threshold: ENGINE_EAGER_THRESHOLD,
             op_timeout_ns: self.policy.deadline_ns(),
         };
-        if plan.queue_depth > 1 {
-            let client = connect_client_pipelined(plan.selection.protocol, ep, cfg)?;
-            return Ok(Box::new(RdmaPipelinedCall { inner: client }));
-        }
-        let client = connect_client(plan.selection.protocol, ep, cfg)?;
-        Ok(Box::new(RdmaCall { inner: client }))
+        Ok(if plan.queue_depth > 1 {
+            Channel::Window(connect_client_pipelined(kind, ep, cfg)?)
+        } else {
+            Channel::Call(connect_client(kind, ep, cfg)?)
+        })
     }
+}
+
+/// What an open channel holds: the protocol client, or the socket.
+enum Channel {
+    /// A depth-1 RDMA channel: one call at a time.
+    Call(Box<dyn RpcClient>),
+    /// A pipelined window (`queue_depth > 1`): a single call is a submit
+    /// and a wait on it.
+    Window(Box<dyn PipelinedClient>),
+    /// A plan hinted `transport = tcp`.
+    Tcp(TSocket),
 }
 
 /// A channel this client holds open, and which opening of its key it is.
 struct OpenChannel {
-    transport: Box<dyn ClientTransport>,
+    channel: Channel,
     /// Per-client sequence number of this opening. A [`ChannelKey`] is
     /// reopened after a failure and window tokens restart at 0 on every
     /// channel, so key + token alone cannot tell an [`AsyncCall`] from
@@ -915,12 +937,21 @@ struct OpenChannel {
 }
 
 impl OpenChannel {
+    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
+        match &mut self.channel {
+            Channel::Call(client) => Ok(client.call(request)?),
+            Channel::Window(pipe) => Ok(pipe.call(request)?),
+            Channel::Tcp(socket) => socket.call(request),
+        }
+    }
+
     /// The channel's pipelined window — there whenever the plan that
     /// opened it resolved `queue_depth > 1`.
     fn window(&mut self) -> Result<&mut dyn PipelinedClient> {
-        self.transport
-            .pipelined()
-            .ok_or_else(|| CoreError::Protocol("plan promised a pipelined channel".into()))
+        match &mut self.channel {
+            Channel::Window(pipe) => Ok(pipe.as_mut()),
+            _ => Err(CoreError::Protocol("plan promised a pipelined channel".into())),
+        }
     }
 }
 
@@ -1038,36 +1069,6 @@ impl AsyncCall {
     }
 }
 
-/// Adapter from a protocol client to [`ClientTransport`].
-struct RdmaCall {
-    inner: Box<dyn RpcClient>,
-}
-
-impl ClientTransport for RdmaCall {
-    fn call(&mut self, _fn_name: &str, request: &[u8]) -> Result<Vec<u8>> {
-        Ok(self.inner.call(request)?)
-    }
-}
-
-/// Adapter from a pipelined protocol client to [`ClientTransport`]:
-/// single calls are a submit and a wait on the window
-/// ([`RpcClient::call`]), and the window surfaces through
-/// [`ClientTransport::pipelined`] for [`HatClient::call_many`] /
-/// [`HatClient::call_async`].
-struct RdmaPipelinedCall {
-    inner: Box<dyn PipelinedClient>,
-}
-
-impl ClientTransport for RdmaPipelinedCall {
-    fn call(&mut self, _fn_name: &str, request: &[u8]) -> Result<Vec<u8>> {
-        Ok(self.inner.call(request)?)
-    }
-
-    fn pipelined(&mut self) -> Option<&mut dyn PipelinedClient> {
-        Some(self.inner.as_mut())
-    }
-}
-
 /// Name of the companion IPoIB service (hybrid transports).
 fn tcp_service(service: &str) -> String {
     format!("{service}/tcp")
@@ -1096,22 +1097,18 @@ pub enum ServerPolicy {
 
 /// Handle to a running hint-aware server.
 pub struct HatServer {
-    shutdown: Arc<AtomicBool>,
-    /// The RDMA accept loop; it returns the per-connection serving threads
-    /// it spawned. It is joined *before* a reactor driver drains: once it
-    /// has wound down, every connection it negotiated has been registered
-    /// — a client whose handshake completed is never left behind a driver
-    /// that already drained and exited.
-    accept: Option<std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    /// The RDMA and IPoIB accept loops. Each blocks in `accept` until
+    /// the service is unlistened, then returns the connection threads it
+    /// spawned.
+    accept: Vec<JoinHandle<Vec<JoinHandle<()>>>>,
+    threads: Vec<JoinHandle<()>>,
     service: String,
     fabric: Fabric,
-    /// Accepted RDMA endpoints — closed on shutdown so serving threads
-    /// observe the disconnect promptly instead of waiting out their poll
-    /// caps against still-alive clients.
-    conns: Arc<parking_lot::Mutex<Vec<hat_rdma_sim::Endpoint>>>,
-    /// Accepted IPoIB streams, closed on shutdown for the same reason.
-    tcp_conns: Arc<parking_lot::Mutex<Vec<std::sync::Arc<hat_rdma_sim::ipoib::IpoibStream>>>>,
+    /// Accepted RDMA connections, by stage (see [`Accepted`]).
+    conns: Arc<Accepted>,
+    /// Accepted IPoIB streams, closed on shutdown so serving threads
+    /// observe the disconnect instead of blocking in `read`.
+    tcp_conns: Arc<Mutex<Vec<Arc<IpoibStream>>>>,
     /// The connection reactor, when running under [`ServerPolicy::Reactor`].
     /// Shut down (draining in-flight state machines) *before* endpoints
     /// close — a response can only post on a live endpoint.
@@ -1140,124 +1137,72 @@ impl HatServer {
         policy: ServerPolicy,
         handler_factory: HandlerFactory,
     ) -> HatServer {
-        let shutdown = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
-        let conns: Arc<parking_lot::Mutex<Vec<hat_rdma_sim::Endpoint>>> = Default::default();
-        let tcp_conns: Arc<
-            parking_lot::Mutex<Vec<std::sync::Arc<hat_rdma_sim::ipoib::IpoibStream>>>,
-        > = Default::default();
+        let conns: Arc<Accepted> = Arc::default();
+        let tcp_conns: Arc<Mutex<Vec<Arc<IpoibStream>>>> = Arc::default();
         let reactor = match policy {
             ServerPolicy::Reactor => Some(Reactor::start(node)),
             _ => None,
         };
-
-        // RDMA accept loop.
-        let accept = {
-            let listener = fabric.listen(node, service, Default::default());
-            let shutdown = shutdown.clone();
-            let schema = schema.clone();
-            let factory = handler_factory.clone();
-            let conns = conns.clone();
-            let reactor_handle: Option<ReactorHandle> = reactor.as_ref().map(Reactor::handle);
-            let pool_tx = match policy {
-                ServerPolicy::ThreadPool(n) => {
-                    let (tx, rx) = crossbeam::channel::unbounded::<Connection>();
-                    for _ in 0..n.max(1) {
-                        let rx = rx.clone();
-                        let factory = factory.clone();
-                        threads.push(std::thread::spawn(move || {
-                            while let Ok(item) = rx.recv() {
-                                serve_connection(item, &factory);
-                            }
-                        }));
-                    }
-                    Some(tx)
-                }
-                _ => None,
-            };
-            std::thread::spawn(move || {
-                let mut conn_threads = Vec::new();
-                while !shutdown.load(Ordering::Acquire) {
-                    let Ok(ep) = listener.accept_timeout(std::time::Duration::from_millis(50))
-                    else {
-                        continue;
-                    };
-                    let ep_handle = ep.clone();
-                    let conn = match negotiate(ep, &schema) {
-                        Ok(conn) => conn,
-                        Err(e) => {
-                            hat_trace::annotate(
-                                ep_handle.node().id(),
-                                now_ns(),
-                                &format!("connection negotiation failed: {e}"),
-                            );
-                            continue;
+        let pool = match policy {
+            ServerPolicy::ThreadPool(n) => {
+                let (tx, rx) = crossbeam::channel::unbounded::<Connection>();
+                for _ in 0..n.max(1) {
+                    let rx = rx.clone();
+                    let factory = handler_factory.clone();
+                    threads.push(std::thread::spawn(move || {
+                        while let Ok(item) = rx.recv() {
+                            serve_connection(item, &factory);
                         }
-                    };
-                    conns.lock().push(ep_handle);
-                    // The reactor drives the same servers a thread would,
-                    // so it takes exactly the pipelined connections.
-                    let conn = match (conn.server, &reactor_handle) {
-                        (ConnServer::Pipelined(server), Some(reactor)) => {
-                            let handler = make_handler(
-                                &factory,
-                                conn.node_id,
-                                conn.proto_label,
-                                &conn.fn_scope,
-                            );
-                            reactor.register(server, handler);
-                            continue;
-                        }
-                        (server, _) => Connection { server, ..conn },
-                    };
-                    match policy {
-                        // Under Reactor, connections without a reactor
-                        // state machine get a thread each, as Threaded.
-                        ServerPolicy::Threaded | ServerPolicy::Reactor => {
-                            let factory = factory.clone();
-                            conn_threads
-                                .push(std::thread::spawn(move || serve_connection(conn, &factory)));
-                        }
-                        ServerPolicy::ThreadPool(_) => {
-                            let _ = pool_tx.as_ref().expect("pool created").send(conn);
-                        }
-                    }
-                }
-                drop(pool_tx);
-                conn_threads
-            })
-        };
-
-        // IPoIB accept loop (hybrid transports).
-        {
-            let listener = fabric.listen_ipoib(node, &tcp_service(service));
-            let shutdown = shutdown.clone();
-            let factory = handler_factory.clone();
-            let tcp_conns = tcp_conns.clone();
-            threads.push(std::thread::spawn(move || {
-                let mut conn_threads = Vec::new();
-                while !shutdown.load(Ordering::Acquire) {
-                    let Ok(stream) = listener.accept_timeout(std::time::Duration::from_millis(50))
-                    else {
-                        continue;
-                    };
-                    let factory = factory.clone();
-                    let mut server = TServerSocket::from_stream(stream);
-                    tcp_conns.lock().push(server.stream_handle());
-                    conn_threads.push(std::thread::spawn(move || {
-                        let mut handler = factory();
-                        let _ = server.serve_loop(&mut handler);
                     }));
                 }
-                for t in conn_threads {
-                    let _ = t.join();
-                }
-            }));
-        }
+                Some(tx)
+            }
+            _ => None,
+        };
+        let opener = Opener {
+            schema,
+            factory: handler_factory.clone(),
+            reactor: reactor.as_ref().map(Reactor::handle),
+            pool,
+            conns: conns.clone(),
+        };
+
+        // RDMA accept loop: each connection negotiates on a thread of its
+        // own, so a dialer that never sends its preamble holds up nobody.
+        let listener = fabric.listen(node, service);
+        let rdma = std::thread::spawn(move || {
+            let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
+            while let Ok(ep) = listener.accept() {
+                opener.conns.admit(&ep);
+                let opener = opener.clone();
+                conn_threads.retain(|t| !t.is_finished());
+                conn_threads.push(std::thread::spawn(move || opener.open(ep)));
+            }
+            conn_threads
+        });
+
+        // IPoIB accept loop (hybrid transports).
+        let listener = fabric.listen_ipoib(node, &tcp_service(service));
+        let factory = handler_factory;
+        let streams = tcp_conns.clone();
+        let tcp = std::thread::spawn(move || {
+            let mut conn_threads = Vec::new();
+            while let Ok(stream) = listener.accept() {
+                let factory = factory.clone();
+                let mut server = TServerSocket::from_stream(stream);
+                streams.lock().push(server.stream_handle());
+                conn_threads.retain(|t: &JoinHandle<()>| !t.is_finished());
+                conn_threads.push(std::thread::spawn(move || {
+                    let mut handler = factory();
+                    let _ = server.serve_loop(&mut handler);
+                }));
+            }
+            conn_threads
+        });
 
         HatServer {
-            shutdown,
-            accept: Some(accept),
+            accept: vec![rdma, tcp],
             threads,
             service: service.to_string(),
             fabric: fabric.clone(),
@@ -1276,6 +1221,127 @@ impl HatServer {
     /// client mid-burst sees its whole window complete, not a reset.
     pub fn shutdown(mut self) {
         self.wind_down();
+    }
+}
+
+/// Every RDMA connection a server has accepted, by stage. A connection
+/// whose preamble arrived before shutdown is built and registered before
+/// the reactor drains; one still waiting for its preamble is closed, so
+/// a silent dialer costs shutdown nothing.
+#[derive(Default)]
+struct Accepted {
+    stages: Mutex<Stages>,
+    built: Condvar,
+}
+
+#[derive(Default)]
+struct Stages {
+    /// Waiting for their preamble, by endpoint id.
+    awaiting: HashMap<u64, Endpoint>,
+    /// Preamble read, protocol server under construction.
+    building: usize,
+    /// Registered with the reactor, queued for a pool worker, or served
+    /// by their own thread.
+    live: Vec<Endpoint>,
+    /// Set by shutdown: no connection starts building after it.
+    closing: bool,
+}
+
+impl Accepted {
+    fn admit(&self, ep: &Endpoint) {
+        self.stages.lock().awaiting.insert(ep.id(), ep.clone());
+    }
+
+    /// `ep`'s wait for its preamble is over: `true` if its server may be
+    /// built, `false` once shutdown has begun (and closed `ep`).
+    fn begin_build(&self, ep: &Endpoint) -> bool {
+        let mut stages = self.stages.lock();
+        stages.awaiting.remove(&ep.id());
+        if stages.closing {
+            return false;
+        }
+        stages.building += 1;
+        true
+    }
+
+    /// A build ended; `Some(ep)` is live.
+    fn end_build(&self, live: Option<Endpoint>) {
+        let mut stages = self.stages.lock();
+        stages.building -= 1;
+        stages.live.extend(live);
+        self.built.notify_all();
+    }
+
+    /// Shutdown, step one: close every connection still waiting for its
+    /// preamble and wait until no connection is being built.
+    fn settle(&self) {
+        let mut stages = self.stages.lock();
+        stages.closing = true;
+        for ep in stages.awaiting.values() {
+            ep.close();
+        }
+        while stages.building > 0 {
+            self.built.wait(&mut stages);
+        }
+    }
+
+    /// Shutdown, step two: close every live connection.
+    fn close_live(&self) {
+        for ep in self.stages.lock().live.drain(..) {
+            ep.close();
+        }
+    }
+}
+
+/// What a connection thread needs to negotiate its connection and hand it
+/// to whoever serves it.
+#[derive(Clone)]
+struct Opener {
+    schema: ServiceSchema,
+    factory: HandlerFactory,
+    reactor: Option<ReactorHandle>,
+    /// The worker queue under [`ServerPolicy::ThreadPool`].
+    pool: Option<crossbeam::channel::Sender<Connection>>,
+    conns: Arc<Accepted>,
+}
+
+impl Opener {
+    /// Negotiate `ep`, then register it with the reactor (a pipelined
+    /// connection under [`ServerPolicy::Reactor`]), queue it for a pool
+    /// worker, or serve it on this thread.
+    fn open(self, ep: Endpoint) {
+        let preamble = read_preamble(&ep);
+        if !self.conns.begin_build(&ep) {
+            return;
+        }
+        let conn = match preamble.and_then(|p| build(ep.clone(), p, &self.schema)) {
+            Ok(conn) => conn,
+            Err(e) => {
+                let note = format!("connection negotiation failed: {e}");
+                hat_trace::annotate(ep.node().id(), now_ns(), &note);
+                self.conns.end_build(None);
+                return;
+            }
+        };
+        // The reactor drives the same servers a thread would, so it takes
+        // exactly the pipelined connections.
+        let conn = match (conn.server, &self.reactor) {
+            (ConnServer::Pipelined(server), Some(reactor)) => {
+                let handler =
+                    make_handler(&self.factory, conn.node_id, conn.proto_label, &conn.fn_scope);
+                reactor.register(server, handler);
+                self.conns.end_build(Some(ep));
+                return;
+            }
+            (server, _) => Connection { server, ..conn },
+        };
+        self.conns.end_build(Some(ep));
+        match &self.pool {
+            Some(pool) => {
+                let _ = pool.send(conn);
+            }
+            None => serve_connection(conn, &self.factory),
+        }
     }
 }
 
@@ -1303,12 +1369,17 @@ struct Connection {
     node_id: u64,
 }
 
-/// Read the preamble, resolve server-side hints, build the protocol
-/// server.
-fn negotiate(ep: hat_rdma_sim::Endpoint, schema: &ServiceSchema) -> Result<Connection> {
-    let blob = hat_protocols::exchange_blobs(&ep, b"hatrpc-ok")?;
-    let preamble = Preamble::decode(&blob)?;
+/// Ack the dial and read the client's preamble, refusing a geometry no
+/// plan produces.
+fn read_preamble(ep: &Endpoint) -> Result<Preamble> {
+    let preamble = Preamble::decode(&hat_protocols::exchange_blobs(ep, b"hatrpc-ok")?)?;
     preamble.check_geometry()?;
+    Ok(preamble)
+}
+
+/// Resolve server-side hints for the preamble's scope and build the
+/// protocol server.
+fn build(ep: Endpoint, preamble: Preamble, schema: &ServiceSchema) -> Result<Connection> {
     let server_hints: ResolvedHints = schema.resolved(&preamble.fn_scope, Side::Server);
     // Lateral freedom: the server's polling can differ from the client's.
     let poll = match server_hints.polling {
@@ -1325,14 +1396,12 @@ fn negotiate(ep: hat_rdma_sim::Endpoint, schema: &ServiceSchema) -> Result<Conne
     let cfg = ProtocolConfig {
         poll,
         max_msg: preamble.max_msg as usize,
-        ring_slots: preamble.ring_slots as usize,
+        ring_slots: ring_slots(preamble.kind, preamble.queue_depth),
         eager_threshold: ENGINE_EAGER_THRESHOLD,
         ..ProtocolConfig::default()
     };
     let bind_core = ep.node().topology().nic_node * ep.node().topology().cores_per_numa();
     let node_id = ep.node().id();
-    // queue_depth > 1 asks for the protocol's pipelined variant: the
-    // window rides in `ring_slots`, so the geometry above already fits.
     let server = if preamble.queue_depth > 1 {
         ConnServer::Pipelined(accept_server_pipelined(preamble.kind, ep, cfg)?)
     } else {
@@ -1387,19 +1456,21 @@ fn serve_connection(conn: Connection, factory: &HandlerFactory) {
 impl HatServer {
     /// The shutdown sequence shared by [`HatServer::shutdown`] and `Drop`
     /// (idempotent: the second pass finds everything already taken).
+    /// Unlistening ends the accept loops once the dials already made are
+    /// accepted; then connections still waiting for their preamble are
+    /// refused and the ones being built are registered, the reactor
+    /// drains, and only then do the live endpoints close.
     fn wind_down(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
         self.fabric.unlisten(&self.service);
         self.fabric.unlisten_ipoib(&tcp_service(&self.service));
-        if let Some(accept) = self.accept.take() {
+        for accept in self.accept.drain(..) {
             self.threads.extend(accept.join().unwrap_or_default());
         }
+        self.conns.settle();
         if let Some(reactor) = self.reactor.take() {
             reactor.shutdown();
         }
-        for ep in self.conns.lock().drain(..) {
-            ep.close();
-        }
+        self.conns.close_live();
         for stream in self.tcp_conns.lock().drain(..) {
             stream.close();
         }
@@ -1448,7 +1519,6 @@ mod tests {
             kind: ProtocolKind::Rfp,
             client_poll: PollMode::Event,
             max_msg: 131072,
-            ring_slots: 16,
             queue_depth: 8,
             fn_scope: "bulk".into(),
         };
@@ -1466,7 +1536,6 @@ mod tests {
             kind: ProtocolKind::EagerSendRecv,
             client_poll: PollMode::Busy,
             max_msg: 4096,
-            ring_slots: 16,
             queue_depth: 1,
             fn_scope: scope.clone(),
         };
@@ -1491,7 +1560,6 @@ mod tests {
             kind_ix in 0usize..ProtocolKind::ALL.len(),
             busy in proptest::prelude::any::<bool>(),
             max_msg in proptest::prelude::any::<u64>(),
-            ring_slots in proptest::prelude::any::<u32>(),
             queue_depth in proptest::prelude::any::<u32>(),
             scope in ".{0,200}",
         ) {
@@ -1499,7 +1567,6 @@ mod tests {
                 kind: ProtocolKind::ALL[kind_ix],
                 client_poll: if busy { PollMode::Busy } else { PollMode::Event },
                 max_msg,
-                ring_slots,
                 queue_depth,
                 fn_scope: scope.clone(),
             };
@@ -1507,7 +1574,6 @@ mod tests {
             proptest::prop_assert_eq!(d.kind, p.kind);
             proptest::prop_assert_eq!(d.client_poll, p.client_poll);
             proptest::prop_assert_eq!(d.max_msg, max_msg);
-            proptest::prop_assert_eq!(d.ring_slots, ring_slots);
             proptest::prop_assert_eq!(d.queue_depth, queue_depth);
             proptest::prop_assert!(d.fn_scope.len() <= MAX_SCOPE_BYTES);
             proptest::prop_assert!(scope.starts_with(&d.fn_scope));
@@ -1559,7 +1625,6 @@ mod tests {
             kind: DirectWriteImm,
             client_poll: PollMode::Busy,
             max_msg: 8192,
-            ring_slots: ENGINE_RING_SLOTS as u32,
             queue_depth: 1,
             fn_scope: "fast".into(),
         };
@@ -1568,10 +1633,10 @@ mod tests {
             Preamble { max_msg: 1 << 30, ..honest.clone() },
             Preamble { max_msg: 1 << 33, ..honest.clone() },
             Preamble { max_msg: u64::MAX, ..honest.clone() },
-            Preamble { ring_slots: 0, ..honest.clone() },
-            Preamble { kind: Pilaf, ring_slots: over, ..honest.clone() },
-            Preamble { kind: Pilaf, ring_slots: u32::MAX, ..honest.clone() },
-            Preamble { ring_slots: MAX_QUEUE_DEPTH, queue_depth: over, ..honest.clone() },
+            Preamble { queue_depth: 0, ..honest.clone() },
+            Preamble { queue_depth: over, ..honest.clone() },
+            Preamble { queue_depth: u32::MAX, ..honest.clone() },
+            Preamble { kind: Pilaf, queue_depth: 2, ..honest.clone() },
         ];
         for preamble in hostile {
             let ep = fabric.dial(&cnode, "mix").unwrap();
@@ -1598,7 +1663,6 @@ mod tests {
             kind: ProtocolKind::HybridEagerRndv,
             client_poll: PollMode::Busy,
             max_msg: 64,
-            ring_slots: ENGINE_RING_SLOTS as u32,
             queue_depth: 1,
             fn_scope: "fast".into(),
         };

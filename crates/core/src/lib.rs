@@ -57,4 +57,4 @@ pub use error::{CoreError, Result};
 pub use reactor::{Reactor, ReactorHandle};
 pub use selection::{select_protocol, Selection, SubscriptionBounds};
 pub use service::ServiceSchema;
-pub use transport::{read_frame, write_frame, ClientTransport, TSocket, DEFAULT_MAX_FRAME};
+pub use transport::{read_frame, write_frame, TSocket, DEFAULT_MAX_FRAME};

@@ -68,7 +68,7 @@ mod tests {
             hint: perf_goal = throughput, concurrency = 64;
             binary get(1: binary key) [ hint: perf_goal = latency, payload_size = 1K; ]
             void put(1: binary key, 2: binary value) [ c_hint: payload_size = 1K; s_hint: payload_size = 16; ]
-            void heartbeat() [ hint: priority = low; ]
+            void heartbeat() [ hint: transport = tcp; ]
         }
     "#;
 

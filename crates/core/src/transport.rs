@@ -3,14 +3,14 @@
 //!
 //! Thrift's transports are byte streams; HatRPC's insight is that keeping
 //! `TRdma`'s programming model identical to `TSocket`'s lets the code
-//! generator reuse the whole stack. We capture that shared model as one
-//! message-oriented trait, [`ClientTransport`] (request → response),
-//! implemented by [`TSocket`] — 4-byte-framed messages over the simulated
-//! IPoIB TCP stream, served by [`TServerSocket`] — and by the RDMA
-//! channels the engine in [`crate::engine`] opens per hint plan. The
-//! socket has no server loop of its own: a plan hinted `transport = tcp`
-//! (the vanilla-Thrift baseline is a schema hinted so) rides the
-//! `{service}/tcp` loop of a [`crate::engine::HatServer`].
+//! generator reuse the whole stack. Both are one transport per connection,
+//! one request → one response: [`TSocket`] sends 4-byte-framed messages
+//! over the simulated IPoIB TCP stream, served by [`TServerSocket`], and
+//! a channel the engine in [`crate::engine`] opens per hint plan holds
+//! either a protocol client or such a socket. The socket has no server
+//! loop of its own: a plan hinted `transport = tcp` (the vanilla-Thrift
+//! baseline is a schema hinted so) rides the `{service}/tcp` loop of a
+//! [`crate::engine::HatServer`].
 
 use std::sync::Arc;
 
@@ -18,20 +18,6 @@ use hat_rdma_sim::ipoib::IpoibStream;
 use hat_rdma_sim::{Fabric, Node, RdmaError};
 
 use crate::error::{CoreError, Result};
-
-/// Client side of a message transport: one request, one response.
-pub trait ClientTransport: Send {
-    /// Issue an RPC. `fn_name` carries the dynamic function hint to
-    /// hint-aware transports; plain transports ignore it.
-    fn call(&mut self, fn_name: &str, request: &[u8]) -> Result<Vec<u8>>;
-
-    /// The underlying pipelined channel, when this transport has one.
-    /// Channels opened with `queue_depth > 1` over a pipelined-capable
-    /// protocol expose it; every other transport answers `None`.
-    fn pipelined(&mut self) -> Option<&mut dyn hat_protocols::PipelinedClient> {
-        None
-    }
-}
 
 /// Largest frame the socket transports accept without an explicit
 /// negotiated limit. Generous (the engine's biggest channel is 256 KB)
@@ -102,10 +88,9 @@ impl TSocket {
     pub fn dial(fabric: &Fabric, client_node: &Arc<Node>, service: &str) -> Result<TSocket> {
         Ok(TSocket { stream: fabric.dial_ipoib(client_node, service)? })
     }
-}
 
-impl ClientTransport for TSocket {
-    fn call(&mut self, _fn_name: &str, request: &[u8]) -> Result<Vec<u8>> {
+    /// Issue an RPC: send one frame, read one back.
+    pub fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
         write_frame(&self.stream, request)?;
         read_frame(&self.stream, DEFAULT_MAX_FRAME)?.ok_or(CoreError::Rdma(RdmaError::Disconnected))
     }
@@ -172,7 +157,7 @@ mod tests {
             let mut server = TServerSocket::from_stream(listener.accept().unwrap());
             server.serve_one(&mut |req| req.iter().rev().copied().collect()).unwrap();
         });
-        let resp = client.call("any", b"abc").unwrap();
+        let resp = client.call(b"abc").unwrap();
         assert_eq!(resp, b"cba");
         h.join().unwrap();
     }
@@ -245,7 +230,7 @@ mod tests {
             server.serve_one(&mut |req| req.to_vec()).unwrap();
         });
         let big = vec![7u8; 300_000];
-        assert_eq!(client.call("f", &big).unwrap(), big);
+        assert_eq!(client.call(&big).unwrap(), big);
         h.join().unwrap();
     }
 }

@@ -35,7 +35,7 @@ pub fn service_only_schema() -> ServiceSchema {
 /// The shard count a schema's server-side hints ask for (1 when the
 /// `shards` hint is absent), clamped to the backend ceiling
 /// ([`hat_kvdb::MAX_SHARDS`]) right here at the hint boundary — so
-/// stats, bench labels, and `repro stats` always agree with the
+/// stats, bench labels, and `repro metrics` always agree with the
 /// partition count the backend actually builds.
 pub fn hinted_shards(schema: &ServiceSchema) -> u32 {
     hat_kvdb::clamp_shard_count(schema.resolved("", Side::Server).shards.unwrap_or(1))
@@ -119,27 +119,14 @@ impl HatKvServer {
     /// Like [`HatKvServer::start_with_schema`] with an already-built
     /// backend — for sharing a store across deployments or supplying a
     /// persistent ([`ShardedDb::open`]) one. The backend's shard count
-    /// wins over whatever the schema hints say.
+    /// wins over whatever the schema hints say. Every HatKV deployment
+    /// serves a thread per connection ([`ServerPolicy::Threaded`]).
     pub fn start_with_db(
         fabric: &Fabric,
         node: &Arc<Node>,
         service: &str,
         schema: ServiceSchema,
         db: ShardedDb,
-    ) -> HatKvServer {
-        Self::start_with_db_policy(fabric, node, service, schema, db, ServerPolicy::Threaded)
-    }
-
-    /// Like [`HatKvServer::start_with_db`] with an explicit threading
-    /// policy — deployments expecting many mostly-idle clients run
-    /// [`ServerPolicy::Reactor`] to multiplex them on one driver thread.
-    pub fn start_with_db_policy(
-        fabric: &Fabric,
-        node: &Arc<Node>,
-        service: &str,
-        schema: ServiceSchema,
-        db: ShardedDb,
-        policy: ServerPolicy,
     ) -> HatKvServer {
         // Hint-selected server bypass: when the schema asks for one-sided
         // GETs, publish the MR-backed index before serving any RPC, keep
@@ -176,7 +163,7 @@ impl HatKvServer {
             node,
             service,
             schema.clone(),
-            policy,
+            ServerPolicy::Threaded,
             Arc::new(move || {
                 let mut processor = HatKVProcessor::new(factory_handler.clone());
                 Box::new(move |req: &[u8]| processor.handle(req))

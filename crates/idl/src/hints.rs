@@ -13,7 +13,6 @@
 //! | `polling` | `busy`, `event`, `auto` | explicit CQ polling override |
 //! | `numa_binding` | `true`, `false` | bind workers to the NIC socket |
 //! | `transport` | `rdma`, `tcp` | hybrid transports (§5.5) |
-//! | `priority` | `high`, `low` | de-prioritize heartbeat-class functions |
 //! | `queue_depth` | positive integer | pipelined in-flight request window |
 //! | `shards` | positive integer | backend storage partitions (server side) |
 //! | `onesided_get` | `true`, `false` | client bypasses the server CPU for GETs via RDMA READs |
@@ -139,24 +138,6 @@ impl fmt::Display for TransportHint {
     }
 }
 
-/// The `priority` hint values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PriorityHint {
-    /// Normal/high priority.
-    High,
-    /// Background functions (heartbeats): may yield resources.
-    Low,
-}
-
-impl fmt::Display for PriorityHint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PriorityHint::High => "high",
-            PriorityHint::Low => "low",
-        })
-    }
-}
-
 /// A validated, typed hint set for one (scope, side).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HintSet {
@@ -172,8 +153,6 @@ pub struct HintSet {
     pub numa_binding: Option<bool>,
     /// `transport`.
     pub transport: Option<TransportHint>,
-    /// `priority`.
-    pub priority: Option<PriorityHint>,
     /// `queue_depth` (pipelined in-flight request window; 1 = synchronous).
     pub queue_depth: Option<u32>,
     /// `shards` (backend storage partitions; 1 = unsharded). Server-side:
@@ -268,11 +247,6 @@ impl HintSet {
                     "tcp" | "ipoib" => set.transport = Some(TransportHint::Tcp),
                     _ => warn("expected rdma | tcp"),
                 },
-                "priority" => match value {
-                    "high" => set.priority = Some(PriorityHint::High),
-                    "low" => set.priority = Some(PriorityHint::Low),
-                    _ => warn("expected high | low"),
-                },
                 "queue_depth" => match value.parse::<u32>() {
                     Ok(n) if n > 0 => set.queue_depth = Some(n),
                     _ => warn("expected a positive integer"),
@@ -313,7 +287,6 @@ impl HintSet {
             polling: other.polling.or(self.polling),
             numa_binding: other.numa_binding.or(self.numa_binding),
             transport: other.transport.or(self.transport),
-            priority: other.priority.or(self.priority),
             queue_depth: other.queue_depth.or(self.queue_depth),
             shards: other.shards.or(self.shards),
             onesided_get: other.onesided_get.or(self.onesided_get),
@@ -447,7 +420,6 @@ mod tests {
                 ("polling", "event"),
                 ("numa_binding", "true"),
                 ("transport", "tcp"),
-                ("priority", "low"),
                 ("queue_depth", "8"),
                 ("shards", "4"),
                 ("onesided_get", "true"),
@@ -462,7 +434,6 @@ mod tests {
         assert_eq!(set.polling, Some(PollingHint::Event));
         assert_eq!(set.numa_binding, Some(true));
         assert_eq!(set.transport, Some(TransportHint::Tcp));
-        assert_eq!(set.priority, Some(PriorityHint::Low));
         assert_eq!(set.queue_depth, Some(8));
         assert_eq!(set.shards, Some(4));
         assert_eq!(set.onesided_get, Some(true));
@@ -527,6 +498,5 @@ mod tests {
         assert_eq!(PerfGoal::ResUtil.to_string(), "res_util");
         assert_eq!(PollingHint::Auto.to_string(), "auto");
         assert_eq!(TransportHint::Tcp.to_string(), "tcp");
-        assert_eq!(PriorityHint::Low.to_string(), "low");
     }
 }

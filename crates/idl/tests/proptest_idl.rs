@@ -18,7 +18,6 @@ fn hint_pair() -> impl Strategy<Value = Hint> {
         Just("polling".to_string()),
         Just("numa_binding".to_string()),
         Just("transport".to_string()),
-        Just("priority".to_string()),
         ident(), // unknown keys must survive parse and be filtered later
     ];
     let values = prop_oneof![

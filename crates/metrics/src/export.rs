@@ -509,6 +509,29 @@ h_bucket{le=\"1\"} 5
         assert!(validate_exposition(no_inf).is_err(), "+Inf bucket required");
     }
 
+    /// Every `NodeStats` field reaches the exposition, one sample per
+    /// node, under its family's name.
+    #[test]
+    fn prometheus_text_covers_every_counter() {
+        let fabric = hat_rdma_sim::Fabric::new(hat_rdma_sim::SimConfig::fast_test());
+        fabric.add_node("n0");
+        let mut sampler = Sampler::attach_paused(&fabric, crate::SamplerConfig::default());
+        sampler.tick();
+        sampler.stop();
+        let text = prometheus_text(&sampler);
+        validate_exposition(&text).expect("well-formed");
+        for (field, kind) in FIELD_KINDS.iter() {
+            let family = match kind {
+                MetricKind::Counter => format!("hatrpc_node_{field}_total"),
+                MetricKind::Gauge => format!("hatrpc_node_{field}"),
+            };
+            let sample = format!("{family}{{node=\"n0\"}} ");
+            assert!(text.lines().any(|l| l.starts_with(&sample)), "no sample for {field}");
+        }
+        assert!(text.contains("hatrpc_node_doorbells_total{node=\"n0\"}"));
+        assert!(text.contains("hatrpc_node_pipeline_doorbells_total{node=\"n0\"}"));
+    }
+
     #[test]
     fn label_escaping_roundtrips_through_the_parser() {
         let line = format!("m{{k=\"{}\"}} 1", escape_label("a\"b\\c\nd"));

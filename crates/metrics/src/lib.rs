@@ -1,6 +1,6 @@
 //! # hat-metrics — live time-series telemetry for HatRPC
 //!
-//! Post-mortem observability (`repro stats`, the Perfetto export) shows
+//! Post-mortem observability (the Perfetto export) shows
 //! *what* a run did; this crate shows *when*. A [`Sampler`] thread
 //! captures, on a configurable virtual-time interval, every node's
 //! [`NodeStats`](hat_rdma_sim::NodeStats) snapshot and every hat-trace

@@ -165,7 +165,7 @@ pub fn connect_client(
     use ProtocolKind::*;
     Ok(match kind {
         Pilaf | Farm | Rfp | Herd => crate::read_based::connect(kind, ep, cfg)?,
-        wire => crate::pipeline::connect_wire(wire, ep, ProtocolConfig { ring_slots: 1, ..cfg })?,
+        wire => crate::connect_client_pipelined(wire, ep, ProtocolConfig { ring_slots: 1, ..cfg })?,
     })
 }
 
@@ -180,7 +180,7 @@ pub fn accept_server(
     use ProtocolKind::*;
     Ok(match kind {
         Pilaf | Farm | Rfp | Herd => crate::read_based::accept(kind, ep, cfg)?,
-        wire => crate::pipeline::accept_wire(wire, ep, ProtocolConfig { ring_slots: 1, ..cfg })?,
+        wire => crate::accept_server_pipelined(wire, ep, ProtocolConfig { ring_slots: 1, ..cfg })?,
     })
 }
 
@@ -335,7 +335,7 @@ impl CtrlRing {
         slot_size: usize,
         timeout_ns: u64,
     ) -> Result<CtrlRing> {
-        assert!(slot_size <= ep.qp_config().max_inline, "control slots must fit inline sends");
+        assert!(slot_size <= hat_rdma_sim::MAX_INLINE, "control slots must fit inline sends");
         assert!(slot_size <= CTRL_MAX, "control slots must fit a CtrlMsg");
         let mr = posted_ring(ep, slots, slot_size)?;
         Ok(CtrlRing { ep: ep.clone(), mr, slot_size, slots, timeout_ns })

@@ -27,11 +27,17 @@
 //! ([`pipeline::PipelinedClient`]): a sliding window of in-flight
 //! requests with doorbell-batched posting and pooled zero-alloc response
 //! delivery, and one server driver ([`pipeline::ReactorServe`], serving
-//! from a blocking thread or a reactor alike). Their blocking form is the
-//! same channel with a window of one, and three of them (window 1 above)
-//! have no other — see the [`pipeline`] module docs. The other four are
-//! one request path plus one reply path each, under one client and one
-//! server — see the [`read_based`] module docs.
+//! from a blocking thread or a reactor alike). [`connect_client_pipelined`]
+//! and [`accept_server_pipelined`] build any of them with a window of
+//! `ring_slots`; their blocking form ([`connect_client`]/[`accept_server`])
+//! is the same channel with a window of one, and three of them (window 1
+//! above) refuse any other — see the [`pipeline`] module docs. The other
+//! four are one request path plus one reply path each, under one client
+//! and one server — see the [`read_based`] module docs.
+//!
+//! A queue pair takes at most [`hat_rdma_sim::RECV_DEPTH`] posted
+//! receives and a window posts one per slot, so that is also the largest
+//! window.
 
 pub mod common;
 pub mod onesided;

@@ -19,9 +19,8 @@
 //! posts its ack before decoding the client hello, so the advert cannot
 //! ride the main handshake round.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
 
 use hat_rdma_sim::stats::NodeStats;
 use hat_rdma_sim::{
@@ -356,13 +355,18 @@ impl OneSidedIndex {
 }
 
 /// Server-side host: owns the index and an acceptor thread that serves
-/// the advert on the `{service}#onesided` side-channel. Accepted
-/// endpoints are parked (kept alive) until shutdown so client READs keep
-/// a live connection underneath them.
+/// the advert on the `{service}#onesided` side-channel. Each dial's
+/// handshake runs on a thread of its own, so a silent dialer delays no
+/// other reader. Accepted endpoints are kept alive until shutdown so
+/// client READs keep a live connection underneath them.
 pub struct OneSidedHost {
     index: Arc<OneSidedIndex>,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    fabric: Fabric,
+    /// The side-channel's service name.
+    side: String,
+    peers: Arc<Mutex<Vec<Endpoint>>>,
+    /// The acceptor; it returns the handshake threads it spawned.
+    thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl std::fmt::Debug for OneSidedHost {
@@ -376,24 +380,28 @@ impl OneSidedHost {
     /// for `service`'s side-channel.
     pub fn start(fabric: &Fabric, node: &Arc<Node>, service: &str) -> Result<OneSidedHost> {
         let index = Arc::new(OneSidedIndex::new(&ProtectionDomain::new(node.clone()))?);
-        let listener = fabric.listen(node, &onesided_service(service), Default::default());
+        let side = onesided_service(service);
+        let listener = fabric.listen(node, &side);
         let advert = index.advert().encode();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
+        let peers: Arc<Mutex<Vec<Endpoint>>> = Arc::default();
+        let accepted = peers.clone();
         let thread = std::thread::spawn(move || {
-            let mut peers: Vec<Endpoint> = Vec::new();
-            while !stop2.load(Ordering::Acquire) {
-                if let Ok(ep) = listener.accept_timeout(Duration::from_millis(20)) {
+            let mut handshakes: Vec<JoinHandle<()>> = Vec::new();
+            while let Ok(ep) = listener.accept() {
+                accepted.lock().push(ep.clone());
+                let (advert, accepted) = (advert.clone(), accepted.clone());
+                handshakes.retain(|h| !h.is_finished());
+                handshakes.push(std::thread::spawn(move || {
                     // A failed handshake only loses this one client; it
                     // falls back to RPC permanently.
-                    if exchange_blobs(&ep, &advert).is_ok() {
-                        peers.push(ep);
+                    if exchange_blobs(&ep, &advert).is_err() {
+                        accepted.lock().retain(|peer| peer.id() != ep.id());
                     }
-                }
+                }));
             }
-            drop(peers);
+            handshakes
         });
-        Ok(OneSidedHost { index, stop, thread: Some(thread) })
+        Ok(OneSidedHost { index, fabric: fabric.clone(), side, peers, thread: Some(thread) })
     }
 
     /// The hosted index (for wiring into the KV write path).
@@ -401,11 +409,17 @@ impl OneSidedHost {
         &self.index
     }
 
-    /// Stop the acceptor and deregister the index regions.
+    /// Stop accepting, close every side-channel connection (ending any
+    /// handshake still waiting on a silent dialer), and deregister the
+    /// index regions.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        self.fabric.unlisten(&self.side);
+        let handshakes = self.thread.take().map(|t| t.join().unwrap_or_default());
+        for ep in self.peers.lock().drain(..) {
+            ep.close();
+        }
+        for h in handshakes.into_iter().flatten() {
+            let _ = h.join();
         }
         self.index.teardown();
     }
@@ -702,6 +716,7 @@ impl OneSidedReader {
 mod tests {
     use super::*;
     use hat_rdma_sim::SimConfig;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn host_and_reader() -> (Fabric, OneSidedHost, OneSidedReader) {
         let fabric = Fabric::new(SimConfig::fast_test());

@@ -275,8 +275,6 @@ fn note_submit(ep: &Endpoint, in_flight: usize) {
 /// same two functions the server absorbs requests and frames responses
 /// with — so each kind is one implementation, not one per side.
 trait Wire: Send + Sized {
-    const KIND: ProtocolKind;
-
     /// Whether the peer derives a message's stripe from `token % window`,
     /// so the client must claim exactly that slot ([`Window::begin`]).
     /// False where token and slot both ride in-band both ways, so nothing
@@ -637,7 +635,6 @@ struct EagerWire {
 }
 
 impl Wire for EagerWire {
-    const KIND: ProtocolKind = ProtocolKind::EagerSendRecv;
     const PINS_TOKEN: bool = false;
     const CHAINS_RESPONSES: bool = true;
     const WRS_PER_MSG: usize = 1;
@@ -708,8 +705,6 @@ struct ChainedWire<const SPLIT: bool> {
 }
 
 impl<const SPLIT: bool> Wire for ChainedWire<SPLIT> {
-    const KIND: ProtocolKind =
-        if SPLIT { ProtocolKind::DirectWriteSend } else { ProtocolKind::ChainedWriteSend };
     const PINS_TOKEN: bool = true;
     const CHAINS_RESPONSES: bool = false;
     const WRS_PER_MSG: usize = if SPLIT { 1 } else { 2 };
@@ -772,7 +767,6 @@ struct ImmWire {
 }
 
 impl Wire for ImmWire {
-    const KIND: ProtocolKind = ProtocolKind::DirectWriteImm;
     const PINS_TOKEN: bool = false;
     const CHAINS_RESPONSES: bool = true;
     const WRS_PER_MSG: usize = 1;
@@ -904,7 +898,6 @@ enum HybridFrame<B> {
 }
 
 impl Wire for HybridWire {
-    const KIND: ProtocolKind = ProtocolKind::HybridEagerRndv;
     const PINS_TOKEN: bool = true;
     const CHAINS_RESPONSES: bool = false;
     const WRS_PER_MSG: usize = 1;
@@ -999,7 +992,7 @@ impl Wire for HybridWire {
 ///
 /// `stage` waits for the CTS or the FIN and `absorb` for the FIN or the
 /// READ, which is sound only with one message in flight each way: the
-/// window is one (`setup` refuses more).
+/// window is one (the constructors refuse more).
 struct RndvWire<const READ: bool> {
     ctrl: CtrlRing,
     /// Write-RNDV: where the peer's WRITE lands. Read-RNDV: the stage the
@@ -1040,20 +1033,12 @@ fn parse_ctrl(msg: &[u8], want: u8) -> Result<(usize, Token, Option<RemoteBuf>)>
 }
 
 impl<const READ: bool> Wire for RndvWire<READ> {
-    const KIND: ProtocolKind = if READ { ProtocolKind::ReadRndv } else { ProtocolKind::WriteRndv };
     const PINS_TOKEN: bool = false;
     const CHAINS_RESPONSES: bool = false;
     const WRS_PER_MSG: usize = 2;
 
     fn setup(link: &Link) -> Result<RndvWire<READ>> {
         let Link { ep, cfg } = link;
-        if cfg.ring_slots != 1 {
-            return Err(RdmaError::InvalidWorkRequest(format!(
-                "{} waits on its peer mid-message: its window is one, not {}",
-                Self::KIND,
-                cfg.ring_slots
-            )));
-        }
         // Two control slots: a FIN and the RTS right behind it can both
         // arrive before the first is recycled.
         let ctrl = CtrlRing::new(ep, 2, CTRL_MAX, cfg.op_timeout_ns)?;
@@ -1128,48 +1113,32 @@ pub const PIPELINED_KINDS: [ProtocolKind; 4] = [
     ProtocolKind::HybridEagerRndv,
 ];
 
-fn not_pipelined(kind: ProtocolKind) -> RdmaError {
-    RdmaError::InvalidWorkRequest(format!("{kind} has no pipelined implementation"))
+/// Refuse a window a kind cannot keep: outside [`PIPELINED_KINDS`] a wire
+/// has one message in flight each way.
+fn check_window(kind: ProtocolKind, window: usize) -> Result<()> {
+    if window > 1 && !PIPELINED_KINDS.contains(&kind) {
+        return Err(RdmaError::InvalidWorkRequest(format!(
+            "{kind} keeps one message in flight: its window is one, not {window}"
+        )));
+    }
+    Ok(())
 }
 
-/// Construct the pipelined client side of `kind` over a connected
-/// endpoint. The window is `cfg.ring_slots` ([`crate::connect_client`]
-/// builds the same channel with a window of one). Errors for protocols
-/// outside [`PIPELINED_KINDS`].
+fn no_wire(kind: ProtocolKind) -> RdmaError {
+    RdmaError::InvalidWorkRequest(format!("{kind} has no wire"))
+}
+
+/// Construct the client side of `kind`'s wire over a connected endpoint,
+/// with a window of `cfg.ring_slots` ([`crate::connect_client`] builds
+/// the same channel with a window of one). Errors for a kind without a
+/// wire, and for a window above one outside [`PIPELINED_KINDS`].
 pub fn connect_client_pipelined(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn PipelinedClient>> {
-    if !PIPELINED_KINDS.contains(&kind) {
-        return Err(not_pipelined(kind));
-    }
-    connect_wire(kind, ep, cfg)
-}
-
-/// Construct the server peer of a pipelined channel of `kind`: one value
-/// that serves from a blocking thread ([`RpcServer::serve_loop`]) or from
-/// a reactor ([`ReactorServe::drain`]) — pipelining is a client-side
-/// property; the server just echoes each request's token.
-pub fn accept_server_pipelined(
-    kind: ProtocolKind,
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-) -> Result<Box<dyn ReactorServe>> {
-    if !PIPELINED_KINDS.contains(&kind) {
-        return Err(not_pipelined(kind));
-    }
-    accept_wire(kind, ep, cfg)
-}
-
-/// The client side of `kind`'s wire, with a window of `cfg.ring_slots` —
-/// for the window-one-only wires too. Errors for a kind without a wire.
-pub(crate) fn connect_wire(
-    kind: ProtocolKind,
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-) -> Result<Box<dyn PipelinedClient>> {
     use ProtocolKind::*;
+    check_window(kind, cfg.ring_slots)?;
     Ok(match kind {
         EagerSendRecv => Box::new(Pipelined::<EagerWire>::connect(ep, cfg)?),
         DirectWriteSend => Box::new(Pipelined::<ChainedWire<true>>::connect(ep, cfg)?),
@@ -1178,17 +1147,21 @@ pub(crate) fn connect_wire(
         ReadRndv => Box::new(Pipelined::<RndvWire<true>>::connect(ep, cfg)?),
         DirectWriteImm => Box::new(Pipelined::<ImmWire>::connect(ep, cfg)?),
         HybridEagerRndv => Box::new(Pipelined::<HybridWire>::connect(ep, cfg)?),
-        other => return Err(not_pipelined(other)),
+        other => return Err(no_wire(other)),
     })
 }
 
-/// The server side of `kind`'s wire: [`connect_wire`]'s peer.
-pub(crate) fn accept_wire(
+/// Construct the server peer of [`connect_client_pipelined`]: one value
+/// that serves from a blocking thread ([`RpcServer::serve_loop`]) or from
+/// a reactor ([`ReactorServe::drain`]) — pipelining is a client-side
+/// property; the server just echoes each request's token.
+pub fn accept_server_pipelined(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn ReactorServe>> {
     use ProtocolKind::*;
+    check_window(kind, cfg.ring_slots)?;
     Ok(match kind {
         EagerSendRecv => Box::new(PipelinedServer::<EagerWire>::accept(ep, cfg)?),
         DirectWriteSend => Box::new(PipelinedServer::<ChainedWire<true>>::accept(ep, cfg)?),
@@ -1197,7 +1170,7 @@ pub(crate) fn accept_wire(
         ReadRndv => Box::new(PipelinedServer::<RndvWire<true>>::accept(ep, cfg)?),
         DirectWriteImm => Box::new(PipelinedServer::<ImmWire>::accept(ep, cfg)?),
         HybridEagerRndv => Box::new(PipelinedServer::<HybridWire>::accept(ep, cfg)?),
-        other => return Err(not_pipelined(other)),
+        other => return Err(no_wire(other)),
     })
 }
 
@@ -1522,29 +1495,36 @@ mod tests {
         assert_eq!(client.wait(tokens[1]).unwrap().as_slice(), b"owt");
     }
 
-    /// Kinds without a wire, and the window-one-only wires, have no
-    /// pipelined form; a rendezvous wire refuses a window above one even
-    /// when asked for it directly.
+    /// A kind without a wire has no pipelined form, and a window-one-only
+    /// wire refuses a window above one — but is built with a window of one.
     #[test]
-    fn unsupported_kinds_are_rejected() {
+    fn unsupported_kinds_and_windows_are_rejected() {
         use ProtocolKind::*;
         let fabric = Fabric::new(SimConfig::fast_test());
         let a = fabric.add_node("a");
         let b = fabric.add_node("b");
-        for kind in [Pilaf, DirectWriteSend, WriteRndv, ReadRndv] {
+        let cfg = |ring_slots| ProtocolConfig { ring_slots, ..Default::default() };
+        let refusals = [
+            (Pilaf, 1, "Pilaf has no wire".to_string()),
+            (Herd, 1, "HERD has no wire".to_string()),
+            (DirectWriteSend, 2, "its window is one, not 2".to_string()),
+            (WriteRndv, 2, "its window is one, not 2".to_string()),
+            (ReadRndv, 16, "its window is one, not 16".to_string()),
+        ];
+        for (kind, window, want) in refusals {
             let (ea, eb) = fabric.connect(&a, &b).unwrap();
-            let client = connect_client_pipelined(kind, ea, ProtocolConfig::default());
-            let server = accept_server_pipelined(kind, eb, ProtocolConfig::default());
+            let client = connect_client_pipelined(kind, ea, cfg(window));
+            let server = accept_server_pipelined(kind, eb, cfg(window));
             for err in [client.err(), server.err()] {
-                let err = err.unwrap_or_else(|| panic!("{kind} must not be pipelined"));
-                assert!(err.to_string().contains("no pipelined implementation"), "{kind}: {err}");
+                let err = err.unwrap_or_else(|| panic!("{kind} at window {window} is refused"));
+                assert!(err.to_string().contains(&want), "{kind}: {err}");
             }
         }
-        for kind in [WriteRndv, ReadRndv] {
-            let (ea, _eb) = fabric.connect(&a, &b).unwrap();
-            let cfg = ProtocolConfig { ring_slots: 2, ..Default::default() };
-            let err = connect_wire(kind, ea, cfg).err().expect("a window of two is refused");
-            assert!(err.to_string().contains("its window is one, not 2"), "{kind}: {err}");
+        for kind in [DirectWriteSend, WriteRndv, ReadRndv] {
+            let mut pair = echo_pipe(kind, cfg(1));
+            assert_eq!(pair.client.call(b"abc").unwrap(), b"cba", "{kind}");
+            drop(pair.client);
+            pair.server.join().unwrap();
         }
     }
 

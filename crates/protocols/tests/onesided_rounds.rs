@@ -11,7 +11,6 @@
 mod support;
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use hat_protocols::onesided::{key_fp, CELL_HDR, NUM_SETS, SLOT_BYTES, VALUE_CAP, WAYS};
 use hat_protocols::{
@@ -158,9 +157,9 @@ fn connect_to(advert: OneSidedAdvert) -> (Result<OneSidedReader, RdmaError>, Cou
     let fabric = Fabric::new(SimConfig::fast_test());
     let server = fabric.add_node("liar");
     let client = fabric.add_node("client");
-    let listener = fabric.listen(&server, &onesided_service("kv"), Default::default());
+    let listener = fabric.listen(&server, &onesided_service("kv"));
     let serving = std::thread::spawn(move || {
-        let ep = listener.accept_timeout(Duration::from_secs(5)).expect("reader dials");
+        let ep = listener.accept().expect("reader dials");
         exchange_blobs(&ep, &advert.encode()).expect("advert served");
         ep
     });

@@ -33,7 +33,7 @@ pub enum RdmaError {
     NoSuchService(String),
     /// Node name not present in the fabric.
     NoSuchNode(String),
-    /// Inline data exceeded the QP's `max_inline` limit.
+    /// Inline data exceeded the QP's inline limit ([`crate::MAX_INLINE`]).
     InlineTooLarge { len: usize, max: usize },
     /// The operation timed out (event polling with a deadline).
     Timeout,

@@ -18,7 +18,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::cost::SimConfig;
 use crate::error::{RdmaError, Result};
 use crate::node::Node;
-use crate::qp::{Endpoint, EndpointOptions};
+use crate::qp::Endpoint;
 use crate::stats::FabricStats;
 
 /// Maps node ids to nodes so one-sided operations can resolve their target.
@@ -35,7 +35,6 @@ impl NodeRegistry {
 
 struct ServiceEntry {
     node: Arc<Node>,
-    opts: EndpointOptions,
     tx: Sender<Endpoint>,
 }
 
@@ -162,36 +161,24 @@ impl Fabric {
         Ok(())
     }
 
-    /// Connect two nodes with default options. Returns `(a_side, b_side)`.
-    pub fn connect(&self, a: &Arc<Node>, b: &Arc<Node>) -> Result<(Endpoint, Endpoint)> {
-        self.connect_with(a, b, &EndpointOptions::default(), &EndpointOptions::default())
-    }
-
-    /// Connect two nodes with per-side options (shared CQs, queue depths).
+    /// Connect two nodes. Returns `(a_side, b_side)`, each with its own
+    /// send and receive CQ.
     ///
     /// Charges the connection-establishment cost to the initiating side
     /// `a`, mirroring a client paying the QP handshake.
-    pub fn connect_with(
-        &self,
-        a: &Arc<Node>,
-        b: &Arc<Node>,
-        a_opts: &EndpointOptions,
-        b_opts: &EndpointOptions,
-    ) -> Result<(Endpoint, Endpoint)> {
+    pub fn connect(&self, a: &Arc<Node>, b: &Arc<Node>) -> Result<(Endpoint, Endpoint)> {
         let _charge = a.begin_charge(self.inner.config.cost.connect_ns);
         let ea = Endpoint::new(
             self.inner.next_ep.fetch_add(1, Ordering::Relaxed),
             a.clone(),
             b.clone(),
             self.inner.registry.clone(),
-            a_opts,
         );
         let eb = Endpoint::new(
             self.inner.next_ep.fetch_add(1, Ordering::Relaxed),
             b.clone(),
             a.clone(),
             self.inner.registry.clone(),
-            b_opts,
         );
         Endpoint::wire_peers(&ea, &eb);
         crate::stats::NodeStats::add(&a.stats().connections, 1);
@@ -200,43 +187,33 @@ impl Fabric {
     }
 
     /// Register a named service on `node`: incoming dials produce accepted
-    /// endpoints on the returned [`Listener`]. Server-side endpoints use
-    /// `opts` (e.g. a shared CQ for all connections).
-    pub fn listen(&self, node: &Arc<Node>, service: &str, opts: EndpointOptions) -> Listener {
+    /// endpoints on the returned [`Listener`] until [`Fabric::unlisten`].
+    pub fn listen(&self, node: &Arc<Node>, service: &str) -> Listener {
         let (tx, rx) = unbounded();
         self.inner
             .services
             .lock()
-            .insert(service.to_string(), ServiceEntry { node: node.clone(), opts, tx });
+            .insert(service.to_string(), ServiceEntry { node: node.clone(), tx });
         Listener { rx, service: service.to_string(), fabric: self.clone() }
     }
 
-    /// Dial a named service from `client_node` with default client options.
+    /// Dial a named service from `client_node`.
     pub fn dial(&self, client_node: &Arc<Node>, service: &str) -> Result<Endpoint> {
-        self.dial_with(client_node, service, &EndpointOptions::default())
-    }
-
-    /// Dial a named service with explicit client-side options.
-    pub fn dial_with(
-        &self,
-        client_node: &Arc<Node>,
-        service: &str,
-        opts: &EndpointOptions,
-    ) -> Result<Endpoint> {
-        let (server_node, server_opts, tx) = {
+        let (server_node, tx) = {
             let services = self.inner.services.lock();
             let entry = services
                 .get(service)
                 .ok_or_else(|| RdmaError::NoSuchService(service.to_string()))?;
-            (entry.node.clone(), entry.opts.clone(), entry.tx.clone())
+            (entry.node.clone(), entry.tx.clone())
         };
-        let (client_ep, server_ep) =
-            self.connect_with(client_node, &server_node, opts, &server_opts)?;
+        let (client_ep, server_ep) = self.connect(client_node, &server_node)?;
         tx.send(server_ep).map_err(|_| RdmaError::NoSuchService(service.to_string()))?;
         Ok(client_ep)
     }
 
-    /// Remove a service registration (subsequent dials fail).
+    /// Remove a service registration: subsequent dials fail, and once the
+    /// dials already made are accepted, [`Listener::accept`] returns
+    /// `Disconnected`.
     pub fn unlisten(&self, service: &str) {
         self.inner.services.lock().remove(service);
     }
@@ -270,7 +247,9 @@ impl Fabric {
         Ok(cs)
     }
 
-    /// Remove an IPoIB service registration.
+    /// Remove an IPoIB service registration (ends
+    /// [`IpoibListener::accept`] as [`Fabric::unlisten`] ends
+    /// [`Listener::accept`]).
     pub fn unlisten_ipoib(&self, service: &str) {
         self.inner.ipoib_services.lock().remove(service);
     }
@@ -300,18 +279,10 @@ impl std::fmt::Debug for Listener {
 
 impl Listener {
     /// Block until a client dials in; returns the server-side endpoint.
+    /// Fails with `Disconnected` once the service is unlistened and every
+    /// dial made before that has been accepted.
     pub fn accept(&self) -> Result<Endpoint> {
         self.rx.recv().map_err(|_| RdmaError::Disconnected)
-    }
-
-    /// Accept with a timeout.
-    pub fn accept_timeout(&self, timeout: std::time::Duration) -> Result<Endpoint> {
-        self.rx.recv_timeout(timeout).map_err(|_| RdmaError::Timeout)
-    }
-
-    /// Non-blocking accept.
-    pub fn try_accept(&self) -> Option<Endpoint> {
-        self.rx.try_recv().ok()
     }
 
     /// The service name this listener serves.
@@ -340,17 +311,10 @@ impl std::fmt::Debug for IpoibListener {
 }
 
 impl IpoibListener {
-    /// Block until a client dials in.
+    /// Block until a client dials in; `Disconnected` once the service is
+    /// unlistened and drained, as for [`Listener::accept`].
     pub fn accept(&self) -> Result<crate::ipoib::IpoibStream> {
         self.rx.recv().map_err(|_| RdmaError::Disconnected)
-    }
-
-    /// Accept with a timeout.
-    pub fn accept_timeout(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Result<crate::ipoib::IpoibStream> {
-        self.rx.recv_timeout(timeout).map_err(|_| RdmaError::Timeout)
     }
 
     /// The service name.
@@ -393,7 +357,7 @@ mod tests {
         let f = Fabric::new(SimConfig::fast_test());
         let server = f.add_node("server");
         let client = f.add_node("client");
-        let listener = f.listen(&server, "echo", EndpointOptions::default());
+        let listener = f.listen(&server, "echo");
         let cep = f.dial(&client, "echo").unwrap();
         let sep = listener.accept().unwrap();
         assert_eq!(cep.peer_node().id(), server.id());
@@ -420,20 +384,28 @@ mod tests {
         let server = f.add_node("s");
         let client = f.add_node("c");
         {
-            let _l = f.listen(&server, "svc", EndpointOptions::default());
+            let _l = f.listen(&server, "svc");
             assert!(f.dial(&client, "svc").is_ok());
         }
         assert!(f.dial(&client, "svc").is_err());
     }
 
+    /// An accept loop needs no poll: `unlisten` ends a blocked `accept`,
+    /// after the dials made before it have been accepted.
     #[test]
-    fn accept_timeout_expires() {
+    fn unlisten_ends_a_blocked_accept_after_the_queued_dials() {
         let f = Fabric::new(SimConfig::fast_test());
         let server = f.add_node("s");
-        let l = f.listen(&server, "svc", EndpointOptions::default());
-        let err = l.accept_timeout(std::time::Duration::from_millis(5)).unwrap_err();
-        assert_eq!(err, RdmaError::Timeout);
-        assert!(l.try_accept().is_none());
+        let client = f.add_node("c");
+        let l = f.listen(&server, "svc");
+        let _queued = f.dial(&client, "svc").unwrap();
+        let acceptor = std::thread::spawn(move || {
+            let accepted = std::iter::from_fn(|| l.accept().ok()).count();
+            (accepted, l.accept().unwrap_err())
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        f.unlisten("svc");
+        assert_eq!(acceptor.join().unwrap(), (1, RdmaError::Disconnected));
     }
 
     #[test]

@@ -105,10 +105,10 @@ pub use memory::{MemoryRegion, MrSlice, ProtectionDomain, RemoteBuf};
 pub use node::{Charge, Node};
 pub use numa::{CoreBinding, NumaTopology};
 pub use pool::PoolBuf;
-pub use qp::{Endpoint, QpConfig};
+pub use qp::{Endpoint, RECV_DEPTH};
 pub use stats::{FabricStats, MetricKind, NodeStats, NodeStatsSnapshot, FIELD_COUNT, FIELD_KINDS};
 pub use time::now_ns;
-pub use wr::{Opcode, RecvWr, SendWr};
+pub use wr::{Opcode, RecvWr, SendWr, MAX_INLINE};
 
 // The sim layer emits `hat-trace` events (WR post → doorbell → NIC →
 // wire → delivery → completion → wakeup) when tracing is enabled;

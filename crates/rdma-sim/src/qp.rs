@@ -28,23 +28,13 @@ use crate::node::{EffectKind, Node};
 use crate::pool::PoolBuf;
 use crate::stats::NodeStats;
 use crate::time::now_ns;
-use crate::wr::{Opcode, RecvWr, SendOp, SendPayload, SendWr, INLINE_CAP};
+use crate::wr::{Opcode, RecvWr, SendOp, SendPayload, SendWr, MAX_INLINE};
 
-/// Static queue-pair parameters, mirroring `ibv_qp_init_attr` fields the
-/// protocols care about.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QpConfig {
-    /// Maximum bytes of inline data per work request.
-    pub max_inline: usize,
-    /// Receive queue depth; `post_recv` past this fails with `QueueFull`.
-    pub recv_depth: usize,
-}
-
-impl Default for QpConfig {
-    fn default() -> Self {
-        QpConfig { max_inline: 220, recv_depth: 512 }
-    }
-}
+/// Receive queue depth of every queue pair (`ibv_qp_init_attr`'s
+/// `max_recv_wr`): a `post_recv` past it fails with `QueueFull`. A
+/// pipelined window posts one receive per slot, so this also bounds the
+/// window.
+pub const RECV_DEPTH: usize = 512;
 
 /// Wire-size of the request header of an RDMA READ (the initiator sends
 /// only a descriptor; the payload flows back).
@@ -64,7 +54,6 @@ pub(crate) struct EndpointInner {
     /// by a later one.
     rnr_backlog: Mutex<VecDeque<ArrivedMsg>>,
     registry: Arc<NodeRegistry>,
-    config: QpConfig,
     alive: AtomicBool,
     /// True once the QP has been flushed into the error state by fault
     /// injection; every later verb fails with [`RdmaError::QpError`].
@@ -186,28 +175,15 @@ impl std::fmt::Debug for Endpoint {
     }
 }
 
-/// Per-side CQ/QP options used by [`crate::Fabric::connect_with`] and
-/// service listeners; `None` CQs get private queues.
-#[derive(Debug, Clone, Default)]
-pub struct EndpointOptions {
-    /// Queue-pair parameters.
-    pub qp: QpConfig,
-    /// Shared send CQ (private if `None`).
-    pub send_cq: Option<CompletionQueue>,
-    /// Shared receive CQ (private if `None`).
-    pub recv_cq: Option<CompletionQueue>,
-}
-
 impl Endpoint {
     pub(crate) fn new(
         id: u64,
         node: Arc<Node>,
         peer_node: Arc<Node>,
         registry: Arc<NodeRegistry>,
-        opts: &EndpointOptions,
     ) -> Endpoint {
-        let send_cq = opts.send_cq.clone().unwrap_or_else(|| CompletionQueue::new(&node));
-        let recv_cq = opts.recv_cq.clone().unwrap_or_else(|| CompletionQueue::new(&node));
+        let send_cq = CompletionQueue::new(&node);
+        let recv_cq = CompletionQueue::new(&node);
         let pd = ProtectionDomain::new(node.clone());
         Endpoint {
             inner: Arc::new(EndpointInner {
@@ -220,7 +196,6 @@ impl Endpoint {
                 recv_queue: Mutex::new(VecDeque::new()),
                 rnr_backlog: Mutex::new(VecDeque::new()),
                 registry,
-                config: opts.qp.clone(),
                 alive: AtomicBool::new(true),
                 error: AtomicBool::new(false),
             }),
@@ -233,7 +208,7 @@ impl Endpoint {
         *b.inner.peer.lock() = Arc::downgrade(&a.inner);
     }
 
-    /// Endpoint id (appears as `qp_id` in completions from shared CQs).
+    /// Endpoint id (appears as `qp_id` in completions).
     pub fn id(&self) -> u64 {
         self.inner.id
     }
@@ -261,11 +236,6 @@ impl Endpoint {
     /// Receive-side completion queue.
     pub fn recv_cq(&self) -> &CompletionQueue {
         &self.inner.recv_cq
-    }
-
-    /// Queue-pair configuration.
-    pub fn qp_config(&self) -> &QpConfig {
-        &self.inner.config
     }
 
     /// Mark the connection dead; the peer's subsequent posts fail with
@@ -316,7 +286,7 @@ impl Endpoint {
         let node = &self.inner.node;
         {
             let mut q = self.inner.recv_queue.lock();
-            if q.len() >= self.inner.config.recv_depth {
+            if q.len() >= RECV_DEPTH {
                 return Err(RdmaError::QueueFull("receive"));
             }
             q.push_back(wr);
@@ -366,14 +336,13 @@ impl Endpoint {
         // collecting resolved views into a Vec: resolution is a couple of
         // registry lookups, and the hot pipelined path must not allocate
         // per post.
-        let max_inline = self.inner.config.max_inline.min(INLINE_CAP);
         let mut cpu_ns = cost.doorbell_ns + cost.post_wr_ns * chain.len() as u64;
         let mut memcpys = 0u64;
         for wr in chain {
             let r = self.resolve(wr)?;
             if let Some(inline_len) = r.inline_len {
-                if inline_len > max_inline {
-                    return Err(RdmaError::InlineTooLarge { len: inline_len, max: max_inline });
+                if inline_len > MAX_INLINE {
+                    return Err(RdmaError::InlineTooLarge { len: inline_len, max: MAX_INLINE });
                 }
                 cpu_ns += cost.memcpy_ns(inline_len);
                 memcpys += 1;
@@ -1016,19 +985,13 @@ mod tests {
 
     #[test]
     fn recv_queue_depth_is_enforced() {
-        let f = Fabric::new(SimConfig::fast_test());
-        let a = f.add_node("a");
-        let b = f.add_node("b");
-        let opts = EndpointOptions {
-            qp: QpConfig { recv_depth: 2, ..QpConfig::default() },
-            ..Default::default()
-        };
-        let (ea, _eb) = f.connect_with(&a, &b, &opts, &opts).unwrap();
-        let mr = ea.pd().register(64).unwrap();
-        ea.post_recv(RecvWr::new(1, mr.clone(), 0, 8)).unwrap();
-        ea.post_recv(RecvWr::new(2, mr.clone(), 8, 8)).unwrap();
+        let (_f, ea, _eb) = pair();
+        let mr = ea.pd().register(8).unwrap();
+        for i in 0..RECV_DEPTH {
+            ea.post_recv(RecvWr::new(i as u64, mr.clone(), 0, 8)).unwrap();
+        }
         assert_eq!(
-            ea.post_recv(RecvWr::new(3, mr, 16, 8)).unwrap_err(),
+            ea.post_recv(RecvWr::new(RECV_DEPTH as u64, mr, 0, 8)).unwrap_err(),
             RdmaError::QueueFull("receive")
         );
     }

@@ -70,7 +70,7 @@ macro_rules! node_counters {
         impl NodeStatsSnapshot {
             /// Every counter as a `(name, value)` pair, in declaration
             /// order. The single source of truth for exhaustive
-            /// expositions (`repro stats --json`, `repro metrics`, trace
+            /// expositions (`repro metrics`, `repro top`, trace
             /// summaries): the macro derives this from the same list as
             /// the struct itself, so reports cannot silently miss a
             /// counter.
@@ -324,7 +324,7 @@ mod tests {
         assert_eq!(fields.iter().find(|(n, _)| *n == "wrs_posted").unwrap().1, 2);
         assert_eq!(fields.iter().find(|(n, _)| *n == "inflight_hwm").unwrap().1, 9);
         // The 2PC trio must be exposed (and as counters, not gauges) so
-        // `repro stats` and the Prometheus exporter surface txn outcomes.
+        // the Prometheus exporter and `repro top` surface txn outcomes.
         for txn_field in ["kv_txn_commits", "kv_txn_aborts", "kv_txn_recovered"] {
             assert!(names.contains(&txn_field), "{txn_field} missing from fields()");
             let kind = FIELD_KINDS.iter().find(|(n, _)| *n == txn_field).unwrap().1;
@@ -334,7 +334,7 @@ mod tests {
 
     /// Drift guard: every field the `NodeStats` struct actually carries
     /// (as printed by its derived `Debug`) appears in `fields()` — and
-    /// therefore in `repro stats --json` and the Prometheus exporter.
+    /// therefore in the Prometheus exporter and the timeline JSON.
     /// The macro makes drift structurally impossible; this test keeps it
     /// that way if someone ever adds a field outside the macro.
     #[test]

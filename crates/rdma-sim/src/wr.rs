@@ -26,32 +26,33 @@ pub enum Opcode {
     FetchAdd,
 }
 
-/// Hard capacity of a work-queue entry's inline segment. Effective inline
-/// limits ([`crate::qp::QpConfig::max_inline`]) are clamped to this; real
-/// NICs have the same shape (inline data lives inside the fixed-size WQE).
-pub const INLINE_CAP: usize = 256;
+/// Inline data limit of every queue pair (`ibv_qp_init_attr`'s
+/// `max_inline_data`), and the capacity of a work request's inline
+/// segment: real NICs have the same shape (inline data lives inside the
+/// fixed-size WQE).
+pub const MAX_INLINE: usize = 220;
 
 /// Inline payload bytes stored directly inside the work request — no heap
 /// allocation, mirroring how real WQEs embed inline data. Oversized
 /// payloads record their true length (and are rejected at post time with
 /// [`crate::RdmaError::InlineTooLarge`]) but only retain the first
-/// [`INLINE_CAP`] bytes.
+/// [`MAX_INLINE`] bytes.
 #[derive(Clone, Copy)]
 pub struct InlineData {
     len: u32,
-    bytes: [u8; INLINE_CAP],
+    bytes: [u8; MAX_INLINE],
 }
 
 impl InlineData {
     /// Capture `data` into an inline segment.
     pub fn new(data: &[u8]) -> InlineData {
-        let mut bytes = [0u8; INLINE_CAP];
-        let kept = data.len().min(INLINE_CAP);
+        let mut bytes = [0u8; MAX_INLINE];
+        let kept = data.len().min(MAX_INLINE);
         bytes[..kept].copy_from_slice(&data[..kept]);
         InlineData { len: data.len() as u32, bytes }
     }
 
-    /// The payload length the caller asked for (may exceed [`INLINE_CAP`],
+    /// The payload length the caller asked for (may exceed [`MAX_INLINE`],
     /// in which case posting fails).
     pub fn len(&self) -> usize {
         self.len as usize
@@ -64,7 +65,7 @@ impl InlineData {
 
     /// The retained bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.bytes[..(self.len as usize).min(INLINE_CAP)]
+        &self.bytes[..(self.len as usize).min(MAX_INLINE)]
     }
 }
 
@@ -123,7 +124,7 @@ pub enum SendPayload {
     /// Zero-copy from a registered region.
     Mr(MrSlice),
     /// Inline data copied into the WQE at post time (small payloads only;
-    /// bounded by [`crate::qp::QpConfig::max_inline`]). Saves the lkey
+    /// bounded by [`MAX_INLINE`]). Saves the lkey
     /// lookup/DMA at the cost of a host memcpy.
     Inline(InlineData),
     /// Bytes staged once by the caller in a pooled buffer that the post
@@ -365,10 +366,10 @@ mod tests {
 
     #[test]
     fn oversized_inline_keeps_true_length() {
-        let big = vec![7u8; INLINE_CAP + 100];
+        let big = vec![7u8; MAX_INLINE + 100];
         let d = InlineData::new(&big);
-        assert_eq!(d.len(), INLINE_CAP + 100);
-        assert_eq!(d.as_slice().len(), INLINE_CAP);
+        assert_eq!(d.len(), MAX_INLINE + 100);
+        assert_eq!(d.as_slice().len(), MAX_INLINE);
         assert!(d.as_slice().iter().all(|&b| b == 7));
     }
 }

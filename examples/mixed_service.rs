@@ -24,7 +24,7 @@ const IDL: &str = r#"
         // Chunk writes: large and bandwidth-bound.
         void write_chunk(1: binary chunk) [ hint: perf_goal = throughput, payload_size = 256K; ]
         // Heartbeats: unimportant — keep them off the RDMA channels.
-        void heartbeat() [ hint: priority = low, transport = tcp; ]
+        void heartbeat() [ hint: transport = tcp; ]
     }
 "#;
 

@@ -1,0 +1,118 @@
+//! Connection setup: a dialer that never sends its handshake delays no
+//! other connection and no shutdown, and a window is bounded by the queue
+//! pair's receive depth rather than by a second hand-kept number.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use hatrpc::core::engine::{CallPolicy, HatClient, HatServer, ServerPolicy};
+use hatrpc::core::service::ServiceSchema;
+use hatrpc::protocols::{onesided_service, OneSidedHost, OneSidedReader};
+use hatrpc::rdma::{Endpoint, Fabric, Node, SimConfig, RECV_DEPTH};
+
+/// What a silent dialer may cost anyone else.
+const BOUND: Duration = Duration::from_secs(2);
+
+const IDL: &str = r#"
+    service Setup {
+        binary plain(1: binary p) [ hint: perf_goal = latency, payload_size = 512; ]
+        binary just_past(1: binary p) [ hint: perf_goal = latency, payload_size = 512, queue_depth = 513; ]
+        binary deepest(1: binary p) [ hint: perf_goal = latency, payload_size = 512, queue_depth = 1024; ]
+    }
+"#;
+
+fn schema() -> ServiceSchema {
+    ServiceSchema::parse(IDL, "Setup").unwrap()
+}
+
+fn serve(fabric: &Fabric, policy: ServerPolicy) -> (Arc<Node>, HatServer) {
+    let snode = fabric.add_node("server");
+    let echo = Arc::new(|| Box::new(|req: &[u8]| req.to_vec()) as Box<_>);
+    let server = HatServer::serve(fabric, &snode, "setup", schema(), policy, echo);
+    (snode, server)
+}
+
+/// A client on its own node whose every wait is bounded by [`BOUND`].
+fn bounded_client(fabric: &Fabric, name: &str) -> HatClient {
+    let cnode = fabric.add_node(name);
+    HatClient::new(fabric, &cnode, "setup", &schema())
+        .with_policy(CallPolicy { deadline: BOUND, ..CallPolicy::default() })
+}
+
+/// A dial left open and silent: it never sends a preamble. Returns once
+/// the server has posted the receive its handshake waits on, so whatever
+/// the test does next meets a server already waiting on this dialer.
+fn silent_dial(fabric: &Fabric, server: &Node, service: &str) -> Endpoint {
+    let posted = server.stats_snapshot().recvs_posted;
+    let node = fabric.add_node("silent");
+    let ep = fabric.dial(&node, service).unwrap();
+    let start = Instant::now();
+    while server.stats_snapshot().recvs_posted == posted {
+        assert!(start.elapsed() < BOUND, "the server never began the silent handshake");
+        std::thread::yield_now();
+    }
+    ep
+}
+
+#[test]
+fn a_silent_dialer_does_not_stall_another_clients_first_call() {
+    let fabric = Fabric::new(SimConfig::fast_test());
+    let (snode, server) = serve(&fabric, ServerPolicy::Threaded);
+    let _silent = silent_dial(&fabric, &snode, "setup");
+    let mut client = bounded_client(&fabric, "client");
+    let start = Instant::now();
+    assert_eq!(client.call("plain", b"ping").unwrap(), b"ping");
+    assert!(start.elapsed() < BOUND, "first call took {:?}", start.elapsed());
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_silent_dialer_does_not_stall_shutdown() {
+    for policy in [ServerPolicy::Threaded, ServerPolicy::ThreadPool(2), ServerPolicy::Reactor] {
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let (snode, server) = serve(&fabric, policy);
+        let _silent = silent_dial(&fabric, &snode, "setup");
+        let start = Instant::now();
+        server.shutdown();
+        assert!(start.elapsed() < BOUND, "{policy:?}: shutdown took {:?}", start.elapsed());
+    }
+}
+
+#[test]
+fn a_silent_side_channel_dialer_does_not_stall_a_onesided_reader() {
+    let fabric = Fabric::new(SimConfig::fast_test());
+    let snode = fabric.add_node("server");
+    let host = OneSidedHost::start(&fabric, &snode, "kv").unwrap();
+    host.index().apply_put(b"k", b"v");
+    let _silent = silent_dial(&fabric, &snode, &onesided_service("kv"));
+    let cnode = fabric.add_node("reader");
+    let start = Instant::now();
+    let mut reader = OneSidedReader::connect(&fabric, &cnode, "kv").unwrap();
+    assert_eq!(reader.get(b"k").unwrap(), Ok(b"v".to_vec()));
+    assert!(start.elapsed() < BOUND, "first one-sided GET took {:?}", start.elapsed());
+    let start = Instant::now();
+    host.shutdown();
+    assert!(start.elapsed() < BOUND, "host shutdown took {:?}", start.elapsed());
+}
+
+/// A `queue_depth` hint past the receive depth is clamped to it: the
+/// channel opens with a window of [`RECV_DEPTH`] and serves single calls
+/// and windows alike, on a thread or on the reactor.
+#[test]
+fn queue_depth_hints_past_the_receive_depth_serve_call_and_call_many() {
+    for policy in [ServerPolicy::Threaded, ServerPolicy::Reactor] {
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let (_snode, server) = serve(&fabric, policy);
+        let mut client = bounded_client(&fabric, "client");
+        for func in ["just_past", "deepest"] {
+            assert_eq!(client.call(func, b"one").unwrap(), b"one", "{policy:?} {func}");
+            let requests: Vec<Vec<u8>> =
+                (0..RECV_DEPTH + 40).map(|i| (i as u32).to_le_bytes().to_vec()).collect();
+            let responses = client.call_many(func, &requests).unwrap();
+            assert_eq!(responses, requests, "{policy:?} {func}");
+        }
+        drop(client);
+        server.shutdown();
+    }
+}
