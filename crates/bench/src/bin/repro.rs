@@ -3,8 +3,7 @@
 //! ```text
 //! repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]
 //! repro trace [--out FILE]    # capture a traced micro run (Chrome trace JSON)
-//! repro metrics [--out FILE] [--json-out FILE] [--check]
-//!                            # sampled micro run -> Prometheus exposition
+//! repro metrics [--out FILE]  # sampled micro run -> timeline JSON
 //! repro top [--frames N] [--interval-ms N]
 //!                            # live terminal telemetry dashboard
 //! ```
@@ -19,7 +18,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let tsv = args.iter().any(|a| a == "--tsv");
-    let check = args.iter().any(|a| a == "--check");
     fn take_flag_value(name: &str, args: &mut Vec<String>) -> Option<String> {
         match args.iter().position(|a| a == name) {
             Some(i) if i + 1 < args.len() => {
@@ -35,7 +33,6 @@ fn main() {
         }
     }
     let out_flag = take_flag_value("--out", &mut args);
-    let json_out = take_flag_value("--json-out", &mut args);
     let frames: usize = take_flag_value("--frames", &mut args)
         .map_or(3, |v| v.parse().expect("--frames wants an integer"));
     let interval_ms: u64 = take_flag_value("--interval-ms", &mut args)
@@ -96,27 +93,16 @@ fn main() {
             }
             "metrics" => {
                 let metrics_out =
-                    out_flag.clone().unwrap_or_else(|| "METRICS_micro.prom".to_string());
+                    out_flag.clone().unwrap_or_else(|| "METRICS_micro.json".to_string());
                 let m = hat_bench::capture_micro_metrics();
-                std::fs::write(&metrics_out, &m.prometheus).unwrap_or_else(|e| {
+                std::fs::write(&metrics_out, &m.timeline).unwrap_or_else(|e| {
                     eprintln!("repro: cannot write {metrics_out}: {e}");
                     std::process::exit(1);
                 });
-                eprintln!("repro: wrote {metrics_out} ({} ticks, {} ops sampled)", m.ticks, m.ops);
-                if let Some(path) = &json_out {
-                    std::fs::write(path, &m.timeline).unwrap_or_else(|e| {
-                        eprintln!("repro: cannot write {path}: {e}");
-                        std::process::exit(1);
-                    });
-                    eprintln!("repro: wrote {path} (hat-metrics-timeline-v1)");
-                }
-                if check {
-                    if let Err(e) = hat_metrics::export::validate_exposition(&m.prometheus) {
-                        eprintln!("repro: exposition check FAILED: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("repro: exposition check passed");
-                }
+                eprintln!(
+                    "repro: wrote {metrics_out} (hat-metrics-timeline-v1, {} ticks, {} ops sampled)",
+                    m.ticks, m.ops
+                );
             }
             "top" => {
                 let interval = std::time::Duration::from_millis(interval_ms);
@@ -141,7 +127,7 @@ fn main() {
             other => {
                 eprintln!("repro: unknown target '{other}'");
                 eprintln!(
-                    "usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]\n       repro trace [--out FILE]\n       repro metrics [--out FILE] [--json-out FILE] [--check]\n       repro top [--frames N] [--interval-ms N]"
+                    "usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]\n       repro trace [--out FILE]\n       repro metrics [--out FILE]\n       repro top [--frames N] [--interval-ms N]"
                 );
                 std::process::exit(2);
             }

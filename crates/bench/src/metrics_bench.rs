@@ -1,7 +1,7 @@
 //! Metrics capture harness: run a live micro workload with a hat-metrics
-//! sampler attached to its fabric, and export the Prometheus exposition,
-//! the timeline JSON, and `repro top` frames. Backs `repro metrics` /
-//! `repro top` and the metrics-schema integration test.
+//! sampler attached to its fabric, and export the timeline JSON and
+//! `repro top` frames. Backs `repro metrics` / `repro top` and the
+//! metrics-schema integration test.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -12,19 +12,10 @@ use hat_rdma_sim::{Fabric, SimConfig};
 use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
 
-/// The same two-function micro service the trace capture drives: a
-/// latency-hinted echo and a depth-8 pipelined function.
-const METRICS_IDL: &str = r#"
-    service Micro {
-        binary echo(1: binary p) [ hint: perf_goal = latency, payload_size = 512; ]
-        binary piped(1: binary p) [ hint: perf_goal = latency, payload_size = 512, queue_depth = 8; ]
-    }
-"#;
+use crate::trace_bench::MICRO_IDL;
 
 /// Result of a sampled micro run.
 pub struct MicroMetrics {
-    /// Prometheus text exposition of the final sampler state.
-    pub prometheus: String,
     /// `hat-metrics-timeline-v1` JSON (the `METRICS_*.json` shape).
     pub timeline: String,
     /// One rendered `repro top` frame of the final state.
@@ -32,7 +23,7 @@ pub struct MicroMetrics {
     /// Sampling ticks the run took.
     pub ticks: u64,
     /// Ops the load loop completed (for reconciling against the
-    /// exposition's `calls_ok` totals).
+    /// timeline's `calls_ok` totals).
     pub ops: u64,
 }
 
@@ -50,7 +41,7 @@ fn start_live(cfg: SamplerConfig) -> LiveMicro {
     hat_trace::hist::reset();
     let fabric = Fabric::new(SimConfig::fast_test());
     let snode = fabric.add_node("server");
-    let schema = ServiceSchema::parse(METRICS_IDL, "Micro").expect("micro IDL parses");
+    let schema = ServiceSchema::parse(MICRO_IDL, "Micro").expect("micro IDL parses");
     let server = HatServer::serve(
         &fabric,
         &snode,
@@ -124,7 +115,6 @@ pub fn capture_micro_metrics() -> MicroMetrics {
     // bumped on their way out.
     sampler.stop();
     MicroMetrics {
-        prometheus: sampler.prometheus_text(),
         timeline: sampler.timeline_json(),
         top: sampler.render_top(),
         ticks: sampler.ticks(),

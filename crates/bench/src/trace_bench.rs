@@ -9,10 +9,11 @@ use hat_rdma_sim::{Fabric, SimConfig};
 use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
 
-/// Two-function micro service: a plain latency-hinted echo (eager
-/// protocol, one span per call) and a `queue_depth = 8` pipelined
-/// function (one flush per window, spans interleaved in flight).
-const TRACE_IDL: &str = r#"
+/// Two-function micro service that `repro trace` and `repro metrics`
+/// both drive: a plain latency-hinted echo (eager protocol, one span per
+/// call) and a `queue_depth = 8` pipelined function (one flush per
+/// window, spans interleaved in flight).
+pub(crate) const MICRO_IDL: &str = r#"
     service Micro {
         binary echo(1: binary p) [ hint: perf_goal = latency, payload_size = 512; ]
         binary piped(1: binary p) [ hint: perf_goal = latency, payload_size = 512, queue_depth = 8; ]
@@ -42,7 +43,7 @@ pub fn capture_micro_trace() -> MicroTrace {
     let fabric = Fabric::new(SimConfig::fast_test());
     let snode = fabric.add_node("server");
     let cnode = fabric.add_node("client");
-    let schema = ServiceSchema::parse(TRACE_IDL, "Micro").expect("micro IDL parses");
+    let schema = ServiceSchema::parse(MICRO_IDL, "Micro").expect("micro IDL parses");
     let server = HatServer::serve(
         &fabric,
         &snode,

@@ -1,8 +1,7 @@
-//! Structural round-trip of `repro metrics`' exports: capture a sampled
-//! micro workload once, parse the timeline JSON back through the
-//! vendored `serde_json`, validate the Prometheus exposition with the
-//! well-formedness checker CI runs, and reconcile the sampled counters
-//! against what the load loop actually did.
+//! Structural round-trip of `repro metrics`' timeline JSON: capture a
+//! sampled micro workload once, parse the timeline back through the
+//! vendored `serde_json`, and reconcile the sampled counters against what
+//! the load loop actually did.
 
 use std::sync::OnceLock;
 
@@ -101,14 +100,12 @@ fn timeline_json_round_trips_with_valid_schema() {
 }
 
 #[test]
-fn exposition_is_well_formed_and_reconciles_with_the_run() {
+fn timeline_reconciles_with_the_run() {
     let m = micro();
-    hat_metrics::export::validate_exposition(&m.prometheus).expect("exposition well-formed");
-
-    // The exposition and the timeline describe the same final state:
-    // the client node's calls_ok total is exactly the ops the load loop
-    // counted (call bumps it by 1, call_many by the batch size).
     let doc: Value = serde_json::from_str(&m.timeline).expect("timeline is valid JSON");
+
+    // The client node's calls_ok total is exactly the ops the load loop
+    // counted (call bumps it by 1, call_many by the batch size).
     let client = doc["nodes"]
         .as_array()
         .unwrap()
@@ -121,25 +118,16 @@ fn exposition_is_well_formed_and_reconciles_with_the_run() {
         "sampled calls_ok reconciles with the load loop's own count"
     );
 
-    // The same total appears as a Prometheus sample line.
-    let line = format!("hatrpc_node_calls_ok_total{{node=\"client\"}} {}", m.ops);
-    assert!(
-        m.prometheus.lines().any(|l| l == line),
-        "exposition carries the final calls_ok sample: wanted {line:?}"
-    );
-
-    // Tick count is exported and matches the capture.
-    assert!(m.prometheus.lines().any(|l| l == format!("hatrpc_sampler_ticks_total {}", m.ticks)));
-
-    // SLO counters surface the engineered breach (the level-triggered
-    // `breached` gauge may have cleared during the idle tail ticks, but
-    // the rising-edge counter keeps the record).
-    let breaches = m
-        .prometheus
-        .lines()
-        .find_map(|l| l.strip_prefix("hatrpc_slo_breach_events_total{fn_scope=\"piped\"} "))
-        .expect("piped breach counter exported");
-    assert!(breaches.parse::<u64>().unwrap() >= 1, "breach edge recorded: {breaches}");
+    // The SLO engine recorded the engineered breach (the level-triggered
+    // `breached` flag may have cleared during the idle tail ticks, but the
+    // rising-edge counter keeps the record).
+    let piped = doc["slos"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .find(|s| s["fn_scope"].as_str() == Some("piped"))
+        .expect("piped SLO exported");
+    assert!(piped["breach_events"].as_u64().unwrap() >= 1, "breach edge recorded: {piped}");
 
     // The dashboard frame renders both tables.
     assert!(m.top.contains("NODE"), "top frame has the node table: {}", m.top);

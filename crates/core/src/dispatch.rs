@@ -52,13 +52,6 @@ impl Router {
         self
     }
 
-    /// Registered method names (sorted).
-    pub fn method_names(&self) -> Vec<&str> {
-        let mut names: Vec<_> = self.methods.keys().map(String::as_str).collect();
-        names.sort();
-        names
-    }
-
     /// Handle one raw request message, producing the raw reply message.
     ///
     /// Never fails outward: decode errors and unknown methods become
@@ -273,11 +266,5 @@ mod tests {
         let reply = router.handle(&req);
         let err = decode_reply(&reply, 1, |_| Ok(())).unwrap_err();
         assert!(matches!(err, CoreError::Application(m) if m.contains("kaput")));
-    }
-
-    #[test]
-    fn router_lists_methods() {
-        let router = Router::new().add("b", |_, _| Ok(())).add("a", |_, _| Ok(()));
-        assert_eq!(router.method_names(), vec!["a", "b"]);
     }
 }

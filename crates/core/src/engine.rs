@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 
 use hat_idl::hints::{ResolvedHints, Side, TransportHint};
 use hat_protocols::{
-    accept_server, accept_server_pipelined, connect_client, connect_client_pipelined,
+    accept_server, accept_server_pipelined, connect_client, connect_client_pipelined, OpenConns,
     PipelinedClient, ProtocolConfig, ProtocolKind, ReactorServe, RpcClient, RpcServer, Token,
     PIPELINED_KINDS,
 };
@@ -1107,8 +1107,9 @@ pub struct HatServer {
     /// Accepted RDMA connections, by stage (see [`Accepted`]).
     conns: Arc<Accepted>,
     /// Accepted IPoIB streams, closed on shutdown so serving threads
-    /// observe the disconnect instead of blocking in `read`.
-    tcp_conns: Arc<Mutex<Vec<Arc<IpoibStream>>>>,
+    /// observe the disconnect instead of blocking in `read`. A stream is
+    /// open while its serving thread still holds it.
+    tcp_conns: Arc<Mutex<OpenConns<Arc<IpoibStream>>>>,
     /// The connection reactor, when running under [`ServerPolicy::Reactor`].
     /// Shut down (draining in-flight state machines) *before* endpoints
     /// close — a response can only post on a live endpoint.
@@ -1139,7 +1140,7 @@ impl HatServer {
     ) -> HatServer {
         let mut threads = Vec::new();
         let conns: Arc<Accepted> = Arc::default();
-        let tcp_conns: Arc<Mutex<Vec<Arc<IpoibStream>>>> = Arc::default();
+        let tcp_conns: Arc<Mutex<OpenConns<Arc<IpoibStream>>>> = Arc::default();
         let reactor = match policy {
             ServerPolicy::Reactor => Some(Reactor::start(node)),
             _ => None,
@@ -1191,7 +1192,7 @@ impl HatServer {
             while let Ok(stream) = listener.accept() {
                 let factory = factory.clone();
                 let mut server = TServerSocket::from_stream(stream);
-                streams.lock().push(server.stream_handle());
+                streams.lock().insert(server.stream_handle(), |s| Arc::strong_count(s) > 1);
                 conn_threads.retain(|t: &JoinHandle<()>| !t.is_finished());
                 conn_threads.push(std::thread::spawn(move || {
                     let mut handler = factory();
@@ -1241,8 +1242,8 @@ struct Stages {
     /// Preamble read, protocol server under construction.
     building: usize,
     /// Registered with the reactor, queued for a pool worker, or served
-    /// by their own thread.
-    live: Vec<Endpoint>,
+    /// by their own thread, until they close.
+    live: OpenConns<Endpoint>,
     /// Set by shutdown: no connection starts building after it.
     closing: bool,
 }
@@ -1268,7 +1269,9 @@ impl Accepted {
     fn end_build(&self, live: Option<Endpoint>) {
         let mut stages = self.stages.lock();
         stages.building -= 1;
-        stages.live.extend(live);
+        if let Some(ep) = live {
+            stages.live.insert(ep, Endpoint::is_alive);
+        }
         self.built.notify_all();
     }
 
@@ -1287,7 +1290,7 @@ impl Accepted {
 
     /// Shutdown, step two: close every live connection.
     fn close_live(&self) {
-        for ep in self.stages.lock().live.drain(..) {
+        for ep in self.stages.lock().live.drain() {
             ep.close();
         }
     }
@@ -1471,7 +1474,7 @@ impl HatServer {
             reactor.shutdown();
         }
         self.conns.close_live();
-        for stream in self.tcp_conns.lock().drain(..) {
+        for stream in self.tcp_conns.lock().drain() {
             stream.close();
         }
         for t in self.threads.drain(..) {

@@ -185,6 +185,11 @@ fn drive(node: &Arc<Node>, incoming: &parking_lot::Mutex<Vec<Registration>>, sto
     let mut dry_since = now_ns();
     let mut napped = false;
     loop {
+        // Read the stop flag before adopting: every connection registered
+        // before shutdown was signalled is then adopted by this pass and
+        // drained with the rest. Read after, a registration landing in
+        // between would be dropped by a drain that finds nothing pending.
+        let stopping = stop.load(Ordering::Acquire);
         // Adopt connections the accept loop negotiated since last pass.
         for (server, handler) in incoming.lock().drain(..) {
             let idx = free.pop().unwrap_or(conns.len());
@@ -217,7 +222,7 @@ fn drive(node: &Arc<Node>, incoming: &parking_lot::Mutex<Vec<Registration>>, sto
         let arrived_at = if napped { node.next_effect_deadline() } else { None };
         node.drain_effects();
 
-        if stop.load(Ordering::Acquire) {
+        if stopping {
             // Drain mode: sweep every live connection (ignoring the ready
             // queue) until all CQs are empty or the grace expires, so
             // accepted-but-unanswered requests get their responses before

@@ -40,11 +40,6 @@ impl ServiceSchema {
         ServiceSchema { name: name.to_string(), ..Default::default() }
     }
 
-    /// Function names in declaration order.
-    pub fn function_names(&self) -> impl Iterator<Item = &str> {
-        self.functions.iter().map(|(n, _)| n.as_str())
-    }
-
     /// The hint block of one function, if declared.
     pub fn function_hints(&self, func: &str) -> Option<&HintBlock> {
         self.functions.iter().find(|(n, _)| n == func).map(|(_, h)| h)
@@ -76,7 +71,6 @@ mod tests {
     fn schema_from_idl_source() {
         let schema = ServiceSchema::parse(IDL, "Store").unwrap();
         assert_eq!(schema.name, "Store");
-        assert_eq!(schema.function_names().collect::<Vec<_>>(), vec!["get", "put", "heartbeat"]);
         assert!(ServiceSchema::parse(IDL, "Missing").is_none());
         assert!(ServiceSchema::parse("not idl {{", "Store").is_none());
     }

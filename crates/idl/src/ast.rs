@@ -32,11 +32,6 @@ impl Document {
     pub fn service(&self, name: &str) -> Option<&Service> {
         self.services.iter().find(|s| s.name == name)
     }
-
-    /// Find a struct by name.
-    pub fn struct_def(&self, name: &str) -> Option<&Struct> {
-        self.structs.iter().find(|s| s.name == name)
-    }
 }
 
 /// `typedef <ty> <name>`.
@@ -218,7 +213,6 @@ mod tests {
     #[test]
     fn document_lookups() {
         let mut doc = Document::default();
-        doc.structs.push(Struct { name: "S".into(), fields: vec![] });
         doc.services.push(Service {
             name: "Svc".into(),
             extends: None,
@@ -232,7 +226,6 @@ mod tests {
                 hints: HintBlock::default(),
             }],
         });
-        assert!(doc.struct_def("S").is_some());
         assert!(doc.service("Svc").unwrap().function("f").is_some());
         assert!(doc.service("Nope").is_none());
     }

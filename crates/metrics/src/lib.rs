@@ -17,13 +17,14 @@
 //! Rings store **cumulative** values, not deltas: any two retained
 //! samples difference into the activity between them, a wrap only loses
 //! the oldest history, and a reader can never double-count. On top of
-//! the rings sit the Prometheus text exporter and timeline-JSON writer
-//! ([`export`]), the terminal dashboard ([`top`]), and the SLO engine
+//! the rings sit the timeline-JSON writer ([`Sampler::timeline_json`], the
+//! one file format), the terminal dashboard ([`top`]), and the SLO engine
 //! (below): per-fn_scope p99 objectives with rolling error-budget burn
-//! rate, surfaced as gauges plus edge-triggered hat-trace
-//! [`SloBreach`](hat_trace::Phase::SloBreach) events.
+//! rate, surfaced in the timeline's `slos` array and the dashboard, plus
+//! edge-triggered hat-trace [`SloBreach`](hat_trace::Phase::SloBreach)
+//! events.
 
-pub mod export;
+mod export;
 pub mod ring;
 pub mod top;
 
@@ -496,11 +497,6 @@ impl Sampler {
                 breach_events: s.breach_events.load(Ordering::Relaxed),
             })
             .collect()
-    }
-
-    /// Prometheus text exposition of the latest sample of every series.
-    pub fn prometheus_text(&self) -> String {
-        export::prometheus_text(self)
     }
 
     /// Timeline JSON (the `METRICS_*.json` artifact format).

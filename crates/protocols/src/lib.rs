@@ -45,8 +45,8 @@ pub mod pipeline;
 pub mod read_based;
 
 pub use common::{
-    accept_server, connect_client, exchange_blobs, exchange_blobs_deadline, ProtocolConfig,
-    ProtocolKind, RpcClient, RpcServer,
+    accept_server, connect_client, exchange_blobs, exchange_blobs_deadline, OpenConns,
+    ProtocolConfig, ProtocolKind, RpcClient, RpcServer,
 };
 pub use onesided::{
     onesided_service, FallbackReason, OneSidedAdvert, OneSidedHost, OneSidedIndex, OneSidedReader,

@@ -29,7 +29,7 @@ use hat_rdma_sim::{
 };
 use parking_lot::Mutex;
 
-use crate::common::{exchange_blobs, POLL_TIMEOUT_NS};
+use crate::common::{exchange_blobs, OpenConns, POLL_TIMEOUT_NS};
 
 /// Associativity: slots per bucket set. One READ fetches a whole set.
 pub const WAYS: usize = 4;
@@ -357,14 +357,15 @@ impl OneSidedIndex {
 /// Server-side host: owns the index and an acceptor thread that serves
 /// the advert on the `{service}#onesided` side-channel. Each dial's
 /// handshake runs on a thread of its own, so a silent dialer delays no
-/// other reader. Accepted endpoints are kept alive until shutdown so
-/// client READs keep a live connection underneath them.
+/// other reader. Accepted endpoints are kept alive until their reader
+/// leaves or the host shuts down, so client READs keep a live connection
+/// underneath them.
 pub struct OneSidedHost {
     index: Arc<OneSidedIndex>,
     fabric: Fabric,
     /// The side-channel's service name.
     side: String,
-    peers: Arc<Mutex<Vec<Endpoint>>>,
+    peers: Arc<Mutex<OpenConns<Endpoint>>>,
     /// The acceptor; it returns the handshake threads it spawned.
     thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
@@ -383,19 +384,19 @@ impl OneSidedHost {
         let side = onesided_service(service);
         let listener = fabric.listen(node, &side);
         let advert = index.advert().encode();
-        let peers: Arc<Mutex<Vec<Endpoint>>> = Arc::default();
+        let peers: Arc<Mutex<OpenConns<Endpoint>>> = Arc::default();
         let accepted = peers.clone();
         let thread = std::thread::spawn(move || {
             let mut handshakes: Vec<JoinHandle<()>> = Vec::new();
             while let Ok(ep) = listener.accept() {
-                accepted.lock().push(ep.clone());
-                let (advert, accepted) = (advert.clone(), accepted.clone());
+                accepted.lock().insert(ep.clone(), Endpoint::is_alive);
+                let advert = advert.clone();
                 handshakes.retain(|h| !h.is_finished());
                 handshakes.push(std::thread::spawn(move || {
                     // A failed handshake only loses this one client; it
                     // falls back to RPC permanently.
                     if exchange_blobs(&ep, &advert).is_err() {
-                        accepted.lock().retain(|peer| peer.id() != ep.id());
+                        ep.close();
                     }
                 }));
             }
@@ -415,7 +416,7 @@ impl OneSidedHost {
     pub fn shutdown(mut self) {
         self.fabric.unlisten(&self.side);
         let handshakes = self.thread.take().map(|t| t.join().unwrap_or_default());
-        for ep in self.peers.lock().drain(..) {
+        for ep in self.peers.lock().drain() {
             ep.close();
         }
         for h in handshakes.into_iter().flatten() {

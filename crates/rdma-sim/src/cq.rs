@@ -156,6 +156,13 @@ impl CqInner {
         guard.0.push(Entry { ready_at, seq, completion });
         drop(guard);
         self.cond.notify_all();
+        self.wake();
+    }
+
+    /// Invoke every registered [`CqNotify`], pruning dead ones: after a
+    /// push, and when the QP under this CQ goes down (a real QP flushes
+    /// its posted receives into the CQ then, so a reactor hears of it).
+    pub(crate) fn wake(&self) {
         let mut wakers = self.wakers.lock();
         if !wakers.is_empty() {
             wakers.retain(|w| match w.upgrade() {

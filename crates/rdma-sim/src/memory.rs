@@ -45,6 +45,20 @@ pub(crate) struct MrInner {
     pub dead: AtomicBool,
 }
 
+impl Drop for MrInner {
+    /// A region whose last handle drops is deregistered. No handle is ever
+    /// dropped under the node's region-table lock (lookups only upgrade
+    /// under it), so taking that lock here cannot deadlock.
+    fn drop(&mut self) {
+        if !*self.dead.get_mut() {
+            if let Some(node) = self.node.upgrade() {
+                node.stats().mem_deregistered(self.buf.get_mut().len() as u64);
+                node.forget_mr(self.rkey);
+            }
+        }
+    }
+}
+
 /// A registered memory region handle (cheaply cloneable).
 #[derive(Clone)]
 pub struct MemoryRegion {
@@ -420,6 +434,13 @@ mod tests {
         let mr = pd.register(4096).unwrap();
         assert_eq!(n.stats().snapshot().registered_bytes, before + 4096);
         mr.deregister();
+        assert_eq!(n.stats().snapshot().registered_bytes, before);
+        // Dropping the last handle deregisters too, once: an explicitly
+        // deregistered region is not counted off twice.
+        let mr = pd.register(4096).unwrap();
+        drop(mr.clone());
+        assert_eq!(n.stats().snapshot().registered_bytes, before + 4096);
+        drop(mr);
         assert_eq!(n.stats().snapshot().registered_bytes, before);
     }
 

@@ -73,7 +73,7 @@ impl Drop for EndpointInner {
         // Dropping the last handle to one side tears down the connection:
         // the peer's polls and posts observe the disconnect.
         if let Some(peer) = self.peer.lock().upgrade() {
-            peer.alive.store(false, Ordering::Release);
+            peer.go_down();
         }
     }
 }
@@ -82,6 +82,13 @@ impl EndpointInner {
     #[allow(dead_code)]
     pub(crate) fn id(&self) -> u64 {
         self.id
+    }
+
+    /// Mark this side disconnected and wake its receive CQ's notifiers, so
+    /// a reactor serving it retires it even with nothing in flight.
+    fn go_down(&self) {
+        self.alive.store(false, Ordering::Release);
+        self.recv_cq.inner.wake();
     }
 
     /// Push a completion to this endpoint's receive CQ.
@@ -243,7 +250,7 @@ impl Endpoint {
     pub fn close(&self) {
         self.inner.alive.store(false, Ordering::Release);
         if let Some(peer) = self.inner.peer.lock().upgrade() {
-            peer.alive.store(false, Ordering::Release);
+            peer.go_down();
         }
     }
 

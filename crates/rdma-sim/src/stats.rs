@@ -14,9 +14,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How an exporter should treat a field: monotonically non-decreasing
-/// event counts vs point-in-time levels / high-water marks. Prometheus
-/// exposition maps these to `counter` and `gauge` types, and time-series
-/// samplers difference counters but report gauges raw.
+/// event counts vs point-in-time levels / high-water marks. The timeline
+/// JSON tags each series `counter` or `gauge`: counters are differenced
+/// into per-interval deltas, gauges are reported raw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotonically non-decreasing; per-interval deltas are meaningful.
@@ -246,11 +246,6 @@ pub struct FabricStats {
 }
 
 impl FabricStats {
-    /// Total bytes transmitted across all nodes.
-    pub fn total_bytes_tx(&self) -> u64 {
-        self.nodes.iter().map(|(_, s)| s.bytes_tx).sum()
-    }
-
     /// Total simulated CPU-busy time across all nodes, ns.
     pub fn total_cpu_busy_ns(&self) -> u64 {
         self.nodes.iter().map(|(_, s)| s.cpu_busy_ns).sum()
@@ -324,7 +319,7 @@ mod tests {
         assert_eq!(fields.iter().find(|(n, _)| *n == "wrs_posted").unwrap().1, 2);
         assert_eq!(fields.iter().find(|(n, _)| *n == "inflight_hwm").unwrap().1, 9);
         // The 2PC trio must be exposed (and as counters, not gauges) so
-        // the Prometheus exporter and `repro top` surface txn outcomes.
+        // the timeline JSON and `repro top` surface txn outcomes.
         for txn_field in ["kv_txn_commits", "kv_txn_aborts", "kv_txn_recovered"] {
             assert!(names.contains(&txn_field), "{txn_field} missing from fields()");
             let kind = FIELD_KINDS.iter().find(|(n, _)| *n == txn_field).unwrap().1;
@@ -334,7 +329,7 @@ mod tests {
 
     /// Drift guard: every field the `NodeStats` struct actually carries
     /// (as printed by its derived `Debug`) appears in `fields()` — and
-    /// therefore in the Prometheus exporter and the timeline JSON.
+    /// therefore in the timeline JSON and `repro top`.
     /// The macro makes drift structurally impossible; this test keeps it
     /// that way if someone ever adds a field outside the macro.
     #[test]
@@ -381,7 +376,6 @@ mod tests {
             "b".into(),
             NodeStatsSnapshot { bytes_tx: 7, cpu_busy_ns: 3, ..Default::default() },
         ));
-        assert_eq!(f.total_bytes_tx(), 17);
         assert_eq!(f.total_cpu_busy_ns(), 8);
     }
 }

@@ -147,11 +147,6 @@ impl SendPayload {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Whether this payload is inline.
-    pub fn is_inline(&self) -> bool {
-        matches!(self, SendPayload::Inline(_))
-    }
 }
 
 /// The operation of a send-side work request.
@@ -359,7 +354,6 @@ mod tests {
     fn payload_len_and_inline_flag() {
         let p = SendPayload::Inline(InlineData::new(&[1, 2, 3]));
         assert_eq!(p.len(), 3);
-        assert!(p.is_inline());
         assert!(!p.is_empty());
         assert!(SendPayload::Inline(InlineData::new(&[])).is_empty());
     }

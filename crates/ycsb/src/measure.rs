@@ -40,17 +40,6 @@ impl RunMeasurement {
         self.total_ops() as f64 / (self.elapsed_ns as f64 / 1e9)
     }
 
-    /// Per-op throughput in ops/s (paper Figures 15a/16a report per-op
-    /// bars).
-    pub fn op_throughput_ops_s(&self, op: OpType) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        self.per_op
-            .get(op.label())
-            .map_or(0.0, |h| h.count() as f64 / (self.elapsed_ns as f64 / 1e9))
-    }
-
     /// The histogram for one op type, if any samples were recorded.
     pub fn histogram(&self, op: OpType) -> Option<&Histogram> {
         self.per_op.get(op.label())
@@ -81,8 +70,6 @@ mod tests {
         m.elapsed_ns = 1_000_000_000; // 1 s
         assert_eq!(m.total_ops(), 1500);
         assert!((m.throughput_ops_s() - 1500.0).abs() < 1e-6);
-        assert!((m.op_throughput_ops_s(OpType::Get) - 1000.0).abs() < 1e-6);
-        assert_eq!(m.op_throughput_ops_s(OpType::Put), 0.0);
         assert_eq!(m.histogram(OpType::MultiPut).unwrap().mean(), 20_000);
     }
 

@@ -1,14 +1,16 @@
 //! Connection setup: a dialer that never sends its handshake delays no
-//! other connection and no shutdown, and a window is bounded by the queue
-//! pair's receive depth rather than by a second hand-kept number.
+//! other connection and no shutdown, a window is bounded by the queue
+//! pair's receive depth rather than by a second hand-kept number, and a
+//! connection that closes gives its server-side memory back.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hatrpc::core::engine::{CallPolicy, HatClient, HatServer, ServerPolicy};
+use hatrpc::core::selection::Selection;
 use hatrpc::core::service::ServiceSchema;
-use hatrpc::protocols::{onesided_service, OneSidedHost, OneSidedReader};
-use hatrpc::rdma::{Endpoint, Fabric, Node, SimConfig, RECV_DEPTH};
+use hatrpc::protocols::{onesided_service, OneSidedHost, OneSidedReader, ProtocolKind};
+use hatrpc::rdma::{Endpoint, Fabric, Node, PollMode, SimConfig, RECV_DEPTH};
 
 /// What a silent dialer may cost anyone else.
 const BOUND: Duration = Duration::from_secs(2);
@@ -18,6 +20,8 @@ const IDL: &str = r#"
         binary plain(1: binary p) [ hint: perf_goal = latency, payload_size = 512; ]
         binary just_past(1: binary p) [ hint: perf_goal = latency, payload_size = 512, queue_depth = 513; ]
         binary deepest(1: binary p) [ hint: perf_goal = latency, payload_size = 512, queue_depth = 1024; ]
+        binary big(1: binary p) [ hint: payload_size = 64K; ]
+        binary big_window(1: binary p) [ hint: payload_size = 64K, queue_depth = 2; ]
     }
 "#;
 
@@ -113,6 +117,41 @@ fn queue_depth_hints_past_the_receive_depth_serve_call_and_call_many() {
             assert_eq!(responses, requests, "{policy:?} {func}");
         }
         drop(client);
+        server.shutdown();
+    }
+}
+
+/// A closed connection gives its server-side memory back while the server
+/// runs, on a thread per connection and on the reactor: after fifty
+/// clients that each make one call and leave, the server holds at most two
+/// connections' worth of registered memory.
+#[test]
+fn closed_connections_release_their_server_side_memory() {
+    let pin = Selection { protocol: ProtocolKind::EagerSendRecv, poll: PollMode::Event };
+    for (policy, func) in [(ServerPolicy::Threaded, "big"), (ServerPolicy::Reactor, "big_window")] {
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let (snode, server) = serve(&fabric, policy);
+        let cnode = fabric.add_node("client");
+        let base = snode.stats_snapshot().registered_bytes;
+        let registered = || snode.stats_snapshot().registered_bytes.saturating_sub(base);
+        let mut one_conn = 0;
+        for i in 0..50 {
+            let mut client = HatClient::pinned(&fabric, &cnode, "setup", &schema(), pin);
+            assert_eq!(client.call(func, b"ping").unwrap(), b"ping", "{policy:?} client {i}");
+            if i == 0 {
+                one_conn = registered();
+            }
+        }
+        assert!(one_conn > 0, "{policy:?}: a connection registers memory");
+        let start = Instant::now();
+        while registered() > 2 * one_conn {
+            let held = registered();
+            assert!(
+                start.elapsed() < BOUND,
+                "{policy:?}: {held} B registered after 50 closed connections of {one_conn} B each"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
         server.shutdown();
     }
 }
