@@ -42,6 +42,8 @@
 //! server.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dispatch;
 pub mod engine;
 pub mod error;

@@ -2,7 +2,8 @@
 //! control-message rings, and the out-of-band handshake.
 
 use hat_rdma_sim::{
-    Endpoint, MemoryRegion, MrSlice, PollMode, RdmaError, RecvWr, RemoteBuf, Result, SendWr,
+    Endpoint, MemoryRegion, MrSlice, PollMode, PoolBuf, RdmaError, RecvWr, RemoteBuf, Result,
+    SendWr,
 };
 
 /// Identifies one of the implemented RDMA protocols (paper Figure 3 plus
@@ -222,13 +223,14 @@ pub(crate) struct Link {
     pub(crate) cfg: ProtocolConfig,
 }
 
-/// Where a received payload is copied out to: a pooled buffer (the
-/// server's request, a pipelined client's response) or the `Vec` a
-/// blocking call returns. Built from the checked payload bytes, so it is
-/// sized by what arrived, never by what a header claims.
-pub(crate) trait Landing: for<'a> From<&'a [u8]> {}
+/// Where a received payload lands: a pooled buffer (the server's request,
+/// a pipelined client's response) or the `Vec` a blocking call returns.
+/// Built from the checked payload bytes, so it is sized by what arrived,
+/// never by what a header claims — or, for a WRITE taken where it landed
+/// (Write-RNDV), from the sender's buffer itself.
+pub(crate) trait Landing: for<'a> From<&'a [u8]> + From<PoolBuf> {}
 
-impl<B: for<'a> From<&'a [u8]>> Landing for B {}
+impl<B: for<'a> From<&'a [u8]> + From<PoolBuf>> Landing for B {}
 
 /// A region of `slots` slots with one receive pre-posted per slot.
 pub(crate) fn posted_ring(ep: &Endpoint, slots: usize, slot_size: usize) -> Result<MemoryRegion> {

@@ -39,6 +39,8 @@
 //! receives and a window posts one per slot, so that is also the largest
 //! window.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod onesided;
 pub mod pipeline;

@@ -43,7 +43,7 @@
 //! | Eager-SendRecv | send + recv frame of `12 + max_msg` | copy + SEND | frame header | any free | half-window chains | 1 per flushed batch |
 //! | Direct-Write-Send (window 1) | as Chained-Write-Send | WRITE to the peer's stripe, then a separate inline SEND | notify message | `token % window` | one post each | 2 |
 //! | Chained-Write-Send | landing + staging stripe of `max_msg` | WRITE to the peer's stripe + chained inline SEND | notify message | `token % window` | one post each | 1 per flushed batch |
-//! | Write-RNDV (window 1) | landing region of `max_msg`; two 49 B control slots | RTS → CTS → pooled WRITE + FIN | RTS | the one slot | one post each | 3 (RTS, CTS, WRITE + FIN) |
+//! | Write-RNDV (window 1) | landing region of `max_msg`; two 49 B control slots | RTS → CTS → WRITE of the payload's own buffer + FIN; the receiver takes the landed buffer | RTS | the one slot | one post each | 3 (RTS, CTS, WRITE + FIN) |
 //! | Read-RNDV (window 1) | stage + landing of `max_msg`; two 49 B control slots | RTS with the stage's rkey → peer READ → FIN | RTS | the one slot | one post each | 3 (RTS, READ, FIN) |
 //! | Direct-WriteIMM | landing + staging stripe of `12 + max_msg` | WRITE_WITH_IMM, imm = slot | slot header | any free | half-window chains | 1 per flushed batch |
 //! | Hybrid-EagerRNDV | frame of `17 + max(threshold, 32)`, plus rendezvous stage + landing of `max_msg` | eager frame, or RTS + peer READ | frame header | `token % window` | one post each | 1 per flushed batch |
@@ -55,7 +55,10 @@
 //! sizes a buffer or a READ before it is checked. The payload is copied
 //! out once per side: the server lands a request in a pooled buffer its
 //! handler borrows, and a blocking [`RpcClient::call`] lands its reply in
-//! the `Vec` it returns.
+//! the `Vec` it returns. Write-RNDV copies nothing out: its WRITE lands by
+//! reference and the receiver takes the sender's buffer
+//! ([`MemoryRegion::take_landed`]), so the handler borrows the client's
+//! staged request and `call` returns the handler's reply `Vec` itself.
 //!
 //! Three wires serve a window of one only, and are not in
 //! [`PIPELINED_KINDS`]: Direct-Write-Send, whose Figure 3b cost is the
@@ -270,6 +273,14 @@ fn note_submit(ep: &Endpoint, in_flight: usize) {
 // What a protocol supplies: its wire format.
 // ---------------------------------------------------------------------------
 
+/// What a message is staged from: the caller's borrowed request, or the
+/// handler's reply `Vec`. Most wires frame it from its bytes; one that
+/// hands the payload itself to the wire (Write-RNDV) turns it into a
+/// [`PoolBuf`] — a copy of borrowed bytes, the `Vec` moved.
+trait Outgoing: AsRef<[u8]> + Into<PoolBuf> {}
+
+impl<P: AsRef<[u8]> + Into<PoolBuf>> Outgoing for P {}
+
 /// Everything that differs between two pipelined protocols. A wire is
 /// symmetric — the client frames requests and absorbs responses with the
 /// same two functions the server absorbs requests and frames responses
@@ -306,7 +317,7 @@ trait Wire: Send + Sized {
         link: &Link,
         token: Token,
         slot: usize,
-        payload: &[u8],
+        payload: impl Outgoing,
         staged: &mut Vec<SendWr>,
     ) -> Result<()>;
 
@@ -413,10 +424,11 @@ impl<W: Wire> PipelinedClient for Pipelined<W> {
 
 impl<W: Wire> RpcClient for Pipelined<W> {
     /// Submit one request and wait for its token. Replies are copied out
-    /// of the wire straight into a `Vec`, so this call's costs one copy; a
-    /// sibling's met on the way (an async call's, on a pipelined channel)
-    /// is banked in the window as a pooled buffer, as [`Self::wait`] banks
-    /// it.
+    /// of the wire straight into a `Vec`, so this call's costs one copy —
+    /// none over Write-RNDV, whose reply is the server handler's own `Vec`,
+    /// taken where it landed; a sibling's met on the way (an async call's,
+    /// on a pipelined channel) is banked in the window as it arrived, as
+    /// [`Self::wait`] banks it.
     fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
         let token = self.submit(request)?;
         self.flush()?;
@@ -426,7 +438,7 @@ impl<W: Wire> RpcClient for Pipelined<W> {
                 poll_recv(ep, cfg.poll, cfg.op_timeout_ns)?.ok_or(RdmaError::Disconnected)?;
             let (t, _, reply): (_, _, Vec<u8>) = self.wire.absorb(&self.link, comp)?;
             if t != token {
-                self.win.complete(t, PoolBuf::from(&reply[..]))?;
+                self.win.complete(t, PoolBuf::from_vec(reply))?;
                 continue;
             }
             // Free the slot as taking a banked response does.
@@ -505,13 +517,15 @@ impl<W: Wire> PipelinedServer<W> {
     /// own, as does a window of one. Returns how many requests were
     /// served.
     ///
-    /// A request lands in a pooled buffer (one copy, no allocation) and
-    /// the handler borrows *that*, never the registered region: a late or
-    /// hostile in-bound WRITE to a region whose lock a handler held would
-    /// park the node's effect drain, and with it every connection on the
-    /// node, behind user code. The buffer is back in the pool before the
-    /// response is staged, so a Write-RNDV response, staged in a pooled
-    /// buffer of its own, can take the same storage.
+    /// A request lands in a buffer this side owns — a pooled copy (no
+    /// allocation), or for Write-RNDV the client's staged buffer, taken
+    /// where it landed — and the handler borrows *that*, never the
+    /// registered region: a late or hostile in-bound WRITE to a region
+    /// whose lock a handler held would park the node's effect drain, and
+    /// with it every connection on the node, behind user code. The buffer
+    /// is back in the pool before the response is staged, and the
+    /// handler's response `Vec` is staged by value, so a Write-RNDV WRITE
+    /// carries it to the client instead of a copy.
     fn serve_ready(
         &mut self,
         first: Option<Completion>,
@@ -527,7 +541,7 @@ impl<W: Wire> PipelinedServer<W> {
             let response = handler(&request);
             drop(request);
             check_len(response.len(), cfg.max_msg)?;
-            self.wire.stage(&self.link, token, slot, &response, &mut self.staged)?;
+            self.wire.stage(&self.link, token, slot, response, &mut self.staged)?;
             served += 1;
             if self.staged.len() >= unit {
                 note_burst(ep, self.staged.len());
@@ -655,9 +669,10 @@ impl Wire for EagerWire {
         link: &Link,
         token: Token,
         slot: usize,
-        payload: &[u8],
+        payload: impl Outgoing,
         staged: &mut Vec<SendWr>,
     ) -> Result<()> {
+        let payload = payload.as_ref();
         let base = slot * self.slot_size;
         let copy = charge_memcpy(&link.ep, payload.len());
         self.send_ring.write_parts(base, &[&frame_hdr(payload.len(), token), payload])?;
@@ -721,9 +736,10 @@ impl<const SPLIT: bool> Wire for ChainedWire<SPLIT> {
         link: &Link,
         token: Token,
         slot: usize,
-        payload: &[u8],
+        payload: impl Outgoing,
         staged: &mut Vec<SendWr>,
     ) -> Result<()> {
+        let payload = payload.as_ref();
         let base = slot * link.cfg.max_msg;
         // Zero-copy staging: no memcpy is charged for writing into the
         // registered stripe.
@@ -787,9 +803,10 @@ impl Wire for ImmWire {
         _link: &Link,
         token: Token,
         slot: usize,
-        payload: &[u8],
+        payload: impl Outgoing,
         staged: &mut Vec<SendWr>,
     ) -> Result<()> {
+        let payload = payload.as_ref();
         let base = slot * self.slot_size;
         self.out_stage.write_parts(base, &[&frame_hdr(payload.len(), token), payload])?;
         let total = HDR + payload.len();
@@ -918,9 +935,10 @@ impl Wire for HybridWire {
         link: &Link,
         token: Token,
         slot: usize,
-        payload: &[u8],
+        payload: impl Outgoing,
         staged: &mut Vec<SendWr>,
     ) -> Result<()> {
+        let payload = payload.as_ref();
         if payload.len() <= link.cfg.eager_threshold {
             let _copy = charge_memcpy(&link.ep, payload.len());
             return self.stage_frame(EAGER, payload.len(), token, slot, payload, staged);
@@ -985,14 +1003,18 @@ impl Wire for HybridWire {
 /// which is why Figure 6 sends `res_util` + large payloads here.
 ///
 /// * Write-RNDV: RTS (length, token) → CTS (the target's landing region)
-///   → the initiator WRITEs a pooled stage and sends FIN, under one
-///   doorbell.
+///   → the initiator WRITEs the payload's buffer and sends FIN, under one
+///   doorbell. The WRITE lands by reference and the target takes it
+///   ([`MemoryRegion::take_landed`]): a borrowed request is copied into a
+///   pooled buffer once, while the RTS/CTS round trip is in flight, and a
+///   handler's reply `Vec` moves to the caller of `call` untouched.
 /// * Read-RNDV: RTS (length, token, the registered stage's rkey) → the
 ///   target READs the stage and answers FIN, freeing it.
 ///
-/// `stage` waits for the CTS or the FIN and `absorb` for the FIN or the
-/// READ, which is sound only with one message in flight each way: the
-/// window is one (the constructors refuse more).
+/// A CTS and a FIN must name the RTS's token and length. `stage` waits for
+/// the CTS or the FIN and `absorb` for the FIN or the READ, which is sound
+/// only with one message in flight each way: the window is one (the
+/// constructors refuse more).
 struct RndvWire<const READ: bool> {
     ctrl: CtrlRing,
     /// Write-RNDV: where the peer's WRITE lands. Read-RNDV: the stage the
@@ -1005,10 +1027,18 @@ impl<const READ: bool> RndvWire<READ> {
         self.ctrl.send(token, &ctrl_msg(tag, len, token, buf))
     }
 
-    /// Wait for the peer's next control message, which must be `want`.
-    fn expect(&self, link: &Link, want: u8) -> Result<(usize, Token, Option<RemoteBuf>)> {
+    /// Wait for the peer's next control message, which must be `want` for
+    /// the `len`-byte message `token`, and return the buffer it advertises.
+    fn expect(&self, link: &Link, want: u8, len: usize, token: Token) -> Result<Option<RemoteBuf>> {
         let msg = self.ctrl.recv(link.cfg.poll)?.ok_or(RdmaError::Disconnected)?;
-        parse_ctrl(&msg, want)
+        let (got_len, got_token, buf) = parse_ctrl(&msg, want)?;
+        if (got_len, got_token) != (len, token) {
+            return Err(RdmaError::InvalidWorkRequest(format!(
+                "rendezvous tag {want} names {got_len} B of message {got_token}, \
+                 not {len} B of message {token}"
+            )));
+        }
+        Ok(buf)
     }
 }
 
@@ -1051,26 +1081,27 @@ impl<const READ: bool> Wire for RndvWire<READ> {
         link: &Link,
         token: Token,
         _slot: usize,
-        payload: &[u8],
+        payload: impl Outgoing,
         staged: &mut Vec<SendWr>,
     ) -> Result<()> {
-        let len = payload.len();
+        let len = payload.as_ref().len();
         if READ {
             // The peer READs the stage, so the bytes must live in the
             // registered region; its FIN frees it.
-            self.region.write(0, payload)?;
+            self.region.write(0, payload.as_ref())?;
             self.send(RTS, len, token, Some(&self.region.remote_buf(0, len)))?;
-            self.expect(link, FIN)?;
+            self.expect(link, FIN, len, token)?;
             return Ok(());
         }
         self.send(RTS, len, token, None)?;
-        // Stage while the RTS/CTS round trip is in flight: the one
-        // send-side copy. The WRITE moves this buffer onto the wire, so no
-        // registered staging region and no post-time snapshot.
-        let buf = PoolBuf::copy_from(payload);
-        let dst = match self.expect(link, CTS)? {
-            (_, _, Some(dst)) if dst.len >= len as u64 => dst.sub(0, len as u64),
-            (_, _, offered) => {
+        // Stage while the RTS/CTS round trip is in flight: a borrowed
+        // request is copied (the one send-side pass), a reply `Vec` moves.
+        // The WRITE hands this buffer to the wire, so no registered
+        // staging region and no post-time snapshot.
+        let buf = payload.into();
+        let dst = match self.expect(link, CTS, len, token)? {
+            Some(dst) if dst.len >= len as u64 => dst.sub(0, len as u64),
+            offered => {
                 return Err(RdmaError::InvalidWorkRequest(format!(
                     "a CTS offering {offered:?} cannot take a {len}-byte payload"
                 )))
@@ -1084,18 +1115,23 @@ impl<const READ: bool> Wire for RndvWire<READ> {
     fn absorb<B: Landing>(&self, link: &Link, comp: Completion) -> Result<(Token, usize, B)> {
         let (len, token, src) = parse_ctrl(&self.ctrl.read_slot(comp)?, RTS)?;
         check_len(len, link.cfg.max_msg)?;
-        let at = if READ { link.cfg.max_msg } else { 0 };
-        if READ {
-            let src = src.ok_or_else(|| {
-                RdmaError::InvalidWorkRequest("a Read-RNDV RTS advertises no stage".into())
+        if !READ {
+            self.send(CTS, len, token, Some(&self.region.remote_buf(0, len)))?;
+            // FIN means the WRITE has fully landed (RC ordering): take it.
+            self.expect(link, FIN, len, token)?;
+            let landed = self.region.take_landed(0, len)?.ok_or_else(|| {
+                RdmaError::InvalidWorkRequest(format!(
+                    "a FIN for {len} B with no WRITE of exactly those bytes landed"
+                ))
             })?;
-            read_now(link, token, self.region.slice(at, len), src.sub(0, len as u64))?;
-            self.send(FIN, len, token, None)?;
-        } else {
-            self.send(CTS, len, token, Some(&self.region.remote_buf(at, len)))?;
-            // FIN means the WRITE has fully landed (RC ordering).
-            self.expect(link, FIN)?;
+            return Ok((token, 0, B::from(landed)));
         }
+        let src = src.ok_or_else(|| {
+            RdmaError::InvalidWorkRequest("a Read-RNDV RTS advertises no stage".into())
+        })?;
+        let at = link.cfg.max_msg;
+        read_now(link, token, self.region.slice(at, len), src.sub(0, len as u64))?;
+        self.send(FIN, len, token, None)?;
         let payload = self.region.with_bytes(at, len, |b| B::from(b))?;
         Ok((token, 0, payload))
     }

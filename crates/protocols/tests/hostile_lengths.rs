@@ -17,7 +17,9 @@ use hat_protocols::{
     accept_server, connect_client, connect_client_pipelined, exchange_blobs, ProtocolConfig,
     ProtocolKind, RpcClient, PIPELINED_KINDS,
 };
-use hat_rdma_sim::{Endpoint, Fabric, MemoryRegion, RdmaError, RemoteBuf, SendWr, SimConfig};
+use hat_rdma_sim::{
+    Endpoint, Fabric, MemoryRegion, PollMode, RdmaError, RecvWr, RemoteBuf, SendWr, SimConfig,
+};
 use support::tracked;
 
 const MAX_MSG: usize = 4096;
@@ -385,6 +387,68 @@ fn a_cts_that_cannot_take_the_payload_fails_before_the_write() {
             a.ep.post_send(&[SendWr::send_inline(0, &cts)]).unwrap();
         });
         assert_refused(what, outcome);
+    }
+}
+
+/// A rendezvous CTS or FIN must name the RTS's token and length, and a
+/// Write-RNDV FIN stands for a WRITE of exactly the announced bytes into
+/// the buffer the CTS offered. A control message for another message or
+/// another length, or a FIN with no such WRITE landed ahead of it, fails
+/// typed: no WRITE is aimed on another message's say-so, and no request
+/// or reply is made of a landing region's stale bytes.
+#[test]
+fn a_rendezvous_cts_or_fin_that_does_not_match_the_rts_is_refused() {
+    const REQUEST: u64 = b"request".len() as u64;
+    let fin =
+        |len: u64, token: u64| [&[FIN][..], &len.to_le_bytes(), &token.to_le_bytes()].concat();
+    // The server's side: an RTS for 7 bytes of message 0, then a FIN for
+    // another length or message, or the right FIN with no WRITE ahead of
+    // it, or one behind a WRITE that landed a byte off the offered buffer.
+    let lying_fins = [fin(REQUEST + 1, 0), fin(REQUEST, 1), fin(REQUEST, 0)];
+    for lie in &lying_fins {
+        let outcome = serve_hostile(ProtocolKind::WriteRndv, |ep| {
+            ep.post_send(&[SendWr::send_inline(0, &tagged(RTS, REQUEST, &[]))]).unwrap();
+            ep.post_send(&[SendWr::send_inline(0, lie)]).unwrap();
+        });
+        assert_refused(&format!("Write-RNDV server, FIN {lie:?}"), outcome);
+    }
+    let outcome = serve_hostile(ProtocolKind::WriteRndv, |ep| {
+        let cts = ep.pd().register(64).unwrap();
+        ep.post_recv(RecvWr::new(0, cts.clone(), 0, 64)).unwrap();
+        ep.post_send(&[SendWr::send_inline(0, &tagged(RTS, REQUEST, &[]))]).unwrap();
+        ep.recv_cq().poll_one(PollMode::Busy).unwrap().ok().unwrap();
+        let offered = RemoteBuf::decode(&cts.read_vec(17, RemoteBuf::WIRE_SIZE).unwrap()).unwrap();
+        let write = SendWr::write_inline(1, b"request", offered.sub(1, REQUEST));
+        ep.post_send(&[write, SendWr::send_inline(0, &fin(REQUEST, 0))]).unwrap();
+    });
+    assert_refused("Write-RNDV server, a WRITE a byte off the offered buffer", outcome);
+
+    // The client's side: a CTS for another message or length; and, past an
+    // honest CTS, a reply RTS whose FIN is for another message or length,
+    // or has no WRITE ahead of it.
+    let landing = |a: &Attacker| a.region.remote_buf(0, MAX_MSG).encode();
+    for (len, token) in [(REQUEST, 1u64), (REQUEST + 1, 0)] {
+        let outcome = call_hostile(ProtocolKind::WriteRndv, 1, |a| {
+            let cts = [&[CTS][..], &len.to_le_bytes(), &token.to_le_bytes(), &landing(a)].concat();
+            a.ep.post_send(&[SendWr::send_inline(0, &cts)]).unwrap();
+        });
+        assert_refused(&format!("Write-RNDV client, CTS for {len} B of message {token}"), outcome);
+    }
+    for lie in &lying_fins {
+        let outcome = call_hostile(ProtocolKind::WriteRndv, 1, |a| {
+            let cts = tagged(CTS, REQUEST, &landing(a));
+            a.ep.post_send(&[SendWr::send_inline(0, &cts)]).unwrap();
+            a.ep.post_send(&[SendWr::send_inline(0, &tagged(RTS, REQUEST, &[]))]).unwrap();
+            a.ep.post_send(&[SendWr::send_inline(0, lie)]).unwrap();
+        });
+        assert_refused(&format!("Write-RNDV client, reply FIN {lie:?}"), outcome);
+    }
+    // Read-RNDV: the FIN that frees the client's stage.
+    for lie in &lying_fins[..2] {
+        let outcome = call_hostile(ProtocolKind::ReadRndv, 1, |a| {
+            a.ep.post_send(&[SendWr::send_inline(0, lie)]).unwrap();
+        });
+        assert_refused(&format!("Read-RNDV client, FIN {lie:?}"), outcome);
     }
 }
 

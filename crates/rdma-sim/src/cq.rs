@@ -12,6 +12,7 @@
 //!   interrupt/wakeup latency on delivery, and burns no CPU while blocked.
 
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
@@ -114,9 +115,14 @@ pub trait CqNotify: Send + Sync {
     fn notify(&self);
 }
 
-/// Pending completions ordered by readiness, plus the push sequence that
-/// keeps equal-time entries FIFO.
-type Heap = (BinaryHeap<Entry>, u64);
+/// Pending completions ordered by readiness, the push sequence that keeps
+/// equal-time entries FIFO, and how many pollers nap on the condvar.
+#[derive(Default)]
+struct Heap {
+    entries: BinaryHeap<Entry>,
+    seq: u64,
+    nappers: usize,
+}
 
 pub(crate) struct CqInner {
     node: Weak<Node>,
@@ -124,6 +130,11 @@ pub(crate) struct CqInner {
     cond: Condvar,
     /// Reactor notifiers to invoke on push; dead entries are pruned lazily.
     wakers: Mutex<Vec<Weak<dyn CqNotify>>>,
+    /// `wakers.len()`, so a push on a CQ nobody registered with skips the
+    /// lock. Written under that lock. A push reads it after releasing the
+    /// heap lock, so a registration that then polls the CQ either finds
+    /// the entry or is seen by the push.
+    registered: AtomicUsize,
 }
 
 impl CqInner {
@@ -151,12 +162,20 @@ impl CqInner {
             }
         }
         let mut guard = self.heap.lock();
-        let seq = guard.1;
-        guard.1 += 1;
-        guard.0.push(Entry { ready_at, seq, completion });
+        let seq = guard.seq;
+        guard.seq += 1;
+        guard.entries.push(Entry { ready_at, seq, completion });
+        // The std condvar under `parking_lot::Condvar` wakes through a
+        // syscall whether or not anyone waits: notify only a napper, which
+        // counted itself in under this lock before it went to sleep.
+        let napping = guard.nappers > 0;
         drop(guard);
-        self.cond.notify_all();
-        self.wake();
+        if napping {
+            self.cond.notify_all();
+        }
+        if self.registered.load(Ordering::Relaxed) != 0 {
+            self.wake();
+        }
     }
 
     /// Invoke every registered [`CqNotify`], pruning dead ones: after a
@@ -164,15 +183,14 @@ impl CqInner {
     /// its posted receives into the CQ then, so a reactor hears of it).
     pub(crate) fn wake(&self) {
         let mut wakers = self.wakers.lock();
-        if !wakers.is_empty() {
-            wakers.retain(|w| match w.upgrade() {
-                Some(w) => {
-                    w.notify();
-                    true
-                }
-                None => false,
-            });
-        }
+        wakers.retain(|w| match w.upgrade() {
+            Some(w) => {
+                w.notify();
+                true
+            }
+            None => false,
+        });
+        self.registered.store(wakers.len(), Ordering::Relaxed);
     }
 }
 
@@ -197,9 +215,10 @@ impl CompletionQueue {
         CompletionQueue {
             inner: Arc::new(CqInner {
                 node: Arc::downgrade(node),
-                heap: Mutex::new((BinaryHeap::new(), 0)),
+                heap: Mutex::new(Heap::default()),
                 cond: Condvar::new(),
                 wakers: Mutex::new(Vec::new()),
+                registered: AtomicUsize::new(0),
             }),
         }
     }
@@ -210,7 +229,7 @@ impl CompletionQueue {
 
     /// Number of entries currently queued (including not-yet-ready ones).
     pub fn len(&self) -> usize {
-        self.inner.heap.lock().0.len()
+        self.inner.heap.lock().entries.len()
     }
 
     /// True when no entries are queued.
@@ -228,8 +247,8 @@ impl CompletionQueue {
         node.drain_effects();
         let now = now_ns();
         let mut guard = self.inner.heap.lock();
-        if guard.0.peek().is_some_and(|e| e.ready_at <= now) {
-            let e = guard.0.pop().expect("peeked entry present");
+        if guard.entries.peek().is_some_and(|e| e.ready_at <= now) {
+            let e = guard.entries.pop().expect("peeked entry present");
             drop(guard);
             NodeStats::add(&node.stats().completions, 1);
             // Consuming the CQE began at the `now` that found it ready.
@@ -270,8 +289,8 @@ impl CompletionQueue {
                     node.drain_effects();
                     let now = now_ns();
                     let mut guard = self.inner.heap.lock();
-                    if guard.0.peek().is_some_and(|e| e.ready_at <= now) {
-                        let e = guard.0.pop().expect("peeked entry present");
+                    if guard.entries.peek().is_some_and(|e| e.ready_at <= now) {
+                        let e = guard.entries.pop().expect("peeked entry present");
                         drop(guard);
                         NodeStats::add(&node.stats().completions, 1);
                         NodeStats::add(&node.stats().cpu_busy_ns, now_ns() - start);
@@ -293,7 +312,7 @@ impl CompletionQueue {
                     }
                     // The spinner registration above models the burned
                     // simulated core; the host core is yielded.
-                    self.dry_step(guard, start, now);
+                    self.dry_step(&node, guard, start, now);
                 }
             }
             PollMode::Event => {
@@ -316,8 +335,8 @@ impl CompletionQueue {
                     node.drain_effects();
                     let now = now_ns();
                     let mut guard = self.inner.heap.lock();
-                    if guard.0.peek().is_some_and(|e| e.ready_at + wake <= now) {
-                        let e = guard.0.pop().expect("peeked entry present");
+                    if guard.entries.peek().is_some_and(|e| e.ready_at + wake <= now) {
+                        let e = guard.entries.pop().expect("peeked entry present");
                         drop(guard);
                         NodeStats::add(&node.stats().completions, 1);
                         let charge = node.begin_charge_at(now, node.config().cost.poll_cqe_ns);
@@ -346,21 +365,34 @@ impl CompletionQueue {
                     if now >= give_up {
                         return Err(RdmaError::Timeout);
                     }
-                    self.dry_step(guard, start, now);
+                    self.dry_step(&node, guard, start, now);
                 }
             }
         }
     }
 
     /// One step of a dry `poll_timeout` wait, the CQ's form of
-    /// [`crate::time::dry_pause`]: yield so the peer can run even on
-    /// core-starved hosts, or — long idle — nap on the condvar. The nap is
-    /// taken while still holding the heap lock the dry check ran under, so
-    /// a push racing with the check either landed before the peek or
-    /// notifies the wait: no wakeup is ever lost.
-    fn dry_step(&self, mut heap: parking_lot::MutexGuard<'_, Heap>, dry_since: u64, now: u64) {
-        if crate::time::long_idle(dry_since, now) {
+    /// [`crate::time::dry_pause`]: read a parked in-flight payload ahead
+    /// ([`Node::warm_inbound`]) if the node has one, else yield so the peer
+    /// can run even on core-starved hosts, or — long idle — nap on the
+    /// condvar. The nap is taken while still holding the heap lock the dry
+    /// check ran under, with the napper counted in under it, so a push
+    /// racing with the check either landed before the peek or sees the
+    /// napper and notifies the wait: no wakeup is ever lost.
+    fn dry_step(
+        &self,
+        node: &Node,
+        mut heap: parking_lot::MutexGuard<'_, Heap>,
+        dry_since: u64,
+        now: u64,
+    ) {
+        if node.has_unwarmed() {
+            drop(heap);
+            node.warm_inbound();
+        } else if crate::time::long_idle(dry_since, now) {
+            heap.nappers += 1;
             self.inner.cond.wait_for(&mut heap, crate::time::IDLE_NAP);
+            heap.nappers -= 1;
         } else {
             drop(heap);
             std::thread::yield_now();
@@ -372,7 +404,9 @@ impl CompletionQueue {
     /// unregisters it lazily (the push path prunes dead weak refs).
     pub fn register_notify<N: CqNotify + 'static>(&self, notify: &Arc<N>) {
         let weak: Weak<dyn CqNotify> = Arc::downgrade(notify) as Weak<dyn CqNotify>;
-        self.inner.wakers.lock().push(weak);
+        let mut wakers = self.inner.wakers.lock();
+        wakers.push(weak);
+        self.inner.registered.store(wakers.len(), Ordering::Relaxed);
     }
 }
 

@@ -81,6 +81,8 @@
 //! assert_eq!(&buf, b"hello rdma!");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod cq;
 pub mod error;

@@ -12,14 +12,25 @@
 //! simulated RDMA WRITEs become visible exactly when their wire deadline
 //! passes — this is what makes memory-polling protocols (RFP, Pilaf, FaRM)
 //! time-accurate.
+//!
+//! An in-bound WRITE lands **by reference**: at its deadline the region
+//! keeps the payload buffer itself, beside its storage, and copies it in
+//! only when another access touches the storage — a borrow, a local or
+//! in-bound write, the NIC serving a READ or an atomic. Every such access
+//! goes through one of the region's own primitives, each of which copies a
+//! landed buffer in first, so every reader sees the bytes exactly from the
+//! deadline. A receiver that asks for exactly the range the WRITE covered
+//! takes the buffer instead ([`MemoryRegion::take_landed`]): the payload
+//! moves from the sender's buffer to the receiver without a pass over it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::error::{RdmaError, Result};
 use crate::node::Node;
+use crate::pool::PoolBuf;
 
 /// Monotonic id source for rkeys/lkeys across the whole process.
 static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
@@ -32,13 +43,35 @@ fn bounds(offset: usize, len: usize, capacity: usize) -> Result<std::ops::Range<
     }
 }
 
+/// A region's bytes: its storage, plus the last in-bound WRITE, landed by
+/// reference and not yet copied in.
+pub(crate) struct Storage {
+    bytes: Box<[u8]>,
+    landed: Option<(usize, PoolBuf)>,
+}
+
+impl Storage {
+    /// Copy the landed WRITE, if any, into the storage.
+    fn settle(&mut self) {
+        if let Some((offset, data)) = self.landed.take() {
+            self.bytes[offset..offset + data.len()].copy_from_slice(&data);
+        }
+    }
+
+    /// Settle, then hand out the storage for writing.
+    fn settled_mut(&mut self) -> &mut [u8] {
+        self.settle();
+        &mut self.bytes
+    }
+}
+
 pub(crate) struct MrInner {
     /// Local key (slices carry it; checked on local access in debug builds).
     pub lkey: u64,
     /// Remote key: how peers name this region in one-sided operations.
     pub rkey: u64,
     /// Backing storage.
-    pub buf: RwLock<Box<[u8]>>,
+    pub buf: RwLock<Storage>,
     /// Owning node (for drains and stats); weak to avoid cycles.
     pub node: Weak<Node>,
     /// Set when deregistered; later accesses fail.
@@ -52,7 +85,7 @@ impl Drop for MrInner {
     fn drop(&mut self) {
         if !*self.dead.get_mut() {
             if let Some(node) = self.node.upgrade() {
-                node.stats().mem_deregistered(self.buf.get_mut().len() as u64);
+                node.stats().mem_deregistered(self.buf.get_mut().bytes.len() as u64);
                 node.forget_mr(self.rkey);
             }
         }
@@ -78,7 +111,7 @@ impl std::fmt::Debug for MemoryRegion {
 impl MemoryRegion {
     /// Region capacity in bytes.
     pub fn len(&self) -> usize {
-        self.inner.buf.read().len()
+        self.inner.buf.read().bytes.len()
     }
 
     /// True for zero-capacity regions.
@@ -125,7 +158,8 @@ impl MemoryRegion {
         if let Some(node) = self.inner.node.upgrade() {
             node.drain_effects();
         }
-        let mut buf = self.inner.buf.write();
+        let mut storage = self.inner.buf.write();
+        let buf = storage.settled_mut();
         let len = parts.iter().map(|p| p.len()).sum();
         let mut at = bounds(offset, len, buf.len())?.start;
         for part in parts {
@@ -146,6 +180,8 @@ impl MemoryRegion {
     /// in-bound WRITE applying to this region waits on that lock while
     /// holding the node's effect-apply lock, so anything slow in `f` (a
     /// user handler, a wait) would stall every connection on the node.
+    /// A receiver that hands a payload to slow code takes it instead
+    /// ([`MemoryRegion::take_landed`]).
     pub fn with_bytes<R>(
         &self,
         offset: usize,
@@ -156,8 +192,49 @@ impl MemoryRegion {
         if let Some(node) = self.inner.node.upgrade() {
             node.drain_effects();
         }
-        let buf = self.inner.buf.read();
-        Ok(f(&buf[bounds(offset, len, buf.len())?]))
+        let buf = self.settled();
+        Ok(f(&buf.bytes[bounds(offset, len, buf.bytes.len())?]))
+    }
+
+    /// Take the in-bound WRITE that landed at exactly `offset..offset +
+    /// len` (drains pending effects first): the sender's buffer itself,
+    /// with no pass over its bytes. `None` when the last WRITE to land
+    /// covered another range, or was already copied into the storage by
+    /// an access in between. The taken bytes never reach the storage: the
+    /// range reads as it did before the WRITE, and a WRITE that lands
+    /// after the take leaves the taken buffer as it was.
+    pub fn take_landed(&self, offset: usize, len: usize) -> Result<Option<PoolBuf>> {
+        self.check_live()?;
+        if let Some(node) = self.inner.node.upgrade() {
+            node.drain_effects();
+        }
+        let mut storage = self.inner.buf.write();
+        let exact =
+            matches!(&storage.landed, Some((at, data)) if *at == offset && data.len() == len);
+        Ok(if exact { storage.landed.take().map(|(_, data)| data) } else { None })
+    }
+
+    /// The storage with no landed WRITE outstanding, read-locked.
+    fn settled(&self) -> RwLockReadGuard<'_, Storage> {
+        loop {
+            let storage = self.inner.buf.read();
+            if storage.landed.is_none() {
+                return storage;
+            }
+            drop(storage);
+            self.inner.buf.write().settle();
+        }
+    }
+
+    /// An in-bound WRITE's payload arriving (the effect-apply path; does
+    /// not drain): kept by reference, after copying in the one before it.
+    /// An out-of-bounds WRITE is dropped, as a real NIC fails the access.
+    pub(crate) fn land(&self, offset: usize, data: PoolBuf) {
+        let mut storage = self.inner.buf.write();
+        if bounds(offset, data.len(), storage.bytes.len()).is_ok() {
+            storage.settle();
+            storage.landed = Some((offset, data));
+        }
     }
 
     /// Copy bytes out of the region at `offset` into `out`.
@@ -174,7 +251,8 @@ impl MemoryRegion {
     /// Internal write that does *not* drain (used by the effect-apply path
     /// itself, which must not recurse).
     pub(crate) fn write_raw(&self, offset: usize, data: &[u8]) -> Result<()> {
-        let mut buf = self.inner.buf.write();
+        let mut storage = self.inner.buf.write();
+        let buf = storage.settled_mut();
         let range = bounds(offset, data.len(), buf.len())?;
         buf[range].copy_from_slice(data);
         Ok(())
@@ -183,9 +261,9 @@ impl MemoryRegion {
     /// Internal read that does *not* drain, into a pooled buffer — the
     /// allocation-free payload-snapshot path used by `post_send` and the
     /// simulated NIC when serving in-bound RDMA READ.
-    pub(crate) fn read_pool_raw(&self, offset: usize, len: usize) -> Result<crate::pool::PoolBuf> {
-        let buf = self.inner.buf.read();
-        Ok(crate::pool::PoolBuf::copy_from(&buf[bounds(offset, len, buf.len())?]))
+    pub(crate) fn read_pool_raw(&self, offset: usize, len: usize) -> Result<PoolBuf> {
+        let buf = &self.settled().bytes;
+        Ok(PoolBuf::copy_from(&buf[bounds(offset, len, buf.len())?]))
     }
 
     /// Atomically read-modify-write an 8-byte word at `offset` under the
@@ -197,7 +275,8 @@ impl MemoryRegion {
         offset: usize,
         f: impl FnOnce(u64) -> Option<u64>,
     ) -> Result<u64> {
-        let mut buf = self.inner.buf.write();
+        let mut storage = self.inner.buf.write();
+        let buf = storage.settled_mut();
         let range = bounds(offset, 8, buf.len())?;
         let old = u64::from_le_bytes(buf[range.clone()].try_into().expect("8 bytes"));
         if let Some(new) = f(old) {
@@ -338,7 +417,7 @@ impl ProtectionDomain {
         let inner = Arc::new(MrInner {
             lkey,
             rkey,
-            buf: RwLock::new(vec![0u8; len].into_boxed_slice()),
+            buf: RwLock::new(Storage { bytes: vec![0u8; len].into_boxed_slice(), landed: None }),
             node: Arc::downgrade(&self.node),
             dead: AtomicBool::new(false),
         });

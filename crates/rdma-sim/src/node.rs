@@ -16,10 +16,17 @@
 //! Every charge site in the workspace — `post_send`, `post_recv`, CQE
 //! consumption, memcpys, registration, connects, the IPoIB syscalls — goes
 //! through it; nothing does its work first and spins for the cost after.
+//!
+//! An in-flight WRITE payload of at least a page is *parked* on its
+//! destination node while it waits out the wire: a thread waiting on that
+//! node's completions reads it into its own cache meanwhile
+//! ([`Node::warm_inbound`]), the part DDIO plays on a real host, so the
+//! receiver that takes the landed buffer does not pay a cross-core cache
+//! transfer for it. That is host work only; it changes no modelled time.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -97,10 +104,18 @@ impl Ord for PendingEffect {
     }
 }
 
+/// An in-flight WRITE's payload: held by its effect, or parked in one of
+/// the destination node's read-ahead slots.
+pub(crate) enum Payload {
+    Held(PoolBuf),
+    Parked(usize),
+}
+
 /// What a pending effect does when its deadline passes.
 pub(crate) enum EffectKind {
-    /// An RDMA WRITE payload becoming visible in a registered region.
-    MemWrite { mr: Weak<MrInner>, offset: usize, data: PoolBuf },
+    /// An RDMA WRITE payload landing in a registered region (by reference:
+    /// see [`crate::memory`]).
+    MemWrite { mr: Weak<MrInner>, offset: usize, data: Payload },
     /// A SEND (or the completion half of WRITE_WITH_IMM) arriving at an
     /// endpoint: consumes a posted receive and completes on the recv CQ.
     /// `data` is written into the receive buffer for plain SENDs and is
@@ -153,6 +168,18 @@ pub(crate) enum EffectKind {
 /// reserved up front rather than found when a burst first outruns a drain.
 const PENDING_RESERVE: usize = 64;
 
+/// In-flight WRITE payloads of at least this many bytes — a page — are
+/// parked for read-ahead ([`Node::warm_inbound`]); smaller ones fit in a
+/// few cache lines and are held by their effect.
+const WARM_MIN: usize = 4096;
+
+/// Read-ahead slots per node: payloads parked at once. A WRITE that finds
+/// them all taken lands unwarmed.
+const WARM_SLOTS: usize = 4;
+
+/// A parked payload, and whether a waiting thread has read it ahead yet.
+type WarmSlot = Mutex<Option<(PoolBuf, bool)>>;
+
 /// A simulated machine in the fabric.
 pub struct Node {
     id: u64,
@@ -168,6 +195,13 @@ pub struct Node {
     apply_lock: Mutex<()>,
     /// rkey -> region, for resolving one-sided targets.
     mrs: Mutex<HashMap<u64, Weak<MrInner>>>,
+    /// In-flight WRITE payloads parked for read-ahead.
+    parked: [WarmSlot; WARM_SLOTS],
+    /// Parked payloads no thread has read ahead yet: the one atomic a
+    /// waiting thread checks. Changed only under the lock of the slot
+    /// whose state it counts, so it never drifts. Relaxed: it is a hint,
+    /// and the payloads themselves pass through the slots' locks.
+    unwarmed: AtomicUsize,
     stats: NodeStats,
     /// Threads currently burning simulated CPU on this node.
     spinners: AtomicU32,
@@ -201,6 +235,8 @@ impl Node {
             pending: Mutex::new(BinaryHeap::with_capacity(PENDING_RESERVE)),
             apply_lock: Mutex::new(()),
             mrs: Mutex::new(HashMap::new()),
+            parked: Default::default(),
+            unwarmed: AtomicUsize::new(0),
             stats: NodeStats::default(),
             spinners: AtomicU32::new(0),
             seq: AtomicU64::new(0),
@@ -262,6 +298,11 @@ impl Node {
         if self.alive.swap(false, Ordering::AcqRel) {
             NodeStats::add(&self.stats.qp_errors, 1);
             self.pending.lock().clear();
+            for slot in &self.parked {
+                if let Some((_, false)) = slot.lock().take() {
+                    self.unwarmed.fetch_sub(1, Ordering::Relaxed);
+                }
+            }
         }
     }
 
@@ -337,6 +378,75 @@ impl Node {
         self.pending.lock().push(Reverse(PendingEffect { deadline, seq, kind }));
     }
 
+    /// Enqueue an in-bound WRITE of `data` into `mr` at `offset`, to land
+    /// at `deadline`; a payload of at least a page is parked for
+    /// read-ahead if a slot is free.
+    pub(crate) fn push_write(
+        &self,
+        deadline: u64,
+        mr: &Arc<MrInner>,
+        offset: usize,
+        data: PoolBuf,
+    ) {
+        if !self.is_alive() {
+            return;
+        }
+        let free = (data.len() >= WARM_MIN)
+            .then(|| {
+                self.parked.iter().enumerate().find_map(|(i, slot)| {
+                    slot.try_lock().filter(|slot| slot.is_none()).map(|slot| (i, slot))
+                })
+            })
+            .flatten();
+        let data = match free {
+            Some((i, mut slot)) => {
+                *slot = Some((data, false));
+                self.unwarmed.fetch_add(1, Ordering::Relaxed);
+                Payload::Parked(i)
+            }
+            None => Payload::Held(data),
+        };
+        self.push_effect(deadline, EffectKind::MemWrite { mr: Arc::downgrade(mr), offset, data });
+    }
+
+    /// Whether a parked in-flight payload is waiting to be read ahead.
+    pub(crate) fn has_unwarmed(&self) -> bool {
+        self.unwarmed.load(Ordering::Relaxed) != 0
+    }
+
+    /// Read every parked payload no thread has read yet, one byte per
+    /// cache line, into the calling thread's cache — called by a thread
+    /// with nothing ready to poll, so the read fills time the thread
+    /// would otherwise yield. A slot being unparked (its WRITE landing) is
+    /// skipped, not waited for.
+    pub(crate) fn warm_inbound(&self) {
+        for slot in &self.parked {
+            let Some(mut slot) = slot.try_lock() else { continue };
+            if let Some((data, warm @ false)) = &mut *slot {
+                let lines = data.iter().step_by(64).fold(0u8, |acc, &b| acc.wrapping_add(b));
+                std::hint::black_box(lines);
+                *warm = true;
+                self.unwarmed.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The payload of a landing WRITE, out of its slot if it was parked.
+    fn unpark(&self, data: Payload) -> PoolBuf {
+        match data {
+            Payload::Held(data) => data,
+            Payload::Parked(i) => match self.parked[i].lock().take() {
+                Some((data, warm)) => {
+                    if !warm {
+                        self.unwarmed.fetch_sub(1, Ordering::Relaxed);
+                    }
+                    data
+                }
+                None => PoolBuf::empty(),
+            },
+        }
+    }
+
     /// Deadline of the earliest pending effect, if any (used by event
     /// waiters to size their timed waits).
     pub fn next_effect_deadline(&self) -> Option<u64> {
@@ -383,11 +493,9 @@ impl Node {
     fn apply_effect(self: &Arc<Self>, effect: PendingEffect) {
         match effect.kind {
             EffectKind::MemWrite { mr, offset, data } => {
+                let data = self.unpark(data);
                 if let Some(mr) = mr.upgrade() {
-                    let region = crate::memory::MemoryRegion { inner: mr };
-                    // Out-of-bounds in-bound WRITE: dropped, as a real NIC
-                    // would fail the access; counted implicitly by absence.
-                    let _ = region.write_raw(offset, &data);
+                    crate::memory::MemoryRegion { inner: mr }.land(offset, data);
                 }
             }
             EffectKind::RecvDeliver { ep, data, imm, byte_len, opcode } => {
@@ -651,22 +759,8 @@ mod tests {
         let mr = pd.register(8).unwrap();
         let t = now_ns();
         // Later effect overwrites the earlier one; push out of order.
-        n.push_effect(
-            t + 2,
-            EffectKind::MemWrite {
-                mr: Arc::downgrade(&mr.inner),
-                offset: 0,
-                data: PoolBuf::copy_from(&[2]),
-            },
-        );
-        n.push_effect(
-            t + 1,
-            EffectKind::MemWrite {
-                mr: Arc::downgrade(&mr.inner),
-                offset: 0,
-                data: PoolBuf::copy_from(&[1]),
-            },
-        );
+        n.push_write(t + 2, &mr.inner, 0, PoolBuf::copy_from(&[2]));
+        n.push_write(t + 1, &mr.inner, 0, PoolBuf::copy_from(&[1]));
         crate::time::spin_until(t + 3);
         n.drain_effects();
         let mut b = [0u8; 1];
@@ -674,19 +768,46 @@ mod tests {
         assert_eq!(b[0], 2, "the deadline-2 write must land last");
     }
 
+    /// A page-sized in-flight WRITE is parked for read-ahead until a
+    /// waiting thread reads it or it lands; a smaller one, and one that
+    /// finds every slot taken, is held by its effect. All of them land.
+    #[test]
+    fn page_sized_writes_are_parked_for_read_ahead_and_still_land() {
+        let n = node();
+        let pd = crate::memory::ProtectionDomain::new(n.clone());
+        let mr = pd.register((WARM_SLOTS + 2) * WARM_MIN).unwrap();
+        let page = |i: usize| vec![i as u8 + 1; WARM_MIN];
+        let due = now_ns() + 1_000_000;
+        n.push_write(due, &mr.inner, 0, PoolBuf::copy_from(&[9; 64]));
+        assert!(!n.has_unwarmed(), "below a page: held");
+        for i in 1..=WARM_SLOTS + 1 {
+            n.push_write(due, &mr.inner, i * WARM_MIN, PoolBuf::from_vec(page(i)));
+        }
+        assert_eq!(n.unwarmed.load(Ordering::Relaxed), WARM_SLOTS, "one per slot");
+        n.warm_inbound();
+        assert!(!n.has_unwarmed(), "all read ahead");
+        // Parked and never read ahead: landing takes it off the count.
+        let p = crate::memory::ProtectionDomain::new(n.clone()).register(WARM_MIN).unwrap();
+        crate::time::spin_until(due);
+        n.drain_effects();
+        n.push_write(due, &p.inner, 0, PoolBuf::from_vec(page(0)));
+        assert!(n.has_unwarmed());
+        n.drain_effects();
+        assert!(!n.has_unwarmed());
+        assert!(n.parked.iter().all(|slot| slot.lock().is_none()), "unparked as they land");
+        assert_eq!(mr.read_vec(0, 64).unwrap(), [9; 64]);
+        for i in 1..=WARM_SLOTS + 1 {
+            assert_eq!(mr.read_vec(i * WARM_MIN, WARM_MIN).unwrap(), page(i), "write {i}");
+        }
+        assert_eq!(p.read_vec(0, WARM_MIN).unwrap(), page(0));
+    }
+
     #[test]
     fn future_effects_are_not_applied_early() {
         let n = node();
         let pd = crate::memory::ProtectionDomain::new(n.clone());
         let mr = pd.register(1).unwrap();
-        n.push_effect(
-            now_ns() + 50_000_000, // 50 ms out
-            EffectKind::MemWrite {
-                mr: Arc::downgrade(&mr.inner),
-                offset: 0,
-                data: PoolBuf::copy_from(&[9]),
-            },
-        );
+        n.push_write(now_ns() + 50_000_000, &mr.inner, 0, PoolBuf::copy_from(&[9])); // 50 ms out
         n.drain_effects();
         let mut b = [0u8; 1];
         mr.read(0, &mut b).unwrap();
@@ -706,14 +827,7 @@ mod tests {
         // re-reading drain loop, a steady feed of new due work never ends.
         let t = now_ns();
         for i in 0..64 {
-            n.push_effect(
-                t.saturating_sub(1000 - i),
-                EffectKind::MemWrite {
-                    mr: Arc::downgrade(&mr.inner),
-                    offset: 0,
-                    data: PoolBuf::copy_from(&[i as u8]),
-                },
-            );
+            n.push_write(t.saturating_sub(1000 - i), &mr.inner, 0, PoolBuf::copy_from(&[i as u8]));
         }
         let start = std::time::Instant::now();
         n.drain_effects();
@@ -721,14 +835,7 @@ mod tests {
         // Effects pushed DURING a drain with past deadlines are picked up
         // by the NEXT drain, not the current one — simulate by pushing a
         // past-deadline effect and draining twice.
-        n.push_effect(
-            now_ns().saturating_sub(1),
-            EffectKind::MemWrite {
-                mr: Arc::downgrade(&mr.inner),
-                offset: 0,
-                data: PoolBuf::copy_from(&[200]),
-            },
-        );
+        n.push_write(now_ns().saturating_sub(1), &mr.inner, 0, PoolBuf::copy_from(&[200]));
         n.drain_effects();
         let mut b = [0u8; 1];
         mr.read(0, &mut b).unwrap();

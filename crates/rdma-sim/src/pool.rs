@@ -2,7 +2,8 @@
 //!
 //! The simulator snapshots every SEND/WRITE payload at post time and
 //! carries it inside a pending effect until the wire deadline passes; the
-//! receive path then copies it into the landing region. With plain `Vec`s
+//! receive path then copies a SEND into its receive buffer, and a WRITE
+//! lands in its region by reference (`memory.rs`). With plain `Vec`s
 //! that is one heap allocation per message in the *client's* hot path —
 //! enough to dominate a pipelined eager loop whose whole point is to cost
 //! nothing but a doorbell. [`PoolBuf`] replaces those `Vec`s: buffers are
@@ -16,6 +17,12 @@
 //! to one-shot heap allocation (far above `max_msg` in practice). Each
 //! class retains a bounded number of free buffers so a burst cannot pin
 //! memory forever.
+//!
+//! A caller that already owns its bytes in a `Vec` hands it over with
+//! [`PoolBuf::from_vec`] and gets it back with [`PoolBuf::into_vec`]: the
+//! `Vec` moves through the simulator (a WRITE payload, a landed message)
+//! without a copy, and is never pooled — it was not drawn from a class, so
+//! it is not returned to one.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
@@ -28,7 +35,7 @@ const NUM_CLASSES: usize = (MAX_CLASS_SHIFT - MIN_CLASS_SHIFT + 1) as usize;
 /// Free buffers retained per class; beyond this, drops free normally.
 const MAX_RETAINED_PER_CLASS: usize = 4096;
 
-static BUCKETS: [Mutex<Vec<Box<[u8]>>>; NUM_CLASSES] =
+static BUCKETS: [Mutex<Vec<Vec<u8>>>; NUM_CLASSES] =
     [const { Mutex::new(Vec::new()) }; NUM_CLASSES];
 
 /// The size class covering `len`, or `None` when `len` exceeds the largest
@@ -42,17 +49,19 @@ fn class_for(len: usize) -> Option<usize> {
     }
 }
 
-fn lock_bucket(class: usize) -> std::sync::MutexGuard<'static, Vec<Box<[u8]>>> {
+fn lock_bucket(class: usize) -> std::sync::MutexGuard<'static, Vec<Vec<u8>>> {
     BUCKETS[class].lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A length-`len` view over a pooled buffer. Dereferences to `[u8]`;
 /// returns its storage to the global pool on drop.
 pub struct PoolBuf {
-    /// `None` only for the empty buffer (and transiently during drop).
-    buf: Option<Box<[u8]>>,
+    /// `None` only for the empty buffer (and transiently during drop or
+    /// [`PoolBuf::into_vec`]).
+    buf: Option<Vec<u8>>,
     len: usize,
-    /// Size class to return the storage to; `None` → oversized, not pooled.
+    /// Size class to return the storage to; `None` → oversized or adopted
+    /// ([`PoolBuf::from_vec`]), not pooled.
     class: Option<usize>,
 }
 
@@ -71,12 +80,12 @@ impl PoolBuf {
         }
         match class_for(len) {
             Some(class) => {
-                let buf = lock_bucket(class).pop().unwrap_or_else(|| {
-                    vec![0u8; 1usize << (class as u32 + MIN_CLASS_SHIFT)].into_boxed_slice()
-                });
+                let buf = lock_bucket(class)
+                    .pop()
+                    .unwrap_or_else(|| vec![0u8; 1usize << (class as u32 + MIN_CLASS_SHIFT)]);
                 PoolBuf { buf: Some(buf), len, class: Some(class) }
             }
-            None => PoolBuf { buf: Some(vec![0u8; len].into_boxed_slice()), len, class: None },
+            None => PoolBuf { buf: Some(vec![0u8; len]), len, class: None },
         }
     }
 
@@ -92,6 +101,25 @@ impl PoolBuf {
         let mut b = PoolBuf::for_overwrite(data.len());
         b.as_mut_slice().copy_from_slice(data);
         b
+    }
+
+    /// Adopt `data` as it is — no copy, no reallocation, whatever its
+    /// spare capacity. The buffer is never pooled: dropping it frees the
+    /// `Vec`, and [`PoolBuf::into_vec`] hands the same `Vec` back.
+    pub fn from_vec(data: Vec<u8>) -> PoolBuf {
+        PoolBuf { len: data.len(), buf: Some(data), class: None }
+    }
+
+    /// The bytes as a `Vec`: an adopted or oversized buffer's own storage,
+    /// truncated to the view; a pooled buffer's bytes copied out (its
+    /// storage goes back to the pool).
+    pub fn into_vec(mut self) -> Vec<u8> {
+        if self.class.is_some() {
+            return self.as_slice().to_vec();
+        }
+        let mut buf = self.buf.take().unwrap_or_default();
+        buf.truncate(self.len);
+        buf
     }
 
     /// Length in bytes.
@@ -176,6 +204,20 @@ impl From<&[u8]> for PoolBuf {
     }
 }
 
+impl From<Vec<u8>> for PoolBuf {
+    /// [`PoolBuf::from_vec`].
+    fn from(data: Vec<u8>) -> PoolBuf {
+        PoolBuf::from_vec(data)
+    }
+}
+
+impl From<PoolBuf> for Vec<u8> {
+    /// [`PoolBuf::into_vec`].
+    fn from(buf: PoolBuf) -> Vec<u8> {
+        buf.into_vec()
+    }
+}
+
 impl PartialEq<[u8]> for PoolBuf {
     fn eq(&self, other: &[u8]) -> bool {
         self.as_slice() == other
@@ -238,6 +280,34 @@ mod tests {
         };
         let b2 = PoolBuf::for_overwrite((1 << 20) + 1);
         assert_eq!(b2.as_slice().as_ptr() as usize, ptr);
+    }
+
+    /// An adopted `Vec` keeps its storage both ways and is never pooled;
+    /// a pooled buffer's `into_vec` copies and returns its storage.
+    #[test]
+    fn from_vec_is_never_pooled_and_into_vec_of_a_pooled_buffer_copies() {
+        // The 1 MiB class: no other test in this binary touches it.
+        let mut data = Vec::with_capacity((1 << 20) + 100);
+        data.extend((0..(1 << 20)).map(|i| i as u8));
+        let ptr = data.as_ptr() as usize;
+        let adopted = PoolBuf::from_vec(data);
+        assert_eq!(adopted.as_slice().as_ptr() as usize, ptr, "adopted without a copy");
+        let back = adopted.into_vec();
+        assert_eq!((back.as_ptr() as usize, back.len()), (ptr, 1 << 20));
+        assert_eq!(back.capacity(), (1 << 20) + 100, "not reallocated");
+        drop(PoolBuf::from_vec(back));
+        assert!(lock_bucket(class_for(1 << 20).unwrap()).is_empty(), "adopted, so not pooled");
+
+        let mut pooled = PoolBuf::for_overwrite(1 << 20);
+        pooled.as_mut_slice().fill(7);
+        pooled.truncate(10);
+        let pooled_ptr = pooled.as_slice().as_ptr() as usize;
+        let copy = pooled.into_vec();
+        assert_eq!(copy, [7; 10]);
+        assert_ne!(copy.as_ptr() as usize, pooled_ptr, "a pooled buffer is copied out");
+        let reused = PoolBuf::for_overwrite(1 << 20);
+        assert_eq!(reused.as_slice().as_ptr() as usize, pooled_ptr, "its storage was pooled");
+        assert!(PoolBuf::empty().into_vec().is_empty());
     }
 
     #[test]

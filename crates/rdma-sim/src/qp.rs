@@ -614,14 +614,7 @@ impl Endpoint {
                 let deadline = ie + cfg.scaled(cost.nic_process_ns);
                 NodeStats::add(&node.stats().outbound_rdma, 1);
                 NodeStats::add(&target.node.stats().inbound_rdma, 1);
-                target.node.push_effect(
-                    deadline,
-                    EffectKind::MemWrite {
-                        mr: Arc::downgrade(&target.region.inner),
-                        offset: target.offset,
-                        data,
-                    },
-                );
+                target.node.push_write(deadline, &target.region.inner, target.offset, data);
                 if let SendOp::WriteImm { imm, .. } = &wr.op {
                     // The completion consumes a posted receive at the peer
                     // endpoint; pushed after the MemWrite so sequence order
