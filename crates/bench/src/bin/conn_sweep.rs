@@ -36,6 +36,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use hat_bench::flag_value;
 use hat_rdma_sim::{Fabric, SimConfig};
 use hatrpc_core::engine::{AsyncCall, CallPolicy, HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
@@ -76,10 +77,6 @@ struct ClientSlot {
     call: Option<AsyncCall>,
     ops: u64,
     dead: bool,
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 /// Everything one sweep point needs (policy plus the sweep-wide knobs).

@@ -30,7 +30,7 @@
 
 use std::fmt::Write as _;
 
-use hat_bench::{run_ycsb_sampled, KvSystem, KvWorkload, YcsbConfig, YcsbPoint};
+use hat_bench::{flag_value, run_ycsb_sampled, KvSystem, KvWorkload, YcsbConfig, YcsbPoint};
 
 const SPEEDUP_FLOOR: f64 = 1.5;
 /// hat-metrics sampling interval for each point's fabric.
@@ -42,10 +42,6 @@ struct Row {
     point: YcsbPoint,
     /// Per-point `hat-metrics-timeline-v1` document.
     timeline: String,
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 fn main() {

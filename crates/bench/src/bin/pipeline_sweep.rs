@@ -21,6 +21,7 @@
 use std::fmt::Write as _;
 
 use hat_atb::{run_throughput, Mode, ThroughputConfig, ThroughputResult};
+use hat_bench::flag_value;
 use hat_protocols::ProtocolKind;
 use hat_rdma_sim::{Fabric, PollMode, SimConfig};
 
@@ -35,10 +36,6 @@ struct Row {
     result: ThroughputResult,
     /// Per-run `hat-metrics-timeline-v1` document.
     timeline: String,
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 fn main() {

@@ -1,13 +1,14 @@
 //! `repro` — regenerate the paper's figures as text tables.
 //!
 //! ```text
-//! repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]
+//! repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|ablations|all> [--full] [--tsv]
 //! repro trace [--out FILE]    # capture a traced micro run (Chrome trace JSON)
 //! repro metrics [--out FILE]  # sampled micro run -> timeline JSON
 //! repro top [--frames N] [--interval-ms N]
 //!                            # live terminal telemetry dashboard
 //! ```
 //!
+//! `ablations` prints DESIGN §4's ablations, one component cost per row.
 //! `--full` enlarges sweeps toward the paper's axes; `--tsv` emits
 //! tab-separated values (for EXPERIMENTS.md appendices) instead of
 //! aligned tables.
@@ -77,6 +78,7 @@ fn main() {
             "fig16" => print(hat_bench::fig16_ycsb(scale)),
             "fig17" => print(hat_bench::fig17_tpch(scale)),
             "micro" => print(hat_bench::micro_section3()),
+            "ablations" => print(hat_bench::ablations()),
             "trace" => {
                 let trace_out = out_flag.clone().unwrap_or_else(|| "TRACE_micro.json".to_string());
                 let trace = hat_bench::capture_micro_trace();
@@ -123,11 +125,12 @@ fn main() {
                 print(hat_bench::fig16_ycsb(scale));
                 print(hat_bench::fig17_tpch(scale));
                 print(hat_bench::micro_section3());
+                print(hat_bench::ablations());
             }
             other => {
                 eprintln!("repro: unknown target '{other}'");
                 eprintln!(
-                    "usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]\n       repro trace [--out FILE]\n       repro metrics [--out FILE]\n       repro top [--frames N] [--interval-ms N]"
+                    "usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|ablations|all> [--full] [--tsv]\n       repro trace [--out FILE]\n       repro metrics [--out FILE]\n       repro top [--frames N] [--interval-ms N]"
                 );
                 std::process::exit(2);
             }

@@ -31,7 +31,7 @@
 
 use std::fmt::Write as _;
 
-use hat_bench::{run_ycsb_sampled, KvSystem, KvWorkload, YcsbConfig, YcsbPoint};
+use hat_bench::{flag_value, run_ycsb_sampled, KvSystem, KvWorkload, YcsbConfig, YcsbPoint};
 
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
 const SPEEDUP_FLOOR: f64 = 2.0;
@@ -44,10 +44,6 @@ struct Row {
     point: YcsbPoint,
     /// Per-point `hat-metrics-timeline-v1` document.
     timeline: String,
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 fn main() {

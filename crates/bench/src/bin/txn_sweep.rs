@@ -24,6 +24,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use hat_bench::flag_value;
 use hat_hatkv::{hat_k_v_schema, HatKVClient, HatKvServer};
 use hat_kvdb::DbConfig;
 use hat_rdma_sim::{now_ns, Fabric, SimConfig};
@@ -43,10 +44,6 @@ struct Row {
     txn_commits: u64,
     txn_aborts: u64,
     wal_commits: u64,
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 fn run_mode(mode: &Mode, clients: usize, rounds: usize, batch: usize, commit_cost_ns: u64) -> Row {

@@ -1,11 +1,11 @@
 //! # hat-bench — the figure-regeneration harness
 //!
-//! One runner per figure of the paper's evaluation (§5), shared between
-//! the `repro` binary (paper-style tables on stdout) and the Criterion
-//! benches. Default parameters are scaled for a laptop-class simulator
-//! run; `Scale::Full` grows client counts and data sizes toward the
-//! paper's (still bounded — a 512-client sweep on one machine is slow,
-//! not impossible).
+//! One runner per figure of the paper's evaluation (§5), and one table of
+//! the design ablations, each printed by the `repro` binary as a
+//! paper-style table on stdout. Default parameters are scaled for a
+//! laptop-class simulator run; `Scale::Full` grows client counts and data
+//! sizes toward the paper's (still bounded — a 512-client sweep on one
+//! machine is slow, not impossible).
 //!
 //! | Runner | Paper figure |
 //! |---|---|
@@ -17,6 +17,7 @@
 //! | [`fig15_ycsb`]/[`fig16_ycsb`] | Figs. 15/16 — HatKV vs comparators on YCSB |
 //! | [`fig17_tpch`] | Fig. 17 — TPC-H over three transports |
 //! | [`micro_section3`] | §3.2 claims — CPU and in/out-bound asymmetry |
+//! | [`ablations`] | DESIGN §4 — chaining, eager threshold, NUMA, hint dispatch |
 
 pub mod metrics_bench;
 pub mod protocol_bench;
@@ -24,10 +25,14 @@ pub mod table;
 pub mod trace_bench;
 pub mod ycsb_bench;
 
+use std::sync::Arc;
+
 use hat_atb::{LatencyConfig, Mode, ThroughputConfig};
-use hat_protocols::ProtocolKind;
-use hat_rdma_sim::{Fabric, PollMode, SimConfig};
+use hat_protocols::{ProtocolConfig, ProtocolKind};
+use hat_rdma_sim::{numa, Fabric, PollMode, SimConfig};
 use hat_tpch::{ClusterConfig, TpchCluster, TransportMode};
+use hatrpc_core::engine::{HandlerFactory, HatClient, HatServer, ServerPolicy};
+use hatrpc_core::service::ServiceSchema;
 
 pub use metrics_bench::{capture_micro_metrics, top_frames, MicroMetrics};
 pub use protocol_bench::{raw_latency, raw_throughput, RawLatencyPoint, RawThroughputPoint};
@@ -53,6 +58,11 @@ impl Scale {
             Scale::Quick
         }
     }
+}
+
+/// The argument after flag `name` in `args`, if both are there.
+pub fn flag_value(args: &[String], name: &str) -> Option<String> {
+    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 /// The nine protocols of Figure 3/4 (HERD and the hybrid are §5-only).
@@ -407,7 +417,8 @@ pub fn micro_section3() -> Table {
     // In-bound vs out-bound RDMA: server-bypass READ polling puts the
     // work on the initiator.
     let fabric = Fabric::new(SimConfig::default());
-    let _ = raw_latency_in_fabric(&fabric, ProtocolKind::Rfp, PollMode::Busy, 512, 16);
+    let cfg = protocol_bench::cfg_for(512, PollMode::Busy);
+    let _ = protocol_bench::raw_latency_impl(&fabric, ProtocolKind::Rfp, cfg, 512, 16);
     let stats = fabric.stats();
     let (mut inbound, mut outbound) = (0, 0);
     for (name, s) in &stats.nodes {
@@ -425,15 +436,86 @@ pub fn micro_section3() -> Table {
     table
 }
 
-/// Raw latency inside a caller-provided fabric (exposes fabric stats).
-pub fn raw_latency_in_fabric(
-    fabric: &Fabric,
-    kind: ProtocolKind,
-    poll: PollMode,
-    size: usize,
-    iters: usize,
-) -> RawLatencyPoint {
-    protocol_bench::raw_latency_impl(fabric, kind, poll, size, iters)
+/// DESIGN §4's ablations, each isolating one component cost on the raw
+/// echo runner of Figure 4: the doorbell chaining saves, the eager copy
+/// against the rendezvous round trip, the NUMA hop, and hint dispatch.
+pub fn ablations() -> Table {
+    const ITERS: usize = 200;
+    let mut table = Table::new(
+        "Design ablations (DESIGN §4) — one component cost at a time",
+        &["ablation", "variant", "mean(us)", "p99(us)", "doorbells/call"],
+    );
+    let mut row = |ablation: &str, variant: String, p: RawLatencyPoint| {
+        table.row(vec![
+            ablation.to_string(),
+            variant,
+            format!("{:.2}", p.mean_ns as f64 / 1000.0),
+            format!("{:.2}", p.p99_ns as f64 / 1000.0),
+            format!("{:.2}", p.doorbells as f64 / ITERS as f64),
+        ]);
+    };
+    let raw = |kind, cfg, size| {
+        let fabric = Fabric::new(SimConfig::default());
+        protocol_bench::raw_latency_impl(&fabric, kind, cfg, size, ITERS)
+    };
+
+    // #1: a WRITE and a SEND under one doorbell or two, 256 B.
+    for kind in [ProtocolKind::DirectWriteSend, ProtocolKind::ChainedWriteSend] {
+        let p = raw(kind, protocol_bench::cfg_for(256, PollMode::Busy), 256);
+        row("WR chaining, 256 B", kind.label().to_string(), p);
+    }
+    // #2: an 8 KiB payload copied eagerly or sent by rendezvous.
+    for threshold in [1024, 4096, 16384] {
+        let cfg = ProtocolConfig {
+            eager_threshold: threshold,
+            ..protocol_bench::cfg_for(8192, PollMode::Busy)
+        };
+        let p = raw(ProtocolKind::HybridEagerRndv, cfg, 8192);
+        row("eager threshold, 8 KiB", format!("threshold {} KiB", threshold / 1024), p);
+    }
+    // The NUMA-binding hint (§5.5): the calling thread on the NIC's
+    // socket, on the far one, or on neither (the blended cross-socket
+    // factor).
+    let cfg = protocol_bench::cfg_for(512, PollMode::Busy);
+    for (variant, core) in
+        [("bound to core 0", Some(0)), ("bound to core 27", Some(27)), ("unbound", None)]
+    {
+        let _bind = core.map(numa::bind_current_thread);
+        let p = raw(ProtocolKind::DirectWriteImm, cfg.clone(), 512);
+        row("NUMA binding, 512 B", variant.to_string(), p);
+    }
+    // #5: the engine's per-function plan lookup against the protocol it
+    // selects, called directly.
+    row(
+        "hint dispatch, 256 B",
+        "hinted HatClient::call".to_string(),
+        hinted_call_latency(256, ITERS),
+    );
+    let p = raw(ProtocolKind::DirectWriteImm, protocol_bench::cfg_for(256, PollMode::Busy), 256);
+    row("hint dispatch, 256 B", ProtocolKind::DirectWriteImm.label().to_string(), p);
+    table
+}
+
+/// [`raw_latency`]'s measurement of a `HatClient::call` echo whose hints
+/// (`perf_goal = latency`) select Direct-WriteIMM with busy polling.
+fn hinted_call_latency(size: usize, iters: usize) -> RawLatencyPoint {
+    let idl =
+        r#"service E { hint: perf_goal = latency, payload_size = 512; binary f(1: binary p) }"#;
+    let schema = ServiceSchema::parse(idl, "E").expect("idl");
+    let fabric = Fabric::new(SimConfig::default());
+    let snode = fabric.add_node("hint-server");
+    let echo: HandlerFactory = Arc::new(|| Box::new(|req: &[u8]| req.to_vec()));
+    let server =
+        HatServer::serve(&fabric, &snode, "e", schema.clone(), ServerPolicy::Threaded, echo);
+    let cnode = fabric.add_node("hint-client");
+    let mut client = HatClient::new(&fabric, &cnode, "e", &schema);
+    let payload = vec![0x7Eu8; size];
+    let point = protocol_bench::time_calls(&[&cnode, &snode], iters, || {
+        client.call("f", &payload).expect("call");
+    });
+    drop(client);
+    server.shutdown();
+    point
 }
 
 #[cfg(test)]
@@ -445,6 +527,13 @@ mod tests {
         // One protocol, one point — the full table is exercised by repro.
         let p = raw_latency(ProtocolKind::DirectWriteImm, PollMode::Busy, 512, 8);
         assert!(p.mean_ns > 0);
+    }
+
+    #[test]
+    fn ablations_table_has_a_row_per_variant() {
+        // 2 chaining + 3 thresholds + 3 bindings + 2 dispatch paths.
+        let t = ablations();
+        assert_eq!(t.rows().len(), 10);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use hat_protocols::{accept_server, connect_client, ProtocolConfig, ProtocolKind};
-use hat_rdma_sim::{now_ns, Fabric, PollMode, SimConfig};
+use hat_rdma_sim::{now_ns, Fabric, Node, PollMode, SimConfig};
 use hat_trace::hist::Histogram;
 
 /// One latency measurement point.
@@ -18,6 +18,9 @@ pub struct RawLatencyPoint {
     pub p99_ns: u64,
     /// Minimum observed, ns.
     pub min_ns: u64,
+    /// MMIO doorbells the client and server nodes rang over the timed
+    /// calls.
+    pub doorbells: u64,
 }
 
 /// One throughput measurement point.
@@ -29,7 +32,7 @@ pub struct RawThroughputPoint {
     pub mb_per_sec: f64,
 }
 
-fn cfg_for(size: usize, poll: PollMode) -> ProtocolConfig {
+pub(crate) fn cfg_for(size: usize, poll: PollMode) -> ProtocolConfig {
     ProtocolConfig { poll, max_msg: size.max(64), ..Default::default() }
 }
 
@@ -41,20 +44,22 @@ pub fn raw_latency(
     iters: usize,
 ) -> RawLatencyPoint {
     let fabric = Fabric::new(SimConfig::default());
-    raw_latency_impl(&fabric, kind, poll, size, iters)
+    raw_latency_impl(&fabric, kind, cfg_for(size, poll), size, iters)
 }
 
+/// Echo `iters` timed calls of `size` bytes over a fresh `kind` pair in
+/// `fabric`, both sides configured by `cfg`; the client calls from the
+/// calling thread, so a NUMA binding held by the caller applies to it.
 pub(crate) fn raw_latency_impl(
     fabric: &Fabric,
     kind: ProtocolKind,
-    poll: PollMode,
+    cfg: ProtocolConfig,
     size: usize,
     iters: usize,
 ) -> RawLatencyPoint {
     let snode = fabric.add_node("raw-server");
     let cnode = fabric.add_node("raw-client");
     let (cep, sep) = fabric.connect(&cnode, &snode).expect("connect");
-    let cfg = cfg_for(size, poll);
     let scfg = cfg.clone();
     let total = iters + 4;
     let server = std::thread::spawn(move || {
@@ -68,18 +73,32 @@ pub(crate) fn raw_latency_impl(
     });
     let mut client = connect_client(kind, cep, cfg).expect("client side");
     let payload = vec![0x7Eu8; size];
+    let point = time_calls(&[&cnode, &snode], iters, || {
+        client.call(&payload).expect("echo");
+    });
+    drop(client);
+    drop(server.join().expect("server thread"));
+    point
+}
+
+/// Time `iters` calls of `call` after four untimed ones, counting the
+/// doorbells `nodes` ring over the timed calls. A reply's doorbell rings
+/// before the caller sees the reply, so the counts are final for every
+/// call that has returned.
+pub(crate) fn time_calls(nodes: &[&Node], iters: usize, mut call: impl FnMut()) -> RawLatencyPoint {
     for _ in 0..4 {
-        client.call(&payload).expect("warmup");
+        call();
     }
+    let doorbells = || nodes.iter().map(|n| n.stats_snapshot().doorbells).sum::<u64>();
+    let before = doorbells();
     let hist = Histogram::default();
     for _ in 0..iters {
         let t0 = now_ns();
-        client.call(&payload).expect("echo");
+        call();
         hist.record(now_ns() - t0);
     }
-    drop(client);
-    drop(server.join().expect("server thread"));
-    RawLatencyPoint { mean_ns: hist.mean(), p99_ns: hist.p99(), min_ns: hist.min() }
+    let doorbells = doorbells() - before;
+    RawLatencyPoint { mean_ns: hist.mean(), p99_ns: hist.p99(), min_ns: hist.min(), doorbells }
 }
 
 /// Multi-client echo throughput for `(kind, poll, size, clients)`.

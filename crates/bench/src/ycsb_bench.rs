@@ -194,6 +194,27 @@ fn run_op(client: &mut HatKVClient, op: Op) -> hatrpc_core::Result<()> {
     }
 }
 
+/// Open, before the measured window, the channels the workload's ops will
+/// use. A GET and a MULTIGET go first; where the hints ask for
+/// `onesided_get`, the GET dials the side-channel and READs serve both,
+/// so they open no RPC channel. One write of each kind the workload
+/// issues, rewriting record 0 with its load-phase value, then opens the
+/// write channels.
+fn warm_up(client: &mut HatKVClient, spec: &WorkloadSpec) {
+    let (key, value) = OpGenerator::load_phase(spec).next().expect("one record");
+    let [_, put_share, _, multiput_share] = spec.proportions;
+    let mut warm = vec![Op::Get { key: key.clone() }, Op::MultiGet { keys: vec![key.clone()] }];
+    if put_share > 0.0 {
+        warm.push(Op::Put { key: key.clone(), value: value.clone() });
+    }
+    if multiput_share > 0.0 {
+        warm.push(Op::MultiPut { keys: vec![key], values: vec![value] });
+    }
+    for op in warm {
+        let _ = run_op(client, op);
+    }
+}
+
 /// Run one YCSB point: preload, fan out clients, measure.
 pub fn run_ycsb(cfg: &YcsbConfig) -> YcsbPoint {
     run_ycsb_sampled(cfg, None).0
@@ -284,14 +305,8 @@ pub fn run_ycsb_sampled(
                     HatKVClient::new(HatClient::new(&fabric, &node, "kv", &schema))
                 }
             };
+            warm_up(&mut client, &spec);
             let mut generator = OpGenerator::new(spec, c as u64 + 1);
-            // Warm all channels outside the measured window.
-            for warm in [
-                Op::Get { key: generator.spec().key(0) },
-                Op::MultiGet { keys: vec![generator.spec().key(0)] },
-            ] {
-                let _ = run_op(&mut client, warm);
-            }
             barrier.wait();
             let mut m = RunMeasurement::new();
             let t0 = now_ns();
@@ -384,6 +399,42 @@ mod tests {
         });
         assert!(p.throughput_ops_s > 0.0);
         assert_eq!(p.shard_stats.len(), 1);
+    }
+
+    /// A one-sided HatRPC-Function client's GET and MULTIGET are READs,
+    /// yet its warm-up for a workload that writes leaves every declared
+    /// channel open: no first PUT or MULTIPUT opens a channel inside the
+    /// measured window. A read-only workload's warm-up opens none.
+    #[test]
+    fn warm_up_opens_every_channel_the_workload_uses() {
+        let fabric = Fabric::new(SimConfig::default());
+        let snode = fabric.add_node("kv-server");
+        let schema = schema_for(2, false, 4, true);
+        let server = HatKvServer::start_with_schema(
+            &fabric,
+            &snode,
+            "kv",
+            schema.clone(),
+            DbConfig::default(),
+        );
+        let cnode = fabric.add_node("kv-client");
+        for (workload, all_open) in [(KvWorkload::ReadOnly, false), (KvWorkload::MixB, true)] {
+            let spec = workload.spec(100);
+            server.db().multi_put(OpGenerator::load_phase(&spec));
+            let mut client = HatKVClient::new(HatClient::new(&fabric, &cnode, "kv", &schema));
+            warm_up(&mut client, &spec);
+            let open = client.engine().open_channels();
+            let declared = client.engine().warm_all().expect("warm_all");
+            assert!(declared > 0);
+            let want = if all_open { declared } else { 0 };
+            assert_eq!(
+                open,
+                want,
+                "{}: the warm-up left {open} of {declared} open",
+                workload.label()
+            );
+        }
+        server.shutdown();
     }
 
     #[test]

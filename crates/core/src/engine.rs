@@ -29,6 +29,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use hat_idl::hints::{ResolvedHints, Side, TransportHint};
 use hat_protocols::{
@@ -1225,22 +1226,27 @@ impl HatServer {
     }
 }
 
-/// Every RDMA connection a server has accepted, by stage. A connection
-/// whose preamble arrived before shutdown is built and registered before
-/// the reactor drains; one still waiting for its preamble is closed, so
-/// a silent dialer costs shutdown nothing.
+/// Every RDMA connection a server has accepted, by stage. Shutdown closes
+/// every connection that is not yet live, so neither a dialer that never
+/// sends its preamble nor one that stalls in its protocol's handshake
+/// holds it up; a build that is only under way gets [`BUILD_GRACE`] to
+/// register first, so the reactor drains it.
 #[derive(Default)]
 struct Accepted {
     stages: Mutex<Stages>,
     built: Condvar,
 }
 
+/// How long shutdown lets a connection being built finish before it
+/// closes the endpoint under it.
+const BUILD_GRACE: Duration = Duration::from_millis(500);
+
 #[derive(Default)]
 struct Stages {
     /// Waiting for their preamble, by endpoint id.
     awaiting: HashMap<u64, Endpoint>,
-    /// Preamble read, protocol server under construction.
-    building: usize,
+    /// Preamble read, protocol server under construction, by endpoint id.
+    building: HashMap<u64, Endpoint>,
     /// Registered with the reactor, queued for a pool worker, or served
     /// by their own thread, until they close.
     live: OpenConns<Endpoint>,
@@ -1261,29 +1267,41 @@ impl Accepted {
         if stages.closing {
             return false;
         }
-        stages.building += 1;
+        stages.building.insert(ep.id(), ep.clone());
         true
     }
 
-    /// A build ended; `Some(ep)` is live.
-    fn end_build(&self, live: Option<Endpoint>) {
+    /// `ep`'s build ended; it is live if `built`.
+    fn end_build(&self, ep: &Endpoint, built: bool) {
         let mut stages = self.stages.lock();
-        stages.building -= 1;
-        if let Some(ep) = live {
-            stages.live.insert(ep, Endpoint::is_alive);
+        stages.building.remove(&ep.id());
+        if built {
+            stages.live.insert(ep.clone(), Endpoint::is_alive);
         }
         self.built.notify_all();
     }
 
     /// Shutdown, step one: close every connection still waiting for its
-    /// preamble and wait until no connection is being built.
+    /// preamble, give the ones being built [`BUILD_GRACE`] to finish,
+    /// close those that have not (a build whose endpoint closes fails
+    /// typed within a poll slice), and wait until none is being built.
     fn settle(&self) {
         let mut stages = self.stages.lock();
         stages.closing = true;
         for ep in stages.awaiting.values() {
             ep.close();
         }
-        while stages.building > 0 {
+        let give_up = Instant::now() + BUILD_GRACE;
+        while let Some(left) = give_up.checked_duration_since(Instant::now()) {
+            if stages.building.is_empty() {
+                return;
+            }
+            self.built.wait_for(&mut stages, left);
+        }
+        for ep in stages.building.values() {
+            ep.close();
+        }
+        while !stages.building.is_empty() {
             self.built.wait(&mut stages);
         }
     }
@@ -1322,7 +1340,7 @@ impl Opener {
             Err(e) => {
                 let note = format!("connection negotiation failed: {e}");
                 hat_trace::annotate(ep.node().id(), now_ns(), &note);
-                self.conns.end_build(None);
+                self.conns.end_build(&ep, false);
                 return;
             }
         };
@@ -1333,12 +1351,12 @@ impl Opener {
                 let handler =
                     make_handler(&self.factory, conn.node_id, conn.proto_label, &conn.fn_scope);
                 reactor.register(server, handler);
-                self.conns.end_build(Some(ep));
+                self.conns.end_build(&ep, true);
                 return;
             }
             (server, _) => Connection { server, ..conn },
         };
-        self.conns.end_build(Some(ep));
+        self.conns.end_build(&ep, true);
         match &self.pool {
             Some(pool) => {
                 let _ = pool.send(conn);
@@ -1461,8 +1479,9 @@ impl HatServer {
     /// (idempotent: the second pass finds everything already taken).
     /// Unlistening ends the accept loops once the dials already made are
     /// accepted; then connections still waiting for their preamble are
-    /// refused and the ones being built are registered, the reactor
-    /// drains, and only then do the live endpoints close.
+    /// refused, the ones being built are registered or, past
+    /// [`BUILD_GRACE`], refused, the reactor drains, and only then do the
+    /// live endpoints close.
     fn wind_down(&mut self) {
         self.fabric.unlisten(&self.service);
         self.fabric.unlisten_ipoib(&tcp_service(&self.service));

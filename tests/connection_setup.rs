@@ -1,7 +1,8 @@
-//! Connection setup: a dialer that never sends its handshake delays no
-//! other connection and no shutdown, a window is bounded by the queue
-//! pair's receive depth rather than by a second hand-kept number, and a
-//! connection that closes gives its server-side memory back.
+//! Connection setup: a dialer that never sends its handshake, or stalls
+//! halfway through it, delays no other connection and no shutdown, a
+//! window is bounded by the queue pair's receive depth rather than by a
+//! second hand-kept number, and a connection that closes gives its
+//! server-side memory back.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -9,8 +10,10 @@ use std::time::{Duration, Instant};
 use hatrpc::core::engine::{CallPolicy, HatClient, HatServer, ServerPolicy};
 use hatrpc::core::selection::Selection;
 use hatrpc::core::service::ServiceSchema;
-use hatrpc::protocols::{onesided_service, OneSidedHost, OneSidedReader, ProtocolKind};
-use hatrpc::rdma::{Endpoint, Fabric, Node, PollMode, SimConfig, RECV_DEPTH};
+use hatrpc::protocols::{
+    exchange_blobs, onesided_service, OneSidedHost, OneSidedReader, ProtocolKind,
+};
+use hatrpc::rdma::{Endpoint, Fabric, Node, PollMode, RecvWr, SimConfig, RECV_DEPTH};
 
 /// What a silent dialer may cost anyone else.
 const BOUND: Duration = Duration::from_secs(2);
@@ -80,6 +83,43 @@ fn a_silent_dialer_does_not_stall_shutdown() {
         let start = Instant::now();
         server.shutdown();
         assert!(start.elapsed() < BOUND, "{policy:?}: shutdown took {:?}", start.elapsed());
+    }
+}
+
+/// A dial that sends a Direct-WriteIMM preamble for `plain`, takes the
+/// server's half of the wire's own handshake and never sends its half, so
+/// the server's build waits in that handshake. Returns once the server's
+/// half has arrived.
+fn stalled_dial(fabric: &Fabric, service: &str) -> Endpoint {
+    let node = fabric.add_node("stalled");
+    let ep = fabric.dial(&node, service).unwrap();
+    // The engine's preamble: kind, client poll (busy), max_msg,
+    // queue_depth, scope length, scope.
+    let kind = ProtocolKind::ALL.iter().position(|&k| k == ProtocolKind::DirectWriteImm).unwrap();
+    let mut preamble = vec![kind as u8, 0];
+    preamble.extend_from_slice(&4096u64.to_le_bytes());
+    preamble.extend_from_slice(&1u32.to_le_bytes());
+    preamble.extend_from_slice(&(b"plain".len() as u16).to_le_bytes());
+    preamble.extend_from_slice(b"plain");
+    exchange_blobs(&ep, &preamble).unwrap();
+    let mr = ep.pd().register(256).unwrap();
+    ep.post_recv(RecvWr::new(0, mr, 0, 256)).unwrap();
+    ep.recv_cq().poll_timeout(PollMode::Busy, BOUND.as_nanos() as u64).unwrap();
+    ep
+}
+
+/// A connection whose build stalls in its protocol's handshake is closed
+/// by shutdown, not waited out for the handshake's 30 s timeout.
+#[test]
+fn a_dialer_stalled_in_the_wire_handshake_does_not_stall_shutdown() {
+    for policy in [ServerPolicy::Threaded, ServerPolicy::ThreadPool(2), ServerPolicy::Reactor] {
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let (_snode, server) = serve(&fabric, policy);
+        let stalled = stalled_dial(&fabric, "setup");
+        let start = Instant::now();
+        server.shutdown();
+        assert!(start.elapsed() < BOUND, "{policy:?}: shutdown took {:?}", start.elapsed());
+        assert!(!stalled.is_alive(), "{policy:?}: the stalled connection was not refused");
     }
 }
 
