@@ -10,9 +10,13 @@
 //! * [`PollMode::Event`] parks on a condition variable with timed waits
 //!   sized by the next known deadline, charges the configured
 //!   interrupt/wakeup latency on delivery, and burns no CPU while blocked.
+//!
+//! Either way a poll that finds nothing ready reads one atomic — the
+//! earliest entry's readiness, mirrored out of the heap — and takes no
+//! lock; only a long-idle nap takes the heap lock, to count itself in.
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
@@ -124,9 +128,20 @@ struct Heap {
     nappers: usize,
 }
 
+impl Heap {
+    fn head(&self) -> u64 {
+        self.entries.peek().map_or(u64::MAX, |e| e.ready_at)
+    }
+}
+
 pub(crate) struct CqInner {
     node: Weak<Node>,
     heap: Mutex<Heap>,
+    /// `ready_at` of the earliest entry, `u64::MAX` with none: the heap's
+    /// head, written under the heap lock whenever it changes, so a poll
+    /// with nothing ready reads it without taking that lock. Relaxed, as
+    /// [`Node`]'s mirrored effect deadline is.
+    head: AtomicU64,
     cond: Condvar,
     /// Reactor notifiers to invoke on push; dead entries are pruned lazily.
     wakers: Mutex<Vec<Weak<dyn CqNotify>>>,
@@ -165,6 +180,7 @@ impl CqInner {
         let seq = guard.seq;
         guard.seq += 1;
         guard.entries.push(Entry { ready_at, seq, completion });
+        self.head.store(guard.head(), Ordering::Relaxed);
         // The std condvar under `parking_lot::Condvar` wakes through a
         // syscall whether or not anyone waits: notify only a napper, which
         // counted itself in under this lock before it went to sleep.
@@ -176,6 +192,21 @@ impl CqInner {
         if self.registered.load(Ordering::Relaxed) != 0 {
             self.wake();
         }
+    }
+
+    /// Pop the earliest entry if it was ready at `by`. With nothing ready
+    /// this reads the mirrored head only.
+    fn pop_ready(&self, by: u64) -> Option<Entry> {
+        if self.head.load(Ordering::Relaxed) > by {
+            return None;
+        }
+        let mut heap = self.heap.lock();
+        if heap.head() > by {
+            return None;
+        }
+        let entry = heap.entries.pop();
+        self.head.store(heap.head(), Ordering::Relaxed);
+        entry
     }
 
     /// Invoke every registered [`CqNotify`], pruning dead ones: after a
@@ -216,6 +247,7 @@ impl CompletionQueue {
             inner: Arc::new(CqInner {
                 node: Arc::downgrade(node),
                 heap: Mutex::new(Heap::default()),
+                head: AtomicU64::new(u64::MAX),
                 cond: Condvar::new(),
                 wakers: Mutex::new(Vec::new()),
                 registered: AtomicUsize::new(0),
@@ -241,31 +273,41 @@ impl CompletionQueue {
         self.inner.node.upgrade()
     }
 
+    /// When the earliest queued entry is (or was) ready, if any: the
+    /// mirrored head, read without the heap's lock.
+    pub fn next_ready_at(&self) -> Option<u64> {
+        let head = self.inner.head.load(Ordering::Relaxed);
+        (head != u64::MAX).then_some(head)
+    }
+
+    /// The earliest entry's readiness read under the heap's lock, the
+    /// value [`CompletionQueue::next_ready_at`] mirrors. For tests that
+    /// check the mirror.
+    #[doc(hidden)]
+    pub fn next_ready_at_locked(&self) -> Option<u64> {
+        let head = self.inner.heap.lock().head();
+        (head != u64::MAX).then_some(head)
+    }
+
     /// Non-blocking poll: returns a completion if one is ready *now*.
     pub fn try_poll(&self) -> Option<Completion> {
         let node = self.node()?;
         node.drain_effects();
         let now = now_ns();
-        let mut guard = self.inner.heap.lock();
-        if guard.entries.peek().is_some_and(|e| e.ready_at <= now) {
-            let e = guard.entries.pop().expect("peeked entry present");
-            drop(guard);
-            NodeStats::add(&node.stats().completions, 1);
-            // Consuming the CQE began at the `now` that found it ready.
-            let charge = node.begin_charge_at(now, node.config().cost.poll_cqe_ns);
-            if hat_trace::enabled() {
-                hat_trace::event(
-                    hat_trace::Phase::Completion,
-                    node.id(),
-                    hat_trace::current_call(),
-                    e.completion.wr_id,
-                    charge.end_ns(),
-                );
-            }
-            Some(e.completion)
-        } else {
-            None
+        let e = self.inner.pop_ready(now)?;
+        NodeStats::add(&node.stats().completions, 1);
+        // Consuming the CQE began at the `now` that found it ready.
+        let charge = node.begin_charge_at(now, node.config().cost.poll_cqe_ns);
+        if hat_trace::enabled() {
+            hat_trace::event(
+                hat_trace::Phase::Completion,
+                node.id(),
+                hat_trace::current_call(),
+                e.completion.wr_id,
+                charge.end_ns(),
+            );
         }
+        Some(e.completion)
     }
 
     /// Blocking poll with the given mechanism. See module docs.
@@ -288,10 +330,7 @@ impl CompletionQueue {
                 loop {
                     node.drain_effects();
                     let now = now_ns();
-                    let mut guard = self.inner.heap.lock();
-                    if guard.entries.peek().is_some_and(|e| e.ready_at <= now) {
-                        let e = guard.entries.pop().expect("peeked entry present");
-                        drop(guard);
+                    if let Some(e) = self.inner.pop_ready(now) {
                         NodeStats::add(&node.stats().completions, 1);
                         NodeStats::add(&node.stats().cpu_busy_ns, now_ns() - start);
                         if hat_trace::enabled() {
@@ -306,13 +345,12 @@ impl CompletionQueue {
                         return Ok(e.completion);
                     }
                     if now >= give_up {
-                        drop(guard);
                         NodeStats::add(&node.stats().cpu_busy_ns, now - start);
                         return Err(RdmaError::Timeout);
                     }
                     // The spinner registration above models the burned
                     // simulated core; the host core is yielded.
-                    self.dry_step(&node, guard, start, now);
+                    self.dry_step(&node, start, now, now);
                 }
             }
             PollMode::Event => {
@@ -334,10 +372,9 @@ impl CompletionQueue {
                 loop {
                     node.drain_effects();
                     let now = now_ns();
-                    let mut guard = self.inner.heap.lock();
-                    if guard.entries.peek().is_some_and(|e| e.ready_at + wake <= now) {
-                        let e = guard.entries.pop().expect("peeked entry present");
-                        drop(guard);
+                    // Observable once `ready_at + wake <= now`.
+                    let by = now.checked_sub(wake);
+                    if let Some(e) = by.and_then(|by| self.inner.pop_ready(by)) {
                         NodeStats::add(&node.stats().completions, 1);
                         let charge = node.begin_charge_at(now, node.config().cost.poll_cqe_ns);
                         if hat_trace::enabled() {
@@ -365,7 +402,7 @@ impl CompletionQueue {
                     if now >= give_up {
                         return Err(RdmaError::Timeout);
                     }
-                    self.dry_step(&node, guard, start, now);
+                    self.dry_step(&node, start, now, by.unwrap_or(0));
                 }
             }
         }
@@ -375,26 +412,23 @@ impl CompletionQueue {
     /// [`crate::time::dry_pause`]: read a parked in-flight payload ahead
     /// ([`Node::warm_inbound`]) if the node has one, else yield so the peer
     /// can run even on core-starved hosts, or — long idle — nap on the
-    /// condvar. The nap is taken while still holding the heap lock the dry
-    /// check ran under, with the napper counted in under it, so a push
-    /// racing with the check either landed before the peek or sees the
-    /// napper and notifies the wait: no wakeup is ever lost.
-    fn dry_step(
-        &self,
-        node: &Node,
-        mut heap: parking_lot::MutexGuard<'_, Heap>,
-        dry_since: u64,
-        now: u64,
-    ) {
+    /// condvar. The dry check before this step read the mirrored head
+    /// only; a nap repeats it (nothing ready at `by`) under the heap lock,
+    /// counts the napper in under that lock and waits still holding it, so
+    /// a push racing with the check either landed before the locked check
+    /// or sees the napper and notifies the wait: no wakeup is ever lost.
+    fn dry_step(&self, node: &Node, dry_since: u64, now: u64, by: u64) {
         if node.has_unwarmed() {
-            drop(heap);
             node.warm_inbound();
         } else if crate::time::long_idle(dry_since, now) {
+            let mut heap = self.inner.heap.lock();
+            if heap.head() <= by {
+                return;
+            }
             heap.nappers += 1;
             self.inner.cond.wait_for(&mut heap, crate::time::IDLE_NAP);
             heap.nappers -= 1;
         } else {
-            drop(heap);
             std::thread::yield_now();
         }
     }

@@ -29,14 +29,14 @@ use std::sync::{Arc, Weak};
 use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::error::{RdmaError, Result};
-use crate::node::Node;
+use crate::node::{Node, Padded};
 use crate::pool::PoolBuf;
 
 /// Monotonic id source for rkeys/lkeys across the whole process.
 static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
 
 /// `offset..offset + len` if it lies inside a region of `capacity` bytes.
-fn bounds(offset: usize, len: usize, capacity: usize) -> Result<std::ops::Range<usize>> {
+pub(crate) fn bounds(offset: usize, len: usize, capacity: usize) -> Result<std::ops::Range<usize>> {
     match offset.checked_add(len) {
         Some(end) if end <= capacity => Ok(offset..end),
         _ => Err(RdmaError::OutOfBounds { offset, len, capacity }),
@@ -70,8 +70,12 @@ pub(crate) struct MrInner {
     pub lkey: u64,
     /// Remote key: how peers name this region in one-sided operations.
     pub rkey: u64,
+    /// Capacity in bytes, fixed at registration: a bounds check reads it
+    /// without taking the storage lock, which the region's own node holds
+    /// while it lands WRITEs.
+    pub len: usize,
     /// Backing storage.
-    pub buf: RwLock<Storage>,
+    pub buf: Padded<RwLock<Storage>>,
     /// Owning node (for drains and stats); weak to avoid cycles.
     pub node: Weak<Node>,
     /// Set when deregistered; later accesses fail.
@@ -85,7 +89,7 @@ impl Drop for MrInner {
     fn drop(&mut self) {
         if !*self.dead.get_mut() {
             if let Some(node) = self.node.upgrade() {
-                node.stats().mem_deregistered(self.buf.get_mut().bytes.len() as u64);
+                node.stats().mem_deregistered(self.len as u64);
                 node.forget_mr(self.rkey);
             }
         }
@@ -111,7 +115,7 @@ impl std::fmt::Debug for MemoryRegion {
 impl MemoryRegion {
     /// Region capacity in bytes.
     pub fn len(&self) -> usize {
-        self.inner.buf.read().bytes.len()
+        self.inner.len
     }
 
     /// True for zero-capacity regions.
@@ -285,6 +289,11 @@ impl MemoryRegion {
         Ok(old)
     }
 
+    /// Check that `offset..offset + len` lies inside the region.
+    pub(crate) fn check_range(&self, offset: usize, len: usize) -> Result<()> {
+        bounds(offset, len, self.inner.len).map(|_| ())
+    }
+
     fn check_live(&self) -> Result<()> {
         if self.inner.dead.load(Ordering::Acquire) {
             Err(RdmaError::Deregistered)
@@ -319,7 +328,7 @@ pub struct MrSlice {
 impl MrSlice {
     /// Validate the slice against its region's bounds.
     pub fn validate(&self) -> Result<()> {
-        bounds(self.offset, self.len, self.mr.len()).map(|_| ())
+        self.mr.check_range(self.offset, self.len)
     }
 }
 
@@ -417,7 +426,11 @@ impl ProtectionDomain {
         let inner = Arc::new(MrInner {
             lkey,
             rkey,
-            buf: RwLock::new(Storage { bytes: vec![0u8; len].into_boxed_slice(), landed: None }),
+            len,
+            buf: Padded(RwLock::new(Storage {
+                bytes: vec![0u8; len].into_boxed_slice(),
+                landed: None,
+            })),
             node: Arc::downgrade(&self.node),
             dead: AtomicBool::new(false),
         });

@@ -23,6 +23,14 @@
 //! ([`Node::warm_inbound`]), the part DDIO plays on a real host, so the
 //! receiver that takes the landed buffer does not pay a cross-core cache
 //! transfer for it. That is host work only; it changes no modelled time.
+//!
+//! The effect queue is written by the posting peer and read by this node's
+//! own threads, so its idle check is kept off the peer's cache lines: the
+//! earliest deadline is mirrored in an atomic ([`Node::next_effect_deadline`])
+//! that a drain or a reactor pass reads without taking the queue's lock.
+//! The receive-side counters (`inbound_rdma`, `bytes_rx`) of a SEND, WRITE
+//! or WRITE_WITH_IMM are bumped by the thread that applies it, at its
+//! deadline, not by the sender at post time.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -111,15 +119,26 @@ pub(crate) enum Payload {
     Parked(usize),
 }
 
+/// The completion half of a WRITE_WITH_IMM: the endpoint whose posted
+/// receive it consumes, and what the completion carries.
+pub(crate) struct ImmNotice {
+    pub ep: Weak<EndpointInner>,
+    pub imm: u32,
+    pub byte_len: usize,
+}
+
 /// What a pending effect does when its deadline passes.
 pub(crate) enum EffectKind {
     /// An RDMA WRITE payload landing in a registered region (by reference:
-    /// see [`crate::memory`]).
-    MemWrite { mr: Weak<MrInner>, offset: usize, data: Payload },
-    /// A SEND (or the completion half of WRITE_WITH_IMM) arriving at an
-    /// endpoint: consumes a posted receive and completes on the recv CQ.
-    /// `data` is written into the receive buffer for plain SENDs and is
-    /// empty for WRITE_WITH_IMM (whose payload was a separate `MemWrite`).
+    /// see [`crate::memory`]). A WRITE_WITH_IMM into the connected peer's
+    /// memory is this one effect too: `imm` delivers its completion right
+    /// after the payload lands, so the completion is never visible first.
+    MemWrite { mr: Weak<MrInner>, offset: usize, data: Payload, imm: Option<ImmNotice> },
+    /// A SEND arriving at an endpoint: consumes a posted receive and
+    /// completes on the recv CQ, `data` written into the receive buffer.
+    /// Also the completion half of a WRITE_WITH_IMM whose region lies on
+    /// a node other than the endpoint's (`data` empty; the payload is a
+    /// separate `MemWrite` on that node).
     RecvDeliver {
         ep: Weak<EndpointInner>,
         data: PoolBuf,
@@ -180,21 +199,65 @@ const WARM_SLOTS: usize = 4;
 /// A parked payload, and whether a waiting thread has read it ahead yet.
 type WarmSlot = Mutex<Option<(PoolBuf, bool)>>;
 
+/// Deferred effects ordered by deadline, and the push sequence that keeps
+/// equal-deadline effects FIFO.
+struct Pending {
+    effects: BinaryHeap<Reverse<PendingEffect>>,
+    seq: u64,
+}
+
+impl Pending {
+    fn head(&self) -> u64 {
+        self.effects.peek().map_or(u64::MAX, |Reverse(e)| e.deadline)
+    }
+}
+
+/// A value on cache lines of its own: 128 bytes, the pair of lines an
+/// x86 core's adjacent-line prefetcher fetches together.
+///
+/// A simulated message is written by one host thread and read by another,
+/// so a field one side writes on every message evicts whatever shares its
+/// line from the other side's cache. The fields of the message path that
+/// the posting peer writes (a node's ingress reservations, effect queue
+/// and region table) and the ones the owning side locks or bumps on every
+/// message (its egress, spinner count, a region's storage lock, an
+/// endpoint's receive queues) each sit in one of these.
+#[repr(align(128))]
+#[derive(Default)]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// A registered region as the region table holds it: the weak reference
+/// an in-bound effect takes, and the region's capacity.
+type RegionEntry = (Weak<MrInner>, usize);
+
 /// A simulated machine in the fabric.
 pub struct Node {
     id: u64,
     name: String,
     config: Arc<SimConfig>,
     topology: NumaTopology,
-    egress: Link,
-    ingress: Link,
+    egress: Padded<Link>,
+    ingress: Padded<Link>,
     /// Deferred effects targeting this node, ordered by deadline.
-    pending: Mutex<BinaryHeap<Reverse<PendingEffect>>>,
+    pending: Padded<Mutex<Pending>>,
+    /// Deadline of the earliest pending effect, `u64::MAX` with none: the
+    /// heap's head, written under the `pending` lock whenever it changes,
+    /// so an idle check reads it without taking that lock. Relaxed: a
+    /// stale read only defers a drain to the next check, and the effects
+    /// themselves pass through the lock.
+    next_due: AtomicU64,
     /// Serializes effect application so drains from different threads
     /// cannot interleave out of deadline order.
     apply_lock: Mutex<()>,
-    /// rkey -> region, for resolving one-sided targets.
-    mrs: Mutex<HashMap<u64, Weak<MrInner>>>,
+    /// rkey -> region and its capacity, for resolving one-sided targets.
+    mrs: Padded<Mutex<HashMap<u64, RegionEntry>>>,
     /// In-flight WRITE payloads parked for read-ahead.
     parked: [WarmSlot; WARM_SLOTS],
     /// Parked payloads no thread has read ahead yet: the one atomic a
@@ -204,8 +267,7 @@ pub struct Node {
     unwarmed: AtomicUsize,
     stats: NodeStats,
     /// Threads currently burning simulated CPU on this node.
-    spinners: AtomicU32,
-    seq: AtomicU64,
+    spinners: Padded<AtomicU32>,
     /// False once the node has been killed (fault injection or
     /// [`crate::Fabric::kill_node`]). Dead nodes reject verbs and stop
     /// delivering pending effects.
@@ -230,16 +292,19 @@ impl Node {
             name,
             config,
             topology,
-            egress: Link::default(),
-            ingress: Link::default(),
-            pending: Mutex::new(BinaryHeap::with_capacity(PENDING_RESERVE)),
+            egress: Padded::default(),
+            ingress: Padded::default(),
+            pending: Padded(Mutex::new(Pending {
+                effects: BinaryHeap::with_capacity(PENDING_RESERVE),
+                seq: 0,
+            })),
+            next_due: AtomicU64::new(u64::MAX),
             apply_lock: Mutex::new(()),
-            mrs: Mutex::new(HashMap::new()),
+            mrs: Padded(Mutex::new(HashMap::new())),
             parked: Default::default(),
             unwarmed: AtomicUsize::new(0),
             stats: NodeStats::default(),
-            spinners: AtomicU32::new(0),
-            seq: AtomicU64::new(0),
+            spinners: Padded(AtomicU32::new(0)),
             alive: AtomicBool::new(true),
             faults,
         })
@@ -267,12 +332,12 @@ impl Node {
 
     /// Egress (transmit) link.
     pub fn egress(&self) -> &Link {
-        &self.egress
+        &self.egress.0
     }
 
     /// Ingress (receive) link.
     pub fn ingress(&self) -> &Link {
-        &self.ingress
+        &self.ingress.0
     }
 
     /// Statistics counters.
@@ -297,7 +362,10 @@ impl Node {
     pub fn kill(&self) {
         if self.alive.swap(false, Ordering::AcqRel) {
             NodeStats::add(&self.stats.qp_errors, 1);
-            self.pending.lock().clear();
+            let mut pending = self.pending.lock();
+            pending.effects.clear();
+            self.next_due.store(u64::MAX, Ordering::Relaxed);
+            drop(pending);
             for slot in &self.parked {
                 if let Some((_, false)) = slot.lock().take() {
                     self.unwarmed.fetch_sub(1, Ordering::Relaxed);
@@ -353,17 +421,21 @@ impl Node {
     // ---- memory-region registry -----------------------------------------
 
     pub(crate) fn remember_mr(&self, rkey: u64, mr: &Arc<MrInner>) {
-        self.mrs.lock().insert(rkey, Arc::downgrade(mr));
+        self.mrs.lock().insert(rkey, (Arc::downgrade(mr), mr.len));
     }
 
     pub(crate) fn forget_mr(&self, rkey: u64) {
         self.mrs.lock().remove(&rkey);
     }
 
-    /// Resolve an rkey to its region, as a remote NIC would on an in-bound
-    /// one-sided operation.
-    pub(crate) fn lookup_mr(&self, rkey: u64) -> Option<Arc<MrInner>> {
-        self.mrs.lock().get(&rkey).and_then(Weak::upgrade)
+    /// Resolve an rkey to its region and the region's capacity, as a
+    /// remote NIC would on an in-bound one-sided operation. The region is
+    /// handed out as the weak reference an effect holds, never upgraded:
+    /// the initiator touches no count or lock the region's own node uses.
+    pub(crate) fn lookup_mr(&self, rkey: u64) -> Option<(Weak<MrInner>, usize)> {
+        let mrs = self.mrs.lock();
+        let (mr, len) = mrs.get(&rkey).filter(|(mr, _)| mr.strong_count() > 0)?;
+        Some((mr.clone(), *len))
     }
 
     // ---- pending effects --------------------------------------------------
@@ -374,19 +446,24 @@ impl Node {
         if !self.is_alive() {
             return;
         }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.pending.lock().push(Reverse(PendingEffect { deadline, seq, kind }));
+        let mut pending = self.pending.lock();
+        let seq = pending.seq;
+        pending.seq += 1;
+        pending.effects.push(Reverse(PendingEffect { deadline, seq, kind }));
+        self.next_due.store(pending.head(), Ordering::Relaxed);
     }
 
     /// Enqueue an in-bound WRITE of `data` into `mr` at `offset`, to land
-    /// at `deadline`; a payload of at least a page is parked for
-    /// read-ahead if a slot is free.
+    /// at `deadline` and then, for a WRITE_WITH_IMM, deliver `imm`; a
+    /// payload of at least a page is parked for read-ahead if a slot is
+    /// free.
     pub(crate) fn push_write(
         &self,
         deadline: u64,
-        mr: &Arc<MrInner>,
+        mr: Weak<MrInner>,
         offset: usize,
         data: PoolBuf,
+        imm: Option<ImmNotice>,
     ) {
         if !self.is_alive() {
             return;
@@ -406,7 +483,7 @@ impl Node {
             }
             None => Payload::Held(data),
         };
-        self.push_effect(deadline, EffectKind::MemWrite { mr: Arc::downgrade(mr), offset, data });
+        self.push_effect(deadline, EffectKind::MemWrite { mr, offset, data, imm });
     }
 
     /// Whether a parked in-flight payload is waiting to be read ahead.
@@ -448,13 +525,34 @@ impl Node {
     }
 
     /// Deadline of the earliest pending effect, if any (used by event
-    /// waiters to size their timed waits).
+    /// waiters to size their timed waits). Reads the mirrored head, not
+    /// the queue: no lock.
     pub fn next_effect_deadline(&self) -> Option<u64> {
-        self.pending.lock().peek().map(|Reverse(e)| e.deadline)
+        let due = self.next_due.load(Ordering::Relaxed);
+        (due != u64::MAX).then_some(due)
+    }
+
+    /// The earliest pending deadline read under the queue's lock, the
+    /// value [`Node::next_effect_deadline`] mirrors. For tests that check
+    /// the mirror.
+    #[doc(hidden)]
+    pub fn next_effect_deadline_locked(&self) -> Option<u64> {
+        let due = self.pending.lock().head();
+        (due != u64::MAX).then_some(due)
+    }
+
+    /// How many effects are queued toward this node. For tests that count
+    /// what a work request leaves in flight.
+    #[doc(hidden)]
+    pub fn pending_effects(&self) -> usize {
+        self.pending.lock().effects.len()
     }
 
     /// Apply every pending effect whose deadline has passed. Called by CQ
-    /// polls and memory accesses; cheap when the queue is empty.
+    /// polls and memory accesses. With nothing due it reads one atomic
+    /// (the mirrored head) and takes no lock, so an idle poll does not
+    /// pull the queue's cache line off the core of the peer posting into
+    /// it.
     ///
     /// This models NIC/DMA work, so it charges no CPU to the node.
     ///
@@ -467,46 +565,63 @@ impl Node {
     /// completion-queue poll.
     pub fn drain_effects(self: &Arc<Self>) {
         let cutoff = now_ns();
-        // Fast path without taking the apply lock.
-        {
-            let pending = self.pending.lock();
-            match pending.peek() {
-                Some(Reverse(e)) if e.deadline <= cutoff => {}
-                _ => return,
-            }
+        if self.next_due.load(Ordering::Relaxed) > cutoff {
+            return;
         }
         // Someone else draining is equivalent to us draining.
         let Some(_apply) = self.apply_lock.try_lock() else { return };
-        loop {
-            let effect = {
-                let mut pending = self.pending.lock();
-                match pending.peek() {
-                    Some(Reverse(e)) if e.deadline <= cutoff => pending.pop().map(|Reverse(e)| e),
-                    _ => None,
-                }
-            };
-            let Some(effect) = effect else { break };
+        while let Some(effect) = self.pop_due(cutoff) {
             self.apply_effect(effect);
+        }
+    }
+
+    /// The earliest pending effect, if its deadline is at or before
+    /// `cutoff`; keeps the mirrored head current.
+    fn pop_due(&self, cutoff: u64) -> Option<PendingEffect> {
+        let mut pending = self.pending.lock();
+        if pending.head() > cutoff {
+            return None;
+        }
+        let Reverse(effect) = pending.effects.pop()?;
+        self.next_due.store(pending.head(), Ordering::Relaxed);
+        Some(effect)
+    }
+
+    /// Deliver an arrived message into a posted receive of `ep`, or join
+    /// its FIFO receiver-not-ready backlog. The backlog (rather than a
+    /// rescheduled effect) is what preserves RC ordering: a stalled SEND
+    /// is never overtaken by a later one on the same queue pair.
+    fn deliver(ep: &Weak<EndpointInner>, msg: crate::qp::ArrivedMsg, deadline: u64) {
+        if let Some(ep) = ep.upgrade() {
+            ep.deliver_or_backlog(msg, deadline.max(now_ns()));
         }
     }
 
     fn apply_effect(self: &Arc<Self>, effect: PendingEffect) {
         match effect.kind {
-            EffectKind::MemWrite { mr, offset, data } => {
+            EffectKind::MemWrite { mr, offset, data, imm } => {
                 let data = self.unpark(data);
+                NodeStats::add(&self.stats.inbound_rdma, 1);
+                NodeStats::add(&self.stats.bytes_rx, data.len() as u64);
                 if let Some(mr) = mr.upgrade() {
                     crate::memory::MemoryRegion { inner: mr }.land(offset, data);
                 }
+                if let Some(ImmNotice { ep, imm, byte_len }) = imm {
+                    let msg = crate::qp::ArrivedMsg {
+                        data: PoolBuf::empty(),
+                        imm: Some(imm),
+                        byte_len,
+                        opcode: Opcode::WriteImm,
+                    };
+                    Self::deliver(&ep, msg, effect.deadline);
+                }
             }
             EffectKind::RecvDeliver { ep, data, imm, byte_len, opcode } => {
-                let Some(ep) = ep.upgrade() else { return };
-                // Deliver into a posted receive or join the endpoint's
-                // FIFO receiver-not-ready backlog. The backlog (rather
-                // than a rescheduled effect) is what preserves RC
-                // ordering: a stalled SEND is never overtaken by a later
-                // one on the same queue pair.
-                let ready = effect.deadline.max(now_ns());
-                ep.deliver_or_backlog(crate::qp::ArrivedMsg { data, imm, byte_len, opcode }, ready);
+                if opcode == Opcode::Send {
+                    NodeStats::add(&self.stats.bytes_rx, byte_len as u64);
+                }
+                let msg = crate::qp::ArrivedMsg { data, imm, byte_len, opcode };
+                Self::deliver(&ep, msg, effect.deadline);
             }
             EffectKind::AtomicOp {
                 target_node,
@@ -759,8 +874,8 @@ mod tests {
         let mr = pd.register(8).unwrap();
         let t = now_ns();
         // Later effect overwrites the earlier one; push out of order.
-        n.push_write(t + 2, &mr.inner, 0, PoolBuf::copy_from(&[2]));
-        n.push_write(t + 1, &mr.inner, 0, PoolBuf::copy_from(&[1]));
+        n.push_write(t + 2, Arc::downgrade(&mr.inner), 0, PoolBuf::copy_from(&[2]), None);
+        n.push_write(t + 1, Arc::downgrade(&mr.inner), 0, PoolBuf::copy_from(&[1]), None);
         crate::time::spin_until(t + 3);
         n.drain_effects();
         let mut b = [0u8; 1];
@@ -778,10 +893,16 @@ mod tests {
         let mr = pd.register((WARM_SLOTS + 2) * WARM_MIN).unwrap();
         let page = |i: usize| vec![i as u8 + 1; WARM_MIN];
         let due = now_ns() + 1_000_000;
-        n.push_write(due, &mr.inner, 0, PoolBuf::copy_from(&[9; 64]));
+        n.push_write(due, Arc::downgrade(&mr.inner), 0, PoolBuf::copy_from(&[9; 64]), None);
         assert!(!n.has_unwarmed(), "below a page: held");
         for i in 1..=WARM_SLOTS + 1 {
-            n.push_write(due, &mr.inner, i * WARM_MIN, PoolBuf::from_vec(page(i)));
+            n.push_write(
+                due,
+                Arc::downgrade(&mr.inner),
+                i * WARM_MIN,
+                PoolBuf::from_vec(page(i)),
+                None,
+            );
         }
         assert_eq!(n.unwarmed.load(Ordering::Relaxed), WARM_SLOTS, "one per slot");
         n.warm_inbound();
@@ -790,7 +911,7 @@ mod tests {
         let p = crate::memory::ProtectionDomain::new(n.clone()).register(WARM_MIN).unwrap();
         crate::time::spin_until(due);
         n.drain_effects();
-        n.push_write(due, &p.inner, 0, PoolBuf::from_vec(page(0)));
+        n.push_write(due, Arc::downgrade(&p.inner), 0, PoolBuf::from_vec(page(0)), None);
         assert!(n.has_unwarmed());
         n.drain_effects();
         assert!(!n.has_unwarmed());
@@ -807,7 +928,13 @@ mod tests {
         let n = node();
         let pd = crate::memory::ProtectionDomain::new(n.clone());
         let mr = pd.register(1).unwrap();
-        n.push_write(now_ns() + 50_000_000, &mr.inner, 0, PoolBuf::copy_from(&[9])); // 50 ms out
+        n.push_write(
+            now_ns() + 50_000_000,
+            Arc::downgrade(&mr.inner),
+            0,
+            PoolBuf::copy_from(&[9]),
+            None,
+        ); // 50 ms out
         n.drain_effects();
         let mut b = [0u8; 1];
         mr.read(0, &mut b).unwrap();
@@ -827,7 +954,13 @@ mod tests {
         // re-reading drain loop, a steady feed of new due work never ends.
         let t = now_ns();
         for i in 0..64 {
-            n.push_write(t.saturating_sub(1000 - i), &mr.inner, 0, PoolBuf::copy_from(&[i as u8]));
+            n.push_write(
+                t.saturating_sub(1000 - i),
+                Arc::downgrade(&mr.inner),
+                0,
+                PoolBuf::copy_from(&[i as u8]),
+                None,
+            );
         }
         let start = std::time::Instant::now();
         n.drain_effects();
@@ -835,7 +968,13 @@ mod tests {
         // Effects pushed DURING a drain with past deadlines are picked up
         // by the NEXT drain, not the current one — simulate by pushing a
         // past-deadline effect and draining twice.
-        n.push_write(now_ns().saturating_sub(1), &mr.inner, 0, PoolBuf::copy_from(&[200]));
+        n.push_write(
+            now_ns().saturating_sub(1),
+            Arc::downgrade(&mr.inner),
+            0,
+            PoolBuf::copy_from(&[200]),
+            None,
+        );
         n.drain_effects();
         let mut b = [0u8; 1];
         mr.read(0, &mut b).unwrap();

@@ -10,8 +10,18 @@
 //! drawn from per-size-class free lists and returned on drop, so a warmed
 //! steady-state workload performs zero allocations per message even when
 //! buffers are released on a different thread (the server) than they were
-//! acquired on (the client) — the free lists are process-global, so the
-//! flow balances.
+//! acquired on (the client): buffers flow between threads through
+//! process-global free lists, so the flow balances.
+//!
+//! In front of the global lists each thread keeps one *spare* buffer per
+//! class: a drop fills the dropping thread's empty spare before it
+//! touches the global list, and an acquire takes the thread's own spare
+//! before it locks one. A ping-pong workload frees one buffer (the peer's
+//! message) and acquires one (its own reply) per message on each thread,
+//! so the steady state stays on the spare and the global lists' locks,
+//! whose cache lines would otherwise cross between the two threads' cores
+//! twice per message, go untouched. A thread's spares go back to the
+//! global lists when it exits.
 //!
 //! Classes are powers of two from 64 B to 4 MiB; larger requests fall back
 //! to one-shot heap allocation (far above `max_msg` in practice). Each
@@ -24,6 +34,7 @@
 //! without a copy, and is never pooled — it was not drawn from a class, so
 //! it is not returned to one.
 
+use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
@@ -53,8 +64,54 @@ fn lock_bucket(class: usize) -> std::sync::MutexGuard<'static, Vec<Vec<u8>>> {
     BUCKETS[class].lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Return `buf` to its class's global free list, if the list has room.
+fn give_back(class: usize, buf: Vec<u8>) {
+    let mut bucket = lock_bucket(class);
+    if bucket.len() < MAX_RETAINED_PER_CLASS {
+        bucket.push(buf);
+    }
+}
+
+/// A thread's spare buffer per class (module docs); handed back to the
+/// global lists when the thread exits.
+struct Spares([Option<Vec<u8>>; NUM_CLASSES]);
+
+impl Drop for Spares {
+    fn drop(&mut self) {
+        for (class, spare) in self.0.iter_mut().enumerate() {
+            if let Some(buf) = spare.take() {
+                give_back(class, buf);
+            }
+        }
+    }
+}
+
+thread_local! {
+    static SPARES: RefCell<Spares> = const { RefCell::new(Spares([const { None }; NUM_CLASSES])) };
+}
+
+/// This thread's spare of `class`, if it holds one. `None` also while the
+/// thread is exiting (its spares are being handed back).
+fn take_spare(class: usize) -> Option<Vec<u8>> {
+    SPARES.try_with(|s| s.borrow_mut().0[class].take()).ok().flatten()
+}
+
+/// Keep `buf` as this thread's spare of `class` if that slot is empty;
+/// otherwise (or while the thread is exiting) hand it back as it is.
+fn keep_spare(class: usize, buf: Vec<u8>) -> Option<Vec<u8>> {
+    let mut buf = Some(buf);
+    let _ = SPARES.try_with(|s| {
+        let slot = &mut s.borrow_mut().0[class];
+        if slot.is_none() {
+            *slot = buf.take();
+        }
+    });
+    buf
+}
+
 /// A length-`len` view over a pooled buffer. Dereferences to `[u8]`;
-/// returns its storage to the global pool on drop.
+/// returns its storage to the pool on drop (the dropping thread's spare,
+/// else the global list).
 pub struct PoolBuf {
     /// `None` only for the empty buffer (and transiently during drop or
     /// [`PoolBuf::into_vec`]).
@@ -80,8 +137,8 @@ impl PoolBuf {
         }
         match class_for(len) {
             Some(class) => {
-                let buf = lock_bucket(class)
-                    .pop()
+                let buf = take_spare(class)
+                    .or_else(|| lock_bucket(class).pop())
                     .unwrap_or_else(|| vec![0u8; 1usize << (class as u32 + MIN_CLASS_SHIFT)]);
                 PoolBuf { buf: Some(buf), len, class: Some(class) }
             }
@@ -159,9 +216,8 @@ impl PoolBuf {
 impl Drop for PoolBuf {
     fn drop(&mut self) {
         if let (Some(buf), Some(class)) = (self.buf.take(), self.class) {
-            let mut bucket = lock_bucket(class);
-            if bucket.len() < MAX_RETAINED_PER_CLASS {
-                bucket.push(buf);
+            if let Some(buf) = keep_spare(class, buf) {
+                give_back(class, buf);
             }
         }
     }

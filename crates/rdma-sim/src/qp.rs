@@ -13,9 +13,10 @@
 //! caller gets control back at `entry + eff`, and the chain's wire schedule
 //! starts at that instant too (`launch` is handed it; it reads no clock).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
@@ -23,8 +24,8 @@ use crate::cost::CostModel;
 use crate::cq::{Completion, CompletionQueue, CompletionStatus};
 use crate::error::{RdmaError, Result};
 use crate::fabric::NodeRegistry;
-use crate::memory::{MemoryRegion, ProtectionDomain, RemoteBuf};
-use crate::node::{EffectKind, Node};
+use crate::memory::{MrInner, ProtectionDomain, RemoteBuf};
+use crate::node::{EffectKind, ImmNotice, Node, Padded};
 use crate::pool::PoolBuf;
 use crate::stats::NodeStats;
 use crate::time::now_ns;
@@ -44,15 +45,16 @@ pub(crate) struct EndpointInner {
     id: u64,
     node: Arc<Node>,
     peer_node: Arc<Node>,
-    peer: Mutex<Weak<EndpointInner>>,
+    /// The connected peer, set once when the pair is wired.
+    peer: OnceLock<Weak<EndpointInner>>,
     send_cq: CompletionQueue,
     recv_cq: CompletionQueue,
-    recv_queue: Mutex<VecDeque<RecvWr>>,
+    recv_queue: Padded<Mutex<VecDeque<RecvWr>>>,
     /// Arrived messages waiting for a receive buffer (receiver-not-ready).
     /// Kept per endpoint and drained strictly FIFO when receives are
     /// posted: RC ordering means a stalled SEND must never be overtaken
     /// by a later one.
-    rnr_backlog: Mutex<VecDeque<ArrivedMsg>>,
+    rnr_backlog: Padded<Mutex<VecDeque<ArrivedMsg>>>,
     registry: Arc<NodeRegistry>,
     alive: AtomicBool,
     /// True once the QP has been flushed into the error state by fault
@@ -72,7 +74,7 @@ impl Drop for EndpointInner {
     fn drop(&mut self) {
         // Dropping the last handle to one side tears down the connection:
         // the peer's polls and posts observe the disconnect.
-        if let Some(peer) = self.peer.lock().upgrade() {
+        if let Some(peer) = self.peer.get().and_then(Weak::upgrade) {
             peer.go_down();
         }
     }
@@ -142,8 +144,7 @@ impl EndpointInner {
             if msg.data.len() > recv.len {
                 CompletionStatus::LocalLengthError
             } else {
-                let region = MemoryRegion { inner: recv.mr.inner.clone() };
-                match region.write_raw(recv.offset, &msg.data) {
+                match recv.mr.write_raw(recv.offset, &msg.data) {
                     Ok(()) => CompletionStatus::Success,
                     Err(_) => CompletionStatus::LocalLengthError,
                 }
@@ -197,11 +198,11 @@ impl Endpoint {
                 id,
                 node,
                 peer_node,
-                peer: Mutex::new(Weak::new()),
+                peer: OnceLock::new(),
                 send_cq,
                 recv_cq,
-                recv_queue: Mutex::new(VecDeque::new()),
-                rnr_backlog: Mutex::new(VecDeque::new()),
+                recv_queue: Padded(Mutex::new(VecDeque::new())),
+                rnr_backlog: Padded(Mutex::new(VecDeque::new())),
                 registry,
                 alive: AtomicBool::new(true),
                 error: AtomicBool::new(false),
@@ -211,8 +212,9 @@ impl Endpoint {
     }
 
     pub(crate) fn wire_peers(a: &Endpoint, b: &Endpoint) {
-        *a.inner.peer.lock() = Arc::downgrade(&b.inner);
-        *b.inner.peer.lock() = Arc::downgrade(&a.inner);
+        let wired = a.inner.peer.set(Arc::downgrade(&b.inner)).is_ok()
+            && b.inner.peer.set(Arc::downgrade(&a.inner)).is_ok();
+        assert!(wired, "an endpoint is wired to one peer");
     }
 
     /// Endpoint id (appears as `qp_id` in completions).
@@ -249,7 +251,7 @@ impl Endpoint {
     /// [`RdmaError::Disconnected`].
     pub fn close(&self) {
         self.inner.alive.store(false, Ordering::Release);
-        if let Some(peer) = self.inner.peer.lock().upgrade() {
+        if let Some(peer) = self.inner.peer.get().and_then(Weak::upgrade) {
             peer.go_down();
         }
     }
@@ -289,7 +291,7 @@ impl Endpoint {
         if self.inner.error.load(Ordering::Acquire) {
             return Err(RdmaError::QpError("queue pair flushed to error state".into()));
         }
-        wr.mr.slice(wr.offset, wr.len).validate()?;
+        wr.mr.check_range(wr.offset, wr.len)?;
         let node = &self.inner.node;
         {
             let mut q = self.inner.recv_queue.lock();
@@ -335,49 +337,53 @@ impl Endpoint {
         if !self.is_alive() {
             return Err(RdmaError::Disconnected);
         }
+        // The resolved chain lives in a per-thread vector that keeps its
+        // capacity between posts: resolving once must not cost an
+        // allocation per post on the hot pipelined path.
+        RESOLVED.with(|cell| {
+            let mut resolved = cell.take();
+            let posted = self.post_chain(entry, chain, &mut resolved);
+            resolved.clear();
+            cell.set(resolved);
+            posted
+        })
+    }
+
+    /// [`Endpoint::post_send`] past its state checks: resolve every WR
+    /// once, inject faults, charge, then schedule the chain whole.
+    fn post_chain(
+        &self,
+        entry: u64,
+        chain: &[SendWr],
+        resolved: &mut Vec<ResolvedWr>,
+    ) -> Result<()> {
         let node = &self.inner.node;
         let cost = &node.config().cost;
 
-        // ---- validate the whole chain up front -------------------------
-        // Two passes over the chain (validate, then launch) instead of
-        // collecting resolved views into a Vec: resolution is a couple of
-        // registry lookups, and the hot pipelined path must not allocate
-        // per post.
+        // ---- resolve the whole chain up front -----------------------------
+        // Everything that can fail happens here: bounds, keys, target
+        // liveness, the connected peer, taking a staged payload. Scheduling
+        // below then cannot fail, so a chain goes on the wire whole or not
+        // at all.
         let mut cpu_ns = cost.doorbell_ns + cost.post_wr_ns * chain.len() as u64;
         let mut memcpys = 0u64;
-        for wr in chain {
+        let checked = chain.iter().try_for_each(|wr| {
             let r = self.resolve(wr)?;
-            if let Some(inline_len) = r.inline_len {
-                if inline_len > MAX_INLINE {
-                    return Err(RdmaError::InlineTooLarge { len: inline_len, max: MAX_INLINE });
-                }
-                cpu_ns += cost.memcpy_ns(inline_len);
+            if let Some(SendPayload::Inline(_)) = wr.op.payload() {
+                cpu_ns += cost.memcpy_ns(r.wire_bytes);
                 memcpys += 1;
             }
-        }
-
-        // ---- fault injection: count WRs, maybe flush or kill ------------
-        if let Some(faults) = node.faults() {
-            for _ in chain {
-                match faults.on_wr_posted(self.inner.id) {
-                    crate::fault::WrFault::None => {}
-                    crate::fault::WrFault::FlushQp => {
-                        self.inner.error.store(true, Ordering::Release);
-                        NodeStats::add(&node.stats().qp_errors, 1);
-                        return Err(RdmaError::QpError(format!(
-                            "qp {} flushed to error by fault plan",
-                            self.inner.id
-                        )));
-                    }
-                    crate::fault::WrFault::KillNode => {
-                        node.kill();
-                        return Err(RdmaError::QpError(format!(
-                            "node '{}' killed by fault plan",
-                            node.name()
-                        )));
-                    }
+            resolved.push(r);
+            Ok(())
+        });
+        if let Err(e) = checked.and_then(|()| self.inject_faults(chain.len())) {
+            // A rejected chain keeps its staged payloads.
+            for (wr, r) in chain.iter().zip(resolved.drain(..)) {
+                if let Some(SendPayload::Staged(b)) = wr.op.payload() {
+                    b.restore(r.data);
                 }
             }
+            return Err(e);
         }
 
         // ---- charge CPU: post + one doorbell for the chain --------------
@@ -394,34 +400,51 @@ impl Endpoint {
         }
 
         // ---- schedule wire activity -------------------------------------
-        for wr in chain {
-            let r = self.resolve(wr)?;
-            self.launch(wr, r, cost, doorbell_at)?;
+        for (wr, r) in chain.iter().zip(resolved.drain(..)) {
+            self.launch(wr, r, cost, doorbell_at);
         }
         Ok(())
     }
 
-    /// Pre-validated view of one work request.
-    fn resolve(&self, wr: &SendWr) -> Result<ResolvedWr> {
-        let check_payload = |p: &SendPayload| -> Result<(Option<usize>, usize)> {
-            match p {
-                SendPayload::Mr(s) => {
-                    s.validate()?;
-                    Ok((None, s.len))
+    /// Fault injection: count the chain's WRs against the plan, which may
+    /// flush this QP or kill its node.
+    fn inject_faults(&self, wrs: usize) -> Result<()> {
+        let node = &self.inner.node;
+        let Some(faults) = node.faults() else { return Ok(()) };
+        for _ in 0..wrs {
+            match faults.on_wr_posted(self.inner.id) {
+                crate::fault::WrFault::None => {}
+                crate::fault::WrFault::FlushQp => {
+                    self.inner.error.store(true, Ordering::Release);
+                    NodeStats::add(&node.stats().qp_errors, 1);
+                    return Err(RdmaError::QpError(format!(
+                        "qp {} flushed to error by fault plan",
+                        self.inner.id
+                    )));
                 }
-                SendPayload::Inline(d) => Ok((Some(d.len()), d.len())),
-                SendPayload::Staged(b) => Ok((None, b.len()?)),
+                crate::fault::WrFault::KillNode => {
+                    node.kill();
+                    return Err(RdmaError::QpError(format!(
+                        "node '{}' killed by fault plan",
+                        node.name()
+                    )));
+                }
             }
-        };
-        match &wr.op {
-            SendOp::Send { payload } => {
-                let (inline_len, len) = check_payload(payload)?;
-                Ok(ResolvedWr { inline_len, wire_bytes: len, remote: None, read: None })
-            }
+        }
+        Ok(())
+    }
+
+    /// Validate one work request and bind everything its launch needs: the
+    /// remote target, the payload (snapshotted at post time: the NIC DMAs
+    /// from the source buffer once the WR reaches the head of the send
+    /// queue, and protocols must not reuse it before the send completion
+    /// anyway), and — for a SEND or WRITE_WITH_IMM — the connected peer,
+    /// resolved once per chain into `peer`.
+    fn resolve(&self, wr: &SendWr) -> Result<ResolvedWr> {
+        let (payload, remote) = match &wr.op {
+            SendOp::Send { payload } => (payload, None),
             SendOp::Write { payload, remote } | SendOp::WriteImm { payload, remote, .. } => {
-                let (inline_len, len) = check_payload(payload)?;
-                let target = self.resolve_remote(remote, len)?;
-                Ok(ResolvedWr { inline_len, wire_bytes: len, remote: Some(target), read: None })
+                (payload, Some(remote))
             }
             SendOp::Read { local, remote } => {
                 local.validate()?;
@@ -431,13 +454,8 @@ impl Endpoint {
                         local.len, remote.len
                     )));
                 }
-                let target = self.resolve_remote(remote, local.len)?;
-                Ok(ResolvedWr {
-                    inline_len: None,
-                    wire_bytes: local.len,
-                    remote: None,
-                    read: Some(target),
-                })
+                let target = Some(self.resolve_remote(remote, local.len)?);
+                return Ok(ResolvedWr { wire_bytes: local.len, data: PoolBuf::empty(), target });
             }
             SendOp::CompSwap { local, remote, .. } | SendOp::FetchAdd { local, remote, .. } => {
                 local.validate()?;
@@ -446,200 +464,134 @@ impl Endpoint {
                         "atomic landing buffer must hold 8 bytes".into(),
                     ));
                 }
-                let target = self.resolve_remote(remote, 8)?;
-                Ok(ResolvedWr { inline_len: None, wire_bytes: 8, remote: None, read: Some(target) })
+                let target = Some(self.resolve_remote(remote, 8)?);
+                return Ok(ResolvedWr { wire_bytes: 8, data: PoolBuf::empty(), target });
             }
+        };
+        let len = match payload {
+            SendPayload::Mr(s) => {
+                s.validate()?;
+                s.len
+            }
+            SendPayload::Inline(d) => d.len(),
+            SendPayload::Staged(b) => b.len()?,
+        };
+        let target = remote.map(|remote| self.resolve_remote(remote, len)).transpose()?;
+        if len > MAX_INLINE && matches!(payload, SendPayload::Inline(_)) {
+            return Err(RdmaError::InlineTooLarge { len, max: MAX_INLINE });
         }
+        if !matches!(wr.op, SendOp::Write { .. }) {
+            self.check_peer()?;
+        }
+        // Snapshots live in pooled buffers: steady-state traffic recycles
+        // them instead of allocating per message. A staged payload *is*
+        // its snapshot and moves here without a copy.
+        let data = match payload {
+            SendPayload::Mr(s) => s.mr.read_pool_raw(s.offset, s.len)?,
+            SendPayload::Inline(d) => PoolBuf::copy_from(d.as_slice()),
+            SendPayload::Staged(b) => b.take()?,
+        };
+        Ok(ResolvedWr { wire_bytes: len, data, target })
     }
 
+    /// Bind a one-sided target. The connected peer's node is the
+    /// endpoint's own field; only a region on some other node goes through
+    /// the fabric-wide registry.
     fn resolve_remote(&self, remote: &RemoteBuf, len: usize) -> Result<ResolvedRemote> {
-        let target_node = self
-            .inner
-            .registry
-            .node_by_id(remote.node_id)
-            .ok_or(RdmaError::InvalidRKey(remote.rkey))?;
+        let peer_node = &self.inner.peer_node;
+        let other = if remote.node_id == peer_node.id() {
+            None
+        } else {
+            let node = self.inner.registry.node_by_id(remote.node_id);
+            Some(node.ok_or(RdmaError::InvalidRKey(remote.rkey))?)
+        };
+        let target_node = other.as_ref().unwrap_or(peer_node);
         if !target_node.is_alive() {
             return Err(RdmaError::QpError(format!(
                 "target node '{}' is down",
                 target_node.name()
             )));
         }
-        let mr = target_node.lookup_mr(remote.rkey).ok_or(RdmaError::InvalidRKey(remote.rkey))?;
-        let region = MemoryRegion { inner: mr };
-        region.slice(remote.offset as usize, len).validate()?;
-        Ok(ResolvedRemote { node: target_node, region, offset: remote.offset as usize })
+        let (mr, capacity) =
+            target_node.lookup_mr(remote.rkey).ok_or(RdmaError::InvalidRKey(remote.rkey))?;
+        let offset = remote.offset as usize;
+        crate::memory::bounds(offset, len, capacity)?;
+        Ok(ResolvedRemote { other, mr, offset })
     }
 
-    /// Schedule the wire-side of one work request and its effects, from
-    /// `t0`: the modelled instant the chain's doorbell rings.
-    fn launch(&self, wr: &SendWr, r: ResolvedWr, cost: &CostModel, t0: u64) -> Result<()> {
+    /// Schedule the wire-side of one resolved work request and its
+    /// effects, from `t0`: the modelled instant the chain's doorbell rings.
+    /// `peer` is the connected peer [`Endpoint::resolve`] bound for the
+    /// chain (present whenever the chain holds a SEND or WRITE_WITH_IMM).
+    fn launch(&self, wr: &SendWr, r: ResolvedWr, cost: &CostModel, t0: u64) {
         let node = &self.inner.node;
         let cfg = node.config();
-        let bytes = r.wire_bytes;
-
-        if let Some(target) = r.read {
-            // ---- RDMA READ / atomics (round-trip one-sided ops) -----------
-            let (local, atomic) = match &wr.op {
-                SendOp::Read { local, .. } => (local.clone(), None),
-                SendOp::CompSwap { local, compare, swap, .. } => {
-                    (local.clone(), Some((Some((*compare, *swap)), 0u64)))
-                }
-                SendOp::FetchAdd { local, add, .. } => (local.clone(), Some((None, *add))),
-                _ => unreachable!("resolved as read"),
-            };
-            // Tiny request descriptor out...
-            let (_, ee) = node.egress().reserve_at(
-                t0 + cfg.scaled(cost.nic_process_ns),
-                cfg.scaled(cost.serialize_ns(READ_REQUEST_BYTES)),
-            );
-            let req_arrive =
-                ee + cfg.scaled(cost.wire_latency_ns) + cfg.scaled(cost.inbound_rdma_turnaround_ns);
-            // ...payload streamed back on the target's egress link.
-            let ser = cfg.scaled(cost.serialize_ns(bytes));
-            let (rs, _) = target.node.egress().reserve_at(req_arrive, ser);
-            let (_, ie) = node.ingress().reserve_at(rs + cfg.scaled(cost.wire_latency_ns), ser);
-            let deadline = ie + cfg.scaled(cost.nic_process_ns);
-
-            NodeStats::add(&node.stats().outbound_rdma, 1);
-            NodeStats::add(&target.node.stats().inbound_rdma, 1);
-            // Wire accounting is symmetric with the time model above: the
-            // initiator transmits the request descriptor (its serialize
-            // time is reserved on the egress link at `t0`), the target
-            // receives it, then the payload streams back the other way.
-            NodeStats::add(&node.stats().bytes_tx, READ_REQUEST_BYTES as u64);
-            NodeStats::add(&target.node.stats().bytes_rx, READ_REQUEST_BYTES as u64);
-            NodeStats::add(&node.stats().bytes_rx, bytes as u64);
-            NodeStats::add(&target.node.stats().bytes_tx, bytes as u64);
-
-            // The simulator knows the whole operation's schedule at post
-            // time, so the wire-phase events carry their (future)
-            // deadlines: request leaves the NIC at `ee`, the payload
-            // finishes streaming back at `ie`, and the read data becomes
-            // visible locally at `deadline`.
-            if hat_trace::enabled() {
-                let call = hat_trace::current_call();
-                hat_trace::event(hat_trace::Phase::NicTx, node.id(), call, bytes as u64, ee);
-                hat_trace::event(hat_trace::Phase::Wire, node.id(), call, bytes as u64, ie);
-                hat_trace::event(
-                    hat_trace::Phase::Delivered,
-                    node.id(),
-                    call,
-                    bytes as u64,
-                    deadline,
-                );
-            }
-
-            match atomic {
-                Some((compare_swap, add)) => node.push_effect(
-                    deadline,
-                    EffectKind::AtomicOp {
-                        target_node: Arc::downgrade(&target.node),
-                        target_mr: Arc::downgrade(&target.region.inner),
-                        target_offset: target.offset,
-                        compare_swap,
-                        add,
-                        local_mr: Arc::downgrade(&local.mr.inner),
-                        local_offset: local.offset,
-                        cq: self.inner.send_cq.downgrade(),
-                        wr_id: wr.wr_id,
-                        qp_id: self.inner.id,
-                        signaled: wr.signaled,
-                        opcode: wr.op.opcode(),
-                    },
-                ),
-                None => node.push_effect(
-                    deadline,
-                    EffectKind::FetchRead {
-                        target_node: Arc::downgrade(&target.node),
-                        target_mr: Arc::downgrade(&target.region.inner),
-                        target_offset: target.offset,
-                        len: bytes,
-                        local_mr: Arc::downgrade(&local.mr.inner),
-                        local_offset: local.offset,
-                        cq: self.inner.send_cq.downgrade(),
-                        wr_id: wr.wr_id,
-                        qp_id: self.inner.id,
-                        signaled: wr.signaled,
-                    },
-                ),
-            }
-            return Ok(());
-        }
-
-        // ---- SEND / WRITE / WRITE_WITH_IMM --------------------------------
-        // Snapshot payload bytes at post time (the NIC DMAs from the source
-        // buffer once the WR reaches the head of the send queue; protocols
-        // must not reuse the buffer before the send completion anyway).
-        // Snapshots live in pooled buffers: steady-state traffic recycles
-        // them instead of allocating per message. A staged payload *is*
-        // its snapshot and moves here without a copy.
-        let data = match &wr.op {
-            SendOp::Send { payload }
-            | SendOp::Write { payload, .. }
-            | SendOp::WriteImm { payload, .. } => match payload {
-                SendPayload::Mr(s) => s.mr.read_pool_raw(s.offset, s.len)?,
-                SendPayload::Inline(d) => PoolBuf::copy_from(d.as_slice()),
-                SendPayload::Staged(b) => b.take()?,
-            },
-            SendOp::Read { .. } | SendOp::CompSwap { .. } | SendOp::FetchAdd { .. } => {
-                unreachable!("handled above")
-            }
+        let ResolvedWr { wire_bytes: bytes, data, target } = r;
+        let target = match (target, &wr.op) {
+            (
+                Some(target),
+                SendOp::Read { .. } | SendOp::CompSwap { .. } | SendOp::FetchAdd { .. },
+            ) => return self.launch_read(wr, target, bytes, cost, t0),
+            (target, _) => target,
         };
 
+        // ---- SEND / WRITE / WRITE_WITH_IMM --------------------------------
+        // The receiving node counts `bytes_rx` (and, for the one-sided
+        // kinds, `inbound_rdma`) when it applies the effect.
         let ser = cfg.scaled(cost.serialize_ns(bytes));
         let (es, ee) = node.egress().reserve_at(t0 + cfg.scaled(cost.nic_process_ns), ser);
-
-        let (dest_node, deadline) = match &wr.op {
-            SendOp::Send { .. } => {
-                let peer = self.peer()?;
-                let (_, ie) =
-                    peer.node.ingress().reserve_at(es + cfg.scaled(cost.wire_latency_ns), ser);
-                let deadline = ie + cfg.scaled(cost.nic_process_ns);
-                peer.node.push_effect(
-                    deadline,
-                    EffectKind::RecvDeliver {
-                        ep: Arc::downgrade(&peer.inner),
-                        data,
-                        imm: None,
-                        byte_len: bytes,
-                        opcode: Opcode::Send,
-                    },
-                );
-                (peer.node.clone(), deadline)
-            }
-            SendOp::Write { .. } | SendOp::WriteImm { .. } => {
-                let target = r.remote.expect("resolved remote present");
-                let (_, ie) =
-                    target.node.ingress().reserve_at(es + cfg.scaled(cost.wire_latency_ns), ser);
-                let deadline = ie + cfg.scaled(cost.nic_process_ns);
+        let arrive = |dest: &Node| {
+            let (_, ie) = dest.ingress().reserve_at(es + cfg.scaled(cost.wire_latency_ns), ser);
+            ie + cfg.scaled(cost.nic_process_ns)
+        };
+        let (dest_id, deadline) = match (&wr.op, target) {
+            (SendOp::Write { .. } | SendOp::WriteImm { .. }, Some(target)) => {
+                let ResolvedRemote { other, mr, offset } = target;
+                let dest = other.as_ref().unwrap_or(&self.inner.peer_node);
+                let deadline = arrive(dest);
                 NodeStats::add(&node.stats().outbound_rdma, 1);
-                NodeStats::add(&target.node.stats().inbound_rdma, 1);
-                target.node.push_write(deadline, &target.region.inner, target.offset, data);
-                if let SendOp::WriteImm { imm, .. } = &wr.op {
-                    // The completion consumes a posted receive at the peer
-                    // endpoint; pushed after the MemWrite so sequence order
-                    // guarantees the payload is visible first.
-                    let peer = self.peer()?;
-                    peer.node.push_effect(
-                        deadline,
-                        EffectKind::RecvDeliver {
-                            ep: Arc::downgrade(&peer.inner),
-                            data: PoolBuf::empty(),
-                            imm: Some(*imm),
-                            byte_len: bytes,
-                            opcode: Opcode::WriteImm,
-                        },
-                    );
+                let notice = match &wr.op {
+                    SendOp::WriteImm { imm, .. } => {
+                        Some(ImmNotice { ep: self.peer_ref(), imm: *imm, byte_len: bytes })
+                    }
+                    _ => None,
+                };
+                match notice {
+                    // Into a third node's memory: the completion is the
+                    // peer's own effect, pushed after the payload's so it
+                    // never overtakes it.
+                    Some(notice) if other.is_some() => {
+                        dest.push_write(deadline, mr, offset, data, None);
+                        let ImmNotice { ep, imm, byte_len } = notice;
+                        let data = PoolBuf::empty();
+                        let opcode = Opcode::WriteImm;
+                        let deliver =
+                            EffectKind::RecvDeliver { ep, data, imm: Some(imm), byte_len, opcode };
+                        self.inner.peer_node.push_effect(deadline, deliver);
+                    }
+                    // One effect lands the payload, then delivers the
+                    // completion of a WRITE_WITH_IMM.
+                    notice => dest.push_write(deadline, mr, offset, data, notice),
                 }
-                (target.node.clone(), deadline)
+                (dest.id(), deadline)
             }
-            SendOp::Read { .. } | SendOp::CompSwap { .. } | SendOp::FetchAdd { .. } => {
-                unreachable!("handled above")
+            _ => {
+                let peer_node = &self.inner.peer_node;
+                let deadline = arrive(peer_node);
+                let ep = self.peer_ref();
+                let deliver = EffectKind::RecvDeliver {
+                    ep,
+                    data,
+                    imm: None,
+                    byte_len: bytes,
+                    opcode: Opcode::Send,
+                };
+                peer_node.push_effect(deadline, deliver);
+                (peer_node.id(), deadline)
             }
         };
 
         NodeStats::add(&node.stats().bytes_tx, bytes as u64);
-        NodeStats::add(&dest_node.stats().bytes_rx, bytes as u64);
 
         // Wire-phase events: the egress link reservation and the remote
         // delivery deadline are known now, so the events are recorded
@@ -650,13 +602,7 @@ impl Endpoint {
             let call = hat_trace::current_call();
             hat_trace::event(hat_trace::Phase::NicTx, node.id(), call, bytes as u64, es);
             hat_trace::event(hat_trace::Phase::Wire, node.id(), call, bytes as u64, ee);
-            hat_trace::event(
-                hat_trace::Phase::Delivered,
-                dest_node.id(),
-                call,
-                bytes as u64,
-                deadline,
-            );
+            hat_trace::event(hat_trace::Phase::Delivered, dest_id, call, bytes as u64, deadline);
         }
 
         if wr.signaled {
@@ -674,41 +620,150 @@ impl Endpoint {
                 },
             );
         }
+    }
+
+    /// [`Endpoint::launch`] of an RDMA READ or atomic: a request
+    /// descriptor out, the payload streamed back, one effect at the
+    /// initiator.
+    fn launch_read(
+        &self,
+        wr: &SendWr,
+        target: ResolvedRemote,
+        bytes: usize,
+        cost: &CostModel,
+        t0: u64,
+    ) {
+        let node = &self.inner.node;
+        let cfg = node.config();
+        // ---- RDMA READ / atomics (round-trip one-sided ops) -----------
+        let ResolvedRemote { other, mr, offset } = target;
+        let target_node = other.as_ref().unwrap_or(&self.inner.peer_node);
+        let (local, atomic) = match &wr.op {
+            SendOp::Read { local, .. } => (local.clone(), None),
+            SendOp::CompSwap { local, compare, swap, .. } => {
+                (local.clone(), Some((Some((*compare, *swap)), 0u64)))
+            }
+            SendOp::FetchAdd { local, add, .. } => (local.clone(), Some((None, *add))),
+            _ => unreachable!("matched as read"),
+        };
+        // Tiny request descriptor out...
+        let (_, ee) = node.egress().reserve_at(
+            t0 + cfg.scaled(cost.nic_process_ns),
+            cfg.scaled(cost.serialize_ns(READ_REQUEST_BYTES)),
+        );
+        let req_arrive =
+            ee + cfg.scaled(cost.wire_latency_ns) + cfg.scaled(cost.inbound_rdma_turnaround_ns);
+        // ...payload streamed back on the target's egress link.
+        let ser = cfg.scaled(cost.serialize_ns(bytes));
+        let (rs, _) = target_node.egress().reserve_at(req_arrive, ser);
+        let (_, ie) = node.ingress().reserve_at(rs + cfg.scaled(cost.wire_latency_ns), ser);
+        let deadline = ie + cfg.scaled(cost.nic_process_ns);
+
+        // The target's CPU never touches a READ, so its side is
+        // counted here too, at post time.
+        NodeStats::add(&node.stats().outbound_rdma, 1);
+        NodeStats::add(&target_node.stats().inbound_rdma, 1);
+        // Wire accounting is symmetric with the time model above: the
+        // initiator transmits the request descriptor (its serialize
+        // time is reserved on the egress link at `t0`), the target
+        // receives it, then the payload streams back the other way.
+        NodeStats::add(&node.stats().bytes_tx, READ_REQUEST_BYTES as u64);
+        NodeStats::add(&target_node.stats().bytes_rx, READ_REQUEST_BYTES as u64);
+        NodeStats::add(&node.stats().bytes_rx, bytes as u64);
+        NodeStats::add(&target_node.stats().bytes_tx, bytes as u64);
+
+        // The simulator knows the whole operation's schedule at post
+        // time, so the wire-phase events carry their (future)
+        // deadlines: request leaves the NIC at `ee`, the payload
+        // finishes streaming back at `ie`, and the read data becomes
+        // visible locally at `deadline`.
+        if hat_trace::enabled() {
+            let call = hat_trace::current_call();
+            hat_trace::event(hat_trace::Phase::NicTx, node.id(), call, bytes as u64, ee);
+            hat_trace::event(hat_trace::Phase::Wire, node.id(), call, bytes as u64, ie);
+            hat_trace::event(hat_trace::Phase::Delivered, node.id(), call, bytes as u64, deadline);
+        }
+
+        match atomic {
+            Some((compare_swap, add)) => node.push_effect(
+                deadline,
+                EffectKind::AtomicOp {
+                    target_node: Arc::downgrade(target_node),
+                    target_mr: mr,
+                    target_offset: offset,
+                    compare_swap,
+                    add,
+                    local_mr: Arc::downgrade(&local.mr.inner),
+                    local_offset: local.offset,
+                    cq: self.inner.send_cq.downgrade(),
+                    wr_id: wr.wr_id,
+                    qp_id: self.inner.id,
+                    signaled: wr.signaled,
+                    opcode: wr.op.opcode(),
+                },
+            ),
+            None => node.push_effect(
+                deadline,
+                EffectKind::FetchRead {
+                    target_node: Arc::downgrade(target_node),
+                    target_mr: mr,
+                    target_offset: offset,
+                    len: bytes,
+                    local_mr: Arc::downgrade(&local.mr.inner),
+                    local_offset: local.offset,
+                    cq: self.inner.send_cq.downgrade(),
+                    wr_id: wr.wr_id,
+                    qp_id: self.inner.id,
+                    signaled: wr.signaled,
+                },
+            ),
+        }
+    }
+
+    /// Check that the connected peer endpoint and its node are up. Read
+    /// from this side, touching no count of the peer's: its node is
+    /// `peer_node`, and a peer that closes or drops takes this side down
+    /// with it (`go_down`).
+    fn check_peer(&self) -> Result<()> {
+        let peer = self.inner.peer.get().ok_or(RdmaError::Disconnected)?;
+        if peer.strong_count() == 0 {
+            return Err(RdmaError::Disconnected);
+        }
+        let node = &self.inner.peer_node;
+        if !node.is_alive() {
+            return Err(RdmaError::QpError(format!("peer node '{}' is down", node.name())));
+        }
+        if !self.inner.alive.load(Ordering::Acquire) {
+            return Err(RdmaError::Disconnected);
+        }
         Ok(())
     }
 
-    /// The connected peer endpoint and its node.
-    fn peer(&self) -> Result<PeerRef> {
-        let inner = self.inner.peer.lock().upgrade().ok_or(RdmaError::Disconnected)?;
-        if !inner.node.is_alive() {
-            return Err(RdmaError::QpError(format!("peer node '{}' is down", inner.node.name())));
-        }
-        if !inner.alive.load(Ordering::Acquire) {
-            return Err(RdmaError::Disconnected);
-        }
-        let node = inner.node.clone();
-        Ok(PeerRef { inner, node })
+    /// The weak reference to the connected peer an arriving message holds.
+    fn peer_ref(&self) -> Weak<EndpointInner> {
+        self.inner.peer.get().cloned().unwrap_or_default()
     }
 }
 
-struct PeerRef {
-    inner: Arc<EndpointInner>,
-    node: Arc<Node>,
+thread_local! {
+    /// [`Endpoint::post_send`]'s resolved chain, kept for its capacity.
+    static RESOLVED: Cell<Vec<ResolvedWr>> = const { Cell::new(Vec::new()) };
 }
 
+/// One work request, validated and bound by [`Endpoint::resolve`].
 struct ResolvedWr {
-    /// `Some(len)` when the payload is inline.
-    inline_len: Option<usize>,
     wire_bytes: usize,
-    /// Resolved target for WRITE/WRITE_IMM.
-    remote: Option<ResolvedRemote>,
-    /// Resolved target for READ.
-    read: Option<ResolvedRemote>,
+    /// The payload snapshot of a SEND, WRITE or WRITE_WITH_IMM; empty for
+    /// a READ or an atomic.
+    data: PoolBuf,
+    /// The remote target of a one-sided operation.
+    target: Option<ResolvedRemote>,
 }
 
 struct ResolvedRemote {
-    node: Arc<Node>,
-    region: MemoryRegion,
+    /// The target's node when it is not the connected peer's.
+    other: Option<Arc<Node>>,
+    mr: Weak<MrInner>,
     offset: usize,
 }
 
@@ -718,7 +773,7 @@ mod tests {
     use crate::cost::SimConfig;
     use crate::cq::PollMode;
     use crate::fabric::Fabric;
-    use crate::memory::MrSlice;
+    use crate::memory::{MemoryRegion, MrSlice};
 
     fn pair() -> (Fabric, Endpoint, Endpoint) {
         let f = Fabric::new(SimConfig::fast_test());

@@ -93,9 +93,15 @@ impl StagedBuf {
         self.0.lock().as_ref().map(PoolBuf::len).ok_or_else(Self::consumed)
     }
 
-    /// Hand the buffer to the wire (launch time).
+    /// Hand the buffer to the wire (resolve time).
     pub(crate) fn take(&self) -> Result<PoolBuf> {
         self.0.lock().take().ok_or_else(Self::consumed)
+    }
+
+    /// Put back a buffer [`StagedBuf::take`] handed out, when the chain it
+    /// was taken for is rejected before it reaches the wire.
+    pub(crate) fn restore(&self, buf: PoolBuf) {
+        *self.0.lock() = Some(buf);
     }
 }
 
@@ -176,6 +182,16 @@ impl SendOp {
             SendOp::WriteImm { payload, .. } => payload.len(),
             SendOp::Read { local, .. } => local.len,
             SendOp::CompSwap { .. } | SendOp::FetchAdd { .. } => 8,
+        }
+    }
+
+    /// The payload of a SEND, WRITE or WRITE_WITH_IMM.
+    pub(crate) fn payload(&self) -> Option<&SendPayload> {
+        match self {
+            SendOp::Send { payload }
+            | SendOp::Write { payload, .. }
+            | SendOp::WriteImm { payload, .. } => Some(payload),
+            SendOp::Read { .. } | SendOp::CompSwap { .. } | SendOp::FetchAdd { .. } => None,
         }
     }
 

@@ -1,0 +1,217 @@
+//! The simulated message path between two host threads: what one
+//! WRITE_WITH_IMM leaves in flight, the lock-free heads an idle poll reads,
+//! which node counts a message's receive side and when, and the
+//! per-thread spare buffer in front of the global pool.
+
+use hat_rdma_sim::{CostModel, Fabric, PollMode, PoolBuf, RecvWr, SendWr, SimConfig, MAX_INLINE};
+use proptest::prelude::*;
+
+/// A WRITE_WITH_IMM is one pending effect on the target node (a plain
+/// WRITE is one too), and its completion is never observable before its
+/// payload: a receiver that reads the region the moment it polls the
+/// completion always finds that message's bytes.
+#[test]
+fn a_write_with_imm_is_one_pending_effect_and_its_completion_never_precedes_its_payload() {
+    let f = Fabric::new(SimConfig::fast_test());
+    let (a, b) = (f.add_node("a"), f.add_node("b"));
+    let (c, s) = f.connect(&a, &b).unwrap();
+    let dst = s.pd().register(64).unwrap();
+    let rb = dst.remote_buf(0, 64);
+    let scratch = s.pd().register(1).unwrap();
+
+    // Counted on a wire slow enough that nothing lands in between.
+    let slow = Fabric::new(SimConfig {
+        cost: CostModel { wire_latency_ns: 50_000_000, ..CostModel::default() },
+        ..SimConfig::default()
+    });
+    let (sa, sb) = (slow.add_node("a"), slow.add_node("b"));
+    let (sc, ss) = slow.connect(&sa, &sb).unwrap();
+    let sdst = ss.pd().register(64).unwrap();
+    ss.post_recv(RecvWr::new(0, ss.pd().register(1).unwrap(), 0, 0)).unwrap();
+    sc.post_send(&[SendWr::write_imm_inline(1, b"imm", sdst.remote_buf(0, 64), 7)]).unwrap();
+    assert_eq!(sb.pending_effects(), 1, "one WRITE_WITH_IMM, one effect");
+    sc.post_send(&[SendWr::write_inline(2, b"w", sdst.remote_buf(8, 8))]).unwrap();
+    assert_eq!(sb.pending_effects(), 2, "a WRITE adds one more");
+    assert_eq!(sa.pending_effects(), 0, "nothing queued at the sender");
+
+    const N: u8 = 200;
+    for i in 0..N as u64 {
+        s.post_recv(RecvWr::new(i, scratch.clone(), 0, 0)).unwrap();
+    }
+    let (checked, next) = std::sync::mpsc::channel();
+    let receiver = std::thread::spawn(move || {
+        for i in 0..N {
+            let comp = s.recv_cq().poll_timeout(PollMode::Busy, 2_000_000_000).unwrap();
+            assert_eq!(comp.imm, Some(u32::from(i)));
+            let seen = dst.read_vec(0, 64).unwrap();
+            assert_eq!(seen, [i; 64], "completion {i} visible before its payload");
+            checked.send(()).unwrap();
+        }
+    });
+    // One message at a time, so each completion is checked against its
+    // own payload, not a later one that already overwrote it.
+    for i in 0..N {
+        c.post_send(&[SendWr::write_imm_inline(u64::from(i), &[i; 64], rb, u32::from(i))]).unwrap();
+        next.recv().unwrap();
+    }
+    receiver.join().unwrap();
+}
+
+/// One step of a random message schedule against a two-node fabric.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Write(u8),
+    WriteImm(u8),
+    Send(u8),
+    PostRecv,
+    Drain,
+    PollRecv,
+    PollSend,
+    Wait(u16),
+    Kill,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (1u8..200).prop_map(Step::Write),
+        (1u8..200).prop_map(Step::WriteImm),
+        (1u8..200).prop_map(Step::Send),
+        Just(Step::PostRecv),
+        Just(Step::Drain),
+        Just(Step::PollRecv),
+        Just(Step::PollSend),
+        (0u16..20_000).prop_map(Step::Wait),
+        Just(Step::Kill),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The node's mirrored earliest effect deadline and each CQ's mirrored
+    /// earliest readiness — what an idle drain or poll reads instead of
+    /// taking a lock — equal the heap minimum read under the lock after
+    /// every push, drain, pop and kill of a seeded random schedule.
+    #[test]
+    fn lock_free_heads_equal_the_heap_minimum(steps in prop::collection::vec(step(), 1..80)) {
+        let f = Fabric::new(SimConfig::fast_test());
+        let (a, b) = (f.add_node("a"), f.add_node("b"));
+        let (c, s) = f.connect(&a, &b).unwrap();
+        let dst = s.pd().register(256).unwrap();
+        let ring = s.pd().register(256).unwrap();
+        let rb = dst.remote_buf(0, 256);
+        for step in steps {
+            // Posts after a kill fail; the heads must hold regardless.
+            let _ = match step {
+                Step::Write(len) => c.post_send(&[SendWr::write_inline(0, &[1; 200][..len as usize], rb)]),
+                Step::WriteImm(len) => {
+                    c.post_send(&[SendWr::write_imm_inline(0, &[2; 200][..len as usize], rb, 9)])
+                }
+                Step::Send(len) => {
+                    c.post_send(&[SendWr::send_inline(0, &[3; 200][..len as usize]).signaled()])
+                }
+                Step::PostRecv => s.post_recv(RecvWr::new(0, ring.clone(), 0, 256)),
+                Step::Drain => {
+                    b.drain_effects();
+                    Ok(())
+                }
+                Step::PollRecv => {
+                    s.recv_cq().try_poll();
+                    Ok(())
+                }
+                Step::PollSend => {
+                    c.send_cq().try_poll();
+                    Ok(())
+                }
+                Step::Wait(ns) => {
+                    hat_rdma_sim::time::spin_until(hat_rdma_sim::now_ns() + u64::from(ns));
+                    Ok(())
+                }
+                Step::Kill => f.kill_node("b").map(|_| ()),
+            };
+            prop_assert_eq!(b.next_effect_deadline(), b.next_effect_deadline_locked(), "{:?}", step);
+            prop_assert_eq!(a.next_effect_deadline(), a.next_effect_deadline_locked(), "{:?}", step);
+            for cq in [s.recv_cq(), s.send_cq(), c.recv_cq(), c.send_cq()] {
+                prop_assert_eq!(cq.next_ready_at(), cq.next_ready_at_locked(), "{:?}", step);
+            }
+        }
+    }
+}
+
+/// Every delivered SEND, WRITE and WRITE_WITH_IMM counts its bytes in
+/// `bytes_rx` once, on the receiving node, when it lands — not at post
+/// time; the one-sided two also count one `inbound_rdma` there (a SEND is
+/// not one-sided). The sender counts its transmit side at post time and
+/// no receive side at all. A message to a node killed before its deadline
+/// counts on the receiving side of neither node.
+#[test]
+fn each_delivered_message_counts_its_receive_side_once_on_the_receiving_node() {
+    const LEN: usize = 100;
+    const WIRE_NS: u64 = 20_000_000;
+    let payload = [5u8; LEN];
+    const { assert!(LEN <= MAX_INLINE) };
+    let kinds: [(&str, u64); 3] = [("send", 0), ("write", 1), ("write_imm", 1)];
+    for (kill, (kind, inbound)) in [false, true].into_iter().flat_map(|k| kinds.map(|x| (k, x))) {
+        let f = Fabric::new(SimConfig {
+            cost: CostModel { wire_latency_ns: WIRE_NS, ..CostModel::default() },
+            ..SimConfig::default()
+        });
+        let (a, b) = (f.add_node("a"), f.add_node("b"));
+        let (c, s) = f.connect(&a, &b).unwrap();
+        let dst = s.pd().register(LEN).unwrap();
+        let rb = dst.remote_buf(0, LEN);
+        s.post_recv(RecvWr::new(0, dst.clone(), 0, LEN)).unwrap();
+        let (a0, b0) = (a.stats_snapshot(), b.stats_snapshot());
+        let wr = match kind {
+            "send" => SendWr::send_inline(1, &payload),
+            "write" => SendWr::write_inline(1, &payload, rb),
+            _ => SendWr::write_imm_inline(1, &payload, rb, 3),
+        };
+        let posted = hat_rdma_sim::now_ns();
+        c.post_send(&[wr]).unwrap();
+        let (da, db) = (a.stats_snapshot() - a0, b.stats_snapshot() - b0);
+        assert_eq!((da.bytes_tx, da.outbound_rdma), (LEN as u64, inbound), "{kind}: sender");
+        assert_eq!((db.bytes_rx, db.inbound_rdma), (0, 0), "{kind}: counted before it landed");
+
+        if kill {
+            f.kill_node("b").unwrap();
+        }
+        hat_rdma_sim::time::spin_until(posted + 2 * WIRE_NS);
+        b.drain_effects();
+        b.drain_effects();
+        let (da, db) = (a.stats_snapshot() - a0, b.stats_snapshot() - b0);
+        assert_eq!((da.bytes_rx, da.inbound_rdma), (0, 0), "{kind} (kill {kill}): sender");
+        let want = if kill { (0, 0) } else { (LEN as u64, inbound) };
+        assert_eq!((db.bytes_rx, db.inbound_rdma), want, "{kind} (kill {kill}): receiver");
+        if !kill {
+            assert_eq!(dst.read_vec(0, LEN).unwrap(), payload, "{kind}: landed");
+        }
+    }
+}
+
+/// A thread that frees a buffer keeps it as its spare and gets that same
+/// buffer back on its next acquire of the class, while the global list
+/// serves other threads what it holds; when the thread exits its spare is
+/// back in the global list. (The 4 MiB class is this test binary's alone,
+/// so the LIFO free list tells where each buffer went.)
+#[test]
+fn a_thread_reuses_its_own_spare_and_hands_it_back_when_it_exits() {
+    const LEN: usize = 3 << 20;
+    let ptr = |b: &PoolBuf| b.as_ptr() as usize;
+    let (spare, global) = std::thread::spawn(move || {
+        let (first, second) = (PoolBuf::for_overwrite(LEN), PoolBuf::for_overwrite(LEN));
+        let (spare, global) = (ptr(&first), ptr(&second));
+        drop(first); // this thread's spare
+        drop(second); // the spare is taken: to the global list
+        let elsewhere = std::thread::spawn(move || ptr(&PoolBuf::for_overwrite(LEN)));
+        assert_eq!(elsewhere.join().unwrap(), global, "another thread gets the global buffer");
+        let again = PoolBuf::for_overwrite(LEN);
+        assert_eq!(ptr(&again), spare, "the spare comes back without the global list");
+        (spare, global)
+    })
+    .join()
+    .unwrap();
+    // The exited thread's spare went back last, so it is on top.
+    let (first, second) = (PoolBuf::for_overwrite(LEN), PoolBuf::for_overwrite(LEN));
+    assert_eq!((ptr(&first), ptr(&second)), (spare, global));
+}
