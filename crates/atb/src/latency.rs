@@ -1,10 +1,10 @@
 //! ATB latency benchmark: single client, single server, fixed payload
 //! (paper Figures 4 and 11).
 
-use hat_rdma_sim::{now_ns, Fabric};
-use hat_trace::hist::Histogram;
+use hat_rdma_sim::Fabric;
 use hatrpc_core::error::Result;
 
+use crate::driver::{run_ops, Completed};
 use crate::support::{latency_schema, serve, AtbClient};
 use crate::Mode;
 
@@ -58,20 +58,17 @@ pub fn run_latency(fabric: &Fabric, cfg: &LatencyConfig) -> Result<LatencyResult
 
     let payload = vec![0x5A; cfg.payload];
     let mut seq = 0;
-    for _ in 0..cfg.warmup {
+    let mut echo = |_| {
         seq += 1;
-        client.call("echo", seq, &payload)?;
-    }
-    let hist = Histogram::default();
-    for _ in 0..cfg.iters {
-        seq += 1;
-        let t0 = now_ns();
         let echoed = client.call("echo", seq, &payload)?;
-        hist.record(now_ns() - t0);
         debug_assert_eq!(echoed.len(), payload.len());
-    }
+        Ok(Completed::one("echo"))
+    };
+    let run: Result<_> = run_ops(cfg.warmup, &mut echo).and_then(|_| run_ops(cfg.iters, &mut echo));
     drop(client);
     server.shutdown();
+    let run = run?;
+    let hist = run.histogram("echo");
     Ok(LatencyResult {
         label: cfg.mode.label(),
         payload: cfg.payload,

@@ -8,7 +8,11 @@
 //!   client counts (Figures 5 and 12),
 //! * [`mix`] — the Mix Comm Benchmark: two RPCs in one service, one hinted
 //!   for latency and one for throughput, issued 50/50 by every client
-//!   while the server computes a payload checksum (Figures 13 and 14).
+//!   while the server computes a payload checksum (Figures 13 and 14),
+//! * [`driver`] — the load driver those runs share with every other
+//!   multi-client harness in the workspace (YCSB, the raw-protocol and
+//!   txn sweeps): N client threads behind one barrier, one timed loop,
+//!   one warm rule, one [`driver::RunMeasurement`].
 //!
 //! Every benchmark can run in three modes ([`Mode`]): the hint-driven
 //! HatRPC engine, a fixed RDMA protocol (the per-protocol baselines of
@@ -22,6 +26,7 @@
 //! generated code skeletons" — the echo service's wire format is exactly
 //! what the generated processor would produce.
 
+pub mod driver;
 pub mod latency;
 pub mod mix;
 pub mod support;

@@ -3,14 +3,12 @@
 //! for throughput — issued randomly by every client at a configured
 //! ratio, with checksum server work.
 
-use std::sync::Arc;
-
-use hat_rdma_sim::{now_ns, Fabric};
-use hat_trace::hist::Histogram;
+use hat_rdma_sim::Fabric;
 use hatrpc_core::error::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::driver::{run_clients, Completed};
 use crate::support::{mix_schema, serve, AtbClient};
 use crate::Mode;
 
@@ -74,64 +72,38 @@ pub fn run_mix(fabric: &Fabric, cfg: &MixConfig) -> Result<MixResult> {
         .map(|i| fabric.add_node(&format!("atb-mix-client{i}")))
         .collect();
 
-    let schema = Arc::new(schema);
-    let barrier = Arc::new(std::sync::Barrier::new(cfg.clients + 1));
-    let mut handles = Vec::with_capacity(cfg.clients);
-    for c in 0..cfg.clients {
-        let fabric = fabric.clone();
-        let node = client_nodes[c % client_nodes.len()].clone();
-        let schema = schema.clone();
-        let barrier = barrier.clone();
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || -> Result<(Histogram, u64, u64)> {
-            let payload = vec![0x3Cu8; cfg.payload];
-            let mut rng = StdRng::seed_from_u64(c as u64 + 99);
-            // The barrier must be reached on every path (see throughput.rs).
-            let setup = (|| {
-                let mut client = AtbClient::connect(&fabric, &node, "atb-mix", cfg.mode, &schema);
-                // Warm both channels before the measured window.
+    let payload = vec![0x3Cu8; cfg.payload];
+    let run: Result<_> = run_clients(
+        cfg.clients,
+        cfg.iters,
+        |c| {
+            let node = &client_nodes[c % client_nodes.len()];
+            let mut client = AtbClient::connect(fabric, node, "atb-mix", cfg.mode, &schema);
+            if cfg.fast_ratio > 0.0 {
                 client.call("fast", 0, &payload)?;
-                client.call("bulk", 0, &payload)?;
-                Ok::<_, hatrpc_core::CoreError>(client)
-            })();
-            barrier.wait();
-            let mut client = setup?;
-            let fast_hist = Histogram::default();
-            let mut bulk_ops = 0u64;
-            let t0 = now_ns();
-            for i in 0..cfg.iters {
-                let is_fast = rng.random::<f64>() < cfg.fast_ratio;
-                let method = if is_fast { "fast" } else { "bulk" };
-                let t = now_ns();
-                client.call(method, i as i32 + 1, &payload)?;
-                if is_fast {
-                    fast_hist.record(now_ns() - t);
-                } else {
-                    bulk_ops += 1;
-                }
             }
-            Ok((fast_hist, bulk_ops, now_ns() - t0))
-        }));
-    }
-    barrier.wait();
-    let t0 = now_ns();
-    let fast_all = Histogram::default();
-    let mut bulk_total = 0u64;
-    for h in handles {
-        let (hist, bulk, _elapsed) = h.join().expect("client thread")?;
-        fast_all.merge(&hist);
-        bulk_total += bulk;
-    }
-    let wall_ns = now_ns() - t0;
+            if cfg.fast_ratio < 1.0 {
+                client.call("bulk", 0, &payload)?;
+            }
+            Ok((client, StdRng::seed_from_u64(c as u64 + 99)))
+        },
+        |(client, rng), i| {
+            let method = if rng.random::<f64>() < cfg.fast_ratio { "fast" } else { "bulk" };
+            client.call(method, i as i32 + 1, &payload)?;
+            Ok(Completed::one(method))
+        },
+    );
     server.shutdown();
+    let run = run?;
 
-    let bulk_ops_per_sec = bulk_total as f64 / (wall_ns as f64 / 1e9);
+    let bulk_ops_per_sec = run.requests("bulk") as f64 / (run.elapsed_ns as f64 / 1e9);
+    let fast = run.histogram("fast");
     Ok(MixResult {
         label: cfg.mode.label(),
         payload: cfg.payload,
         clients: cfg.clients,
-        fast_mean_ns: fast_all.mean(),
-        fast_p99_ns: fast_all.p99(),
+        fast_mean_ns: fast.mean(),
+        fast_p99_ns: fast.p99(),
         bulk_ops_per_sec,
         bulk_mb_per_sec: bulk_ops_per_sec * (2 * cfg.payload) as f64 / 1e6,
     })

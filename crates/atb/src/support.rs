@@ -8,6 +8,7 @@ use hat_rdma_sim::{Fabric, Node};
 use hatrpc_core::dispatch::{decode_reply, encode_call, Router};
 use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
 use hatrpc_core::error::Result;
+use hatrpc_core::protocol::binary::{BinaryIn, BinaryOut};
 use hatrpc_core::protocol::TType;
 use hatrpc_core::selection::Selection;
 use hatrpc_core::service::ServiceSchema;
@@ -40,29 +41,24 @@ pub fn latency_schema(payload: usize) -> ServiceSchema {
 }
 
 /// The ATB throughput-benchmark schema: `throughput` goal with the client
-/// count and payload size under test (paper §5.2).
-pub fn throughput_schema(payload: usize, clients: usize) -> ServiceSchema {
-    throughput_schema_depth(payload, clients, 1)
-}
-
-/// [`throughput_schema`] plus a `queue_depth` hint: each client keeps up
-/// to `depth` echo calls in flight on a pipelined channel (open loop).
-/// `depth <= 1` leaves the hint off — the classic closed-loop schema.
+/// count and payload size under test (paper §5.2), plus a `queue_depth`
+/// hint when `depth > 1`: each client keeps up to `depth` echo calls in
+/// flight on a pipelined channel (open loop).
 pub fn throughput_schema_depth(payload: usize, clients: usize, depth: usize) -> ServiceSchema {
-    let mut pairs = vec![
-        ("perf_goal".to_string(), "throughput".to_string()),
-        ("concurrency".to_string(), clients.to_string()),
-        ("payload_size".to_string(), payload.to_string()),
-    ];
-    if depth > 1 {
-        pairs.push(("queue_depth".to_string(), depth.to_string()));
-    }
-    let pairs: Vec<(&str, &str)> = pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-    ServiceSchema {
+    let mut schema = ServiceSchema {
         name: "AtbEcho".to_string(),
-        service_hints: hints(&pairs),
+        service_hints: hints(&[
+            ("perf_goal", "throughput"),
+            ("concurrency", &clients.to_string()),
+            ("payload_size", &payload.to_string()),
+        ]),
         functions: vec![("echo".to_string(), HintBlock::default())],
+    };
+    if depth > 1 {
+        let depth = Hint { key: "queue_depth".into(), value: depth.to_string() };
+        schema.service_hints.shared.push(depth);
     }
+    schema
 }
 
 /// The Mix Comm schema: one latency-hinted function and one
@@ -100,35 +96,13 @@ pub fn checksum(data: &[u8]) -> u64 {
 /// The raw-message handler every ATB server runs: `echo`/`fast` return
 /// the payload; `bulk` additionally computes the checksum.
 pub fn atb_router() -> Router {
-    let echo = |input: &mut hatrpc_core::protocol::binary::BinaryIn<'_>,
-                output: &mut hatrpc_core::protocol::binary::BinaryOut,
-                check: bool|
-     -> Result<()> {
-        use hatrpc_core::protocol::{TInputProtocol, TOutputProtocol};
-        input.read_struct_begin()?;
-        let mut payload = Vec::new();
-        loop {
-            let (fty, fid) = input.read_field_begin()?;
-            if fty == TType::Stop {
-                break;
-            }
-            if fid == 1 {
-                payload = input.read_binary()?;
-            } else {
-                input.skip(fty)?;
-            }
-        }
-        input.read_struct_end()?;
+    let echo = |input: &mut BinaryIn<'_>, output: &mut BinaryOut, check: bool| -> Result<()> {
+        let payload = read_payload(input, 1)?;
         if check {
             // Server-side processing cost scaling with payload size.
             std::hint::black_box(checksum(&payload));
         }
-        output.write_struct_begin("result");
-        output.write_field_begin(TType::String, 0);
-        output.write_binary(&payload);
-        output.write_field_end();
-        output.write_field_stop();
-        output.write_struct_end();
+        write_payload(output, 0, &payload);
         Ok(())
     };
     Router::new()
@@ -139,36 +113,43 @@ pub fn atb_router() -> Router {
 
 /// Encode an ATB call for `method` carrying `payload`.
 pub fn encode_echo(method: &str, seq: i32, payload: &[u8]) -> Vec<u8> {
-    use hatrpc_core::protocol::TOutputProtocol;
-    encode_call(method, seq, |out| {
-        out.write_struct_begin("args");
-        out.write_field_begin(TType::String, 1);
-        out.write_binary(payload);
-        out.write_field_end();
-        out.write_field_stop();
-        out.write_struct_end();
-    })
+    encode_call(method, seq, |out| write_payload(out, 1, payload))
 }
 
 /// Decode an ATB reply, returning the echoed payload.
 pub fn decode_echo(reply: &[u8], seq: i32) -> Result<Vec<u8>> {
+    decode_reply(reply, seq, |input| read_payload(input, 0))
+}
+
+/// Write a struct whose one field, `id`, is the binary `payload`.
+fn write_payload(out: &mut BinaryOut, id: i16, payload: &[u8]) {
+    use hatrpc_core::protocol::TOutputProtocol;
+    out.write_struct_begin("payload");
+    out.write_field_begin(TType::String, id);
+    out.write_binary(payload);
+    out.write_field_end();
+    out.write_field_stop();
+    out.write_struct_end();
+}
+
+/// The binary field `id` of the struct `input` is at (empty if absent).
+fn read_payload(input: &mut BinaryIn<'_>, id: i16) -> Result<Vec<u8>> {
     use hatrpc_core::protocol::TInputProtocol;
-    decode_reply(reply, seq, |input| {
-        input.read_struct_begin()?;
-        let mut payload = Vec::new();
-        loop {
-            let (fty, fid) = input.read_field_begin()?;
-            if fty == TType::Stop {
-                break;
-            }
-            if fid == 0 {
-                payload = input.read_binary()?;
-            } else {
-                input.skip(fty)?;
-            }
+    input.read_struct_begin()?;
+    let mut payload = Vec::new();
+    loop {
+        let (fty, fid) = input.read_field_begin()?;
+        if fty == TType::Stop {
+            break;
         }
-        Ok(payload)
-    })
+        if fid == id {
+            payload = input.read_binary()?;
+        } else {
+            input.skip(fty)?;
+        }
+    }
+    input.read_struct_end()?;
+    Ok(payload)
 }
 
 /// Start the echo/mix server for `mode`. Every mode runs a [`HatServer`]:
@@ -282,7 +263,7 @@ mod tests {
         let lat = latency_schema(512);
         let r = lat.resolved("echo", Side::Client);
         assert_eq!(r.concurrency, Some(1));
-        let thr = throughput_schema(128 * 1024, 64);
+        let thr = throughput_schema_depth(128 * 1024, 64, 1);
         let r2 = thr.resolved("echo", Side::Client);
         assert_eq!(r2.payload_size, Some(128 * 1024));
         let mix = mix_schema(512, 8);

@@ -1,11 +1,10 @@
 //! ATB multi-threaded throughput benchmark: N clients, one server
 //! (paper Figures 5 and 12).
 
-use std::sync::Arc;
-
-use hat_rdma_sim::{now_ns, Fabric};
+use hat_rdma_sim::Fabric;
 use hatrpc_core::error::Result;
 
+use crate::driver::{run_clients, Completed};
 use crate::support::{serve, throughput_schema_depth, AtbClient};
 use crate::Mode;
 
@@ -72,67 +71,42 @@ pub fn run_throughput(fabric: &Fabric, cfg: &ThroughputConfig) -> Result<Through
         .map(|i| fabric.add_node(&format!("atb-thr-client{i}")))
         .collect();
 
-    let schema = Arc::new(schema);
-    let barrier = Arc::new(std::sync::Barrier::new(cfg.clients + 1));
-    let mut handles = Vec::with_capacity(cfg.clients);
-    for c in 0..cfg.clients {
-        let fabric = fabric.clone();
-        let node = client_nodes[c % client_nodes.len()].clone();
-        let schema = schema.clone();
-        let barrier = barrier.clone();
-        let mode = cfg.mode;
-        let payload_len = cfg.payload;
-        let iters = cfg.iters;
-        let depth = cfg.depth;
-        handles.push(std::thread::spawn(move || -> Result<(u64, u64)> {
-            // Fallible setup happens before the barrier, but the barrier
-            // must be reached on EVERY path — otherwise one failed client
-            // deadlocks the whole harness at the rendezvous.
-            let payload = vec![0xA5u8; payload_len];
-            let setup = (|| {
-                let mut client = AtbClient::connect(&fabric, &node, "atb-thr", mode, &schema);
-                // Warm up the channel before the measured window.
-                client.call("echo", 0, &payload)?;
-                Ok::<_, hatrpc_core::CoreError>(client)
-            })();
-            barrier.wait();
-            let mut client = setup?;
-            let t0 = now_ns();
-            if depth > 1 {
-                // Open loop: the whole run is one batch; the channel
-                // keeps `depth` echoes in flight throughout.
-                let payloads = vec![payload; iters];
-                client.call_many("echo", 1, &payloads)?;
+    let payload = vec![0xA5u8; cfg.payload];
+    // Open loop at depth > 1: a client's whole run is one batch, and the
+    // channel keeps `depth` echoes in flight throughout.
+    let (ops, batch) = if cfg.depth > 1 { (1, cfg.iters) } else { (cfg.iters, 1) };
+    let run: Result<_> = run_clients(
+        cfg.clients,
+        ops,
+        |c| {
+            let node = &client_nodes[c % client_nodes.len()];
+            let mut client = AtbClient::connect(fabric, node, "atb-thr", cfg.mode, &schema);
+            client.call("echo", 0, &payload)?;
+            Ok((client, vec![payload.clone(); batch]))
+        },
+        |(client, payloads), i| {
+            if cfg.depth > 1 {
+                client.call_many("echo", 1, payloads)?;
             } else {
-                for i in 0..iters {
-                    client.call("echo", i as i32 + 1, &payload)?;
-                }
+                client.call("echo", i as i32 + 1, &payload)?;
             }
-            let elapsed = now_ns() - t0;
-            Ok((iters as u64, elapsed))
-        }));
-    }
-    barrier.wait();
-    let t0 = now_ns();
-    let mut total_ops = 0u64;
-    let mut total_latency = 0u64;
-    for h in handles {
-        let (ops, elapsed) = h.join().expect("client thread")?;
-        total_ops += ops;
-        total_latency += elapsed / ops.max(1);
-    }
-    let wall_ns = now_ns() - t0;
+            Ok(Completed { label: "echo", requests: batch as u64 })
+        },
+    );
     server.shutdown();
+    let run = run?;
 
-    let ops_per_sec = total_ops as f64 / (wall_ns as f64 / 1e9);
-    let mb_per_sec = ops_per_sec * (2 * cfg.payload) as f64 / 1e6;
+    let ops_per_sec = run.throughput_ops_s();
+    // A batch is one sample: spread its time over the echoes it carried.
+    let echo = run.histogram("echo");
+    let mean_latency_ns = echo.mean() * echo.count() / run.total_ops().max(1);
     Ok(ThroughputResult {
         label: cfg.mode.label(),
         payload: cfg.payload,
         clients: cfg.clients,
         ops_per_sec,
-        mb_per_sec,
-        mean_latency_ns: total_latency / cfg.clients.max(1) as u64,
+        mb_per_sec: ops_per_sec * (2 * cfg.payload) as f64 / 1e6,
+        mean_latency_ns,
     })
 }
 

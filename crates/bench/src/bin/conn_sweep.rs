@@ -32,11 +32,13 @@
 //! `calls_ok` deltas summed over the window must agree with the bench's
 //! own completed-op count within 5%.
 
-use std::fmt::Write as _;
-use std::sync::{Arc, Barrier};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hat_bench::flag_value;
+use hat_atb::driver::{run_clients, Completed};
+use hat_bench::{flag_value, JsonDoc};
 use hat_rdma_sim::{Fabric, SimConfig};
 use hatrpc_core::engine::{AsyncCall, CallPolicy, HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
@@ -92,17 +94,7 @@ struct PointConfig {
 }
 
 fn run_point(cfg: &PointConfig) -> PointResult {
-    let &PointConfig {
-        policy,
-        policy_name,
-        conns,
-        client_threads,
-        window,
-        payload,
-        time_scale,
-        sample_interval_ns,
-    } = cfg;
-    let sim = SimConfig { time_scale, ..SimConfig::default() };
+    let sim = SimConfig { time_scale: cfg.time_scale, ..SimConfig::default() };
     let fabric = Fabric::new(sim);
     let snode = fabric.add_node("server");
     let schema = ServiceSchema::parse(IDL, "Conn").unwrap();
@@ -111,7 +103,7 @@ fn run_point(cfg: &PointConfig) -> PointResult {
         &snode,
         "conn",
         schema.clone(),
-        policy,
+        cfg.policy,
         Arc::new(|| Box::new(|req: &[u8]| req.to_vec())),
     );
 
@@ -121,26 +113,27 @@ fn run_point(cfg: &PointConfig) -> PointResult {
     let mut sampler = hat_metrics::Sampler::attach(
         &fabric,
         hat_metrics::SamplerConfig {
-            interval_ns: sample_interval_ns,
+            interval_ns: cfg.sample_interval_ns,
             ring_capacity: 1024,
             slos: vec![hat_metrics::SloSpec::p99("echo", 100_000_000)],
         },
     );
 
     // One node per client thread (a "client machine" holding a batch of
-    // connections), so host threads and simulated CPUs line up. Main
-    // joins the barrier too: ops start only after the sampler has had
-    // setup time to discover every client node at `calls_ok == 0`.
-    let threads = client_threads.max(1).min(conns.max(1));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let fabric = fabric.clone();
-        let schema = schema.clone();
-        let barrier = barrier.clone();
-        let share = conns / threads + usize::from(t < conns % threads);
-        handles.push(std::thread::spawn(move || {
+    // connections), so host threads and simulated CPUs line up. The
+    // driver's barrier holds the calling thread too: ops start only after
+    // the sampler has had setup time to discover every client node at
+    // `calls_ok == 0`. A thread's one op is the whole window, and it
+    // completes every call its connections finish.
+    let threads = cfg.client_threads.max(1).min(cfg.conns.max(1));
+    let served = AtomicUsize::new(0);
+    let req = vec![0x5au8; cfg.payload];
+    let run = run_clients(
+        threads,
+        1,
+        |t| {
             let cnode = fabric.add_node(&format!("clients-{t}"));
+            let share = cfg.conns / threads + usize::from(t < cfg.conns % threads);
             // A long deadline: under the capped pool most connections are
             // intentionally starved, and a mid-window timeout would
             // poison their channels and turn starvation into reconnect
@@ -150,7 +143,7 @@ fn run_point(cfg: &PointConfig) -> PointResult {
                 retries: 0,
                 backoff: Duration::ZERO,
             };
-            let mut slots: Vec<ClientSlot> = (0..share)
+            let slots: Vec<ClientSlot> = (0..share)
                 .map(|_| {
                     let mut client =
                         HatClient::new(&fabric, &cnode, "conn", &schema).with_policy(policy);
@@ -158,9 +151,10 @@ fn run_point(cfg: &PointConfig) -> PointResult {
                     ClientSlot { client, call: None, ops: 0, dead }
                 })
                 .collect();
-            let req = vec![0x5au8; payload];
-            barrier.wait();
-            let deadline = Instant::now() + window;
+            Ok::<_, Infallible>(slots)
+        },
+        |slots, _| {
+            let deadline = Instant::now() + cfg.window;
             while Instant::now() < deadline {
                 let mut progressed = false;
                 for slot in slots.iter_mut() {
@@ -190,19 +184,13 @@ fn run_point(cfg: &PointConfig) -> PointResult {
                     std::thread::yield_now();
                 }
             }
-            let ops: u64 = slots.iter().map(|s| s.ops).sum();
-            let served = slots.iter().filter(|s| s.ops > 0).count();
-            (ops, served)
-        }));
-    }
-    barrier.wait();
-    let mut ops = 0u64;
-    let mut clients_served = 0usize;
-    for h in handles {
-        let (o, s) = h.join().unwrap();
-        ops += o;
-        clients_served += s;
-    }
+            served.fetch_add(slots.iter().filter(|s| s.ops > 0).count(), Ordering::Relaxed);
+            Ok(Completed { label: "echo", requests: slots.iter().map(|s| s.ops).sum() })
+        },
+    );
+    let Ok(run) = run;
+    let ops = run.total_ops();
+    let clients_served = served.into_inner();
     // Tail tick before teardown: the newest samples hold the final
     // counter values every client thread left behind.
     sampler.stop();
@@ -219,10 +207,10 @@ fn run_point(cfg: &PointConfig) -> PointResult {
     let stats = snode.stats_snapshot();
     server.shutdown();
     PointResult {
-        policy: policy_name,
-        conns,
+        policy: cfg.policy_name,
+        conns: cfg.conns,
         ops,
-        ops_per_sec: ops as f64 / window.as_secs_f64(),
+        ops_per_sec: ops as f64 / cfg.window.as_secs_f64(),
         clients_served,
         reactor_wakeups: stats.reactor_wakeups,
         reactor_resumes: stats.reactor_resumes,
@@ -311,70 +299,60 @@ fn main() {
         .map(|r| r.reactor_parked_hwm)
         .unwrap_or(0);
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"conn_sweep\",");
-    let _ = writeln!(json, "  \"payload\": {payload},");
-    let _ = writeln!(json, "  \"window_ms\": {window_ms},");
-    let _ = writeln!(json, "  \"client_threads\": {client_threads},");
-    let _ = writeln!(json, "  \"time_scale\": {time_scale},");
-    let _ = writeln!(json, "  \"results\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"policy\": \"{}\", \"conns\": {}, \"ops\": {}, \"ops_per_sec\": {:.1}, \
-             \"clients_served\": {}, \"reactor_wakeups\": {}, \"reactor_resumes\": {}, \
-             \"reactor_parked_hwm\": {}}}{comma}",
-            r.policy,
-            r.conns,
-            r.ops,
-            r.ops_per_sec,
-            r.clients_served,
-            r.reactor_wakeups,
-            r.reactor_resumes,
-            r.reactor_parked_hwm,
+    let mut doc = JsonDoc::new("conn_sweep")
+        .member("payload", payload)
+        .member("window_ms", window_ms)
+        .member("client_threads", client_threads)
+        .member("time_scale", time_scale)
+        .rows(
+            "results",
+            rows.iter().map(|r| {
+                format!(
+                    "{{\"policy\": \"{}\", \"conns\": {}, \"ops\": {}, \"ops_per_sec\": {:.1}, \
+                     \"clients_served\": {}, \"reactor_wakeups\": {}, \"reactor_resumes\": {}, \
+                     \"reactor_parked_hwm\": {}}}",
+                    r.policy,
+                    r.conns,
+                    r.ops,
+                    r.ops_per_sec,
+                    r.clients_served,
+                    r.reactor_wakeups,
+                    r.reactor_resumes,
+                    r.reactor_parked_hwm,
+                )
+            }),
         );
-    }
-    let _ = writeln!(json, "  ],");
     for &conns in &points {
-        let _ = writeln!(json, "  \"speedup_at_{conns}\": {:.3},", speedup_at(conns));
+        doc = doc.member(&format!("speedup_at_{conns}"), format!("{:.3}", speedup_at(conns)));
     }
-    let _ = writeln!(json, "  \"top_point\": {top},");
-    let _ = writeln!(json, "  \"top_reactor_parked_hwm\": {top_parked},");
-    let _ = writeln!(json, "  \"top_speedup\": {top_speedup:.3}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write BENCH_connections.json");
-    println!("conn_sweep: wrote {out_path}");
+    doc.member("top_point", top)
+        .member("top_reactor_parked_hwm", top_parked)
+        .member("top_speedup", format!("{top_speedup:.3}"))
+        .write(&out_path);
 
     // The telemetry artifact: one timeline per point, plus the numbers
     // the agreement check compares.
-    let mut mjson = String::new();
-    let _ = writeln!(mjson, "{{");
-    let _ = writeln!(mjson, "  \"bench\": \"conn_sweep\",");
-    let _ = writeln!(mjson, "  \"sample_interval_ns\": {sample_interval_ns},");
-    let _ = writeln!(mjson, "  \"agreement_tolerance\": {AGREEMENT_TOLERANCE},");
-    let _ = writeln!(mjson, "  \"points\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            mjson,
-            "    {{\"policy\": \"{}\", \"conns\": {}, \"bench_ops\": {}, \
-             \"metrics_window_ops\": {}, \"metrics_total_ops\": {}, \"ticks\": {}, \
-             \"timeline\": {}}}{comma}",
-            r.policy,
-            r.conns,
-            r.ops,
-            r.metrics_window_ops,
-            r.metrics_total_ops,
-            r.metrics_ticks,
-            r.metrics_json.trim_end(),
-        );
-    }
-    let _ = writeln!(mjson, "  ]");
-    let _ = writeln!(mjson, "}}");
-    std::fs::write(&metrics_out, &mjson).expect("write METRICS_connections.json");
-    println!("conn_sweep: wrote {metrics_out}");
+    JsonDoc::new("conn_sweep")
+        .member("sample_interval_ns", sample_interval_ns)
+        .member("agreement_tolerance", AGREEMENT_TOLERANCE)
+        .rows(
+            "points",
+            rows.iter().map(|r| {
+                format!(
+                    "{{\"policy\": \"{}\", \"conns\": {}, \"bench_ops\": {}, \
+                     \"metrics_window_ops\": {}, \"metrics_total_ops\": {}, \"ticks\": {}, \
+                     \"timeline\": {}}}",
+                    r.policy,
+                    r.conns,
+                    r.ops,
+                    r.metrics_window_ops,
+                    r.metrics_total_ops,
+                    r.metrics_ticks,
+                    r.metrics_json.trim_end(),
+                )
+            }),
+        )
+        .write(&metrics_out);
     println!(
         "conn_sweep: at {top} conns the reactor served {top_parked} connections on one driver, \
          {top_speedup:.2}x the capped pool's ops"

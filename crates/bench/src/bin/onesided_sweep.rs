@@ -28,9 +28,9 @@
 //! `--check-speedup` exits non-zero when the ycsb-c speedup falls below
 //! 1.5x — CI runs this as part of the bench-smoke gate.
 
-use std::fmt::Write as _;
-
-use hat_bench::{flag_value, run_ycsb_sampled, KvSystem, KvWorkload, YcsbConfig, YcsbPoint};
+use hat_bench::{
+    flag_value, run_ycsb_sampled, JsonDoc, KvSystem, KvWorkload, YcsbConfig, YcsbPoint,
+};
 
 const SPEEDUP_FLOOR: f64 = 1.5;
 /// hat-metrics sampling interval for each point's fabric.
@@ -93,55 +93,46 @@ fn main() {
         ops_at(KvWorkload::ReadOnly, true) / ops_at(KvWorkload::ReadOnly, false).max(1.0);
     let mix_b_speedup = ops_at(KvWorkload::MixB, true) / ops_at(KvWorkload::MixB, false).max(1.0);
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"onesided_sweep\",");
-    let _ = writeln!(json, "  \"clients\": {clients},");
-    let _ = writeln!(json, "  \"records\": {records},");
-    let _ = writeln!(json, "  \"ops_per_client\": {ops},");
-    let _ = writeln!(json, "  \"results\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"path\": \"{}\", \"ops_per_sec\": {:.1}, \
-             \"get_mean_us\": {:.1}, \"multiget_mean_us\": {:.1}, \"put_mean_us\": {:.1}}}{comma}",
-            row.workload.label(),
-            if row.onesided { "onesided" } else { "rpc" },
-            row.point.throughput_ops_s,
-            row.point.mean_us[0],
-            row.point.mean_us[2],
-            row.point.mean_us[1],
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"read_only_speedup_onesided_over_rpc\": {read_only_speedup:.3},");
-    let _ = writeln!(json, "  \"mix_b_speedup_onesided_over_rpc\": {mix_b_speedup:.3}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write BENCH_onesided.json");
-    println!("onesided_sweep: wrote {out_path}");
+    let path = |row: &Row| if row.onesided { "onesided" } else { "rpc" };
+    JsonDoc::new("onesided_sweep")
+        .member("clients", clients)
+        .member("records", records)
+        .member("ops_per_client", ops)
+        .rows(
+            "results",
+            rows.iter().map(|row| {
+                format!(
+                    "{{\"workload\": \"{}\", \"path\": \"{}\", \"ops_per_sec\": {:.1}, \
+                     \"get_mean_us\": {:.1}, \"multiget_mean_us\": {:.1}, \"put_mean_us\": {:.1}}}",
+                    row.workload.label(),
+                    path(row),
+                    row.point.throughput_ops_s,
+                    row.point.mean_us[0],
+                    row.point.mean_us[2],
+                    row.point.mean_us[1],
+                )
+            }),
+        )
+        .member("read_only_speedup_onesided_over_rpc", format!("{read_only_speedup:.3}"))
+        .member("mix_b_speedup_onesided_over_rpc", format!("{mix_b_speedup:.3}"))
+        .write(&out_path);
 
-    let mut mjson = String::new();
-    let _ = writeln!(mjson, "{{");
-    let _ = writeln!(mjson, "  \"bench\": \"onesided_sweep\",");
-    let _ = writeln!(mjson, "  \"sample_interval_ns\": {SAMPLE_INTERVAL_NS},");
-    let _ = writeln!(mjson, "  \"points\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            mjson,
-            "    {{\"workload\": \"{}\", \"path\": \"{}\", \"ops_per_sec\": {:.1}, \
-             \"timeline\": {}}}{comma}",
-            row.workload.label(),
-            if row.onesided { "onesided" } else { "rpc" },
-            row.point.throughput_ops_s,
-            row.timeline.trim_end(),
-        );
-    }
-    let _ = writeln!(mjson, "  ]");
-    let _ = writeln!(mjson, "}}");
-    std::fs::write(&metrics_out, &mjson).expect("write METRICS_onesided.json");
-    println!("onesided_sweep: wrote {metrics_out}");
+    JsonDoc::new("onesided_sweep")
+        .member("sample_interval_ns", SAMPLE_INTERVAL_NS)
+        .rows(
+            "points",
+            rows.iter().map(|row| {
+                format!(
+                    "{{\"workload\": \"{}\", \"path\": \"{}\", \"ops_per_sec\": {:.1}, \
+                     \"timeline\": {}}}",
+                    row.workload.label(),
+                    path(row),
+                    row.point.throughput_ops_s,
+                    row.timeline.trim_end(),
+                )
+            }),
+        )
+        .write(&metrics_out);
     println!(
         "onesided_sweep: ycsb-c one-sided speedup {read_only_speedup:.2}x, ycsb-b {mix_b_speedup:.2}x"
     );

@@ -18,10 +18,8 @@
 //! `--check-speedup` exits non-zero when the eager depth-8 speedup falls
 //! below 2x — CI runs this as the bench-smoke gate.
 
-use std::fmt::Write as _;
-
 use hat_atb::{run_throughput, Mode, ThroughputConfig, ThroughputResult};
-use hat_bench::flag_value;
+use hat_bench::{flag_value, JsonDoc};
 use hat_protocols::ProtocolKind;
 use hat_rdma_sim::{Fabric, PollMode, SimConfig};
 
@@ -104,56 +102,46 @@ fn main() {
     let eager_speedup = ops("eager", 8) / ops("eager", 1).max(1.0);
     let hatrpc_speedup = ops("hatrpc", 8) / ops("hatrpc", 1).max(1.0);
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"pipeline_sweep\",");
-    let _ = writeln!(json, "  \"payload\": {payload},");
-    let _ = writeln!(json, "  \"clients\": {clients},");
-    let _ = writeln!(json, "  \"iters\": {iters},");
-    let _ = writeln!(json, "  \"time_scale\": {time_scale},");
-    let _ = writeln!(json, "  \"results\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"stack\": \"{}\", \"label\": \"{}\", \"depth\": {}, \
-             \"ops_per_sec\": {:.1}, \"mb_per_sec\": {:.3}, \"mean_latency_ns\": {}}}{comma}",
-            row.stack,
-            row.result.label,
-            row.depth,
-            row.result.ops_per_sec,
-            row.result.mb_per_sec,
-            row.result.mean_latency_ns,
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"eager_speedup_depth8_over_depth1\": {eager_speedup:.3},");
-    let _ = writeln!(json, "  \"hatrpc_speedup_depth8_over_depth1\": {hatrpc_speedup:.3}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write BENCH_pipeline.json");
-    println!("pipeline_sweep: wrote {out_path}");
+    JsonDoc::new("pipeline_sweep")
+        .member("payload", payload)
+        .member("clients", clients)
+        .member("iters", iters)
+        .member("time_scale", time_scale)
+        .rows(
+            "results",
+            rows.iter().map(|row| {
+                format!(
+                    "{{\"stack\": \"{}\", \"label\": \"{}\", \"depth\": {}, \
+                     \"ops_per_sec\": {:.1}, \"mb_per_sec\": {:.3}, \"mean_latency_ns\": {}}}",
+                    row.stack,
+                    row.result.label,
+                    row.depth,
+                    row.result.ops_per_sec,
+                    row.result.mb_per_sec,
+                    row.result.mean_latency_ns,
+                )
+            }),
+        )
+        .member("eager_speedup_depth8_over_depth1", format!("{eager_speedup:.3}"))
+        .member("hatrpc_speedup_depth8_over_depth1", format!("{hatrpc_speedup:.3}"))
+        .write(&out_path);
 
-    let mut mjson = String::new();
-    let _ = writeln!(mjson, "{{");
-    let _ = writeln!(mjson, "  \"bench\": \"pipeline_sweep\",");
-    let _ = writeln!(mjson, "  \"sample_interval_ns\": {SAMPLE_INTERVAL_NS},");
-    let _ = writeln!(mjson, "  \"points\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            mjson,
-            "    {{\"stack\": \"{}\", \"depth\": {}, \"ops_per_sec\": {:.1}, \
-             \"timeline\": {}}}{comma}",
-            row.stack,
-            row.depth,
-            row.result.ops_per_sec,
-            row.timeline.trim_end(),
-        );
-    }
-    let _ = writeln!(mjson, "  ]");
-    let _ = writeln!(mjson, "}}");
-    std::fs::write(&metrics_out, &mjson).expect("write METRICS_pipeline.json");
-    println!("pipeline_sweep: wrote {metrics_out}");
+    JsonDoc::new("pipeline_sweep")
+        .member("sample_interval_ns", SAMPLE_INTERVAL_NS)
+        .rows(
+            "points",
+            rows.iter().map(|row| {
+                format!(
+                    "{{\"stack\": \"{}\", \"depth\": {}, \"ops_per_sec\": {:.1}, \
+                     \"timeline\": {}}}",
+                    row.stack,
+                    row.depth,
+                    row.result.ops_per_sec,
+                    row.timeline.trim_end(),
+                )
+            }),
+        )
+        .write(&metrics_out);
     println!(
         "pipeline_sweep: eager depth-8 speedup {eager_speedup:.2}x, hatrpc {hatrpc_speedup:.2}x"
     );

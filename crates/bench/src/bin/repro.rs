@@ -38,7 +38,7 @@ fn main() {
         .map_or(3, |v| v.parse().expect("--frames wants an integer"));
     let interval_ms: u64 = take_flag_value("--interval-ms", &mut args)
         .map_or(100, |v| v.parse().expect("--interval-ms wants an integer"));
-    let scale = Scale::from_flag(full);
+    let scale = if full { Scale::Full } else { Scale::Quick };
     let which: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
     let which = if which.is_empty() { vec!["all"] } else { which };

@@ -29,9 +29,9 @@
 //! `--check-speedup` exits non-zero when the write-heavy shards=8 speedup
 //! falls below 2x — CI runs this as part of the bench-smoke gate.
 
-use std::fmt::Write as _;
-
-use hat_bench::{flag_value, run_ycsb_sampled, KvSystem, KvWorkload, YcsbConfig, YcsbPoint};
+use hat_bench::{
+    flag_value, run_ycsb_sampled, JsonDoc, KvSystem, KvWorkload, YcsbConfig, YcsbPoint,
+};
 
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
 const SPEEDUP_FLOOR: f64 = 2.0;
@@ -98,67 +98,57 @@ fn main() {
         ops_at(KvWorkload::WriteHeavy, 8) / ops_at(KvWorkload::WriteHeavy, 1).max(1.0);
     let read_speedup = ops_at(KvWorkload::MixB, 8) / ops_at(KvWorkload::MixB, 1).max(1.0);
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"shard_sweep\",");
-    let _ = writeln!(json, "  \"clients\": {clients},");
-    let _ = writeln!(json, "  \"records\": {records},");
-    let _ = writeln!(json, "  \"ops_per_client\": {ops},");
-    let _ = writeln!(json, "  \"commit_cost_ns\": {commit_cost_ns},");
-    let _ = writeln!(json, "  \"results\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let stats: Vec<String> = row
-            .point
-            .shard_stats
-            .iter()
-            .map(|s| {
+    JsonDoc::new("shard_sweep")
+        .member("clients", clients)
+        .member("records", records)
+        .member("ops_per_client", ops)
+        .member("commit_cost_ns", commit_cost_ns)
+        .rows(
+            "results",
+            rows.iter().map(|row| {
+                let stats: Vec<String> = row
+                    .point
+                    .shard_stats
+                    .iter()
+                    .map(|s| {
+                        format!(
+                            "{{\"txns\": {}, \"writer_wait_ns\": {}, \"bytes_written\": {}}}",
+                            s.commits, s.writer_wait_ns, s.bytes_written
+                        )
+                    })
+                    .collect();
                 format!(
-                    "{{\"txns\": {}, \"writer_wait_ns\": {}, \"bytes_written\": {}}}",
-                    s.commits, s.writer_wait_ns, s.bytes_written
+                    "{{\"workload\": \"{}\", \"shards\": {}, \"ops_per_sec\": {:.1}, \
+                     \"put_mean_us\": {:.1}, \"get_mean_us\": {:.1}, \"shard_stats\": [{}]}}",
+                    row.workload.label(),
+                    row.shards,
+                    row.point.throughput_ops_s,
+                    row.point.mean_us[1],
+                    row.point.mean_us[0],
+                    stats.join(", "),
                 )
-            })
-            .collect();
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"shards\": {}, \"ops_per_sec\": {:.1}, \
-             \"put_mean_us\": {:.1}, \"get_mean_us\": {:.1}, \"shard_stats\": [{}]}}{comma}",
-            row.workload.label(),
-            row.shards,
-            row.point.throughput_ops_s,
-            row.point.mean_us[1],
-            row.point.mean_us[0],
-            stats.join(", "),
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"write_heavy_speedup_shards8_over_shards1\": {write_speedup:.3},");
-    let _ = writeln!(json, "  \"read_heavy_speedup_shards8_over_shards1\": {read_speedup:.3}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write BENCH_shards.json");
-    println!("shard_sweep: wrote {out_path}");
+            }),
+        )
+        .member("write_heavy_speedup_shards8_over_shards1", format!("{write_speedup:.3}"))
+        .member("read_heavy_speedup_shards8_over_shards1", format!("{read_speedup:.3}"))
+        .write(&out_path);
 
-    let mut mjson = String::new();
-    let _ = writeln!(mjson, "{{");
-    let _ = writeln!(mjson, "  \"bench\": \"shard_sweep\",");
-    let _ = writeln!(mjson, "  \"sample_interval_ns\": {SAMPLE_INTERVAL_NS},");
-    let _ = writeln!(mjson, "  \"points\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            mjson,
-            "    {{\"workload\": \"{}\", \"shards\": {}, \"ops_per_sec\": {:.1}, \
-             \"timeline\": {}}}{comma}",
-            row.workload.label(),
-            row.shards,
-            row.point.throughput_ops_s,
-            row.timeline.trim_end(),
-        );
-    }
-    let _ = writeln!(mjson, "  ]");
-    let _ = writeln!(mjson, "}}");
-    std::fs::write(&metrics_out, &mjson).expect("write METRICS_shards.json");
-    println!("shard_sweep: wrote {metrics_out}");
+    JsonDoc::new("shard_sweep")
+        .member("sample_interval_ns", SAMPLE_INTERVAL_NS)
+        .rows(
+            "points",
+            rows.iter().map(|row| {
+                format!(
+                    "{{\"workload\": \"{}\", \"shards\": {}, \"ops_per_sec\": {:.1}, \
+                     \"timeline\": {}}}",
+                    row.workload.label(),
+                    row.shards,
+                    row.point.throughput_ops_s,
+                    row.timeline.trim_end(),
+                )
+            }),
+        )
+        .write(&metrics_out);
     println!(
         "shard_sweep: write-heavy shards-8 speedup {write_speedup:.2}x, read-heavy {read_speedup:.2}x"
     );

@@ -13,7 +13,9 @@
 //! `multiput_txn` (cross-shard atomicity: per-key locks, a prepare
 //! record on every touched shard, then decide-and-apply). Each client
 //! owns a disjoint key set, so the sweep prices the protocol itself —
-//! the extra WAL records and lock traffic — not lock contention.
+//! the extra WAL records and lock traffic — not lock contention. The
+//! clients run on `hat_atb::driver`, and each warms with one round of the
+//! call its mode measures, so the first measured round opens no channel.
 //!
 //! `--check-overhead` exits non-zero when the txn path falls below a
 //! quarter of the plain path's throughput: 2PC doubles the WAL records
@@ -21,14 +23,12 @@
 //! the fast path regressed or the txn path gained an accidental stall.
 //! CI runs this as part of the bench-smoke gate.
 
-use std::fmt::Write as _;
-use std::sync::Arc;
-
-use hat_bench::flag_value;
-use hat_hatkv::{hat_k_v_schema, HatKVClient, HatKvServer};
+use hat_atb::driver::{run_clients, Completed};
+use hat_bench::ycsb_bench::{txn_client, txn_round};
+use hat_bench::{flag_value, JsonDoc};
+use hat_hatkv::{hat_k_v_schema, HatKvServer};
 use hat_kvdb::DbConfig;
-use hat_rdma_sim::{now_ns, Fabric, SimConfig};
-use hatrpc_core::engine::HatClient;
+use hat_rdma_sim::{Fabric, SimConfig};
 
 const OVERHEAD_FLOOR: f64 = 0.25;
 
@@ -57,55 +57,27 @@ fn run_mode(mode: &Mode, clients: usize, rounds: usize, batch: usize, commit_cos
         DbConfig { commit_cost_ns: Some(commit_cost_ns), ..Default::default() },
     );
 
-    let barrier = Arc::new(std::sync::Barrier::new(clients + 1));
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let fabric = fabric.clone();
-        let schema = server.schema().clone();
-        let barrier = barrier.clone();
-        let txn = mode.txn;
-        handles.push(std::thread::spawn(move || -> (u64, usize) {
+    let run = run_clients(
+        clients,
+        rounds,
+        |c| {
             let node = fabric.add_node(&format!("txn-bench-{c}"));
-            let mut client = HatKVClient::new(HatClient::new(&fabric, &node, "kv", &schema));
-            // Disjoint per-client key sets: the sweep prices the 2PC
-            // protocol, not inter-client lock contention.
-            let keys: Vec<Vec<u8>> =
-                (0..batch).map(|i| format!("c{c:02}-k{i:03}").into_bytes()).collect();
-            // Warm the channel outside the measured window.
-            let _ = client.get(keys[0].clone());
-            barrier.wait();
-            let mut busy_ns = 0u64;
-            for round in 0..rounds {
-                let values: Vec<Vec<u8>> = keys.iter().map(|_| vec![round as u8; 100]).collect();
-                let t = now_ns();
-                if txn {
-                    client.multiput_txn(keys.clone(), values).expect("txn multiput");
-                } else {
-                    client.multiput(keys.clone(), values).expect("plain multiput");
-                }
-                busy_ns += now_ns() - t;
-            }
-            (busy_ns, rounds * batch)
-        }));
-    }
-    barrier.wait();
-    let t0 = now_ns();
-    let mut busy_ns = 0u64;
-    let mut ops = 0usize;
-    for h in handles {
-        let (b, o) = h.join().expect("bench client");
-        busy_ns += b;
-        ops += o;
-    }
-    let elapsed_ns = (now_ns() - t0).max(1);
-    let calls = (clients * rounds) as f64;
+            let client = txn_client(&fabric, &node, server.schema(), mode.txn, c, batch)?;
+            Ok::<_, hatrpc_core::CoreError>((client, c))
+        },
+        |(client, c), round| {
+            txn_round(client, mode.txn, *c, batch, round as u8)?;
+            Ok(Completed { label: mode.label, requests: batch as u64 })
+        },
+    )
+    .expect("txn sweep clients");
     let txn_stats = server.db().txn_stats();
     let wal_commits: u64 = server.db().shard_stats().iter().map(|s| s.commits).sum();
     server.shutdown();
     Row {
         label: mode.label,
-        ops_per_sec: ops as f64 * 1e9 / elapsed_ns as f64,
-        call_mean_us: busy_ns as f64 / calls / 1000.0,
+        ops_per_sec: run.throughput_ops_s(),
+        call_mean_us: run.histogram(mode.label).mean() as f64 / 1000.0,
         txn_commits: txn_stats.commits,
         txn_aborts: txn_stats.aborts,
         wal_commits,
@@ -134,38 +106,34 @@ fn main() {
 
     let plain = rows[0].ops_per_sec.max(1.0);
     let ratio = rows[1].ops_per_sec / plain;
-    let expected_txns = (clients * rounds) as u64;
+    // Each client's warm-up is one txn round too, before the clock.
+    let expected_txns = (clients * (rounds + 1)) as u64;
     assert_eq!(rows[1].txn_commits, expected_txns, "every txn round committed exactly once");
     assert_eq!(rows[1].txn_aborts, 0, "disjoint key sets must never abort");
     assert_eq!(rows[0].txn_commits, 0, "the plain path must never enter the 2PC machinery");
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"txn_sweep\",");
-    let _ = writeln!(json, "  \"clients\": {clients},");
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
-    let _ = writeln!(json, "  \"batch\": {batch},");
-    let _ = writeln!(json, "  \"commit_cost_ns\": {commit_cost_ns},");
-    let _ = writeln!(json, "  \"results\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"mode\": \"{}\", \"ops_per_sec\": {:.1}, \"call_mean_us\": {:.1}, \
-             \"txn_commits\": {}, \"txn_aborts\": {}, \"wal_commits\": {}}}{comma}",
-            row.label,
-            row.ops_per_sec,
-            row.call_mean_us,
-            row.txn_commits,
-            row.txn_aborts,
-            row.wal_commits,
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"txn_over_plain_throughput\": {ratio:.3}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write BENCH_txn.json");
-    println!("txn_sweep: wrote {out_path}");
+    JsonDoc::new("txn_sweep")
+        .member("clients", clients)
+        .member("rounds", rounds)
+        .member("batch", batch)
+        .member("commit_cost_ns", commit_cost_ns)
+        .rows(
+            "results",
+            rows.iter().map(|row| {
+                format!(
+                    "{{\"mode\": \"{}\", \"ops_per_sec\": {:.1}, \"call_mean_us\": {:.1}, \
+                     \"txn_commits\": {}, \"txn_aborts\": {}, \"wal_commits\": {}}}",
+                    row.label,
+                    row.ops_per_sec,
+                    row.call_mean_us,
+                    row.txn_commits,
+                    row.txn_aborts,
+                    row.wal_commits,
+                )
+            }),
+        )
+        .member("txn_over_plain_throughput", format!("{ratio:.3}"))
+        .write(&out_path);
     println!("txn_sweep: txn path runs at {:.2}x the plain multiput throughput", ratio);
 
     if check && ratio < OVERHEAD_FLOOR {

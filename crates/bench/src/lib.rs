@@ -50,12 +50,11 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from a CLI flag.
-    pub fn from_flag(full: bool) -> Scale {
-        if full {
-            Scale::Full
-        } else {
-            Scale::Quick
+    /// `quick` at [`Scale::Quick`], `full` at [`Scale::Full`].
+    pub fn pick<T>(self, quick: T, full: T) -> T {
+        match self {
+            Scale::Quick => quick,
+            Scale::Full => full,
         }
     }
 }
@@ -63,6 +62,40 @@ impl Scale {
 /// The argument after flag `name` in `args`, if both are there.
 pub fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+}
+
+/// A sweep's JSON document, laid out as every `BENCH_*.json` and
+/// `METRICS_*.json` is: `"bench"` first, then one member per line, an
+/// array member one element per line. Values are JSON text.
+pub struct JsonDoc {
+    sweep: &'static str,
+    members: Vec<String>,
+}
+
+impl JsonDoc {
+    /// A document of `sweep`'s, its `"bench"` member set.
+    pub fn new(sweep: &'static str) -> JsonDoc {
+        JsonDoc { sweep, members: vec![format!("  \"bench\": \"{sweep}\"")] }
+    }
+
+    /// Add `"name": value`.
+    pub fn member(mut self, name: &str, value: impl std::fmt::Display) -> JsonDoc {
+        self.members.push(format!("  \"{name}\": {value}"));
+        self
+    }
+
+    /// Add `"name": [...]`, one element per line.
+    pub fn rows(self, name: &str, items: impl IntoIterator<Item = String>) -> JsonDoc {
+        let items: Vec<String> = items.into_iter().map(|item| format!("    {item}")).collect();
+        self.member(name, format!("[\n{}\n  ]", items.join(",\n")))
+    }
+
+    /// Write the document to `path`, and say so on stdout.
+    pub fn write(self, path: &str) {
+        let json = format!("{{\n{}\n}}\n", self.members.join(",\n"));
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("{}: write {path}: {e}", self.sweep));
+        println!("{}: wrote {path}", self.sweep);
+    }
 }
 
 /// The nine protocols of Figure 3/4 (HERD and the hybrid are §5-only).
@@ -82,14 +115,9 @@ pub fn figure4_protocols() -> Vec<ProtocolKind> {
 
 /// Fig. 4: protocol latency across payload sizes and polling modes.
 pub fn fig04_protocol_latency(scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![16, 512, 4096, 65536],
-        Scale::Full => vec![4, 64, 512, 4096, 32768, 131072, 524288],
-    };
-    let iters = match scale {
-        Scale::Quick => 20,
-        Scale::Full => 50,
-    };
+    let sizes: Vec<usize> =
+        scale.pick(vec![16, 512, 4096, 65536], vec![4, 64, 512, 4096, 32768, 131072, 524288]);
+    let iters = scale.pick(20, 50);
     let mut table = Table::new(
         "Figure 4 — RPC-like latency of RDMA protocols (us)",
         &["protocol", "polling", "size(B)", "mean(us)", "p99(us)"],
@@ -113,15 +141,9 @@ pub fn fig04_protocol_latency(scale: Scale) -> Table {
 
 /// Fig. 5: protocol throughput across client counts.
 pub fn fig05_protocol_throughput(scale: Scale) -> Table {
-    let clients: Vec<usize> = match scale {
-        Scale::Quick => vec![1, 4, 16, 32],
-        Scale::Full => vec![1, 4, 16, 32, 64, 128],
-    };
+    let clients: Vec<usize> = scale.pick(vec![1, 4, 16, 32], vec![1, 4, 16, 32, 64, 128]);
     let sizes = [512usize, 131072];
-    let iters = match scale {
-        Scale::Quick => 10,
-        Scale::Full => 24,
-    };
+    let iters = scale.pick(10, 24);
     // The head-to-head subset the paper's Figure 5 highlights.
     let protocols = [
         ProtocolKind::EagerSendRecv,
@@ -153,9 +175,10 @@ pub fn fig05_protocol_throughput(scale: Scale) -> Table {
     table
 }
 
-/// The four baselines Figures 11–14 plot against HatRPC.
-fn atb_baselines() -> Vec<Mode> {
+/// HatRPC, then the four baselines Figures 11–14 plot against it.
+fn atb_modes() -> Vec<Mode> {
     vec![
+        Mode::HatRpc,
         Mode::Fixed(ProtocolKind::HybridEagerRndv, PollMode::Busy),
         Mode::Fixed(ProtocolKind::DirectWriteSend, PollMode::Busy),
         Mode::Fixed(ProtocolKind::DirectWriteImm, PollMode::Busy),
@@ -165,21 +188,14 @@ fn atb_baselines() -> Vec<Mode> {
 
 /// Fig. 11: ATB latency — HatRPC (service-level hints) vs baselines.
 pub fn fig11_atb_latency(scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![64, 512, 4096, 65536],
-        Scale::Full => vec![4, 64, 512, 4096, 32768, 131072, 524288],
-    };
-    let iters = match scale {
-        Scale::Quick => 20,
-        Scale::Full => 50,
-    };
+    let sizes: Vec<usize> =
+        scale.pick(vec![64, 512, 4096, 65536], vec![4, 64, 512, 4096, 32768, 131072, 524288]);
+    let iters = scale.pick(20, 50);
     let mut table = Table::new(
         "Figure 11 — ATB latency with service-level hints (us)",
         &["stack", "size(B)", "mean(us)", "p99(us)"],
     );
-    let mut modes = vec![Mode::HatRpc];
-    modes.extend(atb_baselines());
-    for mode in modes {
+    for mode in atb_modes() {
         for &size in &sizes {
             let fabric = Fabric::new(SimConfig::default());
             let r = hat_atb::run_latency(
@@ -200,21 +216,13 @@ pub fn fig11_atb_latency(scale: Scale) -> Table {
 
 /// Fig. 12: ATB throughput — HatRPC vs baselines across client counts.
 pub fn fig12_atb_throughput(scale: Scale) -> Table {
-    let clients: Vec<usize> = match scale {
-        Scale::Quick => vec![1, 8, 24],
-        Scale::Full => vec![1, 4, 16, 32, 64],
-    };
-    let iters = match scale {
-        Scale::Quick => 10,
-        Scale::Full => 24,
-    };
+    let clients: Vec<usize> = scale.pick(vec![1, 8, 24], vec![1, 4, 16, 32, 64]);
+    let iters = scale.pick(10, 24);
     let mut table = Table::new(
         "Figure 12 — ATB throughput with service-level hints (Kops/s)",
         &["stack", "size(B)", "clients", "kops/s"],
     );
-    let mut modes = vec![Mode::HatRpc];
-    modes.extend(atb_baselines());
-    for mode in modes {
+    for mode in atb_modes() {
         for size in [512usize, 131072] {
             for &n in &clients {
                 let fabric = Fabric::new(SimConfig::default());
@@ -243,19 +251,11 @@ pub fn fig12_atb_throughput(scale: Scale) -> Table {
 }
 
 fn fig_mix(scale: Scale, payload: usize, title: &str) -> Table {
-    let clients: Vec<usize> = match scale {
-        Scale::Quick => vec![2, 8],
-        Scale::Full => vec![2, 8, 16, 32],
-    };
-    let iters = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 32,
-    };
+    let clients: Vec<usize> = scale.pick(vec![2, 8], vec![2, 8, 16, 32]);
+    let iters = scale.pick(16, 32);
     let mut table =
         Table::new(title, &["stack", "clients", "fast mean(us)", "fast p99(us)", "bulk kops/s"]);
-    let mut modes = vec![Mode::HatRpc];
-    modes.extend(atb_baselines());
-    for mode in modes {
+    for mode in atb_modes() {
         for &n in &clients {
             let fabric = Fabric::new(SimConfig::default());
             let r = hat_atb::run_mix(
@@ -293,10 +293,7 @@ pub fn fig14_mix(scale: Scale) -> Table {
 }
 
 fn fig_ycsb(scale: Scale, workload: KvWorkload, title: &str) -> Table {
-    let (clients, records, ops) = match scale {
-        Scale::Quick => (8, 2_000, 40),
-        Scale::Full => (32, 20_000, 150),
-    };
+    let (clients, records, ops) = scale.pick((8, 2_000, 40), (32, 20_000, 150));
     let mut table =
         Table::new(title, &["system", "kops/s", "Get us", "Put us", "MGet us", "MPut us"]);
     for system in KvSystem::ALL {
@@ -338,10 +335,10 @@ pub fn fig16_ycsb(scale: Scale) -> Table {
 
 /// Fig. 17: the 22 TPC-H queries over the three transports.
 pub fn fig17_tpch(scale: Scale) -> Table {
-    let cfg = match scale {
-        Scale::Quick => ClusterConfig { sf: 0.004, workers: 3, seed: 7 },
-        Scale::Full => ClusterConfig { sf: 0.02, workers: 6, seed: 7 },
-    };
+    let cfg = scale.pick(
+        ClusterConfig { sf: 0.004, workers: 3, seed: 7 },
+        ClusterConfig { sf: 0.02, workers: 6, seed: 7 },
+    );
     let mut table = Table::new(
         "Figure 17 — TPC-H query times (ms) by transport",
         &["query", "Thrift/IPoIB", "HatRPC-Service", "HatRPC-Function", "F-speedup"],

@@ -9,10 +9,9 @@ use std::time::{Duration, Instant};
 
 use hat_metrics::{Sampler, SamplerConfig, SloSpec};
 use hat_rdma_sim::{Fabric, SimConfig};
-use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
-use hatrpc_core::service::ServiceSchema;
+use hatrpc_core::engine::{HatClient, HatServer};
 
-use crate::trace_bench::MICRO_IDL;
+use crate::trace_bench::serve_micro;
 
 /// Result of a sampled micro run.
 pub struct MicroMetrics {
@@ -40,16 +39,7 @@ struct LiveMicro {
 fn start_live(cfg: SamplerConfig) -> LiveMicro {
     hat_trace::hist::reset();
     let fabric = Fabric::new(SimConfig::fast_test());
-    let snode = fabric.add_node("server");
-    let schema = ServiceSchema::parse(MICRO_IDL, "Micro").expect("micro IDL parses");
-    let server = HatServer::serve(
-        &fabric,
-        &snode,
-        "micro",
-        schema.clone(),
-        ServerPolicy::Threaded,
-        Arc::new(|| Box::new(|req: &[u8]| req.to_vec())),
-    );
+    let (server, schema) = serve_micro(&fabric);
     let sampler = Sampler::attach(&fabric, cfg);
     let stop = Arc::new(AtomicBool::new(false));
     let worker = {

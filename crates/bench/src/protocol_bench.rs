@@ -3,11 +3,11 @@
 //! describes — "transfer fix-sized messages between client(s) and a
 //! server".
 
-use std::sync::Arc;
+use std::convert::Infallible;
 
+use hat_atb::driver::{run_clients, run_ops, Completed};
 use hat_protocols::{accept_server, connect_client, ProtocolConfig, ProtocolKind};
-use hat_rdma_sim::{now_ns, Fabric, Node, PollMode, SimConfig};
-use hat_trace::hist::Histogram;
+use hat_rdma_sim::{Fabric, Node, PollMode, SimConfig};
 
 /// One latency measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -86,18 +86,16 @@ pub(crate) fn raw_latency_impl(
 /// before the caller sees the reply, so the counts are final for every
 /// call that has returned.
 pub(crate) fn time_calls(nodes: &[&Node], iters: usize, mut call: impl FnMut()) -> RawLatencyPoint {
-    for _ in 0..4 {
+    let mut echo = |_| {
         call();
-    }
+        Ok::<_, Infallible>(Completed::one("echo"))
+    };
+    let Ok(_) = run_ops(4, &mut echo);
     let doorbells = || nodes.iter().map(|n| n.stats_snapshot().doorbells).sum::<u64>();
     let before = doorbells();
-    let hist = Histogram::default();
-    for _ in 0..iters {
-        let t0 = now_ns();
-        call();
-        hist.record(now_ns() - t0);
-    }
+    let Ok(run) = run_ops(iters, &mut echo);
     let doorbells = doorbells() - before;
+    let hist = run.histogram("echo");
     RawLatencyPoint { mean_ns: hist.mean(), p99_ns: hist.p99(), min_ns: hist.min(), doorbells }
 }
 
@@ -138,35 +136,25 @@ pub fn raw_throughput(
         }
     });
 
-    let barrier = Arc::new(std::sync::Barrier::new(clients + 1));
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let fabric = fabric.clone();
-        let node = client_nodes[c % client_nodes.len()].clone();
-        let cfg = cfg.clone();
-        let barrier = barrier.clone();
-        handles.push(std::thread::spawn(move || {
-            let ep = fabric.dial(&node, "raw-thr").expect("dial");
-            let mut client = connect_client(kind, ep, cfg).expect("client");
-            let payload = vec![0x11u8; size];
-            client.call(&payload).expect("warmup");
-            barrier.wait();
-            for _ in 0..iters {
-                client.call(&payload).expect("echo");
-            }
-        }));
-    }
-    barrier.wait();
-    let t0 = now_ns();
-    for h in handles {
-        h.join().expect("client thread");
-    }
-    let wall_ns = now_ns() - t0;
+    let payload = vec![0x11u8; size];
+    let run: hat_rdma_sim::Result<_> = run_clients(
+        clients,
+        iters,
+        |c| {
+            let ep = fabric.dial(&client_nodes[c % client_nodes.len()], "raw-thr")?;
+            let mut client = connect_client(kind, ep, cfg.clone())?;
+            client.call(&payload)?;
+            Ok(client)
+        },
+        |client, _| {
+            client.call(&payload)?;
+            Ok(Completed::one("echo"))
+        },
+    );
     fabric.unlisten("raw-thr");
     accept_thread.join().expect("accept thread");
 
-    let total_ops = (clients * iters) as f64;
-    let ops_per_sec = total_ops / (wall_ns as f64 / 1e9);
+    let ops_per_sec = run.expect("raw echo clients").throughput_ops_s();
     RawThroughputPoint { ops_per_sec, mb_per_sec: ops_per_sec * (2 * size) as f64 / 1e6 }
 }
 

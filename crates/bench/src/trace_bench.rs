@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use hat_rdma_sim::{Fabric, SimConfig};
-use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
+use hatrpc_core::engine::{HandlerFactory, HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
 
 /// Two-function micro service that `repro trace` and `repro metrics`
@@ -19,6 +19,17 @@ pub(crate) const MICRO_IDL: &str = r#"
         binary piped(1: binary p) [ hint: perf_goal = latency, payload_size = 512, queue_depth = 8; ]
     }
 "#;
+
+/// The micro service, echoing every request, on a new `server` node of
+/// `fabric`.
+pub(crate) fn serve_micro(fabric: &Fabric) -> (HatServer, ServiceSchema) {
+    let snode = fabric.add_node("server");
+    let schema = ServiceSchema::parse(MICRO_IDL, "Micro").expect("micro IDL parses");
+    let echo: HandlerFactory = Arc::new(|| Box::new(|req: &[u8]| req.to_vec()));
+    let server =
+        HatServer::serve(fabric, &snode, "micro", schema.clone(), ServerPolicy::Threaded, echo);
+    (server, schema)
+}
 
 /// Result of a traced micro run.
 pub struct MicroTrace {
@@ -41,17 +52,8 @@ pub fn capture_micro_trace() -> MicroTrace {
     hat_trace::reset();
     hat_trace::set_enabled(true);
     let fabric = Fabric::new(SimConfig::fast_test());
-    let snode = fabric.add_node("server");
+    let (server, schema) = serve_micro(&fabric);
     let cnode = fabric.add_node("client");
-    let schema = ServiceSchema::parse(MICRO_IDL, "Micro").expect("micro IDL parses");
-    let server = HatServer::serve(
-        &fabric,
-        &snode,
-        "micro",
-        schema.clone(),
-        ServerPolicy::Threaded,
-        Arc::new(|| Box::new(|req: &[u8]| req.to_vec())),
-    );
     let mut client = HatClient::new(&fabric, &cnode, "micro", &schema);
     for i in 0..4u8 {
         let resp = client.call("echo", &vec![i; 256]).expect("echo call");

@@ -4,13 +4,13 @@
 
 use std::sync::Arc;
 
+use hat_atb::driver::{run_clients, Completed, RunMeasurement};
 use hat_hatkv::comparators::{self, Comparator};
 use hat_hatkv::server::{service_only_schema, HatKvServer};
 use hat_hatkv::{hat_k_v_schema, HatKVClient};
 use hat_idl::hints::Hint;
 use hat_kvdb::{DbConfig, DbStatsSnapshot, ShardedDb, SyncMode};
-use hat_rdma_sim::{now_ns, Fabric, SimConfig};
-use hat_ycsb::measure::RunMeasurement;
+use hat_rdma_sim::{Fabric, Node, SimConfig};
 use hat_ycsb::{Op, OpGenerator, OpType, WorkloadSpec};
 use hatrpc_core::engine::HatClient;
 use hatrpc_core::service::ServiceSchema;
@@ -161,28 +161,20 @@ fn schema_for(clients: usize, service_only: bool, shards: u32, onesided: bool) -
             hints.client.retain(|h| h.key != "onesided_get");
         }
     }
-    for hint in &mut schema.service_hints.shared {
-        if hint.key == "concurrency" {
-            hint.value = clients.to_string();
-        }
-    }
-    if !schema.service_hints.shared.iter().any(|h| h.key == "concurrency") {
-        schema
-            .service_hints
-            .shared
-            .push(Hint { key: "concurrency".into(), value: clients.to_string() });
-    }
+    set_hint(&mut schema.service_hints.shared, "concurrency", clients);
     // The shard count under test rides the server-side `shards` hint, the
     // same way an operator would retune the checked-in IDL's default.
-    for hint in &mut schema.service_hints.server {
-        if hint.key == "shards" {
-            hint.value = shards.to_string();
-        }
-    }
-    if !schema.service_hints.server.iter().any(|h| h.key == "shards") {
-        schema.service_hints.server.push(Hint { key: "shards".into(), value: shards.to_string() });
-    }
+    set_hint(&mut schema.service_hints.server, "shards", shards);
     schema
+}
+
+/// Set hint `key` to `value`, adding it if the group has none.
+fn set_hint(hints: &mut Vec<Hint>, key: &str, value: impl ToString) {
+    let value = value.to_string();
+    match hints.iter_mut().find(|h| h.key == key) {
+        Some(hint) => hint.value = value,
+        None => hints.push(Hint { key: key.into(), value }),
+    }
 }
 
 fn run_op(client: &mut HatKVClient, op: Op) -> hatrpc_core::Result<()> {
@@ -194,24 +186,60 @@ fn run_op(client: &mut HatKVClient, op: Op) -> hatrpc_core::Result<()> {
     }
 }
 
-/// Open, before the measured window, the channels the workload's ops will
-/// use. A GET and a MULTIGET go first; where the hints ask for
-/// `onesided_get`, the GET dials the side-channel and READs serve both,
-/// so they open no RPC channel. One write of each kind the workload
-/// issues, rewriting record 0 with its load-phase value, then opens the
-/// write channels.
-fn warm_up(client: &mut HatKVClient, spec: &WorkloadSpec) {
+/// The warm rule (`hat_atb::driver`): one op of each kind the workload
+/// issues, and nothing else, so every channel the measured ops use opens
+/// before the clock and none opens that they never use. A write rewrites
+/// record 0 with its load-phase value. Where the hints ask for
+/// `onesided_get`, a GET or MULTIGET dials the side-channel and is served
+/// by READs, so it opens no RPC channel.
+fn warm_up(client: &mut HatKVClient, spec: &WorkloadSpec) -> hatrpc_core::Result<()> {
     let (key, value) = OpGenerator::load_phase(spec).next().expect("one record");
-    let [_, put_share, _, multiput_share] = spec.proportions;
-    let mut warm = vec![Op::Get { key: key.clone() }, Op::MultiGet { keys: vec![key.clone()] }];
-    if put_share > 0.0 {
-        warm.push(Op::Put { key: key.clone(), value: value.clone() });
+    let warm = [
+        Op::Get { key: key.clone() },
+        Op::Put { key: key.clone(), value: value.clone() },
+        Op::MultiGet { keys: vec![key.clone()] },
+        Op::MultiPut { keys: vec![key], values: vec![value] },
+    ];
+    for (op, share) in warm.into_iter().zip(spec.proportions) {
+        if share > 0.0 {
+            run_op(client, op)?;
+        }
     }
-    if multiput_share > 0.0 {
-        warm.push(Op::MultiPut { keys: vec![key], values: vec![value] });
-    }
-    for op in warm {
-        let _ = run_op(client, op);
+    Ok(())
+}
+
+/// A `txn_sweep` client `c` of `kv` on `node`, warmed by one round of the
+/// call its mode measures.
+pub fn txn_client(
+    fabric: &Fabric,
+    node: &Arc<Node>,
+    schema: &ServiceSchema,
+    txn: bool,
+    c: usize,
+    batch: usize,
+) -> hatrpc_core::Result<HatKVClient> {
+    let mut client = HatKVClient::new(HatClient::new(fabric, node, "kv", schema));
+    txn_round(&mut client, txn, c, batch, 0)?;
+    Ok(client)
+}
+
+/// One `txn_sweep` round of client `c`: its `batch` keys (disjoint from
+/// every other client's, so the sweep prices the 2PC protocol, not lock
+/// contention) set to 100 bytes of `fill`, by `multiput_txn` (cross-shard
+/// 2PC) or plain `multiput`.
+pub fn txn_round(
+    client: &mut HatKVClient,
+    txn: bool,
+    c: usize,
+    batch: usize,
+    fill: u8,
+) -> hatrpc_core::Result<()> {
+    let keys = (0..batch).map(|i| format!("c{c:02}-k{i:03}").into_bytes()).collect();
+    let values = vec![vec![fill; 100]; batch];
+    if txn {
+        client.multiput_txn(keys, values)
+    } else {
+        client.multiput(keys, values)
     }
 }
 
@@ -237,14 +265,15 @@ pub fn run_ycsb_sampled(
     };
 
     let spec = cfg.workload.spec(cfg.records);
+    // The HatRPC deployments' schema, served and dialed alike.
+    let service_only = cfg.system == KvSystem::HatRpcService;
+    let schema = schema_for(cfg.clients, service_only, cfg.shards, cfg.onesided);
 
     let server = match cfg.system.comparator() {
         None => {
             // The HatRPC deployments build their backend from the
             // negotiated `shards` hint; the bench only writes the schema.
-            let service_only = cfg.system == KvSystem::HatRpcService;
-            let schema = schema_for(cfg.clients, service_only, cfg.shards, cfg.onesided);
-            HatKvServer::start_with_schema(&fabric, &snode, "kv", schema, db_config)
+            HatKvServer::start_with_schema(&fabric, &snode, "kv", schema.clone(), db_config)
         }
         Some(_) => {
             // The comparator schema carries no `shards` hint: the backend
@@ -281,53 +310,28 @@ pub fn run_ycsb_sampled(
             },
         )
     });
-    let barrier = Arc::new(std::sync::Barrier::new(cfg.clients + 1));
-    let mut handles = Vec::new();
-    for c in 0..cfg.clients {
-        let fabric = fabric.clone();
-        let node = client_nodes[c % client_nodes.len()].clone();
-        let barrier = barrier.clone();
-        let spec = spec.clone();
-        let system = cfg.system;
-        let ops = cfg.ops_per_client;
-        let clients = cfg.clients;
-        let shards = cfg.shards;
-        let onesided = cfg.onesided;
-        handles.push(std::thread::spawn(move || -> RunMeasurement {
-            // NOTE: setup panics here would strand the main thread at the
-            // barrier; keep every fallible step before the barrier
-            // infallible or .expect() only on genuinely impossible paths.
-            let mut client = match system.comparator() {
-                Some(comp) => comp.connect(&fabric, &node, "kv"),
-                None => {
-                    let service_only = system == KvSystem::HatRpcService;
-                    let schema = schema_for(clients, service_only, shards, onesided);
-                    HatKVClient::new(HatClient::new(&fabric, &node, "kv", &schema))
-                }
+    let run: hatrpc_core::Result<_> = run_clients(
+        cfg.clients,
+        cfg.ops_per_client,
+        |c| {
+            let node = &client_nodes[c % client_nodes.len()];
+            let mut client = match cfg.system.comparator() {
+                Some(comp) => comp.connect(&fabric, node, "kv"),
+                None => HatKVClient::new(HatClient::new(&fabric, node, "kv", &schema)),
             };
-            warm_up(&mut client, &spec);
-            let mut generator = OpGenerator::new(spec, c as u64 + 1);
-            barrier.wait();
-            let mut m = RunMeasurement::new();
-            let t0 = now_ns();
-            for _ in 0..ops {
-                let op = generator.next_op();
-                let ty = op.op_type();
-                let t = now_ns();
-                run_op(&mut client, op).expect("kv op");
-                m.record(ty, now_ns() - t);
-            }
-            m.elapsed_ns = now_ns() - t0;
-            m
-        }));
-    }
-    barrier.wait();
-    let t0 = now_ns();
-    let mut aggregate = RunMeasurement::new();
-    for h in handles {
-        aggregate.merge(&h.join().expect("client thread"));
-    }
-    aggregate.elapsed_ns = now_ns() - t0;
+            warm_up(&mut client, &spec)?;
+            // Generated before the clock: an op's latency is its KV call.
+            let mut generator = OpGenerator::new(spec.clone(), c as u64 + 1);
+            let ops: Vec<Op> = (0..cfg.ops_per_client).map(|_| generator.next_op()).collect();
+            Ok((client, ops.into_iter()))
+        },
+        |(client, ops), _| {
+            let op = ops.next().expect("one generated op per measured op");
+            let label = op.op_type().label();
+            run_op(client, op)?;
+            Ok(Completed::one(label))
+        },
+    );
     // Stop the sampler first: its tail tick runs while every counter the
     // clients bumped is final and the server is still alive.
     if let Some(s) = sampler.as_mut() {
@@ -335,9 +339,9 @@ pub fn run_ycsb_sampled(
     }
     let shard_stats = db.shard_stats();
     server.shutdown();
+    let aggregate = run.expect("ycsb clients");
 
-    let mean_us = [OpType::Get, OpType::Put, OpType::MultiGet, OpType::MultiPut]
-        .map(|t| aggregate.histogram(t).map_or(0.0, |h| h.mean() as f64 / 1000.0));
+    let mean_us = OpType::ALL.map(|t| aggregate.histogram(t.label()).mean() as f64 / 1000.0);
     let point = YcsbPoint {
         throughput_ops_s: aggregate.throughput_ops_s(),
         mean_us,
@@ -401,38 +405,64 @@ mod tests {
         assert_eq!(p.shard_stats.len(), 1);
     }
 
-    /// A one-sided HatRPC-Function client's GET and MULTIGET are READs,
-    /// yet its warm-up for a workload that writes leaves every declared
-    /// channel open: no first PUT or MULTIPUT opens a channel inside the
-    /// measured window. A read-only workload's warm-up opens none.
+    /// The warm rule: the warm-up opens every channel the workload's ops
+    /// use, so none opens inside the measured window, and no other. A
+    /// one-sided client's GET and MULTIGET are READs: its read-only
+    /// warm-up opens no channel, and a mix that writes opens both declared
+    /// ones. Over RPC, the read-only and the write-heavy mix open exactly
+    /// the GET channel, which PUT shares (both 2 KiB-hinted); MULTIGET's
+    /// and MULTIPUT's 16 KiB channel stays closed. A txn-sweep client's
+    /// warm-up round opens the channel its rounds use.
     #[test]
     fn warm_up_opens_every_channel_the_workload_uses() {
+        use KvWorkload::*;
+        for (workload, onesided, want) in
+            [(ReadOnly, true, 0), (MixB, true, 2), (ReadOnly, false, 1), (WriteHeavy, false, 1)]
+        {
+            let fabric = Fabric::new(SimConfig::default());
+            let snode = fabric.add_node("kv-server");
+            let schema = schema_for(2, false, 4, onesided);
+            let server = HatKvServer::start_with_schema(
+                &fabric,
+                &snode,
+                "kv",
+                schema.clone(),
+                DbConfig::default(),
+            );
+            let spec = workload.spec(100);
+            server.db().multi_put(OpGenerator::load_phase(&spec));
+            let cnode = fabric.add_node("kv-client");
+            let mut client = HatKVClient::new(HatClient::new(&fabric, &cnode, "kv", &schema));
+            warm_up(&mut client, &spec).expect("warm-up");
+            let what = format!("{} (onesided {onesided})", workload.label());
+            assert_eq!(client.engine().open_channels(), want, "{what}: the warm-up");
+            let mut generator = OpGenerator::new(spec, 7);
+            for _ in 0..40 {
+                run_op(&mut client, generator.next_op()).expect("op");
+            }
+            assert_eq!(client.engine().open_channels(), want, "{what}: the ops opened a channel");
+            drop(client);
+            server.shutdown();
+        }
+
         let fabric = Fabric::new(SimConfig::default());
         let snode = fabric.add_node("kv-server");
-        let schema = schema_for(2, false, 4, true);
         let server = HatKvServer::start_with_schema(
             &fabric,
             &snode,
             "kv",
-            schema.clone(),
+            hat_k_v_schema(),
             DbConfig::default(),
         );
-        let cnode = fabric.add_node("kv-client");
-        for (workload, all_open) in [(KvWorkload::ReadOnly, false), (KvWorkload::MixB, true)] {
-            let spec = workload.spec(100);
-            server.db().multi_put(OpGenerator::load_phase(&spec));
-            let mut client = HatKVClient::new(HatClient::new(&fabric, &cnode, "kv", &schema));
-            warm_up(&mut client, &spec);
-            let open = client.engine().open_channels();
-            let declared = client.engine().warm_all().expect("warm_all");
-            assert!(declared > 0);
-            let want = if all_open { declared } else { 0 };
-            assert_eq!(
-                open,
-                want,
-                "{}: the warm-up left {open} of {declared} open",
-                workload.label()
-            );
+        let cnode = fabric.add_node("txn-client");
+        for (c, txn) in [false, true].into_iter().enumerate() {
+            let mut client =
+                txn_client(&fabric, &cnode, server.schema(), txn, c, 16).expect("connect");
+            assert_eq!(client.engine().open_channels(), 1, "txn {txn}: the warm-up");
+            for round in 1..4 {
+                txn_round(&mut client, txn, c, 16, round).expect("round");
+            }
+            assert_eq!(client.engine().open_channels(), 1, "txn {txn}: a round opened a channel");
         }
         server.shutdown();
     }

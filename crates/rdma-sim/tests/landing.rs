@@ -15,6 +15,9 @@ const AT: usize = 1024;
 const LEN: usize = 4096;
 const OLD: u8 = 0x11;
 const NEW: u8 = 0xAB;
+/// Fresh pairs an accessor's check may take until one look at the region
+/// comes before its WRITE's deadline (~0.1 ms of slack at 100× time).
+const LOOKS: usize = 20;
 
 /// A writer endpoint, and on the target node an 8 KiB region filled with
 /// `OLD`. Time runs 100× slow, so a WRITE's deadline is far enough out to
@@ -52,6 +55,29 @@ impl Pair {
             std::hint::spin_loop();
         }
         self.target.drain_effects();
+    }
+
+    /// Read the WRITE's range, which drains what is due, and check the
+    /// read against the effect itself: while the WRITE is still queued at
+    /// `deadline` nothing of it is visible; once the read's drain applied
+    /// it, the deadline had passed and all of it is. Returns whether the
+    /// read came before the deadline — only then did it check the first
+    /// half, so a caller retries a late look with a fresh pair.
+    fn look_before(&self, deadline: u64, what: &str) -> bool {
+        let seen = self.bytes(AT, LEN);
+        match self.target.next_effect_deadline_locked() {
+            Some(due) => {
+                assert_eq!(due, deadline, "{what}: the WRITE is the next effect");
+                assert_eq!(self.target.pending_effects(), 1, "{what}: and the only one");
+                assert_eq!(seen, [OLD; LEN], "{what}: nothing is visible before the deadline");
+                true
+            }
+            None => {
+                assert!(now_ns() >= deadline, "{what}: applied before its deadline");
+                assert_eq!(seen, [NEW; LEN], "{what}: all of it is visible once applied");
+                false
+            }
+        }
     }
 
     fn bytes(&self, at: usize, len: usize) -> Vec<u8> {
@@ -105,10 +131,11 @@ fn a_landed_write_is_visible_from_its_deadline_to_every_accessor() {
         ("an atomic", &atomic),
     ];
     for (what, access) in accessors {
-        let p = pair();
-        let deadline = p.write(AT, PoolBuf::from_vec(vec![NEW; LEN]));
-        assert!(now_ns() < deadline, "{what}: the test looks before the deadline");
-        assert_eq!(p.bytes(AT, LEN), [OLD; LEN], "{what}: nothing is visible before it");
+        let p = (0..LOOKS).map(|_| pair()).find_map(|p| {
+            let deadline = p.write(AT, PoolBuf::from_vec(vec![NEW; LEN]));
+            p.look_before(deadline, what).then_some((p, deadline))
+        });
+        let (p, deadline) = p.unwrap_or_else(|| panic!("{what}: no look came before a deadline"));
         p.land(deadline);
         access(&p);
         assert!(p.region.take_landed(AT, LEN).unwrap().is_none(), "{what}: copied in");

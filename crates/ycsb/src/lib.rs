@@ -13,9 +13,13 @@
 //! (1000-byte values). Request keys follow a scrambled-Zipfian
 //! distribution by default (YCSB's request skew), with uniform and
 //! latest-biased alternatives.
+//!
+//! This crate only generates load. Running it is `hat_atb::driver`'s job:
+//! the one closed-loop driver every multi-client harness shares, whose
+//! `RunMeasurement` records each op's latency under its
+//! [`OpType::label`].
 
 pub mod generators;
-pub mod measure;
 
 use generators::{KeyChooser, RequestDistribution};
 use rand::rngs::StdRng;
@@ -241,12 +245,8 @@ mod tests {
         let mut g = OpGenerator::new(WorkloadSpec::workload_a(10_000), 1);
         let mut counts = [0usize; 4];
         for _ in 0..20_000 {
-            counts[match g.next_op().op_type() {
-                OpType::Get => 0,
-                OpType::Put => 1,
-                OpType::MultiGet => 2,
-                OpType::MultiPut => 3,
-            }] += 1;
+            let ty = g.next_op().op_type();
+            counts[OpType::ALL.iter().position(|t| *t == ty).unwrap()] += 1;
         }
         for (i, c) in counts.iter().enumerate() {
             let frac = *c as f64 / 20_000.0;
@@ -272,12 +272,8 @@ mod tests {
         let mut g = OpGenerator::new(WorkloadSpec::write_heavy(10_000), 4);
         let mut counts = [0usize; 4];
         for _ in 0..20_000 {
-            counts[match g.next_op().op_type() {
-                OpType::Get => 0,
-                OpType::Put => 1,
-                OpType::MultiGet => 2,
-                OpType::MultiPut => 3,
-            }] += 1;
+            let ty = g.next_op().op_type();
+            counts[OpType::ALL.iter().position(|t| *t == ty).unwrap()] += 1;
         }
         let put_frac = counts[1] as f64 / 20_000.0;
         assert!((put_frac - 0.5).abs() < 0.02, "put fraction {put_frac}");
