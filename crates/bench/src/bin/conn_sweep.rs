@@ -28,9 +28,11 @@
 //! (`reactor_parked_hwm < N`) or falls below 2x the pool's completed
 //! ops — CI runs this as the bench-smoke gate. It also cross-checks the
 //! telemetry: every point runs with a hat-metrics sampler attached, its
-//! timeline lands in `METRICS_connections.json`, and the sampled
+//! counter tracks land in `METRICS_connections.json` (one Perfetto
+//! trace-event document, a process per point and node), and the sampled
 //! `calls_ok` deltas summed over the window must agree with the bench's
-//! own completed-op count within 5%.
+//! own completed-op count within 5% (both numbers are in each
+//! `BENCH_connections.json` row).
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,7 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hat_atb::driver::{run_clients, Completed};
-use hat_bench::{flag_value, JsonDoc};
+use hat_bench::{flag_value, write_artifact, JsonDoc};
 use hat_rdma_sim::{Fabric, SimConfig};
 use hatrpc_core::engine::{AsyncCall, CallPolicy, HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
@@ -70,8 +72,6 @@ struct PointResult {
     /// ring wrap or late node discovery.
     metrics_total_ops: u64,
     metrics_ticks: u64,
-    /// Full `hat-metrics-timeline-v1` document for this point.
-    metrics_json: String,
 }
 
 struct ClientSlot {
@@ -93,7 +93,8 @@ struct PointConfig {
     sample_interval_ns: u64,
 }
 
-fn run_point(cfg: &PointConfig) -> PointResult {
+/// Run one point, adding its sampled series to `metrics`.
+fn run_point(cfg: &PointConfig, metrics: &mut hat_metrics::MetricsDoc) -> PointResult {
     let sim = SimConfig { time_scale: cfg.time_scale, ..SimConfig::default() };
     let fabric = Fabric::new(sim);
     let snode = fabric.add_node("server");
@@ -203,7 +204,7 @@ fn run_point(cfg: &PointConfig) -> PointResult {
         }
     }
     let metrics_ticks = sampler.ticks();
-    let metrics_json = sampler.timeline_json();
+    metrics.add(&format!("{} {} conns", cfg.policy_name, cfg.conns), &sampler);
     let stats = snode.stats_snapshot();
     server.shutdown();
     PointResult {
@@ -218,7 +219,6 @@ fn run_point(cfg: &PointConfig) -> PointResult {
         metrics_window_ops,
         metrics_total_ops,
         metrics_ticks,
-        metrics_json,
     }
 }
 
@@ -251,21 +251,25 @@ fn main() {
         .unwrap_or_else(|| ((window.as_nanos() as u64) / 160).max(2_000_000));
 
     let mut rows: Vec<PointResult> = Vec::new();
+    let mut metrics = hat_metrics::MetricsDoc::default();
     for &conns in &points {
         for (policy, name) in
             [(ServerPolicy::Reactor, "reactor"), (ServerPolicy::ThreadPool(1), "pool-1")]
         {
             let t0 = Instant::now();
-            let r = run_point(&PointConfig {
-                policy,
-                policy_name: name,
-                conns,
-                client_threads,
-                window,
-                payload,
-                time_scale,
-                sample_interval_ns,
-            });
+            let r = run_point(
+                &PointConfig {
+                    policy,
+                    policy_name: name,
+                    conns,
+                    client_threads,
+                    window,
+                    payload,
+                    time_scale,
+                    sample_interval_ns,
+                },
+                &mut metrics,
+            );
             eprintln!(
                 "conn_sweep: {name:>7} {conns:>6} conns: {:>9} ops ({:>12.0} ops/s) from \
                  {:>6} clients, wakeups {} resumes {} parked_hwm {}, sampled {} ops over \
@@ -304,13 +308,16 @@ fn main() {
         .member("window_ms", window_ms)
         .member("client_threads", client_threads)
         .member("time_scale", time_scale)
+        .member("sample_interval_ns", sample_interval_ns)
+        .member("agreement_tolerance", AGREEMENT_TOLERANCE)
         .rows(
             "results",
             rows.iter().map(|r| {
                 format!(
                     "{{\"policy\": \"{}\", \"conns\": {}, \"ops\": {}, \"ops_per_sec\": {:.1}, \
                      \"clients_served\": {}, \"reactor_wakeups\": {}, \"reactor_resumes\": {}, \
-                     \"reactor_parked_hwm\": {}}}",
+                     \"reactor_parked_hwm\": {}, \"metrics_window_ops\": {}, \
+                     \"metrics_total_ops\": {}, \"metrics_ticks\": {}}}",
                     r.policy,
                     r.conns,
                     r.ops,
@@ -319,6 +326,9 @@ fn main() {
                     r.reactor_wakeups,
                     r.reactor_resumes,
                     r.reactor_parked_hwm,
+                    r.metrics_window_ops,
+                    r.metrics_total_ops,
+                    r.metrics_ticks,
                 )
             }),
         );
@@ -330,29 +340,7 @@ fn main() {
         .member("top_speedup", format!("{top_speedup:.3}"))
         .write(&out_path);
 
-    // The telemetry artifact: one timeline per point, plus the numbers
-    // the agreement check compares.
-    JsonDoc::new("conn_sweep")
-        .member("sample_interval_ns", sample_interval_ns)
-        .member("agreement_tolerance", AGREEMENT_TOLERANCE)
-        .rows(
-            "points",
-            rows.iter().map(|r| {
-                format!(
-                    "{{\"policy\": \"{}\", \"conns\": {}, \"bench_ops\": {}, \
-                     \"metrics_window_ops\": {}, \"metrics_total_ops\": {}, \"ticks\": {}, \
-                     \"timeline\": {}}}",
-                    r.policy,
-                    r.conns,
-                    r.ops,
-                    r.metrics_window_ops,
-                    r.metrics_total_ops,
-                    r.metrics_ticks,
-                    r.metrics_json.trim_end(),
-                )
-            }),
-        )
-        .write(&metrics_out);
+    write_artifact("conn_sweep", &metrics_out, &metrics.to_json());
     println!(
         "conn_sweep: at {top} conns the reactor served {top_parked} connections on one driver, \
          {top_speedup:.2}x the capped pool's ops"

@@ -29,7 +29,8 @@
 //! 1.5x — CI runs this as part of the bench-smoke gate.
 
 use hat_bench::{
-    flag_value, run_ycsb_sampled, JsonDoc, KvSystem, KvWorkload, YcsbConfig, YcsbPoint,
+    flag_value, run_ycsb_sampled, write_artifact, JsonDoc, KvSystem, KvWorkload, YcsbConfig,
+    YcsbPoint,
 };
 
 const SPEEDUP_FLOOR: f64 = 1.5;
@@ -40,8 +41,6 @@ struct Row {
     workload: KvWorkload,
     onesided: bool,
     point: YcsbPoint,
-    /// Per-point `hat-metrics-timeline-v1` document.
-    timeline: String,
 }
 
 fn main() {
@@ -55,6 +54,7 @@ fn main() {
     let ops: usize = flag_value(&args, "--ops").map_or(60, |v| v.parse().expect("int"));
 
     let mut rows = Vec::new();
+    let mut metrics = hat_metrics::MetricsDoc::default();
     for workload in [KvWorkload::ReadOnly, KvWorkload::MixB] {
         for onesided in [false, true] {
             let (point, sampler) = run_ycsb_sampled(
@@ -70,8 +70,9 @@ fn main() {
                 },
                 Some(SAMPLE_INTERVAL_NS),
             );
-            let timeline = sampler.expect("sampling requested").timeline_json();
             let path = if onesided { "onesided" } else { "rpc" };
+            let label = format!("{} {path}", workload.label());
+            metrics.add(&label, &sampler.expect("sampling requested"));
             eprintln!(
                 "onesided_sweep: {:>7} {path:>8}: {:>10.0} ops/s  get {:>7.1} us  mget {:>7.1} us",
                 workload.label(),
@@ -79,7 +80,7 @@ fn main() {
                 point.mean_us[0],
                 point.mean_us[2],
             );
-            rows.push(Row { workload, onesided, point, timeline });
+            rows.push(Row { workload, onesided, point });
         }
     }
 
@@ -117,22 +118,7 @@ fn main() {
         .member("mix_b_speedup_onesided_over_rpc", format!("{mix_b_speedup:.3}"))
         .write(&out_path);
 
-    JsonDoc::new("onesided_sweep")
-        .member("sample_interval_ns", SAMPLE_INTERVAL_NS)
-        .rows(
-            "points",
-            rows.iter().map(|row| {
-                format!(
-                    "{{\"workload\": \"{}\", \"path\": \"{}\", \"ops_per_sec\": {:.1}, \
-                     \"timeline\": {}}}",
-                    row.workload.label(),
-                    path(row),
-                    row.point.throughput_ops_s,
-                    row.timeline.trim_end(),
-                )
-            }),
-        )
-        .write(&metrics_out);
+    write_artifact("onesided_sweep", &metrics_out, &metrics.to_json());
     println!(
         "onesided_sweep: ycsb-c one-sided speedup {read_only_speedup:.2}x, ycsb-b {mix_b_speedup:.2}x"
     );

@@ -19,7 +19,7 @@
 //! below 2x — CI runs this as the bench-smoke gate.
 
 use hat_atb::{run_throughput, Mode, ThroughputConfig, ThroughputResult};
-use hat_bench::{flag_value, JsonDoc};
+use hat_bench::{flag_value, write_artifact, JsonDoc};
 use hat_protocols::ProtocolKind;
 use hat_rdma_sim::{Fabric, PollMode, SimConfig};
 
@@ -32,8 +32,6 @@ struct Row {
     stack: &'static str,
     depth: usize,
     result: ThroughputResult,
-    /// Per-run `hat-metrics-timeline-v1` document.
-    timeline: String,
 }
 
 fn main() {
@@ -58,6 +56,7 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
+    let mut metrics = hat_metrics::MetricsDoc::default();
     for (stack, mode) in stacks {
         for depth in DEPTHS {
             // A fresh fabric per run: depth sweeps must not share warmed
@@ -84,12 +83,12 @@ fn main() {
             let cfg = ThroughputConfig { mode, payload, clients, client_nodes: 4, iters, depth };
             let result = run_throughput(&fabric, &cfg).expect("benchmark run");
             sampler.stop();
-            let timeline = sampler.timeline_json();
+            metrics.add(&format!("{stack} depth {depth}"), &sampler);
             eprintln!(
                 "pipeline_sweep: {stack:>6} depth {depth:>2}: {:>12.0} ops/s  {:>8.1} MB/s",
                 result.ops_per_sec, result.mb_per_sec
             );
-            rows.push(Row { stack, depth, result, timeline });
+            rows.push(Row { stack, depth, result });
         }
     }
 
@@ -126,22 +125,7 @@ fn main() {
         .member("hatrpc_speedup_depth8_over_depth1", format!("{hatrpc_speedup:.3}"))
         .write(&out_path);
 
-    JsonDoc::new("pipeline_sweep")
-        .member("sample_interval_ns", SAMPLE_INTERVAL_NS)
-        .rows(
-            "points",
-            rows.iter().map(|row| {
-                format!(
-                    "{{\"stack\": \"{}\", \"depth\": {}, \"ops_per_sec\": {:.1}, \
-                     \"timeline\": {}}}",
-                    row.stack,
-                    row.depth,
-                    row.result.ops_per_sec,
-                    row.timeline.trim_end(),
-                )
-            }),
-        )
-        .write(&metrics_out);
+    write_artifact("pipeline_sweep", &metrics_out, &metrics.to_json());
     println!(
         "pipeline_sweep: eager depth-8 speedup {eager_speedup:.2}x, hatrpc {hatrpc_speedup:.2}x"
     );

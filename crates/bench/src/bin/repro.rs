@@ -3,7 +3,7 @@
 //! ```text
 //! repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|ablations|all> [--full] [--tsv]
 //! repro trace [--out FILE]    # capture a traced micro run (Chrome trace JSON)
-//! repro metrics [--out FILE]  # sampled micro run -> timeline JSON
+//! repro metrics [--out FILE]  # sampled micro run -> Perfetto counter tracks
 //! repro top [--frames N] [--interval-ms N]
 //!                            # live terminal telemetry dashboard
 //! ```
@@ -97,12 +97,12 @@ fn main() {
                 let metrics_out =
                     out_flag.clone().unwrap_or_else(|| "METRICS_micro.json".to_string());
                 let m = hat_bench::capture_micro_metrics();
-                std::fs::write(&metrics_out, &m.timeline).unwrap_or_else(|e| {
+                std::fs::write(&metrics_out, &m.json).unwrap_or_else(|e| {
                     eprintln!("repro: cannot write {metrics_out}: {e}");
                     std::process::exit(1);
                 });
                 eprintln!(
-                    "repro: wrote {metrics_out} (hat-metrics-timeline-v1, {} ticks, {} ops sampled)",
+                    "repro: wrote {metrics_out} ({} ticks, {} ops sampled) — open in ui.perfetto.dev",
                     m.ticks, m.ops
                 );
             }

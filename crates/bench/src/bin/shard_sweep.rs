@@ -30,7 +30,8 @@
 //! falls below 2x — CI runs this as part of the bench-smoke gate.
 
 use hat_bench::{
-    flag_value, run_ycsb_sampled, JsonDoc, KvSystem, KvWorkload, YcsbConfig, YcsbPoint,
+    flag_value, run_ycsb_sampled, write_artifact, JsonDoc, KvSystem, KvWorkload, YcsbConfig,
+    YcsbPoint,
 };
 
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -42,8 +43,6 @@ struct Row {
     workload: KvWorkload,
     shards: u32,
     point: YcsbPoint,
-    /// Per-point `hat-metrics-timeline-v1` document.
-    timeline: String,
 }
 
 fn main() {
@@ -59,6 +58,7 @@ fn main() {
         flag_value(&args, "--commit-cost-ns").map_or(2_000_000, |v| v.parse().expect("int"));
 
     let mut rows = Vec::new();
+    let mut metrics = hat_metrics::MetricsDoc::default();
     for workload in [KvWorkload::WriteHeavy, KvWorkload::MixB] {
         for shards in SHARD_COUNTS {
             let (point, sampler) = run_ycsb_sampled(
@@ -76,7 +76,8 @@ fn main() {
                 },
                 Some(SAMPLE_INTERVAL_NS),
             );
-            let timeline = sampler.expect("sampling requested").timeline_json();
+            let label = format!("{} shards {shards}", workload.label());
+            metrics.add(&label, &sampler.expect("sampling requested"));
             let wait_ms: f64 =
                 point.shard_stats.iter().map(|s| s.writer_wait_ns).sum::<u64>() as f64 / 1e6;
             eprintln!(
@@ -84,7 +85,7 @@ fn main() {
                 workload.label(),
                 point.throughput_ops_s,
             );
-            rows.push(Row { workload, shards, point, timeline });
+            rows.push(Row { workload, shards, point });
         }
     }
 
@@ -133,22 +134,7 @@ fn main() {
         .member("read_heavy_speedup_shards8_over_shards1", format!("{read_speedup:.3}"))
         .write(&out_path);
 
-    JsonDoc::new("shard_sweep")
-        .member("sample_interval_ns", SAMPLE_INTERVAL_NS)
-        .rows(
-            "points",
-            rows.iter().map(|row| {
-                format!(
-                    "{{\"workload\": \"{}\", \"shards\": {}, \"ops_per_sec\": {:.1}, \
-                     \"timeline\": {}}}",
-                    row.workload.label(),
-                    row.shards,
-                    row.point.throughput_ops_s,
-                    row.timeline.trim_end(),
-                )
-            }),
-        )
-        .write(&metrics_out);
+    write_artifact("shard_sweep", &metrics_out, &metrics.to_json());
     println!(
         "shard_sweep: write-heavy shards-8 speedup {write_speedup:.2}x, read-heavy {read_speedup:.2}x"
     );

@@ -9,19 +9,27 @@
 //! Both modes run the identical workload — N clients, each committing R
 //! rounds of a B-key batch over real HatRPC channels against the
 //! hint-sharded HatKV deployment — differing only in the RPC they call:
-//! `multiput` (per-shard atomicity, one WAL commit per shard touched) or
-//! `multiput_txn` (cross-shard atomicity: per-key locks, a prepare
-//! record on every touched shard, then decide-and-apply). Each client
-//! owns a disjoint key set, so the sweep prices the protocol itself —
-//! the extra WAL records and lock traffic — not lock contention. The
-//! clients run on `hat_atb::driver`, and each warms with one round of the
-//! call its mode measures, so the first measured round opens no channel.
+//! `multiput` (per-shard atomicity, one commit per shard touched) or
+//! `multiput_txn` (cross-shard atomicity: per-key locks, a prepare on
+//! every touched shard, then decide-and-apply). Each client owns a
+//! disjoint key set, so no lock is ever contended. The clients run on
+//! `hat_atb::driver`, and each warms with one round of the call its mode
+//! measures, so the first measured round opens no channel.
+//!
+//! What the gap measures: the deployment is an in-memory `ShardedDb`,
+//! where a prepare writes nothing (`Database::txn_prepare` is a no-op
+//! without a WAL) and each shard's decision pays the same modelled
+//! `commit_cost_ns` as a plain commit — both modes make one commit per
+//! touched shard (`wal_commits` is equal in `BENCH_txn.json`). So the
+//! sweep prices the key-lock table (every key locked, in shard order,
+//! before the first commit and released after the last) and the txn
+//! RPC's extra handling, not extra WAL records.
 //!
 //! `--check-overhead` exits non-zero when the txn path falls below a
-//! quarter of the plain path's throughput: 2PC doubles the WAL records
-//! per shard but must stay in the same regime, and a collapse here means
-//! the fast path regressed or the txn path gained an accidental stall.
-//! CI runs this as part of the bench-smoke gate.
+//! quarter of the plain path's throughput: the lock table and txn
+//! handling must keep the path in the same regime, and a collapse here
+//! means the fast path regressed or the txn path gained an accidental
+//! stall. CI runs this as part of the bench-smoke gate.
 
 use hat_atb::driver::{run_clients, Completed};
 use hat_bench::ycsb_bench::{txn_client, txn_round};

@@ -92,10 +92,15 @@ impl JsonDoc {
 
     /// Write the document to `path`, and say so on stdout.
     pub fn write(self, path: &str) {
-        let json = format!("{{\n{}\n}}\n", self.members.join(",\n"));
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("{}: write {path}: {e}", self.sweep));
-        println!("{}: wrote {path}", self.sweep);
+        write_artifact(self.sweep, path, &format!("{{\n{}\n}}\n", self.members.join(",\n")));
     }
+}
+
+/// Write one of `sweep`'s files (a `BENCH_*.json`, or its `METRICS_*.json`
+/// trace-event document) to `path`, and say so on stdout.
+pub fn write_artifact(sweep: &str, path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("{sweep}: write {path}: {e}"));
+    println!("{sweep}: wrote {path}");
 }
 
 /// The nine protocols of Figure 3/4 (HERD and the hybrid are §5-only).

@@ -1,13 +1,13 @@
 //! Metrics capture harness: run a live micro workload with a hat-metrics
-//! sampler attached to its fabric, and export the timeline JSON and
+//! sampler attached to its fabric, and export its counter tracks and
 //! `repro top` frames. Backs `repro metrics` / `repro top` and the
-//! metrics-schema integration test.
+//! trace-schema integration test.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hat_metrics::{Sampler, SamplerConfig, SloSpec};
+use hat_metrics::{MetricsDoc, Sampler, SamplerConfig, SloSpec};
 use hat_rdma_sim::{Fabric, SimConfig};
 use hatrpc_core::engine::{HatClient, HatServer};
 
@@ -15,14 +15,19 @@ use crate::trace_bench::serve_micro;
 
 /// Result of a sampled micro run.
 pub struct MicroMetrics {
-    /// `hat-metrics-timeline-v1` JSON (the `METRICS_*.json` shape).
-    pub timeline: String,
+    /// The sampled series as Perfetto counter tracks (the
+    /// `METRICS_*.json` trace-event document), processes named
+    /// `"micro {node}"`.
+    pub json: String,
+    /// The sampler's in-memory node histories the document was written
+    /// from.
+    pub nodes: Vec<hat_metrics::NodeTimeline>,
     /// One rendered `repro top` frame of the final state.
     pub top: String,
     /// Sampling ticks the run took.
     pub ticks: u64,
     /// Ops the load loop completed (for reconciling against the
-    /// timeline's `calls_ok` totals).
+    /// client's `calls_ok` total).
     pub ops: u64,
 }
 
@@ -104,8 +109,11 @@ pub fn capture_micro_metrics() -> MicroMetrics {
     // Last: a final tail tick now sees every counter the serving threads
     // bumped on their way out.
     sampler.stop();
+    let mut doc = MetricsDoc::default();
+    doc.add("micro", &sampler);
     MicroMetrics {
-        timeline: sampler.timeline_json(),
+        json: doc.to_json(),
+        nodes: sampler.node_timelines(),
         top: sampler.render_top(),
         ticks: sampler.ticks(),
         ops,

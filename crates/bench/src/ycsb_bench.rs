@@ -251,7 +251,8 @@ pub fn run_ycsb(cfg: &YcsbConfig) -> YcsbPoint {
 /// [`run_ycsb`] with a live hat-metrics sampler attached to the point's
 /// fabric for the run. `sample_interval_ns` is the tick interval; the
 /// sampler comes back stopped (final tail tick taken) so sweeps can
-/// write `METRICS_*.json` timelines next to their `BENCH_*.json`.
+/// write its counter tracks to `METRICS_*.json` next to their
+/// `BENCH_*.json`.
 pub fn run_ycsb_sampled(
     cfg: &YcsbConfig,
     sample_interval_ns: Option<u64>,

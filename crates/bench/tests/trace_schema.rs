@@ -1,18 +1,33 @@
-//! Structural round-trip of `repro trace`'s Chrome-trace JSON: capture
-//! a traced micro workload, parse the export back through the vendored
-//! `serde_json`, and check the trace-event schema invariants that
+//! Structural round-trip of the two trace-event documents a micro run
+//! writes — `repro trace`'s spans and `repro metrics`' counter tracks:
+//! capture each micro workload once, parse the export back through the
+//! vendored `serde_json`, and check the trace-event schema invariants that
 //! Perfetto relies on.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
+use hat_rdma_sim::stats::{MetricKind, FIELD_KINDS};
 use serde_json::Value;
 
-/// Capture once: the trace globals (enable flag, ring, histograms) are
-/// process-wide, so two parallel captures would interleave.
+/// The trace globals (enable flag, ring, histograms) are process-wide,
+/// so the two captures run one at a time, each once.
+static CAPTURE: Mutex<()> = Mutex::new(());
+
 fn micro() -> &'static hat_bench::MicroTrace {
     static TRACE: OnceLock<hat_bench::MicroTrace> = OnceLock::new();
-    TRACE.get_or_init(hat_bench::capture_micro_trace)
+    TRACE.get_or_init(|| {
+        let _one_at_a_time = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
+        hat_bench::capture_micro_trace()
+    })
+}
+
+fn micro_metrics() -> &'static hat_bench::MicroMetrics {
+    static METRICS: OnceLock<hat_bench::MicroMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let _one_at_a_time = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
+        hat_bench::capture_micro_metrics()
+    })
 }
 
 #[test]
@@ -104,4 +119,119 @@ fn micro_trace_histograms_key_by_protocol_scope_and_size() {
         let s = &row.snapshot;
         assert!(s.min <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max);
     }
+}
+
+/// `repro metrics`' document: every sampled series a counter track on the
+/// trace-event timeline, reconciling with what the load loop did.
+#[test]
+fn micro_metrics_are_perfetto_counter_tracks() {
+    let m = micro_metrics();
+    assert!(m.ticks > 0, "the sampler ticked");
+    assert!(m.ops > 0, "the load loop ran");
+
+    let doc: Value = serde_json::from_str(&m.json).expect("export is valid JSON");
+    let events = doc["traceEvents"].as_array().expect("traceEvents array");
+    let mut processes: HashMap<&str, u64> = HashMap::new();
+    // (pid, name) -> the track's samples, in document (= time) order.
+    let mut tracks: HashMap<(u64, &str), Vec<&Value>> = HashMap::new();
+    for e in events {
+        let pid = e["pid"].as_u64().expect("event has pid");
+        match e["ph"].as_str() {
+            Some("M") => {
+                processes.insert(e["args"]["name"].as_str().expect("process name"), pid);
+            }
+            Some("C") => {
+                assert!(e["ts"].as_f64().is_some(), "counter has numeric ts: {e}");
+                let name = e["name"].as_str().expect("counter name");
+                tracks.entry((pid, name)).or_default().push(e);
+            }
+            other => panic!("unexpected phase {other:?} in a metrics document: {e}"),
+        }
+    }
+    let arg = |e: &Value, key: &str| -> u64 {
+        e["args"][key].as_u64().unwrap_or_else(|| panic!("no `{key}` arg: {e}"))
+    };
+    // A per-interval arg sits at the tick opening its interval, so it
+    // carries the track's running total to the next sample: a dropped
+    // tick breaks the chain, and the newest sample closes the track.
+    let chained = |samples: &[&Value], step: &str, total: &str| {
+        for pair in samples.windows(2) {
+            assert_eq!(
+                arg(pair[0], total) + arg(pair[0], step),
+                arg(pair[1], total),
+                "`{step}` does not carry `{total}` from {} to {}",
+                pair[0],
+                pair[1]
+            );
+        }
+        assert_eq!(arg(samples.last().unwrap(), step), 0, "the newest sample closes the track");
+    };
+
+    // 1. Every `NodeStats` field of every sampled node is a counter track
+    //    on the node's process, its timestamps strictly increasing, and it
+    //    carries what the sampler's rings hold: the first and newest tick,
+    //    and every tick at which the field moved, with the ring's value.
+    let nodes: HashSet<&str> =
+        processes.keys().copied().filter(|name| *name != "micro latency").collect();
+    assert_eq!(nodes, HashSet::from(["micro client", "micro server"]), "{processes:?}");
+    assert_eq!(m.nodes.len(), nodes.len(), "one process per sampled node");
+    for ring in &m.nodes {
+        let node = format!("micro {}", ring.node);
+        let pid = processes[node.as_str()];
+        for (fi, (field, kind)) in FIELD_KINDS.iter().enumerate() {
+            let samples = tracks
+                .get(&(pid, *field))
+                .unwrap_or_else(|| panic!("{node}: no counter track for {field}"));
+            let ts: Vec<f64> = samples.iter().map(|e| e["ts"].as_f64().unwrap()).collect();
+            assert!(ts.windows(2).all(|w| w[0] < w[1]), "{node}.{field}: ts not increasing");
+            let key = match kind {
+                MetricKind::Counter => {
+                    chained(samples, "delta", "total");
+                    "total"
+                }
+                MetricKind::Gauge => "value",
+            };
+            let at: HashMap<u64, u64> = samples
+                .iter()
+                .map(|e| ((e["ts"].as_f64().unwrap() * 1000.0).round() as u64, arg(e, key)))
+                .collect();
+            let last = ring.samples.len() - 1;
+            for (i, tick) in ring.samples.iter().enumerate() {
+                let v = tick.values[fi];
+                if i == 0 || i == last || v != ring.samples[i - 1].values[fi] {
+                    assert_eq!(at.get(&tick.ts_ns), Some(&v), "{node}.{field}: tick {i} missing");
+                }
+            }
+        }
+    }
+
+    // 2. The client's final `calls_ok` total is exactly the ops the load
+    //    loop counted (call bumps it by 1, call_many by the batch size).
+    let client = processes["micro client"];
+    let calls_ok = tracks[&(client, "calls_ok")].last().unwrap();
+    assert_eq!(arg(calls_ok, "total"), m.ops, "sampled calls_ok reconciles with the load loop");
+
+    // 3. Both functions' latency histograms carry per-interval count and
+    //    p99 on the latency process.
+    let latency = processes["micro latency"];
+    for scope in ["echo", "piped"] {
+        let (_, samples) = tracks
+            .iter()
+            .find(|((pid, name), _)| *pid == latency && name.starts_with(&format!("{scope} [")))
+            .unwrap_or_else(|| panic!("no {scope} histogram track: {:?}", tracks.keys()));
+        chained(samples, "count", "count_total");
+        assert!(samples.iter().any(|e| arg(e, "count") > 0 && arg(e, "p99_ns") > 0), "{scope}");
+    }
+
+    // 4. The impossible 1 ns target on `piped` breached. The level-
+    //    triggered flag may clear in the idle tail ticks; the rising-edge
+    //    count keeps the record.
+    let piped_slo = tracks[&(latency, "slo piped")].last().unwrap();
+    assert!(arg(piped_slo, "breach_events") >= 1, "impossible target breached: {piped_slo}");
+    assert!(tracks.contains_key(&(latency, "slo echo")), "the echo SLO is exported too");
+
+    // 5. The dashboard frame renders both tables.
+    assert!(m.top.contains("NODE"), "top frame has the node table: {}", m.top);
+    assert!(m.top.contains("SLO"), "top frame has the SLO table: {}", m.top);
+    assert!(m.top.contains("piped"), "top frame lists the piped SLO: {}", m.top);
 }

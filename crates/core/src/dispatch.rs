@@ -1,11 +1,15 @@
-//! Dynamic method dispatch: turning raw Thrift messages into handler
-//! calls and replies.
+//! Thrift message framing for calls and replies, and dynamic method
+//! dispatch for hand-written services.
 //!
-//! Generated processors (from `hat-codegen`) and hand-written services
-//! both route through a [`Router`]: it decodes the message header, finds
-//! the method, hands typed protocol readers/writers to the method body,
-//! and frames the reply — including Thrift application exceptions for
-//! unknown methods or handler errors.
+//! Generated code (from `hat-codegen`) uses only the framing helpers:
+//! its clients build requests with [`encode_call`] and read answers with
+//! [`decode_reply`], and its processors dispatch with a `match` on the
+//! method name, answering an unknown method or a handler error with
+//! [`exception_reply`]. Hand-written services (the ATB and TPC-H
+//! workers) route through a [`Router`] instead: it decodes the message
+//! header, finds the method in a table, hands typed protocol
+//! readers/writers to the method body, and frames the reply — including
+//! Thrift application exceptions for unknown methods or handler errors.
 
 use std::collections::HashMap;
 

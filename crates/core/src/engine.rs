@@ -27,15 +27,16 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hat_idl::hints::{ResolvedHints, Side, TransportHint};
+use hat_protocols::onesided::OneSidedOutcome;
 use hat_protocols::{
-    accept_server, accept_server_pipelined, connect_client, connect_client_pipelined, OpenConns,
-    PipelinedClient, ProtocolConfig, ProtocolKind, ReactorServe, RpcClient, RpcServer, Token,
-    PIPELINED_KINDS,
+    accept_server, accept_server_pipelined, connect_client, connect_client_pipelined,
+    OneSidedReader, OpenConns, PipelinedClient, ProtocolConfig, ProtocolKind, ReactorServe,
+    RpcClient, RpcServer, Token, PIPELINED_KINDS,
 };
 use hat_rdma_sim::ipoib::IpoibStream;
 use hat_rdma_sim::{
@@ -766,7 +767,7 @@ impl HatClient {
     }
 
     /// Dial the side-channel on first use; `None` once disabled.
-    fn onesided_reader(&mut self) -> Option<&mut hat_protocols::OneSidedReader> {
+    fn onesided_reader(&mut self) -> Option<&mut OneSidedReader> {
         if matches!(self.onesided, OneSidedState::Untried) {
             self.onesided = match hat_protocols::OneSidedReader::connect(
                 &self.fabric,
@@ -792,46 +793,7 @@ impl HatClient {
     /// index miss, oversized value, or seqlock conflict). Never an error:
     /// the one-sided path is an accelerator, not a source of truth.
     pub fn try_onesided_get(&mut self, func: &str, key: &[u8]) -> Option<Vec<u8>> {
-        if !self.plan(func).onesided {
-            return None;
-        }
-        let traced = hat_trace::enabled();
-        let node_id = self.node.id();
-        let reader = self.onesided_reader()?;
-        let before = reader.bytes_read();
-        match reader.get(key) {
-            Ok(Ok(value)) => {
-                if traced {
-                    let bytes = reader.bytes_read() - before;
-                    hat_trace::event(
-                        Phase::OneSidedRead,
-                        node_id,
-                        hat_trace::current_call(),
-                        bytes,
-                        now_ns(),
-                    );
-                }
-                Some(value)
-            }
-            Ok(Err(reason)) => {
-                if traced {
-                    hat_trace::event(
-                        Phase::OneSidedFallback,
-                        node_id,
-                        hat_trace::current_call(),
-                        reason as u64,
-                        now_ns(),
-                    );
-                }
-                None
-            }
-            Err(_) => {
-                // A transport-level failure poisons the side-channel;
-                // future GETs go straight to RPC.
-                self.onesided = OneSidedState::Disabled;
-                None
-            }
-        }
+        self.onesided(func, |reader| reader.get(key))
     }
 
     /// Batch variant of [`HatClient::try_onesided_get`]: resolves the
@@ -839,44 +801,40 @@ impl HatClient {
     /// not at all — a single unresolvable key sends the entire batch back
     /// to the RPC path so the caller never has to merge partial results.
     pub fn try_onesided_multiget(&mut self, func: &str, keys: &[Vec<u8>]) -> Option<Vec<Vec<u8>>> {
-        if keys.is_empty() || !self.plan(func).onesided {
+        if keys.is_empty() {
+            return None;
+        }
+        self.onesided(func, |reader| reader.multiget(keys))
+    }
+
+    /// The one outcome path of both one-sided reads: trace the bytes a
+    /// resolved read fetched (`OneSidedRead`) or why it fell back
+    /// (`OneSidedFallback`), and disable the side-channel on a transport
+    /// failure, so future reads go straight to RPC.
+    fn onesided<T>(
+        &mut self,
+        func: &str,
+        read: impl FnOnce(&mut OneSidedReader) -> hat_rdma_sim::Result<OneSidedOutcome<T>>,
+    ) -> Option<T> {
+        if !self.plan(func).onesided {
             return None;
         }
         let traced = hat_trace::enabled();
         let node_id = self.node.id();
         let reader = self.onesided_reader()?;
         let before = reader.bytes_read();
-        match reader.multiget(keys) {
-            Ok(Ok(values)) => {
-                if traced {
-                    let bytes = reader.bytes_read() - before;
-                    hat_trace::event(
-                        Phase::OneSidedRead,
-                        node_id,
-                        hat_trace::current_call(),
-                        bytes,
-                        now_ns(),
-                    );
-                }
-                Some(values)
-            }
-            Ok(Err(reason)) => {
-                if traced {
-                    hat_trace::event(
-                        Phase::OneSidedFallback,
-                        node_id,
-                        hat_trace::current_call(),
-                        reason as u64,
-                        now_ns(),
-                    );
-                }
-                None
-            }
+        let (phase, arg, value) = match read(reader) {
+            Ok(Ok(value)) => (Phase::OneSidedRead, reader.bytes_read() - before, Some(value)),
+            Ok(Err(reason)) => (Phase::OneSidedFallback, reason as u64, None),
             Err(_) => {
                 self.onesided = OneSidedState::Disabled;
-                None
+                return None;
             }
+        };
+        if traced {
+            hat_trace::event(phase, node_id, hat_trace::current_call(), arg, now_ns());
         }
+        value
     }
 
     fn open_channel(&self, plan: &FnPlan, func: &str) -> Result<Channel> {
@@ -1148,14 +1106,17 @@ impl HatServer {
         };
         let pool = match policy {
             ServerPolicy::ThreadPool(n) => {
-                let (tx, rx) = crossbeam::channel::unbounded::<Connection>();
+                let (tx, rx) = mpsc::channel::<Connection>();
+                let rx = Arc::new(Mutex::new(rx));
                 for _ in 0..n.max(1) {
                     let rx = rx.clone();
                     let factory = handler_factory.clone();
-                    threads.push(std::thread::spawn(move || {
-                        while let Ok(item) = rx.recv() {
-                            serve_connection(item, &factory);
-                        }
+                    threads.push(std::thread::spawn(move || loop {
+                        // The guard drops at the end of the statement: an
+                        // idle worker waits on the queue, a busy one
+                        // serves without holding it.
+                        let Ok(item) = rx.lock().recv() else { return };
+                        serve_connection(item, &factory);
                     }));
                 }
                 Some(tx)
@@ -1322,7 +1283,7 @@ struct Opener {
     factory: HandlerFactory,
     reactor: Option<ReactorHandle>,
     /// The worker queue under [`ServerPolicy::ThreadPool`].
-    pool: Option<crossbeam::channel::Sender<Connection>>,
+    pool: Option<mpsc::Sender<Connection>>,
     conns: Arc<Accepted>,
 }
 

@@ -17,14 +17,13 @@
 //! Rings store **cumulative** values, not deltas: any two retained
 //! samples difference into the activity between them, a wrap only loses
 //! the oldest history, and a reader can never double-count. On top of
-//! the rings sit the timeline-JSON writer ([`Sampler::timeline_json`], the
-//! one file format), the terminal dashboard ([`top`]), and the SLO engine
-//! (below): per-fn_scope p99 objectives with rolling error-budget burn
-//! rate, surfaced in the timeline's `slos` array and the dashboard, plus
-//! edge-triggered hat-trace [`SloBreach`](hat_trace::Phase::SloBreach)
-//! events.
+//! the rings sit the export ([`MetricsDoc`]: every series as a counter
+//! track of a Perfetto trace-event document, written by hat-trace's one
+//! writer), the terminal dashboard ([`top`]), and the SLO engine (below):
+//! per-fn_scope p99 objectives with rolling error-budget burn rate,
+//! surfaced as counter tracks and in the dashboard, plus edge-triggered
+//! hat-trace [`SloBreach`](hat_trace::Phase::SloBreach) events.
 
-mod export;
 pub mod ring;
 pub mod top;
 
@@ -32,18 +31,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hat_rdma_sim::stats::FIELD_COUNT;
+use hat_rdma_sim::stats::{MetricKind, FIELD_COUNT, FIELD_KINDS};
 use hat_rdma_sim::{now_ns, Fabric, Node};
-use hat_trace::hist::{percentile_of, CumulativeSnapshot, NUM_BUCKETS};
+use hat_trace::export::Counter;
+use hat_trace::hist::{percentile_of, size_class_label, CumulativeSnapshot, NUM_BUCKETS};
 use parking_lot::RwLock;
 use ring::{TsRing, TsSample};
 
 /// Hist-series slot layout: `[count, sum, bucket 0 .. bucket 64]`.
 const HIST_WIDTH: usize = 2 + NUM_BUCKETS;
 
-/// Reserved trace track the SLO engine emits breach events on (fabric
-/// node ids start at 1, so 0 never collides with a real node).
-const SLO_TRACK: u64 = 0;
+/// Reserved trace process holding the latency histograms' and SLOs'
+/// counter tracks and the SLO engine's breach events (fabric node ids
+/// start at 1, so 0 never collides with a real node).
+const LATENCY_TRACK: u64 = 0;
 
 /// Index of a per-node counter in timeline `values` arrays, by its
 /// `NodeStats` field name (e.g. `"calls_ok"`). Benches use this to
@@ -322,7 +323,7 @@ impl Shared {
                 // is off; `event`'s arg carries the offending p99).
                 state.breach_events.fetch_add(1, Ordering::Relaxed);
                 let call_id = hat_trace::next_call_id();
-                hat_trace::event(hat_trace::Phase::SloBreach, SLO_TRACK, call_id, p99, ts);
+                hat_trace::event(hat_trace::Phase::SloBreach, LATENCY_TRACK, call_id, p99, ts);
                 hat_trace::register_call(call_id, "slo", &state.spec.fn_scope, 0);
             }
         }
@@ -369,7 +370,7 @@ impl std::fmt::Debug for Sampler {
 
 impl Sampler {
     fn new_shared(fabric: &Fabric, cfg: SamplerConfig) -> Arc<Shared> {
-        hat_trace::register_track(SLO_TRACK, "slo");
+        hat_trace::register_track(LATENCY_TRACK, "latency");
         let slos = cfg
             .slos
             .iter()
@@ -499,11 +500,6 @@ impl Sampler {
             .collect()
     }
 
-    /// Timeline JSON (the `METRICS_*.json` artifact format).
-    pub fn timeline_json(&self) -> String {
-        export::timeline_json(self)
-    }
-
     /// One rendered `repro top` frame.
     pub fn render_top(&self) -> String {
         top::render_frame(self)
@@ -513,6 +509,118 @@ impl Sampler {
 impl Drop for Sampler {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Export: counter tracks of a trace-event document
+// ---------------------------------------------------------------------------
+
+/// Sampled runs as one trace-event document, the `METRICS_*.json`
+/// artifact that ui.perfetto.dev opens. Each run added gets processes of
+/// its own, named `"{label} {node}"`, plus `"{label} latency"` for its
+/// histograms and SLOs; every retained series is a counter track there,
+/// on the clock the run's spans use. A sample is drawn at its tick, and
+/// a per-interval value at the tick that opens the interval, so Perfetto
+/// holds it over exactly the interval it measures:
+///
+/// * a `NodeStats` counter: `delta` (activity until the next tick) and
+///   `total` (the cumulative value, so the newest sample's is exact even
+///   when the ring wrapped); a gauge: `value`;
+/// * a histogram (`"{fn_scope} [{protocol} {size}]"`): `count`, `sum_ns`
+///   and `p99_ns` of the interval, and `count_total`;
+/// * an SLO (`"slo {fn_scope}"`): `window_p99_ns`, `burn_rate_milli` and
+///   `breach_events`, once, at the newest tick.
+///
+/// A sample repeating its series' previous one is left out, except the
+/// newest, which closes the track: with a cumulative total among its
+/// args, a repeat means nothing happened, and Perfetto holds the value
+/// until the next sample anyway.
+#[derive(Debug, Default)]
+pub struct MetricsDoc {
+    tracks: Vec<(u64, String)>,
+    counters: Vec<Counter>,
+}
+
+impl MetricsDoc {
+    /// Add `sampler`'s retained history under `label` (a sweep point).
+    pub fn add(&mut self, label: &str, sampler: &Sampler) {
+        let base = self.tracks.iter().map(|(pid, _)| pid + 1).max().unwrap_or(0);
+        let latency = base + LATENCY_TRACK;
+        self.tracks.push((latency, format!("{label} latency")));
+        let mut newest = sampler.started_ns();
+        for s in sampler.shared.nodes.read().iter() {
+            let pid = base + s.node.id();
+            self.tracks.push((pid, format!("{label} {}", s.name)));
+            let samples = s.ring.snapshot();
+            newest = newest.max(samples.last().map_or(0, |x| x.ts_ns));
+            for (fi, (field, kind)) in FIELD_KINDS.iter().enumerate() {
+                push_series(&mut self.counters, pid, field, &samples, |now, next| match kind {
+                    MetricKind::Counter => vec![
+                        ("delta", next.values[fi].saturating_sub(now.values[fi])),
+                        ("total", now.values[fi]),
+                    ],
+                    MetricKind::Gauge => vec![("value", now.values[fi])],
+                });
+            }
+        }
+        for h in sampler.hist_timelines() {
+            newest = newest.max(h.samples.last().map_or(0, |x| x.ts_ns));
+            let name =
+                format!("{} [{} {}]", h.fn_scope, h.protocol, size_class_label(h.size_class));
+            push_series(&mut self.counters, latency, &name, &h.samples, |now, next| {
+                let delta = |k: usize| next.values[k].saturating_sub(now.values[k]);
+                let mut buckets = [0u64; NUM_BUCKETS];
+                for (i, b) in buckets.iter_mut().enumerate() {
+                    *b = delta(2 + i);
+                }
+                vec![
+                    ("count", delta(0)),
+                    ("sum_ns", delta(1)),
+                    ("p99_ns", percentile_of(&buckets, 0.99)),
+                    ("count_total", now.values[0]),
+                ]
+            });
+        }
+        for st in sampler.slo_statuses() {
+            self.counters.push(Counter {
+                pid: latency,
+                ts_ns: newest,
+                name: format!("slo {}", st.fn_scope),
+                args: vec![
+                    ("window_p99_ns", st.window_p99_ns),
+                    ("burn_rate_milli", st.burn_rate_milli),
+                    ("breach_events", st.breach_events),
+                ],
+            });
+        }
+    }
+
+    /// The document, written by hat-trace's trace-event writer.
+    pub fn to_json(&self) -> String {
+        hat_trace::export::build(&[], &self.tracks, &[], &[], &self.counters)
+    }
+}
+
+/// Append one series to `out`: per sample, `args(sample, next sample)`,
+/// the newest sample paired with itself (an empty interval). A sample
+/// whose args repeat the previously written one's is skipped, except the
+/// newest.
+fn push_series(
+    out: &mut Vec<Counter>,
+    pid: u64,
+    name: &str,
+    samples: &[TsSample],
+    args: impl Fn(&TsSample, &TsSample) -> Vec<(&'static str, u64)>,
+) {
+    let start = out.len();
+    for (i, now) in samples.iter().enumerate() {
+        let newest = i + 1 == samples.len();
+        let args = args(now, samples.get(i + 1).unwrap_or(now));
+        if !newest && out[start..].last().is_some_and(|c| c.args == args) {
+            continue;
+        }
+        out.push(Counter { pid, ts_ns: now.ts_ns, name: name.to_string(), args });
     }
 }
 
@@ -545,6 +653,86 @@ mod tests {
         let idx = hat_rdma_sim::FIELD_KINDS.iter().position(|(n, _)| *n == "calls_ok").unwrap();
         let series: Vec<u64> = tl[0].samples.iter().map(|s| s.values[idx]).collect();
         assert_eq!(series, vec![0, 5, 12], "cumulative values per tick");
+    }
+
+    /// Every `NodeStats` field becomes a counter track on its node's
+    /// process; a counter's interval delta sits at the tick opening the
+    /// interval, an idle stretch is left out, and the newest tick closes
+    /// each track with the exact total.
+    #[test]
+    fn metrics_doc_draws_every_field_as_a_counter_track() {
+        let f = fabric();
+        let a = f.add_node("a");
+        let mut s = Sampler::attach_paused(&f, SamplerConfig::default());
+        hat_rdma_sim::NodeStats::add(&a.stats().calls_ok, 5);
+        s.tick();
+        s.tick();
+        hat_rdma_sim::NodeStats::add(&a.stats().calls_ok, 7);
+        s.tick();
+        s.stop();
+        let mut doc = MetricsDoc::default();
+        doc.add("run", &s);
+        let pid = a.id();
+        assert!(doc.tracks.contains(&(pid, "run a".to_string())), "{:?}", doc.tracks);
+        for (field, kind) in FIELD_KINDS.iter() {
+            let keys: Vec<&str> = match kind {
+                MetricKind::Counter => vec!["delta", "total"],
+                MetricKind::Gauge => vec!["value"],
+            };
+            let series: Vec<&Counter> =
+                doc.counters.iter().filter(|c| c.pid == pid && c.name == *field).collect();
+            assert!(!series.is_empty(), "no counter track for {field}");
+            for c in series {
+                assert_eq!(c.args.iter().map(|(k, _)| *k).collect::<Vec<_>>(), keys, "{field}");
+            }
+        }
+        let samples = s.node_timelines().remove(0).samples;
+        let calls: Vec<(u64, Vec<(&str, u64)>)> = doc
+            .counters
+            .iter()
+            .filter(|c| c.pid == pid && c.name == "calls_ok")
+            .map(|c| (c.ts_ns, c.args.clone()))
+            .collect();
+        assert_eq!(
+            calls,
+            vec![
+                (samples[0].ts_ns, vec![("delta", 5), ("total", 0)]),
+                (samples[1].ts_ns, vec![("delta", 0), ("total", 5)]),
+                (samples[2].ts_ns, vec![("delta", 7), ("total", 5)]),
+                (samples[3].ts_ns, vec![("delta", 0), ("total", 12)]),
+            ],
+            "every tick with activity, the newest closing the track"
+        );
+        let idle: Vec<u64> = doc
+            .counters
+            .iter()
+            .filter(|c| c.pid == pid && c.name == "calls_failed")
+            .map(|c| c.ts_ns)
+            .collect();
+        assert_eq!(idle, vec![samples[0].ts_ns, samples[3].ts_ns], "an idle counter: two samples");
+    }
+
+    /// A second run's processes are numbered past the first's and named
+    /// with its label.
+    #[test]
+    fn metrics_doc_keeps_runs_apart() {
+        let mut doc = MetricsDoc::default();
+        for label in ["p1", "p2"] {
+            let f = fabric();
+            f.add_node("n");
+            let s = Sampler::attach_paused(&f, SamplerConfig::default());
+            doc.add(label, &s);
+        }
+        assert_eq!(
+            doc.tracks,
+            vec![
+                (0, "p1 latency".to_string()),
+                (1, "p1 n".to_string()),
+                (2, "p2 latency".to_string()),
+                (3, "p2 n".to_string()),
+            ]
+        );
+        assert!(doc.counters.iter().any(|c| c.pid == 3 && c.name == "calls_ok"));
     }
 
     #[test]

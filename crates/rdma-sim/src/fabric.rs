@@ -10,9 +10,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cost::SimConfig;
@@ -189,7 +189,7 @@ impl Fabric {
     /// Register a named service on `node`: incoming dials produce accepted
     /// endpoints on the returned [`Listener`] until [`Fabric::unlisten`].
     pub fn listen(&self, node: &Arc<Node>, service: &str) -> Listener {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.inner
             .services
             .lock()
@@ -221,7 +221,7 @@ impl Fabric {
     /// Register an IPoIB (simulated TCP) listener on `node`, the baseline
     /// transport's analogue of [`Fabric::listen`].
     pub fn listen_ipoib(&self, node: &Arc<Node>, service: &str) -> IpoibListener {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.inner
             .ipoib_services
             .lock()

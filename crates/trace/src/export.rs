@@ -10,10 +10,13 @@
 //! * one *thread* lane per RPC call id, holding the call's `B`/`E` span
 //!   and its sim-level instant events (`i`);
 //! * async **flow arrows** (`s` → `f`, id = call id) from the client's
-//!   first WR post to the payload's delivery on the remote node.
+//!   first WR post to the payload's delivery on the remote node;
+//! * **counter tracks** (`C`) on a node's process: the sampled series a
+//!   `hat-metrics` sampler hands in as [`Counter`]s.
 //!
 //! Timestamps are the simulator's virtual nanoseconds rendered as
-//! fractional microseconds (the format's `ts` unit).
+//! fractional microseconds (the format's `ts` unit), so spans and
+//! counters share one clock.
 //!
 //! JSON is emitted by hand — the workspace builds offline and the trace
 //! schema is flat; the round-trip test in `hat-bench` parses the output
@@ -24,18 +27,31 @@ use std::fmt::Write as _;
 
 use crate::{CallMeta, Event, Phase};
 
+/// One sample of a counter series: a `"ph":"C"` event on process `pid`.
+/// Perfetto draws one counter track per `args` key, named
+/// `"{name} {key}"`, and holds each value until the series' next sample.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Counter {
+    pub pid: u64,
+    pub ts_ns: u64,
+    pub name: String,
+    pub args: Vec<(&'static str, u64)>,
+}
+
 /// Export everything captured since the last [`crate::reset`] as a
 /// Chrome-trace JSON object (`{"traceEvents": [...]}`).
 pub fn chrome_trace_json() -> String {
-    build(&crate::snapshot_events(), &crate::tracks(), &crate::calls(), &crate::annotations())
+    build(&crate::snapshot_events(), &crate::tracks(), &crate::calls(), &crate::annotations(), &[])
 }
 
-/// Pure builder over explicit inputs (unit-testable).
+/// Pure builder over explicit inputs (unit-testable): the one writer of
+/// every trace-event document, spans and counters alike.
 pub fn build(
     events: &[Event],
     tracks: &[(u64, String)],
     calls: &[CallMeta],
     annotations: &[(u64, u64, String)],
+    counters: &[Counter],
 ) -> String {
     let meta: HashMap<u64, &CallMeta> = calls.iter().map(|c| (c.call_id, c)).collect();
 
@@ -194,6 +210,23 @@ pub fn build(
         ));
     }
 
+    for c in counters {
+        let mut args = String::new();
+        for (i, (key, value)) in c.args.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(args, r#"{sep}"{key}":{value}"#);
+        }
+        entries.push((
+            c.ts_ns,
+            format!(
+                r#"{{"name":"{}","cat":"metrics","ph":"C","ts":{},"pid":{},"args":{{{args}}}}}"#,
+                esc(&c.name),
+                us(c.ts_ns),
+                c.pid
+            ),
+        ));
+    }
+
     entries.sort_by_key(|(ts, _)| *ts);
     let mut out = String::with_capacity(entries.len() * 96 + 64);
     out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
@@ -268,8 +301,13 @@ mod tests {
 
     #[test]
     fn spans_flows_and_tracks_are_emitted() {
-        let json =
-            build(&one_rpc(), &[(1, "client".into()), (2, "server".into())], &[call_meta(7)], &[]);
+        let json = build(
+            &one_rpc(),
+            &[(1, "client".into()), (2, "server".into())],
+            &[call_meta(7)],
+            &[],
+            &[],
+        );
         assert!(json.contains(r#""ph":"M""#), "process metadata present");
         assert!(json.contains(r#""name":"Svc.get [Eager-SendRecv]""#), "span named from meta");
         assert!(json.contains(r#""ph":"B""#) && json.contains(r#""ph":"E""#));
@@ -285,7 +323,7 @@ mod tests {
     fn lost_call_end_gets_synthetic_balanced_end() {
         let mut events = one_rpc();
         events.retain(|e| e.phase != Phase::CallEnd);
-        let json = build(&events, &[], &[call_meta(7)], &[]);
+        let json = build(&events, &[], &[call_meta(7)], &[], &[]);
         let begins = json.matches(r#""ph":"B""#).count();
         let ends = json.matches(r#""ph":"E""#).count();
         assert_eq!(begins, 1);
@@ -297,16 +335,34 @@ mod tests {
         // Delivery on the same node as the post (e.g. a loopback READ)
         // draws no arrow.
         let events = vec![ev(Phase::WrPost, 1, 7, 1, 1_000), ev(Phase::Delivered, 1, 7, 64, 2_000)];
-        let json = build(&events, &[], &[], &[]);
+        let json = build(&events, &[], &[], &[], &[]);
         assert!(!json.contains(r#""ph":"s""#));
         assert!(!json.contains(r#""ph":"f""#));
     }
 
     #[test]
     fn annotations_become_instant_events_with_escaping() {
-        let json = build(&[], &[], &[], &[(3, 500, "setup \"failed\"\n".into())]);
+        let json = build(&[], &[], &[], &[(3, 500, "setup \"failed\"\n".into())], &[]);
         assert!(json.contains(r#""name":"setup \"failed\"\n""#));
         assert!(json.contains(r#""pid":3"#));
+    }
+
+    #[test]
+    fn counters_become_counter_events_on_their_process() {
+        let counter = |ts_ns, delta| Counter {
+            pid: 2,
+            ts_ns,
+            name: "calls_ok".into(),
+            args: vec![("delta", delta), ("total", 10 + delta)],
+        };
+        let json =
+            build(&[], &[(2, "server".into())], &[], &[], &[counter(2_000, 0), counter(1_000, 5)]);
+        let first = json.find(r#""ts":1.000"#).expect("earlier sample present");
+        let second = json.find(r#""ts":2.000"#).expect("later sample present");
+        assert!(first < second, "samples sorted by time: {json}");
+        assert!(json.contains(
+            r#"{"name":"calls_ok","cat":"metrics","ph":"C","ts":1.000,"pid":2,"args":{"delta":5,"total":15}}"#
+        ));
     }
 
     #[test]

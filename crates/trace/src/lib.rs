@@ -18,7 +18,8 @@
 //!   protocol × fn-scope × payload-size class ([`hist`]).
 //! * **Export** — a Chrome-trace-event / Perfetto JSON rendering of the
 //!   timeline, one track per node, with async flow arrows connecting the
-//!   client's post to the server-side delivery ([`export`]).
+//!   client's post to the server-side delivery, and the counter tracks a
+//!   `hat-metrics` sampler hands in ([`export`]).
 //!
 //! ## Zero cost when disabled
 //!
@@ -220,12 +221,6 @@ pub enum Phase {
     /// hat-metrics SLO engine so breaches land on the Perfetto timeline
     /// next to the RPCs that caused them.
     SloBreach = 20,
-    /// Proto: a 2PC coordinator durably prepared a transaction on one
-    /// shard (`arg` = shard index).
-    TxnPrepare = 21,
-    /// Proto: a 2PC decision record was logged for a transaction
-    /// (`arg` = 1 commit / 0 abort).
-    TxnDecision = 22,
 }
 
 impl Phase {
@@ -253,8 +248,6 @@ impl Phase {
             Phase::ReactorWakeup => "reactor_wakeup",
             Phase::ReactorResume => "reactor_resume",
             Phase::SloBreach => "slo_breach",
-            Phase::TxnPrepare => "txn_prepare",
-            Phase::TxnDecision => "txn_decision",
         }
     }
 
@@ -277,12 +270,7 @@ impl Phase {
             | Phase::Delivered
             | Phase::Completion
             | Phase::Wakeup => "sim",
-            Phase::Flush
-            | Phase::Burst
-            | Phase::OneSidedRead
-            | Phase::OneSidedFallback
-            | Phase::TxnPrepare
-            | Phase::TxnDecision => "proto",
+            Phase::Flush | Phase::Burst | Phase::OneSidedRead | Phase::OneSidedFallback => "proto",
             Phase::Note => "note",
         }
     }
@@ -309,8 +297,6 @@ impl Phase {
             18 => Phase::ReactorWakeup,
             19 => Phase::ReactorResume,
             20 => Phase::SloBreach,
-            21 => Phase::TxnPrepare,
-            22 => Phase::TxnDecision,
             _ => Phase::Note,
         }
     }
