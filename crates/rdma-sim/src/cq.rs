@@ -225,9 +225,8 @@ impl CqInner {
     }
 }
 
-/// A completion queue bound to a node. Cheaply cloneable; may be shared by
-/// many endpoints (the shared-CQ pattern servers use to serve hundreds of
-/// connections with few threads).
+/// A completion queue bound to a node: each endpoint has a send CQ and a
+/// receive CQ of its own. Cheaply cloneable.
 #[derive(Clone)]
 pub struct CompletionQueue {
     pub(crate) inner: Arc<CqInner>,
@@ -240,9 +239,8 @@ impl std::fmt::Debug for CompletionQueue {
 }
 
 impl CompletionQueue {
-    /// Create a standalone CQ on `node` (for shared-CQ setups; endpoints
-    /// created by [`crate::Fabric::connect`] get their own).
-    pub fn new(node: &Arc<Node>) -> CompletionQueue {
+    /// Create a CQ on `node`.
+    pub(crate) fn new(node: &Arc<Node>) -> CompletionQueue {
         CompletionQueue {
             inner: Arc::new(CqInner {
                 node: Arc::downgrade(node),

@@ -19,7 +19,8 @@ pub enum RdmaError {
         /// Capacity of the region.
         capacity: usize,
     },
-    /// A remote key did not resolve to a registered region on the target node.
+    /// A remote key did not resolve to a registered region of the queue
+    /// pair's connected peer (a descriptor naming another node never does).
     InvalidRKey(u64),
     /// The memory region has been deregistered.
     Deregistered,

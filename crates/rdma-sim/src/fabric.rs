@@ -1,4 +1,4 @@
-//! The fabric: node registry, connection establishment, and service
+//! The fabric: its nodes, connection establishment, and service
 //! listeners.
 //!
 //! A [`Fabric`] stands in for the paper's 10-node InfiniBand cluster plus
@@ -21,18 +21,6 @@ use crate::node::Node;
 use crate::qp::Endpoint;
 use crate::stats::FabricStats;
 
-/// Maps node ids to nodes so one-sided operations can resolve their target.
-#[derive(Default)]
-pub(crate) struct NodeRegistry {
-    nodes: RwLock<HashMap<u64, Arc<Node>>>,
-}
-
-impl NodeRegistry {
-    pub(crate) fn node_by_id(&self, id: u64) -> Option<Arc<Node>> {
-        self.nodes.read().get(&id).cloned()
-    }
-}
-
 struct ServiceEntry {
     node: Arc<Node>,
     tx: Sender<Endpoint>,
@@ -45,7 +33,6 @@ struct IpoibServiceEntry {
 
 struct FabricInner {
     config: Arc<SimConfig>,
-    registry: Arc<NodeRegistry>,
     services: Mutex<HashMap<String, ServiceEntry>>,
     ipoib_services: Mutex<HashMap<String, IpoibServiceEntry>>,
     by_name: RwLock<HashMap<String, Arc<Node>>>,
@@ -100,7 +87,6 @@ impl Fabric {
         Fabric {
             inner: Arc::new(FabricInner {
                 config: Arc::new(config),
-                registry: Arc::new(NodeRegistry::default()),
                 services: Mutex::new(HashMap::new()),
                 ipoib_services: Mutex::new(HashMap::new()),
                 by_name: RwLock::new(HashMap::new()),
@@ -123,7 +109,6 @@ impl Fabric {
         let node = Node::new(id, name.to_string(), self.inner.config.clone());
         let prev = self.inner.by_name.write().insert(name.to_string(), node.clone());
         assert!(prev.is_none(), "duplicate node name {name}");
-        self.inner.registry.nodes.write().insert(id, node.clone());
         self.inner.node_generation.fetch_add(1, Ordering::Relaxed);
         // Name the node's trace track up front (unconditionally: nodes
         // are rare and often created before a capture window opens).
@@ -168,18 +153,10 @@ impl Fabric {
     /// `a`, mirroring a client paying the QP handshake.
     pub fn connect(&self, a: &Arc<Node>, b: &Arc<Node>) -> Result<(Endpoint, Endpoint)> {
         let _charge = a.begin_charge(self.inner.config.cost.connect_ns);
-        let ea = Endpoint::new(
-            self.inner.next_ep.fetch_add(1, Ordering::Relaxed),
-            a.clone(),
-            b.clone(),
-            self.inner.registry.clone(),
-        );
-        let eb = Endpoint::new(
-            self.inner.next_ep.fetch_add(1, Ordering::Relaxed),
-            b.clone(),
-            a.clone(),
-            self.inner.registry.clone(),
-        );
+        let ea =
+            Endpoint::new(self.inner.next_ep.fetch_add(1, Ordering::Relaxed), a.clone(), b.clone());
+        let eb =
+            Endpoint::new(self.inner.next_ep.fetch_add(1, Ordering::Relaxed), b.clone(), a.clone());
         Endpoint::wire_peers(&ea, &eb);
         crate::stats::NodeStats::add(&a.stats().connections, 1);
         crate::stats::NodeStats::add(&b.stats().connections, 1);
@@ -341,7 +318,6 @@ mod tests {
         let a = f.add_node("alpha");
         assert_eq!(f.node("alpha").unwrap().id(), a.id());
         assert!(f.node("missing").is_none());
-        assert!(f.inner.registry.node_by_id(a.id()).is_some());
     }
 
     #[test]

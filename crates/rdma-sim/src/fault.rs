@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the simulated fabric.
 //!
 //! A [`FaultPlan`] is pure data attached to [`crate::SimConfig`]: a seed
-//! plus a list of rules scoped per node or per QP. The plan can drop
+//! plus a list of rules scoped to every node or to one by name. The plan can drop
 //! completions, delay them by a configured distribution, flush a QP into
 //! an error state after N work requests, or kill a whole node mid-flight.
 //! Every probabilistic decision is derived by hashing `(seed, qp, nth
@@ -72,17 +72,13 @@ pub enum FaultScope {
     AllNodes,
     /// The node with this name.
     Node(String),
-    /// The endpoint (QP) with this id. Fabric-assigned QP ids start at 1
-    /// and increase in connection order, so tests can predict them.
-    Qp(u64),
 }
 
 impl FaultScope {
-    fn matches(&self, node_name: &str, qp_id: u64) -> bool {
+    fn matches(&self, node_name: &str) -> bool {
         match self {
             FaultScope::AllNodes => true,
             FaultScope::Node(n) => n == node_name,
-            FaultScope::Qp(id) => *id == qp_id,
         }
     }
 }
@@ -95,8 +91,6 @@ pub enum DelayDistribution {
     Fixed { ns: u64 },
     /// Uniform in `[min_ns, max_ns]`.
     Uniform { min_ns: u64, max_ns: u64 },
-    /// Exponential with the given mean (heavy-ish tail).
-    Exponential { mean_ns: u64 },
 }
 
 impl DelayDistribution {
@@ -107,11 +101,6 @@ impl DelayDistribution {
             DelayDistribution::Uniform { min_ns, max_ns } => {
                 let (lo, hi) = (min_ns.min(max_ns), min_ns.max(max_ns));
                 lo + ((hi - lo + 1) as f64 * u) as u64
-            }
-            DelayDistribution::Exponential { mean_ns } => {
-                // Inverse-CDF; clamp u away from 1.0 so ln stays finite.
-                let u = u.min(0.999_999_9);
-                (-(1.0 - u).ln() * mean_ns as f64) as u64
             }
         }
     }
@@ -158,7 +147,7 @@ pub enum FaultAction {
 /// One scoped fault rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRule {
-    /// Which node/QP the rule applies to.
+    /// Which nodes the rule applies to.
     pub scope: FaultScope,
     /// What happens when it fires.
     pub action: FaultAction,
@@ -303,7 +292,7 @@ impl NodeFaults {
         let node_n = self.node_wrs.fetch_add(1, Ordering::Relaxed) + 1;
         let mut out = WrFault::None;
         for rule in &self.plan.rules {
-            if !rule.scope.matches(&self.node_name, qp_id) {
+            if !rule.scope.matches(&self.node_name) {
                 continue;
             }
             match rule.action {
@@ -329,7 +318,7 @@ impl NodeFaults {
         };
         let mut extra = 0u64;
         for (i, rule) in self.plan.rules.iter().enumerate() {
-            if !rule.scope.matches(&self.node_name, qp_id) {
+            if !rule.scope.matches(&self.node_name) {
                 continue;
             }
             match rule.action {
@@ -363,16 +352,14 @@ mod tests {
 
     #[test]
     fn scopes_match_correctly() {
-        assert!(FaultScope::AllNodes.matches("x", 9));
-        assert!(FaultScope::Node("x".into()).matches("x", 9));
-        assert!(!FaultScope::Node("x".into()).matches("y", 9));
-        assert!(FaultScope::Qp(9).matches("x", 9));
-        assert!(!FaultScope::Qp(9).matches("x", 8));
+        assert!(FaultScope::AllNodes.matches("x"));
+        assert!(FaultScope::Node("x".into()).matches("x"));
+        assert!(!FaultScope::Node("x".into()).matches("y"));
     }
 
     #[test]
     fn flush_fires_after_n_wrs_on_that_qp_only() {
-        let plan = FaultPlan::new(1).flush_qp_after(FaultScope::Qp(7), 2);
+        let plan = FaultPlan::new(1).flush_qp_after(FaultScope::Node("srv".into()), 2);
         let f = NodeFaults::from_plan(&plan, "srv").unwrap();
         assert_eq!(f.on_wr_posted(7), WrFault::None);
         assert_eq!(f.on_wr_posted(8), WrFault::None);
@@ -430,11 +417,8 @@ mod tests {
     }
 
     #[test]
-    fn fixed_delay_is_exact_and_exponential_is_finite() {
+    fn fixed_delay_is_exact() {
         assert_eq!(DelayDistribution::Fixed { ns: 5 }.sample(0.99), 5);
-        let e = DelayDistribution::Exponential { mean_ns: 1000 };
-        let d = e.sample(0.999_999_999);
-        assert!(d < u64::MAX / 2, "clamped inverse-CDF stays finite");
     }
 
     #[test]

@@ -46,7 +46,10 @@
 //! ## What is deliberately simplified
 //!
 //! * Only RC (reliable connected) queue pairs are modelled; all the paper's
-//!   protocols use RC.
+//!   protocols use RC. A queue pair carries the five verbs they post
+//!   (SEND, RECV, WRITE, WRITE_WITH_IMM, READ), each aimed at its connected
+//!   peer: there are no remote atomics, no shared receive queues, and a
+//!   one-sided target on any other node is refused at post time.
 //! * There is no packetization/MTU model: serialization time is linear in
 //!   bytes, which is accurate for the message sizes the paper evaluates.
 //! * Memory registration is instantaneous but carries a configurable cost,

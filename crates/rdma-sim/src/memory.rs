@@ -16,14 +16,20 @@
 //! An in-bound WRITE lands **by reference**: at its deadline the region
 //! keeps the payload buffer itself, beside its storage, and copies it in
 //! only when another access touches the storage — a borrow, a local or
-//! in-bound write, the NIC serving a READ or an atomic. Every such access
+//! in-bound write, the NIC serving a READ. Every such access
 //! goes through one of the region's own primitives, each of which copies a
 //! landed buffer in first, so every reader sees the bytes exactly from the
 //! deadline. A receiver that asks for exactly the range the WRITE covered
 //! takes the buffer instead ([`MemoryRegion::take_landed`]): the payload
 //! moves from the sender's buffer to the receiver without a pass over it.
+//!
+//! Keys are numbered per node, as a NIC numbers its own regions: a
+//! region's lkey and rkey come from its node's region table
+//! ([`crate::Node`]), so two fabrics built the same way give their regions
+//! the same keys. A key only has to be unique on its node, because a
+//! queue pair reaches only its connected peer's regions.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -31,9 +37,6 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use crate::error::{RdmaError, Result};
 use crate::node::{Node, Padded};
 use crate::pool::PoolBuf;
-
-/// Monotonic id source for rkeys/lkeys across the whole process.
-static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
 
 /// `offset..offset + len` if it lies inside a region of `capacity` bytes.
 pub(crate) fn bounds(offset: usize, len: usize, capacity: usize) -> Result<std::ops::Range<usize>> {
@@ -270,25 +273,6 @@ impl MemoryRegion {
         Ok(PoolBuf::copy_from(&buf[bounds(offset, len, buf.len())?]))
     }
 
-    /// Atomically read-modify-write an 8-byte word at `offset` under the
-    /// region's write lock (the simulated NIC's atomic unit, used by
-    /// RDMA COMPARE_AND_SWAP / FETCH_AND_ADD). Returns the old value;
-    /// `f` returns `Some(new)` to store or `None` to leave it unchanged.
-    pub(crate) fn atomic_update(
-        &self,
-        offset: usize,
-        f: impl FnOnce(u64) -> Option<u64>,
-    ) -> Result<u64> {
-        let mut storage = self.inner.buf.write();
-        let buf = storage.settled_mut();
-        let range = bounds(offset, 8, buf.len())?;
-        let old = u64::from_le_bytes(buf[range.clone()].try_into().expect("8 bytes"));
-        if let Some(new) = f(old) {
-            buf[range].copy_from_slice(&new.to_le_bytes());
-        }
-        Ok(old)
-    }
-
     /// Check that `offset..offset + len` lies inside the region.
     pub(crate) fn check_range(&self, offset: usize, len: usize) -> Result<()> {
         bounds(offset, len, self.inner.len).map(|_| ())
@@ -336,7 +320,8 @@ impl MrSlice {
 /// messages carry): enough for a peer to issue a one-sided READ or WRITE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteBuf {
-    /// Fabric node id owning the memory.
+    /// Fabric node id owning the memory: a queue pair posts only to its
+    /// connected peer's.
     pub node_id: u64,
     /// Remote key of the region.
     pub rkey: u64,
@@ -421,21 +406,18 @@ impl ProtectionDomain {
     pub fn register(&self, len: usize) -> Result<MemoryRegion> {
         // The charge covers the allocation and bookkeeping it models.
         let _charge = self.node.begin_charge(self.node.config().cost.register_ns(len));
-        let lkey = NEXT_KEY.fetch_add(1, Ordering::Relaxed);
-        let rkey = NEXT_KEY.fetch_add(1, Ordering::Relaxed);
-        let inner = Arc::new(MrInner {
-            lkey,
-            rkey,
-            len,
-            buf: Padded(RwLock::new(Storage {
-                bytes: vec![0u8; len].into_boxed_slice(),
-                landed: None,
-            })),
-            node: Arc::downgrade(&self.node),
-            dead: AtomicBool::new(false),
+        let storage = Storage { bytes: vec![0u8; len].into_boxed_slice(), landed: None };
+        let inner = self.node.register_mr(|lkey, rkey| {
+            Arc::new(MrInner {
+                lkey,
+                rkey,
+                len,
+                buf: Padded(RwLock::new(storage)),
+                node: Arc::downgrade(&self.node),
+                dead: AtomicBool::new(false),
+            })
         });
         self.node.stats().mem_registered(len as u64);
-        self.node.remember_mr(rkey, &inner);
         Ok(MemoryRegion { inner })
     }
 
@@ -560,6 +542,23 @@ mod tests {
         assert!(mr.slice(0, 16).validate().is_ok());
         assert!(mr.slice(8, 9).validate().is_err());
         assert!(mr.slice(usize::MAX, 2).validate().is_err());
+    }
+
+    /// Two fabrics built the same way in one process give their regions
+    /// the same keys: each node numbers its own, from 1, and never hands
+    /// one out twice.
+    #[test]
+    fn two_fabrics_built_alike_give_their_regions_identical_keys() {
+        let build = || {
+            let f = Fabric::new(SimConfig::fast_test());
+            let (a, b) = (f.add_node("a"), f.add_node("b"));
+            let (ea, eb) = f.connect(&a, &b).unwrap();
+            let mrs = [ea.pd().register(8), eb.pd().register(8), ea.pd().register(8)];
+            mrs.map(|mr| mr.map(|mr| (mr.lkey(), mr.rkey())).unwrap())
+        };
+        let keys = build();
+        assert_eq!(keys, build());
+        assert_eq!(keys, [(1, 2), (1, 2), (3, 4)], "per node, not per process");
     }
 
     #[test]

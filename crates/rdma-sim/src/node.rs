@@ -130,41 +130,13 @@ pub(crate) struct ImmNotice {
 /// What a pending effect does when its deadline passes.
 pub(crate) enum EffectKind {
     /// An RDMA WRITE payload landing in a registered region (by reference:
-    /// see [`crate::memory`]). A WRITE_WITH_IMM into the connected peer's
-    /// memory is this one effect too: `imm` delivers its completion right
-    /// after the payload lands, so the completion is never visible first.
+    /// see [`crate::memory`]). A WRITE_WITH_IMM is this one effect too:
+    /// `imm` delivers its completion right after the payload lands, so the
+    /// completion is never visible first.
     MemWrite { mr: Weak<MrInner>, offset: usize, data: Payload, imm: Option<ImmNotice> },
     /// A SEND arriving at an endpoint: consumes a posted receive and
     /// completes on the recv CQ, `data` written into the receive buffer.
-    /// Also the completion half of a WRITE_WITH_IMM whose region lies on
-    /// a node other than the endpoint's (`data` empty; the payload is a
-    /// separate `MemWrite` on that node).
-    RecvDeliver {
-        ep: Weak<EndpointInner>,
-        data: PoolBuf,
-        imm: Option<u32>,
-        byte_len: usize,
-        opcode: Opcode,
-    },
-    /// An atomic (CAS / fetch-add) completing: read-modify-write the
-    /// target word, land the old value locally, complete on the initiator
-    /// CQ.
-    AtomicOp {
-        target_node: Weak<Node>,
-        target_mr: Weak<MrInner>,
-        target_offset: usize,
-        /// `Some((compare, swap))` for CAS; `None` for fetch-and-add.
-        compare_swap: Option<(u64, u64)>,
-        /// Addend for fetch-and-add (ignored for CAS).
-        add: u64,
-        local_mr: Weak<MrInner>,
-        local_offset: usize,
-        cq: Weak<CqInner>,
-        wr_id: u64,
-        qp_id: u64,
-        signaled: bool,
-        opcode: Opcode,
-    },
+    RecvDeliver { ep: Weak<EndpointInner>, data: PoolBuf },
     /// An RDMA READ response landing: fetch from the (remote) target region
     /// now, place into the local slice, and complete on the initiator CQ.
     FetchRead {
@@ -237,6 +209,13 @@ impl<T> std::ops::Deref for Padded<T> {
 /// an in-bound effect takes, and the region's capacity.
 type RegionEntry = (Weak<MrInner>, usize);
 
+/// A node's registered regions by rkey, and the next key it hands out:
+/// keys are numbered per node, as a NIC numbers its own regions.
+struct Regions {
+    by_rkey: HashMap<u64, RegionEntry>,
+    next_key: u64,
+}
+
 /// A simulated machine in the fabric.
 pub struct Node {
     id: u64,
@@ -256,8 +235,8 @@ pub struct Node {
     /// Serializes effect application so drains from different threads
     /// cannot interleave out of deadline order.
     apply_lock: Mutex<()>,
-    /// rkey -> region and its capacity, for resolving one-sided targets.
-    mrs: Padded<Mutex<HashMap<u64, RegionEntry>>>,
+    /// The region table: resolves one-sided targets and numbers keys.
+    mrs: Padded<Mutex<Regions>>,
     /// In-flight WRITE payloads parked for read-ahead.
     parked: [WarmSlot; WARM_SLOTS],
     /// Parked payloads no thread has read ahead yet: the one atomic a
@@ -300,7 +279,7 @@ impl Node {
             })),
             next_due: AtomicU64::new(u64::MAX),
             apply_lock: Mutex::new(()),
-            mrs: Padded(Mutex::new(HashMap::new())),
+            mrs: Padded(Mutex::new(Regions { by_rkey: HashMap::new(), next_key: 1 })),
             parked: Default::default(),
             unwarmed: AtomicUsize::new(0),
             stats: NodeStats::default(),
@@ -418,14 +397,21 @@ impl Node {
         Charge { spin, end_ns: start + eff, eff }
     }
 
-    // ---- memory-region registry -----------------------------------------
+    // ---- region table -----------------------------------------------------
 
-    pub(crate) fn remember_mr(&self, rkey: u64, mr: &Arc<MrInner>) {
-        self.mrs.lock().insert(rkey, (Arc::downgrade(mr), mr.len));
+    /// Enter the region `make` builds from its `(lkey, rkey)` in the
+    /// table, under the next two keys of this node's.
+    pub(crate) fn register_mr(&self, make: impl FnOnce(u64, u64) -> Arc<MrInner>) -> Arc<MrInner> {
+        let mut mrs = self.mrs.lock();
+        let (lkey, rkey) = (mrs.next_key, mrs.next_key + 1);
+        mrs.next_key += 2;
+        let mr = make(lkey, rkey);
+        mrs.by_rkey.insert(rkey, (Arc::downgrade(&mr), mr.len));
+        mr
     }
 
     pub(crate) fn forget_mr(&self, rkey: u64) {
-        self.mrs.lock().remove(&rkey);
+        self.mrs.lock().by_rkey.remove(&rkey);
     }
 
     /// Resolve an rkey to its region and the region's capacity, as a
@@ -434,7 +420,7 @@ impl Node {
     /// the initiator touches no count or lock the region's own node uses.
     pub(crate) fn lookup_mr(&self, rkey: u64) -> Option<(Weak<MrInner>, usize)> {
         let mrs = self.mrs.lock();
-        let (mr, len) = mrs.get(&rkey).filter(|(mr, _)| mr.strong_count() > 0)?;
+        let (mr, len) = mrs.by_rkey.get(&rkey).filter(|(mr, _)| mr.strong_count() > 0)?;
         Some((mr.clone(), *len))
     }
 
@@ -616,68 +602,11 @@ impl Node {
                     Self::deliver(&ep, msg, effect.deadline);
                 }
             }
-            EffectKind::RecvDeliver { ep, data, imm, byte_len, opcode } => {
-                if opcode == Opcode::Send {
-                    NodeStats::add(&self.stats.bytes_rx, byte_len as u64);
-                }
-                let msg = crate::qp::ArrivedMsg { data, imm, byte_len, opcode };
+            EffectKind::RecvDeliver { ep, data } => {
+                let byte_len = data.len();
+                NodeStats::add(&self.stats.bytes_rx, byte_len as u64);
+                let msg = crate::qp::ArrivedMsg { data, imm: None, byte_len, opcode: Opcode::Send };
                 Self::deliver(&ep, msg, effect.deadline);
-            }
-            EffectKind::AtomicOp {
-                target_node,
-                target_mr,
-                target_offset,
-                compare_swap,
-                add,
-                local_mr,
-                local_offset,
-                cq,
-                wr_id,
-                qp_id,
-                signaled,
-                opcode,
-            } => {
-                if let Some(t) = target_node.upgrade() {
-                    t.drain_effects();
-                }
-                let mut status = CompletionStatus::Success;
-                let old = match target_mr.upgrade() {
-                    Some(mr) => {
-                        let region = crate::memory::MemoryRegion { inner: mr };
-                        match region.atomic_update(target_offset, |old| match compare_swap {
-                            Some((compare, swap)) => (old == compare).then_some(swap),
-                            None => Some(old.wrapping_add(add)),
-                        }) {
-                            Ok(old) => old,
-                            Err(_) => {
-                                status = CompletionStatus::RemoteAccessError;
-                                0
-                            }
-                        }
-                    }
-                    None => {
-                        status = CompletionStatus::RemoteAccessError;
-                        0
-                    }
-                };
-                if status == CompletionStatus::Success {
-                    if let Some(mr) = local_mr.upgrade() {
-                        let region = crate::memory::MemoryRegion { inner: mr };
-                        if region.write_raw(local_offset, &old.to_le_bytes()).is_err() {
-                            status = CompletionStatus::LocalLengthError;
-                        }
-                    } else {
-                        status = CompletionStatus::LocalLengthError;
-                    }
-                }
-                if signaled {
-                    if let Some(cq) = cq.upgrade() {
-                        cq.push(
-                            effect.deadline.max(now_ns()),
-                            Completion { wr_id, opcode, byte_len: 8, imm: None, status, qp_id },
-                        );
-                    }
-                }
             }
             EffectKind::FetchRead {
                 target_node,

@@ -1,9 +1,11 @@
 //! Queue pairs (endpoints): posting work requests and scheduling their
 //! simulated costs.
 //!
-//! [`Endpoint`] is one side of a connected RC queue pair. `post_send`
-//! accepts a *chain* of work requests and charges exactly one MMIO doorbell
-//! for the whole chain — faithfully modelling why the paper's
+//! [`Endpoint`] is one side of a connected RC queue pair: its SENDs,
+//! WRITEs, WRITE_WITH_IMMs and READs all reach the one peer it is connected
+//! to, and a one-sided target on any other node is refused at post time.
+//! `post_send` accepts a *chain* of work requests and charges exactly one
+//! MMIO doorbell for the whole chain — faithfully modelling why the paper's
 //! Chained-Write-Send protocol (Figure 3c) beats Direct-Write-Send: one
 //! PCIe doorbell instead of two.
 //!
@@ -23,8 +25,7 @@ use parking_lot::Mutex;
 use crate::cost::CostModel;
 use crate::cq::{Completion, CompletionQueue, CompletionStatus};
 use crate::error::{RdmaError, Result};
-use crate::fabric::NodeRegistry;
-use crate::memory::{MrInner, ProtectionDomain, RemoteBuf};
+use crate::memory::{MrInner, MrSlice, ProtectionDomain, RemoteBuf};
 use crate::node::{EffectKind, ImmNotice, Node, Padded};
 use crate::pool::PoolBuf;
 use crate::stats::NodeStats;
@@ -55,7 +56,6 @@ pub(crate) struct EndpointInner {
     /// posted: RC ordering means a stalled SEND must never be overtaken
     /// by a later one.
     rnr_backlog: Padded<Mutex<VecDeque<ArrivedMsg>>>,
-    registry: Arc<NodeRegistry>,
     alive: AtomicBool,
     /// True once the QP has been flushed into the error state by fault
     /// injection; every later verb fails with [`RdmaError::QpError`].
@@ -184,12 +184,7 @@ impl std::fmt::Debug for Endpoint {
 }
 
 impl Endpoint {
-    pub(crate) fn new(
-        id: u64,
-        node: Arc<Node>,
-        peer_node: Arc<Node>,
-        registry: Arc<NodeRegistry>,
-    ) -> Endpoint {
+    pub(crate) fn new(id: u64, node: Arc<Node>, peer_node: Arc<Node>) -> Endpoint {
         let send_cq = CompletionQueue::new(&node);
         let recv_cq = CompletionQueue::new(&node);
         let pd = ProtectionDomain::new(node.clone());
@@ -203,7 +198,6 @@ impl Endpoint {
                 recv_cq,
                 recv_queue: Padded(Mutex::new(VecDeque::new())),
                 rnr_backlog: Padded(Mutex::new(VecDeque::new())),
-                registry,
                 alive: AtomicBool::new(true),
                 error: AtomicBool::new(false),
             }),
@@ -435,11 +429,11 @@ impl Endpoint {
     }
 
     /// Validate one work request and bind everything its launch needs: the
-    /// remote target, the payload (snapshotted at post time: the NIC DMAs
+    /// remote target and the payload (snapshotted at post time: the NIC DMAs
     /// from the source buffer once the WR reaches the head of the send
     /// queue, and protocols must not reuse it before the send completion
-    /// anyway), and — for a SEND or WRITE_WITH_IMM — the connected peer,
-    /// resolved once per chain into `peer`.
+    /// anyway). A SEND or WRITE_WITH_IMM also checks that the connected
+    /// peer endpoint is up, since it consumes one of its receives.
     fn resolve(&self, wr: &SendWr) -> Result<ResolvedWr> {
         let (payload, remote) = match &wr.op {
             SendOp::Send { payload } => (payload, None),
@@ -456,16 +450,6 @@ impl Endpoint {
                 }
                 let target = Some(self.resolve_remote(remote, local.len)?);
                 return Ok(ResolvedWr { wire_bytes: local.len, data: PoolBuf::empty(), target });
-            }
-            SendOp::CompSwap { local, remote, .. } | SendOp::FetchAdd { local, remote, .. } => {
-                local.validate()?;
-                if local.len < 8 {
-                    return Err(RdmaError::InvalidWorkRequest(
-                        "atomic landing buffer must hold 8 bytes".into(),
-                    ));
-                }
-                let target = Some(self.resolve_remote(remote, 8)?);
-                return Ok(ResolvedWr { wire_bytes: 8, data: PoolBuf::empty(), target });
             }
         };
         let len = match payload {
@@ -494,44 +478,33 @@ impl Endpoint {
         Ok(ResolvedWr { wire_bytes: len, data, target })
     }
 
-    /// Bind a one-sided target. The connected peer's node is the
-    /// endpoint's own field; only a region on some other node goes through
-    /// the fabric-wide registry.
+    /// Bind a one-sided target: a region in the connected peer's table.
+    /// A descriptor naming any other node is refused as an unknown key
+    /// would be — an RC queue pair reaches only its peer, and keys are
+    /// numbered per node, so another node's key means nothing here.
     fn resolve_remote(&self, remote: &RemoteBuf, len: usize) -> Result<ResolvedRemote> {
         let peer_node = &self.inner.peer_node;
-        let other = if remote.node_id == peer_node.id() {
-            None
-        } else {
-            let node = self.inner.registry.node_by_id(remote.node_id);
-            Some(node.ok_or(RdmaError::InvalidRKey(remote.rkey))?)
-        };
-        let target_node = other.as_ref().unwrap_or(peer_node);
-        if !target_node.is_alive() {
-            return Err(RdmaError::QpError(format!(
-                "target node '{}' is down",
-                target_node.name()
-            )));
+        if remote.node_id != peer_node.id() {
+            return Err(RdmaError::InvalidRKey(remote.rkey));
         }
         let (mr, capacity) =
-            target_node.lookup_mr(remote.rkey).ok_or(RdmaError::InvalidRKey(remote.rkey))?;
+            peer_node.lookup_mr(remote.rkey).ok_or(RdmaError::InvalidRKey(remote.rkey))?;
         let offset = remote.offset as usize;
         crate::memory::bounds(offset, len, capacity)?;
-        Ok(ResolvedRemote { other, mr, offset })
+        Ok(ResolvedRemote { mr, offset })
     }
 
     /// Schedule the wire-side of one resolved work request and its
     /// effects, from `t0`: the modelled instant the chain's doorbell rings.
-    /// `peer` is the connected peer [`Endpoint::resolve`] bound for the
-    /// chain (present whenever the chain holds a SEND or WRITE_WITH_IMM).
     fn launch(&self, wr: &SendWr, r: ResolvedWr, cost: &CostModel, t0: u64) {
         let node = &self.inner.node;
+        let peer_node = &self.inner.peer_node;
         let cfg = node.config();
         let ResolvedWr { wire_bytes: bytes, data, target } = r;
         let target = match (target, &wr.op) {
-            (
-                Some(target),
-                SendOp::Read { .. } | SendOp::CompSwap { .. } | SendOp::FetchAdd { .. },
-            ) => return self.launch_read(wr, target, bytes, cost, t0),
+            (Some(target), SendOp::Read { local, .. }) => {
+                return self.launch_read(wr, local, target, bytes, cost, t0)
+            }
             (target, _) => target,
         };
 
@@ -540,56 +513,26 @@ impl Endpoint {
         // kinds, `inbound_rdma`) when it applies the effect.
         let ser = cfg.scaled(cost.serialize_ns(bytes));
         let (es, ee) = node.egress().reserve_at(t0 + cfg.scaled(cost.nic_process_ns), ser);
-        let arrive = |dest: &Node| {
-            let (_, ie) = dest.ingress().reserve_at(es + cfg.scaled(cost.wire_latency_ns), ser);
-            ie + cfg.scaled(cost.nic_process_ns)
-        };
-        let (dest_id, deadline) = match (&wr.op, target) {
-            (SendOp::Write { .. } | SendOp::WriteImm { .. }, Some(target)) => {
-                let ResolvedRemote { other, mr, offset } = target;
-                let dest = other.as_ref().unwrap_or(&self.inner.peer_node);
-                let deadline = arrive(dest);
+        let (_, ie) = peer_node.ingress().reserve_at(es + cfg.scaled(cost.wire_latency_ns), ser);
+        let deadline = ie + cfg.scaled(cost.nic_process_ns);
+        match target {
+            Some(ResolvedRemote { mr, offset }) => {
                 NodeStats::add(&node.stats().outbound_rdma, 1);
+                // One effect lands the payload, then delivers the
+                // completion of a WRITE_WITH_IMM.
                 let notice = match &wr.op {
                     SendOp::WriteImm { imm, .. } => {
                         Some(ImmNotice { ep: self.peer_ref(), imm: *imm, byte_len: bytes })
                     }
                     _ => None,
                 };
-                match notice {
-                    // Into a third node's memory: the completion is the
-                    // peer's own effect, pushed after the payload's so it
-                    // never overtakes it.
-                    Some(notice) if other.is_some() => {
-                        dest.push_write(deadline, mr, offset, data, None);
-                        let ImmNotice { ep, imm, byte_len } = notice;
-                        let data = PoolBuf::empty();
-                        let opcode = Opcode::WriteImm;
-                        let deliver =
-                            EffectKind::RecvDeliver { ep, data, imm: Some(imm), byte_len, opcode };
-                        self.inner.peer_node.push_effect(deadline, deliver);
-                    }
-                    // One effect lands the payload, then delivers the
-                    // completion of a WRITE_WITH_IMM.
-                    notice => dest.push_write(deadline, mr, offset, data, notice),
-                }
-                (dest.id(), deadline)
+                peer_node.push_write(deadline, mr, offset, data, notice);
             }
-            _ => {
-                let peer_node = &self.inner.peer_node;
-                let deadline = arrive(peer_node);
-                let ep = self.peer_ref();
-                let deliver = EffectKind::RecvDeliver {
-                    ep,
-                    data,
-                    imm: None,
-                    byte_len: bytes,
-                    opcode: Opcode::Send,
-                };
+            None => {
+                let deliver = EffectKind::RecvDeliver { ep: self.peer_ref(), data };
                 peer_node.push_effect(deadline, deliver);
-                (peer_node.id(), deadline)
             }
-        };
+        }
 
         NodeStats::add(&node.stats().bytes_tx, bytes as u64);
 
@@ -600,9 +543,10 @@ impl Endpoint {
         // that is the far end of the exported flow arrow.
         if hat_trace::enabled() {
             let call = hat_trace::current_call();
+            let peer = peer_node.id();
             hat_trace::event(hat_trace::Phase::NicTx, node.id(), call, bytes as u64, es);
             hat_trace::event(hat_trace::Phase::Wire, node.id(), call, bytes as u64, ee);
-            hat_trace::event(hat_trace::Phase::Delivered, dest_id, call, bytes as u64, deadline);
+            hat_trace::event(hat_trace::Phase::Delivered, peer, call, bytes as u64, deadline);
         }
 
         if wr.signaled {
@@ -622,30 +566,21 @@ impl Endpoint {
         }
     }
 
-    /// [`Endpoint::launch`] of an RDMA READ or atomic: a request
+    /// [`Endpoint::launch`] of an RDMA READ into `local`: a request
     /// descriptor out, the payload streamed back, one effect at the
     /// initiator.
     fn launch_read(
         &self,
         wr: &SendWr,
+        local: &MrSlice,
         target: ResolvedRemote,
         bytes: usize,
         cost: &CostModel,
         t0: u64,
     ) {
         let node = &self.inner.node;
+        let target_node = &self.inner.peer_node;
         let cfg = node.config();
-        // ---- RDMA READ / atomics (round-trip one-sided ops) -----------
-        let ResolvedRemote { other, mr, offset } = target;
-        let target_node = other.as_ref().unwrap_or(&self.inner.peer_node);
-        let (local, atomic) = match &wr.op {
-            SendOp::Read { local, .. } => (local.clone(), None),
-            SendOp::CompSwap { local, compare, swap, .. } => {
-                (local.clone(), Some((Some((*compare, *swap)), 0u64)))
-            }
-            SendOp::FetchAdd { local, add, .. } => (local.clone(), Some((None, *add))),
-            _ => unreachable!("matched as read"),
-        };
         // Tiny request descriptor out...
         let (_, ee) = node.egress().reserve_at(
             t0 + cfg.scaled(cost.nic_process_ns),
@@ -684,40 +619,21 @@ impl Endpoint {
             hat_trace::event(hat_trace::Phase::Delivered, node.id(), call, bytes as u64, deadline);
         }
 
-        match atomic {
-            Some((compare_swap, add)) => node.push_effect(
-                deadline,
-                EffectKind::AtomicOp {
-                    target_node: Arc::downgrade(target_node),
-                    target_mr: mr,
-                    target_offset: offset,
-                    compare_swap,
-                    add,
-                    local_mr: Arc::downgrade(&local.mr.inner),
-                    local_offset: local.offset,
-                    cq: self.inner.send_cq.downgrade(),
-                    wr_id: wr.wr_id,
-                    qp_id: self.inner.id,
-                    signaled: wr.signaled,
-                    opcode: wr.op.opcode(),
-                },
-            ),
-            None => node.push_effect(
-                deadline,
-                EffectKind::FetchRead {
-                    target_node: Arc::downgrade(target_node),
-                    target_mr: mr,
-                    target_offset: offset,
-                    len: bytes,
-                    local_mr: Arc::downgrade(&local.mr.inner),
-                    local_offset: local.offset,
-                    cq: self.inner.send_cq.downgrade(),
-                    wr_id: wr.wr_id,
-                    qp_id: self.inner.id,
-                    signaled: wr.signaled,
-                },
-            ),
-        }
+        node.push_effect(
+            deadline,
+            EffectKind::FetchRead {
+                target_node: Arc::downgrade(target_node),
+                target_mr: target.mr,
+                target_offset: target.offset,
+                len: bytes,
+                local_mr: Arc::downgrade(&local.mr.inner),
+                local_offset: local.offset,
+                cq: self.inner.send_cq.downgrade(),
+                wr_id: wr.wr_id,
+                qp_id: self.inner.id,
+                signaled: wr.signaled,
+            },
+        );
     }
 
     /// Check that the connected peer endpoint and its node are up. Read
@@ -754,15 +670,14 @@ thread_local! {
 struct ResolvedWr {
     wire_bytes: usize,
     /// The payload snapshot of a SEND, WRITE or WRITE_WITH_IMM; empty for
-    /// a READ or an atomic.
+    /// a READ.
     data: PoolBuf,
     /// The remote target of a one-sided operation.
     target: Option<ResolvedRemote>,
 }
 
+/// A region in the connected peer's table, and the offset into it.
 struct ResolvedRemote {
-    /// The target's node when it is not the connected peer's.
-    other: Option<Arc<Node>>,
     mr: Weak<MrInner>,
     offset: usize,
 }
@@ -992,11 +907,11 @@ mod tests {
     /// A staged payload moves onto the wire: the bytes land, the second
     /// post of the same work request is a typed error, and a request whose
     /// chain fails validation keeps its buffer and returns it to the pool.
-    /// (The 1 MiB size class is this test's alone, so the LIFO free list
+    /// (The 256 KiB size class is this test's alone, so the LIFO free list
     /// tells where each buffer went.)
     #[test]
     fn staged_write_posts_once_and_never_leaks_its_buffer() {
-        const LEN: usize = 600_000;
+        const LEN: usize = 200_000;
         let (_f, c, s) = pair();
         let smr = s.pd().register(LEN).unwrap();
         let rb = smr.remote_buf(0, LEN);

@@ -20,10 +20,6 @@ pub enum Opcode {
     /// RDMA WRITE_WITH_IMM: one-sided write plus a peer completion carrying
     /// a 32-bit immediate (consumes a posted receive at the peer).
     WriteImm,
-    /// One-sided atomic compare-and-swap on an 8-byte remote word.
-    CompSwap,
-    /// One-sided atomic fetch-and-add on an 8-byte remote word.
-    FetchAdd,
 }
 
 /// Inline data limit of every queue pair (`ibv_qp_init_attr`'s
@@ -155,7 +151,9 @@ impl SendPayload {
     }
 }
 
-/// The operation of a send-side work request.
+/// The operation of a send-side work request: the four verbs an RC send
+/// queue carries, each aimed at the connected peer (its receive side is
+/// [`RecvWr`]).
 #[derive(Debug, Clone)]
 pub enum SendOp {
     /// Two-sided SEND.
@@ -166,12 +164,6 @@ pub enum SendOp {
     WriteImm { payload: SendPayload, remote: RemoteBuf, imm: u32 },
     /// One-sided READ of `remote` into `local`.
     Read { local: MrSlice, remote: RemoteBuf },
-    /// Atomic compare-and-swap: if the remote 8-byte word equals
-    /// `compare`, store `swap`; the old value lands in `local`.
-    CompSwap { local: MrSlice, remote: RemoteBuf, compare: u64, swap: u64 },
-    /// Atomic fetch-and-add: add `add` to the remote 8-byte word; the old
-    /// value lands in `local`.
-    FetchAdd { local: MrSlice, remote: RemoteBuf, add: u64 },
 }
 
 impl SendOp {
@@ -181,7 +173,6 @@ impl SendOp {
             SendOp::Send { payload } | SendOp::Write { payload, .. } => payload.len(),
             SendOp::WriteImm { payload, .. } => payload.len(),
             SendOp::Read { local, .. } => local.len,
-            SendOp::CompSwap { .. } | SendOp::FetchAdd { .. } => 8,
         }
     }
 
@@ -191,7 +182,7 @@ impl SendOp {
             SendOp::Send { payload }
             | SendOp::Write { payload, .. }
             | SendOp::WriteImm { payload, .. } => Some(payload),
-            SendOp::Read { .. } | SendOp::CompSwap { .. } | SendOp::FetchAdd { .. } => None,
+            SendOp::Read { .. } => None,
         }
     }
 
@@ -202,8 +193,6 @@ impl SendOp {
             SendOp::Write { .. } => Opcode::Write,
             SendOp::WriteImm { .. } => Opcode::WriteImm,
             SendOp::Read { .. } => Opcode::Read,
-            SendOp::CompSwap { .. } => Opcode::CompSwap,
-            SendOp::FetchAdd { .. } => Opcode::FetchAdd,
         }
     }
 }
@@ -286,24 +275,6 @@ impl SendWr {
     /// One-sided READ of `remote` into `local`.
     pub fn read(wr_id: u64, local: MrSlice, remote: RemoteBuf) -> SendWr {
         SendWr { wr_id, op: SendOp::Read { local, remote }, signaled: false }
-    }
-
-    /// Atomic compare-and-swap on an 8-byte remote word; the old value is
-    /// written to `local` (little endian).
-    pub fn comp_swap(
-        wr_id: u64,
-        local: MrSlice,
-        remote: RemoteBuf,
-        compare: u64,
-        swap: u64,
-    ) -> SendWr {
-        SendWr { wr_id, op: SendOp::CompSwap { local, remote, compare, swap }, signaled: false }
-    }
-
-    /// Atomic fetch-and-add on an 8-byte remote word; the old value is
-    /// written to `local` (little endian).
-    pub fn fetch_add(wr_id: u64, local: MrSlice, remote: RemoteBuf, add: u64) -> SendWr {
-        SendWr { wr_id, op: SendOp::FetchAdd { local, remote, add }, signaled: false }
     }
 
     /// Request a send-CQ completion for this work request.

@@ -1,9 +1,12 @@
 //! The simulated message path between two host threads: what one
-//! WRITE_WITH_IMM leaves in flight, the lock-free heads an idle poll reads,
-//! which node counts a message's receive side and when, and the
+//! WRITE_WITH_IMM leaves in flight, that a one-sided target off the
+//! connected peer never reaches the wire, the lock-free heads an idle poll
+//! reads, which node counts a message's receive side and when, and the
 //! per-thread spare buffer in front of the global pool.
 
-use hat_rdma_sim::{CostModel, Fabric, PollMode, PoolBuf, RecvWr, SendWr, SimConfig, MAX_INLINE};
+use hat_rdma_sim::{
+    now_ns, CostModel, Fabric, PollMode, PoolBuf, RdmaError, RecvWr, SendWr, SimConfig, MAX_INLINE,
+};
 use proptest::prelude::*;
 
 /// A WRITE_WITH_IMM is one pending effect on the target node (a plain
@@ -55,6 +58,53 @@ fn a_write_with_imm_is_one_pending_effect_and_its_completion_never_precedes_its_
         next.recv().unwrap();
     }
     receiver.join().unwrap();
+}
+
+/// A queue pair reaches only its connected peer. A WRITE, a WRITE_WITH_IMM
+/// and a READ naming a live region on a third node are each refused at post
+/// with `InvalidRKey`: nothing is charged (none waits out the 20 ms
+/// doorbell), nothing is left in flight, and the staged payload stays with
+/// its work request, which then posts through a queue pair connected to
+/// that node.
+#[test]
+fn a_one_sided_target_on_a_third_node_is_refused_at_post_and_charges_nothing() {
+    const DOORBELL_NS: u64 = 20_000_000;
+    let cost = CostModel { doorbell_ns: DOORBELL_NS, ..CostModel::default() };
+    let f = Fabric::new(SimConfig { cost, ..SimConfig::default() });
+    let (a, b, third) = (f.add_node("a"), f.add_node("b"), f.add_node("third"));
+    let (c, _s) = f.connect(&a, &b).unwrap();
+    let (to_third, at_third) = f.connect(&a, &third).unwrap();
+    let region = at_third.pd().register(64).unwrap();
+    let off_peer = region.remote_buf(0, 64);
+    let local = c.pd().register(64).unwrap();
+    let wrs = [
+        ("WRITE", SendWr::write_staged(1, PoolBuf::from_vec(vec![7; 64]), off_peer)),
+        ("WRITE_WITH_IMM", SendWr::write_imm(2, local.slice(0, 64), off_peer, 9)),
+        ("READ", SendWr::read(3, local.slice(0, 64), off_peer).signaled()),
+    ];
+
+    let stats0 = a.stats_snapshot();
+    let t0 = now_ns();
+    for (what, wr) in &wrs {
+        let refused = c.post_send(std::slice::from_ref(wr));
+        assert_eq!(refused, Err(RdmaError::InvalidRKey(off_peer.rkey)), "{what}");
+    }
+    let took = now_ns() - t0;
+    let stats = a.stats_snapshot() - stats0;
+    assert_eq!((stats.cpu_busy_ns, stats.doorbells, stats.wrs_posted, stats.memcpys), (0, 0, 0, 0));
+    assert_eq!((stats.outbound_rdma, stats.bytes_tx), (0, 0));
+    assert!(took < DOORBELL_NS, "three refused posts took {took} ns: one rang a doorbell");
+    let in_flight = [&a, &b, &third].map(|n| n.pending_effects());
+    assert_eq!(in_flight, [0, 0, 0], "nothing reached the wire");
+    assert!(c.send_cq().try_poll().is_none());
+
+    let staged = std::slice::from_ref(&wrs[0].1);
+    assert_eq!(staged[0].op.wire_bytes(), 64, "the staged payload was restored");
+    to_third.post_send(staged).unwrap();
+    let deadline = now_ns() + 1_000_000_000;
+    while region.read_vec(0, 64).unwrap() != [7; 64] {
+        assert!(now_ns() < deadline, "the WRITE never landed through the third node's own QP");
+    }
 }
 
 /// One step of a random message schedule against a two-node fabric.

@@ -103,16 +103,7 @@ fn a_landed_write_is_visible_from_its_deadline_to_every_accessor() {
         p.writer.send_cq().poll_one(PollMode::Busy).unwrap().ok().unwrap();
         assert_eq!(local.read_vec(0, LEN + 16).unwrap(), expected(AT - 8, LEN + 16));
     };
-    let atomic = |p: &Pair| {
-        let local = p.writer.pd().register(8).unwrap();
-        let word = p.region.remote_buf(AT + 8, 8);
-        p.writer.post_send(&[SendWr::fetch_add(3, local.slice(0, 8), word, 1).signaled()]).unwrap();
-        p.writer.send_cq().poll_one(PollMode::Busy).unwrap().ok().unwrap();
-        let old = u64::from_le_bytes([NEW; 8]);
-        assert_eq!(local.read_vec(0, 8).unwrap(), old.to_le_bytes(), "the atomic saw the WRITE");
-        assert_eq!(p.bytes(AT + 8, 8), (old + 1).to_le_bytes(), "and added to it");
-    };
-    let accessors: [Access; 5] = [
+    let accessors: [Access; 4] = [
         ("with_bytes", &|p| {
             assert!(p.region.with_bytes(AT, LEN, |b| b.iter().all(|&x| x == NEW)).unwrap())
         }),
@@ -128,7 +119,6 @@ fn a_landed_write_is_visible_from_its_deadline_to_every_accessor() {
             assert_eq!(p.bytes(AT - 2, LEN + 4), want);
         }),
         ("a remote READ", &remote_read),
-        ("an atomic", &atomic),
     ];
     for (what, access) in accessors {
         let p = (0..LOOKS).map(|_| pair()).find_map(|p| {
