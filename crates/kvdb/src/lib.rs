@@ -2,16 +2,20 @@
 //!
 //! The LMDB substitute backing HatKV (paper §4.4). LMDB's architecture —
 //! a copy-on-write B+Tree with single-writer / multi-reader transactions
-//! where readers never block the writer — is reproduced here with
-//! `Arc`-shared nodes and path copying:
+//! where the writer never waits for a reader — is reproduced here with
+//! `Arc`-shared nodes:
 //!
 //! * [`Database::begin_read`] snapshots the current root; the snapshot is
 //!   immutable and stays consistent regardless of concurrent commits.
-//! * [`Database::begin_write`] takes the single writer lock and mutates a
-//!   private copy of the path to each touched leaf. Keys and values are
-//!   refcounted buffers ([`Bytes`]), so a path copy clones pointers: a
-//!   put copies its value once, into the cell the tree, every snapshot
-//!   and the WAL op log then share.
+//! * [`Database::begin_write`] takes the single writer lock. The
+//!   transaction is its list of operations ([`WalOp`]); `get` and `del`
+//!   look through it, `abort` drops it, and `commit` logs it and then
+//!   applies it to the committed tree in place, copying only the nodes a
+//!   live snapshot still holds. Keys and values are refcounted buffers
+//!   ([`Bytes`]): a put copies its value once, into the cell the op
+//!   record, the WAL, the tree and every snapshot then share.
+//! * A reader opening a snapshot (or a [`Database::get`]) waits for at
+//!   most one commit's apply; a writer never waits for a snapshot.
 //! * `max_readers` bounds concurrent read transactions (LMDB's reader
 //!   table); exceeding it fails with [`KvError::ReadersFull`]. HatKV's
 //!   hint co-design tunes this from the `concurrency` hint.
@@ -39,6 +43,7 @@ pub mod sharded;
 pub mod tree;
 pub mod wal;
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -238,7 +243,7 @@ impl Database {
             let mut txn = db.begin_write().expect("fresh writer");
             for batch in recovery.committed.drain(..) {
                 for op in batch {
-                    txn.apply(&op);
+                    txn.apply(op);
                 }
             }
             // Replay must not re-log; commit via the non-logging path.
@@ -361,11 +366,7 @@ impl Database {
                 guard
             }
         };
-        let root = self.inner.root.read().clone();
-        // The WAL is attached before a database is handed out and never
-        // detached, so one look per transaction is enough.
-        let logging = self.inner.wal.lock().is_some();
-        Ok(WriteTxn { db: self, root, _guard: guard, dirty: false, logging, log: Vec::new() })
+        Ok(WriteTxn { db: self, _guard: guard, ops: Vec::new(), own: HashMap::new(), indexed: 0 })
     }
 
     /// Convenience: single-key read outside a transaction.
@@ -418,98 +419,113 @@ impl ReadTxn {
     }
 }
 
-/// The single write transaction: mutations are private until `commit`.
+/// The single write transaction: a list of operations, invisible to
+/// every reader until `commit` applies it to the committed tree.
 pub struct WriteTxn<'db> {
     db: &'db Database,
-    root: Arc<Node>,
     _guard: parking_lot::MutexGuard<'db, ()>,
-    dirty: bool,
-    /// Whether the database is WAL-backed (fixed for the transaction).
-    logging: bool,
-    /// Operations to append to the WAL at commit (persistent DBs only).
-    log: Vec<WalOp>,
+    /// The transaction itself, in order: appended to the WAL at commit
+    /// (persistent databases), then applied to the committed root.
+    ops: Vec<WalOp>,
+    /// Index of the latest op per key over `ops[..indexed]`. Only `get`
+    /// and `del` read it, and they bring it up to date first, so a
+    /// transaction that only writes never builds it.
+    own: HashMap<Bytes, usize>,
+    indexed: usize,
 }
 
 impl WriteTxn<'_> {
     /// Insert or replace a key. The value is copied once, into the
-    /// refcounted cell the tree (and the WAL op log) will share.
+    /// refcounted cell the op record, the WAL and the tree will share.
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        self.put_shared(key, value.into());
+        self.put_shared(key.into(), value.into());
     }
 
-    /// [`WriteTxn::put`] for a value that already lives in a refcounted
-    /// cell (WAL replay, 2PC apply): the tree takes the pointer, no bytes
-    /// are copied.
-    pub(crate) fn put_shared(&mut self, key: &[u8], value: Bytes) {
+    /// [`WriteTxn::put`] for cells that already exist (WAL replay, 2PC
+    /// apply): the op record takes the pointers, no bytes are copied.
+    fn put_shared(&mut self, key: Bytes, value: Bytes) {
         self.db.inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         self.db
             .inner
             .stats
             .bytes_written
             .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
-        if self.logging {
-            self.log.push(WalOp::Put(key.into(), value.clone()));
-        }
-        tree::insert(&mut self.root, key, value);
-        self.dirty = true;
+        self.ops.push(WalOp::Put(key, value));
     }
 
-    /// Delete a key; returns whether it existed.
+    /// Delete a key; returns whether it existed (in the committed tree as
+    /// this transaction's own ops leave it).
     pub fn del(&mut self, key: &[u8]) -> bool {
         self.db.inner.stats.dels.fetch_add(1, Ordering::Relaxed);
-        let existed = tree::remove(&mut self.root, key);
-        if existed && self.logging {
-            self.log.push(WalOp::Del(key.into()));
+        let existed = match self.own_op(key) {
+            Some(WalOp::Put(..)) => true,
+            Some(WalOp::Del(_)) => false,
+            None => self.db.inner.root.read().get(key).is_some(),
+        };
+        if existed {
+            self.ops.push(WalOp::Del(key.into()));
         }
-        self.dirty |= existed;
         existed
     }
 
-    /// Apply one logged operation (WAL replay, 2PC apply), sharing its
-    /// value cell with the tree.
-    pub(crate) fn apply(&mut self, op: &WalOp) {
+    /// Record one logged operation (WAL replay, 2PC apply) as it is: its
+    /// cells become the tree's, and nothing is looked up.
+    pub(crate) fn apply(&mut self, op: WalOp) {
         match op {
-            WalOp::Put(k, v) => self.put_shared(k, v.clone()),
-            WalOp::Del(k) => {
-                self.del(k);
+            WalOp::Put(k, v) => self.put_shared(k, v),
+            WalOp::Del(_) => {
+                self.db.inner.stats.dels.fetch_add(1, Ordering::Relaxed);
+                self.ops.push(op);
             }
         }
     }
 
-    /// Read through the transaction (sees own uncommitted writes).
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.root.get(key).map(|v| v.to_vec())
+    /// Read through the transaction (sees its own uncommitted writes).
+    pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+        match self.own_op(key) {
+            Some(WalOp::Put(_, v)) => Some(v.to_vec()),
+            Some(WalOp::Del(_)) => None,
+            None => self.db.inner.root.read().get(key).map(|v| v.to_vec()),
+        }
     }
 
-    /// Publish the new tree and pay the configured durability cost —
-    /// real WAL appends/flushes for persistent databases, a calibrated
-    /// stall for in-memory ones.
+    /// This transaction's latest op on `key`, after indexing the ops
+    /// recorded since the last look (amortised O(1) per op).
+    fn own_op(&mut self, key: &[u8]) -> Option<&WalOp> {
+        for (i, op) in self.ops.iter().enumerate().skip(self.indexed) {
+            self.own.insert(op.key().clone(), i);
+        }
+        self.indexed = self.ops.len();
+        self.own.get(key).map(|&i| &self.ops[i])
+    }
+
+    /// Log the transaction and pay the configured durability cost — real
+    /// WAL appends/flushes for persistent databases, a calibrated stall
+    /// for in-memory ones — then apply it to the committed tree.
     pub fn commit(self) {
         self.commit_then(None, || ());
     }
 
     /// Commit without logging (WAL replay path).
     fn commit_replayed(self) {
-        *self.db.inner.root.write() = self.root;
-        self.db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+        apply_in_place(&self.db.inner, self.ops);
     }
 
-    /// Publish this transaction's mutations as the *apply* step of a 2PC
-    /// commit: instead of re-logging the operations (the prepare record
-    /// already holds them), append a `DECISION(commit)` marker for
-    /// `txn_id` and publish the new root — all while still holding the
-    /// writer lock, so the log's decision order matches the shard's
-    /// apply order exactly.
+    /// Apply this transaction as the *apply* step of a 2PC commit:
+    /// instead of re-logging the operations (the prepare record already
+    /// holds them), append a `DECISION(commit)` marker for `txn_id` and
+    /// apply them — all while still holding the writer lock, so the log's
+    /// decision order matches the shard's apply order exactly.
     pub fn commit_txn(self, txn_id: u64) {
         self.commit_then(Some(txn_id), || ());
     }
 
     /// The one commit: log (this transaction's operations, or the 2PC
-    /// decision for `decided`), publish the new root, then run
-    /// `published` — all under the writer lock, which is released only
-    /// on return. `published` is where a [`sharded::WriteObserver`] hears
-    /// of the mutations: after they are durable and readable, never
-    /// before, and in commit order.
+    /// decision for `decided`), apply the operations to the committed
+    /// root, then run `published` — all under the writer lock, which is
+    /// released only on return. `published` is where a
+    /// [`sharded::WriteObserver`] hears of the mutations: after they are
+    /// durable and readable, never before, and in commit order.
     pub(crate) fn commit_then(self, decided: Option<u64>, published: impl FnOnce()) {
         let (sync, cost_override) = {
             let cfg = self.db.inner.config.read();
@@ -517,11 +533,11 @@ impl WriteTxn<'_> {
         };
         let mut wal = self.db.inner.wal.lock();
         match wal.as_mut() {
-            Some(wal) if decided.is_some() || !self.log.is_empty() => {
+            Some(wal) if decided.is_some() || !self.ops.is_empty() => {
                 let t0 = std::time::Instant::now();
                 match decided {
                     Some(txn_id) => wal.decision(txn_id, true, sync),
-                    None => wal.commit(&self.log, sync),
+                    None => wal.commit(&self.ops, sync),
                 }
                 .expect("WAL append");
                 self.db
@@ -532,7 +548,7 @@ impl WriteTxn<'_> {
             }
             _ => {
                 let cost = cost_override.unwrap_or_else(|| sync.commit_cost_ns());
-                if self.dirty && cost > 0 {
+                if !self.ops.is_empty() && cost > 0 {
                     // Model the fsync stall.
                     let start = std::time::Instant::now();
                     while (std::time::Instant::now() - start).as_nanos() < cost as u128 {
@@ -543,15 +559,34 @@ impl WriteTxn<'_> {
             }
         }
         drop(wal);
-        *self.db.inner.root.write() = self.root;
-        self.db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+        apply_in_place(&self.db.inner, self.ops);
         published();
     }
 
-    /// Discard the transaction's mutations.
+    /// Discard the transaction's operations.
     pub fn abort(self) {
         self.db.inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Apply `ops` to the committed root under its write lock and count the
+/// commit. `make_mut` changes in place every node only the tree holds and
+/// copies the ones a live snapshot shares, so readers see the whole
+/// transaction or none of it, and a snapshot never changes.
+fn apply_in_place(db: &DbInner, ops: Vec<WalOp>) {
+    let mut root = db.root.write();
+    for op in ops {
+        match op {
+            WalOp::Put(k, v) => {
+                tree::insert(&mut root, k, v);
+            }
+            WalOp::Del(k) => {
+                tree::remove(&mut root, &k);
+            }
+        }
+    }
+    drop(root);
+    db.stats.commits.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -573,6 +608,24 @@ mod tests {
         txn.commit();
         assert_eq!(db.get(b"k1"), None);
         assert_eq!(db.len(), 1);
+    }
+
+    #[test]
+    fn a_txn_reads_and_deletes_through_its_own_ops() {
+        let db = Database::new(DbConfig::default());
+        db.put(b"kept", b"0");
+        let mut txn = db.begin_write().unwrap();
+        txn.put(b"new", b"1");
+        assert!(txn.del(b"kept"), "a committed key exists");
+        assert!(!txn.del(b"kept"), "deleted by this transaction");
+        assert_eq!(txn.get(b"kept"), None);
+        assert!(txn.del(b"new"), "put by this transaction");
+        txn.put(b"new", b"2");
+        assert_eq!(txn.get(b"new").as_deref(), Some(&b"2"[..]));
+        assert_eq!(db.get(b"kept").as_deref(), Some(&b"0"[..]), "nothing is visible before commit");
+        txn.commit();
+        assert_eq!(db.get(b"kept"), None);
+        assert_eq!(db.get(b"new").as_deref(), Some(&b"2"[..]));
     }
 
     #[test]
@@ -657,6 +710,67 @@ mod tests {
         db.put(b"k", b"second");
         assert_eq!(db.get(b"k").as_deref(), Some(&b"second"[..]));
         assert_eq!(db.len(), 1);
+    }
+
+    /// Every leaf under `node`, in key order.
+    fn leaves(node: &Arc<Node>, out: &mut Vec<Arc<Node>>) {
+        match node.as_ref() {
+            Node::Leaf { .. } => out.push(node.clone()),
+            Node::Branch { children, .. } => children.iter().for_each(|c| leaves(c, out)),
+        }
+    }
+
+    /// A commit no snapshot shares changes the tree in place: the
+    /// touched leaf keeps its address, and every untouched leaf is the
+    /// same `Arc`. A held snapshot gets its copy of the touched path and
+    /// still shares every other leaf with the live tree.
+    #[test]
+    fn a_commit_copies_only_what_a_snapshot_shares() {
+        let db = Database::new(DbConfig { sync_mode: SyncMode::NoSync, ..Default::default() });
+        let key = |i: u32| format!("key{i:06}").into_bytes();
+        let mut txn = db.begin_write().unwrap();
+        for i in 0..2000 {
+            txn.put(&key(i), b"v0");
+        }
+        txn.commit();
+        assert!(db.depth() >= 3);
+        let target = key(777);
+
+        // Weak handles pin the untouched leaves' addresses without sharing
+        // them; the target's leaf is only remembered by address.
+        let (untouched, target_leaf) = {
+            let mut all = Vec::new();
+            leaves(&db.inner.root.read(), &mut all);
+            let (hit, rest): (Vec<_>, Vec<_>) =
+                all.into_iter().partition(|leaf| leaf.get(&target).is_some());
+            let weak: Vec<_> = rest.iter().map(Arc::downgrade).collect();
+            (weak, Arc::as_ptr(&hit[0]))
+        };
+        db.put(&target, b"v1");
+        let mut now = Vec::new();
+        leaves(&db.inner.root.read(), &mut now);
+        assert!(now.iter().any(|leaf| Arc::as_ptr(leaf) == target_leaf), "changed in place");
+        for weak in &untouched {
+            let leaf = weak.upgrade().expect("an untouched leaf is never freed");
+            assert!(now.iter().any(|n| Arc::ptr_eq(n, &leaf)), "an untouched leaf is kept");
+        }
+        drop(now);
+
+        let snapshot = db.begin_read().unwrap();
+        db.put(&target, b"v2");
+        let (mut old, mut new) = (Vec::new(), Vec::new());
+        leaves(&snapshot.root, &mut old);
+        leaves(&db.inner.root.read(), &mut new);
+        assert_eq!(old.len(), new.len());
+        for (o, n) in old.iter().zip(&new) {
+            assert_eq!(
+                Arc::ptr_eq(o, n),
+                o.get(&target).is_none(),
+                "only the touched leaf is copied"
+            );
+        }
+        assert_eq!(snapshot.get(&target).as_deref(), Some(&b"v1"[..]));
+        assert_eq!(db.get(&target).as_deref(), Some(&b"v2"[..]));
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! 2. **Prepare** — every touched shard appends a `PREPARE(txn_id, ops)`
 //!    record to its own WAL, durable per the configured sync mode.
 //! 3. **Decide + apply** — every touched shard appends
-//!    `DECISION(txn_id, commit)` and publishes the new tree while still
-//!    holding its writer lock, so log order equals apply order.
+//!    `DECISION(txn_id, commit)` and applies its ops to the tree while
+//!    still holding its writer lock, so log order equals apply order.
 //!
 //! Recovery ([`ShardedDb::open`]) resolves transactions that crashed
 //! between phases: a prepared-but-undecided transaction rolls *forward*
@@ -91,13 +91,13 @@ fn fnv1a(key: &[u8]) -> u64 {
 /// Observes every committed mutation flowing through a [`ShardedDb`].
 ///
 /// The hook for externally-maintained read structures (e.g. the one-sided
-/// GET index). Callbacks run once the commit has been logged and its root
-/// published — a mutation the store could still lose, or does not serve
+/// GET index). Callbacks run once the commit has been logged and applied
+/// to the committed root — a mutation the store could still lose, or does not serve
 /// yet, is never announced — and *inside* the owning shard's writer-lock
 /// scope, so for any single key the observer sees mutations in exactly
 /// the order the shard applied them: two racing writers to the same key
 /// can never leave the observer's view and the database disagreeing about
-/// which write was last. Between the publish and the callback the
+/// which write was last. Between the apply and the callback the
 /// observer's view is stale, never early.
 ///
 /// Callbacks must not write to the database (the shard writer lock is
@@ -328,7 +328,7 @@ impl ShardedDb {
             for (txn_id, ops) in recovery.in_doubt.drain(..) {
                 if decided_commit.contains(&txn_id) {
                     let mut write = db.begin_write().expect("fresh writer");
-                    for op in &ops {
+                    for op in ops {
                         write.apply(op);
                     }
                     write.commit_txn(txn_id);
@@ -549,8 +549,8 @@ impl ShardedDb {
         for (done, &s) in touched.iter().enumerate() {
             let mut write = self.shards[s].begin_write().expect("writer lock");
             for op in &groups[s] {
-                // The prepared op's value cell becomes the tree's cell.
-                write.apply(op);
+                // The prepared op's cells become the tree's cells.
+                write.apply(op.clone());
             }
             write.commit_then(Some(txn_id), || {
                 announce(

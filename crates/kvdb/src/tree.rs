@@ -1,15 +1,17 @@
 //! The copy-on-write B+Tree.
 //!
-//! Nodes are shared via `Arc`; mutation copies only the root-to-leaf path
-//! of the touched key ([`std::sync::Arc::make_mut`]), so read snapshots taken before a
-//! commit keep observing the old tree at zero cost — LMDB's core design,
+//! Nodes are shared via `Arc`, and every mutation goes through
+//! [`std::sync::Arc::make_mut`]: a node only the tree holds is changed in
+//! place, and a node a read snapshot still holds is copied first, so the
+//! snapshot keeps observing the old tree. A commit with no snapshot open
+//! therefore copies no node at all, and one under a snapshot copies the
+//! root-to-leaf path of each touched key once — LMDB's core design,
 //! expressed with Rust ownership instead of an mmap'd page file.
 //!
 //! Keys and values are immutable refcounted buffers ([`Bytes`]), so
-//! copying a node on that path clones pointers, never key or value
-//! bytes: a put costs one value-sized copy (into its cell) plus
-//! O(depth × fanout) refcount bumps, whatever the neighbouring values
-//! weigh.
+//! copying a node clones pointers, never key or value bytes: a put under
+//! a snapshot costs its value cell plus O(depth × fanout) refcount bumps,
+//! whatever the neighbouring values weigh.
 
 use std::sync::Arc;
 
@@ -100,10 +102,11 @@ enum InsertResult {
     Split { sep: Key, right: Arc<Node>, grew: bool },
 }
 
-/// Insert `key` → `value`, path-copying as needed. Returns whether the
-/// entry count grew (false on overwrite). The value cell is stored as
-/// given; the key is copied only when it is new to the tree.
-pub fn insert(root: &mut Arc<Node>, key: &[u8], value: Val) -> bool {
+/// Insert `key` → `value`, copying only the nodes a snapshot shares.
+/// Returns whether the entry count grew (false on overwrite). Both cells
+/// are stored as given; the key cell is dropped if the key is already in
+/// the tree.
+pub fn insert(root: &mut Arc<Node>, key: Key, value: Val) -> bool {
     match insert_into(root, key, value) {
         InsertResult::Done { grew } => grew,
         InsertResult::Split { sep, right, grew } => {
@@ -115,16 +118,16 @@ pub fn insert(root: &mut Arc<Node>, key: &[u8], value: Val) -> bool {
     }
 }
 
-fn insert_into(node: &mut Arc<Node>, key: &[u8], value: Val) -> InsertResult {
+fn insert_into(node: &mut Arc<Node>, key: Key, value: Val) -> InsertResult {
     let n = Arc::make_mut(node);
     match n {
-        Node::Leaf { keys, vals, count } => match keys.binary_search_by(|k| k.as_ref().cmp(key)) {
+        Node::Leaf { keys, vals, count } => match keys.binary_search_by(|k| k.cmp(&key)) {
             Ok(i) => {
                 vals[i] = value;
                 InsertResult::Done { grew: false }
             }
             Err(i) => {
-                keys.insert(i, key.into());
+                keys.insert(i, key);
                 vals.insert(i, value);
                 *count += 1;
                 if keys.len() > ORDER {
@@ -145,7 +148,7 @@ fn insert_into(node: &mut Arc<Node>, key: &[u8], value: Val) -> InsertResult {
             }
         },
         Node::Branch { keys, children, count } => {
-            let i = child_index(keys, key);
+            let i = child_index(keys, &key);
             let result = insert_into(&mut children[i], key, value);
             let grew = match result {
                 InsertResult::Done { grew } => grew,
@@ -179,7 +182,8 @@ fn insert_into(node: &mut Arc<Node>, key: &[u8], value: Val) -> InsertResult {
     }
 }
 
-/// Remove `key`; returns whether it existed. Underfull nodes are repaired
+/// Remove `key`, copying only the nodes a snapshot shares; returns whether
+/// it existed. Underfull nodes are repaired
 /// by merging with a sibling (simple but correct rebalancing).
 pub fn remove(root: &mut Arc<Node>, key: &[u8]) -> bool {
     let removed = remove_from(root, key);
@@ -339,7 +343,7 @@ mod tests {
             let op = state % 3;
             if op < 2 {
                 let value = step.to_le_bytes().to_vec();
-                insert(&mut root, &key, value.as_slice().into());
+                insert(&mut root, key.as_slice().into(), value.as_slice().into());
                 model.insert(key, value);
             } else {
                 let removed = remove(&mut root, &key);
@@ -357,11 +361,11 @@ mod tests {
     fn snapshots_are_unaffected_by_path_copying() {
         let mut root = Arc::new(Node::empty_leaf());
         for i in 0..200u32 {
-            insert(&mut root, &i.to_be_bytes(), b"v0"[..].into());
+            insert(&mut root, i.to_be_bytes()[..].into(), b"v0"[..].into());
         }
         let snapshot = root.clone();
         for i in 0..200u32 {
-            insert(&mut root, &i.to_be_bytes(), b"v1"[..].into());
+            insert(&mut root, i.to_be_bytes()[..].into(), b"v1"[..].into());
         }
         for i in 0..200u32 {
             assert_eq!(snapshot.get(&i.to_be_bytes()), Some(&b"v0"[..]), "{i}");
@@ -375,10 +379,10 @@ mod tests {
     fn path_copy_shares_untouched_buffers() {
         let mut root = Arc::new(Node::empty_leaf());
         for i in 0..200u32 {
-            insert(&mut root, &i.to_be_bytes(), vec![i as u8; 64].into());
+            insert(&mut root, i.to_be_bytes()[..].into(), vec![i as u8; 64].into());
         }
         let snapshot = root.clone();
-        insert(&mut root, &7u32.to_be_bytes(), vec![0xEE; 64].into());
+        insert(&mut root, 7u32.to_be_bytes()[..].into(), vec![0xEE; 64].into());
         let old = snapshot.get(&8u32.to_be_bytes()).unwrap();
         let new = root.get(&8u32.to_be_bytes()).unwrap();
         assert!(std::ptr::eq(old, new), "neighbour value must not be deep-copied");
@@ -390,7 +394,7 @@ mod tests {
     fn deleting_everything_returns_to_empty() {
         let mut root = Arc::new(Node::empty_leaf());
         for i in 0..1000u32 {
-            insert(&mut root, &i.to_be_bytes(), b"x"[..].into());
+            insert(&mut root, i.to_be_bytes()[..].into(), b"x"[..].into());
         }
         for i in 0..1000u32 {
             assert!(remove(&mut root, &i.to_be_bytes()), "{i}");
@@ -407,7 +411,7 @@ mod tests {
             let keys: Vec<u32> =
                 if descending { (0..2000).rev().collect() } else { (0..2000).collect() };
             for k in &keys {
-                insert(&mut root, &k.to_be_bytes(), k.to_le_bytes()[..].into());
+                insert(&mut root, k.to_be_bytes()[..].into(), k.to_le_bytes()[..].into());
             }
             check_invariants(&root, true);
             assert_eq!(root.len(), 2000);

@@ -8,7 +8,9 @@
 //! 1000 B overwrite into a 2 500-record tree deep-copied every entry on
 //! the root→leaf path: ~26 KB in ~90 allocations. This pins the new cost
 //! with at most 2× slack, so a change that makes a path copy touch value
-//! bytes again fails here before it shows up in a benchmark.
+//! bytes again fails here before it shows up in a benchmark. A commit
+//! applies in place, so with no snapshot open there is no path copy at
+//! all: an overwrite allocates only its value cell and its op record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,9 +90,11 @@ fn config() -> DbConfig {
     DbConfig { sync_mode: SyncMode::NoSync, ..DbConfig::default() }
 }
 
-/// Measured on this tree shape (depth 3): 10 allocations / 2 360 B — the
+/// Measured on this tree shape (depth 3) under a live snapshot: 10
+/// allocations / 2 360 B when the transaction was a private root — the
 /// 1016 B value cell, and per level one node plus its two pointer
-/// vectors. Slack ≤ 2×.
+/// vectors — and 12 / 2 528 B now that it is also an op record (key cell
+/// and op list). The limits are the old measurement's, slack ≤ 2×.
 const PUT_ALLOCS_MAX: u64 = 20;
 const PUT_BYTES_MAX: u64 = 4_720;
 
@@ -117,6 +121,36 @@ fn overwrite_put_allocates_pointers_not_neighbours() {
         allocs <= PUT_ALLOCS_MAX && bytes <= PUT_BYTES_MAX,
         "one {VALUE_LEN} B overwrite allocated {allocs} times, {bytes} B \
          (limits {PUT_ALLOCS_MAX} / {PUT_BYTES_MAX} B; deep-copying nodes cost ~90 / ~26 KB)"
+    );
+}
+
+/// Measured on the same tree with no snapshot open: 3 allocations /
+/// 1 184 B — the 1016 B value cell, the key cell of the op record and the
+/// transaction's op list. A commit applies in place, so no node is
+/// copied. Slack ≤ 2×.
+const UNSHARED_PUT_ALLOCS_MAX: u64 = 6;
+const UNSHARED_PUT_BYTES_MAX: u64 = 2_368;
+
+#[test]
+fn an_unshared_overwrite_allocates_no_tree_node() {
+    let db = Database::new(config());
+    let mut txn = db.begin_write().unwrap();
+    for i in 0..RECORDS {
+        txn.put(&key(i), &[0xAB; VALUE_LEN]);
+    }
+    txn.commit();
+    assert!(db.depth() >= 3, "an elided path copy must cross branch levels to mean anything");
+
+    let target = key(1_234);
+    let value = [0xCD; VALUE_LEN];
+    let ((), allocs, bytes) = tracked(|| db.put(&target, &value));
+    assert_eq!(db.get(&target).as_deref(), Some(&value[..]));
+
+    assert!(bytes >= VALUE_LEN as u64, "the value itself is copied once: {bytes} B");
+    assert!(
+        allocs <= UNSHARED_PUT_ALLOCS_MAX && bytes <= UNSHARED_PUT_BYTES_MAX,
+        "one {VALUE_LEN} B overwrite with no snapshot open allocated {allocs} times, {bytes} B \
+         (limits {UNSHARED_PUT_ALLOCS_MAX} / {UNSHARED_PUT_BYTES_MAX} B; a path copy is ~10 / ~2.4 KB)"
     );
 }
 

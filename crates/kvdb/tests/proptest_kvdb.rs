@@ -3,10 +3,17 @@
 //! must be immutable, and cursors must agree with model ranges. Tree and
 //! snapshots share key/value buffers, so one property drives the tree
 //! through leaf and branch splits and merges under a held snapshot.
+//!
+//! A write transaction is a list of operations applied to the committed
+//! tree in place at commit, so further properties interleave snapshots
+//! with a transaction's puts, deletes, reads, aborts and commits, check a
+//! 64-key commit is seen whole or not at all, and replay one large WAL
+//! batch that puts and deletes the same keys.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-use hat_kvdb::{Database, DbConfig, SyncMode};
+use hat_kvdb::{Database, DbConfig, ReadTxn, SyncMode, WriteTxn};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -54,6 +61,55 @@ fn churn() -> impl Strategy<Value = Churn> {
 
 fn db() -> Database {
     Database::new(DbConfig { sync_mode: SyncMode::NoSync, ..Default::default() })
+}
+
+/// One step of an interleaving of write transactions and snapshots. A
+/// `Put`, `Del` or `Get` opens a transaction when none is open.
+#[derive(Debug, Clone)]
+enum Step {
+    Put(u16, Vec<u8>),
+    Del(u16),
+    Get(u16),
+    Commit,
+    Abort,
+    Snapshot,
+    Release(usize),
+}
+
+/// Keys over `0..1024`, so a seeded tree has branch levels and puts,
+/// deletes and reads hit both seeded and fresh keys.
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0u16..1024, prop::collection::vec(any::<u8>(), 0..16)).prop_map(|(k, v)| Step::Put(k, v)),
+        (0u16..1024, prop::collection::vec(any::<u8>(), 0..16)).prop_map(|(k, v)| Step::Put(k, v)),
+        (0u16..1024).prop_map(Step::Del),
+        (0u16..1024).prop_map(Step::Del),
+        (0u16..1024).prop_map(Step::Get),
+        Just(Step::Commit),
+        Just(Step::Abort),
+        Just(Step::Snapshot),
+        (0usize..8).prop_map(Step::Release),
+    ]
+}
+
+/// The model a transaction or snapshot is checked against.
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// Full scan of a snapshot.
+fn scan(read: &ReadTxn) -> Vec<(Vec<u8>, Vec<u8>)> {
+    read.range(vec![]..vec![0xff; 3]).collect()
+}
+
+fn entries(model: &Model) -> Vec<(Vec<u8>, Vec<u8>)> {
+    model.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+}
+
+/// A WAL file under the temp directory, unique per test case.
+fn wal_path(name: &str, case: u32) -> std::path::PathBuf {
+    let path = std::env::temp_dir()
+        .join(format!("hatkvdb-proptest-{name}-{}-{case}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
 }
 
 proptest! {
@@ -251,4 +307,184 @@ proptest! {
         };
         prop_assert_eq!(before, after);
     }
+
+    /// Snapshots taken at any point — before, between and inside write
+    /// transactions — interleaved with a transaction's puts, deletes,
+    /// reads, aborts and commits. A transaction's `get` and `del` see its
+    /// own ops, an aborted one leaves the tree as it was, a committed one
+    /// is the model's pending state, and a held snapshot never changes.
+    #[test]
+    fn txns_interleaved_with_snapshots_match_the_model(
+        seeded in 0u16..700,
+        steps in prop::collection::vec(step(), 1..240),
+    ) {
+        let db = db();
+        let mut committed = Model::new();
+        {
+            let mut txn = db.begin_write().unwrap();
+            for i in 0..seeded {
+                txn.put(&wide_key(i), &[i as u8]);
+                committed.insert(wide_key(i), vec![i as u8]);
+            }
+            txn.commit();
+        }
+        let mut held: Vec<(ReadTxn, Model)> = Vec::new();
+        let mut open: Option<(WriteTxn<'_>, Model)> = None;
+        for step in &steps {
+            if matches!(step, Step::Put(..) | Step::Del(_) | Step::Get(_)) && open.is_none() {
+                open = Some((db.begin_write().unwrap(), committed.clone()));
+            }
+            match step {
+                Step::Put(k, v) => {
+                    let (txn, pending) = open.as_mut().unwrap();
+                    txn.put(&wide_key(*k), v);
+                    pending.insert(wide_key(*k), v.clone());
+                }
+                Step::Del(k) => {
+                    let (txn, pending) = open.as_mut().unwrap();
+                    prop_assert_eq!(txn.del(&wide_key(*k)), pending.remove(&wide_key(*k)).is_some());
+                }
+                Step::Get(k) => {
+                    let (txn, pending) = open.as_mut().unwrap();
+                    prop_assert_eq!(txn.get(&wide_key(*k)), pending.get(&wide_key(*k)).cloned());
+                }
+                Step::Commit => {
+                    if let Some((txn, pending)) = open.take() {
+                        txn.commit();
+                        committed = pending;
+                    }
+                }
+                Step::Abort => {
+                    if let Some((txn, _)) = open.take() {
+                        txn.abort();
+                    }
+                }
+                Step::Snapshot => {
+                    if held.len() == 8 {
+                        held.remove(0);
+                    }
+                    held.push((db.begin_read().unwrap(), committed.clone()));
+                }
+                Step::Release(i) => {
+                    if !held.is_empty() {
+                        held.remove(i % held.len());
+                    }
+                }
+            }
+            if matches!(step, Step::Commit | Step::Abort) {
+                prop_assert_eq!(scan(&db.begin_read().unwrap()), entries(&committed));
+                for (snapshot, model) in &held {
+                    prop_assert_eq!(snapshot.len(), model.len());
+                }
+            }
+        }
+        if let Some((txn, pending)) = open.take() {
+            txn.commit();
+            committed = pending;
+        }
+        prop_assert_eq!(scan(&db.begin_read().unwrap()), entries(&committed));
+        for (snapshot, model) in &held {
+            prop_assert_eq!(scan(snapshot), entries(model));
+        }
+    }
+
+    /// WAL replay of one large batch that puts, deletes and re-puts the
+    /// same keys: the batch is recorded without per-op scans and applied
+    /// in order, so the reopened tree equals the model.
+    #[test]
+    fn wal_replay_of_one_batch_mixing_puts_and_deletes_of_the_same_keys(
+        ops in prop::collection::vec(churn(), 500..3000),
+        case in any::<u32>(),
+    ) {
+        let path = wal_path("mixed-batch", case);
+        let config = DbConfig { sync_mode: SyncMode::Async, ..Default::default() };
+        let mut model = Model::new();
+        {
+            let db = Database::open(&path, config.clone()).unwrap();
+            let mut txn = db.begin_write().unwrap();
+            for op in &ops {
+                match op {
+                    Churn::Put(k, v) => {
+                        // A narrow key space, so puts and deletes collide.
+                        txn.put(&wide_key(k % 300), v);
+                        model.insert(wide_key(k % 300), v.clone());
+                    }
+                    Churn::Del(k) => {
+                        let k = wide_key(k % 300);
+                        prop_assert_eq!(txn.del(&k), model.remove(&k).is_some());
+                    }
+                    Churn::DelRange(start, n) => {
+                        for k in *start % 300..(start % 300 + n / 8).min(300) {
+                            prop_assert_eq!(txn.del(&wide_key(k)), model.remove(&wide_key(k)).is_some());
+                        }
+                    }
+                }
+            }
+            txn.commit();
+            prop_assert_eq!(scan(&db.begin_read().unwrap()), entries(&model));
+        }
+        let reopened = Database::open(&path, config).unwrap();
+        prop_assert_eq!(scan(&reopened.begin_read().unwrap()), entries(&model));
+        drop(reopened);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A 64-key commit is applied under the root's write lock, so a snapshot
+/// taken before it sees none of it and one taken after sees all of it —
+/// checked once in order, then against a writer committing rounds while
+/// two readers take snapshots.
+#[test]
+fn a_64_key_commit_is_seen_whole_or_not_at_all() {
+    let db = db();
+    // Spread over every leaf of a 2 048-key tree.
+    let keys: Vec<Vec<u8>> = (0..64u16).map(|i| wide_key(i * 32)).collect();
+    {
+        let mut txn = db.begin_write().unwrap();
+        for i in 0..2048u16 {
+            txn.put(&wide_key(i), &0u32.to_le_bytes());
+        }
+        txn.commit();
+    }
+    let commit_round = |round: u32| {
+        let mut txn = db.begin_write().unwrap();
+        for k in &keys {
+            txn.put(k, &round.to_le_bytes());
+        }
+        txn.commit();
+    };
+    let rounds_seen = |read: &ReadTxn| -> Vec<u32> {
+        keys.iter().map(|k| u32::from_le_bytes(read.get(k).unwrap().try_into().unwrap())).collect()
+    };
+
+    let before = db.begin_read().unwrap();
+    commit_round(1);
+    let after = db.begin_read().unwrap();
+    assert_eq!(rounds_seen(&before), vec![0; 64]);
+    assert_eq!(rounds_seen(&after), vec![1; 64]);
+    drop((before, after));
+
+    let done = AtomicBool::new(false);
+    let snapshots = AtomicU32::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let mut last = 0;
+                while !done.load(Ordering::Acquire) {
+                    let read = db.begin_read().unwrap();
+                    let seen = rounds_seen(&read);
+                    assert!(seen.iter().all(|&r| r == seen[0]), "a torn commit: {seen:?}");
+                    assert!(seen[0] >= last, "rounds went back: {} after {last}", seen[0]);
+                    last = seen[0];
+                    snapshots.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        for round in 2..=300 {
+            commit_round(round);
+        }
+        done.store(true, Ordering::Release);
+    });
+    assert!(snapshots.load(Ordering::Relaxed) > 0);
+    assert_eq!(rounds_seen(&db.begin_read().unwrap()), vec![300; 64]);
 }

@@ -193,13 +193,16 @@ impl OneSidedAdvert {
 struct Shadow {
     fp: u64,
     version: u64,
+    /// [`OneSidedIndex::open_write`] already published `version + 1`.
+    open: bool,
 }
 
 /// Server side: the MR-backed index the KV write path keeps current.
 ///
 /// Writers follow the seqlock discipline per slot:
 /// 1. publish the odd version (`v+1`) in the slot — readers that observe
-///    it fall back;
+///    it fall back (skipped when [`OneSidedIndex::open_write`] already
+///    did, which the slot's shadow records);
 /// 2. write the value cell (version header `v+2` plus payload) in one
 ///    region write, which is atomic with respect to simulated READs;
 /// 3. publish the full slot `{fp, v+2, off, len}`.
@@ -277,18 +280,14 @@ impl OneSidedIndex {
         let slot_off = slot_idx * SLOT_BYTES;
         let cell_off = slot_idx * CELL_BYTES;
         let sh = &mut shadow[way];
-        let odd = sh.version + 1;
         let even = sh.version + 2;
-        // 1. Odd version: write in progress.
-        self.slots.write(slot_off + 8, &odd.to_le_bytes()).expect("slot in bounds");
-        // 2. Value cell, header + payload in one atomic region write,
-        // built on the stack: this runs under the set mutex inside the
-        // shard writer lock.
-        let mut cell = [0u8; CELL_BYTES];
-        let cell = &mut cell[..CELL_HDR + value.len()];
-        cell[..CELL_HDR].copy_from_slice(&even.to_le_bytes());
-        cell[CELL_HDR..].copy_from_slice(value);
-        self.heap.write(cell_off, cell).expect("cell in bounds");
+        // 1. Odd version: write in progress, unless `open_write` marked it.
+        if !sh.open {
+            let odd = sh.version + 1;
+            self.slots.write(slot_off + 8, &odd.to_le_bytes()).expect("slot in bounds");
+        }
+        // 2. Value cell, header + payload in one atomic region write.
+        self.heap.write_parts(cell_off, &[&even.to_le_bytes(), value]).expect("cell in bounds");
         // 3. Publish the slot.
         let mut slot = [0u8; SLOT_BYTES];
         slot[0..8].copy_from_slice(&fp.to_le_bytes());
@@ -298,6 +297,7 @@ impl OneSidedIndex {
         self.slots.write(slot_off, &slot).expect("slot in bounds");
         sh.fp = fp;
         sh.version = even;
+        sh.open = false;
     }
 
     /// Drop `key` from the index (no-op if it was never indexed).
@@ -325,11 +325,14 @@ impl OneSidedIndex {
         self.slots.write(slot_off, &slot).expect("slot in bounds");
         sh.fp = 0;
         sh.version = even;
+        sh.open = false;
     }
 
     /// Mark `key`'s slot write-in-progress (odd version) ahead of the
     /// [`apply_put`](Self::apply_put) / [`apply_del`](Self::apply_del)
-    /// that will follow for it; returns false for a key not indexed.
+    /// that will follow for it; returns false for a key not indexed. The
+    /// mark stays in the slot's shadow until that write, which then skips
+    /// its own odd-version write.
     ///
     /// A writer mirroring a multi-key batch opens every key first. From
     /// then until the batch's last key is published, every key of it is
@@ -339,11 +342,15 @@ impl OneSidedIndex {
     pub fn open_write(&self, key: &[u8]) -> bool {
         let fp = key_fp(key);
         let set = (fp % NUM_SETS as u64) as usize;
-        let shadow = self.sets[set].lock();
+        let mut shadow = self.sets[set].lock();
         let Some(way) = shadow.iter().position(|s| s.fp == fp) else { return false };
-        let slot_off = (set * WAYS + way) * SLOT_BYTES;
-        let odd = shadow[way].version + 1;
-        self.slots.write(slot_off + 8, &odd.to_le_bytes()).expect("slot in bounds");
+        let sh = &mut shadow[way];
+        if !sh.open {
+            let slot_off = (set * WAYS + way) * SLOT_BYTES;
+            let odd = sh.version + 1;
+            self.slots.write(slot_off + 8, &odd.to_le_bytes()).expect("slot in bounds");
+            sh.open = true;
+        }
         true
     }
 
@@ -890,6 +897,35 @@ mod tests {
         index.apply_put(&keys[1], b"new");
         assert_eq!(reader.multiget(&keys).unwrap(), all(b"new"));
         assert!(!index.open_write(b"never indexed"));
+        host.shutdown();
+    }
+
+    /// A batch naming one key twice opens its slot twice and publishes it
+    /// twice: the first publish consumes the open mark, the second pays
+    /// its own odd write, and the slot ends even, holding the last value.
+    #[test]
+    fn a_batch_naming_one_key_twice_leaves_the_slot_even_with_the_last_value() {
+        let (_f, host, mut reader) = host_and_reader();
+        let index = host.index().clone();
+        let key = b"twice";
+        index.apply_put(key, b"old");
+        assert!(index.open_write(key) && index.open_write(key));
+        assert_eq!(reader.get(key).unwrap(), Err(FallbackReason::Conflict));
+        index.apply_put(key, b"first");
+        index.apply_put(key, b"last");
+        assert_eq!(reader.get(key).unwrap(), Ok(b"last".to_vec()));
+
+        let fp = key_fp(key);
+        let set = (fp % NUM_SETS as u64) as usize;
+        let shadow = index.sets[set].lock();
+        let way = shadow.iter().position(|s| s.fp == fp).expect("indexed");
+        let mut version = [0u8; 8];
+        index.slots.read((set * WAYS + way) * SLOT_BYTES + 8, &mut version).unwrap();
+        let version = u64::from_le_bytes(version);
+        assert!(!shadow[way].open, "the last publish clears the mark");
+        assert_eq!(version, shadow[way].version, "the region holds the shadow's version");
+        assert_eq!(version % 2, 0, "the slot ends even");
+        drop(shadow);
         host.shutdown();
     }
 
