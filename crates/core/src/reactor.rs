@@ -27,9 +27,11 @@
 //! completion only when some thread observes the node, and with every
 //! connection handed to this driver, the driver is that thread. So the
 //! driver waits on the simulator clock like every other simulated thread
-//! ([`hat_rdma_sim::time::dry_pause`]): each pass applies the node's due
+//! ([`hat_rdma_sim::time::wait_step`]): each pass applies the node's due
 //! effects (which fires the wakers), drains the ready batch, and — if
-//! nothing was served — yields once. Only a driver dry for
+//! nothing was served — waits one step: out to the node's next effect on
+//! the clock alone if a request is riding the wire and due within the
+//! scheduling window, else one yield. Only a driver dry for
 //! [`hat_rdma_sim::time::IDLE_BACKOFF_AFTER_NS`] naps, for
 //! [`hat_rdma_sim::time::IDLE_NAP`] at a time. Nothing parks on a
 //! condvar, so there is no wakeup to lose: a notify only appends to the
@@ -315,10 +317,16 @@ fn drive(node: &Arc<Node>, incoming: &parking_lot::Mutex<Vec<Registration>>, sto
             dry_since = now;
             napped = false;
         } else {
-            // One wait rule for every simulated thread: yield to the sim
-            // clock while recently busy, nap once long idle.
-            napped = time::long_idle(dry_since, now);
-            time::dry_pause(dry_since, now, 0);
+            // One wait step for every simulated thread: a request already
+            // riding the wire within the window is waited out on the
+            // clock; otherwise yield while recently busy, nap once long
+            // idle.
+            let next = node.next_effect_deadline().unwrap_or(u64::MAX);
+            napped = false;
+            time::wait_step(now, next, dry_since, 0, || {
+                napped = true;
+                std::thread::sleep(time::IDLE_NAP);
+            });
         }
     }
 }

@@ -159,8 +159,10 @@ impl PollWait {
     }
 
     /// After a dry poll: give up past the deadline, else wait one step on
-    /// the simulator clock (`hat_rdma_sim::time::dry_pause`, the one wait
-    /// rule shared with the CQ arms).
+    /// the simulator clock (`hat_rdma_sim::time::dry_pause`: the one wait
+    /// step shared with the CQ arms, with nothing scheduled — the awaited
+    /// word is written by a peer's host thread or a WRITE the poller does
+    /// not track, so a pause yields and naps, never holds the core).
     fn pause(&self) -> Result<()> {
         let now = now_ns();
         if now > self.deadline {
@@ -508,6 +510,27 @@ mod tests {
         assert_eq!(pilaf - pilaf_polls, 2 * CALLS, "Pilaf: header and payload READs");
         assert_eq!(farm - farm_polls, CALLS, "FaRM: a payload READ");
         assert!(pilaf >= 3 * CALLS && farm >= 2 * CALLS, "Pilaf {pilaf}, FaRM {farm} READs");
+    }
+
+    /// An idle RFP server's memory poll has nothing scheduled to wait
+    /// for: in either poll mode its pauses yield the host core (counted by
+    /// `hat_rdma_sim::time::yields`), and it times out on its deadline.
+    #[test]
+    fn an_idle_rfp_server_pause_still_yields() {
+        for poll in [PollMode::Busy, PollMode::Event] {
+            let cfg = ProtocolConfig {
+                max_msg: 1024,
+                poll,
+                op_timeout_ns: 100_000,
+                ..Default::default()
+            };
+            let (client, mut server) = echo_pair(ProtocolKind::Rfp, cfg);
+            let y0 = hat_rdma_sim::time::yields();
+            let idle = server.serve_one(&mut |r| r.to_vec());
+            assert_eq!(idle.unwrap_err(), RdmaError::Timeout, "{poll:?}");
+            assert!(hat_rdma_sim::time::yields() > y0, "{poll:?}: an idle pause held the core");
+            drop(client);
+        }
     }
 
     #[test]

@@ -7,13 +7,21 @@
 //!
 //! * [`PollMode::Busy`] genuinely spins, registered as an active spinner on
 //!   the CQ's node (so over-subscription inflates everyone's CPU charges),
-//! * [`PollMode::Event`] parks on a condition variable with timed waits
-//!   sized by the next known deadline, charges the configured
-//!   interrupt/wakeup latency on delivery, and burns no CPU while blocked.
+//! * [`PollMode::Event`] is charged the configured interrupt/wakeup
+//!   latency on delivery — an entry is observable `event_wakeup_ns` after
+//!   its readiness — and burns no *simulated* CPU while it waits: it is not
+//!   a registered spinner. The wait itself polls like the busy arm's: a
+//!   real futex wake-up on a core-starved host costs more than the
+//!   modelled 2.6 µs.
 //!
-//! Either way a poll that finds nothing ready reads one atomic — the
-//! earliest entry's readiness, mirrored out of the heap — and takes no
-//! lock; only a long-idle nap takes the heap lock, to count itself in.
+//! Both arms wait by the one step of [`crate::time::wait_step`]: a
+//! completion or node effect already queued within the scheduling window
+//! is waited out on the clock alone; otherwise the poller yields, and a
+//! poller dry for [`crate::time::IDLE_BACKOFF_AFTER_NS`] naps on the CQ's
+//! condition variable. A poll that finds nothing ready reads atomics only —
+//! the earliest entry's readiness and the node's earliest effect, mirrored
+//! out of their heaps — and takes no lock; only a long-idle nap takes the
+//! heap lock, to count itself in.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -290,8 +298,8 @@ impl CompletionQueue {
     /// Non-blocking poll: returns a completion if one is ready *now*.
     pub fn try_poll(&self) -> Option<Completion> {
         let node = self.node()?;
-        node.drain_effects();
         let now = now_ns();
+        node.drain_at(now);
         let e = self.inner.pop_ready(now)?;
         NodeStats::add(&node.stats().completions, 1);
         // Consuming the CQE began at the `now` that found it ready.
@@ -316,28 +324,28 @@ impl CompletionQueue {
     /// Blocking poll with a timeout in nanoseconds of real time.
     pub fn poll_timeout(&self, mode: PollMode, timeout_ns: u64) -> Result<Completion> {
         let node = self.node().ok_or(RdmaError::Disconnected)?;
-        let give_up = now_ns().saturating_add(timeout_ns);
+        let start = now_ns();
+        let give_up = start.saturating_add(timeout_ns);
         match mode {
             PollMode::Busy => {
                 // Spin: counts as an active CPU burner on this node.
                 let _spin = node.enter_spin();
-                let start = now_ns();
-                // Long-idle pollers nap (`time::long_idle`); simulated CPU
+                // Long-idle pollers nap (`time::wait_step`); simulated CPU
                 // is still accounted for the full window (a real busy
                 // poller burns its core whether or not messages arrive).
+                let mut now = start;
                 loop {
-                    node.drain_effects();
-                    let now = now_ns();
+                    node.drain_at(now);
                     if let Some(e) = self.inner.pop_ready(now) {
                         NodeStats::add(&node.stats().completions, 1);
-                        NodeStats::add(&node.stats().cpu_busy_ns, now_ns() - start);
+                        NodeStats::add(&node.stats().cpu_busy_ns, now - start);
                         if hat_trace::enabled() {
                             hat_trace::event(
                                 hat_trace::Phase::Completion,
                                 node.id(),
                                 hat_trace::current_call(),
                                 e.completion.wr_id,
-                                now_ns(),
+                                now,
                             );
                         }
                         return Ok(e.completion);
@@ -347,8 +355,9 @@ impl CompletionQueue {
                         return Err(RdmaError::Timeout);
                     }
                     // The spinner registration above models the burned
-                    // simulated core; the host core is yielded.
-                    self.dry_step(&node, start, now, now);
+                    // simulated core; the host core is yielded unless the
+                    // next arrival is already scheduled and near.
+                    now = self.dry_step(&node, start, now, 0);
                 }
             }
             PollMode::Event => {
@@ -357,19 +366,18 @@ impl CompletionQueue {
                 // readiness (the interrupt + context switch + wakeup
                 // path), and the waiting thread burns (almost) no
                 // *simulated* CPU — it is not registered as a spinner and
-                // charges only the per-CQE cost. The wait itself is
-                // realized by yield-polling rather than parking on a
-                // condition variable: on hosts with fewer cores than
-                // simulated threads, a real futex wakeup costs hundreds
-                // of microseconds of scheduler latency and would swamp
-                // the modelled 2.6 µs, inverting every busy-vs-event
-                // comparison. (Simulated CPU accounting, which drives the
-                // over-subscription model, is unaffected either way.)
+                // charges only the per-CQE cost. The wait itself polls,
+                // by the same step as the busy arm, rather than parking on
+                // a condition variable: on hosts with fewer cores than
+                // simulated threads, a real futex wakeup costs more
+                // scheduler latency than the modelled 2.6 µs and would
+                // invert every busy-vs-event comparison. (Simulated CPU
+                // accounting, which drives the over-subscription model, is
+                // unaffected either way.)
                 let wake = node.config().scaled(node.config().cost.event_wakeup_ns);
-                let start = now_ns();
+                let mut now = start;
                 loop {
-                    node.drain_effects();
-                    let now = now_ns();
+                    node.drain_at(now);
                     // Observable once `ready_at + wake <= now`.
                     let by = now.checked_sub(wake);
                     if let Some(e) = by.and_then(|by| self.inner.pop_ready(by)) {
@@ -400,25 +408,42 @@ impl CompletionQueue {
                     if now >= give_up {
                         return Err(RdmaError::Timeout);
                     }
-                    self.dry_step(&node, start, now, by.unwrap_or(0));
+                    now = self.dry_step(&node, start, now, wake);
                 }
             }
         }
     }
 
     /// One step of a dry `poll_timeout` wait, the CQ's form of
-    /// [`crate::time::dry_pause`]: read a parked in-flight payload ahead
-    /// ([`Node::warm_inbound`]) if the node has one, else yield so the peer
-    /// can run even on core-starved hosts, or — long idle — nap on the
-    /// condvar. The dry check before this step read the mirrored head
-    /// only; a nap repeats it (nothing ready at `by`) under the heap lock,
-    /// counts the napper in under that lock and waits still holding it, so
-    /// a push racing with the check either landed before the locked check
-    /// or sees the napper and notifies the wait: no wakeup is ever lost.
-    fn dry_step(&self, node: &Node, dry_since: u64, now: u64, by: u64) {
+    /// [`crate::time::wait_step`]; an entry is observable `wake` after its
+    /// readiness. A parked in-flight payload is read ahead
+    /// ([`Node::warm_inbound`]) if the node has one. Otherwise the awaited
+    /// instant is the earlier of the node's next effect and the head
+    /// entry's observability, both read from their mirrors before the step
+    /// waits: one already queued within the window is waited out on the
+    /// clock alone (an entry observable already was pushed since the check,
+    /// which runs again at once), else the step yields so the peer — or
+    /// another thread still applying a due effect — can run even on
+    /// core-starved hosts, or, long idle, naps on the condvar. The nap
+    /// repeats the dry check (nothing observable by `now`) under the heap
+    /// lock, counts the napper in under that lock and waits still holding
+    /// it, so a push racing with the check either landed before the locked
+    /// check or sees the napper and notifies the wait: no wakeup is ever
+    /// lost. Returns the clock value the step ended on, the `now` of the
+    /// next check.
+    fn dry_step(&self, node: &Node, dry_since: u64, now: u64, wake: u64) -> u64 {
         if node.has_unwarmed() {
             node.warm_inbound();
-        } else if crate::time::long_idle(dry_since, now) {
+            return now_ns();
+        }
+        let observable = self.inner.head.load(Ordering::Relaxed).saturating_add(wake);
+        if observable <= now {
+            // Pushed since the check (by another thread's drain): check again.
+            return now;
+        }
+        let next = node.next_effect_deadline().unwrap_or(u64::MAX).min(observable);
+        crate::time::wait_step(now, next, dry_since, 0, || {
+            let by = now.saturating_sub(wake);
             let mut heap = self.inner.heap.lock();
             if heap.head() <= by {
                 return;
@@ -426,9 +451,7 @@ impl CompletionQueue {
             heap.nappers += 1;
             self.inner.cond.wait_for(&mut heap, crate::time::IDLE_NAP);
             heap.nappers -= 1;
-        } else {
-            std::thread::yield_now();
-        }
+        })
     }
 
     /// Register a [`CqNotify`] callback: every subsequent [`CqInner::push`]

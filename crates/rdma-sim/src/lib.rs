@@ -28,10 +28,11 @@
 //!   a value polled out of local memory only becomes visible once the
 //!   simulated write has "arrived".
 //! * **Busy polling** really spins (and is counted against the node's CPU),
-//!   while **event polling** parks the thread on a condition variable and
-//!   charges the configured interrupt/wakeup latency — so the paper's
+//!   while **event polling** is charged the configured interrupt/wakeup
+//!   latency and no simulated CPU while it waits — so the paper's
 //!   busy-vs-event trade-offs (low latency vs low CPU and over-subscription
-//!   scalability) emerge from the model rather than being hard-coded.
+//!   scalability) emerge from the model rather than being hard-coded. Both
+//!   wait by the one step of [`time::wait_step`].
 //!
 //! ## Deterministic CPU contention
 //!

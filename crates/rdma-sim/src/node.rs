@@ -510,9 +510,11 @@ impl Node {
         }
     }
 
-    /// Deadline of the earliest pending effect, if any (used by event
-    /// waiters to size their timed waits). Reads the mirrored head, not
-    /// the queue: no lock.
+    /// Deadline of the earliest pending effect, if any: the instant a
+    /// waiter on this node's completions ([`crate::time::wait_step`]) or
+    /// the reactor's pass can wait out on the clock, and what a reactor
+    /// coming out of a nap stamps its wake-up from. Reads the mirrored
+    /// head, not the queue: no lock.
     pub fn next_effect_deadline(&self) -> Option<u64> {
         let due = self.next_due.load(Ordering::Relaxed);
         (due != u64::MAX).then_some(due)
@@ -538,7 +540,7 @@ impl Node {
     /// polls and memory accesses. With nothing due it reads one atomic
     /// (the mirrored head) and takes no lock, so an idle poll does not
     /// pull the queue's cache line off the core of the peer posting into
-    /// it.
+    /// it; with nothing queued at all it reads no clock either.
     ///
     /// This models NIC/DMA work, so it charges no CPU to the node.
     ///
@@ -550,14 +552,24 @@ impl Node {
     /// loop forever — a livelock that starves the caller's own
     /// completion-queue poll.
     pub fn drain_effects(self: &Arc<Self>) {
-        let cutoff = now_ns();
+        if self.next_due.load(Ordering::Relaxed) != u64::MAX {
+            self.drain_at(now_ns());
+        }
+    }
+
+    /// [`Node::drain_effects`] with the cutoff a caller already read: a
+    /// poll loop passes the clock value its last check or wait ended on,
+    /// and the completions this pushes are stamped ready at that same
+    /// instant (their deadlines are no later), so the poll checks
+    /// readiness against it without reading the clock again.
+    pub(crate) fn drain_at(self: &Arc<Self>, cutoff: u64) {
         if self.next_due.load(Ordering::Relaxed) > cutoff {
             return;
         }
         // Someone else draining is equivalent to us draining.
         let Some(_apply) = self.apply_lock.try_lock() else { return };
         while let Some(effect) = self.pop_due(cutoff) {
-            self.apply_effect(effect);
+            self.apply_effect(effect, cutoff);
         }
     }
 
@@ -577,13 +589,16 @@ impl Node {
     /// its FIFO receiver-not-ready backlog. The backlog (rather than a
     /// rescheduled effect) is what preserves RC ordering: a stalled SEND
     /// is never overtaken by a later one on the same queue pair.
-    fn deliver(ep: &Weak<EndpointInner>, msg: crate::qp::ArrivedMsg, deadline: u64) {
+    fn deliver(ep: &Weak<EndpointInner>, msg: crate::qp::ArrivedMsg, ready_at: u64) {
         if let Some(ep) = ep.upgrade() {
-            ep.deliver_or_backlog(msg, deadline.max(now_ns()));
+            ep.deliver_or_backlog(msg, ready_at);
         }
     }
 
-    fn apply_effect(self: &Arc<Self>, effect: PendingEffect) {
+    /// Apply one due effect for a drain whose cutoff is `now`: what it
+    /// completes is ready at `now`, the instant the drain found it due.
+    fn apply_effect(self: &Arc<Self>, effect: PendingEffect, now: u64) {
+        let ready_at = effect.deadline.max(now);
         match effect.kind {
             EffectKind::MemWrite { mr, offset, data, imm } => {
                 let data = self.unpark(data);
@@ -599,14 +614,14 @@ impl Node {
                         byte_len,
                         opcode: Opcode::WriteImm,
                     };
-                    Self::deliver(&ep, msg, effect.deadline);
+                    Self::deliver(&ep, msg, ready_at);
                 }
             }
             EffectKind::RecvDeliver { ep, data } => {
                 let byte_len = data.len();
                 NodeStats::add(&self.stats.bytes_rx, byte_len as u64);
                 let msg = crate::qp::ArrivedMsg { data, imm: None, byte_len, opcode: Opcode::Send };
-                Self::deliver(&ep, msg, effect.deadline);
+                Self::deliver(&ep, msg, ready_at);
             }
             EffectKind::FetchRead {
                 target_node,
@@ -655,7 +670,7 @@ impl Node {
                 if signaled {
                     if let Some(cq) = cq.upgrade() {
                         cq.push(
-                            effect.deadline.max(now_ns()),
+                            ready_at,
                             Completion {
                                 wr_id,
                                 opcode: Opcode::Read,
@@ -689,8 +704,10 @@ impl Drop for SpinGuard<'_> {
 /// work the cost stands for and closed by dropping the guard after it.
 ///
 /// Dropping waits out whatever is left of the interval
-/// ([`spin_until`]`(end_ns)`; nothing if the host work already overran it)
-/// and adds exactly `eff` to [`NodeStats::cpu_busy_ns`]. The host work done
+/// ([`spin_until`]`(end_ns)`: a deadline the thread knows, so its last
+/// [`crate::time::SCHEDULED_WINDOW_NS`] pass on the clock alone, without
+/// yielding the core to the peer; nothing if the host work already overran
+/// it) and adds exactly `eff` to [`NodeStats::cpu_busy_ns`]. The host work done
 /// while the guard is alive is thereby *absorbed* by the model instead of
 /// being added to it: the charged section takes `max(host work, model)`.
 #[must_use = "a charge covers the work done while the guard is alive; bind it (`let _c = ...`)"]

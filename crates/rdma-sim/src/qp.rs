@@ -153,7 +153,7 @@ impl EndpointInner {
             CompletionStatus::Success
         };
         self.recv_cq_push(
-            ready_at.max(crate::time::now_ns()),
+            ready_at,
             Completion {
                 wr_id: recv.wr_id,
                 opcode: msg.opcode,

@@ -1,9 +1,11 @@
 //! The simulated message path between two host threads: what one
 //! WRITE_WITH_IMM leaves in flight, that a one-sided target off the
 //! connected peer never reaches the wire, the lock-free heads an idle poll
-//! reads, which node counts a message's receive side and when, and the
-//! per-thread spare buffer in front of the global pool.
+//! reads, which node counts a message's receive side and when, the
+//! per-thread spare buffer in front of the global pool, and which waits
+//! give the host core away (counted, not timed).
 
+use hat_rdma_sim::time::{crowded, dry_pause, yields, SCHEDULED_WINDOW_NS};
 use hat_rdma_sim::{
     now_ns, CostModel, Fabric, PollMode, PoolBuf, RdmaError, RecvWr, SendWr, SimConfig, MAX_INLINE,
 };
@@ -264,4 +266,71 @@ fn a_thread_reuses_its_own_spare_and_hands_it_back_when_it_exits() {
     // The exited thread's spare went back last, so it is on top.
     let (first, second) = (PoolBuf::for_overwrite(LEN), PoolBuf::for_overwrite(LEN));
     assert_eq!((ptr(&first), ptr(&second)), (spare, global));
+}
+
+/// A poll for a WRITE_WITH_IMM already queued within the scheduling window
+/// waits it out on the clock: it returns with no host yield, and never
+/// before the effect's deadline (plus the wake-up, for an event poll).
+/// A trial counts only if the deadline was still ahead when the poll
+/// began and the thread's last yield found its core free (a crowded host
+/// — say, this binary's other tests and their threads — yields through
+/// scheduled instants too); a slow or crowded host just runs more trials.
+#[test]
+fn a_poll_for_an_arrival_queued_inside_the_window_waits_it_out_without_yielding() {
+    // Three µs of wire: the deadline lands inside the window, and so does
+    // the event wake-up counted from it.
+    let cost = CostModel { wire_latency_ns: 3_000, ..CostModel::default() };
+    let f = Fabric::new(SimConfig { cost, ..SimConfig::default() });
+    let wake = f.config().scaled(f.config().cost.event_wakeup_ns);
+    assert!(wake <= SCHEDULED_WINDOW_NS);
+    let (a, b) = (f.add_node("a"), f.add_node("b"));
+    let (c, s) = f.connect(&a, &b).unwrap();
+    let dst = s.pd().register(64).unwrap();
+    let rb = dst.remote_buf(0, 64);
+    let ring = s.pd().register(1).unwrap();
+    for (mode, after) in [(PollMode::Busy, 0), (PollMode::Event, wake)] {
+        let mut exercised = 0;
+        for i in 0..200_000 {
+            if exercised == 20 {
+                break;
+            }
+            s.post_recv(RecvWr::new(i, ring.clone(), 0, 0)).unwrap();
+            c.post_send(&[SendWr::write_imm_inline(i, &[1; 64], rb, 7)]).unwrap();
+            let due = b.next_effect_deadline().expect("the WRITE_WITH_IMM is queued");
+            let (y0, free, polled) = (yields(), !crowded(), now_ns());
+            let comp = s.recv_cq().poll_timeout(mode, 1_000_000_000).unwrap();
+            let (took_yields, done) = (yields() - y0, now_ns());
+            assert_eq!(comp.imm, Some(7));
+            assert!(done >= due + after, "{mode:?}: returned {} ns early", due + after - done);
+            if free && polled < due && due - polled <= SCHEDULED_WINDOW_NS {
+                assert_eq!(took_yields, 0, "{mode:?}: a scheduled arrival was yield-polled");
+                exercised += 1;
+            }
+        }
+        assert!(exercised > 0, "{mode:?}: no trial began before its deadline");
+    }
+}
+
+/// With nothing queued, a poll gives the core to the peer that has to
+/// produce what it waits for: both arms yield before their timeout.
+#[test]
+fn a_poll_with_nothing_queued_still_yields_before_its_timeout() {
+    let f = Fabric::new(SimConfig::default());
+    let (c, _s) = f.connect(&f.add_node("a"), &f.add_node("b")).unwrap();
+    for mode in [PollMode::Busy, PollMode::Event] {
+        let y0 = yields();
+        assert_eq!(c.recv_cq().poll_timeout(mode, 50_000), Err(RdmaError::Timeout));
+        assert!(yields() > y0, "{mode:?}: an unannounced wait held the core");
+    }
+}
+
+/// A modelled periodic pause with nothing scheduled — the memory poll of a
+/// READ-based protocol — yields through its length rather than holding
+/// the core until its end.
+#[test]
+fn a_periodic_pause_with_nothing_scheduled_still_yields() {
+    let (y0, t) = (yields(), now_ns());
+    dry_pause(t, t, SCHEDULED_WINDOW_NS / 2);
+    assert!(now_ns() >= t + SCHEDULED_WINDOW_NS / 2);
+    assert!(yields() > y0, "a periodic pause held the core");
 }
