@@ -113,11 +113,7 @@ fn run_point(cfg: &PointConfig, metrics: &mut hat_metrics::MetricsDoc) -> PointR
     // cover setup plus window at this interval).
     let mut sampler = hat_metrics::Sampler::attach(
         &fabric,
-        hat_metrics::SamplerConfig {
-            interval_ns: cfg.sample_interval_ns,
-            ring_capacity: 1024,
-            slos: vec![hat_metrics::SloSpec::p99("echo", 100_000_000)],
-        },
+        hat_metrics::SamplerConfig { interval_ns: cfg.sample_interval_ns, ring_capacity: 1024 },
     );
 
     // One node per client thread (a "client machine" holding a batch of

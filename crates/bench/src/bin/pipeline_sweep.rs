@@ -74,11 +74,7 @@ fn main() {
             let fabric = Fabric::new(sim);
             let mut sampler = hat_metrics::Sampler::attach(
                 &fabric,
-                hat_metrics::SamplerConfig {
-                    interval_ns: SAMPLE_INTERVAL_NS,
-                    ring_capacity: 512,
-                    slos: Vec::new(),
-                },
+                hat_metrics::SamplerConfig { interval_ns: SAMPLE_INTERVAL_NS, ring_capacity: 512 },
             );
             let cfg = ThroughputConfig { mode, payload, clients, client_nodes: 4, iters, depth };
             let result = run_throughput(&fabric, &cfg).expect("benchmark run");

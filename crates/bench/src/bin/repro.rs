@@ -4,8 +4,6 @@
 //! repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|ablations|all> [--full] [--tsv]
 //! repro trace [--out FILE]    # capture a traced micro run (Chrome trace JSON)
 //! repro metrics [--out FILE]  # sampled micro run -> Perfetto counter tracks
-//! repro top [--frames N] [--interval-ms N]
-//!                            # live terminal telemetry dashboard
 //! ```
 //!
 //! `ablations` prints DESIGN §4's ablations, one component cost per row.
@@ -34,10 +32,6 @@ fn main() {
         }
     }
     let out_flag = take_flag_value("--out", &mut args);
-    let frames: usize = take_flag_value("--frames", &mut args)
-        .map_or(3, |v| v.parse().expect("--frames wants an integer"));
-    let interval_ms: u64 = take_flag_value("--interval-ms", &mut args)
-        .map_or(100, |v| v.parse().expect("--interval-ms wants an integer"));
     let scale = if full { Scale::Full } else { Scale::Quick };
     let which: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
@@ -106,14 +100,6 @@ fn main() {
                     m.ticks, m.ops
                 );
             }
-            "top" => {
-                let interval = std::time::Duration::from_millis(interval_ms);
-                for frame in hat_bench::top_frames(frames, interval) {
-                    println!("{frame}");
-                    use std::io::Write as _;
-                    let _ = std::io::stdout().flush();
-                }
-            }
             "all" => {
                 print(hat_bench::fig04_protocol_latency(scale));
                 print(hat_bench::fig05_protocol_throughput(scale));
@@ -130,7 +116,7 @@ fn main() {
             other => {
                 eprintln!("repro: unknown target '{other}'");
                 eprintln!(
-                    "usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|ablations|all> [--full] [--tsv]\n       repro trace [--out FILE]\n       repro metrics [--out FILE]\n       repro top [--frames N] [--interval-ms N]"
+                    "usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|ablations|all> [--full] [--tsv]\n       repro trace [--out FILE]\n       repro metrics [--out FILE]"
                 );
                 std::process::exit(2);
             }

@@ -34,7 +34,7 @@ use hat_tpch::{ClusterConfig, TpchCluster, TransportMode};
 use hatrpc_core::engine::{HandlerFactory, HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
 
-pub use metrics_bench::{capture_micro_metrics, top_frames, MicroMetrics};
+pub use metrics_bench::{capture_micro_metrics, MicroMetrics};
 pub use protocol_bench::{raw_latency, raw_throughput, RawLatencyPoint, RawThroughputPoint};
 pub use table::Table;
 pub use trace_bench::{capture_micro_trace, MicroTrace};

@@ -1,15 +1,14 @@
 //! Metrics capture harness: run a live micro workload with a hat-metrics
-//! sampler attached to its fabric, and export its counter tracks and
-//! `repro top` frames. Backs `repro metrics` / `repro top` and the
-//! trace-schema integration test.
+//! sampler attached to its fabric, and export its counter tracks. Backs
+//! `repro metrics` and the trace-schema integration test.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hat_metrics::{MetricsDoc, Sampler, SamplerConfig, SloSpec};
+use hat_metrics::{MetricsDoc, Sampler, SamplerConfig};
 use hat_rdma_sim::{Fabric, SimConfig};
-use hatrpc_core::engine::{HatClient, HatServer};
+use hatrpc_core::engine::HatClient;
 
 use crate::trace_bench::serve_micro;
 
@@ -22,8 +21,6 @@ pub struct MicroMetrics {
     /// The sampler's in-memory node histories the document was written
     /// from.
     pub nodes: Vec<hat_metrics::NodeTimeline>,
-    /// One rendered `repro top` frame of the final state.
-    pub top: String,
     /// Sampling ticks the run took.
     pub ticks: u64,
     /// Ops the load loop completed (for reconciling against the
@@ -31,21 +28,19 @@ pub struct MicroMetrics {
     pub ops: u64,
 }
 
-/// A served micro deployment with a background load loop, and the
-/// sampler watching its fabric.
-struct LiveMicro {
-    server: HatServer,
-    sampler: Sampler,
-    stop: Arc<AtomicBool>,
-    worker: std::thread::JoinHandle<u64>,
-}
-
-/// Start the deployment and attach a sampler to its fabric.
-fn start_live(cfg: SamplerConfig) -> LiveMicro {
+/// Serve the micro workload, run a load loop against it under sampling,
+/// and export everything. The interval is fast, so even a short run
+/// yields a real timeline.
+///
+/// The process-global histogram registry is reset up front: concurrent
+/// captures in one process would interleave, so callers (tests, `repro`)
+/// run this alone.
+pub fn capture_micro_metrics() -> MicroMetrics {
     hat_trace::hist::reset();
     let fabric = Fabric::new(SimConfig::fast_test());
     let (server, schema) = serve_micro(&fabric);
-    let sampler = Sampler::attach(&fabric, cfg);
+    let mut sampler =
+        Sampler::attach(&fabric, SamplerConfig { interval_ns: 500_000, ..Default::default() });
     let stop = Arc::new(AtomicBool::new(false));
     let worker = {
         let stop = stop.clone();
@@ -67,38 +62,8 @@ fn start_live(cfg: SamplerConfig) -> LiveMicro {
             ops
         })
     };
-    LiveMicro { server, sampler, stop, worker }
-}
-
-/// The micro capture's sampler configuration: a fast interval so even a
-/// short run yields a real timeline, and two SLOs — a loose echo target
-/// that should hold, and a deliberately impossible 1 ns target on the
-/// pipelined function so the capture always exercises the breach path.
-fn micro_config() -> SamplerConfig {
-    SamplerConfig {
-        interval_ns: 500_000,
-        slos: vec![
-            SloSpec::p99("echo", 50_000_000),
-            SloSpec {
-                fn_scope: "piped".into(),
-                p99_target_ns: 1,
-                window_samples: 8,
-                bad_fraction_budget: 0.01,
-            },
-        ],
-        ..Default::default()
-    }
-}
-
-/// Run the micro workload under sampling and export everything.
-///
-/// The process-global histogram registry is reset up front: concurrent
-/// captures in one process would interleave, so callers (tests, `repro`)
-/// run this alone.
-pub fn capture_micro_metrics() -> MicroMetrics {
-    let LiveMicro { server, mut sampler, stop, worker } = start_live(micro_config());
-    // Let the load loop span enough intervals for trends and the SLO
-    // window; bounded so a loaded host can't hang the capture.
+    // Let the load loop span enough intervals for a timeline; bounded so
+    // a loaded host can't hang the capture.
     let deadline = Instant::now() + Duration::from_secs(5);
     while sampler.ticks() < 24 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
@@ -114,37 +79,7 @@ pub fn capture_micro_metrics() -> MicroMetrics {
     MicroMetrics {
         json: doc.to_json(),
         nodes: sampler.node_timelines(),
-        top: sampler.render_top(),
         ticks: sampler.ticks(),
         ops,
-    }
-}
-
-/// Serve the micro workload and render `frames` dashboard frames,
-/// `interval` apart, from the live sampler. Returns the frames.
-pub fn top_frames(frames: usize, interval: Duration) -> Vec<String> {
-    let live = start_live(micro_config());
-    let mut out = Vec::with_capacity(frames);
-    for _ in 0..frames {
-        std::thread::sleep(interval);
-        out.push(live.sampler.render_top());
-    }
-    live.stop.store(true, Ordering::Relaxed);
-    let _ = live.worker.join();
-    live.server.shutdown();
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn top_frames_render_live_rows() {
-        let frames = top_frames(2, Duration::from_millis(20));
-        assert_eq!(frames.len(), 2);
-        let last = &frames[1];
-        assert!(last.contains("NODE"), "header row present: {last}");
-        assert!(last.contains("server"), "server node row present: {last}");
     }
 }

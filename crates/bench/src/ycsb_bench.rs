@@ -296,19 +296,11 @@ pub fn run_ycsb_sampled(
         (0..4.min(cfg.clients.max(1))).map(|i| fabric.add_node(&format!("kv-client{i}"))).collect();
 
     // Attach the sampler after every node exists, so the baseline tick
-    // covers them all from zero. Loose-by-design GET/PUT p99 objectives
-    // ride along so sweeps exercise the SLO engine on real traffic.
+    // covers them all from zero.
     let mut sampler = sample_interval_ns.map(|interval_ns| {
         hat_metrics::Sampler::attach(
             &fabric,
-            hat_metrics::SamplerConfig {
-                interval_ns,
-                ring_capacity: 512,
-                slos: vec![
-                    hat_metrics::SloSpec::p99("get", 20_000_000),
-                    hat_metrics::SloSpec::p99("put", 50_000_000),
-                ],
-            },
+            hat_metrics::SamplerConfig { interval_ns, ring_capacity: 512 },
         )
     });
     let run: hatrpc_core::Result<_> = run_clients(

@@ -222,16 +222,4 @@ fn micro_metrics_are_perfetto_counter_tracks() {
         chained(samples, "count", "count_total");
         assert!(samples.iter().any(|e| arg(e, "count") > 0 && arg(e, "p99_ns") > 0), "{scope}");
     }
-
-    // 4. The impossible 1 ns target on `piped` breached. The level-
-    //    triggered flag may clear in the idle tail ticks; the rising-edge
-    //    count keeps the record.
-    let piped_slo = tracks[&(latency, "slo piped")].last().unwrap();
-    assert!(arg(piped_slo, "breach_events") >= 1, "impossible target breached: {piped_slo}");
-    assert!(tracks.contains_key(&(latency, "slo echo")), "the echo SLO is exported too");
-
-    // 5. The dashboard frame renders both tables.
-    assert!(m.top.contains("NODE"), "top frame has the node table: {}", m.top);
-    assert!(m.top.contains("SLO"), "top frame has the SLO table: {}", m.top);
-    assert!(m.top.contains("piped"), "top frame lists the piped SLO: {}", m.top);
 }

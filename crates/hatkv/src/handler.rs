@@ -15,7 +15,7 @@ use crate::generated::HatKVHandler;
 /// Publishes the storage backend's counters into a node's [`NodeStats`]
 /// (`kv_txns`, `kv_writer_wait_ns`, `kv_bytes_written`, and the 2PC
 /// `kv_txn_commits`/`kv_txn_aborts`/`kv_txn_recovered` trio) so
-/// `repro metrics` and `repro top` surface them next to the RDMA
+/// `repro metrics` counter tracks surface them next to the RDMA
 /// counters.
 ///
 /// The backend keeps cumulative totals; this mirror tracks the last

@@ -1,12 +1,12 @@
-//! # hat-metrics — live time-series telemetry for HatRPC
+//! # hat-metrics — sampled time series for HatRPC
 //!
 //! Post-mortem observability (the Perfetto export) shows
 //! *what* a run did; this crate shows *when*. A [`Sampler`] thread
 //! captures, on a configurable virtual-time interval, every node's
 //! [`NodeStats`](hat_rdma_sim::NodeStats) snapshot and every hat-trace
-//! latency histogram's cumulative state into fixed-size overwrite-oldest
-//! [`ring::TsRing`]s — lock-free publish, zero allocation on the sample
-//! path in the steady state.
+//! latency histogram's cumulative state into one fixed-size
+//! overwrite-oldest [`ring::TsRing`] per series, all under one lock;
+//! the sample path allocates nothing in the steady state.
 //!
 //! A sampler is attached by whoever reads it: [`Sampler::attach`] on the
 //! fabric to watch, [`Sampler::stop`] once the run's serving threads have
@@ -16,16 +16,12 @@
 //!
 //! Rings store **cumulative** values, not deltas: any two retained
 //! samples difference into the activity between them, a wrap only loses
-//! the oldest history, and a reader can never double-count. On top of
-//! the rings sit the export ([`MetricsDoc`]: every series as a counter
+//! the oldest history, and a reader can never double-count. The rings
+//! leave the process through [`MetricsDoc`]: every series as a counter
 //! track of a Perfetto trace-event document, written by hat-trace's one
-//! writer), the terminal dashboard ([`top`]), and the SLO engine (below):
-//! per-fn_scope p99 objectives with rolling error-budget burn rate,
-//! surfaced as counter tracks and in the dashboard, plus edge-triggered
-//! hat-trace [`SloBreach`](hat_trace::Phase::SloBreach) events.
+//! writer.
 
 pub mod ring;
-pub mod top;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,15 +31,15 @@ use hat_rdma_sim::stats::{MetricKind, FIELD_COUNT, FIELD_KINDS};
 use hat_rdma_sim::{now_ns, Fabric, Node};
 use hat_trace::export::Counter;
 use hat_trace::hist::{percentile_of, size_class_label, CumulativeSnapshot, NUM_BUCKETS};
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use ring::{TsRing, TsSample};
 
 /// Hist-series slot layout: `[count, sum, bucket 0 .. bucket 64]`.
 const HIST_WIDTH: usize = 2 + NUM_BUCKETS;
 
-/// Reserved trace process holding the latency histograms' and SLOs'
-/// counter tracks and the SLO engine's breach events (fabric node ids
-/// start at 1, so 0 never collides with a real node).
+/// A run's process, within a [`MetricsDoc`], holding its latency
+/// histograms' counter tracks (fabric node ids start at 1, so 0 never
+/// collides with a real node).
 const LATENCY_TRACK: u64 = 0;
 
 /// Index of a per-node counter in timeline `values` arrays, by its
@@ -53,38 +49,6 @@ pub fn field_index(name: &str) -> Option<usize> {
     hat_rdma_sim::FIELD_KINDS.iter().position(|(n, _)| *n == name)
 }
 
-// ---------------------------------------------------------------------------
-// Configuration
-// ---------------------------------------------------------------------------
-
-/// A per-fn_scope latency objective.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloSpec {
-    /// The `Service.function` scope the objective covers (aggregated
-    /// across protocols and payload-size classes).
-    pub fn_scope: String,
-    /// The p99 target: the window p99 must stay at or below this.
-    pub p99_target_ns: u64,
-    /// Rolling window length, in sampler ticks.
-    pub window_samples: usize,
-    /// Fraction of requests the objective tolerates above target (0.01
-    /// for a p99 objective). Burn rate = bad_fraction / this budget, so
-    /// burn 1.0 means exactly exhausting the budget.
-    pub bad_fraction_budget: f64,
-}
-
-impl SloSpec {
-    /// A p99 objective with a 32-tick window and the matching 1% budget.
-    pub fn p99(fn_scope: &str, target_ns: u64) -> SloSpec {
-        SloSpec {
-            fn_scope: fn_scope.to_string(),
-            p99_target_ns: target_ns,
-            window_samples: 32,
-            bad_fraction_budget: 0.01,
-        }
-    }
-}
-
 /// Sampler tuning.
 #[derive(Debug, Clone)]
 pub struct SamplerConfig {
@@ -92,13 +56,11 @@ pub struct SamplerConfig {
     pub interval_ns: u64,
     /// Samples retained per series before overwrite-oldest.
     pub ring_capacity: usize,
-    /// Latency objectives to evaluate every tick.
-    pub slos: Vec<SloSpec>,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
-        SamplerConfig { interval_ns: 2_000_000, ring_capacity: 256, slos: Vec::new() }
+        SamplerConfig { interval_ns: 2_000_000, ring_capacity: 256 }
     }
 }
 
@@ -124,7 +86,7 @@ impl HistSeries {
         self.size_class == size_class && self.protocol == protocol && self.fn_scope == fn_scope
     }
 
-    fn push(&self, ts_ns: u64, c: &CumulativeSnapshot) {
+    fn push(&mut self, ts_ns: u64, c: &CumulativeSnapshot) {
         let mut buf = [0u64; HIST_WIDTH];
         buf[0] = c.count;
         buf[1] = c.sum;
@@ -133,32 +95,62 @@ impl HistSeries {
     }
 }
 
-struct SloState {
-    spec: SloSpec,
-    breached: AtomicBool,
-    breach_events: AtomicU64,
-    window_p99_ns: AtomicU64,
-    window_total: AtomicU64,
-    window_bad: AtomicU64,
-    /// Burn rate × 1000 (stored integer so readers stay atomic).
-    burn_milli: AtomicU64,
+/// Every series the sampler keeps, behind [`Shared::series`].
+struct Series {
+    /// Cached [`Fabric::node_generation`]; re-enumerate only on change.
+    node_gen: u64,
+    nodes: Vec<NodeSeries>,
+    hists: Vec<HistSeries>,
 }
 
-/// Read-out of one SLO's current state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloStatus {
-    pub fn_scope: String,
-    pub p99_target_ns: u64,
-    pub window_p99_ns: u64,
-    pub window_total: u64,
-    pub window_bad: u64,
-    /// Error-budget burn rate × 1000 (1000 == consuming the budget
-    /// exactly as fast as it accrues).
-    pub burn_rate_milli: u64,
-    pub breached: bool,
-    /// Rising edges seen so far (each also emitted as a hat-trace
-    /// `SloBreach` event when tracing is on).
-    pub breach_events: u64,
+impl Series {
+    /// Capture every node and histogram series at `ts`. Allocation-free
+    /// once the node set and histogram key set are stable.
+    fn sample(&mut self, fabric: &Fabric, cap: usize, ts: u64) {
+        let gen = fabric.node_generation();
+        if gen != self.node_gen {
+            // Node set changed (rare): add series for the new nodes,
+            // keeping existing rings so history survives discovery.
+            for node in fabric.nodes() {
+                if !self.nodes.iter().any(|s| s.name == node.name()) {
+                    self.nodes.push(NodeSeries {
+                        name: node.name().to_string(),
+                        ring: TsRing::new(cap, FIELD_COUNT),
+                        node,
+                    });
+                }
+            }
+            self.node_gen = gen;
+        }
+        for series in &mut self.nodes {
+            series.ring.push(ts, &series.node.stats_snapshot().values());
+        }
+        // The registry is append-only between resets, so the running
+        // index almost always hits directly; a key recording its first
+        // latency since the last tick gets its series here.
+        let hists = &mut self.hists;
+        let mut idx = 0usize;
+        hat_trace::hist::for_each_cumulative(|protocol, fn_scope, size_class, cumulative| {
+            let pos = match hists.get(idx) {
+                Some(s) if s.matches(protocol, fn_scope, size_class) => Some(idx),
+                _ => hists.iter().position(|s| s.matches(protocol, fn_scope, size_class)),
+            };
+            let series = match pos {
+                Some(i) => &mut hists[i],
+                None => {
+                    hists.push(HistSeries {
+                        protocol,
+                        fn_scope: fn_scope.to_string(),
+                        size_class,
+                        ring: TsRing::new(cap, HIST_WIDTH),
+                    });
+                    hists.last_mut().expect("just pushed")
+                }
+            };
+            series.push(ts, cumulative);
+            idx += 1;
+        });
+    }
 }
 
 /// One series' readable history.
@@ -189,144 +181,16 @@ struct Shared {
     stop: AtomicBool,
     ticks: AtomicU64,
     started_ns: u64,
-    /// Cached [`Fabric::node_generation`]; re-enumerate only on change.
-    node_gen: AtomicU64,
-    nodes: RwLock<Vec<NodeSeries>>,
-    hists: RwLock<Vec<HistSeries>>,
-    slos: Vec<SloState>,
+    /// The rings: the sampler pushes and readers snapshot under this lock.
+    series: Mutex<Series>,
 }
 
 impl Shared {
-    /// One sampling tick: capture every node and histogram series, then
-    /// evaluate SLOs. Allocation-free once the node set and histogram
-    /// key set are stable.
+    /// One sampling tick: capture every node and histogram series.
     fn tick(&self) {
         let ts = now_ns();
-        let gen = self.fabric.node_generation();
-        if gen != self.node_gen.load(Ordering::Relaxed) {
-            self.discover_nodes();
-            self.node_gen.store(gen, Ordering::Relaxed);
-        }
-        {
-            let nodes = self.nodes.read();
-            for series in nodes.iter() {
-                let values = series.node.stats_snapshot().values();
-                series.ring.push(ts, &values);
-            }
-        }
-        self.sample_hists(ts);
-        self.eval_slos(ts);
+        self.series.lock().sample(&self.fabric, self.cfg.ring_capacity, ts);
         self.ticks.fetch_add(1, Ordering::Release);
-    }
-
-    /// Node set changed (rare): rebuild the series list, keeping
-    /// existing rings so history survives discovery.
-    fn discover_nodes(&self) {
-        let current = self.fabric.nodes();
-        let mut series = self.nodes.write();
-        for node in current {
-            if !series.iter().any(|s| s.name == node.name()) {
-                series.push(NodeSeries {
-                    name: node.name().to_string(),
-                    ring: TsRing::new(self.cfg.ring_capacity, FIELD_COUNT),
-                    node,
-                });
-            }
-        }
-    }
-
-    fn sample_hists(&self, ts: u64) {
-        // Fast path under the read lock: every registry key already has
-        // a series. The registry is append-only between resets, so the
-        // running index almost always hits directly.
-        let mut missing = false;
-        {
-            let series = self.hists.read();
-            let mut idx = 0usize;
-            hat_trace::hist::for_each_cumulative(|protocol, fn_scope, size_class, cumulative| {
-                let direct = series.get(idx).filter(|s| s.matches(protocol, fn_scope, size_class));
-                let found = direct
-                    .or_else(|| series.iter().find(|s| s.matches(protocol, fn_scope, size_class)));
-                match found {
-                    Some(s) => s.push(ts, cumulative),
-                    None => missing = true,
-                }
-                idx += 1;
-            });
-        }
-        if missing {
-            // Rare: a key recorded its first latency since last tick.
-            let mut series = self.hists.write();
-            let cap = self.cfg.ring_capacity;
-            hat_trace::hist::for_each_cumulative(|protocol, fn_scope, size_class, cumulative| {
-                if !series.iter().any(|s| s.matches(protocol, fn_scope, size_class)) {
-                    let s = HistSeries {
-                        protocol,
-                        fn_scope: fn_scope.to_string(),
-                        size_class,
-                        ring: TsRing::new(cap, HIST_WIDTH),
-                    };
-                    s.push(ts, cumulative);
-                    series.push(s);
-                }
-            });
-        }
-    }
-
-    fn eval_slos(&self, ts: u64) {
-        if self.slos.is_empty() {
-            return;
-        }
-        let series = self.hists.read();
-        let mut newest = [0u64; HIST_WIDTH];
-        let mut scratch = [0u64; HIST_WIDTH];
-        for state in &self.slos {
-            let mut buckets = [0u64; NUM_BUCKETS];
-            let mut total = 0u64;
-            for s in series.iter().filter(|s| s.fn_scope == state.spec.fn_scope) {
-                if s.ring
-                    .delta_window(state.spec.window_samples, &mut newest, &mut scratch)
-                    .is_none()
-                {
-                    continue;
-                }
-                total += newest[0];
-                for (agg, d) in buckets.iter_mut().zip(&newest[2..]) {
-                    *agg += *d;
-                }
-            }
-            let p99 = percentile_of(&buckets, 0.99);
-            // "Bad" = requests whose whole bucket sits above target: a
-            // bucket counts once its upper bound exceeds the target, so
-            // the straddling bucket is counted conservatively bad.
-            let bad: u64 = buckets
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| hat_trace::hist::bucket_upper_bound(*i) > state.spec.p99_target_ns)
-                .map(|(_, c)| *c)
-                .sum();
-            let burn_milli = if total == 0 {
-                0
-            } else {
-                let bad_fraction = bad as f64 / total as f64;
-                (bad_fraction / state.spec.bad_fraction_budget * 1000.0) as u64
-            };
-            state.window_p99_ns.store(p99, Ordering::Relaxed);
-            state.window_total.store(total, Ordering::Relaxed);
-            state.window_bad.store(bad, Ordering::Relaxed);
-            state.burn_milli.store(burn_milli, Ordering::Relaxed);
-
-            let breached = total > 0 && p99 > state.spec.p99_target_ns;
-            let was = state.breached.swap(breached, Ordering::Relaxed);
-            if breached && !was {
-                // Rising edge: annotate the trace (no-ops when tracing
-                // is off; `event`'s arg carries the offending p99).
-                state.breach_events.fetch_add(1, Ordering::Relaxed);
-                let call_id = hat_trace::next_call_id();
-                hat_trace::event(hat_trace::Phase::SloBreach, LATENCY_TRACK, call_id, p99, ts);
-                hat_trace::register_call(call_id, "slo", &state.spec.fn_scope, 0);
-            }
-        }
     }
 }
 
@@ -370,30 +234,13 @@ impl std::fmt::Debug for Sampler {
 
 impl Sampler {
     fn new_shared(fabric: &Fabric, cfg: SamplerConfig) -> Arc<Shared> {
-        hat_trace::register_track(LATENCY_TRACK, "latency");
-        let slos = cfg
-            .slos
-            .iter()
-            .map(|spec| SloState {
-                spec: spec.clone(),
-                breached: AtomicBool::new(false),
-                breach_events: AtomicU64::new(0),
-                window_p99_ns: AtomicU64::new(0),
-                window_total: AtomicU64::new(0),
-                window_bad: AtomicU64::new(0),
-                burn_milli: AtomicU64::new(0),
-            })
-            .collect();
         let shared = Arc::new(Shared {
             fabric: fabric.clone(),
             cfg,
             stop: AtomicBool::new(false),
             ticks: AtomicU64::new(0),
             started_ns: now_ns(),
-            node_gen: AtomicU64::new(u64::MAX),
-            nodes: RwLock::new(Vec::new()),
-            hists: RwLock::new(Vec::new()),
-            slos,
+            series: Mutex::new(Series { node_gen: u64::MAX, nodes: Vec::new(), hists: Vec::new() }),
         });
         // Baseline tick: every later delta is relative to attach time.
         shared.tick();
@@ -455,8 +302,11 @@ impl Sampler {
 
     /// Every node series' readable history, oldest sample first.
     pub fn node_timelines(&self) -> Vec<NodeTimeline> {
-        let nodes = self.shared.nodes.read();
-        let mut out: Vec<NodeTimeline> = nodes
+        let mut out: Vec<NodeTimeline> = self
+            .shared
+            .series
+            .lock()
+            .nodes
             .iter()
             .map(|s| NodeTimeline { node: s.name.clone(), samples: s.ring.snapshot() })
             .collect();
@@ -466,8 +316,11 @@ impl Sampler {
 
     /// Every histogram series' readable history, oldest sample first.
     pub fn hist_timelines(&self) -> Vec<HistTimeline> {
-        let hists = self.shared.hists.read();
-        let mut out: Vec<HistTimeline> = hists
+        let mut out: Vec<HistTimeline> = self
+            .shared
+            .series
+            .lock()
+            .hists
             .iter()
             .map(|s| HistTimeline {
                 protocol: s.protocol.to_string(),
@@ -480,29 +333,6 @@ impl Sampler {
             (&a.protocol, &a.fn_scope, a.size_class).cmp(&(&b.protocol, &b.fn_scope, b.size_class))
         });
         out
-    }
-
-    /// Current state of every configured SLO.
-    pub fn slo_statuses(&self) -> Vec<SloStatus> {
-        self.shared
-            .slos
-            .iter()
-            .map(|s| SloStatus {
-                fn_scope: s.spec.fn_scope.clone(),
-                p99_target_ns: s.spec.p99_target_ns,
-                window_p99_ns: s.window_p99_ns.load(Ordering::Relaxed),
-                window_total: s.window_total.load(Ordering::Relaxed),
-                window_bad: s.window_bad.load(Ordering::Relaxed),
-                burn_rate_milli: s.burn_milli.load(Ordering::Relaxed),
-                breached: s.breached.load(Ordering::Relaxed),
-                breach_events: s.breach_events.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// One rendered `repro top` frame.
-    pub fn render_top(&self) -> String {
-        top::render_frame(self)
     }
 }
 
@@ -519,7 +349,7 @@ impl Drop for Sampler {
 /// Sampled runs as one trace-event document, the `METRICS_*.json`
 /// artifact that ui.perfetto.dev opens. Each run added gets processes of
 /// its own, named `"{label} {node}"`, plus `"{label} latency"` for its
-/// histograms and SLOs; every retained series is a counter track there,
+/// histograms; every retained series is a counter track there,
 /// on the clock the run's spans use. A sample is drawn at its tick, and
 /// a per-interval value at the tick that opens the interval, so Perfetto
 /// holds it over exactly the interval it measures:
@@ -528,9 +358,7 @@ impl Drop for Sampler {
 ///   `total` (the cumulative value, so the newest sample's is exact even
 ///   when the ring wrapped); a gauge: `value`;
 /// * a histogram (`"{fn_scope} [{protocol} {size}]"`): `count`, `sum_ns`
-///   and `p99_ns` of the interval, and `count_total`;
-/// * an SLO (`"slo {fn_scope}"`): `window_p99_ns`, `burn_rate_milli` and
-///   `breach_events`, once, at the newest tick.
+///   and `p99_ns` of the interval, and `count_total`.
 ///
 /// A sample repeating its series' previous one is left out, except the
 /// newest, which closes the track: with a cumulative total among its
@@ -548,12 +376,10 @@ impl MetricsDoc {
         let base = self.tracks.iter().map(|(pid, _)| pid + 1).max().unwrap_or(0);
         let latency = base + LATENCY_TRACK;
         self.tracks.push((latency, format!("{label} latency")));
-        let mut newest = sampler.started_ns();
-        for s in sampler.shared.nodes.read().iter() {
+        for s in sampler.shared.series.lock().nodes.iter() {
             let pid = base + s.node.id();
             self.tracks.push((pid, format!("{label} {}", s.name)));
             let samples = s.ring.snapshot();
-            newest = newest.max(samples.last().map_or(0, |x| x.ts_ns));
             for (fi, (field, kind)) in FIELD_KINDS.iter().enumerate() {
                 push_series(&mut self.counters, pid, field, &samples, |now, next| match kind {
                     MetricKind::Counter => vec![
@@ -565,7 +391,6 @@ impl MetricsDoc {
             }
         }
         for h in sampler.hist_timelines() {
-            newest = newest.max(h.samples.last().map_or(0, |x| x.ts_ns));
             let name =
                 format!("{} [{} {}]", h.fn_scope, h.protocol, size_class_label(h.size_class));
             push_series(&mut self.counters, latency, &name, &h.samples, |now, next| {
@@ -580,18 +405,6 @@ impl MetricsDoc {
                     ("p99_ns", percentile_of(&buckets, 0.99)),
                     ("count_total", now.values[0]),
                 ]
-            });
-        }
-        for st in sampler.slo_statuses() {
-            self.counters.push(Counter {
-                pid: latency,
-                ts_ns: newest,
-                name: format!("slo {}", st.fn_scope),
-                args: vec![
-                    ("window_p99_ns", st.window_p99_ns),
-                    ("burn_rate_milli", st.burn_rate_milli),
-                    ("breach_events", st.breach_events),
-                ],
             });
         }
     }
@@ -764,39 +577,6 @@ mod tests {
         assert_eq!(tl.len(), 1);
         let counts: Vec<u64> = tl[0].samples.iter().map(|x| x.values[0]).collect();
         assert_eq!(counts, vec![2, 3], "cumulative count per tick");
-        hat_trace::hist::reset();
-    }
-
-    #[test]
-    fn slo_breach_is_edge_triggered_with_burn_rate() {
-        let _g = HIST_GATE.lock().unwrap_or_else(|e| e.into_inner());
-        hat_trace::hist::reset();
-        let f = fabric();
-        let cfg =
-            SamplerConfig { slos: vec![SloSpec::p99("Svc.get", 10_000)], ..Default::default() };
-        let s = Sampler::attach_paused(&f, cfg);
-        // 100 fast requests: p99 well under target.
-        for _ in 0..100 {
-            hat_trace::hist::record_latency("Eager-SendRecv", "Svc.get", 64, 1_000);
-        }
-        s.tick();
-        let st = &s.slo_statuses()[0];
-        assert!(!st.breached, "fast traffic stays inside the objective: {st:?}");
-        assert_eq!(st.breach_events, 0);
-        // A slow burst: p99 shoots past target.
-        for _ in 0..50 {
-            hat_trace::hist::record_latency("Eager-SendRecv", "Svc.get", 64, 1_000_000);
-        }
-        s.tick();
-        let st = &s.slo_statuses()[0];
-        assert!(st.breached, "the burst breaches: {st:?}");
-        assert_eq!(st.breach_events, 1);
-        assert!(st.window_p99_ns > 10_000);
-        assert!(st.window_bad >= 50);
-        assert!(st.burn_rate_milli > 1000, "burning faster than budget: {st:?}");
-        // Still breached next tick: no second edge.
-        s.tick();
-        assert_eq!(s.slo_statuses()[0].breach_events, 1, "edge-triggered, not level");
         hat_trace::hist::reset();
     }
 

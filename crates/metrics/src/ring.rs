@@ -1,29 +1,12 @@
-//! Fixed-size, overwrite-oldest time-series ring with lock-free publish.
+//! Fixed-size, overwrite-oldest time-series ring.
 //!
 //! One [`TsRing`] holds the rolling history of one series: `cap` slots,
-//! each a timestamp plus `width` `u64` values. There is exactly one
-//! writer (the sampler thread) and any number of readers (the exporter,
-//! `repro top`, SLO evaluation). The writer stores the slot's payload
-//! with relaxed atomics and then publishes by storing the advanced
-//! sequence number with `Release`; a reader `Acquire`-loads the sequence
-//! before copying (making the published payload visible) and re-loads it
-//! after, discarding the copy if the slot could have been overwritten
-//! mid-read. No locks, no allocation on either path.
+//! each a timestamp plus `width` `u64` values, in one flat buffer
+//! allocated up front. It is plain data: the sampler pushes and readers
+//! snapshot under the lock that guards the sampler's series, so a reader
+//! always sees whole samples. A push never allocates.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Result of [`TsRing::delta_window`]: the span a windowed delta covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaWindow {
-    /// Timestamp of the older endpoint.
-    pub ts_old_ns: u64,
-    /// Timestamp of the newer endpoint.
-    pub ts_new_ns: u64,
-    /// Sampling intervals spanned (`>= 1`).
-    pub intervals: u64,
-}
-
-/// One consistent sample read back out of the ring.
+/// One sample read back out of the ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TsSample {
     /// Absolute sample index (total pushes before this one).
@@ -38,261 +21,68 @@ pub struct TsSample {
 pub struct TsRing {
     width: usize,
     cap: usize,
-    /// Total slots ever published; slot `i` lives at `i % cap` until
-    /// overwritten by slot `i + cap`.
-    seq: AtomicU64,
-    /// `cap` slots of `1 + width` atomics each; `[0]` is the timestamp.
-    data: Box<[AtomicU64]>,
-}
-
-impl std::fmt::Debug for TsRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TsRing")
-            .field("width", &self.width)
-            .field("cap", &self.cap)
-            .field("published", &self.published())
-            .finish()
-    }
+    /// Total samples ever pushed; sample `i` lives in slot `i % cap` until
+    /// sample `i + cap` overwrites it.
+    pushed: u64,
+    /// `cap` slots of `1 + width` values each; `[0]` is the timestamp.
+    data: Box<[u64]>,
 }
 
 impl TsRing {
-    /// A ring retaining `cap` samples of `width` values each.
+    /// A ring retaining the newest `cap` samples of `width` values each.
     pub fn new(cap: usize, width: usize) -> TsRing {
         assert!(cap >= 2, "a delta needs at least two retained samples");
         assert!(width >= 1);
-        let data = (0..cap * (1 + width)).map(|_| AtomicU64::new(0)).collect();
-        TsRing { width, cap, seq: AtomicU64::new(0), data }
+        TsRing { width, cap, pushed: 0, data: vec![0; cap * (1 + width)].into_boxed_slice() }
     }
 
-    /// Values per slot.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Samples retained before overwrite.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Total samples ever published.
-    pub fn published(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn stride(&self) -> usize {
-        1 + self.width
-    }
-
-    /// Publish one sample. Single writer only: the sampler thread.
-    pub fn push(&self, ts_ns: u64, values: &[u64]) {
+    /// Append one sample, overwriting the oldest once the ring is full.
+    pub fn push(&mut self, ts_ns: u64, values: &[u64]) {
         assert_eq!(values.len(), self.width, "slot width mismatch");
-        let s = self.seq.load(Ordering::Relaxed);
-        let base = (s as usize % self.cap) * self.stride();
-        self.data[base].store(ts_ns, Ordering::Relaxed);
-        for (j, v) in values.iter().enumerate() {
-            self.data[base + 1 + j].store(*v, Ordering::Relaxed);
-        }
-        // Publish: readers that Acquire-load a seq > s see this payload.
-        self.seq.store(s + 1, Ordering::Release);
+        let base = (self.pushed % self.cap as u64) as usize * (1 + self.width);
+        self.data[base] = ts_ns;
+        self.data[base + 1..base + 1 + self.width].copy_from_slice(values);
+        self.pushed += 1;
     }
 
-    /// Copy the sample with absolute index `abs` into `out`, returning
-    /// its timestamp — or `None` if it was never published, has been
-    /// overwritten, or was overwritten while we copied (torn read).
-    pub fn read_at(&self, abs: u64, out: &mut [u64]) -> Option<u64> {
-        assert_eq!(out.len(), self.width, "slot width mismatch");
-        let s1 = self.seq.load(Ordering::Acquire);
-        // Valid at read start: `abs < s1` (published) and
-        // `s1 - abs < cap` (slot `abs % cap` not reused yet — note the
-        // writer may already be filling slot `s1 % cap` for index `s1`,
-        // so `abs == s1 - cap` is unreadable too).
-        if abs >= s1 || s1 - abs >= self.cap as u64 {
-            return None;
-        }
-        let base = (abs as usize % self.cap) * self.stride();
-        let ts = self.data[base].load(Ordering::Relaxed);
-        for (j, slot) in out.iter_mut().enumerate() {
-            *slot = self.data[base + 1 + j].load(Ordering::Relaxed);
-        }
-        // If the writer reached index `abs + cap` (or is mid-writing it,
-        // which `s2 == abs + cap` cannot exclude), our copy may be torn.
-        let s2 = self.seq.load(Ordering::Acquire);
-        if s2 - abs >= self.cap as u64 {
-            return None;
-        }
-        Some(ts)
-    }
-
-    /// Copy the `n`-th sample counting back from the newest (`n == 0` is
-    /// the latest) into `out`.
-    pub fn read_back(&self, n: u64, out: &mut [u64]) -> Option<(u64, u64)> {
-        let s = self.seq.load(Ordering::Acquire);
-        if n >= s {
-            return None;
-        }
-        let abs = s - 1 - n;
-        self.read_at(abs, out).map(|ts| (abs, ts))
-    }
-
-    /// Windowed delta: newest sample minus the one `window - 1` samples
-    /// back (clamped to what the ring still holds), computed saturating
-    /// per element into `newest`. `scratch` is caller-provided storage
-    /// for the older endpoint (same width). Returns `None` when fewer
-    /// than two samples are readable.
-    pub fn delta_window(
-        &self,
-        window: usize,
-        newest: &mut [u64],
-        scratch: &mut [u64],
-    ) -> Option<DeltaWindow> {
-        let window = window.max(2) as u64;
-        // The writer advances one slot per sampling interval; a handful
-        // of retries rides out any overwrite racing the copy.
-        for _ in 0..8 {
-            let published = self.published();
-            if published < 2 {
-                return None;
-            }
-            // Deepest safely readable look-back: the ring holds `cap`
-            // slots but the oldest may be mid-overwrite, so stay one in.
-            let deepest = (self.cap as u64 - 2).min(published - 1);
-            let back = (window - 1).min(deepest);
-            let Some((_, ts_new)) = self.read_back(0, newest) else { continue };
-            let Some((_, ts_old)) = self.read_back(back, scratch) else { continue };
-            for (n, o) in newest.iter_mut().zip(scratch.iter()) {
-                *n = n.saturating_sub(*o);
-            }
-            return Some(DeltaWindow { ts_old_ns: ts_old, ts_new_ns: ts_new, intervals: back });
-        }
-        None
-    }
-
-    /// Every currently readable sample, oldest first. Reader-path only
-    /// (allocates); torn slots are skipped.
+    /// Every retained sample, oldest first. Reader path only (allocates).
     pub fn snapshot(&self) -> Vec<TsSample> {
-        let s = self.published();
-        let first = s.saturating_sub(self.cap as u64 - 1);
-        let mut out = Vec::with_capacity((s - first) as usize);
-        let mut buf = vec![0u64; self.width];
-        for abs in first..s {
-            if let Some(ts_ns) = self.read_at(abs, &mut buf) {
-                out.push(TsSample { idx: abs, ts_ns, values: buf.clone() });
-            }
-        }
-        out
+        let first = self.pushed.saturating_sub(self.cap as u64);
+        (first..self.pushed)
+            .map(|idx| {
+                let base = (idx % self.cap as u64) as usize * (1 + self.width);
+                TsSample {
+                    idx,
+                    ts_ns: self.data[base],
+                    values: self.data[base + 1..base + 1 + self.width].to_vec(),
+                }
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
+    /// Pushed five times over, a ring of capacity N keeps exactly the
+    /// newest N samples, oldest first, each with its own timestamp and
+    /// values.
     #[test]
-    fn push_then_read_roundtrips() {
-        let r = TsRing::new(4, 3);
-        r.push(100, &[1, 2, 3]);
-        r.push(200, &[4, 5, 6]);
-        let mut buf = [0u64; 3];
-        assert_eq!(r.read_at(0, &mut buf), Some(100));
-        assert_eq!(buf, [1, 2, 3]);
-        assert_eq!(r.read_back(0, &mut buf), Some((1, 200)));
-        assert_eq!(buf, [4, 5, 6]);
-        assert_eq!(r.read_at(2, &mut buf), None, "not yet published");
-    }
-
-    #[test]
-    fn wrap_keeps_newest_and_drops_oldest() {
-        let r = TsRing::new(4, 1);
-        for i in 0..10u64 {
-            r.push(i * 10, &[i]);
+    fn a_wrapped_ring_keeps_exactly_the_newest_cap_samples() {
+        const N: u64 = 4;
+        let mut r = TsRing::new(N as usize, 2);
+        r.push(0, &[0, 0]);
+        assert_eq!(r.snapshot().len(), 1, "short of capacity: what was pushed");
+        for i in 1..5 * N {
+            r.push(i * 10, &[i, 3 * i]);
         }
         let snap = r.snapshot();
-        // Capacity 4 retains at most the newest 3 readably (the oldest
-        // retained slot is where the next push lands, and read_at
-        // conservatively refuses `s - abs >= cap`... idx 7, 8, 9).
         let idxs: Vec<u64> = snap.iter().map(|s| s.idx).collect();
-        assert_eq!(idxs, vec![7, 8, 9]);
+        assert_eq!(idxs, (4 * N..5 * N).collect::<Vec<_>>(), "the newest N, contiguous");
         for s in &snap {
-            assert_eq!(s.values, vec![s.idx]);
             assert_eq!(s.ts_ns, s.idx * 10);
-        }
-        let mut buf = [0u64];
-        assert_eq!(r.read_at(5, &mut buf), None, "overwritten");
-    }
-
-    #[test]
-    fn delta_window_spans_and_saturates() {
-        let r = TsRing::new(8, 2);
-        for i in 0..5u64 {
-            r.push(i * 100, &[i * 10, 1000 - i]);
-        }
-        let mut newest = [0u64; 2];
-        let mut scratch = [0u64; 2];
-        let w = r.delta_window(3, &mut newest, &mut scratch).unwrap();
-        assert_eq!(w.intervals, 2);
-        assert_eq!(w.ts_new_ns, 400);
-        assert_eq!(w.ts_old_ns, 200);
-        assert_eq!(newest[0], 20, "counter delta over the window");
-        assert_eq!(newest[1], 0, "shrinking value saturates to zero");
-    }
-
-    #[test]
-    fn delta_window_needs_two_samples() {
-        let r = TsRing::new(4, 1);
-        let mut a = [0u64];
-        let mut b = [0u64];
-        assert!(r.delta_window(4, &mut a, &mut b).is_none());
-        r.push(1, &[1]);
-        assert!(r.delta_window(4, &mut a, &mut b).is_none());
-        r.push(2, &[2]);
-        assert!(r.delta_window(4, &mut a, &mut b).is_some());
-    }
-
-    /// A writer hammering wraps while readers snapshot: every sample a
-    /// reader accepts must be internally consistent (value == idx, the
-    /// invariant the writer maintains), i.e. no torn slot ever escapes.
-    #[test]
-    fn concurrent_reads_never_observe_torn_slots() {
-        let r = Arc::new(TsRing::new(8, 4));
-        let writer = {
-            let r = r.clone();
-            std::thread::spawn(move || {
-                for i in 0..200_000u64 {
-                    r.push(i, &[i, i.wrapping_mul(3), i.wrapping_mul(7), i]);
-                }
-            })
-        };
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let r = r.clone();
-                std::thread::spawn(move || {
-                    let mut accepted = 0u64;
-                    loop {
-                        // Check *before* snapshotting so a writer that
-                        // outruns the reader still gets one final pass
-                        // over the fully-written ring.
-                        let done = r.published() >= 200_000;
-                        for s in r.snapshot() {
-                            assert_eq!(s.ts_ns, s.idx, "timestamp belongs to the slot");
-                            assert_eq!(
-                                s.values,
-                                vec![s.idx, s.idx.wrapping_mul(3), s.idx.wrapping_mul(7), s.idx],
-                                "torn slot escaped the seqlock check",
-                            );
-                            accepted += 1;
-                        }
-                        if done {
-                            break accepted;
-                        }
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for h in readers {
-            assert!(h.join().unwrap() > 0, "readers accepted at least some samples");
+            assert_eq!(s.values, vec![s.idx, 3 * s.idx]);
         }
     }
 }

@@ -2,7 +2,7 @@
 //! crossing an overwrite-oldest wrap must never observe a negative or
 //! double-counted bucket delta. Rings store cumulative values, so any
 //! two accepted samples must difference cleanly — `checked_sub` failing
-//! anywhere means a torn or reordered read escaped the seqlock.
+//! anywhere means a torn or reordered read escaped the series lock.
 
 use std::sync::Mutex;
 
@@ -85,7 +85,6 @@ fn concurrent_writer_and_wrapping_sampler_never_tear_deltas() {
     let cfg = SamplerConfig {
         interval_ns: 200_000, // 0.2ms: hundreds of ticks across the run
         ring_capacity: 8,
-        ..Default::default()
     };
     let mut s = Sampler::attach(&fabric, cfg);
 

@@ -70,7 +70,7 @@ macro_rules! node_counters {
         impl NodeStatsSnapshot {
             /// Every counter as a `(name, value)` pair, in declaration
             /// order. The single source of truth for exhaustive
-            /// expositions (`repro metrics`, `repro top`, trace
+            /// expositions (`repro metrics` counter tracks, trace
             /// summaries): the macro derives this from the same list as
             /// the struct itself, so reports cannot silently miss a
             /// counter.
@@ -319,7 +319,7 @@ mod tests {
         assert_eq!(fields.iter().find(|(n, _)| *n == "wrs_posted").unwrap().1, 2);
         assert_eq!(fields.iter().find(|(n, _)| *n == "inflight_hwm").unwrap().1, 9);
         // The 2PC trio must be exposed (and as counters, not gauges) so
-        // the timeline JSON and `repro top` surface txn outcomes.
+        // `repro metrics` counter tracks surface txn outcomes.
         for txn_field in ["kv_txn_commits", "kv_txn_aborts", "kv_txn_recovered"] {
             assert!(names.contains(&txn_field), "{txn_field} missing from fields()");
             let kind = FIELD_KINDS.iter().find(|(n, _)| *n == txn_field).unwrap().1;
@@ -329,7 +329,7 @@ mod tests {
 
     /// Drift guard: every field the `NodeStats` struct actually carries
     /// (as printed by its derived `Debug`) appears in `fields()` — and
-    /// therefore in the timeline JSON and `repro top`.
+    /// therefore in the `repro metrics` counter tracks.
     /// The macro makes drift structurally impossible; this test keeps it
     /// that way if someone ever adds a field outside the macro.
     #[test]

@@ -216,11 +216,6 @@ pub enum Phase {
     /// Engine: a reactor resumed a connection state machine and served at
     /// least one request (`arg` = requests served this resume).
     ReactorResume = 19,
-    /// Metrics: an SLO's rolling-window p99 crossed its latency target
-    /// (`arg` = the window p99 in ns). Emitted edge-triggered by the
-    /// hat-metrics SLO engine so breaches land on the Perfetto timeline
-    /// next to the RPCs that caused them.
-    SloBreach = 20,
 }
 
 impl Phase {
@@ -247,7 +242,6 @@ impl Phase {
             Phase::OneSidedFallback => "onesided_fallback",
             Phase::ReactorWakeup => "reactor_wakeup",
             Phase::ReactorResume => "reactor_resume",
-            Phase::SloBreach => "slo_breach",
         }
     }
 
@@ -261,8 +255,7 @@ impl Phase {
             | Phase::Retry
             | Phase::TimedOut
             | Phase::ReactorWakeup
-            | Phase::ReactorResume
-            | Phase::SloBreach => "rpc",
+            | Phase::ReactorResume => "rpc",
             Phase::WrPost
             | Phase::Doorbell
             | Phase::NicTx
@@ -296,7 +289,6 @@ impl Phase {
             17 => Phase::OneSidedFallback,
             18 => Phase::ReactorWakeup,
             19 => Phase::ReactorResume,
-            20 => Phase::SloBreach,
             _ => Phase::Note,
         }
     }
@@ -623,7 +615,7 @@ mod tests {
 
     #[test]
     fn phase_names_and_categories_cover_all() {
-        for v in 0..=20u8 {
+        for v in 0..=19u8 {
             let p = Phase::from_u8(v);
             assert!(!p.name().is_empty());
             assert!(matches!(p.category(), "rpc" | "sim" | "proto" | "note"));
