@@ -27,7 +27,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -406,21 +406,12 @@ impl HatClient {
         }
     }
 
-    /// Builder-style call-policy override.
+    /// Builder-style call-policy override. Rebinding a live client keeps
+    /// its open channels; a blocking call on one of them keeps the
+    /// deadline the channel was opened with.
     pub fn with_policy(mut self, policy: CallPolicy) -> HatClient {
         self.policy = policy;
         self
-    }
-
-    /// Replace the call policy on a live client (applies to channels opened
-    /// from now on; already-open channels keep their negotiated deadline).
-    pub fn set_call_policy(&mut self, policy: CallPolicy) {
-        self.policy = policy;
-    }
-
-    /// The call policy in use.
-    pub fn call_policy(&self) -> CallPolicy {
-        self.policy
     }
 
     /// `func`'s cached plan (the default plan for a function outside the
@@ -1033,16 +1024,13 @@ fn tcp_service(service: &str) -> String {
     format!("{service}/tcp")
 }
 
-/// Threading policy of a [`HatServer`] (the Thrift server menu of
-/// Figure 2, plus the completion-driven reactor).
+/// Threading policy of a [`HatServer`]: the two answers to
+/// over-subscription, a thread per connection or one completion-driven
+/// driver for all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerPolicy {
     /// One thread per connection (TThreadedServer).
     Threaded,
-    /// Fixed pool of worker threads (TThreadPoolServer). Workers pin one
-    /// connection until it disconnects, so `n` bounds the number of
-    /// *concurrently served* connections, not just CPU.
-    ThreadPool(usize),
     /// One completion-driven driver thread multiplexes every
     /// reactor-capable connection (pipelined protocols, i.e. the client
     /// hinted `queue_depth > 1`) — see [`crate::reactor`]. Every other
@@ -1060,7 +1048,6 @@ pub struct HatServer {
     /// the service is unlistened, then returns the connection threads it
     /// spawned.
     accept: Vec<JoinHandle<Vec<JoinHandle<()>>>>,
-    threads: Vec<JoinHandle<()>>,
     service: String,
     fabric: Fabric,
     /// Accepted RDMA connections, by stage (see [`Accepted`]).
@@ -1097,37 +1084,16 @@ impl HatServer {
         policy: ServerPolicy,
         handler_factory: HandlerFactory,
     ) -> HatServer {
-        let mut threads = Vec::new();
         let conns: Arc<Accepted> = Arc::default();
         let tcp_conns: Arc<Mutex<OpenConns<Arc<IpoibStream>>>> = Arc::default();
         let reactor = match policy {
             ServerPolicy::Reactor => Some(Reactor::start(node)),
-            _ => None,
-        };
-        let pool = match policy {
-            ServerPolicy::ThreadPool(n) => {
-                let (tx, rx) = mpsc::channel::<Connection>();
-                let rx = Arc::new(Mutex::new(rx));
-                for _ in 0..n.max(1) {
-                    let rx = rx.clone();
-                    let factory = handler_factory.clone();
-                    threads.push(std::thread::spawn(move || loop {
-                        // The guard drops at the end of the statement: an
-                        // idle worker waits on the queue, a busy one
-                        // serves without holding it.
-                        let Ok(item) = rx.lock().recv() else { return };
-                        serve_connection(item, &factory);
-                    }));
-                }
-                Some(tx)
-            }
-            _ => None,
+            ServerPolicy::Threaded => None,
         };
         let opener = Opener {
             schema,
             factory: handler_factory.clone(),
             reactor: reactor.as_ref().map(Reactor::handle),
-            pool,
             conns: conns.clone(),
         };
 
@@ -1166,7 +1132,6 @@ impl HatServer {
 
         HatServer {
             accept: vec![rdma, tcp],
-            threads,
             service: service.to_string(),
             fabric: fabric.clone(),
             conns,
@@ -1208,8 +1173,8 @@ struct Stages {
     awaiting: HashMap<u64, Endpoint>,
     /// Preamble read, protocol server under construction, by endpoint id.
     building: HashMap<u64, Endpoint>,
-    /// Registered with the reactor, queued for a pool worker, or served
-    /// by their own thread, until they close.
+    /// Registered with the reactor or served by their own thread, until
+    /// they close.
     live: OpenConns<Endpoint>,
     /// Set by shutdown: no connection starts building after it.
     closing: bool,
@@ -1282,15 +1247,13 @@ struct Opener {
     schema: ServiceSchema,
     factory: HandlerFactory,
     reactor: Option<ReactorHandle>,
-    /// The worker queue under [`ServerPolicy::ThreadPool`].
-    pool: Option<mpsc::Sender<Connection>>,
     conns: Arc<Accepted>,
 }
 
 impl Opener {
     /// Negotiate `ep`, then register it with the reactor (a pipelined
-    /// connection under [`ServerPolicy::Reactor`]), queue it for a pool
-    /// worker, or serve it on this thread.
+    /// connection under [`ServerPolicy::Reactor`]) or serve it on this
+    /// thread until it disconnects.
     fn open(self, ep: Endpoint) {
         let preamble = read_preamble(&ep);
         if !self.conns.begin_build(&ep) {
@@ -1305,25 +1268,26 @@ impl Opener {
                 return;
             }
         };
+        let node = ep.node();
         // The reactor drives the same servers a thread would, so it takes
         // exactly the pipelined connections.
-        let conn = match (conn.server, &self.reactor) {
+        let mut server: Box<dyn RpcServer> = match (conn.server, &self.reactor) {
             (ConnServer::Pipelined(server), Some(reactor)) => {
                 let handler =
-                    make_handler(&self.factory, conn.node_id, conn.proto_label, &conn.fn_scope);
+                    make_handler(&self.factory, node.id(), conn.proto_label, &conn.fn_scope);
                 reactor.register(server, handler);
                 self.conns.end_build(&ep, true);
                 return;
             }
-            (server, _) => Connection { server, ..conn },
+            (ConnServer::Pipelined(server), None) => server,
+            (ConnServer::Blocking(server), _) => server,
         };
         self.conns.end_build(&ep, true);
-        match &self.pool {
-            Some(pool) => {
-                let _ = pool.send(conn);
-            }
-            None => serve_connection(conn, &self.factory),
-        }
+        let topology = node.topology();
+        let bind_core = topology.nic_node * topology.cores_per_numa();
+        let _bind = conn.numa_bind.then(|| numa::bind_current_thread(bind_core));
+        let mut handler = make_handler(&self.factory, node.id(), conn.proto_label, &conn.fn_scope);
+        let _ = server.serve_loop(&mut handler);
     }
 }
 
@@ -1339,16 +1303,14 @@ enum ConnServer {
 /// A negotiated, ready-to-serve connection.
 struct Connection {
     server: ConnServer,
-    /// Ignored on the reactor: its one driver thread serves every
-    /// connection, so per-connection binding cannot apply.
+    /// Bind the serving thread to a NIC-local core. Ignored on the
+    /// reactor: its one driver thread serves every connection, so
+    /// per-connection binding cannot apply.
     numa_bind: bool,
-    bind_core: u32,
     /// Function scope from the preamble — names server-side trace spans.
     fn_scope: String,
     /// Negotiated protocol label, for server-side span metadata.
     proto_label: &'static str,
-    /// Serving node id — the trace track server spans land on.
-    node_id: u64,
 }
 
 /// Ack the dial and read the client's preamble, refusing a geometry no
@@ -1382,8 +1344,6 @@ fn build(ep: Endpoint, preamble: Preamble, schema: &ServiceSchema) -> Result<Con
         eager_threshold: ENGINE_EAGER_THRESHOLD,
         ..ProtocolConfig::default()
     };
-    let bind_core = ep.node().topology().nic_node * ep.node().topology().cores_per_numa();
-    let node_id = ep.node().id();
     let server = if preamble.queue_depth > 1 {
         ConnServer::Pipelined(accept_server_pipelined(preamble.kind, ep, cfg)?)
     } else {
@@ -1392,10 +1352,8 @@ fn build(ep: Endpoint, preamble: Preamble, schema: &ServiceSchema) -> Result<Con
     Ok(Connection {
         server,
         numa_bind: server_hints.numa_binding.unwrap_or(false),
-        bind_core,
         proto_label: preamble.kind.label(),
         fn_scope: preamble.fn_scope,
-        node_id,
     })
 }
 
@@ -1425,16 +1383,6 @@ fn make_handler(
     })
 }
 
-fn serve_connection(conn: Connection, factory: &HandlerFactory) {
-    let _bind = conn.numa_bind.then(|| numa::bind_current_thread(conn.bind_core));
-    let mut handler = make_handler(factory, conn.node_id, conn.proto_label, &conn.fn_scope);
-    let mut server: Box<dyn RpcServer> = match conn.server {
-        ConnServer::Blocking(server) => server,
-        ConnServer::Pipelined(server) => server,
-    };
-    let _ = server.serve_loop(&mut handler);
-}
-
 impl HatServer {
     /// The shutdown sequence shared by [`HatServer::shutdown`] and `Drop`
     /// (idempotent: the second pass finds everything already taken).
@@ -1446,8 +1394,9 @@ impl HatServer {
     fn wind_down(&mut self) {
         self.fabric.unlisten(&self.service);
         self.fabric.unlisten_ipoib(&tcp_service(&self.service));
+        let mut threads = Vec::new();
         for accept in self.accept.drain(..) {
-            self.threads.extend(accept.join().unwrap_or_default());
+            threads.extend(accept.join().unwrap_or_default());
         }
         self.conns.settle();
         if let Some(reactor) = self.reactor.take() {
@@ -1457,7 +1406,7 @@ impl HatServer {
         for stream in self.tcp_conns.lock().drain() {
             stream.close();
         }
-        for t in self.threads.drain(..) {
+        for t in threads {
             let _ = t.join();
         }
     }
@@ -1487,12 +1436,18 @@ mod tests {
         Arc::new(|| Box::new(|req: &[u8]| req.to_vec()))
     }
 
-    fn setup(policy: ServerPolicy) -> (Fabric, Arc<Node>, HatServer, ServiceSchema) {
+    fn setup() -> (Fabric, Arc<Node>, HatServer, ServiceSchema) {
         let fabric = Fabric::new(SimConfig::fast_test());
         let snode = fabric.add_node("server");
         let schema = ServiceSchema::parse(IDL, "Mix").unwrap();
-        let server =
-            HatServer::serve(&fabric, &snode, "mix", schema.clone(), policy, echo_factory());
+        let server = HatServer::serve(
+            &fabric,
+            &snode,
+            "mix",
+            schema.clone(),
+            ServerPolicy::Threaded,
+            echo_factory(),
+        );
         (fabric, snode, server, schema)
     }
 
@@ -1601,7 +1556,7 @@ mod tests {
     #[test]
     fn hostile_preamble_geometry_is_refused_and_accepting_goes_on() {
         use ProtocolKind::*;
-        let (fabric, snode, server, schema) = setup(ServerPolicy::Threaded);
+        let (fabric, snode, server, schema) = setup();
         let cnode = fabric.add_node("client");
         let base = snode.stats_snapshot().registered_bytes;
         let honest = Preamble {
@@ -1639,7 +1594,7 @@ mod tests {
     /// like any other: small messages go eager.
     #[test]
     fn a_hybrid_preamble_with_a_small_max_msg_is_served() {
-        let (fabric, _snode, server, _schema) = setup(ServerPolicy::Threaded);
+        let (fabric, _snode, server, _schema) = setup();
         let cnode = fabric.add_node("client");
         let ep = fabric.dial(&cnode, "mix").unwrap();
         let preamble = Preamble {
@@ -1665,7 +1620,7 @@ mod tests {
 
     #[test]
     fn hinted_calls_roundtrip_over_selected_protocols() {
-        let (fabric, _snode, server, schema) = setup(ServerPolicy::Threaded);
+        let (fabric, _snode, server, schema) = setup();
         let cnode = fabric.add_node("client");
         let mut client = HatClient::new(&fabric, &cnode, "mix", &schema);
 
@@ -1685,7 +1640,7 @@ mod tests {
 
     #[test]
     fn hybrid_transport_rides_tcp() {
-        let (fabric, _snode, server, schema) = setup(ServerPolicy::Threaded);
+        let (fabric, _snode, server, schema) = setup();
         let cnode = fabric.add_node("client");
         let mut client = HatClient::new(&fabric, &cnode, "mix", &schema);
         let resp = client.call("over_tcp", b"kernel path").unwrap();
@@ -1695,7 +1650,7 @@ mod tests {
 
     #[test]
     fn warm_all_preopens_every_plan_channel() {
-        let (fabric, _snode, server, schema) = setup(ServerPolicy::Threaded);
+        let (fabric, _snode, server, schema) = setup();
         let cnode = fabric.add_node("client");
         let mut client = HatClient::new(&fabric, &cnode, "mix", &schema);
         assert_eq!(client.open_channels(), 0);
@@ -1710,63 +1665,13 @@ mod tests {
 
     #[test]
     fn channel_reuse_across_calls() {
-        let (fabric, _snode, server, schema) = setup(ServerPolicy::Threaded);
+        let (fabric, _snode, server, schema) = setup();
         let cnode = fabric.add_node("client");
         let mut client = HatClient::new(&fabric, &cnode, "mix", &schema);
         for _ in 0..5 {
             client.call("fast", b"x").unwrap();
         }
         assert_eq!(client.open_channels(), 1, "repeat calls reuse the cached channel");
-        server.shutdown();
-    }
-
-    #[test]
-    fn thread_pool_policy_progresses_while_one_connection_stalls() {
-        // A pool of two workers with one worker pinned by a long-lived
-        // connection: every later short-lived client must still be served
-        // through the remaining worker.
-        let (fabric, _snode, server, schema) = setup(ServerPolicy::ThreadPool(2));
-        let anode = fabric.add_node("client-a");
-        let mut pinned = HatClient::new(&fabric, &anode, "mix", &schema);
-        assert_eq!(pinned.call("fast", b"hold").unwrap(), b"hold");
-        // `pinned` stays connected, occupying one pool worker for the
-        // rest of the test.
-
-        for i in 0..3u8 {
-            let cnode = fabric.add_node(&format!("client-{i}"));
-            let mut client = HatClient::new(&fabric, &cnode, "mix", &schema);
-            assert_eq!(
-                client.call("fast", &[i; 24]).unwrap(),
-                [i; 24],
-                "client {i} must progress through the free worker"
-            );
-            // Disconnect so the worker is free for the next client.
-            drop(client);
-        }
-
-        // The stalled connection is still live the whole time.
-        assert_eq!(pinned.call("fast", b"still here").unwrap(), b"still here");
-        drop(pinned);
-        server.shutdown();
-    }
-
-    #[test]
-    fn thread_pool_policy_serves_multiple_clients() {
-        let (fabric, _snode, server, schema) = setup(ServerPolicy::ThreadPool(2));
-        let mut handles = Vec::new();
-        for i in 0..3 {
-            let fabric = fabric.clone();
-            let schema = schema.clone();
-            handles.push(std::thread::spawn(move || {
-                let cnode = fabric.add_node(&format!("client{i}"));
-                let mut client = HatClient::new(&fabric, &cnode, "mix", &schema);
-                let resp = client.call("fast", &[i as u8; 16]).unwrap();
-                assert_eq!(resp, [i as u8; 16]);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
         server.shutdown();
     }
 

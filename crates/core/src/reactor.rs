@@ -1,10 +1,10 @@
 //! Completion-driven connection reactor — one driver thread per node.
 //!
-//! The classic [`HatServer`](crate::engine::HatServer) policies burn one
-//! OS thread per live connection (`Threaded`) or pin one connection per
-//! pool worker until it disconnects (`ThreadPool`). Either way, N
-//! concurrent clients cost N threads — the thread-explosion wall the
-//! paper's event-polling hints are meant to push back.
+//! A [`HatServer`](crate::engine::HatServer) under
+//! [`ServerPolicy::Threaded`](crate::engine::ServerPolicy::Threaded)
+//! burns one OS thread per live connection, so N concurrent clients cost
+//! N threads — the thread-explosion wall the paper's event-polling hints
+//! are meant to push back.
 //!
 //! [`Reactor`] inverts the model: a **single driver thread** owns the
 //! CQ-drain loop for every reactor-capable connection accepted on its

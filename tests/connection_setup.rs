@@ -61,22 +61,29 @@ fn silent_dial(fabric: &Fabric, server: &Node, service: &str) -> Endpoint {
     ep
 }
 
+/// Under both policies: `plain` is served on a thread of its own, and
+/// `big_window` (depth 2) is adopted by the reactor's driver.
 #[test]
 fn a_silent_dialer_does_not_stall_another_clients_first_call() {
-    let fabric = Fabric::new(SimConfig::fast_test());
-    let (snode, server) = serve(&fabric, ServerPolicy::Threaded);
-    let _silent = silent_dial(&fabric, &snode, "setup");
-    let mut client = bounded_client(&fabric, "client");
-    let start = Instant::now();
-    assert_eq!(client.call("plain", b"ping").unwrap(), b"ping");
-    assert!(start.elapsed() < BOUND, "first call took {:?}", start.elapsed());
-    drop(client);
-    server.shutdown();
+    for (policy, func) in [(ServerPolicy::Threaded, "plain"), (ServerPolicy::Reactor, "big_window")]
+    {
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let (snode, server) = serve(&fabric, policy);
+        let _silent = silent_dial(&fabric, &snode, "setup");
+        let mut client = bounded_client(&fabric, "client");
+        let start = Instant::now();
+        assert_eq!(client.call(func, b"ping").unwrap(), b"ping", "{policy:?}");
+        assert!(start.elapsed() < BOUND, "{policy:?}: first call took {:?}", start.elapsed());
+        let adopted = snode.stats_snapshot().reactor_parked_hwm;
+        assert_eq!(adopted > 0, policy == ServerPolicy::Reactor, "{policy:?}: parked {adopted}");
+        drop(client);
+        server.shutdown();
+    }
 }
 
 #[test]
 fn a_silent_dialer_does_not_stall_shutdown() {
-    for policy in [ServerPolicy::Threaded, ServerPolicy::ThreadPool(2), ServerPolicy::Reactor] {
+    for policy in [ServerPolicy::Threaded, ServerPolicy::Reactor] {
         let fabric = Fabric::new(SimConfig::fast_test());
         let (snode, server) = serve(&fabric, policy);
         let _silent = silent_dial(&fabric, &snode, "setup");
@@ -112,7 +119,7 @@ fn stalled_dial(fabric: &Fabric, service: &str) -> Endpoint {
 /// by shutdown, not waited out for the handshake's 30 s timeout.
 #[test]
 fn a_dialer_stalled_in_the_wire_handshake_does_not_stall_shutdown() {
-    for policy in [ServerPolicy::Threaded, ServerPolicy::ThreadPool(2), ServerPolicy::Reactor] {
+    for policy in [ServerPolicy::Threaded, ServerPolicy::Reactor] {
         let fabric = Fabric::new(SimConfig::fast_test());
         let (_snode, server) = serve(&fabric, policy);
         let stalled = stalled_dial(&fabric, "setup");

@@ -402,8 +402,8 @@ fn stale_async_handle_fails_typed_and_never_takes_a_siblings_response() {
 
     // Submit A and B under a deadline that has already passed; polling A
     // times it out and drops the channel under B.
-    let normal = client.call_policy();
-    client.set_call_policy(CallPolicy { deadline: Duration::ZERO, ..normal });
+    let normal = CallPolicy::default();
+    client = client.with_policy(CallPolicy { deadline: Duration::ZERO, ..normal });
     hold.store(true, Ordering::Release);
     let mut a = client.call_async("piped", &[0xAA; 32]).unwrap();
     let mut b = client.call_async("piped", &[0xBB; 32]).unwrap();
@@ -413,7 +413,7 @@ fn stale_async_handle_fails_typed_and_never_takes_a_siblings_response() {
     hold.store(false, Ordering::Release);
 
     // C and D reopen it: their tokens are 0 and 1, as A's and B's were.
-    client.set_call_policy(normal);
+    client = client.with_policy(normal);
     let mut c = client.call_async("piped", &[0xCC; 32]).unwrap();
     let mut d = client.call_async("piped", &[0xDD; 32]).unwrap();
     assert_eq!(client.wait_async(&mut c).unwrap(), [0xCC; 32]);
