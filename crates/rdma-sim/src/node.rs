@@ -25,15 +25,22 @@
 //! transfer for it. That is host work only; it changes no modelled time.
 //!
 //! The effect queue is written by the posting peer and read by this node's
-//! own threads, so its idle check is kept off the peer's cache lines: the
-//! earliest deadline is mirrored in an atomic ([`Node::next_effect_deadline`])
-//! that a drain or a reactor pass reads without taking the queue's lock.
+//! own threads, and each side takes its lock once per batch: a posted
+//! chain enqueues all of its effects on a node under one lock
+//! ([`Node::push_effects`]), and a drain pops everything due at its cutoff
+//! under one lock, then applies the batch in deadline order (equal
+//! deadlines in push order) with the queue unlocked ([`Node::drain_at`]).
+//! The idle check is kept off the node's other cache lines: the earliest
+//! deadline is mirrored in an atomic beside the queue's lock
+//! ([`Node::next_effect_deadline`]), written under the lock whenever the
+//! head changes, that a drain or a reactor pass reads without taking it.
 //! The receive-side counters (`inbound_rdma`, `bytes_rx`) of a SEND, WRITE
 //! or WRITE_WITH_IMM are bumped by the thread that applies it, at its
-//! deadline, not by the sender at post time.
+//! deadline, not by the sender at post time; every drain adds what it
+//! applied and how late to `effects_applied`, `effect_drains` and
+//! `effect_late_ns`.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -91,25 +98,7 @@ impl Link {
 /// `deadline` and mutates simulator state when applied.
 pub(crate) struct PendingEffect {
     pub deadline: u64,
-    pub seq: u64,
     pub kind: EffectKind,
-}
-
-impl PartialEq for PendingEffect {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-impl Eq for PendingEffect {}
-impl PartialOrd for PendingEffect {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingEffect {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
-    }
 }
 
 /// An in-flight WRITE's payload: held by its effect, or parked in one of
@@ -153,10 +142,11 @@ pub(crate) enum EffectKind {
     },
 }
 
-/// Pending effects a node holds before its heap first grows: a window of
+/// Pending effects a node holds before its queue first grows: a window of
 /// 32 chained messages, two effects each. The thread that pays for growth
 /// is the *peer* posting into this node, mid hot path, so the room is
-/// reserved up front rather than found when a burst first outruns a drain.
+/// reserved up front rather than found when a burst first outruns a drain;
+/// a drain's batch is reserved the same.
 const PENDING_RESERVE: usize = 64;
 
 /// In-flight WRITE payloads of at least this many bytes — a page — are
@@ -171,17 +161,23 @@ const WARM_SLOTS: usize = 4;
 /// A parked payload, and whether a waiting thread has read it ahead yet.
 type WarmSlot = Mutex<Option<(PoolBuf, bool)>>;
 
-/// Deferred effects ordered by deadline, and the push sequence that keeps
-/// equal-deadline effects FIFO.
+/// The effect queue: deferred effects in deadline order, equal deadlines
+/// in the order they were pushed, and the earliest deadline mirrored in
+/// an atomic. Both sit on the same cache lines, since the posting peer
+/// writes both in one critical section.
 struct Pending {
-    effects: BinaryHeap<Reverse<PendingEffect>>,
-    seq: u64,
+    effects: Mutex<VecDeque<PendingEffect>>,
+    /// Deadline of the earliest pending effect, `u64::MAX` with none:
+    /// written under the `effects` lock whenever it changes, so an idle
+    /// check reads it without taking that lock. Relaxed: a stale read
+    /// only defers a drain to the next check, and the effects themselves
+    /// pass through the lock.
+    next_due: AtomicU64,
 }
 
-impl Pending {
-    fn head(&self) -> u64 {
-        self.effects.peek().map_or(u64::MAX, |Reverse(e)| e.deadline)
-    }
+/// The earliest deadline in a queue, `u64::MAX` if it is empty.
+fn head(effects: &VecDeque<PendingEffect>) -> u64 {
+    effects.front().map_or(u64::MAX, |e| e.deadline)
 }
 
 /// A value on cache lines of its own: 128 bytes, the pair of lines an
@@ -225,16 +221,13 @@ pub struct Node {
     egress: Padded<Link>,
     ingress: Padded<Link>,
     /// Deferred effects targeting this node, ordered by deadline.
-    pending: Padded<Mutex<Pending>>,
-    /// Deadline of the earliest pending effect, `u64::MAX` with none: the
-    /// heap's head, written under the `pending` lock whenever it changes,
-    /// so an idle check reads it without taking that lock. Relaxed: a
-    /// stale read only defers a drain to the next check, and the effects
-    /// themselves pass through the lock.
-    next_due: AtomicU64,
+    pending: Padded<Pending>,
     /// Serializes effect application so drains from different threads
-    /// cannot interleave out of deadline order.
-    apply_lock: Mutex<()>,
+    /// cannot interleave out of deadline order, and holds the batch one
+    /// drain pops (empty between drains; its capacity is kept). It is per
+    /// node because applying a READ drains the READ's target node while
+    /// the outer drain still holds its own batch.
+    apply_lock: Mutex<Vec<PendingEffect>>,
     /// The region table: resolves one-sided targets and numbers keys.
     mrs: Padded<Mutex<Regions>>,
     /// In-flight WRITE payloads parked for read-ahead.
@@ -273,12 +266,11 @@ impl Node {
             topology,
             egress: Padded::default(),
             ingress: Padded::default(),
-            pending: Padded(Mutex::new(Pending {
-                effects: BinaryHeap::with_capacity(PENDING_RESERVE),
-                seq: 0,
-            })),
-            next_due: AtomicU64::new(u64::MAX),
-            apply_lock: Mutex::new(()),
+            pending: Padded(Pending {
+                effects: Mutex::new(VecDeque::with_capacity(PENDING_RESERVE)),
+                next_due: AtomicU64::new(u64::MAX),
+            }),
+            apply_lock: Mutex::new(Vec::with_capacity(PENDING_RESERVE)),
             mrs: Padded(Mutex::new(Regions { by_rkey: HashMap::new(), next_key: 1 })),
             parked: Default::default(),
             unwarmed: AtomicUsize::new(0),
@@ -341,10 +333,10 @@ impl Node {
     pub fn kill(&self) {
         if self.alive.swap(false, Ordering::AcqRel) {
             NodeStats::add(&self.stats.qp_errors, 1);
-            let mut pending = self.pending.lock();
-            pending.effects.clear();
-            self.next_due.store(u64::MAX, Ordering::Relaxed);
-            drop(pending);
+            let mut effects = self.pending.effects.lock();
+            effects.clear();
+            self.pending.next_due.store(u64::MAX, Ordering::Relaxed);
+            drop(effects);
             for slot in &self.parked {
                 if let Some((_, false)) = slot.lock().take() {
                     self.unwarmed.fetch_sub(1, Ordering::Relaxed);
@@ -426,35 +418,48 @@ impl Node {
 
     // ---- pending effects --------------------------------------------------
 
-    /// Enqueue an effect to apply at `deadline`. Dead nodes silently drop
-    /// effects: nothing arrives at (or from) a killed machine.
-    pub(crate) fn push_effect(&self, deadline: u64, kind: EffectKind) {
-        if !self.is_alive() {
+    /// Enqueue `effects`, each `(deadline, kind)`, in order, leaving the
+    /// vector empty: the one way an effect reaches this node's queue. A
+    /// posted chain hands each node all of its effects at once, so the
+    /// queue's lock and its mirrored head are taken and written once per
+    /// chain, not once per work request. Dead nodes silently drop effects:
+    /// nothing arrives at (or from) a killed machine.
+    pub(crate) fn push_effects(&self, effects: &mut Vec<(u64, EffectKind)>) {
+        if effects.is_empty() {
             return;
         }
-        let mut pending = self.pending.lock();
-        let seq = pending.seq;
-        pending.seq += 1;
-        pending.effects.push(Reverse(PendingEffect { deadline, seq, kind }));
-        self.next_due.store(pending.head(), Ordering::Relaxed);
+        if !self.is_alive() {
+            effects.clear();
+            return;
+        }
+        let mut queue = self.pending.effects.lock();
+        for (deadline, kind) in effects.drain(..) {
+            // Deadlines arrive nearly in order. An earlier one goes in
+            // behind every effect due no later than it: equal deadlines
+            // stay in push order.
+            let at = match queue.back() {
+                Some(last) if last.deadline > deadline => {
+                    queue.partition_point(|e| e.deadline <= deadline)
+                }
+                _ => queue.len(),
+            };
+            queue.insert(at, PendingEffect { deadline, kind });
+        }
+        self.pending.next_due.store(head(&queue), Ordering::Relaxed);
     }
 
-    /// Enqueue an in-bound WRITE of `data` into `mr` at `offset`, to land
-    /// at `deadline` and then, for a WRITE_WITH_IMM, deliver `imm`; a
-    /// payload of at least a page is parked for read-ahead if a slot is
-    /// free.
-    pub(crate) fn push_write(
+    /// The effect of an in-bound WRITE of `data` into `mr` at `offset`
+    /// that, for a WRITE_WITH_IMM, delivers `imm` once it lands. A payload
+    /// of at least a page is parked on this node for read-ahead if a slot
+    /// is free.
+    pub(crate) fn write_effect(
         &self,
-        deadline: u64,
         mr: Weak<MrInner>,
         offset: usize,
         data: PoolBuf,
         imm: Option<ImmNotice>,
-    ) {
-        if !self.is_alive() {
-            return;
-        }
-        let free = (data.len() >= WARM_MIN)
+    ) -> EffectKind {
+        let free = (data.len() >= WARM_MIN && self.is_alive())
             .then(|| {
                 self.parked.iter().enumerate().find_map(|(i, slot)| {
                     slot.try_lock().filter(|slot| slot.is_none()).map(|slot| (i, slot))
@@ -469,7 +474,7 @@ impl Node {
             }
             None => Payload::Held(data),
         };
-        self.push_effect(deadline, EffectKind::MemWrite { mr, offset, data, imm });
+        EffectKind::MemWrite { mr, offset, data, imm }
     }
 
     /// Whether a parked in-flight payload is waiting to be read ahead.
@@ -516,7 +521,7 @@ impl Node {
     /// coming out of a nap stamps its wake-up from. Reads the mirrored
     /// head, not the queue: no lock.
     pub fn next_effect_deadline(&self) -> Option<u64> {
-        let due = self.next_due.load(Ordering::Relaxed);
+        let due = self.pending.next_due.load(Ordering::Relaxed);
         (due != u64::MAX).then_some(due)
     }
 
@@ -525,7 +530,7 @@ impl Node {
     /// the mirror.
     #[doc(hidden)]
     pub fn next_effect_deadline_locked(&self) -> Option<u64> {
-        let due = self.pending.lock().head();
+        let due = head(&self.pending.effects.lock());
         (due != u64::MAX).then_some(due)
     }
 
@@ -533,7 +538,7 @@ impl Node {
     /// what a work request leaves in flight.
     #[doc(hidden)]
     pub fn pending_effects(&self) -> usize {
-        self.pending.lock().effects.len()
+        self.pending.effects.lock().len()
     }
 
     /// Apply every pending effect whose deadline has passed. Called by CQ
@@ -544,15 +549,16 @@ impl Node {
     ///
     /// This models NIC/DMA work, so it charges no CPU to the node.
     ///
-    /// The due-ness cutoff is snapshotted ONCE at entry: effects that
-    /// become due while the drain is running (most importantly RNR
+    /// The due-ness cutoff is read ONCE, at entry, and everything due by
+    /// it is taken off the queue in one pop under one lock: effects pushed
+    /// while the drain applies that batch (most importantly RNR-style
     /// retries, which re-enqueue themselves a short interval ahead) wait
-    /// for the next drain. Re-reading the clock each iteration would let
-    /// a handful of retrying messages pin the draining thread in this
-    /// loop forever — a livelock that starves the caller's own
-    /// completion-queue poll.
+    /// for the next drain, whatever their deadline. Re-reading the clock
+    /// and popping again would let a handful of retrying messages pin the
+    /// draining thread in this loop forever — a livelock that starves the
+    /// caller's own completion-queue poll.
     pub fn drain_effects(self: &Arc<Self>) {
-        if self.next_due.load(Ordering::Relaxed) != u64::MAX {
+        if self.pending.next_due.load(Ordering::Relaxed) != u64::MAX {
             self.drain_at(now_ns());
         }
     }
@@ -562,27 +568,48 @@ impl Node {
     /// and the completions this pushes are stamped ready at that same
     /// instant (their deadlines are no later), so the poll checks
     /// readiness against it without reading the clock again.
+    ///
+    /// One drain is one pop: under the queue's lock it moves every effect
+    /// due at `cutoff` — a prefix of the queue, which is kept in deadline
+    /// order — into the apply lock's scratch vector and rewrites the
+    /// mirrored head once; it then applies them with the queue unlocked,
+    /// so the peer keeps posting meanwhile. A node killed mid-batch
+    /// applies nothing after the kill. The drain adds to
+    /// `effects_applied`, `effect_drains` and `effect_late_ns` (the sum of
+    /// `cutoff − deadline`) once, reading no clock for them.
     pub(crate) fn drain_at(self: &Arc<Self>, cutoff: u64) {
-        if self.next_due.load(Ordering::Relaxed) > cutoff {
+        if self.pending.next_due.load(Ordering::Relaxed) > cutoff {
             return;
         }
         // Someone else draining is equivalent to us draining.
-        let Some(_apply) = self.apply_lock.try_lock() else { return };
-        while let Some(effect) = self.pop_due(cutoff) {
+        let Some(mut due) = self.apply_lock.try_lock() else { return };
+        {
+            let mut queue = self.pending.effects.lock();
+            while queue.front().is_some_and(|e| e.deadline <= cutoff) {
+                due.extend(queue.pop_front());
+            }
+            self.pending.next_due.store(head(&queue), Ordering::Relaxed);
+        }
+        let (mut applied, mut late_ns) = (0, 0);
+        for effect in due.drain(..) {
+            if !self.is_alive() {
+                break;
+            }
+            applied += 1;
+            late_ns += cutoff - effect.deadline;
             self.apply_effect(effect, cutoff);
         }
-    }
-
-    /// The earliest pending effect, if its deadline is at or before
-    /// `cutoff`; keeps the mirrored head current.
-    fn pop_due(&self, cutoff: u64) -> Option<PendingEffect> {
-        let mut pending = self.pending.lock();
-        if pending.head() > cutoff {
-            return None;
+        if applied > 0 {
+            // Only a drain holding the apply lock writes these three, so a
+            // plain load and store adds to them without a locked
+            // instruction.
+            let add = |counter: &AtomicU64, v: u64| {
+                counter.store(counter.load(Ordering::Relaxed) + v, Ordering::Relaxed);
+            };
+            add(&self.stats.effects_applied, applied);
+            add(&self.stats.effect_drains, 1);
+            add(&self.stats.effect_late_ns, late_ns);
         }
-        let Reverse(effect) = pending.effects.pop()?;
-        self.next_due.store(pending.head(), Ordering::Relaxed);
-        Some(effect)
     }
 
     /// Deliver an arrived message into a posted receive of `ep`, or join
@@ -742,6 +769,19 @@ mod tests {
         Node::new(0, "n".into(), Arc::new(SimConfig::fast_test()))
     }
 
+    /// Enqueue a plain WRITE of `data` into `mr` at `offset`, due at
+    /// `deadline`, the way a one-WR chain does.
+    fn push_write(
+        n: &Node,
+        deadline: u64,
+        mr: &crate::memory::MemoryRegion,
+        offset: usize,
+        data: PoolBuf,
+    ) {
+        let write = n.write_effect(Arc::downgrade(&mr.inner), offset, data, None);
+        n.push_effects(&mut vec![(deadline, write)]);
+    }
+
     #[test]
     fn link_reservations_are_back_to_back() {
         let l = Link::default();
@@ -820,13 +860,38 @@ mod tests {
         let mr = pd.register(8).unwrap();
         let t = now_ns();
         // Later effect overwrites the earlier one; push out of order.
-        n.push_write(t + 2, Arc::downgrade(&mr.inner), 0, PoolBuf::copy_from(&[2]), None);
-        n.push_write(t + 1, Arc::downgrade(&mr.inner), 0, PoolBuf::copy_from(&[1]), None);
+        push_write(&n, t + 2, &mr, 0, PoolBuf::copy_from(&[2]));
+        push_write(&n, t + 1, &mr, 0, PoolBuf::copy_from(&[1]));
         crate::time::spin_until(t + 3);
         n.drain_effects();
         let mut b = [0u8; 1];
         mr.read(0, &mut b).unwrap();
         assert_eq!(b[0], 2, "the deadline-2 write must land last");
+    }
+
+    /// The queue stays in deadline order whatever order effects are
+    /// pushed in, and an effect pushed late goes behind every effect due
+    /// no later than it: equal deadlines keep their push order.
+    #[test]
+    fn an_out_of_order_push_goes_behind_every_effect_due_no_later() {
+        let n = node();
+        let mr = crate::memory::ProtectionDomain::new(n.clone()).register(8).unwrap();
+        let t = now_ns() + 1_000_000;
+        for (deadline, offset) in [(t + 3, 4), (t + 1, 0), (t + 1, 1), (t + 2, 3), (t + 1, 2)] {
+            push_write(&n, deadline, &mr, offset, PoolBuf::copy_from(&[1]));
+        }
+        let order: Vec<_> = n
+            .pending
+            .effects
+            .lock()
+            .iter()
+            .map(|e| match e.kind {
+                EffectKind::MemWrite { offset, .. } => (e.deadline - t, offset),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, [(1, 0), (1, 1), (1, 2), (2, 3), (3, 4)]);
+        assert_eq!(n.next_effect_deadline(), Some(t + 1));
     }
 
     /// A page-sized in-flight WRITE is parked for read-ahead until a
@@ -839,16 +904,10 @@ mod tests {
         let mr = pd.register((WARM_SLOTS + 2) * WARM_MIN).unwrap();
         let page = |i: usize| vec![i as u8 + 1; WARM_MIN];
         let due = now_ns() + 1_000_000;
-        n.push_write(due, Arc::downgrade(&mr.inner), 0, PoolBuf::copy_from(&[9; 64]), None);
+        push_write(&n, due, &mr, 0, PoolBuf::copy_from(&[9; 64]));
         assert!(!n.has_unwarmed(), "below a page: held");
         for i in 1..=WARM_SLOTS + 1 {
-            n.push_write(
-                due,
-                Arc::downgrade(&mr.inner),
-                i * WARM_MIN,
-                PoolBuf::from_vec(page(i)),
-                None,
-            );
+            push_write(&n, due, &mr, i * WARM_MIN, PoolBuf::from_vec(page(i)));
         }
         assert_eq!(n.unwarmed.load(Ordering::Relaxed), WARM_SLOTS, "one per slot");
         n.warm_inbound();
@@ -857,7 +916,7 @@ mod tests {
         let p = crate::memory::ProtectionDomain::new(n.clone()).register(WARM_MIN).unwrap();
         crate::time::spin_until(due);
         n.drain_effects();
-        n.push_write(due, Arc::downgrade(&p.inner), 0, PoolBuf::from_vec(page(0)), None);
+        push_write(&n, due, &p, 0, PoolBuf::from_vec(page(0)));
         assert!(n.has_unwarmed());
         n.drain_effects();
         assert!(!n.has_unwarmed());
@@ -874,13 +933,7 @@ mod tests {
         let n = node();
         let pd = crate::memory::ProtectionDomain::new(n.clone());
         let mr = pd.register(1).unwrap();
-        n.push_write(
-            now_ns() + 50_000_000,
-            Arc::downgrade(&mr.inner),
-            0,
-            PoolBuf::copy_from(&[9]),
-            None,
-        ); // 50 ms out
+        push_write(&n, now_ns() + 50_000_000, &mr, 0, PoolBuf::copy_from(&[9])); // 50 ms out
         n.drain_effects();
         let mut b = [0u8; 1];
         mr.read(0, &mut b).unwrap();
@@ -900,13 +953,7 @@ mod tests {
         // re-reading drain loop, a steady feed of new due work never ends.
         let t = now_ns();
         for i in 0..64 {
-            n.push_write(
-                t.saturating_sub(1000 - i),
-                Arc::downgrade(&mr.inner),
-                0,
-                PoolBuf::copy_from(&[i as u8]),
-                None,
-            );
+            push_write(&n, t.saturating_sub(1000 - i), &mr, 0, PoolBuf::copy_from(&[i as u8]));
         }
         let start = std::time::Instant::now();
         n.drain_effects();
@@ -914,17 +961,40 @@ mod tests {
         // Effects pushed DURING a drain with past deadlines are picked up
         // by the NEXT drain, not the current one — simulate by pushing a
         // past-deadline effect and draining twice.
-        n.push_write(
-            now_ns().saturating_sub(1),
-            Arc::downgrade(&mr.inner),
-            0,
-            PoolBuf::copy_from(&[200]),
-            None,
-        );
+        push_write(&n, now_ns().saturating_sub(1), &mr, 0, PoolBuf::copy_from(&[200]));
         n.drain_effects();
         let mut b = [0u8; 1];
         mr.read(0, &mut b).unwrap();
         assert_eq!(b[0], 200);
+    }
+
+    /// An effect pushed while a drain applies its batch waits for the next
+    /// drain even when it is already due at that drain's cutoff: the drain
+    /// takes its whole batch in one pop before applying any of it.
+    #[test]
+    fn an_effect_pushed_during_a_drain_waits_for_the_next_drain_even_if_due() {
+        struct PushDue(Arc<Node>, crate::memory::MemoryRegion);
+        impl crate::cq::CqNotify for PushDue {
+            fn notify(&self) {
+                push_write(&self.0, 0, &self.1, 0, PoolBuf::copy_from(&[7]));
+            }
+        }
+        let f = crate::fabric::Fabric::new(SimConfig::fast_test());
+        let (a, b) = (f.add_node("a"), f.add_node("b"));
+        let (c, s) = f.connect(&a, &b).unwrap();
+        let dst = s.pd().register(8).unwrap();
+        s.post_recv(crate::wr::RecvWr::new(0, dst.clone(), 0, 0)).unwrap();
+        let notifier = Arc::new(PushDue(b.clone(), dst.clone()));
+        s.recv_cq().register_notify(&notifier);
+        c.post_send(&[crate::wr::SendWr::write_imm_inline(0, &[], dst.remote_buf(0, 0), 1)])
+            .unwrap();
+        spin_until(b.next_effect_deadline().unwrap());
+        b.drain_effects();
+        assert_eq!(b.stats_snapshot().effects_applied, 1, "the WRITE_WITH_IMM alone");
+        assert_eq!(b.next_effect_deadline(), Some(0), "pushed mid-drain, long due, still queued");
+        b.drain_effects();
+        assert_eq!(b.stats_snapshot().effects_applied, 2);
+        assert_eq!(dst.read_vec(0, 1).unwrap(), [7]);
     }
 
     #[test]

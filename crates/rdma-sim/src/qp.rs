@@ -14,6 +14,9 @@
 //! line and its cost is a [`crate::node::Charge`] anchored there. The
 //! caller gets control back at `entry + eff`, and the chain's wire schedule
 //! starts at that instant too (`launch` is handed it; it reads no clock).
+//! The chain reaches each node's effect queue in one push, as it reaches
+//! the NIC in one doorbell: the peer's for its SENDs, WRITEs and
+//! WRITE_WITH_IMMs, this node's for its READs' responses.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -331,26 +334,23 @@ impl Endpoint {
         if !self.is_alive() {
             return Err(RdmaError::Disconnected);
         }
-        // The resolved chain lives in a per-thread vector that keeps its
-        // capacity between posts: resolving once must not cost an
-        // allocation per post on the hot pipelined path.
-        RESOLVED.with(|cell| {
-            let mut resolved = cell.take();
-            let posted = self.post_chain(entry, chain, &mut resolved);
-            resolved.clear();
-            cell.set(resolved);
+        // The resolved chain and its effects live in per-thread vectors
+        // that keep their capacity between posts: resolving once must not
+        // cost an allocation per post on the hot pipelined path.
+        POST_SCRATCH.with(|cell| {
+            let mut scratch = cell.replace(PostScratch::new());
+            let posted = self.post_chain(entry, chain, &mut scratch);
+            scratch.resolved.clear();
+            cell.set(scratch);
             posted
         })
     }
 
     /// [`Endpoint::post_send`] past its state checks: resolve every WR
-    /// once, inject faults, charge, then schedule the chain whole.
-    fn post_chain(
-        &self,
-        entry: u64,
-        chain: &[SendWr],
-        resolved: &mut Vec<ResolvedWr>,
-    ) -> Result<()> {
+    /// once, inject faults, charge, then schedule the chain whole and hand
+    /// each node its effects under one lock.
+    fn post_chain(&self, entry: u64, chain: &[SendWr], scratch: &mut PostScratch) -> Result<()> {
+        let PostScratch { resolved, to_peer, to_self } = scratch;
         let node = &self.inner.node;
         let cost = &node.config().cost;
 
@@ -394,9 +394,19 @@ impl Endpoint {
         }
 
         // ---- schedule wire activity -------------------------------------
+        // A SEND, WRITE or WRITE_WITH_IMM lands on the peer, a READ's
+        // response on this node: each node takes its share of the chain
+        // in one push, in posting order.
         for (wr, r) in chain.iter().zip(resolved.drain(..)) {
-            self.launch(wr, r, cost, doorbell_at);
+            match (&wr.op, r) {
+                (SendOp::Read { local, .. }, ResolvedWr { wire_bytes, target: Some(t), .. }) => {
+                    to_self.push(self.launch_read(wr, local, t, wire_bytes, cost, doorbell_at));
+                }
+                (_, r) => to_peer.push(self.launch(wr, r, cost, doorbell_at)),
+            }
         }
+        self.inner.peer_node.push_effects(to_peer);
+        node.push_effects(to_self);
         Ok(())
     }
 
@@ -494,28 +504,23 @@ impl Endpoint {
         Ok(ResolvedRemote { mr, offset })
     }
 
-    /// Schedule the wire-side of one resolved work request and its
-    /// effects, from `t0`: the modelled instant the chain's doorbell rings.
-    fn launch(&self, wr: &SendWr, r: ResolvedWr, cost: &CostModel, t0: u64) {
+    /// Schedule the wire-side of one resolved SEND, WRITE or
+    /// WRITE_WITH_IMM from `t0`, the modelled instant the chain's doorbell
+    /// rings, and return the effect it leaves on the peer: its deadline
+    /// and kind.
+    fn launch(&self, wr: &SendWr, r: ResolvedWr, cost: &CostModel, t0: u64) -> (u64, EffectKind) {
         let node = &self.inner.node;
         let peer_node = &self.inner.peer_node;
         let cfg = node.config();
         let ResolvedWr { wire_bytes: bytes, data, target } = r;
-        let target = match (target, &wr.op) {
-            (Some(target), SendOp::Read { local, .. }) => {
-                return self.launch_read(wr, local, target, bytes, cost, t0)
-            }
-            (target, _) => target,
-        };
 
-        // ---- SEND / WRITE / WRITE_WITH_IMM --------------------------------
         // The receiving node counts `bytes_rx` (and, for the one-sided
         // kinds, `inbound_rdma`) when it applies the effect.
         let ser = cfg.scaled(cost.serialize_ns(bytes));
         let (es, ee) = node.egress().reserve_at(t0 + cfg.scaled(cost.nic_process_ns), ser);
         let (_, ie) = peer_node.ingress().reserve_at(es + cfg.scaled(cost.wire_latency_ns), ser);
         let deadline = ie + cfg.scaled(cost.nic_process_ns);
-        match target {
+        let effect = match target {
             Some(ResolvedRemote { mr, offset }) => {
                 NodeStats::add(&node.stats().outbound_rdma, 1);
                 // One effect lands the payload, then delivers the
@@ -526,13 +531,10 @@ impl Endpoint {
                     }
                     _ => None,
                 };
-                peer_node.push_write(deadline, mr, offset, data, notice);
+                peer_node.write_effect(mr, offset, data, notice)
             }
-            None => {
-                let deliver = EffectKind::RecvDeliver { ep: self.peer_ref(), data };
-                peer_node.push_effect(deadline, deliver);
-            }
-        }
+            None => EffectKind::RecvDeliver { ep: self.peer_ref(), data },
+        };
 
         NodeStats::add(&node.stats().bytes_tx, bytes as u64);
 
@@ -564,11 +566,12 @@ impl Endpoint {
                 },
             );
         }
+        (deadline, effect)
     }
 
     /// [`Endpoint::launch`] of an RDMA READ into `local`: a request
     /// descriptor out, the payload streamed back, one effect at the
-    /// initiator.
+    /// initiator, returned with its deadline.
     fn launch_read(
         &self,
         wr: &SendWr,
@@ -577,7 +580,7 @@ impl Endpoint {
         bytes: usize,
         cost: &CostModel,
         t0: u64,
-    ) {
+    ) -> (u64, EffectKind) {
         let node = &self.inner.node;
         let target_node = &self.inner.peer_node;
         let cfg = node.config();
@@ -619,21 +622,19 @@ impl Endpoint {
             hat_trace::event(hat_trace::Phase::Delivered, node.id(), call, bytes as u64, deadline);
         }
 
-        node.push_effect(
-            deadline,
-            EffectKind::FetchRead {
-                target_node: Arc::downgrade(target_node),
-                target_mr: target.mr,
-                target_offset: target.offset,
-                len: bytes,
-                local_mr: Arc::downgrade(&local.mr.inner),
-                local_offset: local.offset,
-                cq: self.inner.send_cq.downgrade(),
-                wr_id: wr.wr_id,
-                qp_id: self.inner.id,
-                signaled: wr.signaled,
-            },
-        );
+        let fetch = EffectKind::FetchRead {
+            target_node: Arc::downgrade(target_node),
+            target_mr: target.mr,
+            target_offset: target.offset,
+            len: bytes,
+            local_mr: Arc::downgrade(&local.mr.inner),
+            local_offset: local.offset,
+            cq: self.inner.send_cq.downgrade(),
+            wr_id: wr.wr_id,
+            qp_id: self.inner.id,
+            signaled: wr.signaled,
+        };
+        (deadline, fetch)
     }
 
     /// Check that the connected peer endpoint and its node are up. Read
@@ -662,8 +663,23 @@ impl Endpoint {
 }
 
 thread_local! {
-    /// [`Endpoint::post_send`]'s resolved chain, kept for its capacity.
-    static RESOLVED: Cell<Vec<ResolvedWr>> = const { Cell::new(Vec::new()) };
+    /// [`Endpoint::post_send`]'s vectors, kept for their capacity.
+    static POST_SCRATCH: Cell<PostScratch> = const { Cell::new(PostScratch::new()) };
+}
+
+/// A chain being posted: its resolved work requests, then the effects it
+/// leaves on the peer and on this node, each `(deadline, kind)` in posting
+/// order. Empty between posts.
+struct PostScratch {
+    resolved: Vec<ResolvedWr>,
+    to_peer: Vec<(u64, EffectKind)>,
+    to_self: Vec<(u64, EffectKind)>,
+}
+
+impl PostScratch {
+    const fn new() -> PostScratch {
+        PostScratch { resolved: Vec::new(), to_peer: Vec::new(), to_self: Vec::new() }
+    }
 }
 
 /// One work request, validated and bound by [`Endpoint::resolve`].

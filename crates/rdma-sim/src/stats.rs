@@ -128,6 +128,15 @@ node_counters! {
     counter memcpys,
     /// Receiver-not-ready stalls (SEND arrived before a RECV was posted).
     counter rnr_stalls,
+    /// Pending effects (in-bound SENDs, WRITEs and WRITE_WITH_IMMs, this
+    /// node's READ responses) applied by drains of this node.
+    counter effects_applied,
+    /// Drains of this node that applied at least one effect;
+    /// `effects_applied / effect_drains` is the batch one drain takes.
+    counter effect_drains,
+    /// Sum over applied effects of how far the drain's cutoff was past the
+    /// effect's deadline, ns; `/ effects_applied` is the mean lateness.
+    counter effect_late_ns,
     /// Simulated CPU nanoseconds burned on this node (spin charges and
     /// busy-poll loops).
     counter cpu_busy_ns,

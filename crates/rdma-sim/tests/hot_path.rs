@@ -1,13 +1,17 @@
 //! The simulated message path between two host threads: what one
 //! WRITE_WITH_IMM leaves in flight, that a one-sided target off the
 //! connected peer never reaches the wire, the lock-free heads an idle poll
-//! reads, which node counts a message's receive side and when, the
-//! per-thread spare buffer in front of the global pool, and which waits
-//! give the host core away (counted, not timed).
+//! reads, what one drain of the effect queue takes and applies, which node
+//! counts a message's receive side and when, the per-thread spare buffer
+//! in front of the global pool, and which waits give the host core away
+//! (counted, not timed).
+
+use std::sync::{Arc, Mutex};
 
 use hat_rdma_sim::time::{crowded, dry_pause, yields, SCHEDULED_WINDOW_NS};
 use hat_rdma_sim::{
-    now_ns, CostModel, Fabric, PollMode, PoolBuf, RdmaError, RecvWr, SendWr, SimConfig, MAX_INLINE,
+    now_ns, CostModel, CqNotify, Fabric, PollMode, PoolBuf, RdmaError, RecvWr, SendWr, SimConfig,
+    MAX_INLINE,
 };
 use proptest::prelude::*;
 
@@ -121,6 +125,9 @@ enum Step {
     PollSend,
     Wait(u16),
     Kill,
+    /// A chain of 2–8 WRs, one doorbell: WR `i`'s kind is bits `2i..2i+2`
+    /// of the mix (WRITE, WRITE_WITH_IMM, SEND, READ).
+    Chain(u8, u32),
 }
 
 fn step() -> impl Strategy<Value = Step> {
@@ -134,6 +141,7 @@ fn step() -> impl Strategy<Value = Step> {
         Just(Step::PollSend),
         (0u16..20_000).prop_map(Step::Wait),
         Just(Step::Kill),
+        (2u8..=8, any::<u32>()).prop_map(|(len, mix)| Step::Chain(len, mix)),
     ]
 }
 
@@ -143,7 +151,8 @@ proptest! {
     /// The node's mirrored earliest effect deadline and each CQ's mirrored
     /// earliest readiness — what an idle drain or poll reads instead of
     /// taking a lock — equal the heap minimum read under the lock after
-    /// every push, drain, pop and kill of a seeded random schedule.
+    /// every push, drain, pop and kill of a seeded random schedule, chains
+    /// that hand both nodes several effects at once included.
     #[test]
     fn lock_free_heads_equal_the_heap_minimum(steps in prop::collection::vec(step(), 1..80)) {
         let f = Fabric::new(SimConfig::fast_test());
@@ -152,6 +161,7 @@ proptest! {
         let dst = s.pd().register(256).unwrap();
         let ring = s.pd().register(256).unwrap();
         let rb = dst.remote_buf(0, 256);
+        let (local, read_at) = (c.pd().register(64).unwrap(), dst.remote_buf(0, 64));
         for step in steps {
             // Posts after a kill fail; the heads must hold regardless.
             let _ = match step {
@@ -180,6 +190,17 @@ proptest! {
                     Ok(())
                 }
                 Step::Kill => f.kill_node("b").map(|_| ()),
+                Step::Chain(len, mix) => {
+                    let chain: Vec<SendWr> = (0..u32::from(len))
+                        .map(|i| match (mix >> (2 * i)) & 3 {
+                            0 => SendWr::write_inline(0, &[4; 64], rb),
+                            1 => SendWr::write_imm_inline(0, &[5; 64], rb, i),
+                            2 => SendWr::send_inline(0, &[6; 64]).signaled(),
+                            _ => SendWr::read(0, local.slice(0, 64), read_at).signaled(),
+                        })
+                        .collect();
+                    c.post_send(&chain)
+                }
             };
             prop_assert_eq!(b.next_effect_deadline(), b.next_effect_deadline_locked(), "{:?}", step);
             prop_assert_eq!(a.next_effect_deadline(), a.next_effect_deadline_locked(), "{:?}", step);
@@ -188,6 +209,132 @@ proptest! {
             }
         }
     }
+}
+
+/// A notifier that runs `f` on the first completion pushed on the CQ it is
+/// registered with — in the thread applying the effect that pushed it,
+/// in the middle of that thread's drain — and does nothing after.
+struct OnFirstCompletion(Mutex<Option<Box<dyn FnOnce() + Send>>>);
+
+impl OnFirstCompletion {
+    fn new(f: impl FnOnce() + Send + 'static) -> Arc<OnFirstCompletion> {
+        Arc::new(OnFirstCompletion(Mutex::new(Some(Box::new(f)))))
+    }
+}
+
+impl CqNotify for OnFirstCompletion {
+    fn notify(&self) {
+        let f = self.0.lock().unwrap().take();
+        if let Some(f) = f {
+            f();
+        }
+    }
+}
+
+/// A chain of zero-length WRITE_WITH_IMMs shares one deadline (nothing to
+/// serialize on either link): the drain applies them in posting order, so
+/// their completions reach the receive CQ in that order.
+#[test]
+fn a_chain_whose_effects_share_a_deadline_applies_them_in_posting_order() {
+    const N: u32 = 8;
+    let f = Fabric::new(SimConfig::fast_test());
+    let (a, b) = (f.add_node("a"), f.add_node("b"));
+    let (c, s) = f.connect(&a, &b).unwrap();
+    let dst = s.pd().register(8).unwrap();
+    let rb = dst.remote_buf(0, 0);
+    for i in 0..u64::from(N) {
+        s.post_recv(RecvWr::new(i, dst.clone(), 0, 0)).unwrap();
+    }
+    let chain: Vec<SendWr> = (0..N).map(|i| SendWr::write_imm_inline(0, &[], rb, i)).collect();
+    c.post_send(&chain).unwrap();
+    assert_eq!(b.pending_effects(), N as usize);
+    let due = b.next_effect_deadline().unwrap();
+    hat_rdma_sim::time::spin_until(due);
+    let before = b.stats_snapshot();
+    b.drain_effects();
+    let drained = b.stats_snapshot() - before;
+    assert_eq!((drained.effects_applied, drained.effect_drains), (u64::from(N), 1));
+    let imms: Vec<_> = std::iter::from_fn(|| s.recv_cq().try_poll()).map(|c| c.imm).collect();
+    assert_eq!(imms, (0..N).map(Some).collect::<Vec<_>>());
+}
+
+/// One drain takes what was due at its cutoff and nothing else: a chain
+/// whose deadline is still ahead stays queued, and so does a chain the
+/// sender posts from inside the drain's apply (a completion notifier). The
+/// next drain past both deadlines applies the rest. The counters add one
+/// drain each time and the lateness the cutoff found.
+#[test]
+fn one_drain_applies_what_was_due_at_its_cutoff_and_leaves_what_its_apply_pushed() {
+    const WIRE_NS: u64 = 20_000_000;
+    let cost = CostModel { wire_latency_ns: WIRE_NS, ..CostModel::default() };
+    let f = Fabric::new(SimConfig { cost, ..SimConfig::default() });
+    let (a, b) = (f.add_node("a"), f.add_node("b"));
+    let (c, s) = f.connect(&a, &b).unwrap();
+    let c = Arc::new(c);
+    let dst = s.pd().register(64).unwrap();
+    let rb = dst.remote_buf(0, 64);
+    for i in 0..8 {
+        s.post_recv(RecvWr::new(i, dst.clone(), 0, 0)).unwrap();
+    }
+    let writes = |n: u32, tag: u8| -> Vec<SendWr> {
+        (0..n).map(|i| SendWr::write_imm_inline(0, &[tag; 8], rb, i)).collect()
+    };
+    let sender = c.clone();
+    let during = writes(2, 3);
+    let notifier = OnFirstCompletion::new(move || sender.post_send(&during).unwrap());
+    s.recv_cq().register_notify(&notifier);
+
+    c.post_send(&writes(3, 1)).unwrap();
+    hat_rdma_sim::time::spin_until(b.next_effect_deadline().unwrap() + WIRE_NS / 2);
+    c.post_send(&writes(1, 2)).unwrap(); // due a wire time from now
+    let before = b.stats_snapshot();
+    b.drain_effects();
+    let first = b.stats_snapshot() - before;
+    assert_eq!((first.effects_applied, first.effect_drains), (3, 1));
+    assert!(first.effect_late_ns > WIRE_NS, "3 effects, each half a wire time late: {first:?}");
+    assert_eq!(b.pending_effects(), 1 + 2, "the later chain and the one pushed mid-drain");
+    assert_eq!(b.next_effect_deadline(), b.next_effect_deadline_locked());
+
+    hat_rdma_sim::time::spin_until(b.next_effect_deadline_locked().unwrap() + 2 * WIRE_NS);
+    b.drain_effects();
+    let both = b.stats_snapshot() - before;
+    assert_eq!((both.effects_applied, both.effect_drains), (6, 2));
+    assert_eq!(b.pending_effects(), 0);
+    assert_eq!(b.next_effect_deadline(), None);
+}
+
+/// A node killed while a drain applies its batch applies nothing after the
+/// kill: the first WRITE_WITH_IMM of a due chain lands and completes, its
+/// completion's notifier kills the node, and the other three never land.
+#[test]
+fn a_kill_during_a_drain_stops_the_rest_of_its_batch() {
+    let f = Fabric::new(SimConfig::fast_test());
+    let (a, b) = (f.add_node("a"), f.add_node("b"));
+    let (c, s) = f.connect(&a, &b).unwrap();
+    let dst = s.pd().register(32).unwrap();
+    for i in 0..4 {
+        s.post_recv(RecvWr::new(i, dst.clone(), 0, 0)).unwrap();
+    }
+    let victim = b.clone();
+    let notifier = OnFirstCompletion::new(move || victim.kill());
+    s.recv_cq().register_notify(&notifier);
+    let chain: Vec<SendWr> = (0..4u8)
+        .map(|i| {
+            let at = dst.remote_buf(8 * usize::from(i), 8);
+            SendWr::write_imm_inline(0, &[i + 1; 8], at, u32::from(i))
+        })
+        .collect();
+    c.post_send(&chain).unwrap();
+    hat_rdma_sim::time::spin_until(b.next_effect_deadline_locked().unwrap() + 1_000_000);
+    let before = b.stats_snapshot();
+    b.drain_effects();
+    let drained = b.stats_snapshot() - before;
+    assert!(!b.is_alive());
+    assert_eq!((drained.effects_applied, drained.inbound_rdma), (1, 1));
+    let mut landed = [0u8; 32];
+    landed[..8].fill(1);
+    assert_eq!(dst.read_vec(0, 32).unwrap(), landed, "only the first WRITE landed");
+    assert_eq!(b.pending_effects(), 0);
 }
 
 /// Every delivered SEND, WRITE and WRITE_WITH_IMM counts its bytes in
